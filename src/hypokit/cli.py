@@ -133,7 +133,6 @@ CONFIG_SCHEMA = {
                 "slack": {"type": "number", "minimum": 0},
                 "gammas": {"type": "string"},
                 "threads": {"type": "integer", "minimum": 1},
-                "times": {"type": "array", "items": {"type": "number", "minimum": 0}, "minItems": 1},
             },
         },
     },
@@ -716,8 +715,6 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_, description=help_)
         p.add_argument("--config", help="JSON config file; flags override its keys")
         p.add_argument("--report", help="write the JSON report here instead of stdout")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--stream-id", dest="stream_id", type=int)
         return p
 
     def add_potential(p):
@@ -725,6 +722,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--param", action="append", metavar="KEY=VALUE",
                        help="potential parameter (JSON value), repeatable")
         p.add_argument("--beta", type=float)
+
+    def add_ensemble(p):
+        add_potential(p)
         p.add_argument("--mass", type=float)
         p.add_argument("--gamma", type=float)
 
@@ -734,7 +734,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--n-quad", dest="n_quad", type=int)
 
     p = add("sample", "integrate one trajectory and write observable samples to CSV")
-    add_potential(p)
+    add_ensemble(p)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--stream-id", dest="stream_id", type=int)
     p.add_argument("--scheme", choices=["langevin", "overdamped", "hamiltonian"])
     p.add_argument("--dt", type=float)
     p.add_argument("--n-steps", dest="n_steps", type=int)
@@ -752,21 +754,21 @@ def _build_parser() -> _Parser:
     p.add_argument("--batches", type=int)
 
     p = add("spectrum", "spectral gap of the kinetic generator")
-    add_potential(p)
+    add_ensemble(p)
     add_basis(p)
     p.add_argument("--check-convergence", dest="check_convergence",
                    action=argparse.BooleanOptionalAction)
     p.add_argument("--dump-eigs", dest="dump_eigs", help="CSV path for the deflated spectrum")
 
     p = add("poisson", "asymptotic variance from the Galerkin Poisson equation")
-    add_potential(p)
+    add_ensemble(p)
     add_basis(p)
     p.add_argument("--observable")
     p.add_argument("--dynamics", choices=["langevin", "overdamped"])
 
     p = add("poincare", "Poincare constant of the configurational measure")
     add_potential(p)
-    add_basis(p)
+    p.add_argument("--Kq", type=int, help="starting Kq; refined until the value settles")
 
     p = add("ode", "2x2 hypocoercive toy model: spectrum, P matrices, trajectory")
     p.add_argument("--gamma", type=float)
@@ -778,13 +780,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", help="trajectory CSV path")
 
     p = add("dissipation", "modified-norm dissipation rate of the kinetic generator")
-    add_potential(p)
+    add_ensemble(p)
     add_basis(p)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--tune", action="store_true", default=None)
 
     p = add("bounds", "resolvent norm vs the explicit upper bound, plus witnesses")
-    add_potential(p)
+    add_ensemble(p)
     add_basis(p)
     p.add_argument("--case", choices=["auto", "convex", "hessian_lower_bound", "general"])
     p.add_argument("--K", type=float)
@@ -792,7 +794,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--slack", type=float)
 
     p = add("scan", "spectral gap across a geometric friction ladder")
-    add_potential(p)
+    add_ensemble(p)
     add_basis(p)
     p.add_argument("--gammas", metavar="START:RATIO:COUNT")
     p.add_argument("--threads", type=int)

@@ -219,8 +219,11 @@ class DissipationResult:
 def _modified_norm_parts(asm: GeneratorAssembly, rcond):
     red = reduced_generator(asm, rcond)
     h = red.ham
-    t_op = h @ red.pi0
-    r_op = sla.solve(np.eye(t_op.shape[0]) + t_op.T @ t_op, t_op.T, assume_a="pos")
+    # T = L_ham Pi0 is the first n0 columns of ham, so R = (1 + T*T)^{-1} T*
+    # vanishes outside its first n0 rows
+    t0 = h[:, : red.n0]
+    r_op = np.zeros_like(h)
+    r_op[: red.n0] = sla.solve(np.eye(red.n0) + t0.T @ t0, t0.T, assume_a="pos")
     return red, h, r_op
 
 
@@ -565,7 +568,11 @@ def gamma_scan(
 
     def run_row(i: int):
         try:
-            gaps[i] = _gap_of_operator(red.operator(g[i])).gap
+            gap = _gap_of_operator(red.operator(g[i])).gap
+            if not gap > 0:
+                # near-zero friction leaves a gap at roundoff level, of either sign
+                raise NumericalFailureError(f"computed gap {gap:.3g} is not positive")
+            gaps[i] = gap
         except Exception as exc:  # noqa: BLE001 - rows are isolated by design
             row_errors[float(g[i])] = f"{type(exc).__name__}: {exc}"
 
@@ -575,13 +582,14 @@ def gamma_scan(
     lower = np.minimum(g, 1.0 / g)
     table = ScalingTable(gammas=g, gaps=gaps, lower_model=lower)
 
-    def branch_slope(mask) -> float:
-        ok = mask & np.isfinite(gaps) & (gaps > 0)
-        if ok.sum() < 2:
-            return float("nan")
-        return float(np.polyfit(np.log(g[ok]), np.log(gaps[ok]), 1)[0])
+    ok = np.isfinite(gaps)
 
-    ok = np.isfinite(gaps) & (gaps > 0)
+    def branch_slope(mask) -> float:
+        sel = mask & ok
+        if sel.sum() < 2:
+            return float("nan")
+        return float(np.polyfit(np.log(g[sel]), np.log(gaps[sel]), 1)[0])
+
     lam_bar = float(np.min(gaps[ok] / lower[ok])) if np.any(ok) else float("nan")
     return ScanResult(
         table=table,

@@ -16,11 +16,13 @@ integration by parts,
 
     <f, L_ham g> = (1/beta) (<d_p f, d_q g> - <d_q f, d_p g>),
 
-which is exactly antisymmetric; the fluctuation-dissipation part acts
-diagonally as -(n/m) on Hermite level n, exactly symmetric.  Eigen/singular
-solvers run in a whitened coordinate frame (per-level congruence by
-gram_q^{-1/2}, eigenvalue-filtered for near-singular Grams) with the constant
-function deflated; congruences preserve the symmetries exactly.
+which is exactly antisymmetric and couples Hermite level n only to n -/+ 1;
+the fluctuation-dissipation part acts diagonally as -(n/m) on level n.  All
+solvers use one representation, the ReducedGenerator: each level is whitened
+by the same gram_q^{-1/2} (eigenvalue-filtered for near-singular Grams, r
+columns kept), and the constant function, which lies in level 0, is deflated
+inside level 0 only.  The reduced coordinates are thus level-blocked: n0 = r - 1
+for level 0, which is the range of Pi0, then r per level n >= 1.
 
 Full-basis coefficient indexing is Hermite-major: index = n * (2 Kq + 1) + a.
 """
@@ -133,20 +135,14 @@ def build_basis(
 
 @dataclass(frozen=True, eq=False)
 class GeneratorAssembly:
-    """Galerkin matrices of the kinetic Langevin generator L_ham + gamma L_FD.
+    """The kinetic Langevin generator L_ham + gamma L_FD on a basis.
 
-    l_ham and l_fd are coefficient actions (gram^{-1} times the weak forms);
-    the weak forms themselves are gram @ l_ham (exactly antisymmetric) and
-    gram @ l_fd (exactly symmetric negative semidefinite).  pi0 projects onto
-    Hermite level 0, i.e. onto functions of the position only.
+    Holds no matrices: reduced_generator builds the one operator every
+    solver uses, in the whitened, level-blocked frame.
     """
 
     basis: BasisSet
     gamma: float
-    gram: Array
-    l_ham: Array
-    l_fd: Array
-    pi0: Array
 
     @property
     def size(self) -> int:
@@ -165,39 +161,36 @@ def _cho_gram_q(basis: BasisSet):
 def assemble_generator(
     basis: BasisSet, spec: PotentialSpec, params: EnsembleParams
 ) -> GeneratorAssembly:
-    """Assemble the full tensor-basis generator matrices for one gamma."""
+    """Check that params and potential match the basis, and bind gamma."""
     if (params.beta, params.mass) != (basis.beta, basis.mass):
         raise InvalidArgumentError("params.beta/mass must match the values the basis was built with")
     if not isinstance(spec.domain, Torus) or spec.domain.length != basis.L:
         raise InvalidArgumentError("potential domain does not match the basis torus")
-
-    n_q, n_p = basis.n_q, basis.Np
-    n = n_q * n_p
-    cho = _cho_gram_q(basis)
-    # Coefficient action of L_ham: level n couples to n -/+ 1 with
-    #   down block  s_n * D              (the p d_q transport term)
-    #   up block   -s_{n+1} * Gq^{-1} D^T Gq   (the adjoint through the measure)
-    up_base = -sla.cho_solve(cho, basis.D.T @ basis.gram_q)
-    l_ham = np.zeros((n, n))
-    for m in range(1, n_p):
-        s = math.sqrt(m / (basis.beta * basis.mass))
-        rows = slice(m * n_q, (m + 1) * n_q)
-        below = slice((m - 1) * n_q, m * n_q)
-        l_ham[rows, below] = s * basis.D
-        l_ham[below, rows] = s * up_base
-
-    level = np.repeat(np.arange(n_p), n_q)
-    l_fd = np.diag(-(level / basis.mass))
-    pi0 = np.zeros((n, n))
-    pi0[:n_q, :n_q] = np.eye(n_q)
-    gram = np.kron(np.eye(n_p), basis.gram_q)
-    return GeneratorAssembly(
-        basis=basis, gamma=params.gamma, gram=gram, l_ham=l_ham, l_fd=l_fd, pi0=pi0
-    )
+    _cho_gram_q(basis)
+    return GeneratorAssembly(basis=basis, gamma=params.gamma)
 
 
 # ---------------------------------------------------------------------------
 # whitened, constant-deflated frame
+
+
+def _whiten(gram_q: Array, rcond: float) -> tuple[Array, Array]:
+    """(wq, q0): per-level whitener and the constant's complement in level 0.
+
+    wq (n_q, r) satisfies wq^T gram_q wq = I after the rcond eigenvalue cut;
+    q0 (r, r - 1) is an orthonormal basis of the whitened level-0
+    coordinates orthogonal to the constant function.
+    """
+    evals, vecs = sla.eigh(gram_q)
+    if evals[-1] <= 0:
+        raise IllConditionedBasisError("position Gram is numerically singular")
+    keep = evals > rcond * evals[-1]
+    if not np.any(keep):
+        raise IllConditionedBasisError("no Gram eigenvalue above the rcond cutoff")
+    wq = vecs[:, keep] / np.sqrt(evals[keep])
+    z_const = wq.T @ gram_q[:, 0]
+    z_const /= np.linalg.norm(z_const)
+    return wq, sla.null_space(z_const[None, :])
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,76 +198,71 @@ class ReducedGenerator:
     """Generator compressed to an orthonormal basis of span \\ constants.
 
     Coordinates are orthonormal for the (unnormalized) gram inner product, so
-    all gram-weighted norms are Euclidean here.  `ham` is exactly
-    antisymmetric, `fd` symmetric negative semidefinite, `pi0` an orthogonal
-    projector.  The full generator at friction gamma acts as ham + gamma*fd.
+    all gram-weighted norms are Euclidean here.  They are ordered by Hermite
+    level: the first n0 = r - 1 span level 0 without the constant (Pi0 keeps
+    exactly these), then r per level n >= 1.  `ham` is exactly antisymmetric
+    with nonzero blocks only between adjacent levels; `fd` is the diagonal
+    of L_FD, -n/m on level n.  The generator at friction gamma acts as
+    ham + gamma*diag(fd).
     """
 
-    ham: Array
-    fd: Array
-    pi0: Array
+    ham: Array  # (dim, dim)
+    fd: Array  # (dim,)
+    q0: Array  # (r, n0) level-0 deflation basis
     wq: Array  # (n_q, r) per-level whitener, wq^T gram_q wq = I
     gq_w: Array  # (r, n_q) = wq^T gram_q, coordinates of the gram projection
-    qmat: Array  # (n_p * r, dim) orthonormal deflation basis
     mass_nu: float
     n_p: int
 
     @property
     def dim(self) -> int:
-        return self.qmat.shape[1]
+        return self.fd.size
+
+    @property
+    def n0(self) -> int:
+        return self.q0.shape[1]
 
     def operator(self, gamma: float) -> Array:
-        return self.ham + gamma * self.fd
+        op = self.ham.copy()
+        op[np.diag_indices_from(op)] += gamma * self.fd
+        return op
 
     def to_reduced(self, coeffs: Array) -> Array:
         """Gram-orthogonal projection of a full coefficient vector (drops constants)."""
         x = np.asarray(coeffs, dtype=float).reshape(self.n_p, -1)
-        z = (x @ self.gq_w.T).reshape(-1)
-        return self.qmat.T @ z
+        z = x @ self.gq_w.T
+        return np.concatenate([self.q0.T @ z[0], z[1:].reshape(-1)])
 
-    def to_full(self, z: Array) -> Array:
-        blocks = (self.qmat @ z).reshape(self.n_p, -1)
+    def to_full(self, y: Array) -> Array:
+        blocks = np.empty((self.n_p, self.wq.shape[1]))
+        blocks[0] = self.q0 @ y[: self.n0]
+        blocks[1:] = y[self.n0 :].reshape(self.n_p - 1, -1)
         return (blocks @ self.wq.T).reshape(-1)
 
 
 @lru_cache(maxsize=3)
 def _reduced_cached(asm: GeneratorAssembly, rcond: float) -> ReducedGenerator:
     basis = asm.basis
-    evals, vecs = sla.eigh(basis.gram_q)
-    if evals[-1] <= 0:
-        raise IllConditionedBasisError("position Gram is numerically singular")
-    keep = evals > rcond * evals[-1]
-    if not np.any(keep):
-        raise IllConditionedBasisError("no Gram eigenvalue above the rcond cutoff")
-    wq = vecs[:, keep] / np.sqrt(evals[keep])
-    r = wq.shape[1]
-    n_p = basis.Np
+    wq, q0 = _whiten(basis.gram_q, rcond)
+    r, n0, n_p = wq.shape[1], q0.shape[1], basis.Np
 
-    # whitened Hamiltonian blocks: level n <-> n-1 coupling through c_t
+    def start(level: int) -> int:
+        return 0 if level == 0 else n0 + (level - 1) * r
+
+    # whitened Hamiltonian blocks: level m couples to m-1 through s_m c_t,
+    # with the level-0 side restricted to q0
     c_t = wq.T @ (basis.gram_q @ basis.D) @ wq
-    a_ham = np.zeros((n_p * r, n_p * r))
+    ham = np.zeros((start(n_p), start(n_p)))
     for m in range(1, n_p):
-        s = math.sqrt(m / (basis.beta * basis.mass))
-        rows = slice(m * r, (m + 1) * r)
-        below = slice((m - 1) * r, m * r)
-        a_ham[rows, below] = s * c_t
-        a_ham[below, rows] = -s * c_t.T
-    fd_diag = np.repeat(-np.arange(n_p) / basis.mass, r)
-
-    # deflate the constant function (it lies in level 0)
-    z_const = np.zeros(n_p * r)
-    z_const[:r] = wq.T @ basis.gram_q[:, 0]
-    z_const /= np.linalg.norm(z_const)
-    qmat = sla.null_space(z_const[None, :])
-
-    ham = qmat.T @ a_ham @ qmat
-    ham = 0.5 * (ham - ham.T)
-    fd = qmat.T @ (fd_diag[:, None] * qmat)
-    fd = 0.5 * (fd + fd.T)
-    pi0 = qmat[:r, :].T @ qmat[:r, :]
+        block = math.sqrt(m / (basis.beta * basis.mass)) * (c_t @ q0 if m == 1 else c_t)
+        rows = slice(start(m), start(m + 1))
+        below = slice(start(m - 1), start(m))
+        ham[rows, below] = block
+        ham[below, rows] = -block.T
+    fd = np.repeat(-np.arange(n_p) / basis.mass, r)[r - n0 :]
     return ReducedGenerator(
-        ham=ham, fd=fd, pi0=pi0, wq=wq, gq_w=wq.T @ basis.gram_q,
-        qmat=qmat, mass_nu=basis.mass_nu, n_p=n_p,
+        ham=ham, fd=fd, q0=q0, wq=wq, gq_w=wq.T @ basis.gram_q,
+        mass_nu=basis.mass_nu, n_p=n_p,
     )
 
 
@@ -330,24 +318,12 @@ def assemble_overdamped(
     return OverdampedOperator(l_ovd=sla.cho_solve(cho, a_form), gram_q=basis.gram_q)
 
 
-def _whiten_q(gram_q: Array, rcond: float) -> tuple[Array, Array]:
-    """(wq, qmat): per-position whitener and constant-deflation basis."""
-    evals, vecs = sla.eigh(gram_q)
-    if evals[-1] <= 0:
-        raise IllConditionedBasisError("position Gram is numerically singular")
-    keep = evals > rcond * evals[-1]
-    wq = vecs[:, keep] / np.sqrt(evals[keep])
-    z_const = wq.T @ gram_q[:, 0]
-    z_const /= np.linalg.norm(z_const)
-    qmat = sla.null_space(z_const[None, :])
-    return wq, qmat
-
-
-def _overdamped_reduced(l_ovd: Array, gram_q: Array, rcond: float) -> Array:
-    wq, qmat = _whiten_q(gram_q, rcond)
+def _overdamped_reduced(l_ovd: Array, gram_q: Array, rcond: float) -> tuple[Array, Array, Array]:
+    """(wq, q0, s): the whitening of _whiten and the symmetric overdamped operator in it."""
+    wq, q0 = _whiten(gram_q, rcond)
     a_form = gram_q @ l_ovd
-    s = qmat.T @ (wq.T @ a_form @ wq) @ qmat
-    return 0.5 * (s + s.T)
+    s = q0.T @ (wq.T @ a_form @ wq) @ q0
+    return wq, q0, 0.5 * (s + s.T)
 
 
 def poincare_constant(
@@ -371,7 +347,7 @@ def poincare_constant(
         nq = max(DEFAULT_NQUAD, 8 * k) if n_quad is None else max(n_quad, 8 * k)
         basis = build_basis(spec, params, Kq=k, Np=2, n_quad=nq)
         ovd = assemble_overdamped(basis, spec, params)
-        s_red = _overdamped_reduced(ovd.l_ovd, ovd.gram_q, rc)
+        *_, s_red = _overdamped_reduced(ovd.l_ovd, ovd.gram_q, rc)
         gap = float(np.min(sla.eigvalsh(-s_red)))
         value = params.beta * gap
         if prev is not None and abs(value - prev) <= rtol * abs(value):
@@ -410,7 +386,7 @@ def semigroup_decay_check(
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1 or np.any(times < 0):
         raise InvalidArgumentError("times must be a non-empty 1-D array of nonnegative values")
-    s_red = _overdamped_reduced(np.asarray(l_ovd, float), np.asarray(gram_q, float), rc)
+    *_, s_red = _overdamped_reduced(np.asarray(l_ovd, float), np.asarray(gram_q, float), rc)
     norms = np.empty(times.size)
     for i, t in enumerate(times):
         norms[i] = sla.svdvals(sla.expm(t * s_red)).max()
@@ -470,15 +446,14 @@ def solve_poisson_overdamped(
 ) -> PoissonResult:
     """Overdamped counterpart of solve_poisson for position-only observables."""
     rc = DEFAULT_RCOND if rcond is None else float(rcond)
-    wq, qmat = _whiten_q(ovd.gram_q, rc)
-    s_red = _overdamped_reduced(ovd.l_ovd, ovd.gram_q, rc)
-    z_rhs = qmat.T @ (wq.T @ (ovd.gram_q @ np.asarray(phi_q_coeffs, float)))
+    wq, q0, s_red = _overdamped_reduced(ovd.l_ovd, ovd.gram_q, rc)
+    z_rhs = q0.T @ (wq.T @ (ovd.gram_q @ np.asarray(phi_q_coeffs, float)))
     try:
         z_sol = sla.solve(-s_red, z_rhs, assume_a="sym")
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError("Poisson solve failed (singular operator)") from exc
     sigma2 = _sigma2_from_pair(z_sol, z_rhs, float(ovd.gram_q[0, 0]))
-    return PoissonResult(phi_coeffs=wq @ (qmat @ z_sol), sigma2=sigma2)
+    return PoissonResult(phi_coeffs=wq @ (q0 @ z_sol), sigma2=sigma2)
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,10 @@ def test_csv_floats_reparse_to_identical_tokens(tmp_path):
     ["variance", "--input", "/nonexistent/file.csv"],
     ["scan", "--gammas", "0.5:2:3"],
     ["scan", "--gammas", "nonsense"],
+    ["poincare", "--Np", "999"],
+    ["poincare", "--n-quad", "8"],
+    ["poincare", "--gamma", "7"],
+    ["spectrum", "--seed", "5"],
 ])
 def test_bad_invocations_exit_1(argv, capsys):
     assert run(*argv) == 1

@@ -294,6 +294,19 @@ class TestGammaScan:
         assert nan_rows.sum() == 1
         assert np.isfinite(res.lambda_bar)
 
+    def test_roundoff_gaps_fail_their_rows_only(self, quad_spec, ou_scan_assembly):
+        # At gamma = 1e-17 the gap is the smallest real part of roundoff-level
+        # scatter about zero, hence negative; such rows are failed rows, never
+        # a scan-wide error.
+        asm, p = ou_scan_assembly
+        ladder = [1e-17 * 10.0**k for k in range(19)]
+        res = gamma_scan(quad_spec, p, ladder, assembly=asm)
+        failed = res.table.gammas[np.isnan(res.table.gaps)]
+        assert failed[0] == 1e-17 and np.all(failed < 1e-10)
+        assert sorted(res.row_errors) == pytest.approx(sorted(failed))
+        assert all("not positive" in msg for msg in res.row_errors.values())
+        assert res.table.gaps[-1] == pytest.approx((10.0 - math.sqrt(96.0)) / 2, abs=1e-6)
+
     def test_ladder_contract(self, quad_spec, ou_scan_assembly):
         asm, p = ou_scan_assembly
         with pytest.raises(InvalidArgumentError, match="at least 7"):

@@ -47,26 +47,65 @@ def test_basis_preconditions(unit_params):
         build_basis(full, unit_params, Kq=4, Np=4, n_quad=64)
 
 
-def test_assembly_symmetry_residuals(cosine_asm):
-    """Weak forms: gram*l_ham antisymmetric, gram*l_fd symmetric, both < 1e-10."""
-    g = cosine_asm.gram
-    a_ham = g @ cosine_asm.l_ham
-    a_fd = g @ cosine_asm.l_fd
-    scale = np.abs(a_ham).max()
-    assert np.abs(a_ham + a_ham.T).max() <= 1e-10 * scale
-    assert np.abs(a_fd - a_fd.T).max() <= 1e-10 * max(np.abs(a_fd).max(), 1.0)
-    # friction part is negative semidefinite in the gram inner product
-    w = np.linalg.eigvalsh(0.5 * (a_fd + a_fd.T))
-    assert w.max() <= 1e-10
+def _levels(red):
+    """Hermite level of each reduced coordinate."""
+    r = red.wq.shape[1]
+    return np.repeat(np.arange(red.n_p), r)[r - red.n0:]
+
+
+def test_reduced_symmetry_and_friction_diagonal(cosine_asm):
+    """ham exactly antisymmetric; fd <= 0, zero on level 0 and -n/m on level n."""
+    red = reduced_generator(cosine_asm)
+    assert red.ham.shape == (red.dim, red.dim)
+    assert np.array_equal(red.ham, -red.ham.T)
+    assert np.all(red.fd <= 0.0)
+    assert np.all(red.fd[: red.n0] == 0.0)
+    assert np.array_equal(red.fd, -_levels(red) / cosine_asm.basis.mass)
+
+
+def test_ham_couples_adjacent_levels_only(cosine_asm_small):
+    red = reduced_generator(cosine_asm_small)
+    lev = _levels(red)
+    far = np.abs(lev[:, None] - lev[None, :]) != 1
+    assert np.all(red.ham[far] == 0.0)
+    assert np.any(red.ham[~far] != 0.0)
+
+
+def test_reduced_round_trip(cosine_asm_small):
+    red = reduced_generator(cosine_asm_small)
+    y = np.random.default_rng(0).standard_normal(red.dim)
+    assert np.abs(red.to_reduced(red.to_full(y)) - y).max() <= 1e-13 * np.abs(y).max()
 
 
 def test_pi0_is_momentum_average_projection(cosine_asm_small):
-    pi0 = cosine_asm_small.pi0
-    assert np.allclose(pi0 @ pi0, pi0, atol=1e-12)
-    n_q = cosine_asm_small.basis.n_q
-    # keeps Hermite level 0, kills the rest
-    assert np.allclose(pi0[:n_q, :n_q], np.eye(n_q))
-    assert np.allclose(pi0[n_q:, n_q:], 0.0)
+    """Pi0 keeps the first n0 reduced coordinates: functions of q live there only."""
+    basis, red = cosine_asm_small.basis, reduced_generator(cosine_asm_small)
+    z_q = red.to_reduced(project_phase_function(
+        basis, lambda q, p: np.cos(2 * math.pi * q) * np.ones_like(p)))
+    z_p = red.to_reduced(project_phase_function(
+        basis, lambda q, p: np.cos(2 * math.pi * q) * p))
+    assert np.linalg.norm(z_q[: red.n0]) > 0.1
+    assert np.abs(z_q[red.n0:]).max() <= 1e-12
+    assert np.abs(z_p[: red.n0]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("beta,mass,gamma", [(1.0, 1.0, 1.0), (2.0, 0.5, 0.3)])
+def test_generator_acts_as_analytic_langevin_generator(cosine_spec, beta, mass, gamma):
+    """L p = -V'(q) - gamma p / m, and L_ham H = 0, on projected functions."""
+    params = EnsembleParams(beta=beta, mass=mass, gamma=gamma)
+    basis = build_basis(cosine_spec, params, Kq=8, Np=12, n_quad=128)
+    red = reduced_generator(assemble_generator(basis, cosine_spec, params))
+
+    def proj(f):
+        return red.to_reduced(project_phase_function(basis, f))
+
+    z_p = proj(lambda q, p: np.ones_like(q) * p)
+    want = proj(lambda q, p: -cosine_spec.grad(q) - gamma * p / mass)
+    got = red.operator(gamma) @ z_p
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    z_h = proj(lambda q, p: cosine_spec.eval(q)[:, None] + p * p / (2.0 * mass))
+    assert np.abs(red.ham @ z_h).max() <= 1e-10 * np.linalg.norm(z_h)
 
 
 def test_assembly_rejects_mismatched_params(cosine_spec, unit_params):
