@@ -3,8 +3,9 @@
 One JSON report per run is written to stdout (or --report PATH) with keys
 {config, results, diagnostics, version}; bulk numbers go to CSV files with
 floats formatted to 17 significant digits.  A JSON config file supplies any
-subset of the keys in CONFIG_SCHEMA; command-line flags override config keys;
-unknown keys are rejected.  Exit codes: 0 success, 1 invalid input or config,
+subset of the keys its subcommand reads (`hypokit COMMAND --help` lists them
+in brackets); command-line flags override config keys; a key the subcommand
+does not read is rejected.  Exit codes: 0 success, 1 invalid input or config,
 2 numerical failure.  The environment variable HYPOKIT_THREADS caps scan
 parallelism.
 """
@@ -12,11 +13,12 @@ parallelism.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import logging
 import math
 import sys
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import jsonschema
 import numpy as np
@@ -65,78 +67,89 @@ from .spectral import (
 
 log = logging.getLogger("hypokit")
 
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "hypokit run configuration",
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "potential": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "name": {"type": "string"},
-                "params": {"type": "object"},
-            },
-            "required": ["name"],
-        },
-        "ensemble": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "beta": {"type": "number", "exclusiveMinimum": 0},
-                "mass": {"type": "number", "exclusiveMinimum": 0},
-                "gamma": {"type": "number", "minimum": 0},
-            },
-        },
-        "discretization": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "Kq": {"type": "integer", "minimum": 1},
-                "Np": {"type": "integer", "minimum": 2},
-                "n_quad": {"type": "integer", "minimum": 8},
-                "dt": {"type": "number", "exclusiveMinimum": 0},
-                "n_steps": {"type": "integer", "minimum": 1},
-                "stride": {"type": "integer", "minimum": 1},
-            },
-        },
-        "seed": {"type": "integer", "minimum": 0},
-        "stream_id": {"type": "integer", "minimum": 0},
-        "output": {"type": "string"},
-        "report": {"type": "string"},
-        "options": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "observables": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-                "observable": {"type": "string"},
-                "scheme": {"enum": ["langevin", "overdamped", "hamiltonian"]},
-                "q0": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-                "p0": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-                "input": {"type": "string"},
-                "column": {"type": "string"},
-                "spacing": {"type": "number", "exclusiveMinimum": 0},
-                "method": {"enum": ["acf", "batch_means"]},
-                "batches": {"type": "integer", "minimum": 2},
-                "check_convergence": {"type": "boolean"},
-                "dump_eigs": {"type": "string"},
-                "dynamics": {"enum": ["langevin", "overdamped"]},
-                "x0": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
-                "T": {"type": "number", "exclusiveMinimum": 0},
-                "figure1": {"type": "boolean"},
-                "epsilon": {"type": "number"},
-                "tune": {"type": "boolean"},
-                "case": {"enum": ["auto", "convex", "hessian_lower_bound", "general"]},
-                "K": {"type": "number", "minimum": 0},
-                "c_prime": {"type": "number", "minimum": 0},
-                "slack": {"type": "number", "minimum": 0},
-                "gammas": {"type": "string"},
-                "threads": {"type": "integer", "minimum": 1},
-            },
-        },
-    },
-}
+
+class _Option(NamedTuple):
+    """One option: flag, config key, value schema and the subcommands that read it."""
+
+    flag: str
+    key: str  # "section.key" or a top-level key
+    schema: dict  # JSON-schema fragment for the value
+    commands: tuple[str, ...]
+    help: str
+    extras: dict = {}  # further argparse keywords
+
+
+_KINETIC = ("spectrum", "poisson", "dissipation", "bounds")
+_SPECTRAL = _KINETIC + ("scan",)
+_POTENTIAL = _SPECTRAL + ("sample", "poincare")
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_NUMBERS = {"type": "array", "items": {"type": "number"}, "minItems": 1}
+
+# The one declaration of every option: the parser, each subcommand's config
+# schema and the flag merge are all generated from this table.
+_OPTIONS = (
+    _Option("--potential", "potential.name", {"type": "string"}, _POTENTIAL, "builtin potential name"),
+    _Option("--param", "potential.params", {"type": "object"}, _POTENTIAL,
+            "potential parameter (JSON value), repeatable", {"action": "append", "metavar": "KEY=VALUE"}),
+    _Option("--beta", "ensemble.beta", _POSITIVE, _POTENTIAL, "inverse temperature"),
+    _Option("--mass", "ensemble.mass", _POSITIVE, _SPECTRAL + ("sample",), "particle mass"),
+    # scan takes its frictions from --gammas
+    _Option("--gamma", "ensemble.gamma", {"type": "number", "minimum": 0}, _KINETIC + ("sample", "ode"),
+            "friction"),
+    _Option("--Kq", "discretization.Kq", {"type": "integer", "minimum": 1}, _SPECTRAL + ("poincare",), "Fourier modes"),
+    _Option("--Np", "discretization.Np", {"type": "integer", "minimum": 2}, _SPECTRAL, "Hermite functions in p"),
+    _Option("--n-quad", "discretization.n_quad", {"type": "integer", "minimum": 8}, _SPECTRAL,
+            "quadrature nodes in q"),
+    _Option("--dt", "discretization.dt", _POSITIVE, ("sample", "ode"), "time step"),
+    _Option("--n-steps", "discretization.n_steps", {"type": "integer", "minimum": 1}, ("sample",),
+            "number of steps"),
+    _Option("--stride", "discretization.stride", {"type": "integer", "minimum": 1}, ("sample",),
+            "record every stride-th step"),
+    _Option("--seed", "seed", {"type": "integer", "minimum": 0}, ("sample",), "noise seed"),
+    _Option("--stream-id", "stream_id", {"type": "integer", "minimum": 0}, ("sample",), "noise stream id"),
+    _Option("--out", "output", {"type": "string"}, ("sample", "ode", "scan"), "output CSV path"),
+    _Option("--report", "report", {"type": "string"}, _POTENTIAL + ("variance", "ode"),
+            "write the JSON report here instead of stdout"),
+    _Option("--observable", "options.observables", {"type": "array", "items": {"type": "string"}, "minItems": 1},
+            ("sample",), "observable to record, repeatable", {"action": "append", "metavar": "NAME"}),
+    _Option("--observable", "options.observable", {"type": "string"}, ("poisson",), "observable"),
+    _Option("--scheme", "options.scheme", {"enum": ["langevin", "overdamped", "hamiltonian"]}, ("sample",),
+            "integrator"),
+    _Option("--q0", "options.q0", _NUMBERS, ("sample",), "initial position, comma-separated"),
+    _Option("--p0", "options.p0", _NUMBERS, ("sample",), "initial momentum, comma-separated"),
+    _Option("--input", "options.input", {"type": "string"}, ("variance",), "CSV produced by `hypokit sample`"),
+    _Option("--column", "options.column", {"type": "string"}, ("variance",),
+            "column to analyse (default: the first that is not time)"),
+    _Option("--spacing", "options.spacing", _POSITIVE, ("variance",),
+            "time between rows (default: from the time column)"),
+    _Option("--method", "options.method", {"enum": ["acf", "batch_means"]}, ("variance",), "estimator"),
+    _Option("--batches", "options.batches", {"type": "integer", "minimum": 2}, ("variance",),
+            "number of batches for batch_means"),
+    _Option("--check-convergence", "options.check_convergence", {"type": "boolean"}, ("spectrum",),
+            "recompute the gap at 1.5x Kq and Np", {"action": argparse.BooleanOptionalAction}),
+    _Option("--dump-eigs", "options.dump_eigs", {"type": "string"}, ("spectrum",),
+            "CSV path for the deflated spectrum"),
+    _Option("--dynamics", "options.dynamics", {"enum": ["langevin", "overdamped"]}, ("poisson",), "dynamics"),
+    _Option("--x0", "options.x0", {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
+            ("ode",), "initial point", {"metavar": "X1,X2"}),
+    _Option("--T", "options.T", _POSITIVE, ("ode",), "final time"),
+    _Option("--figure1", "options.figure1", {"type": "boolean"}, ("ode",), "preset: gamma=0.5, x0=(1,1), T=40",
+            {"action": "store_true"}),
+    _Option("--epsilon", "options.epsilon", {"type": "number"}, ("dissipation",),
+            "modified-norm epsilon (default: tuned)"),
+    _Option("--tune", "options.tune", {"type": "boolean"}, ("dissipation",), "tune epsilon even if it is given",
+            {"action": "store_true"}),
+    _Option("--case", "options.case", {"enum": ["auto", "convex", "hessian_lower_bound", "general"]},
+            ("bounds",), "case of the resolvent bound"),
+    _Option("--K", "options.K", {"type": "number", "minimum": 0}, ("bounds",), "Hessian lower bound -K"),
+    _Option("--c-prime", "options.c_prime", {"type": "number", "minimum": 0}, ("bounds",),
+            "constant C' of the general case"),
+    _Option("--slack", "options.slack", {"type": "number", "minimum": 0}, ("bounds",),
+            "relative tolerance of the bound check"),
+    _Option("--gammas", "options.gammas", {"type": "string"}, ("scan",), "geometric friction ladder",
+            {"metavar": "START:RATIO:COUNT"}),
+    _Option("--threads", "options.threads", {"type": "integer", "minimum": 1}, ("scan",), "worker threads"),
+)
 
 _DEFAULT_POTENTIAL = {"name": "cosine", "params": {"h": 1.0, "L": 1.0}}
 
@@ -181,18 +194,41 @@ def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
 # configuration plumbing
 
 
-def _merge_flag(cfg: dict, section: str, key: str, value) -> None:
-    if value is None:
-        return
-    if section:
-        cfg.setdefault(section, {})[key] = value
-    else:
-        cfg[key] = value
+def _schema(command: str) -> dict:
+    """JSON schema that admits exactly the config keys `command` reads."""
+
+    def closed(properties: dict) -> dict:
+        return {"type": "object", "additionalProperties": False, "properties": properties}
+
+    schema = {"$schema": "https://json-schema.org/draft/2020-12/schema", **closed({})}
+    for opt in _OPTIONS:
+        if command in opt.commands:
+            section, _, key = opt.key.rpartition(".")
+            props = schema["properties"]
+            if section:
+                props = props.setdefault(section, closed({}))["properties"]
+            props[key] = opt.schema
+    if "potential" in schema["properties"]:
+        schema["properties"]["potential"]["required"] = ["name"]
+    return schema
+
+
+def _validate(cfg: dict, command: str) -> None:
+    try:
+        jsonschema.validate(cfg, _schema(command))
+    except jsonschema.ValidationError as exc:
+        if exc.validator == "additionalProperties":
+            prefix = "".join(f"{part}." for part in exc.absolute_path)
+            unread = sorted(set(exc.instance) - set(exc.schema["properties"]))
+            raise InvalidArgumentError(
+                f"{command} does not read config key(s): {', '.join(prefix + k for k in unread)}"
+            ) from exc
+        raise InvalidArgumentError(f"config validation failed: {exc.message}") from exc
 
 
 def _load_config(args) -> dict:
     cfg: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 cfg = json.load(fh)
@@ -202,11 +238,14 @@ def _load_config(args) -> dict:
             raise InvalidArgumentError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise InvalidArgumentError("config file must contain a JSON object")
+        _validate(cfg, args.command)
 
-    if getattr(args, "potential", None):
-        cfg.setdefault("potential", {})["name"] = args.potential
+    # parser dests are the config keys
+    flags = vars(args)
+    if flags.get("potential.name") is not None:
+        cfg.setdefault("potential", {})["name"] = flags["potential.name"]
         cfg["potential"].setdefault("params", {})
-    for kv in getattr(args, "param", None) or []:
+    for kv in flags.get("potential.params") or []:
         if "=" not in kv:
             raise InvalidArgumentError(f"--param expects key=value, got {kv!r}")
         key, raw = kv.split("=", 1)
@@ -214,53 +253,15 @@ def _load_config(args) -> dict:
             val = json.loads(raw)
         except json.JSONDecodeError:
             raise InvalidArgumentError(f"--param value for {key!r} is not valid JSON: {raw!r}")
-        cfg.setdefault("potential", _DEFAULT_POTENTIAL.copy()).setdefault("params", {})[key] = val
+        cfg.setdefault("potential", copy.deepcopy(_DEFAULT_POTENTIAL)).setdefault("params", {})[key] = val
 
-    for flag, section, key in [
-        ("beta", "ensemble", "beta"),
-        ("mass", "ensemble", "mass"),
-        ("gamma", "ensemble", "gamma"),
-        ("Kq", "discretization", "Kq"),
-        ("Np", "discretization", "Np"),
-        ("n_quad", "discretization", "n_quad"),
-        ("dt", "discretization", "dt"),
-        ("n_steps", "discretization", "n_steps"),
-        ("stride", "discretization", "stride"),
-        ("seed", "", "seed"),
-        ("stream_id", "", "stream_id"),
-        ("out", "", "output"),
-        ("report", "", "report"),
-        ("observables", "options", "observables"),
-        ("observable", "options", "observable"),
-        ("scheme", "options", "scheme"),
-        ("q0", "options", "q0"),
-        ("p0", "options", "p0"),
-        ("input", "options", "input"),
-        ("column", "options", "column"),
-        ("spacing", "options", "spacing"),
-        ("method", "options", "method"),
-        ("batches", "options", "batches"),
-        ("check_convergence", "options", "check_convergence"),
-        ("dump_eigs", "options", "dump_eigs"),
-        ("dynamics", "options", "dynamics"),
-        ("x0", "options", "x0"),
-        ("T", "options", "T"),
-        ("figure1", "options", "figure1"),
-        ("epsilon", "options", "epsilon"),
-        ("tune", "options", "tune"),
-        ("case", "options", "case"),
-        ("K", "options", "K"),
-        ("c_prime", "options", "c_prime"),
-        ("slack", "options", "slack"),
-        ("gammas", "options", "gammas"),
-        ("threads", "options", "threads"),
-    ]:
-        _merge_flag(cfg, section, key, getattr(args, flag, None))
+    for opt in _OPTIONS:
+        value = flags.get(opt.key)
+        section, _, key = opt.key.rpartition(".")
+        if value is not None and section != "potential":
+            (cfg.setdefault(section, {}) if section else cfg)[key] = value
 
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise InvalidArgumentError(f"config validation failed: {exc.message}") from exc
+    _validate(cfg, args.command)
     return cfg
 
 
@@ -683,16 +684,16 @@ def _cmd_scan(cfg: dict) -> tuple[dict, dict]:
     return results, {"Kq": disc["Kq"], "Np": disc["Np"]}
 
 
-_HANDLERS = {
-    "sample": _cmd_sample,
-    "variance": _cmd_variance,
-    "spectrum": _cmd_spectrum,
-    "poisson": _cmd_poisson,
-    "poincare": _cmd_poincare,
-    "ode": _cmd_ode,
-    "dissipation": _cmd_dissipation,
-    "bounds": _cmd_bounds,
-    "scan": _cmd_scan,
+_COMMANDS = {
+    "sample": (_cmd_sample, "integrate one trajectory and write observable samples to CSV"),
+    "variance": (_cmd_variance, "asymptotic-variance report for a sampled observable"),
+    "spectrum": (_cmd_spectrum, "spectral gap of the kinetic generator"),
+    "poisson": (_cmd_poisson, "asymptotic variance from the Galerkin Poisson equation"),
+    "poincare": (_cmd_poincare, "Poincare constant of the configurational measure"),
+    "ode": (_cmd_ode, "2x2 hypocoercive toy model: spectrum, P matrices, trajectory"),
+    "dissipation": (_cmd_dissipation, "modified-norm dissipation rate of the kinetic generator"),
+    "bounds": (_cmd_bounds, "resolvent norm vs the explicit upper bound, plus witnesses"),
+    "scan": (_cmd_scan, "spectral gap across a geometric friction ladder"),
 }
 
 
@@ -707,99 +708,33 @@ def _csv_floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from exc
 
 
+_ARG_TYPES = {"number": float, "integer": int, "array": _csv_floats}
+
+
+def _add_option(parser: argparse.ArgumentParser, opt: _Option) -> None:
+    kwargs = dict(opt.extras)
+    schema = opt.schema.get("items", {}) if kwargs.get("action") == "append" else opt.schema
+    if "enum" in schema:
+        kwargs["choices"] = schema["enum"]
+    elif schema.get("type") in _ARG_TYPES:
+        kwargs["type"] = _ARG_TYPES[schema["type"]]
+    if "choices" not in kwargs and schema.get("type") != "boolean":
+        # dest is the dotted config key; name the value after the flag instead
+        kwargs.setdefault("metavar", opt.flag[2:].replace("-", "_").upper())
+    # default None keeps an absent flag out of the config
+    parser.add_argument(opt.flag, dest=opt.key, default=None, help=f"{opt.help} [{opt.key}]", **kwargs)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hypokit", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_, description=help_)
-        p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--report", help="write the JSON report here instead of stdout")
-        return p
-
-    def add_potential(p):
-        p.add_argument("--potential", help="builtin potential name")
-        p.add_argument("--param", action="append", metavar="KEY=VALUE",
-                       help="potential parameter (JSON value), repeatable")
-        p.add_argument("--beta", type=float)
-
-    def add_ensemble(p):
-        add_potential(p)
-        p.add_argument("--mass", type=float)
-        p.add_argument("--gamma", type=float)
-
-    def add_basis(p):
-        p.add_argument("--Kq", type=int)
-        p.add_argument("--Np", type=int)
-        p.add_argument("--n-quad", dest="n_quad", type=int)
-
-    p = add("sample", "integrate one trajectory and write observable samples to CSV")
-    add_ensemble(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--stream-id", dest="stream_id", type=int)
-    p.add_argument("--scheme", choices=["langevin", "overdamped", "hamiltonian"])
-    p.add_argument("--dt", type=float)
-    p.add_argument("--n-steps", dest="n_steps", type=int)
-    p.add_argument("--stride", type=int)
-    p.add_argument("--observable", dest="observables", action="append", metavar="NAME")
-    p.add_argument("--q0", type=_csv_floats)
-    p.add_argument("--p0", type=_csv_floats)
-    p.add_argument("--out", help="output CSV path")
-
-    p = add("variance", "asymptotic-variance report for a sampled observable")
-    p.add_argument("--input", help="CSV produced by `hypokit sample`")
-    p.add_argument("--column")
-    p.add_argument("--spacing", type=float)
-    p.add_argument("--method", choices=["acf", "batch_means"])
-    p.add_argument("--batches", type=int)
-
-    p = add("spectrum", "spectral gap of the kinetic generator")
-    add_ensemble(p)
-    add_basis(p)
-    p.add_argument("--check-convergence", dest="check_convergence",
-                   action=argparse.BooleanOptionalAction)
-    p.add_argument("--dump-eigs", dest="dump_eigs", help="CSV path for the deflated spectrum")
-
-    p = add("poisson", "asymptotic variance from the Galerkin Poisson equation")
-    add_ensemble(p)
-    add_basis(p)
-    p.add_argument("--observable")
-    p.add_argument("--dynamics", choices=["langevin", "overdamped"])
-
-    p = add("poincare", "Poincare constant of the configurational measure")
-    add_potential(p)
-    p.add_argument("--Kq", type=int, help="starting Kq; refined until the value settles")
-
-    p = add("ode", "2x2 hypocoercive toy model: spectrum, P matrices, trajectory")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--x0", type=_csv_floats, metavar="X1,X2")
-    p.add_argument("--T", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--figure1", action="store_true", default=None,
-                   help="preset: gamma=0.5, x0=(1,1), T=40")
-    p.add_argument("--out", help="trajectory CSV path")
-
-    p = add("dissipation", "modified-norm dissipation rate of the kinetic generator")
-    add_ensemble(p)
-    add_basis(p)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--tune", action="store_true", default=None)
-
-    p = add("bounds", "resolvent norm vs the explicit upper bound, plus witnesses")
-    add_ensemble(p)
-    add_basis(p)
-    p.add_argument("--case", choices=["auto", "convex", "hessian_lower_bound", "general"])
-    p.add_argument("--K", type=float)
-    p.add_argument("--c-prime", dest="c_prime", type=float)
-    p.add_argument("--slack", type=float)
-
-    p = add("scan", "spectral gap across a geometric friction ladder")
-    add_ensemble(p)
-    add_basis(p)
-    p.add_argument("--gammas", metavar="START:RATIO:COUNT")
-    p.add_argument("--threads", type=int)
-    p.add_argument("--out", help="scaling table CSV path")
-
+    for command, (_, help_) in _COMMANDS.items():
+        # no prefix matching, so a flag the subcommand lacks is never read as a longer one
+        p = sub.add_parser(command, help=help_, description=help_, allow_abbrev=False)
+        p.add_argument("--config", help="JSON config file with the [keys] below; flags override its keys")
+        for opt in _OPTIONS:
+            if command in opt.commands:
+                _add_option(p, opt)
     return parser
 
 
@@ -820,7 +755,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         log.info("resolved config: %s", json.dumps(cfg, sort_keys=True))
-        results, diagnostics = _HANDLERS[args.command](cfg)
+        results, diagnostics = _COMMANDS[args.command][0](cfg)
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

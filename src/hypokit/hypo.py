@@ -535,8 +535,9 @@ def gamma_scan(
     """Spectral gap across a friction ladder; fits both scaling branches.
 
     Requires at least 7 gamma values spanning [1/8, 8].  Rows run in parallel
-    (capped by HYPOKIT_THREADS or max_workers) and failed rows are reported in
-    row_errors with NaN gaps rather than aborting the scan.  Slopes are
+    (capped by HYPOKIT_THREADS or max_workers) and failed rows, including
+    those whose gap is not above roundoff, are reported in row_errors with
+    NaN gaps rather than aborting the scan.  Slopes are
     log-log fits over gamma <= 1/2 and gamma >= 2; lambda_bar is the smallest
     ratio gap / min(gamma, 1/gamma).
     """
@@ -568,10 +569,13 @@ def gamma_scan(
 
     def run_row(i: int):
         try:
-            gap = _gap_of_operator(red.operator(g[i])).gap
-            if not gap > 0:
-                # near-zero friction leaves a gap at roundoff level, of either sign
-                raise NumericalFailureError(f"computed gap {gap:.3g} is not positive")
+            op = red.operator(g[i])
+            gap = _gap_of_operator(op).gap
+            # Near-zero friction leaves a gap at roundoff level, of either sign;
+            # eps * ||L||_1 is the backward-error scale of the dense eigensolve.
+            floor = np.finfo(float).eps * np.linalg.norm(op, 1)
+            if not gap > floor:
+                raise NumericalFailureError(f"computed gap {gap:.3g} is not positive above roundoff {floor:.3g}")
             gaps[i] = gap
         except Exception as exc:  # noqa: BLE001 - rows are isolated by design
             row_errors[float(g[i])] = f"{type(exc).__name__}: {exc}"

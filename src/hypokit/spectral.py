@@ -161,7 +161,14 @@ def _cho_gram_q(basis: BasisSet):
 def assemble_generator(
     basis: BasisSet, spec: PotentialSpec, params: EnsembleParams
 ) -> GeneratorAssembly:
-    """Check that params and potential match the basis, and bind gamma."""
+    """Check that params and potential match the basis, and bind gamma > 0.
+
+    At gamma = 0 the deflated generator is singular (L_ham alone conserves
+    every function of the energy), so no gap, Poisson solution or resolvent
+    bound exists.
+    """
+    if not params.gamma > 0:
+        raise InvalidArgumentError("gamma must be positive for the kinetic generator")
     if (params.beta, params.mass) != (basis.beta, basis.mass):
         raise InvalidArgumentError("params.beta/mass must match the values the basis was built with")
     if not isinstance(spec.domain, Torus) or spec.domain.length != basis.L:

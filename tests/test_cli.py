@@ -1,5 +1,7 @@
 """End-to-end CLI checks: exit codes, report layout, CSV format, determinism."""
 
+import argparse
+import copy
 import hashlib
 import json
 import math
@@ -175,20 +177,40 @@ def test_flag_overrides_config_file(tmp_path):
     assert cfg["ensemble"]["gamma"] == 3.0  # file survives
 
 
-def test_config_roundtrip_reproduces_outputs(tmp_path):
-    rep_path, csv_path = tmp_path / "rep.json", tmp_path / "samples.csv"
-    args = ("sample", "--dt", "0.1", "--n-steps", "500", "--stride", "5",
-            "--observable", "energy", "--seed", "3",
-            "--out", csv_path, "--report", rep_path)
-    assert run(*args) == 0
-    first_csv = csv_path.read_bytes()
-    first_rep = rep_path.read_bytes()
+SMALL_COSINE = ["--Kq", "4", "--Np", "8", "--n-quad", "64"]
 
+# {out} is the CSV a subcommand writes, {input} a CSV it reads.
+ROUNDTRIP_ARGS = {
+    "sample": ["--dt", "0.1", "--n-steps", "500", "--stride", "5", "--observable", "energy",
+               "--seed", "3", "--out", "{out}"],
+    "variance": ["--input", "{input}", "--column", "x", "--method", "batch_means", "--batches", "4"],
+    "spectrum": [*SMALL_COSINE, "--gamma", "0.5", "--no-check-convergence", "--dump-eigs", "{out}"],
+    "poisson": [*SMALL_COSINE, "--observable", "p1", "--mass", "2"],
+    "poincare": ["--Kq", "4", "--beta", "2", "--param", "h=0.5"],
+    "ode": ["--gamma", "0.7", "--T", "2", "--dt", "0.01", "--x0", "1,0", "--out", "{out}"],
+    "dissipation": [*SMALL_COSINE, "--epsilon", "0.2"],
+    "bounds": [*SMALL_COSINE, "--case", "general", "--c-prime", "1", "--slack", "0.1"],
+    "scan": [*SMALL_COSINE, "--gammas", "0.125:2:7", "--threads", "1", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", list(ROUNDTRIP_ARGS))
+def test_config_roundtrip_reproduces_outputs(command, tmp_path):
+    rep_path, csv_path, input_path = tmp_path / "rep.json", tmp_path / "out.csv", tmp_path / "in.csv"
+    input_path.write_text("time,x\n" + "".join(f"{0.5 * i},{math.sin(i)}\n" for i in range(200)))
+    args = [a.format(out=csv_path, input=input_path) for a in ROUNDTRIP_ARGS[command]]
+
+    def outputs():
+        return rep_path.read_bytes(), csv_path.read_bytes() if csv_path.exists() else None
+
+    assert run(command, *args, "--report", rep_path) == 0
+    first = outputs()
     cfg_path = tmp_path / "resolved.json"
     cfg_path.write_text(json.dumps(read_report(rep_path)["config"]))
-    assert run("sample", "--config", cfg_path) == 0
-    assert csv_path.read_bytes() == first_csv
-    assert rep_path.read_bytes() == first_rep
+    rep_path.unlink()
+    csv_path.unlink(missing_ok=True)
+    assert run(command, "--config", cfg_path) == 0
+    assert outputs() == first
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -241,6 +263,13 @@ def test_csv_floats_reparse_to_identical_tokens(tmp_path):
     ["poincare", "--n-quad", "8"],
     ["poincare", "--gamma", "7"],
     ["spectrum", "--seed", "5"],
+    ["scan", "--gamma", "5"],
+    ["scan", "--gamma", "0.125:2:7", "--Kq", "4", "--Np", "8"],  # not a prefix of --gammas
+    ["spectrum", "--gamma", "0"],
+    ["bounds", "--gamma", "0", "--Kq", "4", "--Np", "8"],
+    ["poisson", "--gamma", "0", "--Kq", "4", "--Np", "8"],
+    ["dissipation", "--gamma", "0", "--Kq", "4", "--Np", "8"],
+    ["poincare", "--potential", ""],
 ])
 def test_bad_invocations_exit_1(argv, capsys):
     assert run(*argv) == 1
@@ -252,6 +281,36 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"ensemble": {"beta": 1.0, "temprature": 0.5}}))
     assert run("ode", "--config", cfg_path) == 1
     assert "temprature" in capsys.readouterr().err
+
+
+# For each subcommand, a config key that another subcommand reads.
+UNREAD_KEYS = {
+    "sample": ("options.tune", True),
+    "variance": ("seed", 1),
+    "spectrum": ("seed", 5),
+    "poisson": ("options.gammas", "0.125:2:7"),
+    "poincare": ("ensemble.gamma", 1.0),
+    "ode": ("potential", {"name": "cosine"}),
+    "dissipation": ("options.case", "convex"),
+    "bounds": ("options.tune", True),
+    "scan": ("ensemble.gamma", 5.0),
+}
+
+
+@pytest.mark.parametrize("command", list(UNREAD_KEYS))
+def test_config_key_the_subcommand_does_not_read_is_rejected(command, tmp_path, capsys):
+    key, value = UNREAD_KEYS[command]
+    section, _, name = key.rpartition(".")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({section: {name: value}} if section else {key: value}))
+    assert run(command, "--config", cfg_path) == 1
+    assert key in capsys.readouterr().err
+
+
+def test_malformed_config_section_exits_1(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"ensemble": 5}))
+    assert run("ode", "--config", cfg_path, "--gamma", "1.0") == 1
 
 
 def test_malformed_config_file(tmp_path):
@@ -267,6 +326,63 @@ def test_numerical_failure_exits_2(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "spectral_gap", boom)
     assert run("spectrum", *SMALL_QUAD, "--gamma", "1.0",
                "--report", tmp_path / "r.json") == 2
+
+
+def test_param_without_potential_leaves_default_untouched(tmp_path):
+    def r_nu(*extra):
+        rep_path = tmp_path / "rep.json"
+        assert run("poincare", "--Kq", "8", *extra, "--report", rep_path) == 0
+        return read_report(rep_path)["results"]["r_nu"]
+
+    default = copy.deepcopy(cli._DEFAULT_POTENTIAL)
+    fresh = r_nu()
+    assert r_nu("--param", "h=3") != fresh
+    assert r_nu() == fresh
+    assert cli._DEFAULT_POTENTIAL == default
+
+
+def test_scan_roundoff_rows_set_neither_floor_nor_slope(tmp_path):
+    # Below gamma ~ 1e-13 the gap of this Kq4/Np8 cosine operator is
+    # roundoff (it read 0.111 * gamma at gamma = 1e-15); on the rest of the
+    # small-gamma branch gap / gamma is about 1.06.
+    rep_path = tmp_path / "rep.json"
+    assert run("scan", "--gammas", "1e-17:10:19", *SMALL_COSINE, "--report", rep_path) == 0
+    res = read_report(rep_path)["results"]
+    assert 1e-15 in map(float, res["row_errors"])
+    assert res["lambda_bar"] > 1
+    assert res["slope_small_gamma"] == pytest.approx(1.0, abs=0.02)
+
+
+# Option strings of each subcommand; scan takes no --gamma (its ladder sets it).
+SUBCOMMAND_FLAGS = {
+    "sample": {"--beta", "--config", "--dt", "--gamma", "--help", "--mass", "--n-steps", "--observable",
+               "--out", "--p0", "--param", "--potential", "--q0", "--report", "--scheme", "--seed",
+               "--stream-id", "--stride", "-h"},
+    "variance": {"--batches", "--column", "--config", "--help", "--input", "--method", "--report",
+                 "--spacing", "-h"},
+    "spectrum": {"--Kq", "--Np", "--beta", "--check-convergence", "--config", "--dump-eigs", "--gamma",
+                 "--help", "--mass", "--n-quad", "--no-check-convergence", "--param", "--potential",
+                 "--report", "-h"},
+    "poisson": {"--Kq", "--Np", "--beta", "--config", "--dynamics", "--gamma", "--help", "--mass",
+                "--n-quad", "--observable", "--param", "--potential", "--report", "-h"},
+    "poincare": {"--Kq", "--beta", "--config", "--help", "--param", "--potential", "--report", "-h"},
+    "ode": {"--T", "--config", "--dt", "--figure1", "--gamma", "--help", "--out", "--report", "--x0", "-h"},
+    "dissipation": {"--Kq", "--Np", "--beta", "--config", "--epsilon", "--gamma", "--help", "--mass",
+                    "--n-quad", "--param", "--potential", "--report", "--tune", "-h"},
+    "bounds": {"--K", "--Kq", "--Np", "--beta", "--c-prime", "--case", "--config", "--gamma", "--help",
+               "--mass", "--n-quad", "--param", "--potential", "--report", "--slack", "-h"},
+    "scan": {"--Kq", "--Np", "--beta", "--config", "--gammas", "--help", "--mass", "--n-quad", "--out",
+             "--param", "--potential", "--report", "--threads", "-h"},
+}
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMAND_FLAGS))
+def test_subcommand_flags(command):
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(SUBCOMMAND_FLAGS)
+    flags = {s for action in subparsers.choices[command]._actions for s in action.option_strings}
+    assert flags == SUBCOMMAND_FLAGS[command]
 
 
 def test_parse_gammas_helper():

@@ -113,6 +113,9 @@ def test_assembly_rejects_mismatched_params(cosine_spec, unit_params):
     other = EnsembleParams(beta=2.0, mass=1.0, gamma=1.0)
     with pytest.raises(InvalidArgumentError):
         assemble_generator(basis, cosine_spec, other)
+    frictionless = EnsembleParams(beta=1.0, mass=1.0, gamma=0.0)
+    with pytest.raises(InvalidArgumentError, match="gamma must be positive"):
+        assemble_generator(basis, cosine_spec, frictionless)
 
 
 def test_reduced_generator_shape_and_stability(cosine_asm_small):
