@@ -151,6 +151,14 @@ _OPTIONS = (
     _Option("--threads", "options.threads", {"type": "integer", "minimum": 1}, ("scan",), "worker threads"),
 )
 
+# Keys a subcommand reads in some modes only: (command, mode key, mode) -> the
+# keys that mode ignores.  Giving one of them in that mode exits 1.
+_UNREAD_IN_MODE = {
+    ("poisson", "options.dynamics", "overdamped"): ("ensemble.gamma", "ensemble.mass"),
+    ("sample", "options.scheme", "overdamped"): ("ensemble.gamma",),
+    ("sample", "options.scheme", "hamiltonian"): ("ensemble.gamma",),
+}
+
 _DEFAULT_POTENTIAL = {"name": "cosine", "params": {"h": 1.0, "L": 1.0}}
 
 
@@ -226,6 +234,22 @@ def _validate(cfg: dict, command: str) -> None:
         raise InvalidArgumentError(f"config validation failed: {exc.message}") from exc
 
 
+def _lookup(cfg: dict, key: str):
+    section, _, name = key.rpartition(".")
+    return (cfg.get(section, {}) if section else cfg).get(name)
+
+
+def _reject_unread_in_mode(cfg: dict, command: str) -> None:
+    for (cmd, mode_key, mode), keys in _UNREAD_IN_MODE.items():
+        if cmd != command or _lookup(cfg, mode_key) != mode:
+            continue
+        given = [k for k in keys if _lookup(cfg, k) is not None]
+        if given:
+            raise InvalidArgumentError(
+                f"{command} with {mode_key} = {mode} does not read config key(s): {', '.join(given)}"
+            )
+
+
 def _load_config(args) -> dict:
     cfg: dict = {}
     if args.config:
@@ -262,6 +286,7 @@ def _load_config(args) -> dict:
             (cfg.setdefault(section, {}) if section else cfg)[key] = value
 
     _validate(cfg, args.command)
+    _reject_unread_in_mode(cfg, args.command)
     return cfg
 
 
@@ -493,7 +518,7 @@ def _cmd_spectrum(cfg: dict) -> tuple[dict, dict]:
         from .spectral import reduced_generator
 
         red = reduced_generator(asm)
-        eigs = np.linalg.eigvals(-red.operator(asm.gamma))
+        eigs = np.linalg.eigvals(red.neg_operator(asm.gamma))
         order = np.lexsort((eigs.imag, eigs.real))
         _write_csv(dump, ["real", "imag"], np.column_stack([eigs.real[order], eigs.imag[order]]))
         diagnostics["dump_eigs"] = dump

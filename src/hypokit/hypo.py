@@ -15,6 +15,21 @@ provided by spectral.reduced_generator, where gram-weighted norms are
 Euclidean and the exact antisymmetry of the Hamiltonian block makes the
 auxiliary operator R = (1 + (L_ham P0)* (L_ham P0))^{-1} (L_ham P0)* satisfy
 ||2R|| <= 1 and ||L_ham R|| <= 1 up to roundoff.
+
+The dissipation matrix D(eps) = D0 + eps D2 is solved on Hermite levels 0-2
+only, and exactly so.  D0 = -(L + L^T)/2 is the diagonal -gamma*fd, because
+ham is exactly antisymmetric.  T = L_ham P0 maps level 0 into level 1, so R
+lives on the (level 0 x level 1) block, and since L couples only adjacent
+levels, D2 = L^T S + S L (S the symmetric part of R) lives on levels 0-2.
+Beyond them D(eps) is diagonal, with smallest entry 3 gamma / m.
+
+The resolvent norm ||L^{-1}|| = 1/sigma_min(L) comes from Lanczos on the
+symmetric positive definite L^{-1} L^{-T}, applied through one sparse LU of
+the banded L.  Its largest eigenvalue is 1/sigma_min^2, and for a symmetric
+positive definite operator the largest Lanczos eigenvalue is the wanted one.
+A shift-invert eigensolve of L itself could not give the spectral gap that
+safely: it returns the eigenvalues nearest 0 in modulus, which can miss the
+one with the smallest real part, so spectral_gap stays a dense eigensolve.
 """
 
 from __future__ import annotations
@@ -154,19 +169,19 @@ def ode_trajectory(gamma: float, x0, T: float, dt: float) -> Array:
         raise InvalidArgumentError(f"x0 must have shape (2,), got {x0.shape}")
     if not (T > 0 and dt > 0 and dt <= T):
         raise InvalidArgumentError(f"need 0 < dt <= T, got dt={dt}, T={T}")
-    l_mat = toy.l_mat
+    # one classical RK4 step of a linear ODE is x -> M x with
+    # M = I + h (I + h/2 (I + h/3 (I + h/4))), h = dt L
+    h = dt * toy.l_mat
+    eye = np.eye(2)
+    m = eye + h @ (eye + (h / 2.0) @ (eye + (h / 3.0) @ (eye + h / 4.0)))
+    (m00, m01), (m10, m11) = m.tolist()
     n = int(round(T / dt))
-    out = np.empty((n + 1, 3))
-    x = x0.copy()
-    out[0] = (0.0, x[0], x[1])
-    for i in range(1, n + 1):
-        k1 = l_mat @ x
-        k2 = l_mat @ (x + 0.5 * dt * k1)
-        k3 = l_mat @ (x + 0.5 * dt * k2)
-        k4 = l_mat @ (x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i] = (i * dt, x[0], x[1])
-    return out
+    x1, x2 = [float(x0[0])], [float(x0[1])]
+    for _ in range(n):
+        a, b = x1[-1], x2[-1]
+        x1.append(m00 * a + m01 * b)
+        x2.append(m10 * a + m11 * b)
+    return np.column_stack([np.arange(n + 1) * dt, x1, x2])
 
 
 def fit_envelope_rate(times: Array, x1: Array, x2: Array) -> float:
@@ -217,14 +232,36 @@ class DissipationResult:
 
 
 def _modified_norm_parts(asm: GeneratorAssembly, rcond):
+    """(rb, t1, l_k, tail): the pieces of D(eps) on Hermite levels 0-2.
+
+    T = L_ham Pi0 is the first n0 columns of ham, nonzero only in its level-1
+    rows t1, so R = (1 + T*T)^{-1} T* is nonzero only on its (level 0 x
+    level 1) block rb.  l_k is the generator on the first k = n0 + 2r
+    coordinates (levels 0-2), and tail is the smallest diagonal entry of the
+    dissipation matrix on the remaining levels (+inf if there are none).
+    """
     red = reduced_generator(asm, rcond)
-    h = red.ham
-    # T = L_ham Pi0 is the first n0 columns of ham, so R = (1 + T*T)^{-1} T*
-    # vanishes outside its first n0 rows
-    t0 = h[:, : red.n0]
-    r_op = np.zeros_like(h)
-    r_op[: red.n0] = sla.solve(np.eye(red.n0) + t0.T @ t0, t0.T, assume_a="pos")
-    return red, h, r_op
+    n0, r = red.n0, red.wq.shape[1]
+    t1 = red.ham[n0 : n0 + r, :n0]
+    rb = sla.solve(np.eye(n0) + t1.T @ t1, t1.T, assume_a="pos")
+    k = min(n0 + 2 * r, red.dim)
+    l_k = red.ham[:k, :k].copy()
+    l_k[np.diag_indices_from(l_k)] += asm.gamma * red.fd[:k]
+    tail = -asm.gamma * float(red.fd[k]) if k < red.dim else math.inf
+    return rb, t1, l_k, tail
+
+
+def _sym_r(rb: Array, k: int) -> Array:
+    """S = (R + R^T)/2 on the level 0-2 block."""
+    n0, r = rb.shape
+    s = np.zeros((k, k))
+    s[:n0, n0 : n0 + r] = 0.5 * rb
+    s[n0 : n0 + r, :n0] = 0.5 * rb.T
+    return s
+
+
+def _lambda_min(diss: Array, tail: float) -> float:
+    return min(float(sla.eigh(diss, eigvals_only=True, subset_by_index=[0, 0])[0]), tail)
 
 
 def modified_norm_dissipation(
@@ -239,21 +276,19 @@ def modified_norm_dissipation(
     """
     if not abs(eps) < 1.0:
         raise InvalidArgumentError(f"|eps| must be < 1, got {eps}")
-    red, h, r_op = _modified_norm_parts(asm, rcond)
-    r_norm = 2.0 * float(sla.svdvals(r_op).max())
-    lham_r_norm = float(sla.svdvals(h @ r_op).max())
+    rb, t1, l_k, tail = _modified_norm_parts(asm, rcond)
+    r_norm = 2.0 * float(np.linalg.norm(rb, 2))
+    lham_r_norm = float(np.linalg.norm(t1 @ rb, 2))
 
-    m_eps = 0.5 * np.eye(r_op.shape[0]) - eps * 0.5 * (r_op + r_op.T)
+    # outside the block 1/2 I - eps S is 1/2 and D(eps) is its diagonal tail
+    m_eps = 0.5 * np.eye(l_k.shape[0]) - eps * _sym_r(rb, l_k.shape[0])
     if float(np.min(sla.eigvalsh(m_eps))) <= 0.0:
         raise InvalidArgumentError(
             f"modified norm is not positive definite at eps={eps} (norm equivalence broken)"
         )
-    l_op = red.operator(asm.gamma)
-    diss = -(l_op.T @ m_eps + m_eps @ l_op)
-    diss = 0.5 * (diss + diss.T)
-    lambda_est = float(sla.eigh(diss, eigvals_only=True, subset_by_index=[0, 0])[0])
+    diss = -(l_k.T @ m_eps + m_eps @ l_k)
     return DissipationResult(
-        lambda_est=lambda_est,
+        lambda_est=_lambda_min(0.5 * (diss + diss.T), tail),
         epsilon=float(eps),
         r_norm=r_norm,
         lham_r_norm=lham_r_norm,
@@ -274,15 +309,14 @@ def tune_modified_norm_epsilon(
     lambda_est(eps) is the minimum eigenvalue of a matrix pencil affine in
     eps, hence concave, so golden-section search is exact up to tol.
     """
-    red, h, r_op = _modified_norm_parts(asm, rcond)
-    l_op = red.operator(asm.gamma)
-    sym_r = 0.5 * (r_op + r_op.T)
-    d0 = -0.5 * (l_op.T + l_op)
-    d2 = l_op.T @ sym_r + sym_r @ l_op
+    rb, _, l_k, tail = _modified_norm_parts(asm, rcond)
+    sym_r = _sym_r(rb, l_k.shape[0])
+    d0 = -0.5 * (l_k.T + l_k)
+    d2 = l_k.T @ sym_r + sym_r @ l_k
     d2 = 0.5 * (d2 + d2.T)
 
     def lam(eps: float) -> float:
-        return float(sla.eigh(d0 + eps * d2, eigvals_only=True, subset_by_index=[0, 0])[0])
+        return _lambda_min(d0 + eps * d2, tail)
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -306,11 +340,40 @@ def tune_modified_norm_epsilon(
 
 
 def resolvent_norm(asm: GeneratorAssembly, rcond: float | None = None) -> float:
-    """Gram-weighted norm of the inverse generator on the deflated space."""
+    """Gram-weighted norm of the inverse generator on the deflated space.
+
+    ||L^{-1}|| = 1/sigma_min(L), from Lanczos on the symmetric positive
+    definite L^{-1} L^{-T} (one sparse LU of L); sigma_max from Lanczos on
+    L^T L.  A fixed start vector keeps reruns bitwise identical.
+    """
+    # imported here: scipy.sparse costs every CLI start-up about 30 ms
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import LinearOperator, eigsh, splu
+
     red = reduced_generator(asm, rcond)
-    sv = sla.svdvals(red.operator(asm.gamma))
-    smin, smax = float(sv.min()), float(sv.max())
-    if smin <= 1e-14 * smax:
+    op = csc_matrix(red.operator(asm.gamma))
+    n = red.dim
+
+    def largest(matvec) -> float:
+        # An overflowing product would reach LAPACK inside ARPACK, which
+        # prints to stdout; it shows on the start vector already.
+        v0 = np.ones(n)
+        y = matvec(v0)
+        if not np.all(np.isfinite(y)):
+            raise NumericalFailureError("generator is numerically singular on the deflated space")
+        if n == 1:  # ARPACK needs n >= 2
+            return float(y[0])
+        sym = LinearOperator((n, n), matvec=matvec, dtype=float)
+        return float(eigsh(sym, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
+
+    try:
+        lu = splu(op)
+        big_inv = largest(lambda x: lu.solve(lu.solve(x, trans="T")))
+        big = largest(lambda x: op.T @ (op @ x))
+    except RuntimeError as exc:  # a singular LU factor, or any ARPACK failure
+        raise NumericalFailureError(f"resolvent norm solve failed: {exc}") from exc
+    smin = 1.0 / math.sqrt(big_inv) if big_inv > 0.0 else 0.0
+    if not smin > 1e-14 * math.sqrt(big):
         raise NumericalFailureError("generator is numerically singular on the deflated space")
     return 1.0 / smin
 
@@ -569,11 +632,12 @@ def gamma_scan(
 
     def run_row(i: int):
         try:
-            op = red.operator(g[i])
-            gap = _gap_of_operator(op).gap
+            neg_op = red.neg_operator(g[i])
             # Near-zero friction leaves a gap at roundoff level, of either sign;
-            # eps * ||L||_1 is the backward-error scale of the dense eigensolve.
-            floor = np.finfo(float).eps * np.linalg.norm(op, 1)
+            # eps * ||L||_1 is the backward-error scale of the dense eigensolve
+            # (taken first: the eigensolve overwrites neg_op).
+            floor = np.finfo(float).eps * np.linalg.norm(neg_op, 1)
+            gap = _gap_of_operator(neg_op).gap
             if not gap > floor:
                 raise NumericalFailureError(f"computed gap {gap:.3g} is not positive above roundoff {floor:.3g}")
             gaps[i] = gap

@@ -234,6 +234,15 @@ class ReducedGenerator:
         op[np.diag_indices_from(op)] += gamma * self.fd
         return op
 
+    def neg_operator(self, gamma: float) -> Array:
+        """-(ham + gamma*diag(fd)), bitwise the negation of operator(gamma).
+
+        Fortran-ordered, so LAPACK can overwrite it without a copy.
+        """
+        op = np.negative(self.ham, order="F")
+        op[np.diag_indices_from(op)] -= gamma * self.fd
+        return op
+
     def to_reduced(self, coeffs: Array) -> Array:
         """Gram-orthogonal projection of a full coefficient vector (drops constants)."""
         x = np.asarray(coeffs, dtype=float).reshape(self.n_p, -1)
@@ -288,9 +297,10 @@ class GapResult:
     eig_count_checked: int
 
 
-def _gap_of_operator(op: Array) -> GapResult:
+def _gap_of_operator(neg_op: Array) -> GapResult:
+    """Gap from -L; the eigensolve overwrites neg_op."""
     try:
-        eigs = sla.eigvals(-op)
+        eigs = sla.eigvals(neg_op, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError("eigenvalue solver failed") from exc
     return GapResult(gap=float(eigs.real.min()), eig_count_checked=int(eigs.size))
@@ -299,7 +309,7 @@ def _gap_of_operator(op: Array) -> GapResult:
 def spectral_gap(asm: GeneratorAssembly, rcond: float | None = None) -> GapResult:
     """Smallest real part of the deflated spectrum of -(L_ham + gamma L_FD)."""
     red = reduced_generator(asm, rcond)
-    return _gap_of_operator(red.operator(asm.gamma))
+    return _gap_of_operator(red.neg_operator(asm.gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +451,7 @@ def solve_poisson(
     red = reduced_generator(asm, rcond)
     z_rhs = red.to_reduced(phi_coeffs)
     try:
-        z_sol = sla.solve(-red.operator(asm.gamma), z_rhs)
+        z_sol = sla.solve(red.neg_operator(asm.gamma), z_rhs, overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError("Poisson solve failed (singular operator)") from exc
     sigma2 = _sigma2_from_pair(z_sol, z_rhs, red.mass_nu)

@@ -5,6 +5,10 @@ import copy
 import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -270,6 +274,10 @@ def test_csv_floats_reparse_to_identical_tokens(tmp_path):
     ["poisson", "--gamma", "0", "--Kq", "4", "--Np", "8"],
     ["dissipation", "--gamma", "0", "--Kq", "4", "--Np", "8"],
     ["poincare", "--potential", ""],
+    ["poisson", "--dynamics", "overdamped", "--gamma", "5", "--Kq", "4", "--Np", "8"],
+    ["poisson", "--dynamics", "overdamped", "--mass", "2", "--Kq", "4", "--Np", "8"],
+    ["sample", "--scheme", "overdamped", "--gamma", "2", "--n-steps", "10"],
+    ["sample", "--scheme", "hamiltonian", "--gamma", "4", "--n-steps", "10"],
 ])
 def test_bad_invocations_exit_1(argv, capsys):
     assert run(*argv) == 1
@@ -305,6 +313,40 @@ def test_config_key_the_subcommand_does_not_read_is_rejected(command, tmp_path, 
     cfg_path.write_text(json.dumps({section: {name: value}} if section else {key: value}))
     assert run(command, "--config", cfg_path) == 1
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, mode, key", [
+    ("poisson", {"dynamics": "overdamped"}, "ensemble.gamma"),
+    ("poisson", {"dynamics": "overdamped"}, "ensemble.mass"),
+    ("sample", {"scheme": "overdamped"}, "ensemble.gamma"),
+    ("sample", {"scheme": "hamiltonian"}, "ensemble.gamma"),
+])
+def test_key_unread_in_the_chosen_mode_is_rejected(command, mode, key, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"ensemble": {key.split(".")[1]: 2.0}, "options": mode}))
+    assert run(command, "--config", cfg_path) == 1
+    assert key in capsys.readouterr().err
+
+
+def test_mass_still_read_by_overdamped_sample(tmp_path):
+    # the energy observable reads the mass through the initial momentum
+    def energy_mean(mass):
+        rep_path = tmp_path / "rep.json"
+        assert run("sample", "--scheme", "overdamped", "--mass", mass, "--p0", "1.0",
+                   "--n-steps", "20", "--report", rep_path) == 0
+        return read_report(rep_path)["results"]["means"]["energy"]
+
+    assert energy_mean(1.0) != energy_mean(3.0)
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # scipy.sparse is imported where a solver needs it; at module level it
+    # adds about 30 ms to every start-up
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    code = "import sys, hypokit.cli; print(any(m.startswith('scipy.sparse') for m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_malformed_config_section_exits_1(tmp_path):

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from hypokit.errors import DegenerateWitnessError, InvalidArgumentError
-from hypokit import hypo
+from hypokit.errors import DegenerateWitnessError, InvalidArgumentError, NumericalFailureError
+from hypokit import cli, hypo
 from hypokit.hypo import (
     ScalingTable,
     modified_norm_dissipation,
@@ -18,7 +19,13 @@ from hypokit.hypo import (
     verify_schur_bound,
 )
 from hypokit.model import EnsembleParams, Torus, builtin_potential
-from hypokit.spectral import assemble_generator, build_basis, reduced_generator, spectral_gap
+from hypokit.spectral import (
+    GeneratorAssembly,
+    assemble_generator,
+    build_basis,
+    reduced_generator,
+    spectral_gap,
+)
 
 R_FLAT = 4.0 * math.pi**2  # flat unit cell: slowest mode is the first Fourier pair
 
@@ -56,6 +63,117 @@ class TestDissipation:
     def test_eps_outside_unit_interval_rejected(self, cosine_asm, eps):
         with pytest.raises(InvalidArgumentError):
             modified_norm_dissipation(cosine_asm, eps)
+
+
+# ---------------------------------------------------------------------------
+# level-restricted solvers against the dense formulas on the whole operator
+
+
+def _dense_dissipation(asm, eps):
+    """(lambda_est, r_norm, lham_r_norm) from the dense N x N matrices."""
+    red = reduced_generator(asm)
+    h = red.ham
+    t0 = h[:, : red.n0]
+    r_op = np.zeros_like(h)
+    r_op[: red.n0] = sla.solve(np.eye(red.n0) + t0.T @ t0, t0.T, assume_a="pos")
+    r_norm = 2.0 * float(sla.svdvals(r_op).max())
+    lham_r_norm = float(sla.svdvals(h @ r_op).max())
+    m_eps = 0.5 * np.eye(r_op.shape[0]) - eps * 0.5 * (r_op + r_op.T)
+    l_op = red.operator(asm.gamma)
+    diss = -(l_op.T @ m_eps + m_eps @ l_op)
+    diss = 0.5 * (diss + diss.T)
+    return float(sla.eigvalsh(diss)[0]), r_norm, lham_r_norm
+
+
+def _dense_tuned_epsilon(asm, lo=1e-4, hi=0.9999, tol=1e-4):
+    """Golden-section search on the dense pencil d0 + eps d2."""
+    red = reduced_generator(asm)
+    h = red.ham
+    t0 = h[:, : red.n0]
+    r_op = np.zeros_like(h)
+    r_op[: red.n0] = sla.solve(np.eye(red.n0) + t0.T @ t0, t0.T, assume_a="pos")
+    l_op = red.operator(asm.gamma)
+    sym_r = 0.5 * (r_op + r_op.T)
+    d0 = -0.5 * (l_op.T + l_op)
+    d2 = l_op.T @ sym_r + sym_r @ l_op
+    d2 = 0.5 * (d2 + d2.T)
+
+    def lam(eps):
+        return float(sla.eigvalsh(d0 + eps * d2)[0])
+
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = lam(c), lam(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = lam(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = lam(d)
+    return 0.5 * (a + b)
+
+
+# (potential params, beta, mass, gamma, Kq, Np)
+ORACLE_CASES = {
+    "cosine-gamma1/8": ({"h": 1.0, "L": 1.0}, 1.0, 1.0, 0.125, 8, 12),
+    "cosine-gamma1": ({"h": 1.0, "L": 1.0}, 1.0, 1.0, 1.0, 8, 12),
+    "cosine-gamma8": ({"h": 1.0, "L": 1.0}, 1.0, 1.0, 8.0, 8, 12),
+    "pendulum-gamma1/4": ({"h": 1.0, "L": 2.0 * math.pi}, 1.0, 1.0, 0.25, 8, 12),
+    "pendulum-gamma4": ({"h": 1.0, "L": 2.0 * math.pi}, 1.0, 1.0, 4.0, 8, 12),
+    "beta2-mass0.5-gamma0.3": ({"h": 1.0, "L": 1.0}, 2.0, 0.5, 0.3, 8, 12),
+    "rcond-cut-beta50-Kq4": ({"h": 1.0, "L": 1.0}, 50.0, 1.0, 1.0, 4, 12),
+    "Np2": ({"h": 1.0, "L": 1.0}, 1.0, 1.0, 1.0, 8, 2),
+    "Np3": ({"h": 1.0, "L": 1.0}, 1.0, 1.0, 1.0, 8, 3),
+}
+
+
+@pytest.fixture(scope="module", params=list(ORACLE_CASES))
+def oracle_asm(request):
+    pot, beta, mass, gamma, kq, npp = ORACLE_CASES[request.param]
+    spec = builtin_potential("cosine", pot)
+    params = EnsembleParams(beta=beta, mass=mass, gamma=gamma)
+    basis = build_basis(spec, params, Kq=kq, Np=npp, n_quad=256)
+    asm = assemble_generator(basis, spec, params)
+    if request.param.startswith("rcond-cut"):
+        assert reduced_generator(asm).wq.shape[1] < basis.n_q  # the cut drops directions
+    return asm
+
+
+class TestAgainstDenseOracle:
+    def test_fixed_eps_dissipation(self, oracle_asm):
+        res = modified_norm_dissipation(oracle_asm, 0.3)
+        lam, r_norm, lham_r_norm = _dense_dissipation(oracle_asm, 0.3)
+        assert res.lambda_est == pytest.approx(lam, rel=1e-10)
+        assert res.r_norm == pytest.approx(r_norm, rel=1e-10)
+        assert res.lham_r_norm == pytest.approx(lham_r_norm, rel=1e-10)
+
+    def test_tuned_dissipation(self, oracle_asm):
+        res = tune_modified_norm_epsilon(oracle_asm)
+        eps = _dense_tuned_epsilon(oracle_asm)
+        lam, r_norm, lham_r_norm = _dense_dissipation(oracle_asm, eps)
+        assert res.epsilon == pytest.approx(eps, rel=1e-10)
+        assert res.lambda_est == pytest.approx(lam, rel=1e-10)
+        assert res.r_norm == pytest.approx(r_norm, rel=1e-10)
+        assert res.lham_r_norm == pytest.approx(lham_r_norm, rel=1e-10)
+
+    def test_resolvent_norm(self, oracle_asm):
+        l_op = reduced_generator(oracle_asm).operator(oracle_asm.gamma)
+        assert resolvent_norm(oracle_asm) == pytest.approx(1.0 / sla.svdvals(l_op).min(), rel=1e-10)
+
+
+@pytest.mark.parametrize("command", ["bounds", "dissipation"])
+def test_in_process_reruns_are_byte_identical(command, tmp_path):
+    # the report echoes its own path, so both runs write the same file
+    path = tmp_path / "rep.json"
+    reports = []
+    for _ in range(2):
+        assert cli.main([command, "--gamma", "0.5", "--Kq", "8", "--Np", "16", "--report", str(path)]) == 0
+        reports.append(path.read_bytes())
+    assert reports[0] == reports[1]
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +300,14 @@ class TestResolventNorm:
         mid = ou_resolvents(1.0)
         assert ou_resolvents(0.125) > mid
         assert ou_resolvents(8.0) > mid
+
+    @pytest.mark.parametrize("gamma", [1e-14, 1e-300])
+    def test_singular_generator_fails_cleanly(self, cosine_asm_small, gamma, capfd):
+        # at 1e-300 the inverse overflows; LAPACK must not get to print
+        asm = GeneratorAssembly(basis=cosine_asm_small.basis, gamma=gamma)
+        with pytest.raises(NumericalFailureError, match="singular"):
+            resolvent_norm(asm)
+        assert capfd.readouterr().out == ""
 
     def test_stable_under_refinement(self, quad_spec, unit_params):
         vals = []
