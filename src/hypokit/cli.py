@@ -6,8 +6,7 @@ floats formatted to 17 significant digits.  A JSON config file supplies any
 subset of the keys its subcommand reads (`hypokit COMMAND --help` lists them
 in brackets); command-line flags override config keys; a key the subcommand
 does not read is rejected.  Exit codes: 0 success, 1 invalid input or config,
-2 numerical failure.  The environment variable HYPOKIT_THREADS caps scan
-parallelism.
+2 numerical failure.
 """
 
 from __future__ import annotations
@@ -172,15 +171,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
 
 
 def _read_csv(path: str) -> tuple[list[str], np.ndarray]:

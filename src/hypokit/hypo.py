@@ -18,14 +18,14 @@ auxiliary operator R = (1 + (L_ham P0)* (L_ham P0))^{-1} (L_ham P0)* satisfy
 
 The dissipation matrix D(eps) = D0 + eps D2 is solved on Hermite levels 0-2
 only, and exactly so.  D0 = -(L + L^T)/2 is the diagonal -gamma*fd, because
-ham is exactly antisymmetric.  T = L_ham P0 maps level 0 into level 1, so R
+L_ham is exactly antisymmetric.  T = L_ham P0 maps level 0 into level 1, so R
 lives on the (level 0 x level 1) block, and since L couples only adjacent
 levels, D2 = L^T S + S L (S the symmetric part of R) lives on levels 0-2.
 Beyond them D(eps) is diagonal, with smallest entry 3 gamma / m.
 
 The resolvent norm ||L^{-1}|| = 1/sigma_min(L) comes from Lanczos on the
-symmetric positive definite L^{-1} L^{-T}, applied through one sparse LU of
-the banded L.  Its largest eigenvalue is 1/sigma_min^2, and for a symmetric
+symmetric positive definite L^{-T} L^{-1}, applied through one sparse LU of
+the banded -L^T.  Its largest eigenvalue is 1/sigma_min^2, and for a symmetric
 positive definite operator the largest Lanczos eigenvalue is the wanted one.
 A shift-invert eigensolve of L itself could not give the spectral gap that
 safely: it returns the eigenvalues nearest 0 in modulus, which can miss the
@@ -58,6 +58,10 @@ from .spectral import (
 )
 
 Array = np.ndarray
+
+OPTIMAL_P_TOL = 1e-10  # slack on the ODE decay-norm certificate
+EPS_LO, EPS_HI, EPS_TOL = 1e-4, 0.9999, 1e-4  # golden-section bracket and width
+HESS_GRID_N = 4096  # torus grid on which the Hessian lower bound is scanned
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +121,13 @@ class OptimalP:
     cert_residual: float  # most negative eigenvalue in the two certificate checks
 
 
-def ode_optimal_P(gamma: float, tol: float = 1e-10) -> OptimalP:
+def ode_optimal_P(gamma: float) -> OptimalP:
     """Sharp decay-norm matrix P from the eigenvectors of L^T.
 
     P = sum_k X_k conj(X_k)^T over unit eigenvectors of L^T is symmetric
     positive definite and satisfies -(P L + L^T P) >= 2 lam P with
     lam = spectral gap; at gamma = 2 the eigenvectors coincide and the
-    construction is defective.
+    construction is defective.  The certificate holds up to OPTIMAL_P_TOL.
     """
     toy = OdeToy(gamma)
     if abs(gamma - 2.0) < 1e-8:
@@ -138,7 +142,7 @@ def ode_optimal_P(gamma: float, tol: float = 1e-10) -> OptimalP:
     diss = -(p_mat @ toy.l_mat + toy.l_mat.T @ p_mat) - 2.0 * lam * p_mat
     min_diss = float(np.min(np.linalg.eigvalsh(0.5 * (diss + diss.T))))
     min_p = float(np.min(np.linalg.eigvalsh(p_mat)))
-    cert_ok = min_p > tol and min_diss >= -tol
+    cert_ok = min_p > OPTIMAL_P_TOL and min_diss >= -OPTIMAL_P_TOL
     return OptimalP(p_mat=p_mat, lam=lam, cert_ok=cert_ok, cert_residual=min(min_diss, min_p))
 
 
@@ -231,22 +235,22 @@ class DissipationResult:
     lham_r_norm_ok: bool
 
 
-def _modified_norm_parts(asm: GeneratorAssembly, rcond):
+def _modified_norm_parts(asm: GeneratorAssembly):
     """(rb, t1, l_k, tail): the pieces of D(eps) on Hermite levels 0-2.
 
-    T = L_ham Pi0 is the first n0 columns of ham, nonzero only in its level-1
-    rows t1, so R = (1 + T*T)^{-1} T* is nonzero only on its (level 0 x
-    level 1) block rb.  l_k is the generator on the first k = n0 + 2r
-    coordinates (levels 0-2), and tail is the smallest diagonal entry of the
-    dissipation matrix on the remaining levels (+inf if there are none).
+    T = L_ham Pi0 is nonzero only in its level-1 rows t1, the level-1 to
+    level-0 coupling block, so R = (1 + T*T)^{-1} T* is nonzero only on its
+    (level 0 x level 1) block rb.  l_k is the generator on the first
+    k = n0 + 2r coordinates (levels 0-2), and tail is the smallest diagonal
+    entry of the dissipation matrix on the remaining levels (+inf if there
+    are none).
     """
-    red = reduced_generator(asm, rcond)
-    n0, r = red.n0, red.wq.shape[1]
-    t1 = red.ham[n0 : n0 + r, :n0]
+    red = reduced_generator(asm)
+    n0 = red.n0
+    t1 = math.sqrt(1.0 / red.beta_m) * (red.c_t @ red.q0)
     rb = sla.solve(np.eye(n0) + t1.T @ t1, t1.T, assume_a="pos")
-    k = min(n0 + 2 * r, red.dim)
-    l_k = red.ham[:k, :k].copy()
-    l_k[np.diag_indices_from(l_k)] += asm.gamma * red.fd[:k]
+    l_k = -red.neg_operator(asm.gamma, levels=3)
+    k = l_k.shape[0]
     tail = -asm.gamma * float(red.fd[k]) if k < red.dim else math.inf
     return rb, t1, l_k, tail
 
@@ -264,9 +268,7 @@ def _lambda_min(diss: Array, tail: float) -> float:
     return min(float(sla.eigh(diss, eigvals_only=True, subset_by_index=[0, 0])[0]), tail)
 
 
-def modified_norm_dissipation(
-    asm: GeneratorAssembly, eps: float, rcond: float | None = None
-) -> DissipationResult:
+def modified_norm_dissipation(asm: GeneratorAssembly, eps: float) -> DissipationResult:
     """Dissipation rate of the eps-modified norm H[phi] = 1/2||phi||^2 - eps<R phi, phi>.
 
     lambda_est is the largest lambda with D[phi] >= lambda ||phi||^2 on the
@@ -276,7 +278,7 @@ def modified_norm_dissipation(
     """
     if not abs(eps) < 1.0:
         raise InvalidArgumentError(f"|eps| must be < 1, got {eps}")
-    rb, t1, l_k, tail = _modified_norm_parts(asm, rcond)
+    rb, t1, l_k, tail = _modified_norm_parts(asm)
     r_norm = 2.0 * float(np.linalg.norm(rb, 2))
     lham_r_norm = float(np.linalg.norm(t1 @ rb, 2))
 
@@ -297,19 +299,13 @@ def modified_norm_dissipation(
     )
 
 
-def tune_modified_norm_epsilon(
-    asm: GeneratorAssembly,
-    rcond: float | None = None,
-    lo: float = 1e-4,
-    hi: float = 0.9999,
-    tol: float = 1e-4,
-) -> DissipationResult:
-    """Golden-section maximization of lambda_est over eps in (0, 1).
+def tune_modified_norm_epsilon(asm: GeneratorAssembly) -> DissipationResult:
+    """Golden-section maximization of lambda_est over eps in [EPS_LO, EPS_HI].
 
     lambda_est(eps) is the minimum eigenvalue of a matrix pencil affine in
-    eps, hence concave, so golden-section search is exact up to tol.
+    eps, hence concave, so golden-section search is exact up to EPS_TOL.
     """
-    rb, _, l_k, tail = _modified_norm_parts(asm, rcond)
+    rb, _, l_k, tail = _modified_norm_parts(asm)
     sym_r = _sym_r(rb, l_k.shape[0])
     d0 = -0.5 * (l_k.T + l_k)
     d2 = l_k.T @ sym_r + sym_r @ l_k
@@ -319,10 +315,10 @@ def tune_modified_norm_epsilon(
         return _lambda_min(d0 + eps * d2, tail)
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = EPS_LO, EPS_HI
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = lam(c), lam(d)
-    while b - a > tol:
+    while b - a > EPS_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -332,27 +328,28 @@ def tune_modified_norm_epsilon(
             d = a + invphi * (b - a)
             fd = lam(d)
     best = 0.5 * (a + b)
-    return modified_norm_dissipation(asm, best, rcond)
+    return modified_norm_dissipation(asm, best)
 
 
 # ---------------------------------------------------------------------------
 # resolvent bounds
 
 
-def resolvent_norm(asm: GeneratorAssembly, rcond: float | None = None) -> float:
+def resolvent_norm(asm: GeneratorAssembly) -> float:
     """Gram-weighted norm of the inverse generator on the deflated space.
 
     ||L^{-1}|| = 1/sigma_min(L), from Lanczos on the symmetric positive
-    definite L^{-1} L^{-T} (one sparse LU of L); sigma_max from Lanczos on
-    L^T L.  A fixed start vector keeps reruns bitwise identical.
+    definite A^{-1} A^{-T} (one sparse LU of A); sigma_max from Lanczos on
+    A^T A.  A = -L^T has the singular values of L and is the C-ordered view
+    of the Fortran-ordered -L, which csc_matrix reads about 3x faster.  A
+    fixed start vector keeps reruns bitwise identical.
     """
     # imported here: scipy.sparse costs every CLI start-up about 30 ms
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-    red = reduced_generator(asm, rcond)
-    op = csc_matrix(red.operator(asm.gamma))
-    n = red.dim
+    op = csc_matrix(reduced_generator(asm).neg_operator(asm.gamma).T)
+    n = op.shape[0]
 
     def largest(matvec) -> float:
         # An overflowing product would reach LAPACK inside ARPACK, which
@@ -445,16 +442,15 @@ def verify_schur_bound(
     K: float | None = None,
     c_prime: float | None = None,
     slack: float = 0.05,
-    hess_grid_n: int = 4096,
-    rcond: float | None = None,
 ) -> SchurCheck:
     """Compare the numerically computed resolvent norm against the explicit bound.
 
-    The Hessian lower bound is scanned on a uniform torus grid.  Requesting
-    the convex case for a potential whose Hessian dips below zero is refused
-    (no non-constant torus potential is convex).
+    The Hessian lower bound is scanned on a uniform torus grid of
+    HESS_GRID_N points.  Requesting the convex case for a potential whose
+    Hessian dips below zero is refused (no non-constant torus potential is
+    convex).
     """
-    pts = (np.arange(hess_grid_n) * (asm.basis.L / hess_grid_n))[:, None]
+    pts = (np.arange(HESS_GRID_N) * (asm.basis.L / HESS_GRID_N))[:, None]
     d2v = spec.hessian(pts)[:, 0, 0]
     min_hess = float(d2v.min())
     scale = float(np.abs(d2v).max())
@@ -485,7 +481,7 @@ def verify_schur_bound(
         k_used = float(K) if K is not None else max(0.0, -min_hess)
 
     r_nu = poincare_constant(spec, params, Kq=asm.basis.Kq)
-    numeric = resolvent_norm(asm, rcond)
+    numeric = resolvent_norm(asm)
     bound = schur_bound(params, r_nu, case, K=k_used if case == "hessian_lower_bound" else None, c_prime=c_prime)
     return SchurCheck(
         numeric=numeric,
@@ -515,10 +511,9 @@ def resolvent_lower_bound(
     spec: PotentialSpec,
     params: EnsembleParams,
     asm: GeneratorAssembly,
-    rcond: float | None = None,
 ) -> WitnessPair:
     basis = asm.basis
-    red = reduced_generator(asm, rcond)
+    red = reduced_generator(asm)
     w = basis.weights
     v = spec.eval(basis.nodes[:, None])
     v_mean = float(w @ v / w.sum())
@@ -527,11 +522,11 @@ def resolvent_lower_bound(
         raise DegenerateWitnessError("witnesses vanish for a constant potential")
 
     gamma, m = asm.gamma, params.mass
-    op = red.operator(gamma)
+    neg_op = red.neg_operator(gamma)  # ||L u|| = ||-L u||
 
     def ratio(f) -> float:
         z = red.to_reduced(project_phase_function(basis, f))
-        img = op @ z
+        img = neg_op @ z
         nz, ni = float(np.linalg.norm(z)), float(np.linalg.norm(img))
         if ni <= 1e-14 * max(nz, 1.0):
             raise NumericalFailureError("witness image under the generator is numerically zero")
@@ -554,14 +549,6 @@ class ScalingTable:
     gaps: Array  # NaN where a row failed
     lower_model: Array  # min(gamma, 1/gamma)
 
-    def __post_init__(self):
-        g = np.asarray(self.gammas, float)
-        if g.ndim != 1 or np.any(g <= 0) or np.any(np.diff(g) <= 0):
-            raise InvalidArgumentError("gammas must be positive and strictly increasing")
-        ok = np.isfinite(self.gaps)
-        if np.any(self.gaps[ok] <= 0):
-            raise InvalidArgumentError("computed gaps must be positive")
-
 
 @dataclass(frozen=True)
 class ScanResult:
@@ -575,12 +562,6 @@ class ScanResult:
 def _max_workers(n_rows: int, requested: int | None) -> int:
     if requested is not None:
         return max(1, int(requested))
-    env = os.environ.get("HYPOKIT_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise InvalidArgumentError(f"HYPOKIT_THREADS must be an integer, got {env!r}") from exc
     return max(1, min(n_rows, os.cpu_count() or 1))
 
 
@@ -592,13 +573,12 @@ def gamma_scan(
     Np: int | None = None,
     n_quad: int | None = None,
     max_workers: int | None = None,
-    rcond: float | None = None,
     assembly: GeneratorAssembly | None = None,
 ) -> ScanResult:
     """Spectral gap across a friction ladder; fits both scaling branches.
 
     Requires at least 7 gamma values spanning [1/8, 8].  Rows run in parallel
-    (capped by HYPOKIT_THREADS or max_workers) and failed rows, including
+    (max_workers threads, default one per row up to the CPU count) and failed rows, including
     those whose gap is not above roundoff, are reported in row_errors with
     NaN gaps rather than aborting the scan.  Slopes are
     log-log fits over gamma <= 1/2 and gamma >= 2; lambda_bar is the smallest
@@ -625,7 +605,7 @@ def gamma_scan(
         from .spectral import assemble_generator
 
         assembly = assemble_generator(basis, spec, params_base)
-    red = reduced_generator(assembly, rcond)
+    red = reduced_generator(assembly)
 
     gaps = np.full(g.size, np.nan)
     row_errors: dict = {}

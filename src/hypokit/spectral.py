@@ -22,7 +22,11 @@ solvers use one representation, the ReducedGenerator: each level is whitened
 by the same gram_q^{-1/2} (eigenvalue-filtered for near-singular Grams, r
 columns kept), and the constant function, which lies in level 0, is deflated
 inside level 0 only.  The reduced coordinates are thus level-blocked: n0 = r - 1
-for level 0, which is the range of Pi0, then r per level n >= 1.
+for level 0, which is the range of Pi0, then r per level n >= 1.  In them the
+coupling of level n to level n - 1 is sqrt(n / (beta m)) c_t, with c_t the
+whitened position derivative (restricted to the deflated level 0 when n = 1),
+so the generator is stored as the one r x r block c_t and the diagonal of
+L_FD; solvers that need a dense matrix build it with neg_operator.
 
 Full-basis coefficient indexing is Hermite-major: index = n * (2 Kq + 1) + a.
 """
@@ -31,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -51,6 +54,9 @@ DEFAULT_KQ = 16
 DEFAULT_NP = 32
 DEFAULT_NQUAD = 256
 DEFAULT_RCOND = 1e-11
+POINCARE_RTOL = 5e-3  # relative change that ends the Poincare refinement
+POINCARE_MAX_ROUNDS = 6
+DECAY_TOL = 1e-8  # slack on the semigroup decay bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,8 +143,8 @@ def build_basis(
 class GeneratorAssembly:
     """The kinetic Langevin generator L_ham + gamma L_FD on a basis.
 
-    Holds no matrices: reduced_generator builds the one operator every
-    solver uses, in the whitened, level-blocked frame.
+    Holds no matrices: reduced_generator builds the level blocks every
+    solver uses, in the whitened frame.
     """
 
     basis: BasisSet
@@ -181,17 +187,18 @@ def assemble_generator(
 # whitened, constant-deflated frame
 
 
-def _whiten(gram_q: Array, rcond: float) -> tuple[Array, Array]:
+def _whiten(gram_q: Array) -> tuple[Array, Array]:
     """(wq, q0): per-level whitener and the constant's complement in level 0.
 
-    wq (n_q, r) satisfies wq^T gram_q wq = I after the rcond eigenvalue cut;
+    wq (n_q, r) satisfies wq^T gram_q wq = I after the eigenvalue cut at
+    DEFAULT_RCOND times the largest eigenvalue;
     q0 (r, r - 1) is an orthonormal basis of the whitened level-0
     coordinates orthogonal to the constant function.
     """
     evals, vecs = sla.eigh(gram_q)
     if evals[-1] <= 0:
         raise IllConditionedBasisError("position Gram is numerically singular")
-    keep = evals > rcond * evals[-1]
+    keep = evals > DEFAULT_RCOND * evals[-1]
     if not np.any(keep):
         raise IllConditionedBasisError("no Gram eigenvalue above the rcond cutoff")
     wq = vecs[:, keep] / np.sqrt(evals[keep])
@@ -207,19 +214,22 @@ class ReducedGenerator:
     Coordinates are orthonormal for the (unnormalized) gram inner product, so
     all gram-weighted norms are Euclidean here.  They are ordered by Hermite
     level: the first n0 = r - 1 span level 0 without the constant (Pi0 keeps
-    exactly these), then r per level n >= 1.  `ham` is exactly antisymmetric
-    with nonzero blocks only between adjacent levels; `fd` is the diagonal
-    of L_FD, -n/m on level n.  The generator at friction gamma acts as
-    ham + gamma*diag(fd).
+    exactly these), then r per level n >= 1.  L_ham is stored as its one
+    block c_t: level n >= 2 couples to level n - 1 through sqrt(n / beta_m) c_t
+    and level 1 to level 0 through sqrt(1 / beta_m) c_t q0, each with the
+    negated transpose above the diagonal, so L_ham is exactly antisymmetric.
+    `fd` is the diagonal of L_FD, -n/m on level n.  The generator at friction
+    gamma is L_ham + gamma*diag(fd).
     """
 
-    ham: Array  # (dim, dim)
+    c_t: Array  # (r, r) whitened position derivative wq^T gram_q D wq
     fd: Array  # (dim,)
     q0: Array  # (r, n0) level-0 deflation basis
     wq: Array  # (n_q, r) per-level whitener, wq^T gram_q wq = I
     gq_w: Array  # (r, n_q) = wq^T gram_q, coordinates of the gram projection
     mass_nu: float
     n_p: int
+    beta_m: float  # beta * mass
 
     @property
     def dim(self) -> int:
@@ -229,18 +239,26 @@ class ReducedGenerator:
     def n0(self) -> int:
         return self.q0.shape[1]
 
-    def operator(self, gamma: float) -> Array:
-        op = self.ham.copy()
-        op[np.diag_indices_from(op)] += gamma * self.fd
-        return op
-
-    def neg_operator(self, gamma: float) -> Array:
-        """-(ham + gamma*diag(fd)), bitwise the negation of operator(gamma).
+    def neg_operator(self, gamma: float, levels: int | None = None) -> Array:
+        """Dense -(L_ham + gamma L_FD) on the first `levels` Hermite levels (default all).
 
         Fortran-ordered, so LAPACK can overwrite it without a copy.
         """
-        op = np.negative(self.ham, order="F")
-        op[np.diag_indices_from(op)] -= gamma * self.fd
+        n_lev = self.n_p if levels is None else min(levels, self.n_p)
+        r, n0 = self.c_t.shape[0], self.n0
+
+        def start(level: int) -> int:
+            return 0 if level == 0 else n0 + (level - 1) * r
+
+        k = start(n_lev)
+        op = np.zeros((k, k), order="F")
+        for n in range(1, n_lev):
+            block = math.sqrt(n / self.beta_m) * (self.c_t @ self.q0 if n == 1 else self.c_t)
+            rows = slice(start(n), start(n + 1))
+            below = slice(start(n - 1), start(n))
+            op[rows, below] = -block
+            op[below, rows] = block.T
+        op[np.diag_indices(k)] = -gamma * self.fd[:k]
         return op
 
     def to_reduced(self, coeffs: Array) -> Array:
@@ -256,35 +274,17 @@ class ReducedGenerator:
         return (blocks @ self.wq.T).reshape(-1)
 
 
-@lru_cache(maxsize=3)
-def _reduced_cached(asm: GeneratorAssembly, rcond: float) -> ReducedGenerator:
+def reduced_generator(asm: GeneratorAssembly) -> ReducedGenerator:
+    """Whitened, constant-deflated view of an assembly, stored as its level blocks."""
     basis = asm.basis
-    wq, q0 = _whiten(basis.gram_q, rcond)
-    r, n0, n_p = wq.shape[1], q0.shape[1], basis.Np
-
-    def start(level: int) -> int:
-        return 0 if level == 0 else n0 + (level - 1) * r
-
-    # whitened Hamiltonian blocks: level m couples to m-1 through s_m c_t,
-    # with the level-0 side restricted to q0
-    c_t = wq.T @ (basis.gram_q @ basis.D) @ wq
-    ham = np.zeros((start(n_p), start(n_p)))
-    for m in range(1, n_p):
-        block = math.sqrt(m / (basis.beta * basis.mass)) * (c_t @ q0 if m == 1 else c_t)
-        rows = slice(start(m), start(m + 1))
-        below = slice(start(m - 1), start(m))
-        ham[rows, below] = block
-        ham[below, rows] = -block.T
-    fd = np.repeat(-np.arange(n_p) / basis.mass, r)[r - n0 :]
+    wq, q0 = _whiten(basis.gram_q)
+    r, n0 = wq.shape[1], q0.shape[1]
     return ReducedGenerator(
-        ham=ham, fd=fd, q0=q0, wq=wq, gq_w=wq.T @ basis.gram_q,
-        mass_nu=basis.mass_nu, n_p=n_p,
+        c_t=wq.T @ (basis.gram_q @ basis.D) @ wq,
+        fd=np.repeat(-np.arange(basis.Np) / basis.mass, r)[r - n0 :],
+        q0=q0, wq=wq, gq_w=wq.T @ basis.gram_q,
+        mass_nu=basis.mass_nu, n_p=basis.Np, beta_m=basis.beta * basis.mass,
     )
-
-
-def reduced_generator(asm: GeneratorAssembly, rcond: float | None = None) -> ReducedGenerator:
-    """Whitened, constant-deflated view of an assembly (cached per assembly)."""
-    return _reduced_cached(asm, DEFAULT_RCOND if rcond is None else float(rcond))
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +306,9 @@ def _gap_of_operator(neg_op: Array) -> GapResult:
     return GapResult(gap=float(eigs.real.min()), eig_count_checked=int(eigs.size))
 
 
-def spectral_gap(asm: GeneratorAssembly, rcond: float | None = None) -> GapResult:
+def spectral_gap(asm: GeneratorAssembly) -> GapResult:
     """Smallest real part of the deflated spectrum of -(L_ham + gamma L_FD)."""
-    red = reduced_generator(asm, rcond)
-    return _gap_of_operator(red.neg_operator(asm.gamma))
+    return _gap_of_operator(reduced_generator(asm).neg_operator(asm.gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +334,9 @@ def assemble_overdamped(
     return OverdampedOperator(l_ovd=sla.cho_solve(cho, a_form), gram_q=basis.gram_q)
 
 
-def _overdamped_reduced(l_ovd: Array, gram_q: Array, rcond: float) -> tuple[Array, Array, Array]:
+def _overdamped_reduced(l_ovd: Array, gram_q: Array) -> tuple[Array, Array, Array]:
     """(wq, q0, s): the whitening of _whiten and the symmetric overdamped operator in it."""
-    wq, q0 = _whiten(gram_q, rcond)
+    wq, q0 = _whiten(gram_q)
     a_form = gram_q @ l_ovd
     s = q0.T @ (wq.T @ a_form @ wq) @ q0
     return wq, q0, 0.5 * (s + s.T)
@@ -347,32 +346,27 @@ def poincare_constant(
     spec: PotentialSpec,
     params: EnsembleParams,
     Kq: int = DEFAULT_KQ,
-    n_quad: int | None = None,
-    rtol: float = 5e-3,
-    max_rounds: int = 6,
-    rcond: float | None = None,
 ) -> float:
     """Poincare constant of exp(-beta V): beta times the overdamped spectral gap.
 
     The basis size is refined by factors of 1.5 until the value changes by
-    less than rtol; the refined value is returned.
+    less than POINCARE_RTOL; the refined value is returned.
     """
-    rc = DEFAULT_RCOND if rcond is None else float(rcond)
     k = Kq
     prev = None
-    for _ in range(max_rounds):
-        nq = max(DEFAULT_NQUAD, 8 * k) if n_quad is None else max(n_quad, 8 * k)
-        basis = build_basis(spec, params, Kq=k, Np=2, n_quad=nq)
+    for _ in range(POINCARE_MAX_ROUNDS):
+        basis = build_basis(spec, params, Kq=k, Np=2, n_quad=max(DEFAULT_NQUAD, 8 * k))
         ovd = assemble_overdamped(basis, spec, params)
-        *_, s_red = _overdamped_reduced(ovd.l_ovd, ovd.gram_q, rc)
+        *_, s_red = _overdamped_reduced(ovd.l_ovd, ovd.gram_q)
         gap = float(np.min(sla.eigvalsh(-s_red)))
         value = params.beta * gap
-        if prev is not None and abs(value - prev) <= rtol * abs(value):
+        if prev is not None and abs(value - prev) <= POINCARE_RTOL * abs(value):
             return value
         prev = value
         k = int(math.ceil(1.5 * k))
     raise NumericalFailureError(
-        f"Poincare constant did not stabilize to {rtol:g} within {max_rounds} refinements"
+        f"Poincare constant did not stabilize to {POINCARE_RTOL:g} "
+        f"within {POINCARE_MAX_ROUNDS} refinements"
     )
 
 
@@ -391,19 +385,17 @@ def semigroup_decay_check(
     r_nu: float,
     times: Array,
     beta: float = 1.0,
-    tol: float = 1e-8,
-    rcond: float | None = None,
 ) -> DecayCheckResult:
     """Check ||exp(t L_ovd)|| <= exp(-r_nu t / beta) on mean-zero functions.
 
     Norms are gram-weighted operator norms of the matrix exponential on the
-    constant-deflated space; the bound holds with prefactor exactly 1.
+    constant-deflated space; the bound holds with prefactor exactly 1, up to
+    DECAY_TOL.
     """
-    rc = DEFAULT_RCOND if rcond is None else float(rcond)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1 or np.any(times < 0):
         raise InvalidArgumentError("times must be a non-empty 1-D array of nonnegative values")
-    *_, s_red = _overdamped_reduced(np.asarray(l_ovd, float), np.asarray(gram_q, float), rc)
+    *_, s_red = _overdamped_reduced(np.asarray(l_ovd, float), np.asarray(gram_q, float))
     norms = np.empty(times.size)
     for i, t in enumerate(times):
         norms[i] = sla.svdvals(sla.expm(t * s_red)).max()
@@ -412,7 +404,7 @@ def semigroup_decay_check(
     bounds = np.exp(-r_nu * times / beta)
     ratios = norms / bounds
     return DecayCheckResult(
-        ok=bool(np.all(ratios <= 1.0 + tol)),
+        ok=bool(np.all(ratios <= 1.0 + DECAY_TOL)),
         max_ratio=float(ratios.max()),
         times=times,
         norms=norms,
@@ -440,15 +432,13 @@ def _sigma2_from_pair(z_sol: Array, z_rhs: Array, mass_nu: float) -> float:
     return sigma2
 
 
-def solve_poisson(
-    asm: GeneratorAssembly, phi_coeffs: Array, rcond: float | None = None
-) -> PoissonResult:
+def solve_poisson(asm: GeneratorAssembly, phi_coeffs: Array) -> PoissonResult:
     """Solve -(L_ham + gamma L_FD) Phi = (phi - mean phi) and report sigma^2.
 
     sigma^2 = 2 <Phi, phi - mean phi> under the normalized invariant measure.
     Returns the solution's full-basis coefficients (mean-zero representative).
     """
-    red = reduced_generator(asm, rcond)
+    red = reduced_generator(asm)
     z_rhs = red.to_reduced(phi_coeffs)
     try:
         z_sol = sla.solve(red.neg_operator(asm.gamma), z_rhs, overwrite_a=True)
@@ -458,12 +448,9 @@ def solve_poisson(
     return PoissonResult(phi_coeffs=red.to_full(z_sol), sigma2=sigma2)
 
 
-def solve_poisson_overdamped(
-    ovd: OverdampedOperator, phi_q_coeffs: Array, rcond: float | None = None
-) -> PoissonResult:
+def solve_poisson_overdamped(ovd: OverdampedOperator, phi_q_coeffs: Array) -> PoissonResult:
     """Overdamped counterpart of solve_poisson for position-only observables."""
-    rc = DEFAULT_RCOND if rcond is None else float(rcond)
-    wq, q0, s_red = _overdamped_reduced(ovd.l_ovd, ovd.gram_q, rc)
+    wq, q0, s_red = _overdamped_reduced(ovd.l_ovd, ovd.gram_q)
     z_rhs = q0.T @ (wq.T @ (ovd.gram_q @ np.asarray(phi_q_coeffs, float)))
     try:
         z_sol = sla.solve(-s_red, z_rhs, assume_a="sym")
@@ -498,22 +485,20 @@ def project_position_function(basis: BasisSet, f: Callable[[Array], Array]) -> A
     return sla.cho_solve(_cho_gram_q(basis), rhs)
 
 
-def project_phase_function(
-    basis: BasisSet, f: Callable[[Array, Array], Array], n_p_quad: int | None = None
-) -> Array:
+def project_phase_function(basis: BasisSet, f: Callable[[Array, Array], Array]) -> Array:
     """Gram-orthogonal projection of f(q, p) onto the tensor basis, (size,).
 
     f must broadcast over a (n_quad, 1) position array against a (1, n_gh)
     momentum array.  Momentum integrals use Gauss-Hermite quadrature with
-    n_p_quad nodes (default Np + 8).
+    n_gh = Np + 8 nodes.
     """
-    n_gh = basis.Np + 8 if n_p_quad is None else int(n_p_quad)
+    n_gh = basis.Np + 8
     x, w = np.polynomial.hermite_e.hermegauss(n_gh)
     w = w / math.sqrt(2.0 * math.pi)  # weights of the standard Gaussian measure
     p = basis.sigma_p * x
     vals = np.asarray(f(basis.nodes[:, None], p[None, :]), dtype=float)
     if vals.shape != (basis.nodes.size, n_gh):
-        raise InvalidArgumentError("f must broadcast to shape (n_quad, n_p_quad)")
+        raise InvalidArgumentError("f must broadcast to shape (n_quad, Np + 8)")
     h_tab = hermite_values(basis.Np, x)  # (n_gh, Np)
     t = vals @ (w[:, None] * h_tab)  # (n_quad, Np) momentum integrals
     rhs = basis.F.T @ (basis.weights[:, None] * t)  # (n_q, Np)

@@ -362,7 +362,7 @@ def test_malformed_config_file(tmp_path):
 
 
 def test_numerical_failure_exits_2(tmp_path, monkeypatch):
-    def boom(asm, rcond=None):
+    def boom(asm):
         raise NumericalFailureError("synthetic blowup")
 
     monkeypatch.setattr(cli, "spectral_gap", boom)

@@ -9,7 +9,6 @@ import scipy.linalg as sla
 from hypokit.errors import DegenerateWitnessError, InvalidArgumentError, NumericalFailureError
 from hypokit import cli, hypo
 from hypokit.hypo import (
-    ScalingTable,
     modified_norm_dissipation,
     gamma_scan,
     resolvent_lower_bound,
@@ -72,14 +71,14 @@ class TestDissipation:
 def _dense_dissipation(asm, eps):
     """(lambda_est, r_norm, lham_r_norm) from the dense N x N matrices."""
     red = reduced_generator(asm)
-    h = red.ham
+    h = -red.neg_operator(0.0)
     t0 = h[:, : red.n0]
     r_op = np.zeros_like(h)
     r_op[: red.n0] = sla.solve(np.eye(red.n0) + t0.T @ t0, t0.T, assume_a="pos")
     r_norm = 2.0 * float(sla.svdvals(r_op).max())
     lham_r_norm = float(sla.svdvals(h @ r_op).max())
     m_eps = 0.5 * np.eye(r_op.shape[0]) - eps * 0.5 * (r_op + r_op.T)
-    l_op = red.operator(asm.gamma)
+    l_op = -red.neg_operator(asm.gamma)
     diss = -(l_op.T @ m_eps + m_eps @ l_op)
     diss = 0.5 * (diss + diss.T)
     return float(sla.eigvalsh(diss)[0]), r_norm, lham_r_norm
@@ -88,11 +87,11 @@ def _dense_dissipation(asm, eps):
 def _dense_tuned_epsilon(asm, lo=1e-4, hi=0.9999, tol=1e-4):
     """Golden-section search on the dense pencil d0 + eps d2."""
     red = reduced_generator(asm)
-    h = red.ham
+    h = -red.neg_operator(0.0)
     t0 = h[:, : red.n0]
     r_op = np.zeros_like(h)
     r_op[: red.n0] = sla.solve(np.eye(red.n0) + t0.T @ t0, t0.T, assume_a="pos")
-    l_op = red.operator(asm.gamma)
+    l_op = -red.neg_operator(asm.gamma)
     sym_r = 0.5 * (r_op + r_op.T)
     d0 = -0.5 * (l_op.T + l_op)
     d2 = l_op.T @ sym_r + sym_r @ l_op
@@ -161,7 +160,7 @@ class TestAgainstDenseOracle:
         assert res.lham_r_norm == pytest.approx(lham_r_norm, rel=1e-10)
 
     def test_resolvent_norm(self, oracle_asm):
-        l_op = reduced_generator(oracle_asm).operator(oracle_asm.gamma)
+        l_op = -reduced_generator(oracle_asm).neg_operator(oracle_asm.gamma)
         assert resolvent_norm(oracle_asm) == pytest.approx(1.0 / sla.svdvals(l_op).min(), rel=1e-10)
 
 
@@ -293,7 +292,7 @@ class TestResolventNorm:
 
     def test_exceeds_reciprocal_smallest_eigenvalue(self, cosine_asm):
         red = reduced_generator(cosine_asm)
-        lam = np.linalg.eigvals(red.operator(cosine_asm.gamma))
+        lam = np.linalg.eigvals(-red.neg_operator(cosine_asm.gamma))
         assert resolvent_norm(cosine_asm) >= 1.0 / np.abs(lam).min() - 1e-9
 
     def test_grows_toward_both_friction_limits(self, ou_resolvents):
@@ -443,21 +442,3 @@ class TestGammaScan:
             gamma_scan(quad_spec, p, [-1.0] + self.LADDER[1:], assembly=asm)
         with pytest.raises(InvalidArgumentError):
             gamma_scan(quad_spec, p, [0.125, 0.125] + self.LADDER[2:], assembly=asm)
-
-    def test_thread_env_validation(self, quad_spec, ou_scan_assembly, monkeypatch):
-        asm, p = ou_scan_assembly
-        monkeypatch.setenv("HYPOKIT_THREADS", "many")
-        with pytest.raises(InvalidArgumentError, match="HYPOKIT_THREADS"):
-            gamma_scan(quad_spec, p, self.LADDER, assembly=asm)
-        monkeypatch.setenv("HYPOKIT_THREADS", "2")
-        res = gamma_scan(quad_spec, p, self.LADDER, assembly=asm)
-        assert not res.row_errors
-
-    def test_table_validation(self):
-        g = np.array([0.5, 1.0, 2.0])
-        low = np.minimum(g, 1 / g)
-        ScalingTable(gammas=g, gaps=np.array([0.2, np.nan, 0.3]), lower_model=low)
-        with pytest.raises(InvalidArgumentError):
-            ScalingTable(gammas=g, gaps=np.array([0.2, -0.1, 0.3]), lower_model=low)
-        with pytest.raises(InvalidArgumentError):
-            ScalingTable(gammas=g[::-1], gaps=np.array([0.2, 0.1, 0.3]), lower_model=low)

@@ -54,10 +54,11 @@ def _levels(red):
 
 
 def test_reduced_symmetry_and_friction_diagonal(cosine_asm):
-    """ham exactly antisymmetric; fd <= 0, zero on level 0 and -n/m on level n."""
+    """L_ham exactly antisymmetric; fd <= 0, zero on level 0 and -n/m on level n."""
     red = reduced_generator(cosine_asm)
-    assert red.ham.shape == (red.dim, red.dim)
-    assert np.array_equal(red.ham, -red.ham.T)
+    ham = -red.neg_operator(0.0)
+    assert ham.shape == (red.dim, red.dim)
+    assert np.array_equal(ham, -ham.T)
     assert np.all(red.fd <= 0.0)
     assert np.all(red.fd[: red.n0] == 0.0)
     assert np.array_equal(red.fd, -_levels(red) / cosine_asm.basis.mass)
@@ -65,10 +66,19 @@ def test_reduced_symmetry_and_friction_diagonal(cosine_asm):
 
 def test_ham_couples_adjacent_levels_only(cosine_asm_small):
     red = reduced_generator(cosine_asm_small)
+    ham = -red.neg_operator(0.0)
     lev = _levels(red)
     far = np.abs(lev[:, None] - lev[None, :]) != 1
-    assert np.all(red.ham[far] == 0.0)
-    assert np.any(red.ham[~far] != 0.0)
+    assert np.all(ham[far] == 0.0)
+    assert np.any(ham[~far] != 0.0)
+
+
+def test_reduced_generator_stores_no_dense_array(cosine_asm):
+    """At Kq16/Np32 (dim 1055) the level blocks total a few kB, not dim^2 doubles."""
+    red = reduced_generator(cosine_asm)
+    arrays = [v for v in vars(red).values() if isinstance(v, np.ndarray)]
+    assert all(a.ndim < 2 or a.shape[0] < red.dim for a in arrays)
+    assert sum(a.nbytes for a in arrays) < 1_000_000
 
 
 def test_reduced_round_trip(cosine_asm_small):
@@ -101,11 +111,11 @@ def test_generator_acts_as_analytic_langevin_generator(cosine_spec, beta, mass, 
 
     z_p = proj(lambda q, p: np.ones_like(q) * p)
     want = proj(lambda q, p: -cosine_spec.grad(q) - gamma * p / mass)
-    got = red.operator(gamma) @ z_p
+    got = -red.neg_operator(gamma) @ z_p
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     z_h = proj(lambda q, p: cosine_spec.eval(q)[:, None] + p * p / (2.0 * mass))
-    assert np.abs(red.ham @ z_h).max() <= 1e-10 * np.linalg.norm(z_h)
+    assert np.abs(red.neg_operator(0.0) @ z_h).max() <= 1e-10 * np.linalg.norm(z_h)
 
 
 def test_assembly_rejects_mismatched_params(cosine_spec, unit_params):
@@ -120,9 +130,8 @@ def test_assembly_rejects_mismatched_params(cosine_spec, unit_params):
 
 def test_reduced_generator_shape_and_stability(cosine_asm_small):
     red = reduced_generator(cosine_asm_small)
-    n = red.ham.shape[0]
-    assert n == cosine_asm_small.basis.size - 1  # one constant deflated
-    ev = np.linalg.eigvals(red.operator(1.0))
+    assert red.dim == cosine_asm_small.basis.size - 1  # one constant deflated
+    ev = np.linalg.eigvals(-red.neg_operator(1.0))
     assert ev.real.max() <= 1e-10  # generator spectrum sits in the left half-plane
 
 
