@@ -489,11 +489,22 @@ def _spectral_setup(cfg: dict):
     return params, spec, disc, basis, asm
 
 
+def _eig_row_order(eigs: np.ndarray, norm1: float) -> np.ndarray:
+    """--dump-eigs row order that roundoff relative to ||L||_1 cannot change.
+
+    Real parts binned at 1e-8 ||L||_1, then |imag|, then the exact real part
+    (which both members of a conjugate pair share), then imag: pairs stay
+    adjacent, negative member first.
+    """
+    bins = np.round(eigs.real / (1e-8 * norm1))
+    return np.lexsort((eigs.imag, eigs.real, np.abs(eigs.imag), bins))
+
+
 def _cmd_spectrum(cfg: dict) -> tuple[dict, dict]:
     params, spec, disc, basis, asm = _spectral_setup(cfg)
     opts = cfg.get("options", {})
     res = spectral_gap(asm)
-    diagnostics: dict = {"n_quad": disc["n_quad"], "size": basis.size}
+    diagnostics: dict = {"n_quad": disc["n_quad"], "size": basis.size, "rank_q": basis.wq.shape[1]}
 
     converged = None
     if opts.get("check_convergence", True):
@@ -508,12 +519,8 @@ def _cmd_spectrum(cfg: dict) -> tuple[dict, dict]:
 
     dump = opts.get("dump_eigs")
     if dump:
-        from .spectral import reduced_generator
-
-        red = reduced_generator(asm)
-        eigs = np.linalg.eigvals(red.neg_operator(asm.gamma))
-        order = np.lexsort((eigs.imag, eigs.real))
-        _write_csv(dump, ["real", "imag"], np.column_stack([eigs.real[order], eigs.imag[order]]))
+        eigs = res.eigenvalues[_eig_row_order(res.eigenvalues, res.norm1)]
+        _write_csv(dump, ["real", "imag"], np.column_stack([eigs.real, eigs.imag]))
         diagnostics["dump_eigs"] = dump
 
     results = {
@@ -554,7 +561,7 @@ def _cmd_poisson(cfg: dict) -> tuple[dict, dict]:
         "sigma2": sol.sigma2,
         "gamma": params.gamma if dynamics == "langevin" else None,
     }
-    return results, {"Kq": disc["Kq"], "Np": disc["Np"], "n_quad": disc["n_quad"]}
+    return results, {"Kq": disc["Kq"], "Np": disc["Np"], "n_quad": disc["n_quad"], "rank_q": basis.wq.shape[1]}
 
 
 def _cmd_poincare(cfg: dict) -> tuple[dict, dict]:
@@ -625,7 +632,7 @@ def _cmd_dissipation(cfg: dict) -> tuple[dict, dict]:
         "tuned": tuned,
         "gamma": params.gamma,
     }
-    return results, {"size": basis.size}
+    return results, {"size": basis.size, "rank_q": basis.wq.shape[1]}
 
 
 def _cmd_bounds(cfg: dict) -> tuple[dict, dict]:
@@ -653,7 +660,7 @@ def _cmd_bounds(cfg: dict) -> tuple[dict, dict]:
         "witness_underdamped": witnesses.underdamped,
         "gamma": params.gamma,
     }
-    return results, {"size": basis.size}
+    return results, {"size": basis.size, "rank_q": basis.wq.shape[1]}
 
 
 def _parse_gammas(text: str) -> list[float]:

@@ -612,12 +612,10 @@ def gamma_scan(
 
     def run_row(i: int):
         try:
-            neg_op = red.neg_operator(g[i])
+            res = _gap_of_operator(red.neg_operator(g[i]))
             # Near-zero friction leaves a gap at roundoff level, of either sign;
-            # eps * ||L||_1 is the backward-error scale of the dense eigensolve
-            # (taken first: the eigensolve overwrites neg_op).
-            floor = np.finfo(float).eps * np.linalg.norm(neg_op, 1)
-            gap = _gap_of_operator(neg_op).gap
+            # eps * ||L||_1 is the backward-error scale of the dense eigensolve.
+            gap, floor = res.gap, np.finfo(float).eps * res.norm1
             if not gap > floor:
                 raise NumericalFailureError(f"computed gap {gap:.3g} is not positive above roundoff {floor:.3g}")
             gaps[i] = gap

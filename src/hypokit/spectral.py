@@ -4,8 +4,9 @@ Position side: real trigonometric basis on [0, L),
 
     F_0 = 1,  F_{2k-1} = sqrt(2) cos(2 pi k q / L),  F_{2k} = sqrt(2) sin(2 pi k q / L),
 
-with inner products taken against the unnormalized weight exp(-beta V(q))
-(periodic trapezoid quadrature, spectrally accurate).  Momentum side: Hermite
+with inner products taken against the unnormalized weight exp(-beta (V(q) - min V))
+(periodic trapezoid quadrature, spectrally accurate; every output is invariant
+under the shift, which keeps the weight at most 1).  Momentum side: Hermite
 functions h_n orthonormal under the Gaussian of variance m/beta, with exact
 ladder actions
 
@@ -19,14 +20,17 @@ integration by parts,
 which is exactly antisymmetric and couples Hermite level n only to n -/+ 1;
 the fluctuation-dissipation part acts diagonally as -(n/m) on level n.  All
 solvers use one representation, the ReducedGenerator: each level is whitened
-by the same gram_q^{-1/2} (eigenvalue-filtered for near-singular Grams, r
-columns kept), and the constant function, which lies in level 0, is deflated
-inside level 0 only.  The reduced coordinates are thus level-blocked: n0 = r - 1
-for level 0, which is the range of Pi0, then r per level n >= 1.  In them the
-coupling of level n to level n - 1 is sqrt(n / (beta m)) c_t, with c_t the
-whitened position derivative (restricted to the deflated level 0 when n = 1),
-so the generator is stored as the one r x r block c_t and the diagonal of
-L_FD; solvers that need a dense matrix build it with neg_operator.
+by the same gram_q^{-1/2}, and the constant function, which lies in level 0, is
+deflated inside level 0 only.  The basis owns the one rank policy: build_basis
+whitens the position Gram once, keeping the r eigendirections above
+DEFAULT_RCOND times the largest, and every Gram solve (projections, overdamped
+operator, reduced generator) is least squares on them.  The reduced
+coordinates are thus level-blocked: n0 = r - 1 for level 0, which is the range
+of Pi0, then r per level n >= 1.  In them the coupling of level n to level
+n - 1 is sqrt(n / (beta m)) c_t, with c_t the whitened position derivative
+(restricted to the deflated level 0 when n = 1), so the generator is stored as
+the one r x r block c_t and the diagonal of L_FD; solvers that need a dense
+matrix build it with neg_operator.
 
 Full-basis coefficient indexing is Hermite-major: index = n * (2 Kq + 1) + a.
 """
@@ -61,7 +65,7 @@ DECAY_TOL = 1e-8  # slack on the semigroup decay bound
 
 @dataclass(frozen=True, eq=False)
 class BasisSet:
-    """Tensor Fourier x Hermite basis with its quadrature and position Gram."""
+    """Tensor Fourier x Hermite basis with its quadrature, position Gram and its whitening."""
 
     Kq: int
     Np: int
@@ -69,10 +73,12 @@ class BasisSet:
     beta: float
     mass: float
     nodes: Array  # (n_quad,) uniform grid on [0, L)
-    weights: Array  # (n_quad,) trapezoid weight h * exp(-beta V)
+    weights: Array  # (n_quad,) trapezoid weight h * exp(-beta (V - min V)), at most h
     F: Array  # (n_quad, 2Kq+1) basis values at the nodes
     D: Array  # (2Kq+1, 2Kq+1) differentiation matrix, F_j' = sum_c D[c, j] F_c
     gram_q: Array  # (2Kq+1, 2Kq+1) position Gram under the unnormalized weight
+    wq: Array  # (2Kq+1, rank_q) whitener from _whiten, wq^T gram_q wq = I
+    q0: Array  # (rank_q, rank_q - 1) whitened level 0 orthogonal to the constant
 
     @property
     def n_q(self) -> int:
@@ -89,8 +95,15 @@ class BasisSet:
 
     @property
     def mass_nu(self) -> float:
-        """Unnormalized configurational mass <1, 1> = integral of exp(-beta V)."""
+        """Unnormalized configurational mass <1, 1> = integral of exp(-beta (V - min V))."""
         return float(self.gram_q[0, 0])
+
+
+def _fourier_table(Kq: int, L: float, q: Array) -> Array:
+    """F_0..F_{2Kq} at q, shape q.shape + (2Kq+1,)."""
+    ang = np.multiply.outer(q, 2.0 * math.pi * np.arange(1, Kq + 1) / L)
+    cos_sin = np.stack([np.cos(ang), np.sin(ang)], axis=-1).reshape(q.shape + (2 * Kq,))
+    return np.concatenate([np.ones(q.shape + (1,)), math.sqrt(2.0) * cos_sin], axis=-1)
 
 
 def build_basis(
@@ -100,7 +113,7 @@ def build_basis(
     Np: int = DEFAULT_NP,
     n_quad: int = DEFAULT_NQUAD,
 ) -> BasisSet:
-    """Quadrature, basis tables, differentiation matrix, and position Gram."""
+    """Quadrature, basis tables, differentiation matrix, position Gram and its whitening."""
     if not isinstance(spec.domain, Torus) or spec.domain.dim != 1:
         raise UnsupportedDomainError("spectral assembly requires a one-dimensional torus")
     if Kq < 1 or Np < 2:
@@ -114,28 +127,21 @@ def build_basis(
     v = spec.eval(nodes[:, None])
     if not np.all(np.isfinite(v)):
         raise NumericalFailureError("potential is not finite on the quadrature grid")
-    weights = h * np.exp(-params.beta * v)
-    if not np.all(np.isfinite(weights)):
-        raise IllConditionedBasisError("quadrature weights overflow; rescale the potential")
+    weights = h * np.exp(-params.beta * (v - v.min()))
 
-    n_b = 2 * Kq + 1
-    F = np.empty((n_quad, n_b))
-    D = np.zeros((n_b, n_b))
-    F[:, 0] = 1.0
-    rt2 = math.sqrt(2.0)
-    for k in range(1, Kq + 1):
-        ang = (2.0 * math.pi * k / L) * nodes
-        F[:, 2 * k - 1] = rt2 * np.cos(ang)
-        F[:, 2 * k] = rt2 * np.sin(ang)
-        w = 2.0 * math.pi * k / L
-        D[2 * k, 2 * k - 1] = -w  # (cos)' = -w sin
-        D[2 * k - 1, 2 * k] = w  # (sin)' =  w cos
+    F = _fourier_table(Kq, L, nodes)
+    D = np.zeros((2 * Kq + 1, 2 * Kq + 1))
+    k = np.arange(1, Kq + 1)
+    w = 2.0 * math.pi * k / L
+    D[2 * k, 2 * k - 1] = -w  # (cos)' = -w sin
+    D[2 * k - 1, 2 * k] = w  # (sin)' =  w cos
 
     gram = F.T @ (weights[:, None] * F)
     gram = 0.5 * (gram + gram.T)
+    wq, q0 = _whiten(gram)
     return BasisSet(
         Kq=Kq, Np=Np, L=L, beta=params.beta, mass=params.mass,
-        nodes=nodes, weights=weights, F=F, D=D, gram_q=gram,
+        nodes=nodes, weights=weights, F=F, D=D, gram_q=gram, wq=wq, q0=q0,
     )
 
 
@@ -155,23 +161,15 @@ class GeneratorAssembly:
         return self.basis.size
 
 
-def _cho_gram_q(basis: BasisSet):
-    try:
-        return sla.cho_factor(basis.gram_q)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedBasisError(
-            "position Gram is not positive definite; increase n_quad or lower Kq"
-        ) from exc
-
-
 def assemble_generator(
     basis: BasisSet, spec: PotentialSpec, params: EnsembleParams
 ) -> GeneratorAssembly:
     """Check that params and potential match the basis, and bind gamma > 0.
 
-    At gamma = 0 the deflated generator is singular (L_ham alone conserves
-    every function of the energy), so no gap, Poisson solution or resolvent
-    bound exists.
+    The position Gram's rank is settled once, by the whitening build_basis
+    stores on the basis, which every solver uses.  At gamma = 0 the deflated
+    generator is singular (L_ham alone conserves every function of the
+    energy), so no gap, Poisson solution or resolvent bound exists.
     """
     if not params.gamma > 0:
         raise InvalidArgumentError("gamma must be positive for the kinetic generator")
@@ -179,7 +177,6 @@ def assemble_generator(
         raise InvalidArgumentError("params.beta/mass must match the values the basis was built with")
     if not isinstance(spec.domain, Torus) or spec.domain.length != basis.L:
         raise InvalidArgumentError("potential domain does not match the basis torus")
-    _cho_gram_q(basis)
     return GeneratorAssembly(basis=basis, gamma=params.gamma)
 
 
@@ -199,8 +196,6 @@ def _whiten(gram_q: Array) -> tuple[Array, Array]:
     if evals[-1] <= 0:
         raise IllConditionedBasisError("position Gram is numerically singular")
     keep = evals > DEFAULT_RCOND * evals[-1]
-    if not np.any(keep):
-        raise IllConditionedBasisError("no Gram eigenvalue above the rcond cutoff")
     wq = vecs[:, keep] / np.sqrt(evals[keep])
     z_const = wq.T @ gram_q[:, 0]
     z_const /= np.linalg.norm(z_const)
@@ -277,7 +272,7 @@ class ReducedGenerator:
 def reduced_generator(asm: GeneratorAssembly) -> ReducedGenerator:
     """Whitened, constant-deflated view of an assembly, stored as its level blocks."""
     basis = asm.basis
-    wq, q0 = _whiten(basis.gram_q)
+    wq, q0 = basis.wq, basis.q0
     r, n0 = wq.shape[1], q0.shape[1]
     return ReducedGenerator(
         c_t=wq.T @ (basis.gram_q @ basis.D) @ wq,
@@ -291,19 +286,22 @@ def reduced_generator(asm: GeneratorAssembly) -> ReducedGenerator:
 # eigen solvers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GapResult:
     gap: float
     eig_count_checked: int
+    eigenvalues: Array  # the deflated spectrum of -L, in LAPACK order
+    norm1: float  # ||L||_1; eps * norm1 is the backward-error scale of the eigensolve
 
 
 def _gap_of_operator(neg_op: Array) -> GapResult:
     """Gap from -L; the eigensolve overwrites neg_op."""
+    norm1 = float(sla.norm(neg_op, 1, check_finite=False))  # LAPACK lange: no N x N temporary
     try:
         eigs = sla.eigvals(neg_op, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError("eigenvalue solver failed") from exc
-    return GapResult(gap=float(eigs.real.min()), eig_count_checked=int(eigs.size))
+    return GapResult(float(eigs.real.min()), int(eigs.size), eigs, norm1)
 
 
 def spectral_gap(asm: GeneratorAssembly) -> GapResult:
@@ -318,6 +316,8 @@ def spectral_gap(asm: GeneratorAssembly) -> GapResult:
 class OverdampedOperator(NamedTuple):
     l_ovd: Array
     gram_q: Array
+    wq: Array  # the whitening of gram_q, as in BasisSet
+    q0: Array
 
 
 def assemble_overdamped(
@@ -330,16 +330,13 @@ def assemble_overdamped(
         raise InvalidArgumentError("potential domain does not match the basis torus")
     a_form = -(1.0 / basis.beta) * (basis.D.T @ basis.gram_q @ basis.D)
     a_form = 0.5 * (a_form + a_form.T)
-    cho = _cho_gram_q(basis)
-    return OverdampedOperator(l_ovd=sla.cho_solve(cho, a_form), gram_q=basis.gram_q)
+    return OverdampedOperator(basis.wq @ (basis.wq.T @ a_form), basis.gram_q, basis.wq, basis.q0)
 
 
-def _overdamped_reduced(l_ovd: Array, gram_q: Array) -> tuple[Array, Array, Array]:
-    """(wq, q0, s): the whitening of _whiten and the symmetric overdamped operator in it."""
-    wq, q0 = _whiten(gram_q)
-    a_form = gram_q @ l_ovd
-    s = q0.T @ (wq.T @ a_form @ wq) @ q0
-    return wq, q0, 0.5 * (s + s.T)
+def _overdamped_reduced(ovd: OverdampedOperator) -> Array:
+    """The symmetric overdamped operator in the whitened, constant-deflated frame."""
+    s = ovd.q0.T @ (ovd.wq.T @ (ovd.gram_q @ ovd.l_ovd) @ ovd.wq) @ ovd.q0
+    return 0.5 * (s + s.T)
 
 
 def poincare_constant(
@@ -356,8 +353,7 @@ def poincare_constant(
     prev = None
     for _ in range(POINCARE_MAX_ROUNDS):
         basis = build_basis(spec, params, Kq=k, Np=2, n_quad=max(DEFAULT_NQUAD, 8 * k))
-        ovd = assemble_overdamped(basis, spec, params)
-        *_, s_red = _overdamped_reduced(ovd.l_ovd, ovd.gram_q)
+        s_red = _overdamped_reduced(assemble_overdamped(basis, spec, params))
         gap = float(np.min(sla.eigvalsh(-s_red)))
         value = params.beta * gap
         if prev is not None and abs(value - prev) <= POINCARE_RTOL * abs(value):
@@ -395,7 +391,8 @@ def semigroup_decay_check(
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1 or np.any(times < 0):
         raise InvalidArgumentError("times must be a non-empty 1-D array of nonnegative values")
-    *_, s_red = _overdamped_reduced(np.asarray(l_ovd, float), np.asarray(gram_q, float))
+    gram_q = np.asarray(gram_q, float)
+    s_red = _overdamped_reduced(OverdampedOperator(np.asarray(l_ovd, float), gram_q, *_whiten(gram_q)))
     norms = np.empty(times.size)
     for i, t in enumerate(times):
         norms[i] = sla.svdvals(sla.expm(t * s_red)).max()
@@ -450,14 +447,14 @@ def solve_poisson(asm: GeneratorAssembly, phi_coeffs: Array) -> PoissonResult:
 
 def solve_poisson_overdamped(ovd: OverdampedOperator, phi_q_coeffs: Array) -> PoissonResult:
     """Overdamped counterpart of solve_poisson for position-only observables."""
-    wq, q0, s_red = _overdamped_reduced(ovd.l_ovd, ovd.gram_q)
-    z_rhs = q0.T @ (wq.T @ (ovd.gram_q @ np.asarray(phi_q_coeffs, float)))
+    s_red = _overdamped_reduced(ovd)
+    z_rhs = ovd.q0.T @ (ovd.wq.T @ (ovd.gram_q @ np.asarray(phi_q_coeffs, float)))
     try:
         z_sol = sla.solve(-s_red, z_rhs, assume_a="sym")
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError("Poisson solve failed (singular operator)") from exc
     sigma2 = _sigma2_from_pair(z_sol, z_rhs, float(ovd.gram_q[0, 0]))
-    return PoissonResult(phi_coeffs=wq @ (q0 @ z_sol), sigma2=sigma2)
+    return PoissonResult(phi_coeffs=ovd.wq @ (ovd.q0 @ z_sol), sigma2=sigma2)
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +474,15 @@ def hermite_values(n_levels: int, x: Array) -> Array:
 
 
 def project_position_function(basis: BasisSet, f: Callable[[Array], Array]) -> Array:
-    """Gram-orthogonal projection of f(q) onto the position basis, (2Kq+1,)."""
+    """Gram-orthogonal projection of f(q) onto the position basis, (2Kq+1,).
+
+    Least squares on the kept Gram directions; gram_q^{-1} rhs when none is cut.
+    """
     vals = np.asarray(f(basis.nodes), dtype=float)
     if vals.shape != basis.nodes.shape:
         raise InvalidArgumentError("f must map the node array to an equal-shaped array")
     rhs = basis.F.T @ (basis.weights * vals)
-    return sla.cho_solve(_cho_gram_q(basis), rhs)
+    return basis.wq @ (basis.wq.T @ rhs)
 
 
 def project_phase_function(basis: BasisSet, f: Callable[[Array, Array], Array]) -> Array:
@@ -502,8 +502,7 @@ def project_phase_function(basis: BasisSet, f: Callable[[Array, Array], Array]) 
     h_tab = hermite_values(basis.Np, x)  # (n_gh, Np)
     t = vals @ (w[:, None] * h_tab)  # (n_quad, Np) momentum integrals
     rhs = basis.F.T @ (basis.weights[:, None] * t)  # (n_q, Np)
-    cho = _cho_gram_q(basis)
-    coeffs = sla.cho_solve(cho, rhs)  # (n_q, Np)
+    coeffs = basis.wq @ (basis.wq.T @ rhs)  # (n_q, Np)
     return coeffs.T.reshape(-1)  # Hermite-major layout
 
 
@@ -512,12 +511,6 @@ def evaluate_coeffs(basis: BasisSet, coeffs: Array, q: Array, p: Array) -> Array
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     c = np.asarray(coeffs, dtype=float).reshape(basis.Np, basis.n_q)
-    rt2 = math.sqrt(2.0)
-    f_tab = np.empty(q.shape + (basis.n_q,))
-    f_tab[..., 0] = 1.0
-    for k in range(1, basis.Kq + 1):
-        ang = (2.0 * math.pi * k / basis.L) * q
-        f_tab[..., 2 * k - 1] = rt2 * np.cos(ang)
-        f_tab[..., 2 * k] = rt2 * np.sin(ang)
+    f_tab = _fourier_table(basis.Kq, basis.L, q)
     h_tab = hermite_values(basis.Np, np.ravel(p) / basis.sigma_p).reshape(p.shape + (basis.Np,))
     return np.einsum("...a,na,...n->...", f_tab, c, h_tab)

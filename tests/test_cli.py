@@ -66,6 +66,62 @@ def test_spectrum_dump_eigs(tmp_path):
     assert eigs[0, 0] == pytest.approx(rep["results"]["gap"], abs=1e-9)
 
 
+def test_dump_eigs_row_order_survives_roundoff():
+    """Perturbing -L at 1e-14 relative leaves every --dump-eigs row in place.
+
+    At Kq8/Np16 the cosine spectrum holds conjugate pairs whose real parts tie
+    to roundoff; sorting on (real, imag) interleaved them differently on each
+    of these perturbations.
+    """
+    from hypokit import EnsembleParams, builtin_potential
+    from hypokit.spectral import assemble_generator, build_basis, reduced_generator
+
+    spec, params = builtin_potential("cosine", {"h": 1.0, "L": 1.0}), EnsembleParams()
+    neg_op = reduced_generator(assemble_generator(
+        build_basis(spec, params, Kq=8, Np=16, n_quad=64), spec, params)).neg_operator(1.0)
+    norm1 = np.linalg.norm(neg_op, 1)
+
+    def rows(op):
+        eigs = np.linalg.eigvals(op)
+        return eigs[cli._eig_row_order(eigs, norm1)]
+
+    base = rows(neg_op)
+    neg = np.nonzero(base.imag < 0)[0]
+    assert np.array_equal(base[neg + 1], np.conj(base[neg]))  # each pair adjacent, negative first
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        noise = rng.standard_normal(neg_op.shape)
+        moved = rows(neg_op + noise * (1e-14 * norm1 / np.linalg.norm(noise, 1)))
+        assert np.abs(moved - base).max() <= 1e-10 * norm1
+
+
+@pytest.mark.parametrize("argv", [
+    ["poincare", "--beta", "50", "--Kq", "4"],
+    ["bounds", "--beta", "50", "--Kq", "4", "--Np", "12"],
+    ["poisson", "--beta", "50", "--Kq", "6", "--Np", "8"],
+    ["spectrum", "--beta", "50", "--Kq", "6", "--Np", "8"],
+])
+def test_near_singular_gram_is_cut_not_refused(argv, tmp_path):
+    assert run(*argv, "--report", tmp_path / "rep.json") == 0
+
+
+def test_rank_q_reports_the_kept_gram_directions(tmp_path):
+    rep_path = tmp_path / "rep.json"
+    assert run("spectrum", "--beta", "50", "--Kq", "4", "--Np", "8", "--report", rep_path) == 0
+    assert read_report(rep_path)["diagnostics"]["rank_q"] == 7  # of 9
+    for argv in (["spectrum", "--no-check-convergence"], ["poisson"], ["dissipation"], ["bounds"]):
+        assert run(*argv, "--report", rep_path) == 0
+        assert read_report(rep_path)["diagnostics"]["rank_q"] == 33  # all of 2 * 16 + 1
+
+
+def test_large_potential_is_shifted_not_overflowed(tmp_path, recwarn):
+    rep_path = tmp_path / "rep.json"
+    assert run("spectrum", "--param", "h=800", "--Kq", "4", "--Np", "8",
+               "--no-check-convergence", "--report", rep_path) == 0
+    assert not recwarn.list
+    assert read_report(rep_path)["results"]["gap"] > 0
+
+
 def test_report_goes_to_stdout_without_flag(capsys):
     assert run("ode", "--gamma", "1.0", "--T", "5.0") == 0
     rep = json.loads(capsys.readouterr().out)
