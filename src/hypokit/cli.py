@@ -48,7 +48,7 @@ from .model import (
     eval_hamiltonian,
     _center_cell,
 )
-from .sde import RngStream, simulate
+from .sde import SCHEMES, RngStream, simulate
 from .spectral import (
     DEFAULT_KQ,
     DEFAULT_NP,
@@ -112,8 +112,7 @@ _OPTIONS = (
     _Option("--observable", "options.observables", {"type": "array", "items": {"type": "string"}, "minItems": 1},
             ("sample",), "observable to record, repeatable", {"action": "append", "metavar": "NAME"}),
     _Option("--observable", "options.observable", {"type": "string"}, ("poisson",), "observable"),
-    _Option("--scheme", "options.scheme", {"enum": ["langevin", "overdamped", "hamiltonian"]}, ("sample",),
-            "integrator"),
+    _Option("--scheme", "options.scheme", {"enum": list(SCHEMES)}, ("sample",), "integrator"),
     _Option("--q0", "options.q0", _NUMBERS, ("sample",), "initial position, comma-separated"),
     _Option("--p0", "options.p0", _NUMBERS, ("sample",), "initial momentum, comma-separated"),
     _Option("--input", "options.input", {"type": "string"}, ("variance",), "CSV produced by `hypokit sample`"),
@@ -136,8 +135,6 @@ _OPTIONS = (
             {"action": "store_true"}),
     _Option("--epsilon", "options.epsilon", {"type": "number"}, ("dissipation",),
             "modified-norm epsilon (default: tuned)"),
-    _Option("--tune", "options.tune", {"type": "boolean"}, ("dissipation",), "tune epsilon even if it is given",
-            {"action": "store_true"}),
     _Option("--case", "options.case", {"enum": ["auto", "convex", "hessian_lower_bound", "general"]},
             ("bounds",), "case of the resolvent bound"),
     _Option("--K", "options.K", {"type": "number", "minimum": 0}, ("bounds",), "Hessian lower bound -K"),
@@ -155,7 +152,7 @@ _OPTIONS = (
 _UNREAD_IN_MODE = {
     ("poisson", "options.dynamics", "overdamped"): ("ensemble.gamma", "ensemble.mass"),
     ("sample", "options.scheme", "overdamped"): ("ensemble.gamma",),
-    ("sample", "options.scheme", "hamiltonian"): ("ensemble.gamma",),
+    ("sample", "options.scheme", "hamiltonian"): ("ensemble.gamma", "seed", "stream_id"),
 }
 
 _DEFAULT_POTENTIAL = {"name": "cosine", "params": {"h": 1.0, "L": 1.0}}
@@ -616,12 +613,8 @@ def _cmd_dissipation(cfg: dict) -> tuple[dict, dict]:
     params, spec, disc, basis, asm = _spectral_setup(cfg)
     opts = cfg.get("options", {})
     eps = opts.get("epsilon")
-    if eps is not None and not opts.get("tune", False):
-        res = modified_norm_dissipation(asm, eps)
-        tuned = False
-    else:
-        res = tune_modified_norm_epsilon(asm)
-        tuned = True
+    tuned = eps is None
+    res = tune_modified_norm_epsilon(asm) if tuned else modified_norm_dissipation(asm, eps)
     results = {
         "epsilon": res.epsilon,
         "lambda_est": res.lambda_est,

@@ -12,13 +12,17 @@ Discretizations:
   * Hamiltonian: velocity Verlet (kick-drift-kick), deterministic and
     time-reversible.
 
-All steppers accept an optional `noise` array in place of an RngStream draw;
-that hook is what makes single-step chains exactly reproducible against the
-`simulate` driver and lets tests drive the maps with frozen noise.
+Each scheme's arithmetic lives in one step map (`_step_map`), which carries
+the force grad V(q) from one step to the next.  The step functions apply it
+once and `simulate` applies it in its single loop over noise rows, so a
+trajectory is bitwise identical to repeated single steps.  The stochastic
+steppers accept an optional `noise` array in place of an RngStream draw; that
+hook lets tests drive the maps with frozen noise.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -96,13 +100,69 @@ def _ou_coefficients(params: EnsembleParams, dt: float) -> tuple[float, float]:
     return c1, c2
 
 
-def _check_step_args(params: EnsembleParams, dt: float, rng, noise, needs_gamma: bool) -> None:
+def _check_args(scheme: str, params: EnsembleParams, dt: float, rng, noise, noise_shape: tuple) -> None:
+    """Checks shared by `simulate` and the step functions."""
+    if scheme not in SCHEMES:
+        raise InvalidArgumentError(f"unknown scheme '{scheme}'; options: {', '.join(SCHEMES)}")
     if not dt > 0:
         raise InvalidArgumentError(f"dt must be positive, got {dt}")
-    if needs_gamma and not params.gamma > 0:
-        raise InvalidArgumentError("gamma must be positive for stochastic dynamics")
-    if rng is None and noise is None:
-        raise InvalidArgumentError("provide an RngStream or an explicit noise array")
+    if scheme == "langevin" and not params.gamma > 0:
+        raise InvalidArgumentError("gamma must be positive for the langevin scheme")
+    if scheme != "hamiltonian" and rng is None and noise is None:
+        raise InvalidArgumentError("stochastic schemes need an RngStream or a noise array")
+    if noise is not None and np.shape(noise) != noise_shape:
+        raise InvalidArgumentError(f"noise must have shape {noise_shape}")
+
+
+def _step_map(scheme: str, spec: PotentialSpec, params: EnsembleParams, dt: float):
+    """The scheme's one-step map advance(q, p, g, xi) -> (q, p, g).
+
+    g = grad V(q) is carried from one step to the next, so each step evaluates
+    the force once.  xi is the step's standard Gaussian row; the hamiltonian
+    map ignores it.  Overdamped dynamics returns p unchanged.
+    """
+    grad, wrap = spec.grad, spec.domain.wrap
+    half_dt = 0.5 * dt
+    if scheme == "langevin":
+        c1, c2 = _ou_coefficients(params, dt)
+        half_fl = 0.5 * dt / params.mass
+
+        def advance(q, p, g, xi):
+            p = p - half_dt * g
+            q = q + half_fl * p
+            p = c1 * p + c2 * xi
+            q = wrap(q + half_fl * p)
+            g = grad(q)
+            return q, p - half_dt * g, g
+
+    elif scheme == "overdamped":
+        amp = math.sqrt(2.0 * dt / params.beta)
+
+        def advance(q, p, g, xi):
+            q = wrap(q - dt * g + amp * xi)
+            return q, p, grad(q)
+
+    else:
+        drift = dt / params.mass
+
+        def advance(q, p, g, xi):
+            p = p - half_dt * g
+            q = wrap(q + drift * p)
+            g = grad(q)
+            return q, p - half_dt * g, g
+
+    return advance
+
+
+def _one_step(scheme, state, spec, params, dt, rng, noise) -> PhaseState:
+    # Verlet is reversible, so a hamiltonian step may run backwards: only |dt| > 0.
+    _check_args(scheme, params, abs(dt) if scheme == "hamiltonian" else dt, rng, noise, state.q.shape)
+    if scheme == "hamiltonian":
+        xi = None
+    else:
+        xi = np.asarray(noise, dtype=float) if noise is not None else rng.normal(state.q.shape)
+    q, p, _ = _step_map(scheme, spec, params, dt)(state.q, state.p, spec.grad(state.q), xi)
+    return PhaseState(q, p.copy() if p is state.p else p)
 
 
 def step_langevin(
@@ -114,19 +174,7 @@ def step_langevin(
     noise: Array | None = None,
 ) -> PhaseState:
     """One BAOAB step of kinetic Langevin dynamics."""
-    _check_step_args(params, dt, rng, noise, needs_gamma=True)
-    xi = np.asarray(noise, dtype=float) if noise is not None else rng.normal(state.q.shape)
-    c1, c2 = _ou_coefficients(params, dt)
-    half_dt = 0.5 * dt
-    half_fl = 0.5 * dt / params.mass
-
-    p = state.p - half_dt * spec.grad(state.q)
-    q = state.q + half_fl * p
-    p = c1 * p + c2 * xi
-    q = q + half_fl * p
-    q = spec.domain.wrap(q)
-    p = p - half_dt * spec.grad(q)
-    return PhaseState(q, p)
+    return _one_step("langevin", state, spec, params, dt, rng, noise)
 
 
 def step_overdamped(
@@ -138,11 +186,7 @@ def step_overdamped(
     noise: Array | None = None,
 ) -> PhaseState:
     """One Euler-Maruyama step of overdamped Langevin dynamics (p untouched)."""
-    _check_step_args(params, dt, rng, noise, needs_gamma=False)
-    xi = np.asarray(noise, dtype=float) if noise is not None else rng.normal(state.q.shape)
-    amp = math.sqrt(2.0 * dt / params.beta)
-    q = state.q - dt * spec.grad(state.q) + amp * xi
-    return PhaseState(spec.domain.wrap(q), state.p.copy())
+    return _one_step("overdamped", state, spec, params, dt, rng, noise)
 
 
 def step_hamiltonian(
@@ -152,13 +196,7 @@ def step_hamiltonian(
     dt: float,
 ) -> PhaseState:
     """One velocity-Verlet step; deterministic, reversible under dt -> -dt."""
-    if dt == 0:
-        raise InvalidArgumentError("dt must be nonzero")
-    half_dt = 0.5 * dt
-    p = state.p - half_dt * spec.grad(state.q)
-    q = spec.domain.wrap(state.q + (dt / params.mass) * p)
-    p = p - half_dt * spec.grad(q)
-    return PhaseState(q, p)
+    return _one_step("hamiltonian", state, spec, params, dt, None, None)
 
 
 def simulate(
@@ -177,33 +215,30 @@ def simulate(
 
     `noise`, if given, must have shape (n_steps, d) and replaces the rng draws
     (test hook; the stochastic schemes consume exactly one row per step).
-    The Langevin path reuses the force from the trailing half kick as the next
-    step's leading half kick, which is bitwise identical to calling
-    step_langevin repeatedly with the same noise rows.
+    Every step goes through the scheme's step map, so a trajectory is bitwise
+    identical to calling the matching step function repeatedly with the same
+    noise rows.
     """
-    if scheme not in SCHEMES:
-        raise InvalidArgumentError(f"unknown scheme '{scheme}'; options: {', '.join(SCHEMES)}")
+    d = init.dim
+    _check_args(scheme, params, dt, rng, noise, (n_steps, d))
     if n_steps < 1 or stride < 1:
         raise InvalidArgumentError("n_steps and stride must be >= 1")
-    if not dt > 0:
-        raise InvalidArgumentError(f"dt must be positive, got {dt}")
-    if init.dim != spec.domain.dim:
+    if d != spec.domain.dim:
         raise InvalidArgumentError("initial state dimension does not match the domain")
-    stochastic = scheme != "hamiltonian"
-    if stochastic and rng is None and noise is None:
-        raise InvalidArgumentError("stochastic schemes need an RngStream or a noise array")
-    if scheme == "langevin" and not params.gamma > 0:
-        raise InvalidArgumentError("gamma must be positive for the langevin scheme")
-    if noise is not None:
-        noise = np.asarray(noise, dtype=float)
-        if noise.shape != (n_steps, init.dim):
-            raise InvalidArgumentError(f"noise must have shape ({n_steps}, {init.dim})")
 
-    d = init.dim
+    if scheme == "hamiltonian":
+        rows = itertools.repeat(None, n_steps)
+    elif noise is not None:
+        rows = np.asarray(noise, dtype=float)
+    else:  # drawn lazily in chunks of _NOISE_CHUNK steps
+        rows = itertools.chain.from_iterable(
+            rng.normal((min(_NOISE_CHUNK, n_steps - done), d)) for done in range(0, n_steps, _NOISE_CHUNK)
+        )
+
     q = spec.domain.wrap(init.q.astype(float, copy=True))
     p = init.p.astype(float, copy=True)
-    wrap = spec.domain.wrap
-    grad = spec.grad
+    g = spec.grad(q)
+    advance = _step_map(scheme, spec, params, dt)
 
     n_records = n_steps // stride + 1
     values = np.empty((n_records, len(observables)))
@@ -215,57 +250,10 @@ def simulate(
             values[row, j] = f(s)
 
     record(0)
-    row = 1
-
-    def noise_blocks():
-        if noise is not None:
-            yield noise
-            return
-        done = 0
-        while done < n_steps:
-            k = min(_NOISE_CHUNK, n_steps - done)
-            yield rng.normal((k, d))
-            done += k
-
-    step = 0
-    if scheme == "langevin":
-        c1, c2 = _ou_coefficients(params, dt)
-        half_dt = 0.5 * dt
-        half_fl = 0.5 * dt / params.mass
-        g = grad(q)
-        for block in noise_blocks():
-            for i in range(block.shape[0]):
-                p = p - half_dt * g
-                q = q + half_fl * p
-                p = c1 * p + c2 * block[i]
-                q = q + half_fl * p
-                q = wrap(q)
-                g = grad(q)
-                p = p - half_dt * g
-                step += 1
-                if step % stride == 0:
-                    record(row)
-                    row += 1
-    elif scheme == "overdamped":
-        amp = math.sqrt(2.0 * dt / params.beta)
-        for block in noise_blocks():
-            for i in range(block.shape[0]):
-                q = wrap(q - dt * grad(q) + amp * block[i])
-                step += 1
-                if step % stride == 0:
-                    record(row)
-                    row += 1
-    else:  # hamiltonian
-        half_dt = 0.5 * dt
-        g = grad(q)
-        for step in range(1, n_steps + 1):
-            p = p - half_dt * g
-            q = wrap(q + (dt / params.mass) * p)
-            g = grad(q)
-            p = p - half_dt * g
-            if step % stride == 0:
-                record(row)
-                row += 1
+    for step, xi in enumerate(rows, 1):
+        q, p, g = advance(q, p, g, xi)
+        if step % stride == 0:
+            record(step // stride)
 
     return TrajectoryRecord(
         times=times,

@@ -58,6 +58,9 @@ DEFAULT_KQ = 16
 DEFAULT_NP = 32
 DEFAULT_NQUAD = 256
 DEFAULT_RCOND = 1e-11
+# Largest |top Fourier mode| / mean of a weight resolved on the grid; test
+# configurations read <= 2e-7, and cosine at 5.6e-4 still had the gap to 1e-10.
+WEIGHT_RESOLUTION_TOL = 1e-3
 POINCARE_RTOL = 5e-3  # relative change that ends the Poincare refinement
 POINCARE_MAX_ROUNDS = 6
 DECAY_TOL = 1e-8  # slack on the semigroup decay bound
@@ -127,7 +130,14 @@ def build_basis(
     v = spec.eval(nodes[:, None])
     if not np.all(np.isfinite(v)):
         raise NumericalFailureError("potential is not finite on the quadrature grid")
-    weights = h * np.exp(-params.beta * (v - v.min()))
+    with np.errstate(over="ignore"):  # a range of V beyond the float maximum gives weight 0
+        weights = h * np.exp(-params.beta * (v - v.min()))
+    modes = np.abs(np.fft.rfft(weights))
+    if not modes[-1] <= WEIGHT_RESOLUTION_TOL * modes[0]:
+        raise NumericalFailureError(
+            f"weight exp(-beta (V - min V)) is not resolved on n_quad={n_quad} nodes (top Fourier mode "
+            f"{modes[-1] / modes[0]:.3g} of the mean, limit {WEIGHT_RESOLUTION_TOL:g}); raise n_quad"
+        )
 
     F = _fourier_table(Kq, L, nodes)
     D = np.zeros((2 * Kq + 1, 2 * Kq + 1))

@@ -122,6 +122,21 @@ def test_large_potential_is_shifted_not_overflowed(tmp_path, recwarn):
     assert read_report(rep_path)["results"]["gap"] > 0
 
 
+@pytest.mark.parametrize("h, extra", [("1e5", []), ("1e308", ["--no-check-convergence"])])
+def test_unresolved_weight_exits_2(h, extra, capsys):
+    # the weight is a spike on the 256-node grid; the Gram cut would keep only
+    # the constant and report the Ornstein-Uhlenbeck gap gamma / m as a result
+    assert run("spectrum", "--param", f"h={h}", "--Kq", "4", "--Np", "8", *extra) == 2
+    assert "n_quad=256" in capsys.readouterr().err
+
+
+def test_deep_well_is_resolved_on_a_finer_grid(tmp_path):
+    rep_path = tmp_path / "rep.json"
+    assert run("spectrum", "--param", "h=3000", "--Kq", "16", "--Np", "16", "--n-quad", "1024",
+               "--report", rep_path) == 0
+    assert read_report(rep_path)["results"]["gap"] == pytest.approx(0.500411, abs=1e-6)
+
+
 def test_report_goes_to_stdout_without_flag(capsys):
     assert run("ode", "--gamma", "1.0", "--T", "5.0") == 0
     rep = json.loads(capsys.readouterr().out)
@@ -349,14 +364,14 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 
 # For each subcommand, a config key that another subcommand reads.
 UNREAD_KEYS = {
-    "sample": ("options.tune", True),
+    "sample": ("options.epsilon", 0.3),
     "variance": ("seed", 1),
     "spectrum": ("seed", 5),
     "poisson": ("options.gammas", "0.125:2:7"),
     "poincare": ("ensemble.gamma", 1.0),
     "ode": ("potential", {"name": "cosine"}),
     "dissipation": ("options.case", "convex"),
-    "bounds": ("options.tune", True),
+    "bounds": ("options.epsilon", 0.3),
     "scan": ("ensemble.gamma", 5.0),
 }
 
@@ -382,6 +397,13 @@ def test_key_unread_in_the_chosen_mode_is_rejected(command, mode, key, tmp_path,
     cfg_path.write_text(json.dumps({"ensemble": {key.split(".")[1]: 2.0}, "options": mode}))
     assert run(command, "--config", cfg_path) == 1
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, key", [("--seed", "seed"), ("--stream-id", "stream_id")])
+def test_hamiltonian_sample_rejects_noise_flags(flag, key, capsys):
+    # velocity Verlet draws no noise, so a seed would be silently ignored
+    assert run("sample", "--scheme", "hamiltonian", flag, "2", "--n-steps", "10") == 1
+    assert f"does not read config key(s): {key}" in capsys.readouterr().err
 
 
 def test_mass_still_read_by_overdamped_sample(tmp_path):
@@ -466,7 +488,7 @@ SUBCOMMAND_FLAGS = {
     "poincare": {"--Kq", "--beta", "--config", "--help", "--param", "--potential", "--report", "-h"},
     "ode": {"--T", "--config", "--dt", "--figure1", "--gamma", "--help", "--out", "--report", "--x0", "-h"},
     "dissipation": {"--Kq", "--Np", "--beta", "--config", "--epsilon", "--gamma", "--help", "--mass",
-                    "--n-quad", "--param", "--potential", "--report", "--tune", "-h"},
+                    "--n-quad", "--param", "--potential", "--report", "-h"},
     "bounds": {"--K", "--Kq", "--Np", "--beta", "--c-prime", "--case", "--config", "--gamma", "--help",
                "--mass", "--n-quad", "--param", "--potential", "--report", "--slack", "-h"},
     "scan": {"--Kq", "--Np", "--beta", "--config", "--gammas", "--help", "--mass", "--n-quad", "--out",

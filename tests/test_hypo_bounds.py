@@ -432,6 +432,15 @@ class TestGammaScan:
         assert all("not positive" in msg for msg in res.row_errors.values())
         assert res.table.gaps[-1] == pytest.approx((10.0 - math.sqrt(96.0)) / 2, abs=1e-6)
 
+    def test_rungs_need_a_margin_above_roundoff(self, quad_spec, ou_scan_assembly):
+        # gap / (eps ||L||_1) reads 6.3 at gamma = 1e-13, 610 at 1e-11 and 6000
+        # at 1e-10: positive gaps, but only the last clears the margin.
+        asm, p = ou_scan_assembly
+        ladder = [1e-17 * 10.0**k for k in range(19)]
+        res = gamma_scan(quad_spec, p, ladder, assembly=asm)
+        failed = res.table.gammas[np.isnan(res.table.gaps)]
+        assert np.array_equal(failed, res.table.gammas[:7])  # 1e-17 ... 1e-11
+
     def test_ladder_contract(self, quad_spec, ou_scan_assembly):
         asm, p = ou_scan_assembly
         with pytest.raises(InvalidArgumentError, match="at least 7"):

@@ -136,21 +136,37 @@ def test_simulate_record_shape_and_times(ou_setup):
     assert rec.spacing == pytest.approx(0.1)
 
 
-def test_simulate_matches_repeated_single_steps(ou_setup):
+SEPARABLE_2D = {"parts": [{"name": "cosine", "params": {"h": 1.0, "L": 1.0}},
+                          {"name": "cosine", "params": {"h": 0.5, "L": 1.0, "modes": 2}}]}
+STEPS = {"langevin": step_langevin, "overdamped": step_overdamped, "hamiltonian": step_hamiltonian}
+
+
+@pytest.mark.parametrize("scheme, dim", [
+    pytest.param(scheme, dim, id=scheme if dim == 1 else f"{scheme}-2d") for dim in (1, 2) for scheme in STEPS
+])
+def test_simulate_matches_repeated_single_steps(ou_setup, scheme, dim):
     """The chunked-noise driver must be bitwise identical to naive stepping."""
     spec, params = ou_setup
-    rng = RngStream(seed=777, stream_id=3)
+    q0, p0 = np.array([0.2]), np.array([-0.1])
+    if dim == 2:
+        spec = builtin_potential("separable", SEPARABLE_2D)
+        q0, p0 = np.array([0.2, 0.7]), np.array([-0.1, 0.4])
     rec = simulate(
-        PhaseState(np.array([0.2]), np.array([-0.1])),
-        n_steps=257, stride=1, dt=0.05, scheme="langevin",
-        observables=[lambda s: s.q[0]], spec=spec, params=params, rng=rng,
+        PhaseState(q0, p0), n_steps=257, stride=1, dt=0.05, scheme=scheme,
+        observables=[lambda s: s.q[-1], lambda s: s.p[-1]], spec=spec, params=params,
+        rng=RngStream(seed=777, stream_id=3),
     )
-    noise = RngStream(seed=777, stream_id=3).normal((257, 1))
-    s = PhaseState(np.array([0.2]), np.array([-0.1]))
+    noise = RngStream(seed=777, stream_id=3).normal((257, dim))
+    s = PhaseState(q0, p0)
+    chain = [(s.q[-1], s.p[-1])]
     for k in range(257):
-        s = step_langevin(s, spec, params, 0.05, noise=noise[k])
-    assert rec.final_state.q[0] == s.q[0]
-    assert rec.final_state.p[0] == s.p[0]
+        if scheme == "hamiltonian":
+            s = step_hamiltonian(s, spec, params, 0.05)
+        else:
+            s = STEPS[scheme](s, spec, params, 0.05, noise=noise[k])
+        chain.append((s.q[-1], s.p[-1]))
+    assert np.array_equal(rec.observable_values, chain)
+    assert np.array_equal(rec.final_state.q, s.q) and np.array_equal(rec.final_state.p, s.p)
 
 
 def test_simulate_noise_override_deterministic(ou_setup):
@@ -182,6 +198,15 @@ def test_langevin_needs_positive_friction(ou_setup):
     with pytest.raises(InvalidArgumentError):
         step_langevin(PhaseState(np.array([0.0]), np.array([0.0])), spec, params, 0.01,
                       noise=np.array([0.0]))
+
+
+def test_step_noise_must_match_the_state(ou_setup):
+    # broadcasting a (3,) noise row would turn a 1-D walker into a 3-D one
+    spec, params = ou_setup
+    s0 = PhaseState(np.array([0.1]), np.array([0.2]))
+    for step in (step_langevin, step_overdamped):
+        with pytest.raises(InvalidArgumentError, match="noise must have shape"):
+            step(s0, spec, params, 0.01, noise=np.zeros(3))
 
 
 def test_momentum_marginal_variance():
