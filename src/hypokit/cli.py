@@ -45,14 +45,12 @@ from .model import (
     PotentialSpec,
     Torus,
     builtin_potential,
-    eval_hamiltonian,
     _center_cell,
 )
 from .sde import SCHEMES, RngStream, simulate
 from .spectral import (
     DEFAULT_KQ,
     DEFAULT_NP,
-    DEFAULT_NQUAD,
     assemble_generator,
     assemble_overdamped,
     build_basis,
@@ -240,6 +238,14 @@ def _reject_unread_in_mode(cfg: dict, command: str) -> None:
             )
 
 
+def _reject_non_finite(value, where: str) -> None:
+    """Exit 1 on a NaN or infinity anywhere in a parsed JSON value (Python's json reads both)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InvalidArgumentError(f"{where} is not a finite number: {value}")
+    for k, v in value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ():
+        _reject_non_finite(v, f"{where}.{k}")
+
+
 def _load_config(args) -> dict:
     cfg: dict = {}
     if args.config:
@@ -252,6 +258,7 @@ def _load_config(args) -> dict:
             raise InvalidArgumentError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise InvalidArgumentError("config file must contain a JSON object")
+        _reject_non_finite(cfg, "config")
         _validate(cfg, args.command)
 
     # parser dests are the config keys
@@ -267,6 +274,7 @@ def _load_config(args) -> dict:
             val = json.loads(raw)
         except json.JSONDecodeError:
             raise InvalidArgumentError(f"--param value for {key!r} is not valid JSON: {raw!r}")
+        _reject_non_finite(val, f"--param {key}")
         cfg.setdefault("potential", copy.deepcopy(_DEFAULT_POTENTIAL)).setdefault("params", {})[key] = val
 
     for opt in _OPTIONS:
@@ -315,7 +323,6 @@ def _discretization(cfg: dict) -> dict:
     d = dict(cfg.get("discretization", {}))
     d.setdefault("Kq", DEFAULT_KQ)
     d.setdefault("Np", DEFAULT_NP)
-    d.setdefault("n_quad", max(DEFAULT_NQUAD, 8 * d["Kq"]))
     d.setdefault("dt", 0.01)
     d.setdefault("n_steps", 10000)
     d.setdefault("stride", 1)
@@ -330,64 +337,30 @@ def _rng(cfg: dict) -> RngStream:
 # observables
 
 
-class _Observable:
-    def __init__(self, name: str, state: Callable, phase=None, position=None):
-        self.name = name
-        self.state = state
-        self.phase = phase
-        self.position = position
+# Observables that read q only; the overdamped Poisson solve accepts these.
+_POSITION_OBSERVABLES = ("cos_q", "sin_q", "q_centered")
+_OBSERVABLES = _POSITION_OBSERVABLES + ("p1", "p_squared", "energy")
+_OBSERVABLE_BLOCK = 16384  # recorded states per observable evaluation in sample
 
 
-def _build_observable(name: str, spec: PotentialSpec, params: EnsembleParams) -> _Observable:
-    torus = isinstance(spec.domain, Torus)
-    length = spec.domain.length if torus else None
-    if name in ("cos_q", "sin_q", "q_centered") and not torus:
+def _observable(name: str, spec: PotentialSpec, params: EnsembleParams) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The observable `name` as f(q, p) on position and momentum arrays of shape (..., d)."""
+    if name in _POSITION_OBSERVABLES and not isinstance(spec.domain, Torus):
         raise InvalidArgumentError(f"observable '{name}' requires a torus domain")
-    if name == "cos_q":
-        c = 2.0 * math.pi / length
-        return _Observable(
-            name,
-            state=lambda s: float(np.cos(c * s.q[0])),
-            phase=lambda q, p: np.cos(c * q) * np.ones_like(p),
-            position=lambda q: np.cos(c * q),
-        )
-    if name == "sin_q":
-        c = 2.0 * math.pi / length
-        return _Observable(
-            name,
-            state=lambda s: float(np.sin(c * s.q[0])),
-            phase=lambda q, p: np.sin(c * q) * np.ones_like(p),
-            position=lambda q: np.sin(c * q),
-        )
+    if name in ("cos_q", "sin_q"):
+        c, trig = 2.0 * math.pi / spec.domain.length, np.cos if name == "cos_q" else np.sin
+        return lambda q, p: trig(c * q[..., 0])
     if name == "q_centered":
-        return _Observable(
-            name,
-            state=lambda s: float(_center_cell(s.q[0], length)),
-            phase=lambda q, p: _center_cell(q, length) * np.ones_like(p),
-            position=lambda q: _center_cell(q, length),
-        )
+        length = spec.domain.length
+        return lambda q, p: _center_cell(q[..., 0], length)
     if name == "p1":
-        return _Observable(
-            name,
-            state=lambda s: float(s.p[0]),
-            phase=lambda q, p: np.ones_like(q) * p,
-        )
+        return lambda q, p: p[..., 0]
     if name == "p_squared":
-        return _Observable(
-            name,
-            state=lambda s: float(np.dot(s.p, s.p)),
-            phase=lambda q, p: np.ones_like(q) * p * p,
-        )
+        return lambda q, p: np.vecdot(p, p)
     if name == "energy":
         m = params.mass
-        return _Observable(
-            name,
-            state=lambda s: eval_hamiltonian(spec, params, s),
-            phase=lambda q, p: spec.eval(q)[:, None] + p * p / (2.0 * m),
-        )
-    raise InvalidArgumentError(
-        f"unknown observable '{name}'; options: cos_q, sin_q, q_centered, p1, p_squared, energy"
-    )
+        return lambda q, p: spec.eval(q) + 0.5 * np.vecdot(p, p) / m
+    raise InvalidArgumentError(f"unknown observable '{name}'; options: {', '.join(_OBSERVABLES)}")
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +374,7 @@ def _cmd_sample(cfg: dict) -> tuple[dict, dict]:
     opts = cfg.get("options", {})
     scheme = opts.get("scheme", "langevin")
     names = opts.get("observables", ["energy"])
-    obs = [_build_observable(n, spec, params) for n in names]
+    fs = [_observable(n, spec, params) for n in names]
 
     d = spec.domain.dim
     q0 = np.asarray(opts.get("q0", [0.0] * d), dtype=float)
@@ -415,20 +388,26 @@ def _cmd_sample(cfg: dict) -> tuple[dict, dict]:
         stride=disc["stride"],
         dt=disc["dt"],
         scheme=scheme,
-        observables=[o.state for o in obs],
+        observables=(),
         spec=spec,
         params=params,
         rng=_rng(cfg),
     )
+    # one column per observable, filled in row blocks to bound the temporaries
+    table = np.empty((rec.times.size, 1 + len(fs)))
+    table[:, 0] = rec.times
+    for lo in range(0, rec.times.size, _OBSERVABLE_BLOCK):
+        rows = slice(lo, lo + _OBSERVABLE_BLOCK)
+        for j, f in enumerate(fs, 1):
+            table[rows, j] = f(rec.q[rows], rec.p[rows])
     out = cfg.get("output")
     if out:
-        rows = np.column_stack([rec.times, rec.observable_values])
-        _write_csv(out, ["time"] + names, rows)
+        _write_csv(out, ["time"] + names, table)
     results = {
         "columns": ["time"] + names,
         "n_records": int(rec.times.size),
         "spacing": rec.spacing,
-        "means": {n: float(rec.observable_values[:, j].mean()) for j, n in enumerate(names)},
+        "means": {n: float(table[:, j].mean()) for j, n in enumerate(names, 1)},
         "output": out,
     }
     return results, {"scheme": scheme, "n_steps": disc["n_steps"]}
@@ -481,7 +460,7 @@ def _spectral_setup(cfg: dict):
     params = _ensemble(cfg)
     spec = _spectral_potential(cfg, params)
     disc = _discretization(cfg)
-    basis = build_basis(spec, params, Kq=disc["Kq"], Np=disc["Np"], n_quad=disc["n_quad"])
+    basis = build_basis(spec, params, Kq=disc["Kq"], Np=disc["Np"], n_quad=disc.get("n_quad"))
     asm = assemble_generator(basis, spec, params)
     return params, spec, disc, basis, asm
 
@@ -501,13 +480,13 @@ def _cmd_spectrum(cfg: dict) -> tuple[dict, dict]:
     params, spec, disc, basis, asm = _spectral_setup(cfg)
     opts = cfg.get("options", {})
     res = spectral_gap(asm)
-    diagnostics: dict = {"n_quad": disc["n_quad"], "size": basis.size, "rank_q": basis.wq.shape[1]}
+    diagnostics: dict = {"n_quad": basis.nodes.size, "size": basis.size, "rank_q": basis.wq.shape[1]}
 
     converged = None
     if opts.get("check_convergence", True):
         kq2 = math.ceil(1.5 * disc["Kq"])
         np2 = math.ceil(1.5 * disc["Np"])
-        basis2 = build_basis(spec, params, Kq=kq2, Np=np2, n_quad=max(disc["n_quad"], 8 * kq2))
+        basis2 = build_basis(spec, params, Kq=kq2, Np=np2, n_quad=max(basis.nodes.size, 8 * kq2))
         res2 = spectral_gap(assemble_generator(basis2, spec, params))
         converged = bool(abs(res2.gap - res.gap) <= 0.01 * abs(res.gap))
         diagnostics["refined_gap"] = res2.gap
@@ -538,18 +517,19 @@ def _cmd_poisson(cfg: dict) -> tuple[dict, dict]:
     opts = cfg.get("options", {})
     name = opts.get("observable", "cos_q")
     dynamics = opts.get("dynamics", "langevin")
-    obs = _build_observable(name, spec, params)
+    f = _observable(name, spec, params)
 
-    basis = build_basis(spec, params, Kq=disc["Kq"], Np=disc["Np"], n_quad=disc["n_quad"])
+    basis = build_basis(spec, params, Kq=disc["Kq"], Np=disc["Np"], n_quad=disc.get("n_quad"))
     if dynamics == "langevin":
         asm = assemble_generator(basis, spec, params)
-        phi = project_phase_function(basis, obs.phase)
+        # a contiguous (n_quad, n_gh) table: a stride-0 broadcast view moved sigma2 in its last digits
+        phi = project_phase_function(basis, lambda q, p: f(q[..., None], p[..., None]) + np.zeros((q.size, p.size)))
         sol = solve_poisson(asm, phi)
     else:
-        if obs.position is None:
+        if name not in _POSITION_OBSERVABLES:
             raise InvalidArgumentError(f"observable '{name}' depends on p; overdamped needs a position observable")
         ovd = assemble_overdamped(basis, spec, params)
-        phi_q = project_position_function(basis, obs.position)
+        phi_q = project_position_function(basis, lambda q: f(q[..., None], np.zeros_like(q)[..., None]))
         sol = solve_poisson_overdamped(ovd, phi_q)
 
     results = {
@@ -558,7 +538,7 @@ def _cmd_poisson(cfg: dict) -> tuple[dict, dict]:
         "sigma2": sol.sigma2,
         "gamma": params.gamma if dynamics == "langevin" else None,
     }
-    return results, {"Kq": disc["Kq"], "Np": disc["Np"], "n_quad": disc["n_quad"], "rank_q": basis.wq.shape[1]}
+    return results, {"Kq": disc["Kq"], "Np": disc["Np"], "n_quad": basis.nodes.size, "rank_q": basis.wq.shape[1]}
 
 
 def _cmd_poincare(cfg: dict) -> tuple[dict, dict]:
@@ -666,7 +646,13 @@ def _parse_gammas(text: str) -> list[float]:
         raise InvalidArgumentError(f"bad --gammas value {text!r}: {exc}") from exc
     if start <= 0 or ratio <= 0 or count < 1:
         raise InvalidArgumentError("--gammas needs start > 0, ratio > 0, count >= 1")
-    return [start * ratio**k for k in range(count)]
+    try:
+        gammas = [start * ratio**k for k in range(count)]
+    except OverflowError:
+        gammas = [math.inf]
+    if not math.isfinite(gammas[-1]):
+        raise InvalidArgumentError(f"--gammas {text!r} reaches a rung that is not a finite number")
+    return gammas
 
 
 def _cmd_scan(cfg: dict) -> tuple[dict, dict]:
@@ -681,7 +667,7 @@ def _cmd_scan(cfg: dict) -> tuple[dict, dict]:
         gammas,
         Kq=disc["Kq"],
         Np=disc["Np"],
-        n_quad=disc["n_quad"],
+        n_quad=disc.get("n_quad"),
         max_workers=opts.get("threads"),
     )
     out = cfg.get("output")
@@ -719,14 +705,24 @@ _COMMANDS = {
 # parser
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _csv_floats(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from exc
+        return [_finite_float(x) for x in text.split(",")]
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers, got {text!r}") from exc
 
 
-_ARG_TYPES = {"number": float, "integer": int, "array": _csv_floats}
+_ARG_TYPES = {"number": _finite_float, "integer": int, "array": _csv_floats}
 
 
 def _add_option(parser: argparse.ArgumentParser, opt: _Option) -> None:

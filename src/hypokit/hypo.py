@@ -50,8 +50,12 @@ from .errors import (
 )
 from .model import EnsembleParams, PotentialSpec
 from .spectral import (
+    DEFAULT_KQ,
+    DEFAULT_NP,
     GeneratorAssembly,
     _gap_of_operator,
+    assemble_generator,
+    build_basis,
     poincare_constant,
     project_phase_function,
     reduced_generator,
@@ -570,8 +574,8 @@ def gamma_scan(
     spec: PotentialSpec,
     params_base: EnsembleParams,
     gammas,
-    Kq: int | None = None,
-    Np: int | None = None,
+    Kq: int = DEFAULT_KQ,
+    Np: int = DEFAULT_NP,
     n_quad: int | None = None,
     max_workers: int | None = None,
     assembly: GeneratorAssembly | None = None,
@@ -594,18 +598,7 @@ def gamma_scan(
         raise InvalidArgumentError("gammas must span at least [1/8, 8]")
 
     if assembly is None:
-        from .spectral import DEFAULT_KQ, DEFAULT_NP, DEFAULT_NQUAD, build_basis
-
-        basis = build_basis(
-            spec,
-            params_base,
-            Kq=DEFAULT_KQ if Kq is None else Kq,
-            Np=DEFAULT_NP if Np is None else Np,
-            n_quad=DEFAULT_NQUAD if n_quad is None else n_quad,
-        )
-        from .spectral import assemble_generator
-
-        assembly = assemble_generator(basis, spec, params_base)
+        assembly = assemble_generator(build_basis(spec, params_base, Kq=Kq, Np=Np, n_quad=n_quad), spec, params_base)
     red = reduced_generator(assembly)
 
     gaps = np.full(g.size, np.nan)

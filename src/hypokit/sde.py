@@ -18,6 +18,10 @@ once and `simulate` applies it in its single loop over noise rows, so a
 trajectory is bitwise identical to repeated single steps.  The stochastic
 steppers accept an optional `noise` array in place of an RngStream draw; that
 hook lets tests drive the maps with frozen noise.
+
+`simulate` records states (q and p rows, 16 d bytes per record) and then runs
+each per-state observable once per record (8 bytes per record and observable);
+vectorized callers pass none and read `TrajectoryRecord.q` and `.p`.
 """
 
 from __future__ import annotations
@@ -81,9 +85,11 @@ class RngStream:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Observable samples of one trajectory, recorded every `stride` steps."""
+    """States and observable samples of one trajectory, recorded every `stride` steps."""
 
     times: Array
+    q: Array  # shape (n_records, d)
+    p: Array  # shape (n_records, d)
     observable_values: Array  # shape (n_records, n_observables)
     final_state: PhaseState
     dt: float
@@ -211,7 +217,9 @@ def simulate(
     rng: RngStream | None = None,
     noise: Array | None = None,
 ) -> TrajectoryRecord:
-    """Run one trajectory, recording observables at step 0 and every `stride` steps.
+    """Run one trajectory, recording the state at step 0 and every `stride` steps.
+
+    Each observable then runs once per record, on read-only views of its rows.
 
     `noise`, if given, must have shape (n_steps, d) and replaces the rng draws
     (test hook; the stochastic schemes consume exactly one row per step).
@@ -241,22 +249,23 @@ def simulate(
     advance = _step_map(scheme, spec, params, dt)
 
     n_records = n_steps // stride + 1
-    values = np.empty((n_records, len(observables)))
-    times = np.arange(n_records) * (stride * dt)
-
-    def record(row: int) -> None:
-        s = PhaseState(q.copy(), p.copy())
-        for j, f in enumerate(observables):
-            values[row, j] = f(s)
-
-    record(0)
+    qs, ps = np.empty((n_records, d)), np.empty((n_records, d))
+    qs[0], ps[0] = q, p
     for step, xi in enumerate(rows, 1):
         q, p, g = advance(q, p, g, xi)
         if step % stride == 0:
-            record(step // stride)
+            qs[step // stride], ps[step // stride] = q, p
+
+    qs.flags.writeable = ps.flags.writeable = False
+    values = np.empty((n_records, len(observables)))
+    if observables:
+        for row, s in enumerate(map(PhaseState, qs, ps)):
+            values[row] = [f(s) for f in observables]
 
     return TrajectoryRecord(
-        times=times,
+        times=np.arange(n_records) * (stride * dt),
+        q=qs,
+        p=ps,
         observable_values=values,
         final_state=PhaseState(q, p),
         dt=dt,

@@ -114,13 +114,14 @@ def build_basis(
     params: EnsembleParams,
     Kq: int = DEFAULT_KQ,
     Np: int = DEFAULT_NP,
-    n_quad: int = DEFAULT_NQUAD,
+    n_quad: int | None = None,  # default max(DEFAULT_NQUAD, 8 Kq)
 ) -> BasisSet:
     """Quadrature, basis tables, differentiation matrix, position Gram and its whitening."""
     if not isinstance(spec.domain, Torus) or spec.domain.dim != 1:
         raise UnsupportedDomainError("spectral assembly requires a one-dimensional torus")
     if Kq < 1 or Np < 2:
         raise InvalidArgumentError(f"need Kq >= 1 and Np >= 2, got Kq={Kq}, Np={Np}")
+    n_quad = max(DEFAULT_NQUAD, 8 * Kq) if n_quad is None else n_quad
     if n_quad < 8 * Kq:
         raise InvalidArgumentError(f"n_quad must be >= 8*Kq = {8 * Kq}, got {n_quad}")
 
@@ -362,7 +363,7 @@ def poincare_constant(
     k = Kq
     prev = None
     for _ in range(POINCARE_MAX_ROUNDS):
-        basis = build_basis(spec, params, Kq=k, Np=2, n_quad=max(DEFAULT_NQUAD, 8 * k))
+        basis = build_basis(spec, params, Kq=k, Np=2)
         s_red = _overdamped_reduced(assemble_overdamped(basis, spec, params))
         gap = float(np.min(sla.eigvalsh(-s_red)))
         value = params.beta * gap

@@ -13,8 +13,9 @@ import sys
 import numpy as np
 import pytest
 
-from hypokit import cli
+from hypokit import EnsembleParams, PhaseState, RngStream, builtin_potential, cli, eval_hamiltonian, simulate
 from hypokit.errors import InvalidArgumentError, NumericalFailureError
+from hypokit.model import _center_cell
 
 
 def run(*argv):
@@ -319,6 +320,49 @@ def test_csv_floats_reparse_to_identical_tokens(tmp_path):
             assert "%.17g" % float(token) == token  # parse/format round-trip
 
 
+SIX_OBSERVABLES = ("cos_q", "sin_q", "q_centered", "p1", "p_squared", "energy")
+SEPARABLE_2D = {"parts": [{"name": "cosine", "params": {"h": 1.0, "L": 1.0}},
+                          {"name": "cosine", "params": {"h": 0.5, "L": 1.0, "modes": 2}}]}
+
+
+def per_state_observables(spec, params):
+    """The six sample observables written out on one state."""
+    length = spec.domain.length
+    c = 2.0 * math.pi / length
+    return [
+        lambda s: float(np.cos(c * s.q[0])),
+        lambda s: float(np.sin(c * s.q[0])),
+        lambda s: float(_center_cell(s.q[0], length)),
+        lambda s: float(s.p[0]),
+        lambda s: float(np.dot(s.p, s.p)),
+        lambda s: eval_hamiltonian(spec, params, s),
+    ]
+
+
+@pytest.mark.parametrize("scheme", ["langevin", "overdamped"])
+@pytest.mark.parametrize("name, params, q0, p0", [
+    ("cosine", {"h": 1.0, "L": 1.0}, [0.3], [-0.2]),
+    ("separable", SEPARABLE_2D, [0.2, 0.7], [-0.1, 0.4]),
+], ids=["d1", "separable-d2"])
+def test_sample_columns_match_per_state_observables(scheme, name, params, q0, p0, tmp_path):
+    csv_path = tmp_path / "samples.csv"
+    potential = ["--potential", name, *(a for k, v in params.items() for a in ("--param", f"{k}={json.dumps(v)}"))]
+    observables = [a for obs in SIX_OBSERVABLES for a in ("--observable", obs)]
+    assert run("sample", "--scheme", scheme, "--n-steps", "600", "--stride", "3", "--beta", "2", "--mass", "0.5",
+               *potential, f"--q0={','.join(map(str, q0))}", f"--p0={','.join(map(str, p0))}", "--seed", "9",
+               *observables, "--out", csv_path, "--report", tmp_path / "r.json") == 0
+    names, table = cli._read_csv(str(csv_path))
+    assert names == ["time", *SIX_OBSERVABLES]
+
+    spec = builtin_potential(name, params)
+    ensemble = EnsembleParams(beta=2.0, mass=0.5)
+    rec = simulate(PhaseState(np.array(q0), np.array(p0)), n_steps=600, stride=3, dt=0.01, scheme=scheme,
+                   observables=per_state_observables(spec, ensemble), spec=spec, params=ensemble, rng=RngStream(9))
+    assert np.array_equal(table[:, 0], rec.times)
+    for j, obs in enumerate(SIX_OBSERVABLES):
+        assert np.array_equal(table[:, j + 1], rec.observable_values[:, j]), obs
+
+
 # ---------------------------------------------------------------------------
 # failure paths
 
@@ -353,6 +397,29 @@ def test_csv_floats_reparse_to_identical_tokens(tmp_path):
 def test_bad_invocations_exit_1(argv, capsys):
     assert run(*argv) == 1
     assert "error" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("argv, config, names", [
+    (["sample", "--n-steps", "10", "--q0", "nan"], None, "--q0"),
+    (["sample", "--n-steps", "10", "--p0", "inf"], None, "--p0"),
+    (["sample", "--n-steps", "10", "--dt", "inf"], None, "--dt"),
+    (["ode", "--T", "inf"], None, "--T"),
+    (["scan", "--gammas", "0.125:1e10:40", "--Kq", "4", "--Np", "8"], None, "--gammas"),
+    (["scan", "--gammas", "nan:2:7", "--Kq", "4", "--Np", "8"], None, "--gammas"),
+    (["spectrum", "--param", "h=NaN", "--Kq", "4", "--Np", "8"], None, "--param h"),
+    (["spectrum", "--param", "h=1e999", "--Kq", "4", "--Np", "8"], None, "--param h"),
+    (["sample", "--n-steps", "10"], '{"options": {"q0": [NaN]}}', "options.q0"),
+    (["ode"], '{"options": {"T": Infinity}}', "options.T"),
+    (["spectrum", "--Kq", "4", "--Np", "8"], '{"ensemble": {"beta": -Infinity}}', "ensemble.beta"),
+])
+def test_non_finite_numbers_exit_1(argv, config, names, tmp_path, capsys):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        argv = [*argv, "--config", tmp_path / "cfg.json"]
+    assert run(*argv, "--report", tmp_path / "r.json") == 1
+    err = capsys.readouterr().err
+    assert names in err and "finite" in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -451,3 +451,9 @@ class TestGammaScan:
             gamma_scan(quad_spec, p, [-1.0] + self.LADDER[1:], assembly=asm)
         with pytest.raises(InvalidArgumentError):
             gamma_scan(quad_spec, p, [0.125, 0.125] + self.LADDER[2:], assembly=asm)
+
+    def test_builds_its_basis_with_the_default_grid_for_any_kq(self, cosine_spec, unit_params):
+        # n_quad defaults to max(256, 8 Kq) in build_basis alone; at Kq = 40 that is 320 nodes
+        assert build_basis(cosine_spec, unit_params, Kq=40, Np=2).nodes.size == 320
+        res = gamma_scan(cosine_spec, unit_params, self.LADDER, Kq=40, Np=2)
+        assert not res.row_errors and np.all(res.table.gaps > 0)

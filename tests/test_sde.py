@@ -15,6 +15,7 @@ from hypokit import (
     step_langevin,
     step_overdamped,
 )
+from hypokit import sde
 from hypokit.sde import _ou_coefficients
 
 
@@ -158,15 +159,43 @@ def test_simulate_matches_repeated_single_steps(ou_setup, scheme, dim):
     )
     noise = RngStream(seed=777, stream_id=3).normal((257, dim))
     s = PhaseState(q0, p0)
-    chain = [(s.q[-1], s.p[-1])]
+    states = [s]
     for k in range(257):
         if scheme == "hamiltonian":
             s = step_hamiltonian(s, spec, params, 0.05)
         else:
             s = STEPS[scheme](s, spec, params, 0.05, noise=noise[k])
-        chain.append((s.q[-1], s.p[-1]))
-    assert np.array_equal(rec.observable_values, chain)
+        states.append(s)
+    assert np.array_equal(rec.observable_values, [(s.q[-1], s.p[-1]) for s in states])
+    assert np.array_equal(rec.q, [s.q for s in states]) and np.array_equal(rec.p, [s.p for s in states])
     assert np.array_equal(rec.final_state.q, s.q) and np.array_equal(rec.final_state.p, s.p)
+
+
+def test_simulate_without_observables_builds_no_state_per_record(ou_setup, monkeypatch):
+    spec, params = ou_setup
+    built = []
+
+    def counting_state(q, p):
+        built.append(1)
+        return PhaseState(q, p)
+
+    monkeypatch.setattr(sde, "PhaseState", counting_state)
+    rec = simulate(PhaseState(np.array([0.1]), np.array([0.0])), 100, 1, 0.01, "langevin", (), spec, params,
+                   rng=RngStream(1))
+    assert len(built) == 1  # the final state
+    assert rec.q.shape == rec.p.shape == (101, 1) and rec.observable_values.shape == (101, 0)
+
+
+def test_simulate_observables_see_read_only_rows(ou_setup):
+    spec, params = ou_setup
+
+    def overwrite(s):
+        s.q[0] = 0.0
+        return 0.0
+
+    with pytest.raises(ValueError, match="read-only"):
+        simulate(PhaseState(np.array([0.1]), np.array([0.0])), 10, 1, 0.01, "langevin", [overwrite], spec, params,
+                 rng=RngStream(1))
 
 
 def test_simulate_noise_override_deterministic(ou_setup):
