@@ -145,12 +145,16 @@ _OPTIONS = (
     _Option("--threads", "options.threads", {"type": "integer", "minimum": 1}, ("scan",), "worker threads"),
 )
 
+# The mode a mode key selects when it is absent.
+_MODE_DEFAULTS = {"options.dynamics": "langevin", "options.scheme": "langevin", "options.method": "acf"}
+
 # Keys a subcommand reads in some modes only: (command, mode key, mode) -> the
 # keys that mode ignores.  Giving one of them in that mode exits 1.
 _UNREAD_IN_MODE = {
-    ("poisson", "options.dynamics", "overdamped"): ("ensemble.gamma", "ensemble.mass"),
+    ("poisson", "options.dynamics", "overdamped"): ("ensemble.gamma", "ensemble.mass", "discretization.Np"),
     ("sample", "options.scheme", "overdamped"): ("ensemble.gamma",),
     ("sample", "options.scheme", "hamiltonian"): ("ensemble.gamma", "seed", "stream_id"),
+    ("variance", "options.method", "acf"): ("options.batches",),
 }
 
 _DEFAULT_POTENTIAL = {"name": "cosine", "params": {"h": 1.0, "L": 1.0}}
@@ -227,9 +231,14 @@ def _lookup(cfg: dict, key: str):
     return (cfg.get(section, {}) if section else cfg).get(name)
 
 
+def _mode(cfg: dict, mode_key: str) -> str:
+    value = _lookup(cfg, mode_key)
+    return _MODE_DEFAULTS[mode_key] if value is None else value
+
+
 def _reject_unread_in_mode(cfg: dict, command: str) -> None:
     for (cmd, mode_key, mode), keys in _UNREAD_IN_MODE.items():
-        if cmd != command or _lookup(cfg, mode_key) != mode:
+        if cmd != command or _mode(cfg, mode_key) != mode:
             continue
         given = [k for k in keys if _lookup(cfg, k) is not None]
         if given:
@@ -372,7 +381,7 @@ def _cmd_sample(cfg: dict) -> tuple[dict, dict]:
     spec = _potential(cfg)
     disc = _discretization(cfg)
     opts = cfg.get("options", {})
-    scheme = opts.get("scheme", "langevin")
+    scheme = _mode(cfg, "options.scheme")
     names = opts.get("observables", ["energy"])
     fs = [_observable(n, spec, params) for n in names]
 
@@ -439,7 +448,7 @@ def _cmd_variance(cfg: dict) -> tuple[dict, dict]:
             raise InvalidArgumentError("time column is not uniformly spaced; pass --spacing")
         spacing = float(steps[0])
 
-    method = opts.get("method", "acf")
+    method = _mode(cfg, "options.method")
     if method == "acf":
         rep = asymptotic_variance_acf(values, spacing)
     else:
@@ -516,7 +525,7 @@ def _cmd_poisson(cfg: dict) -> tuple[dict, dict]:
     disc = _discretization(cfg)
     opts = cfg.get("options", {})
     name = opts.get("observable", "cos_q")
-    dynamics = opts.get("dynamics", "langevin")
+    dynamics = _mode(cfg, "options.dynamics")
     f = _observable(name, spec, params)
 
     basis = build_basis(spec, params, Kq=disc["Kq"], Np=disc["Np"], n_quad=disc.get("n_quad"))

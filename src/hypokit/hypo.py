@@ -67,6 +67,7 @@ OPTIMAL_P_TOL = 1e-10  # slack on the ODE decay-norm certificate
 EPS_LO, EPS_HI, EPS_TOL = 1e-4, 0.9999, 1e-4  # golden-section bracket and width
 HESS_GRID_N = 4096  # torus grid on which the Hessian lower bound is scanned
 GAP_ROUNDOFF_MARGIN = 1e3  # a scan rung's gap must exceed its roundoff floor this many times
+ODE_MAX_STEPS = 10**7  # RK4 steps ode_trajectory takes at most (250 times the figure-1 run)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +179,8 @@ def ode_trajectory(gamma: float, x0, T: float, dt: float) -> Array:
         raise InvalidArgumentError(f"x0 must have shape (2,), got {x0.shape}")
     if not (T > 0 and dt > 0 and dt <= T):
         raise InvalidArgumentError(f"need 0 < dt <= T, got dt={dt}, T={T}")
+    if not T / dt <= ODE_MAX_STEPS:
+        raise InvalidArgumentError(f"T / dt exceeds ODE_MAX_STEPS = {ODE_MAX_STEPS} steps, got T={T}, dt={dt}")
     # one classical RK4 step of a linear ODE is x -> M x with
     # M = I + h (I + h/2 (I + h/3 (I + h/4))), h = dt L
     h = dt * toy.l_mat
@@ -404,9 +407,15 @@ def schur_bound(
     Cases: convex potential (C=1, C'=0); Hessian bounded below by -K
     (C=1, C'=K, K >= 0); general with caller-supplied C' (C=2, flagged as
     unpinned since C' carries an unspecified dimension-dependent constant).
+    K is read by the hessian_lower_bound case only and c_prime by the general
+    case only; passing either to another case is refused.
     """
     if case not in SCHUR_CASES:
         raise InvalidArgumentError(f"unknown case '{case}'; options: {', '.join(SCHUR_CASES)}")
+    if K is not None and case != "hessian_lower_bound":
+        raise InvalidArgumentError(f"the {case} case does not read K; only hessian_lower_bound does")
+    if c_prime is not None and case != "general":
+        raise InvalidArgumentError(f"the {case} case does not read c_prime; only general does")
     if not r_nu > 0:
         raise InvalidArgumentError(f"Poincare constant must be positive, got {r_nu}")
     if not params.gamma > 0:
@@ -486,8 +495,9 @@ def verify_schur_bound(
         k_used = float(K) if K is not None else max(0.0, -min_hess)
 
     r_nu = poincare_constant(spec, params, Kq=asm.basis.Kq)
+    # before the resolvent solve, so that a constant the case does not read fails fast
+    bound = schur_bound(params, r_nu, case, K=k_used if case == "hessian_lower_bound" else K, c_prime=c_prime)
     numeric = resolvent_norm(asm)
-    bound = schur_bound(params, r_nu, case, K=k_used if case == "hessian_lower_bound" else None, c_prime=c_prime)
     return SchurCheck(
         numeric=numeric,
         bound=bound.value,

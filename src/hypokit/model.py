@@ -11,14 +11,19 @@ Potential callables follow a single vectorization contract:
     grad(q)    : (..., d) -> (..., d)
     hessian(q) : (..., d) -> (..., d, d)
 
-For d == 1, bare scalars or (...)-shaped arrays are also accepted and the
-trailing axis is dropped from grad/hessian outputs in that case.
+The last axis of q is the dimension d, also for d = 1: one point is a (d,)
+array.  Every builtin is written once in this contract and does not check
+shapes; a custom PotentialSpec must follow the same contract.  The entry points
+that take states or grids (eval_hamiltonian, check_condition_constants,
+simulate and the step functions in sde) check their dimension against the
+domain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -26,8 +31,6 @@ import numpy as np
 from .errors import InvalidArgumentError
 
 Array = np.ndarray
-
-BUILTIN_POTENTIALS = ("flat", "quadratic", "double_well", "cosine", "separable")
 
 
 @dataclass(frozen=True)
@@ -127,40 +130,31 @@ def eval_hamiltonian(spec: PotentialSpec, params: EnsembleParams, state: PhaseSt
 # builtin potentials
 
 
-def _adapt(d: int, raw_eval, raw_grad, raw_hess, name: str) -> tuple:
-    """Wrap raw (...,d)-contract callables with the d==1 scalar convenience."""
-
-    def _norm(q):
-        q = np.asarray(q, dtype=float)
-        if d == 1 and (q.ndim == 0 or q.shape[-1] != 1):
-            return q[..., None], True
-        if q.shape[-1] != d:
-            raise InvalidArgumentError(
-                f"{name}: expected points with last axis {d}, got shape {q.shape}"
-            )
-        return q, False
-
-    def eval_(q):
-        qq, _ = _norm(q)
-        return raw_eval(qq)
-
-    def grad_(q):
-        qq, squeeze = _norm(q)
-        g = raw_grad(qq)
-        return g[..., 0] if squeeze else g
-
-    def hess_(q):
-        qq, squeeze = _norm(q)
-        h = raw_hess(qq)
-        return h[..., 0, 0] if squeeze else h
-
-    return eval_, grad_, hess_
-
-
 def _center_cell(q: Array, length: float) -> Array:
     """Wrap coordinates into the centered fundamental cell [-L/2, L/2)."""
     x = np.mod(q, length)
     return np.where(x >= 0.5 * length, x - length, x)
+
+
+def _as_is(q: Array) -> Array:
+    return q
+
+
+def _cell(length, d: int) -> tuple[Domain, Callable[[Array], Array]]:
+    """The domain and the coordinate map: R^d as it is, or the torus read on its centered cell."""
+    if length is None:
+        return FullSpace(d), _as_is
+    length = float(length)
+    return Torus(length, d), partial(_center_cell, length=length)
+
+
+def _diag(values: Array) -> Array:
+    """The (..., d, d) Hessian of a separable potential, from its (..., d) diagonal."""
+    d = values.shape[-1]
+    out = np.zeros(values.shape + (d,))
+    idx = np.arange(d)
+    out[..., idx, idx] = values
+    return out
 
 
 def _take(params: dict, key: str, default=None, required: bool = False):
@@ -180,18 +174,17 @@ def _flat(params: dict) -> PotentialSpec:
     d = int(_take(params, "d", 1))
     length = float(_take(params, "L", 1.0))
     _reject_leftovers("flat", params)
-    dom = Torus(length, d)
 
-    def raw_eval(q):
+    def eval_(q):
         return np.zeros(q.shape[:-1])
 
-    def raw_grad(q):
-        return np.zeros_like(q)
+    def grad(q):
+        return np.zeros(q.shape)
 
-    def raw_hess(q):
-        return np.zeros(q.shape + (d,))
+    def hessian(q):
+        return _diag(grad(q))
 
-    return PotentialSpec(dom, *_adapt(d, raw_eval, raw_grad, raw_hess, "flat"), name="flat")
+    return PotentialSpec(Torus(length, d), eval_, grad, hessian, name="flat")
 
 
 def _quadratic(params: dict) -> PotentialSpec:
@@ -202,35 +195,20 @@ def _quadratic(params: dict) -> PotentialSpec:
     if not omega > 0:
         raise InvalidArgumentError(f"omega must be positive, got {omega}")
     w2 = omega * omega
+    dom, cell = _cell(length, d)
 
-    if length is None:
-        dom: Domain = FullSpace(d)
-
-        def cell(q):
-            return q
-
-    else:
-        length = float(length)
-        dom = Torus(length, d)
-
-        def cell(q):
-            return _center_cell(q, length)
-
-    def raw_eval(q):
+    def eval_(q):
         x = cell(q)
         return 0.5 * w2 * np.sum(x * x, axis=-1)
 
-    def raw_grad(q):
+    def grad(q):
         return w2 * cell(q)
 
-    def raw_hess(q):
-        h = np.zeros(q.shape + (d,))
-        idx = np.arange(d)
-        h[..., idx, idx] = w2
-        return h
+    def hessian(q):
+        return _diag(np.full(q.shape, w2))
 
-    tag = f"quadratic(omega={omega:g})" if length is None else f"quadratic(omega={omega:g}, L={length:g})"
-    return PotentialSpec(dom, *_adapt(d, raw_eval, raw_grad, raw_hess, "quadratic"), name=tag)
+    tag = f"quadratic(omega={omega:g})" if length is None else f"quadratic(omega={omega:g}, L={dom.length:g})"
+    return PotentialSpec(dom, eval_, grad, hessian, name=tag)
 
 
 def _double_well(params: dict) -> PotentialSpec:
@@ -240,35 +218,21 @@ def _double_well(params: dict) -> PotentialSpec:
     _reject_leftovers("double_well", params)
     if not (a > 0 and b > 0):
         raise InvalidArgumentError(f"double_well needs a, b > 0, got a={a}, b={b}")
+    dom, cell = _cell(length, 1)
 
-    if length is None:
-        dom: Domain = FullSpace(1)
-
-        def cell(q):
-            return q
-
-    else:
-        length = float(length)
-        dom = Torus(length, 1)
-
-        def cell(q):
-            return _center_cell(q, length)
-
-    def raw_eval(q):
+    def eval_(q):
         x = cell(q)[..., 0]
         return a * (x * x - b * b) ** 2
 
-    def raw_grad(q):
-        x = cell(q)[..., 0]
-        return (4.0 * a * x * (x * x - b * b))[..., None]
+    def grad(q):
+        x = cell(q)
+        return 4.0 * a * x * (x * x - b * b)
 
-    def raw_hess(q):
-        x = cell(q)[..., 0]
-        return (4.0 * a * (3.0 * x * x - b * b))[..., None, None]
+    def hessian(q):
+        x = cell(q)
+        return _diag(4.0 * a * (3.0 * x * x - b * b))
 
-    return PotentialSpec(
-        dom, *_adapt(1, raw_eval, raw_grad, raw_hess, "double_well"), name=f"double_well(a={a:g}, b={b:g})"
-    )
+    return PotentialSpec(dom, eval_, grad, hessian, name=f"double_well(a={a:g}, b={b:g})")
 
 
 def _cosine(params: dict) -> PotentialSpec:
@@ -282,26 +246,19 @@ def _cosine(params: dict) -> PotentialSpec:
     dom = Torus(length, d)
     c = 2.0 * math.pi * modes / length
 
-    def raw_eval(q):
+    def eval_(q):
         x = np.mod(q, length)
         return h * np.sum(np.cos(c * x), axis=-1)
 
-    def raw_grad(q):
+    def grad(q):
         x = np.mod(q, length)
         return -h * c * np.sin(c * x)
 
-    def raw_hess(q):
+    def hessian(q):
         x = np.mod(q, length)
-        out = np.zeros(q.shape + (d,))
-        idx = np.arange(d)
-        out[..., idx, idx] = -h * c * c * np.cos(c * x)
-        return out
+        return _diag(-h * c * c * np.cos(c * x))
 
-    return PotentialSpec(
-        dom,
-        *_adapt(d, raw_eval, raw_grad, raw_hess, "cosine"),
-        name=f"cosine(h={h:g}, modes={modes}, L={length:g})",
-    )
+    return PotentialSpec(dom, eval_, grad, hessian, name=f"cosine(h={h:g}, modes={modes}, L={length:g})")
 
 
 def _separable(params: dict) -> PotentialSpec:
@@ -332,20 +289,18 @@ def _separable(params: dict) -> PotentialSpec:
     else:
         raise InvalidArgumentError("separable parts must all live on the same domain type")
 
-    def raw_eval(q):
-        return sum(parts[i].eval(q[..., i]) for i in range(d))
+    # part i sees coordinate i as a (..., 1) array
+    def eval_(q):
+        return sum(s.eval(q[..., i : i + 1]) for i, s in enumerate(parts))
 
-    def raw_grad(q):
-        return np.stack([parts[i].grad(q[..., i]) for i in range(d)], axis=-1)
+    def grad(q):
+        return np.concatenate([s.grad(q[..., i : i + 1]) for i, s in enumerate(parts)], axis=-1)
 
-    def raw_hess(q):
-        out = np.zeros(q.shape + (d,))
-        for i in range(d):
-            out[..., i, i] = parts[i].hessian(q[..., i])
-        return out
+    def hessian(q):
+        return _diag(np.concatenate([s.hessian(q[..., i : i + 1])[..., 0] for i, s in enumerate(parts)], axis=-1))
 
     label = "separable(" + ", ".join(s.name for s in parts) + ")"
-    return PotentialSpec(dom, *_adapt(d, raw_eval, raw_grad, raw_hess, "separable"), name=label)
+    return PotentialSpec(dom, eval_, grad, hessian, name=label)
 
 
 _BUILDERS = {
@@ -355,6 +310,7 @@ _BUILDERS = {
     "cosine": _cosine,
     "separable": _separable,
 }
+BUILTIN_POTENTIALS = tuple(_BUILDERS)
 
 
 def builtin_potential(name: str, params: dict | None = None) -> PotentialSpec:
@@ -404,8 +360,6 @@ def check_condition_constants(
         raise InvalidArgumentError(f"c2 must lie in [0, 1], got {c2}")
     d = spec.domain.dim
     pts = np.asarray(grid, dtype=float)
-    if d == 1 and (pts.ndim == 1 or pts.ndim == 0):
-        pts = np.atleast_1d(pts)[:, None]
     if pts.ndim != 2 or pts.shape[1] != d or pts.shape[0] < 1:
         raise InvalidArgumentError(f"grid must have shape (n, {d}) with n >= 1, got {pts.shape}")
 

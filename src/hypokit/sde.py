@@ -106,10 +106,13 @@ def _ou_coefficients(params: EnsembleParams, dt: float) -> tuple[float, float]:
     return c1, c2
 
 
-def _check_args(scheme: str, params: EnsembleParams, dt: float, rng, noise, noise_shape: tuple) -> None:
+def _check_args(scheme: str, state: PhaseState, spec: PotentialSpec, params: EnsembleParams, dt: float, rng, noise,
+                noise_shape: tuple) -> None:
     """Checks shared by `simulate` and the step functions."""
     if scheme not in SCHEMES:
         raise InvalidArgumentError(f"unknown scheme '{scheme}'; options: {', '.join(SCHEMES)}")
+    if state.dim != spec.domain.dim:
+        raise InvalidArgumentError(f"state dimension {state.dim} does not match domain dimension {spec.domain.dim}")
     if not dt > 0:
         raise InvalidArgumentError(f"dt must be positive, got {dt}")
     if scheme == "langevin" and not params.gamma > 0:
@@ -162,7 +165,7 @@ def _step_map(scheme: str, spec: PotentialSpec, params: EnsembleParams, dt: floa
 
 def _one_step(scheme, state, spec, params, dt, rng, noise) -> PhaseState:
     # Verlet is reversible, so a hamiltonian step may run backwards: only |dt| > 0.
-    _check_args(scheme, params, abs(dt) if scheme == "hamiltonian" else dt, rng, noise, state.q.shape)
+    _check_args(scheme, state, spec, params, abs(dt) if scheme == "hamiltonian" else dt, rng, noise, state.q.shape)
     if scheme == "hamiltonian":
         xi = None
     else:
@@ -228,11 +231,9 @@ def simulate(
     noise rows.
     """
     d = init.dim
-    _check_args(scheme, params, dt, rng, noise, (n_steps, d))
+    _check_args(scheme, init, spec, params, dt, rng, noise, (n_steps, d))
     if n_steps < 1 or stride < 1:
         raise InvalidArgumentError("n_steps and stride must be >= 1")
-    if d != spec.domain.dim:
-        raise InvalidArgumentError("initial state dimension does not match the domain")
 
     if scheme == "hamiltonian":
         rows = itertools.repeat(None, n_steps)
@@ -249,7 +250,12 @@ def simulate(
     advance = _step_map(scheme, spec, params, dt)
 
     n_records = n_steps // stride + 1
-    qs, ps = np.empty((n_records, d)), np.empty((n_records, d))
+    try:
+        qs, ps = np.empty((n_records, d)), np.empty((n_records, d))
+    except MemoryError as exc:
+        raise InvalidArgumentError(
+            f"cannot allocate {16 * d * n_records} bytes of records for n_steps={n_steps} at stride={stride}"
+        ) from exc
     qs[0], ps[0] = q, p
     for step, xi in enumerate(rows, 1):
         q, p, g = advance(q, p, g, xi)

@@ -202,7 +202,7 @@ def test_poisson_overdamped_flat(tmp_path):
     assert run(
         "poisson", "--potential", "flat", "--param", "L=1.0",
         "--dynamics", "overdamped", "--observable", "cos_q",
-        "--Kq", "8", "--Np", "12", "--n-quad", "64", "--report", rep_path,
+        "--Kq", "8", "--n-quad", "64", "--report", rep_path,
     ) == 0
     res = read_report(rep_path)["results"]
     assert res["sigma2"] == pytest.approx(1.0 / (4 * math.pi**2), abs=1e-8)
@@ -399,6 +399,24 @@ def test_bad_invocations_exit_1(argv, capsys):
     assert "error" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("argv, names", [
+    # a constant the case bounds resolves (auto: hessian_lower_bound for the cosine) does not read
+    (["bounds", "--c-prime", "300", "--Kq", "4", "--Np", "8"], ["hessian_lower_bound case does not read c_prime"]),
+    (["bounds", "--case", "general", "--c-prime", "1", "--K", "700", "--Kq", "4", "--Np", "8"],
+     ["general case does not read K"]),
+    # more ODE steps than ODE_MAX_STEPS; T / dt overflows to inf in the second
+    (["ode", "--T", "1e300"], ["ODE_MAX_STEPS", "T=1e+300", "dt=0.001"]),
+    (["ode", "--T", "1e300", "--dt", "1e-300"], ["ODE_MAX_STEPS", "T=1e+300", "dt=1e-300"]),
+    # 8 PB of records, beyond any address space
+    (["sample", "--n-steps", "1000000000000000", "--stride", "1"],
+     ["n_steps=1000000000000000", "stride=1", "16000000000000016 bytes"]),
+])
+def test_rejection_names_what_it_rejects(argv, names, capsys):
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert all(name in err for name in names) and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, config, names", [
     (["sample", "--n-steps", "10", "--q0", "nan"], None, "--q0"),
     (["sample", "--n-steps", "10", "--p0", "inf"], None, "--p0"),
@@ -458,10 +476,16 @@ def test_config_key_the_subcommand_does_not_read_is_rejected(command, tmp_path, 
     ("poisson", {"dynamics": "overdamped"}, "ensemble.mass"),
     ("sample", {"scheme": "overdamped"}, "ensemble.gamma"),
     ("sample", {"scheme": "hamiltonian"}, "ensemble.gamma"),
+    ("poisson", {"dynamics": "overdamped"}, "discretization.Np"),
+    ("variance", {"method": "acf"}, "options.batches"),
+    ("variance", {}, "options.batches"),  # an absent mode key counts as its default, acf
 ])
 def test_key_unread_in_the_chosen_mode_is_rejected(command, mode, key, tmp_path, capsys):
+    section, name = key.split(".")
+    cfg = {"options": dict(mode)}
+    cfg.setdefault(section, {})[name] = 2
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"ensemble": {key.split(".")[1]: 2.0}, "options": mode}))
+    cfg_path.write_text(json.dumps(cfg))
     assert run(command, "--config", cfg_path) == 1
     assert key in capsys.readouterr().err
 

@@ -223,6 +223,15 @@ class TestSchurArithmetic:
         with pytest.raises(InvalidArgumentError):
             schur_bound(p, R_FLAT, "general")  # c_prime mandatory here
 
+    @pytest.mark.parametrize("case, constant", [
+        ("convex", "K"), ("convex", "c_prime"), ("hessian_lower_bound", "c_prime"), ("general", "K"),
+    ])
+    def test_constant_the_case_does_not_read_is_refused(self, case, constant):
+        p = EnsembleParams(beta=1.0, mass=1.0, gamma=1.0)
+        read = {"hessian_lower_bound": {"K": 1.0}, "general": {"c_prime": 1.0}}.get(case, {})
+        with pytest.raises(InvalidArgumentError, match=f"{case} case does not read {constant}"):
+            schur_bound(p, R_FLAT, case, **read, **{constant: 2.0})
+
 
 # ---------------------------------------------------------------------------
 # explicit bound against the computed resolvent norm

@@ -182,3 +182,47 @@ class TestConditionConstants:
         spec = builtin_potential("flat", {"L": 1.0})
         with pytest.raises(InvalidArgumentError):
             check_condition_constants(spec, EnsembleParams(), np.empty((0, 1)), c2=0.0)
+
+
+CONTRACT_CASES = {
+    "flat-d1": ("flat", {"d": 1}),
+    "flat-d2": ("flat", {"d": 2, "L": 2.0}),
+    "quadratic-d1": ("quadratic", {"omega": 1.3}),
+    "quadratic-d3": ("quadratic", {"omega": 1.3, "d": 3}),
+    "quadratic-L-d1": ("quadratic", {"omega": 1.3, "L": 3.0}),
+    "quadratic-L-d3": ("quadratic", {"omega": 1.3, "L": 3.0, "d": 3}),
+    "double_well": ("double_well", {"a": 0.5, "b": 1.2}),
+    "double_well-L": ("double_well", {"a": 0.5, "b": 1.2, "L": 4.0}),
+    "cosine-modes2-d2": ("cosine", {"h": 0.7, "modes": 2, "d": 2}),
+    "separable-torus": ("separable", {"parts": [{"name": "cosine", "params": {"h": 1.0, "L": 1.0}},
+                                                {"name": "cosine", "params": {"h": 0.5, "L": 1.0, "modes": 2}}]}),
+    "separable-R2": ("separable", {"parts": [{"name": "quadratic", "params": {"omega": 1.3}},
+                                             {"name": "double_well", "params": {"a": 0.5}}]}),
+}
+
+
+@pytest.mark.parametrize("name, params", CONTRACT_CASES.values(), ids=CONTRACT_CASES.keys())
+@pytest.mark.parametrize("batch", [(), (5,), (5, 3)], ids=["point", "n", "n-m"])
+def test_builtins_follow_the_one_shape_contract(name, params, batch):
+    """(..., d) in; (...), (..., d), (..., d, d) float64 out, each row bitwise its single-point call."""
+    spec = builtin_potential(name, params)
+    d = spec.domain.dim
+    q = np.random.default_rng(3).uniform(-2.0, 2.0, size=batch + (d,))
+    outs = (spec.eval(q), spec.grad(q), spec.hessian(q))
+    for out, shape, f in zip(outs, (batch, batch + (d,), batch + (d, d)), (spec.eval, spec.grad, spec.hessian)):
+        assert out.shape == shape and out.dtype == np.float64
+        for idx in np.ndindex(batch):
+            assert np.array_equal(out[idx], f(q[idx]))
+    if name == "separable":
+        parts = [builtin_potential(p["name"], p["params"]) for p in params["parts"]]
+        cols = [q[..., :1], q[..., 1:]]
+        assert np.array_equal(outs[0], parts[0].eval(cols[0]) + parts[1].eval(cols[1]))
+        assert np.array_equal(outs[1], np.concatenate([s.grad(c) for s, c in zip(parts, cols)], axis=-1))
+        diag = np.concatenate([s.hessian(c)[..., 0] for s, c in zip(parts, cols)], axis=-1)
+        assert np.array_equal(outs[2], diag[..., None] * np.eye(d))
+
+
+def test_condition_constants_reject_a_grid_without_the_dimension_axis():
+    spec = builtin_potential("cosine", {"h": 1.0, "L": 1.0})
+    with pytest.raises(InvalidArgumentError, match=r"grid must have shape \(n, 1\)"):
+        check_condition_constants(spec, EnsembleParams(), np.linspace(0.0, 1.0, 16), c2=0.0)

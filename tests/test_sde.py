@@ -250,3 +250,17 @@ def test_momentum_marginal_variance():
     )
     p2 = rec.observable_values[200:, 0].mean()
     assert p2 == pytest.approx(params.mass / params.beta, rel=0.05)
+
+
+@pytest.mark.parametrize("scheme", list(STEPS))
+@pytest.mark.parametrize("name, params, dim", [
+    ("cosine", {"h": 1.0, "L": 1.0}, 2),  # two walkers' worth of coordinates on a d = 1 potential
+    ("cosine", {"h": 1.0, "L": 1.0, "d": 2}, 3),
+    ("separable", SEPARABLE_2D, 1),
+], ids=["d1-given-2", "d2-given-3", "separable-given-1"])
+def test_step_rejects_a_state_of_another_dimension(scheme, name, params, dim):
+    spec, params = builtin_potential(name, params), EnsembleParams()
+    state = PhaseState(np.full(dim, 0.1), np.full(dim, 0.2))
+    kwargs = {} if scheme == "hamiltonian" else {"rng": RngStream(1)}
+    with pytest.raises(InvalidArgumentError, match=f"state dimension {dim} does not match domain dimension"):
+        STEPS[scheme](state, spec, params, 0.01, **kwargs)
