@@ -489,7 +489,8 @@ def _cmd_spectrum(cfg: dict) -> tuple[dict, dict]:
     params, spec, disc, basis, asm = _spectral_setup(cfg)
     opts = cfg.get("options", {})
     res = spectral_gap(asm)
-    diagnostics: dict = {"n_quad": basis.nodes.size, "size": basis.size, "rank_q": basis.wq.shape[1]}
+    diagnostics: dict = {"n_quad": basis.nodes.size, "size": basis.size, "rank_q": basis.wq.shape[1],
+                         "gap_sector": res.sector}
 
     converged = None
     if opts.get("check_convergence", True):
@@ -547,7 +548,8 @@ def _cmd_poisson(cfg: dict) -> tuple[dict, dict]:
         "sigma2": sol.sigma2,
         "gamma": params.gamma if dynamics == "langevin" else None,
     }
-    return results, {"Kq": disc["Kq"], "Np": disc["Np"], "n_quad": basis.nodes.size, "rank_q": basis.wq.shape[1]}
+    return results, {"Kq": disc["Kq"], "Np": disc["Np"], "n_quad": basis.nodes.size, "rank_q": basis.wq.shape[1],
+                     "poisson_residual": sol.residual}
 
 
 def _cmd_poincare(cfg: dict) -> tuple[dict, dict]:

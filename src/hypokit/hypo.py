@@ -29,7 +29,8 @@ the banded -L^T.  Its largest eigenvalue is 1/sigma_min^2, and for a symmetric
 positive definite operator the largest Lanczos eigenvalue is the wanted one.
 A shift-invert eigensolve of L itself could not give the spectral gap that
 safely: it returns the eigenvalues nearest 0 in modulus, which can miss the
-one with the smallest real part, so spectral_gap stays a dense eigensolve.
+one with the smallest real part, so spectral_gap stays a dense eigensolve,
+one per reflection-parity sector, and so does each friction-scan rung.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .spectral import (
     DEFAULT_NP,
     GeneratorAssembly,
     _gap_of_operator,
+    _join_sectors,
     assemble_generator,
     build_basis,
     poincare_constant,
@@ -188,12 +190,14 @@ def ode_trajectory(gamma: float, x0, T: float, dt: float) -> Array:
     m = eye + h @ (eye + (h / 2.0) @ (eye + (h / 3.0) @ (eye + h / 4.0)))
     (m00, m01), (m10, m11) = m.tolist()
     n = int(round(T / dt))
-    x1, x2 = [float(x0[0])], [float(x0[1])]
-    for _ in range(n):
-        a, b = x1[-1], x2[-1]
-        x1.append(m00 * a + m01 * b)
-        x2.append(m10 * a + m11 * b)
-    return np.column_stack([np.arange(n + 1) * dt, x1, x2])
+    out = np.empty((n + 1, 3))  # filled in place: 24 bytes per row, no list or stacked copy
+    out[:, 0] = np.arange(n + 1) * dt
+    a, b = float(x0[0]), float(x0[1])
+    out[0, 1], out[0, 2] = a, b
+    for k in range(1, n + 1):
+        a, b = m00 * a + m01 * b, m10 * a + m11 * b
+        out[k, 1], out[k, 2] = a, b
+    return out
 
 
 def fit_envelope_rate(times: Array, x1: Array, x2: Array) -> float:
@@ -616,7 +620,8 @@ def gamma_scan(
 
     def run_row(i: int):
         try:
-            res = _gap_of_operator(red.neg_operator(g[i]))
+            res = _join_sectors(red, [_gap_of_operator(red.neg_operator(g[i], sector=s))
+                                     for s in range(red.n_sectors)])
             # Near-zero friction leaves a gap at roundoff level, of either sign;
             # eps * ||L||_1 is the backward-error scale of the dense eigensolve,
             # and a gap a few times above it still moves by ~1e-2 between solves.

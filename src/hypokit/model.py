@@ -22,6 +22,7 @@ domain.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence, Union
@@ -144,7 +145,6 @@ def _cell(length, d: int) -> tuple[Domain, Callable[[Array], Array]]:
     """The domain and the coordinate map: R^d as it is, or the torus read on its centered cell."""
     if length is None:
         return FullSpace(d), _as_is
-    length = float(length)
     return Torus(length, d), partial(_center_cell, length=length)
 
 
@@ -165,14 +165,32 @@ def _take(params: dict, key: str, default=None, required: bool = False):
     return default
 
 
+def _take_real(params: dict, key: str, default: float | None = None) -> float | None:
+    """A real parameter (None if absent and default None); a string, bool or list fails naming the key."""
+    value = _take(params, key, default)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidArgumentError(f"potential parameter '{key}' must be a real number, got {value!r}")
+    return float(value)
+
+
+def _take_int(params: dict, key: str, default: int) -> int:
+    """An integer parameter; an integral float such as 2.0 counts, 1.5 fails naming the key."""
+    value = _take(params, key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
+        raise InvalidArgumentError(f"potential parameter '{key}' must be an integer, got {value!r}")
+    return int(value)
+
+
 def _reject_leftovers(name: str, params: dict) -> None:
     if params:
         raise InvalidArgumentError(f"unknown parameter(s) for potential '{name}': {sorted(params)}")
 
 
 def _flat(params: dict) -> PotentialSpec:
-    d = int(_take(params, "d", 1))
-    length = float(_take(params, "L", 1.0))
+    d = _take_int(params, "d", 1)
+    length = _take_real(params, "L", 1.0)
     _reject_leftovers("flat", params)
 
     def eval_(q):
@@ -188,9 +206,9 @@ def _flat(params: dict) -> PotentialSpec:
 
 
 def _quadratic(params: dict) -> PotentialSpec:
-    omega = float(_take(params, "omega", 1.0))
-    d = int(_take(params, "d", 1))
-    length = _take(params, "L", None)
+    omega = _take_real(params, "omega", 1.0)
+    d = _take_int(params, "d", 1)
+    length = _take_real(params, "L")
     _reject_leftovers("quadratic", params)
     if not omega > 0:
         raise InvalidArgumentError(f"omega must be positive, got {omega}")
@@ -212,9 +230,9 @@ def _quadratic(params: dict) -> PotentialSpec:
 
 
 def _double_well(params: dict) -> PotentialSpec:
-    a = float(_take(params, "a", 1.0))
-    b = float(_take(params, "b", 1.0))
-    length = _take(params, "L", None)
+    a = _take_real(params, "a", 1.0)
+    b = _take_real(params, "b", 1.0)
+    length = _take_real(params, "L")
     _reject_leftovers("double_well", params)
     if not (a > 0 and b > 0):
         raise InvalidArgumentError(f"double_well needs a, b > 0, got a={a}, b={b}")
@@ -236,10 +254,10 @@ def _double_well(params: dict) -> PotentialSpec:
 
 
 def _cosine(params: dict) -> PotentialSpec:
-    h = float(_take(params, "h", 1.0))
-    modes = int(_take(params, "modes", 1))
-    length = float(_take(params, "L", 1.0))
-    d = int(_take(params, "d", 1))
+    h = _take_real(params, "h", 1.0)
+    modes = _take_int(params, "modes", 1)
+    length = _take_real(params, "L", 1.0)
+    d = _take_int(params, "d", 1)
     _reject_leftovers("cosine", params)
     if modes < 1:
         raise InvalidArgumentError(f"modes must be >= 1, got {modes}")

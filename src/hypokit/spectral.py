@@ -32,12 +32,22 @@ n - 1 is sqrt(n / (beta m)) c_t, with c_t the whitened position derivative
 the one r x r block c_t and the diagonal of L_FD; solvers that need a dense
 matrix build it with neg_operator.
 
+Reflection-parity sectors.  When V is even on the grid, S: (q, p) -> (-q, -p)
+commutes with L and F_a h_n has parity par(a) (-1)^n, with the constant and
+the cosines even and the sines odd.  build_basis then whitens the even and odd
+sets separately (_parity_split, _whiten), c_t has only off-parity blocks, and
+L splits into two decoupled sectors of about N / 2, "even" and "odd"; every
+dense solve (gap, friction scan, Poisson) runs once per sector, at about a
+quarter of the full cost each.  Otherwise one sector, "all", holds every
+coordinate: the same code with a trivial partition.
+
 Full-basis coefficient indexing is Hermite-major: index = n * (2 Kq + 1) + a.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -58,6 +68,9 @@ DEFAULT_KQ = 16
 DEFAULT_NP = 32
 DEFAULT_NQUAD = 256
 DEFAULT_RCOND = 1e-11
+# Largest |off-parity entry| / largest |entry| of a position Gram read as
+# reflection-symmetric; builtins measure <= 5.8e-15, cos 2 pi q + 0.3 sin 4 pi q O(0.1).
+PARITY_TOL = 1e-12
 # Largest |top Fourier mode| / mean of a weight resolved on the grid; test
 # configurations read <= 2e-7, and cosine at 5.6e-4 still had the gap to 1e-10.
 WEIGHT_RESOLUTION_TOL = 1e-3
@@ -82,10 +95,16 @@ class BasisSet:
     gram_q: Array  # (2Kq+1, 2Kq+1) position Gram under the unnormalized weight
     wq: Array  # (2Kq+1, rank_q) whitener from _whiten, wq^T gram_q wq = I
     q0: Array  # (rank_q, rank_q - 1) whitened level 0 orthogonal to the constant
+    labels: Array  # (rank_q,) sector label of each whitened direction: 0 even, 1 odd; all 0 in one sector
 
     @property
     def n_q(self) -> int:
         return 2 * self.Kq + 1
+
+    @property
+    def n_sectors(self) -> int:
+        """2 when V is reflection-symmetric on the grid, else 1."""
+        return int(self.labels.max()) + 1
 
     @property
     def size(self) -> int:
@@ -148,11 +167,12 @@ def build_basis(
     D[2 * k - 1, 2 * k] = w  # (sin)' =  w cos
 
     gram = F.T @ (weights[:, None] * F)
-    gram = 0.5 * (gram + gram.T)
-    wq, q0 = _whiten(gram)
+    gram, parity = _parity_split(0.5 * (gram + gram.T))
+    wq, q0, labels = _whiten(gram, parity)
     return BasisSet(
         Kq=Kq, Np=Np, L=L, beta=params.beta, mass=params.mass,
         nodes=nodes, weights=weights, F=F, D=D, gram_q=gram, wq=wq, q0=q0,
+        labels=labels,
     )
 
 
@@ -195,22 +215,56 @@ def assemble_generator(
 # whitened, constant-deflated frame
 
 
-def _whiten(gram_q: Array) -> tuple[Array, Array]:
-    """(wq, q0): per-level whitener and the constant's complement in level 0.
+def _parity_split(gram_q: Array) -> tuple[Array, Array]:
+    """(gram_q, parity): the Gram with its off-parity roundoff zeroed, and each index's sector.
+
+    parity is 0 for the constant and the cosines and 1 for the sines when the
+    off-parity block is within PARITY_TOL of the largest entry; otherwise it
+    is 0 everywhere (one sector) and gram_q is returned as it is.
+    """
+    parity = np.zeros(gram_q.shape[0], dtype=int)
+    parity[2::2] = 1  # F_{2k} = sqrt(2) sin(2 pi k q / L)
+    off = parity[:, None] != parity[None, :]
+    if np.abs(gram_q[off]).max() > PARITY_TOL * np.abs(gram_q).max():
+        return gram_q, np.zeros_like(parity)
+    gram_q = gram_q.copy()
+    gram_q[off] = 0.0
+    return gram_q, parity
+
+
+def _whiten(gram_q: Array, parity: Array) -> tuple[Array, Array, Array]:
+    """(wq, q0, labels): per-level whitener, the constant's complement in level 0, sector labels.
 
     wq (n_q, r) satisfies wq^T gram_q wq = I after the eigenvalue cut at
-    DEFAULT_RCOND times the largest eigenvalue;
-    q0 (r, r - 1) is an orthonormal basis of the whitened level-0
-    coordinates orthogonal to the constant function.
+    DEFAULT_RCOND times the largest eigenvalue.  One eigh of gram_q ordered
+    set by set (parity 0 first) whitens each set on its own: the off-set block
+    is exactly zero (_parity_split), so LAPACK's tridiagonal reduction and
+    solver split at the set boundary and every eigenvector lies in one set,
+    its label.  The cut is global, so the rank does not depend on the split.
+    Should an eigenvector span both sets, every label is 0: one sector.
+    Columns are grouped by label, and q0 (r, r - 1) is an orthonormal basis
+    of the whitened level-0 coordinates orthogonal to the constant function,
+    which lies in set 0: the complement within set 0, then the other set
+    unchanged, so q0's columns carry labels[1:].
     """
-    evals, vecs = sla.eigh(gram_q)
+    order = np.argsort(parity, kind="stable")
+    evals, vecs = sla.eigh(gram_q[np.ix_(order, order)])
     if evals[-1] <= 0:
         raise IllConditionedBasisError("position Gram is numerically singular")
     keep = evals > DEFAULT_RCOND * evals[-1]
-    wq = vecs[:, keep] / np.sqrt(evals[keep])
-    z_const = wq.T @ gram_q[:, 0]
+    cols = vecs[:, keep] / np.sqrt(evals[keep])
+    rows = parity[order]
+    labels = rows[np.argmax(cols != 0, axis=0)]  # the set of each column's first nonzero row
+    if np.any((cols != 0) & (rows[:, None] != labels[None, :])):
+        labels = np.zeros_like(labels)
+    by_label = np.argsort(labels, kind="stable")
+    wq = np.empty_like(cols)
+    wq[order] = cols[:, by_label]
+    labels = labels[by_label]
+    z_const = wq[:, labels == 0].T @ gram_q[:, 0]
     z_const /= np.linalg.norm(z_const)
-    return wq, sla.null_space(z_const[None, :])
+    q0 = sla.block_diag(sla.null_space(z_const[None, :]), np.eye(wq.shape[1] - z_const.size))
+    return wq, q0, labels
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,6 +280,10 @@ class ReducedGenerator:
     negated transpose above the diagonal, so L_ham is exactly antisymmetric.
     `fd` is the diagonal of L_FD, -n/m on level n.  The generator at friction
     gamma is L_ham + gamma*diag(fd).
+
+    Sector s (0 <= s < n_sectors) holds, on level n, the coordinates whose
+    label is (s + n) mod n_sectors; c_t couples only labels that differ by
+    one mod n_sectors, so no sector couples to another.
     """
 
     c_t: Array  # (r, r) whitened position derivative wq^T gram_q D wq
@@ -233,6 +291,7 @@ class ReducedGenerator:
     q0: Array  # (r, n0) level-0 deflation basis
     wq: Array  # (n_q, r) per-level whitener, wq^T gram_q wq = I
     gq_w: Array  # (r, n_q) = wq^T gram_q, coordinates of the gram projection
+    labels: Array  # (r,) sector label of each whitened position direction
     mass_nu: float
     n_p: int
     beta_m: float  # beta * mass
@@ -245,26 +304,46 @@ class ReducedGenerator:
     def n0(self) -> int:
         return self.q0.shape[1]
 
-    def neg_operator(self, gamma: float, levels: int | None = None) -> Array:
+    @property
+    def n_sectors(self) -> int:
+        return int(self.labels.max()) + 1
+
+    @property
+    def sector_names(self) -> tuple[str, ...]:
+        return ("even", "odd") if self.n_sectors == 2 else ("all",)
+
+    def _level_masks(self, n_lev: int, sector: int | None) -> list[Array]:
+        """Which coordinates of each of the first n_lev levels lie in the sector (all if None)."""
+        masks = []
+        for n in range(n_lev):
+            labels = self.labels[1:] if n == 0 else self.labels  # q0 drops one label-0 direction
+            masks.append(np.ones(labels.size, bool) if sector is None else labels == (sector + n) % self.n_sectors)
+        return masks
+
+    def sector_index(self, sector: int) -> Array:
+        """Positions of the sector's coordinates in the reduced vector."""
+        return np.flatnonzero(np.concatenate(self._level_masks(self.n_p, sector)))
+
+    def neg_operator(self, gamma: float, levels: int | None = None, sector: int | None = None) -> Array:
         """Dense -(L_ham + gamma L_FD) on the first `levels` Hermite levels (default all).
 
-        Fortran-ordered, so LAPACK can overwrite it without a copy.
+        With a sector, only its coordinates, in sector_index order; the full
+        operator is block diagonal in the sectors.  Fortran-ordered, so LAPACK
+        can overwrite it without a copy.
         """
         n_lev = self.n_p if levels is None else min(levels, self.n_p)
-        r, n0 = self.c_t.shape[0], self.n0
-
-        def start(level: int) -> int:
-            return 0 if level == 0 else n0 + (level - 1) * r
-
-        k = start(n_lev)
+        masks = self._level_masks(n_lev, sector)
+        start = np.cumsum([0] + [int(m.sum()) for m in masks])
+        k = int(start[-1])
         op = np.zeros((k, k), order="F")
         for n in range(1, n_lev):
-            block = math.sqrt(n / self.beta_m) * (self.c_t @ self.q0 if n == 1 else self.c_t)
-            rows = slice(start(n), start(n + 1))
-            below = slice(start(n - 1), start(n))
+            c = self.c_t @ self.q0 if n == 1 else self.c_t
+            block = math.sqrt(n / self.beta_m) * c[np.ix_(masks[n], masks[n - 1])]
+            rows = slice(start[n], start[n + 1])
+            below = slice(start[n - 1], start[n])
             op[rows, below] = -block
             op[below, rows] = block.T
-        op[np.diag_indices(k)] = -gamma * self.fd[:k]
+        op[np.diag_indices(k)] = -gamma * self.fd[np.flatnonzero(np.concatenate(masks))]
         return op
 
     def to_reduced(self, coeffs: Array) -> Array:
@@ -288,7 +367,7 @@ def reduced_generator(asm: GeneratorAssembly) -> ReducedGenerator:
     return ReducedGenerator(
         c_t=wq.T @ (basis.gram_q @ basis.D) @ wq,
         fd=np.repeat(-np.arange(basis.Np) / basis.mass, r)[r - n0 :],
-        q0=q0, wq=wq, gq_w=wq.T @ basis.gram_q,
+        q0=q0, wq=wq, gq_w=wq.T @ basis.gram_q, labels=basis.labels,
         mass_nu=basis.mass_nu, n_p=basis.Np, beta_m=basis.beta * basis.mass,
     )
 
@@ -301,12 +380,13 @@ def reduced_generator(asm: GeneratorAssembly) -> ReducedGenerator:
 class GapResult:
     gap: float
     eig_count_checked: int
-    eigenvalues: Array  # the deflated spectrum of -L, in LAPACK order
+    eigenvalues: Array  # the deflated spectrum of -L: each sector's in LAPACK order, sector by sector
     norm1: float  # ||L||_1; eps * norm1 is the backward-error scale of the eigensolve
+    sector: str = "all"  # the sector holding the gap, the parity of the slowest mode
 
 
 def _gap_of_operator(neg_op: Array) -> GapResult:
-    """Gap from -L; the eigensolve overwrites neg_op."""
+    """Gap from -L (or one sector of it); the eigensolve overwrites neg_op."""
     norm1 = float(sla.norm(neg_op, 1, check_finite=False))  # LAPACK lange: no N x N temporary
     try:
         eigs = sla.eigvals(neg_op, overwrite_a=True, check_finite=False)
@@ -315,9 +395,27 @@ def _gap_of_operator(neg_op: Array) -> GapResult:
     return GapResult(float(eigs.real.min()), int(eigs.size), eigs, norm1)
 
 
+def _join_sectors(red: ReducedGenerator, parts: list[GapResult]) -> GapResult:
+    """The GapResult of -L from those of its sectors, in sector order.
+
+    The gap is the smallest sector gap, counts add, spectra are joined, and
+    ||L||_1 is the largest sector 1-norm (each column lies in one sector).
+    """
+    best = min(range(len(parts)), key=lambda s: parts[s].gap)
+    return GapResult(
+        gap=parts[best].gap,
+        eig_count_checked=sum(p.eig_count_checked for p in parts),
+        eigenvalues=np.concatenate([p.eigenvalues for p in parts]),
+        norm1=max(p.norm1 for p in parts),
+        sector=red.sector_names[best],
+    )
+
+
 def spectral_gap(asm: GeneratorAssembly) -> GapResult:
-    """Smallest real part of the deflated spectrum of -(L_ham + gamma L_FD)."""
-    return _gap_of_operator(reduced_generator(asm).neg_operator(asm.gamma))
+    """Smallest real part of the deflated spectrum of -(L_ham + gamma L_FD), one eigensolve per sector."""
+    red = reduced_generator(asm)
+    return _join_sectors(red, [_gap_of_operator(red.neg_operator(asm.gamma, sector=s))
+                              for s in range(red.n_sectors)])
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +500,9 @@ def semigroup_decay_check(
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1 or np.any(times < 0):
         raise InvalidArgumentError("times must be a non-empty 1-D array of nonnegative values")
-    gram_q = np.asarray(gram_q, float)
-    s_red = _overdamped_reduced(OverdampedOperator(np.asarray(l_ovd, float), gram_q, *_whiten(gram_q)))
+    gram_q, parity = _parity_split(np.asarray(gram_q, float))
+    wq, q0, _ = _whiten(gram_q, parity)
+    s_red = _overdamped_reduced(OverdampedOperator(np.asarray(l_ovd, float), gram_q, wq, q0))
     norms = np.empty(times.size)
     for i, t in enumerate(times):
         norms[i] = sla.svdvals(sla.expm(t * s_red)).max()
@@ -428,6 +527,7 @@ def semigroup_decay_check(
 class PoissonResult:
     phi_coeffs: Array
     sigma2: float
+    residual: float  # ||(-L) z - b|| / (||L||_1 ||z|| + ||b||) in the whitened frame
 
 
 def _sigma2_from_pair(z_sol: Array, z_rhs: Array, mass_nu: float) -> float:
@@ -440,32 +540,57 @@ def _sigma2_from_pair(z_sol: Array, z_rhs: Array, mass_nu: float) -> float:
     return sigma2
 
 
+def _lu_solve(neg_op: Array, rhs: Array) -> tuple[Array, Array, float]:
+    """(z, -L z - rhs, ||L||_1) from one LU solve of -L z = rhs.
+
+    LU makes no condition estimate, so a stiff but solvable operator (gamma
+    near the float maximum) solves without a warning; an exactly zero pivot
+    is a numerical failure.
+    """
+    norm1 = float(sla.norm(neg_op, 1, check_finite=False))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", sla.LinAlgWarning)
+        try:
+            lu = sla.lu_factor(neg_op, check_finite=False)
+        except sla.LinAlgWarning as exc:
+            raise NumericalFailureError(f"Poisson solve failed (singular operator): {exc}") from exc
+    z = sla.lu_solve(lu, rhs, check_finite=False)
+    return z, neg_op @ z - rhs, norm1
+
+
+def _relative_residual(res: Array, z_sol: Array, z_rhs: Array, norm1: float) -> float:
+    # scipy's norm is BLAS nrm2, which scales: a solution near the float maximum keeps a finite norm
+    scale = norm1 * float(sla.norm(z_sol)) + float(sla.norm(z_rhs))
+    return float(sla.norm(res)) / scale if scale > 0 else 0.0
+
+
 def solve_poisson(asm: GeneratorAssembly, phi_coeffs: Array) -> PoissonResult:
     """Solve -(L_ham + gamma L_FD) Phi = (phi - mean phi) and report sigma^2.
 
     sigma^2 = 2 <Phi, phi - mean phi> under the normalized invariant measure.
-    Returns the solution's full-basis coefficients (mean-zero representative).
+    One LU solve per sector; a sector whose right-hand side is exactly zero
+    is skipped.  Returns the solution's full-basis coefficients (mean-zero
+    representative).
     """
     red = reduced_generator(asm)
     z_rhs = red.to_reduced(phi_coeffs)
-    try:
-        z_sol = sla.solve(red.neg_operator(asm.gamma), z_rhs, overwrite_a=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError("Poisson solve failed (singular operator)") from exc
+    z_sol, res = np.zeros_like(z_rhs), np.zeros_like(z_rhs)
+    norm1 = 0.0
+    for s in range(red.n_sectors):
+        idx = red.sector_index(s)
+        if np.any(z_rhs[idx]):
+            z_sol[idx], res[idx], n1 = _lu_solve(red.neg_operator(asm.gamma, sector=s), z_rhs[idx])
+            norm1 = max(norm1, n1)
     sigma2 = _sigma2_from_pair(z_sol, z_rhs, red.mass_nu)
-    return PoissonResult(phi_coeffs=red.to_full(z_sol), sigma2=sigma2)
+    return PoissonResult(red.to_full(z_sol), sigma2, _relative_residual(res, z_sol, z_rhs, norm1))
 
 
 def solve_poisson_overdamped(ovd: OverdampedOperator, phi_q_coeffs: Array) -> PoissonResult:
     """Overdamped counterpart of solve_poisson for position-only observables."""
-    s_red = _overdamped_reduced(ovd)
     z_rhs = ovd.q0.T @ (ovd.wq.T @ (ovd.gram_q @ np.asarray(phi_q_coeffs, float)))
-    try:
-        z_sol = sla.solve(-s_red, z_rhs, assume_a="sym")
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError("Poisson solve failed (singular operator)") from exc
+    z_sol, res, norm1 = _lu_solve(-_overdamped_reduced(ovd), z_rhs)
     sigma2 = _sigma2_from_pair(z_sol, z_rhs, float(ovd.gram_q[0, 0]))
-    return PoissonResult(phi_coeffs=ovd.wq @ (ovd.q0 @ z_sol), sigma2=sigma2)
+    return PoissonResult(ovd.wq @ (ovd.q0 @ z_sol), sigma2, _relative_residual(res, z_sol, z_rhs, norm1))
 
 
 # ---------------------------------------------------------------------------

@@ -417,6 +417,17 @@ def test_rejection_names_what_it_rejects(argv, names, capsys):
     assert all(name in err for name in names) and "Traceback" not in err
 
 
+@pytest.mark.parametrize("param, message", [
+    ('L="abc"', "potential parameter 'L' must be a real number"),
+    ("h=[1]", "potential parameter 'h' must be a real number"),
+    ("modes=1.5", "potential parameter 'modes' must be an integer"),
+])
+def test_potential_parameter_of_the_wrong_type_exits_1(param, message, capsys):
+    assert run("spectrum", "--Kq", "4", "--Np", "4", "--no-check-convergence", "--param", param) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, config, names", [
     (["sample", "--n-steps", "10", "--q0", "nan"], None, "--q0"),
     (["sample", "--n-steps", "10", "--p0", "inf"], None, "--p0"),
@@ -603,3 +614,30 @@ def test_parse_gammas_helper():
     for bad in ("1:2", "a:2:7", "0:2:7", "1:-2:7", "1:2:0"):
         with pytest.raises(InvalidArgumentError):
             cli._parse_gammas(bad)
+
+
+def test_poisson_at_float_max_friction_solves_without_a_warning(tmp_path):
+    """gamma = 1e300 is stiff but solvable: the LU solve makes no rcond estimate, so no
+    LinAlgWarning (which the suite turns into an error), and sigma^2 is gamma sigma^2_overdamped."""
+    lang, ovd = tmp_path / "lang.json", tmp_path / "ovd.json"
+    assert run("poisson", "--Kq", "4", "--Np", "8", "--gamma", "1e300", "--report", lang) == 0
+    assert run("poisson", "--Kq", "4", "--dynamics", "overdamped", "--report", ovd) == 0
+    got, want = read_report(lang), read_report(ovd)
+    assert got["results"]["sigma2"] == pytest.approx(1e300 * want["results"]["sigma2"], rel=1e-12)
+    for rep in (got, want):
+        assert 0.0 <= rep["diagnostics"]["poisson_residual"] <= 1e-14
+
+
+@pytest.mark.parametrize("observable", ["cos_q", "q_centered", "energy"])
+def test_poisson_reports_its_relative_residual(observable, tmp_path):
+    rep_path = tmp_path / "rep.json"
+    assert run("poisson", "--observable", observable, "--Kq", "8", "--Np", "16", "--report", rep_path) == 0
+    assert 0.0 < read_report(rep_path)["diagnostics"]["poisson_residual"] <= 1e-14
+
+
+@pytest.mark.parametrize("h, sector", [("1", "even"), ("5", "odd")])
+def test_spectrum_reports_the_sector_of_the_gap(h, sector, tmp_path):
+    rep_path = tmp_path / "rep.json"
+    assert run("spectrum", "--param", f"h={h}", "--Kq", "8", "--Np", "16", "--no-check-convergence",
+               "--report", rep_path) == 0
+    assert read_report(rep_path)["diagnostics"]["gap_sector"] == sector

@@ -159,3 +159,19 @@ def test_inverse_equals_integrated_semigroup_on_toy():
         direct = np.linalg.solve(toy.l_mat, x)
         rel = np.linalg.norm(acc + direct) / np.linalg.norm(direct)
         assert rel < 1e-3
+
+
+def test_trajectory_is_the_rk4_matrix_recurrence_in_python_floats():
+    """Each row is the one-step matrix applied to the previous row, in Python float arithmetic."""
+    gamma, dt = 0.5, 1e-3
+    traj = ode_trajectory(gamma, [1.0, 1.0], 2.0, dt)
+    h = dt * OdeToy(gamma).l_mat
+    eye = np.eye(2)
+    (m00, m01), (m10, m11) = (eye + h @ (eye + (h / 2.0) @ (eye + (h / 3.0) @ (eye + h / 4.0)))).tolist()
+    a, b = 1.0, 1.0
+    want = [(0.0, a, b)]
+    for k in range(1, 2001):
+        a, b = m00 * a + m01 * b, m10 * a + m11 * b
+        want.append((k * dt, a, b))
+    assert traj.shape == (2001, 3) and traj.dtype == np.float64
+    assert np.array_equal(traj, np.array(want))

@@ -226,3 +226,23 @@ def test_condition_constants_reject_a_grid_without_the_dimension_axis():
     spec = builtin_potential("cosine", {"h": 1.0, "L": 1.0})
     with pytest.raises(InvalidArgumentError, match=r"grid must have shape \(n, 1\)"):
         check_condition_constants(spec, EnsembleParams(), np.linspace(0.0, 1.0, 16), c2=0.0)
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("cosine", {"L": "abc"}, "'L' must be a real number"),
+    ("cosine", {"h": [1]}, "'h' must be a real number"),
+    ("cosine", {"modes": 1.5}, "'modes' must be an integer"),
+    ("cosine", {"d": True}, "'d' must be an integer"),
+    ("flat", {"d": "2"}, "'d' must be an integer"),
+    ("quadratic", {"L": None, "omega": "1"}, "'omega' must be a real number"),
+    ("double_well", {"b": {}}, "'b' must be a real number"),
+])
+def test_potential_parameter_of_the_wrong_type_is_refused(name, params, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        builtin_potential(name, params)
+
+
+def test_integral_values_count_as_integers():
+    assert builtin_potential("cosine", {"d": 2.0, "modes": 2.0}).domain.dim == 2
+    assert builtin_potential("cosine", {"modes": 2.0}).name == builtin_potential("cosine", {"modes": 2}).name
+    assert builtin_potential("flat", {"d": np.int64(3), "L": 2}).domain == Torus(2.0, 3)

@@ -300,3 +300,228 @@ def test_outputs_invariant_under_constant_shift_of_v(cosine_spec, unit_params, u
     got = _shift_invariants(shifted, unit_params)
     for g, w in zip(got, unshifted_invariants):
         assert g == pytest.approx(w, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# reflection-parity sectors
+
+
+def _asymmetric_spec():
+    """cos 2 pi q + 0.3 sin 4 pi q on the unit torus: not even about q = 0."""
+    c = 2.0 * math.pi
+    base = builtin_potential("cosine", {"L": 1.0})
+    return dataclasses.replace(
+        base,
+        eval=lambda q: np.cos(c * q[..., 0]) + 0.3 * np.sin(2.0 * c * q[..., 0]),
+        grad=lambda q: -c * np.sin(c * q) + 0.6 * c * np.cos(2.0 * c * q),
+        hessian=None,
+        name="asymmetric",
+    )
+
+
+SPLIT_OBSERVABLES = ("cos_q", "sin_q", "q_centered", "p1", "p_squared", "energy")
+
+# (potential, params, ensemble, gamma, Kq, Np): frictions on both sides of 1, a
+# gap in the odd sector (h=5), three wells per cell, beta/m != 1, the two
+# confining cells, rank-cut beta=50 bases and the shortest Hermite chains.
+SPLIT_CASES = [
+    ("cosine", {"h": 1.0, "L": 1.0}, {}, 0.125, 10, 20),
+    ("cosine", {"h": 1.0, "L": 1.0}, {}, 8.0, 10, 20),
+    ("cosine", {"h": 5.0, "L": 1.0}, {}, 1.0, 10, 20),
+    ("cosine", {"h": 1.0, "L": 1.0, "modes": 3}, {}, 1.0, 10, 20),
+    ("cosine", {"h": 1.0, "L": 1.0}, {"beta": 2.0, "mass": 0.5}, 1.0, 10, 20),
+    ("double_well", {"L": 4.0}, {}, 1.0, 10, 20),
+    ("quadratic", {"omega": 1.0, "L": 14.0}, {}, 1.0, 10, 20),
+    ("cosine", {"h": 1.0, "L": 1.0}, {"beta": 50.0}, 1.0, 4, 8),
+    ("cosine", {"h": 1.0, "L": 1.0}, {"beta": 50.0}, 1.0, 6, 8),
+    ("cosine", {"h": 1.0, "L": 1.0}, {}, 1.0, 6, 2),
+    ("cosine", {"h": 1.0, "L": 1.0}, {}, 1.0, 6, 3),
+]
+
+
+def _assert_spectra_match(got, want, norm1):
+    """Same multiset of eigenvalues, to 1e-10 ||L||_1, by an optimal one-to-one matching."""
+    from scipy.optimize import linear_sum_assignment
+
+    assert got.size == want.size
+    cost = np.abs(got[:, None] - want[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert cost[rows, cols].max() <= 1e-10 * norm1
+
+
+def _assert_split_matches_full_operator(spec, params, basis):
+    """Gap, spectrum, ||L||_1 and the six Poisson sigma^2 against the one full -L of the same frame."""
+    from hypokit import cli
+
+    asm = assemble_generator(basis, spec, params)
+    red = reduced_generator(asm)
+    full = red.neg_operator(params.gamma)  # sector=None: every coordinate, block diagonal in the sectors
+    norm1 = float(np.linalg.norm(full, 1))
+    want = sla.eigvals(full)
+    res = spectral_gap(asm)
+    assert res.gap == pytest.approx(float(want.real.min()), rel=1e-10)
+    assert res.norm1 == pytest.approx(norm1, rel=1e-12)
+    assert res.eig_count_checked == red.dim
+    _assert_spectra_match(res.eigenvalues, want, norm1)
+    for name in SPLIT_OBSERVABLES:
+        f = cli._observable(name, spec, params)
+        phi = project_phase_function(
+            basis, lambda q, p: f(q[..., None], p[..., None]) + np.zeros((q.size, p.size)))
+        b = red.to_reduced(phi)
+        z = sla.solve(full, b)
+        sigma2 = 2.0 * float(z @ b) / red.mass_nu
+        # relative where sigma^2 is a sum of like-signed terms; the Cauchy-Schwarz
+        # scale of the pairing bounds the error where it cancels to ~0 (p1 in a harmonic cell)
+        pairing = 2.0 * float(np.linalg.norm(z) * np.linalg.norm(b)) / red.mass_nu
+        assert solve_poisson(asm, phi).sigma2 == pytest.approx(sigma2, rel=1e-10, abs=1e-10 * pairing), name
+    return res, want, norm1
+
+
+@pytest.mark.parametrize("name,pot,ens,gamma,Kq,Np", SPLIT_CASES)
+def test_sector_solves_match_the_full_operator(name, pot, ens, gamma, Kq, Np):
+    spec = builtin_potential(name, pot)
+    params = EnsembleParams(gamma=gamma, **ens)
+    basis = build_basis(spec, params, Kq=Kq, Np=Np)
+    assert basis.n_sectors == 2
+    _assert_split_matches_full_operator(spec, params, basis)
+
+
+def test_sector_solves_match_the_full_operator_at_the_defaults(cosine_spec, unit_params, cosine_asm):
+    """Kq16/Np32 splits 1055 = 527 + 528; the 1.5x refinement of spectrum agrees too."""
+    red = reduced_generator(cosine_asm)
+    assert [red.sector_index(s).size for s in range(red.n_sectors)] == [527, 528]
+    assert red.sector_names == ("even", "odd")
+    res, want, norm1 = _assert_split_matches_full_operator(cosine_spec, unit_params, cosine_asm.basis)
+    assert res.sector == "even"
+    from hypokit import cli
+
+    def rows(eigs):  # the --dump-eigs rows
+        return eigs[cli._eig_row_order(eigs, norm1)]
+
+    assert np.abs(rows(res.eigenvalues) - rows(want)).max() <= 1e-10 * norm1
+    basis2 = build_basis(cosine_spec, unit_params, Kq=24, Np=48)
+    red2 = reduced_generator(assemble_generator(basis2, cosine_spec, unit_params))
+    assert [red2.sector_index(s).size for s in range(2)] == [1175, 1176]
+    refined = spectral_gap(assemble_generator(basis2, cosine_spec, unit_params)).gap
+    assert refined == pytest.approx(float(sla.eigvals(red2.neg_operator(1.0)).real.min()), rel=1e-10)
+
+
+def test_sectors_do_not_couple(cosine_asm_small):
+    """c_t has only off-parity blocks, so -L is exactly block diagonal in the sectors."""
+    red = reduced_generator(cosine_asm_small)
+    same = red.labels[:, None] == red.labels[None, :]
+    assert np.all(red.c_t[same] == 0.0) and np.any(red.c_t != 0.0)
+    full = red.neg_operator(0.7)
+    idx = [red.sector_index(s) for s in range(2)]
+    assert np.all(full[np.ix_(idx[0], idx[1])] == 0.0)
+    assert np.sort(np.concatenate(idx)).tolist() == list(range(red.dim))
+    for s in range(2):
+        assert np.array_equal(red.neg_operator(0.7, sector=s), full[np.ix_(idx[s], idx[s])])
+
+
+def test_gap_sector_is_the_parity_of_the_slowest_mode(cosine_spec, unit_params):
+    """At h=5 the slowest mode is odd under (q, p) -> (-q, -p)."""
+    spec = builtin_potential("cosine", {"h": 5.0, "L": 1.0})
+    basis = build_basis(spec, unit_params, Kq=10, Np=20)
+    assert spectral_gap(assemble_generator(basis, spec, unit_params)).sector == "odd"
+
+
+def test_asymmetric_potential_keeps_one_sector(unit_params):
+    """An off-parity Gram block of O(0.1) leaves one sector: the full operator, as before the split."""
+    spec = _asymmetric_spec()
+    basis = build_basis(spec, unit_params, Kq=8, Np=12)
+    assert basis.n_sectors == 1 and np.all(basis.labels == 0)
+    asm = assemble_generator(basis, spec, unit_params)
+    red = reduced_generator(asm)
+    assert red.sector_names == ("all",)
+    assert np.array_equal(red.neg_operator(1.0, sector=0), red.neg_operator(1.0))
+    res, _, _ = _assert_split_matches_full_operator(spec, unit_params, basis)
+    assert res.sector == "all"
+    evals, vecs = sla.eigh(basis.gram_q)  # the one-set whitening is the plain eigh of the Gram
+    keep = evals > 1e-11 * evals[-1]
+    assert np.array_equal(basis.wq, vecs[:, keep] / np.sqrt(evals[keep]))
+
+
+@pytest.mark.parametrize("beta,Kq,Np,rank", [(1.0, 16, 32, 33), (50.0, 4, 8, 7)])
+def test_parity_whitening_keeps_the_rank(cosine_spec, beta, Kq, Np, rank):
+    """The cut is global, so splitting the whitening by parity keeps rank_q."""
+    params = EnsembleParams(beta=beta)
+    basis = build_basis(cosine_spec, params, Kq=Kq, Np=Np)
+    assert basis.n_sectors == 2
+    assert basis.wq.shape[1] == rank
+
+
+def test_default_gap_solves_only_half_size_matrices(cosine_asm, monkeypatch):
+    """spectral_gap on an even potential never hands eigvals more than ceil(N/2) + 1 rows."""
+    real = sla.eigvals
+    sizes = []
+
+    def spy(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigvals", spy)
+    res = spectral_gap(cosine_asm)
+    n = reduced_generator(cosine_asm).dim
+    assert sorted(sizes) == [527, 528] and sum(sizes) == res.eig_count_checked == n
+    assert max(sizes) <= math.ceil(n / 2) + 1
+
+
+def test_poisson_skips_a_sector_with_zero_right_hand_side(cosine_asm_small, monkeypatch):
+    """A right-hand side that is exactly zero in one sector costs one half-size LU."""
+    red = reduced_generator(cosine_asm_small)
+    y = np.zeros(red.dim)
+    y[red.sector_index(1)] = np.random.default_rng(1).standard_normal(red.sector_index(1).size)
+    real = sla.lu_factor
+    sizes = []
+
+    def spy(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "lu_factor", spy)
+    sol = solve_poisson(cosine_asm_small, red.to_full(y))
+    assert sizes == [red.sector_index(1).size]
+    z = sla.solve(red.neg_operator(1.0), red.to_reduced(red.to_full(y)))
+    assert sol.sigma2 == pytest.approx(2.0 * float(z @ red.to_reduced(red.to_full(y))) / red.mass_nu, rel=1e-10)
+    assert sol.residual <= 1e-14
+
+
+def test_exactly_singular_pivot_is_a_numerical_failure():
+    from hypokit.errors import NumericalFailureError
+    from hypokit.spectral import _lu_solve
+
+    with pytest.raises(NumericalFailureError, match="singular"):
+        _lu_solve(np.zeros((3, 3), order="F"), np.ones(3))
+
+
+def test_scan_rows_match_the_full_operator(cosine_spec, unit_params):
+    from hypokit.hypo import gamma_scan
+
+    basis = build_basis(cosine_spec, unit_params, Kq=8, Np=16)
+    asm = assemble_generator(basis, cosine_spec, unit_params)
+    red = reduced_generator(asm)
+    ladder = [0.125 * 2.0**k for k in range(7)]
+    rows = gamma_scan(cosine_spec, unit_params, ladder, assembly=asm, max_workers=1).table.gaps
+    want = [float(sla.eigvals(red.neg_operator(g)).real.min()) for g in ladder]
+    assert rows == pytest.approx(want, rel=1e-10)
+
+
+def test_whitening_with_an_eigenvector_across_both_sets_keeps_one_sector(unit_params, monkeypatch):
+    """The flat Gram is L * I, so an eigensolver may return any rotation of its eigenvectors;
+    one that mixes the sets leaves one sector instead of mislabelled ones."""
+    real = sla.eigh
+
+    def mixing(a, *args, **kwargs):
+        evals, vecs = real(a, *args, **kwargs)
+        even, odd = np.flatnonzero(vecs[0] != 0)[0], np.flatnonzero(vecs[-1] != 0)[0]
+        c = math.sqrt(0.5)
+        vecs[:, [even, odd]] = vecs[:, [even, odd]] @ np.array([[c, -c], [c, c]])
+        return evals, vecs
+
+    spec = builtin_potential("flat", {"L": 1.0})
+    assert build_basis(spec, unit_params, Kq=4, Np=4).n_sectors == 2
+    monkeypatch.setattr(sla, "eigh", mixing)
+    basis = build_basis(spec, unit_params, Kq=4, Np=4)
+    assert basis.n_sectors == 1
+    _assert_split_matches_full_operator(spec, unit_params, basis)
