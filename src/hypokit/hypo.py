@@ -214,7 +214,9 @@ def fit_envelope_rate(times: Array, x1: Array, x2: Array) -> float:
     if np.any(s <= 0):
         raise NumericalFailureError("trajectory passes through the origin; no envelope")
     ls = np.log(s)
-    pilot = np.polyfit(t, ls, 1)[0]
+    tc = t - t.mean()
+    pilot = np.dot(tc, ls) / np.dot(tc, tc)  # least-squares slope, without polyfit's (n, 2) design matrix
+    del tc  # free it before the detrended copies below: it would add 8 bytes per row to the peak
     d = ls - pilot * t
     interior = np.nonzero((d[1:-1] >= d[:-2]) & (d[1:-1] > d[2:]))[0] + 1
     if interior.size < 2:

@@ -17,6 +17,12 @@ shapes; a custom PotentialSpec must follow the same contract.  The entry points
 that take states or grids (eval_hamiltonian, check_condition_constants,
 simulate and the step functions in sde) check their dimension against the
 domain.
+
+The one-dimensional builtins (flat, quadratic, double_well and cosine at
+d = 1) also carry `grad1`, the force on one Python float.  It repeats `grad`'s
+arithmetic with `math` and `%`, so grad1(x) is bitwise grad(array([x]))[0];
+`simulate` uses it to step a 1-D walker on floats.  `separable`, d > 1
+builtins and custom specs leave it None.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ class Torus:
             raise InvalidArgumentError(f"dimension must be >= 1, got {self.dim}")
 
     def wrap(self, q: Array) -> Array:
-        return np.mod(q, self.length)
+        return q % self.length  # np.mod on arrays, the same rule on one float
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,7 @@ class PotentialSpec:
     grad: Callable[[Array], Array]
     hessian: Callable[[Array], Array]
     name: str = "custom"
+    grad1: Callable[[float], float] | None = None  # scalar force of a 1-D potential
 
 
 @dataclass(frozen=True)
@@ -137,15 +144,22 @@ def _center_cell(q: Array, length: float) -> Array:
     return np.where(x >= 0.5 * length, x - length, x)
 
 
-def _as_is(q: Array) -> Array:
+def _center_cell1(x: float, length: float) -> float:
+    """`_center_cell` on one float."""
+    x = x % length
+    return x - length if x >= 0.5 * length else x
+
+
+def _as_is(q):
     return q
 
 
-def _cell(length, d: int) -> tuple[Domain, Callable[[Array], Array]]:
-    """The domain and the coordinate map: R^d as it is, or the torus read on its centered cell."""
+def _cell(length, d: int) -> tuple[Domain, Callable[[Array], Array], Callable[[float], float]]:
+    """The domain and the coordinate map on arrays and on one float: R^d as it is, or the
+    torus read on its centered cell."""
     if length is None:
-        return FullSpace(d), _as_is
-    return Torus(length, d), partial(_center_cell, length=length)
+        return FullSpace(d), _as_is, _as_is
+    return Torus(length, d), partial(_center_cell, length=length), partial(_center_cell1, length=length)
 
 
 def _diag(values: Array) -> Array:
@@ -202,7 +216,10 @@ def _flat(params: dict) -> PotentialSpec:
     def hessian(q):
         return _diag(grad(q))
 
-    return PotentialSpec(Torus(length, d), eval_, grad, hessian, name="flat")
+    def grad1(x):
+        return 0.0
+
+    return PotentialSpec(Torus(length, d), eval_, grad, hessian, name="flat", grad1=grad1 if d == 1 else None)
 
 
 def _quadratic(params: dict) -> PotentialSpec:
@@ -213,7 +230,7 @@ def _quadratic(params: dict) -> PotentialSpec:
     if not omega > 0:
         raise InvalidArgumentError(f"omega must be positive, got {omega}")
     w2 = omega * omega
-    dom, cell = _cell(length, d)
+    dom, cell, cell1 = _cell(length, d)
 
     def eval_(q):
         x = cell(q)
@@ -225,8 +242,11 @@ def _quadratic(params: dict) -> PotentialSpec:
     def hessian(q):
         return _diag(np.full(q.shape, w2))
 
+    def grad1(x):
+        return w2 * cell1(x)
+
     tag = f"quadratic(omega={omega:g})" if length is None else f"quadratic(omega={omega:g}, L={dom.length:g})"
-    return PotentialSpec(dom, eval_, grad, hessian, name=tag)
+    return PotentialSpec(dom, eval_, grad, hessian, name=tag, grad1=grad1 if d == 1 else None)
 
 
 def _double_well(params: dict) -> PotentialSpec:
@@ -236,7 +256,7 @@ def _double_well(params: dict) -> PotentialSpec:
     _reject_leftovers("double_well", params)
     if not (a > 0 and b > 0):
         raise InvalidArgumentError(f"double_well needs a, b > 0, got a={a}, b={b}")
-    dom, cell = _cell(length, 1)
+    dom, cell, cell1 = _cell(length, 1)
 
     def eval_(q):
         x = cell(q)[..., 0]
@@ -250,7 +270,11 @@ def _double_well(params: dict) -> PotentialSpec:
         x = cell(q)
         return _diag(4.0 * a * (3.0 * x * x - b * b))
 
-    return PotentialSpec(dom, eval_, grad, hessian, name=f"double_well(a={a:g}, b={b:g})")
+    def grad1(x):
+        x = cell1(x)
+        return 4.0 * a * x * (x * x - b * b)
+
+    return PotentialSpec(dom, eval_, grad, hessian, name=f"double_well(a={a:g}, b={b:g})", grad1=grad1)
 
 
 def _cosine(params: dict) -> PotentialSpec:
@@ -276,7 +300,11 @@ def _cosine(params: dict) -> PotentialSpec:
         x = np.mod(q, length)
         return _diag(-h * c * c * np.cos(c * x))
 
-    return PotentialSpec(dom, eval_, grad, hessian, name=f"cosine(h={h:g}, modes={modes}, L={length:g})")
+    def grad1(x):
+        return -h * c * math.sin(c * (x % length))
+
+    name = f"cosine(h={h:g}, modes={modes}, L={length:g})"
+    return PotentialSpec(dom, eval_, grad, hessian, name=name, grad1=grad1 if d == 1 else None)
 
 
 def _separable(params: dict) -> PotentialSpec:

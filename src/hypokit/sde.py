@@ -19,6 +19,16 @@ trajectory is bitwise identical to repeated single steps.  The stochastic
 steppers accept an optional `noise` array in place of an RngStream draw; that
 hook lets tests drive the maps with frozen noise.
 
+The same step map runs on (d,) arrays or on Python floats.  `simulate` takes
+the float path when d = 1 and the potential has a scalar force `grad1`: flat,
+quadratic, double_well and cosine at d = 1, on R or on the torus.  There the
+map is fed floats, the force is `grad1` and the torus wrap `q % L` acts on one
+float, which avoids NumPy's per-call overhead on (1,) arrays.  Every operation
+is the same IEEE double operation in the same order, and `math.sin` and `%`
+give the bits of `np.sin` and `np.mod` (the tests check both), so the float
+path is bitwise identical to the array path.  `separable`, d > 1 and custom
+potentials, and the step functions, use the array path.
+
 `simulate` records states (q and p rows, 16 d bytes per record) and then runs
 each per-state observable once per record (8 bytes per record and observable);
 vectorized callers pass none and read `TrajectoryRecord.q` and `.p`.
@@ -123,14 +133,14 @@ def _check_args(scheme: str, state: PhaseState, spec: PotentialSpec, params: Ens
         raise InvalidArgumentError(f"noise must have shape {noise_shape}")
 
 
-def _step_map(scheme: str, spec: PotentialSpec, params: EnsembleParams, dt: float):
+def _step_map(scheme: str, grad: Callable, wrap: Callable, params: EnsembleParams, dt: float):
     """The scheme's one-step map advance(q, p, g, xi) -> (q, p, g).
 
-    g = grad V(q) is carried from one step to the next, so each step evaluates
+    g = grad(q) is carried from one step to the next, so each step evaluates
     the force once.  xi is the step's standard Gaussian row; the hamiltonian
-    map ignores it.  Overdamped dynamics returns p unchanged.
+    map ignores it.  Overdamped dynamics returns p unchanged.  q, p, g and xi
+    are all (d,) arrays or all floats, to match grad and wrap.
     """
-    grad, wrap = spec.grad, spec.domain.wrap
     half_dt = 0.5 * dt
     if scheme == "langevin":
         c1, c2 = _ou_coefficients(params, dt)
@@ -170,7 +180,8 @@ def _one_step(scheme, state, spec, params, dt, rng, noise) -> PhaseState:
         xi = None
     else:
         xi = np.asarray(noise, dtype=float) if noise is not None else rng.normal(state.q.shape)
-    q, p, _ = _step_map(scheme, spec, params, dt)(state.q, state.p, spec.grad(state.q), xi)
+    advance = _step_map(scheme, spec.grad, spec.domain.wrap, params, dt)
+    q, p, _ = advance(state.q, state.p, spec.grad(state.q), xi)
     return PhaseState(q, p.copy() if p is state.p else p)
 
 
@@ -228,26 +239,31 @@ def simulate(
     (test hook; the stochastic schemes consume exactly one row per step).
     Every step goes through the scheme's step map, so a trajectory is bitwise
     identical to calling the matching step function repeatedly with the same
-    noise rows.
+    noise rows.  A 1-D potential with a scalar force `spec.grad1` is stepped on
+    Python floats (see the module docstring), with the same bits.
     """
     d = init.dim
     _check_args(scheme, init, spec, params, dt, rng, noise, (n_steps, d))
     if n_steps < 1 or stride < 1:
         raise InvalidArgumentError("n_steps and stride must be >= 1")
+    scalar = d == 1 and spec.grad1 is not None
+    grad = spec.grad1 if scalar else spec.grad
 
     if scheme == "hamiltonian":
         rows = itertools.repeat(None, n_steps)
-    elif noise is not None:
-        rows = np.asarray(noise, dtype=float)
-    else:  # drawn lazily in chunks of _NOISE_CHUNK steps
-        rows = itertools.chain.from_iterable(
-            rng.normal((min(_NOISE_CHUNK, n_steps - done), d)) for done in range(0, n_steps, _NOISE_CHUNK)
-        )
+    else:
+        if noise is not None:
+            chunks = [np.asarray(noise, dtype=float)]
+        else:  # drawn lazily in chunks of _NOISE_CHUNK steps
+            chunks = (rng.normal((min(_NOISE_CHUNK, n_steps - done), d)) for done in range(0, n_steps, _NOISE_CHUNK))
+        rows = itertools.chain.from_iterable(c[:, 0].tolist() if scalar else c for c in chunks)
 
     q = spec.domain.wrap(init.q.astype(float, copy=True))
     p = init.p.astype(float, copy=True)
-    g = spec.grad(q)
-    advance = _step_map(scheme, spec, params, dt)
+    if scalar:
+        q, p = float(q[0]), float(p[0])
+    g = grad(q)
+    advance = _step_map(scheme, grad, spec.domain.wrap, params, dt)
 
     n_records = n_steps // stride + 1
     try:
@@ -256,11 +272,12 @@ def simulate(
         raise InvalidArgumentError(
             f"cannot allocate {16 * d * n_records} bytes of records for n_steps={n_steps} at stride={stride}"
         ) from exc
-    qs[0], ps[0] = q, p
+    rq, rp = (qs[:, 0], ps[:, 0]) if scalar else (qs, ps)  # a record is one float or one (d,) row
+    rq[0], rp[0] = q, p
     for step, xi in enumerate(rows, 1):
         q, p, g = advance(q, p, g, xi)
         if step % stride == 0:
-            qs[step // stride], ps[step // stride] = q, p
+            rq[step // stride], rp[step // stride] = q, p
 
     qs.flags.writeable = ps.flags.writeable = False
     values = np.empty((n_records, len(observables)))
@@ -273,7 +290,7 @@ def simulate(
         q=qs,
         p=ps,
         observable_values=values,
-        final_state=PhaseState(q, p),
+        final_state=PhaseState(np.reshape(q, d), np.reshape(p, d)),
         dt=dt,
         stride=stride,
     )

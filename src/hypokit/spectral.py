@@ -621,6 +621,11 @@ def project_position_function(basis: BasisSet, f: Callable[[Array], Array]) -> A
     return basis.wq @ (basis.wq.T @ rhs)
 
 
+# hermegauss(n) overflows from n = 371 on: at 371 nodes its weight sum overflows and
+# every weight comes back 0.0, from 372 on the weights are inf or nan.
+GAUSS_HERMITE_MAX_NODES = 370
+
+
 def project_phase_function(basis: BasisSet, f: Callable[[Array, Array], Array]) -> Array:
     """Gram-orthogonal projection of f(q, p) onto the tensor basis, (size,).
 
@@ -629,7 +634,14 @@ def project_phase_function(basis: BasisSet, f: Callable[[Array, Array], Array]) 
     n_gh = Np + 8 nodes.
     """
     n_gh = basis.Np + 8
-    x, w = np.polynomial.hermite_e.hermegauss(n_gh)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            x, w = np.polynomial.hermite_e.hermegauss(n_gh)
+    except FloatingPointError as exc:
+        raise NumericalFailureError(
+            f"the {n_gh}-node Gauss-Hermite rule for Np={basis.Np} overflows ({exc}); "
+            f"the largest Np that works is {GAUSS_HERMITE_MAX_NODES - 8}"
+        ) from exc
     w = w / math.sqrt(2.0 * math.pi)  # weights of the standard Gaussian measure
     p = basis.sigma_p * x
     vals = np.asarray(f(basis.nodes[:, None], p[None, :]), dtype=float)

@@ -131,6 +131,16 @@ def test_unresolved_weight_exits_2(h, extra, capsys):
     assert "n_quad=256" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["poisson", "--observable", "p_squared"], ["bounds"]], ids=["poisson", "bounds"])
+@pytest.mark.parametrize("n_p", [363, 400])
+def test_gauss_hermite_overflow_exits_2(command, n_p, capsys, recwarn):
+    # at Np + 8 = 371 nodes the rule's weights come back all zero, beyond that inf or nan
+    assert run(*command, "--Kq", "2", "--Np", n_p) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith(f"numerical failure: the {n_p + 8}-node Gauss-Hermite rule for Np={n_p} overflows")
+    assert err[-1].endswith("the largest Np that works is 362") and not recwarn.list
+
+
 def test_deep_well_is_resolved_on_a_finer_grid(tmp_path):
     rep_path = tmp_path / "rep.json"
     assert run("spectrum", "--param", "h=3000", "--Kq", "16", "--Np", "16", "--n-quad", "1024",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -264,3 +265,86 @@ def test_step_rejects_a_state_of_another_dimension(scheme, name, params, dim):
     kwargs = {} if scheme == "hamiltonian" else {"rng": RngStream(1)}
     with pytest.raises(InvalidArgumentError, match=f"state dimension {dim} does not match domain dimension"):
         STEPS[scheme](state, spec, params, 0.01, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# the float path of simulate (1-D potentials with a scalar force grad1)
+
+SCALAR_FORCE = {
+    "flat": ("flat", {}),
+    "quadratic": ("quadratic", {"omega": 1.3}),
+    "quadratic-L14": ("quadratic", {"L": 14.0}),
+    "double_well": ("double_well", {"a": 0.5, "b": 1.2}),
+    "double_well-L4": ("double_well", {"L": 4.0}),
+    "cosine": ("cosine", {"h": 1.0}),
+    "cosine-h5-modes2-L2": ("cosine", {"h": 5.0, "modes": 2, "L": 2.0}),
+}
+TWO_CHUNKS = 2 * sde._NOISE_CHUNK + 3  # crosses both noise-chunk boundaries
+
+
+@pytest.mark.parametrize("name, params", SCALAR_FORCE.values(), ids=SCALAR_FORCE.keys())
+def test_scalar_force_matches_grad_bitwise(name, params):
+    spec = builtin_potential(name, params)
+    x = np.random.default_rng(11).uniform(-50.0, 50.0, 100_000)
+    assert np.array_equal([spec.grad1(v) for v in x.tolist()], spec.grad(x[:, None])[:, 0])
+
+
+@pytest.mark.parametrize("name, params", [
+    ("flat", {"d": 2}), ("quadratic", {"d": 3}), ("cosine", {"d": 2}), ("separable", SEPARABLE_2D),
+    ("separable", {"parts": [{"name": "cosine", "params": {}}]}),
+], ids=["flat-d2", "quadratic-d3", "cosine-d2", "separable-d2", "separable-d1"])
+def test_only_one_dimensional_builtins_carry_a_scalar_force(name, params):
+    assert builtin_potential(name, params).grad1 is None
+
+
+@pytest.mark.parametrize("scheme", list(STEPS))
+@pytest.mark.parametrize("name, params", SCALAR_FORCE.values(), ids=SCALAR_FORCE.keys())
+def test_float_path_is_bitwise_the_array_path(name, params, scheme):
+    """simulate on floats (grad1 set) against simulate on (1,) arrays (grad1 removed)."""
+    spec = builtin_potential(name, params)
+    ensemble = EnsembleParams(beta=1.0, mass=0.7, gamma=1.5)
+    init = PhaseState(np.array([0.3]), np.array([-0.4]))
+
+    def run(s, stride, **noise):
+        noise = noise or {"rng": RngStream(seed=41, stream_id=2)}
+        return simulate(init, TWO_CHUNKS, stride, 0.01, scheme, (), s, ensemble, **noise)
+
+    want = run(dataclasses.replace(spec, grad1=None), 1)
+    runs = [(run(spec, 1), 1), (run(spec, 7), 7)]
+    if scheme != "hamiltonian":  # the noise hook, fed the rng's own chunks
+        rng = RngStream(seed=41, stream_id=2)
+        chunks = [rng.normal((n, 1)) for n in (sde._NOISE_CHUNK, sde._NOISE_CHUNK, 3)]
+        runs.append((run(spec, 1, noise=np.concatenate(chunks)), 1))
+    for got, stride in runs:
+        assert np.array_equal(got.q, want.q[::stride]) and np.array_equal(got.p, want.p[::stride])
+        assert np.array_equal(got.final_state.q, want.final_state.q)
+        assert np.array_equal(got.final_state.p, want.final_state.p)
+        assert got.final_state.q.shape == got.final_state.p.shape == (1,)
+
+
+def test_float_path_never_calls_the_array_force():
+    calls = []
+    spec = builtin_potential("cosine", {"h": 1.0})
+
+    def counting_grad(q):
+        calls.append(1)
+        return spec.grad(q)
+
+    rec = simulate(PhaseState(np.zeros(1), np.zeros(1)), 1000, 10, 0.01, "langevin", (),
+                   dataclasses.replace(spec, grad=counting_grad), EnsembleParams(), rng=RngStream(5))
+    assert not calls and rec.q.shape == (101, 1)
+
+
+def test_one_part_separable_runs_on_the_array_path():
+    spec = builtin_potential("separable", {"parts": [{"name": "cosine", "params": {"h": 1.0}}]})
+    calls = []
+
+    def counting_grad(q):
+        calls.append(q.shape)
+        return spec.grad(q)
+
+    args = (PhaseState(np.array([0.2]), np.array([0.1])), 500, 5, 0.01, "langevin", ())
+    rec = simulate(*args, dataclasses.replace(spec, grad=counting_grad), EnsembleParams(), rng=RngStream(5))
+    assert calls == [(1,)] * 501  # the initial force, then one per step
+    scalar = simulate(*args, builtin_potential("cosine", {"h": 1.0}), EnsembleParams(), rng=RngStream(5))
+    assert np.array_equal(rec.q, scalar.q) and np.array_equal(rec.p, scalar.p)

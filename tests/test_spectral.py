@@ -15,6 +15,7 @@ from hypokit import (
 )
 from hypokit.model import _center_cell
 from hypokit.spectral import (
+    GAUSS_HERMITE_MAX_NODES,
     assemble_generator,
     assemble_overdamped,
     build_basis,
@@ -525,3 +526,11 @@ def test_whitening_with_an_eigenvector_across_both_sets_keeps_one_sector(unit_pa
     basis = build_basis(spec, unit_params, Kq=4, Np=4)
     assert basis.n_sectors == 1
     _assert_split_matches_full_operator(spec, unit_params, basis)
+
+
+def test_gauss_hermite_limit_is_where_the_rule_overflows():
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        x, w = np.polynomial.hermite_e.hermegauss(GAUSS_HERMITE_MAX_NODES)
+        assert np.all(np.isfinite(x)) and w.sum() == pytest.approx(math.sqrt(2 * math.pi), rel=1e-12)
+        with pytest.raises(FloatingPointError):
+            np.polynomial.hermite_e.hermegauss(GAUSS_HERMITE_MAX_NODES + 1)
