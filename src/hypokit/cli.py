@@ -361,7 +361,12 @@ def _observable(name: str, spec: PotentialSpec, params: EnsembleParams) -> Calla
         return lambda q, p: trig(c * q[..., 0])
     if name == "q_centered":
         length = spec.domain.length
-        return lambda q, p: _center_cell(q[..., 0], length)
+
+        def q_centered(q, p):
+            x = _center_cell(q[..., 0], length)
+            return np.where(x == -0.5 * length, 0.0, x)  # 0 at the jump q = L/2, so the sawtooth is odd
+
+        return q_centered
     if name == "p1":
         return lambda q, p: p[..., 0]
     if name == "p_squared":
@@ -397,7 +402,6 @@ def _cmd_sample(cfg: dict) -> tuple[dict, dict]:
         stride=disc["stride"],
         dt=disc["dt"],
         scheme=scheme,
-        observables=(),
         spec=spec,
         params=params,
         rng=_rng(cfg),

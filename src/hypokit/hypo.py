@@ -54,12 +54,11 @@ from .spectral import (
     DEFAULT_KQ,
     DEFAULT_NP,
     GeneratorAssembly,
-    _gap_of_operator,
-    _join_sectors,
     assemble_generator,
     build_basis,
     poincare_constant,
     project_phase_function,
+    reduced_gap,
     reduced_generator,
 )
 
@@ -622,8 +621,7 @@ def gamma_scan(
 
     def run_row(i: int):
         try:
-            res = _join_sectors(red, [_gap_of_operator(red.neg_operator(g[i], sector=s))
-                                     for s in range(red.n_sectors)])
+            res = reduced_gap(red, g[i])
             # Near-zero friction leaves a gap at roundoff level, of either sign;
             # eps * ||L||_1 is the backward-error scale of the dense eigensolve,
             # and a gap a few times above it still moves by ~1e-2 between solves.

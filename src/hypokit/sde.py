@@ -29,9 +29,9 @@ give the bits of `np.sin` and `np.mod` (the tests check both), so the float
 path is bitwise identical to the array path.  `separable`, d > 1 and custom
 potentials, and the step functions, use the array path.
 
-`simulate` records states (q and p rows, 16 d bytes per record) and then runs
-each per-state observable once per record (8 bytes per record and observable);
-vectorized callers pass none and read `TrajectoryRecord.q` and `.p`.
+`simulate` records states only: read-only q and p rows, 16 d bytes per
+record.  An observable is an array function f(q, p) of (..., d) positions and
+momenta, evaluated by the caller on `TrajectoryRecord.q` and `.p`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -95,12 +95,11 @@ class RngStream:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """States and observable samples of one trajectory, recorded every `stride` steps."""
+    """The states of one trajectory, recorded every `stride` steps."""
 
     times: Array
-    q: Array  # shape (n_records, d)
-    p: Array  # shape (n_records, d)
-    observable_values: Array  # shape (n_records, n_observables)
+    q: Array  # shape (n_records, d), read-only
+    p: Array  # shape (n_records, d), read-only
     final_state: PhaseState
     dt: float
     stride: int
@@ -225,7 +224,6 @@ def simulate(
     stride: int,
     dt: float,
     scheme: str,
-    observables: Sequence[Callable[[PhaseState], float]],
     spec: PotentialSpec,
     params: EnsembleParams,
     rng: RngStream | None = None,
@@ -233,7 +231,8 @@ def simulate(
 ) -> TrajectoryRecord:
     """Run one trajectory, recording the state at step 0 and every `stride` steps.
 
-    Each observable then runs once per record, on read-only views of its rows.
+    The record holds read-only q and p rows; an observable f(q, p) is
+    evaluated on them as arrays, `f(rec.q, rec.p)`.
 
     `noise`, if given, must have shape (n_steps, d) and replaces the rng draws
     (test hook; the stochastic schemes consume exactly one row per step).
@@ -280,16 +279,10 @@ def simulate(
             rq[step // stride], rp[step // stride] = q, p
 
     qs.flags.writeable = ps.flags.writeable = False
-    values = np.empty((n_records, len(observables)))
-    if observables:
-        for row, s in enumerate(map(PhaseState, qs, ps)):
-            values[row] = [f(s) for f in observables]
-
     return TrajectoryRecord(
         times=np.arange(n_records) * (stride * dt),
         q=qs,
         p=ps,
-        observable_values=values,
         final_state=PhaseState(np.reshape(q, d), np.reshape(p, d)),
         dt=dt,
         stride=stride,

@@ -395,12 +395,14 @@ def _gap_of_operator(neg_op: Array) -> GapResult:
     return GapResult(float(eigs.real.min()), int(eigs.size), eigs, norm1)
 
 
-def _join_sectors(red: ReducedGenerator, parts: list[GapResult]) -> GapResult:
-    """The GapResult of -L from those of its sectors, in sector order.
+def reduced_gap(red: ReducedGenerator, gamma: float) -> GapResult:
+    """Smallest real part of the deflated spectrum of -(L_ham + gamma L_FD), one eigensolve per sector.
 
-    The gap is the smallest sector gap, counts add, spectra are joined, and
-    ||L||_1 is the largest sector 1-norm (each column lies in one sector).
+    The gap is the smallest sector gap, counts add, spectra are joined in
+    sector order, and ||L||_1 is the largest sector 1-norm (each column lies
+    in one sector).
     """
+    parts = [_gap_of_operator(red.neg_operator(gamma, sector=s)) for s in range(red.n_sectors)]
     best = min(range(len(parts)), key=lambda s: parts[s].gap)
     return GapResult(
         gap=parts[best].gap,
@@ -412,10 +414,8 @@ def _join_sectors(red: ReducedGenerator, parts: list[GapResult]) -> GapResult:
 
 
 def spectral_gap(asm: GeneratorAssembly) -> GapResult:
-    """Smallest real part of the deflated spectrum of -(L_ham + gamma L_FD), one eigensolve per sector."""
-    red = reduced_generator(asm)
-    return _join_sectors(red, [_gap_of_operator(red.neg_operator(asm.gamma, sector=s))
-                              for s in range(red.n_sectors)])
+    """The gap of the assembly's generator at its own friction (see reduced_gap)."""
+    return reduced_gap(reduced_generator(asm), asm.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +485,7 @@ class DecayCheckResult:
 
 
 def semigroup_decay_check(
-    l_ovd: Array,
-    gram_q: Array,
+    ovd: OverdampedOperator,
     r_nu: float,
     times: Array,
     beta: float = 1.0,
@@ -500,9 +499,7 @@ def semigroup_decay_check(
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1 or np.any(times < 0):
         raise InvalidArgumentError("times must be a non-empty 1-D array of nonnegative values")
-    gram_q, parity = _parity_split(np.asarray(gram_q, float))
-    wq, q0, _ = _whiten(gram_q, parity)
-    s_red = _overdamped_reduced(OverdampedOperator(np.asarray(l_ovd, float), gram_q, wq, q0))
+    s_red = _overdamped_reduced(ovd)
     norms = np.empty(times.size)
     for i, t in enumerate(times):
         norms[i] = sla.svdvals(sla.expm(t * s_red)).max()

@@ -157,7 +157,7 @@ def test_criterion_05_overdamped_decay(cosine_spec, unit_params):
             basis = build_basis(spec, unit_params, Kq=16, Np=8, n_quad=256)
             ovd = assemble_overdamped(basis, spec, unit_params)
             r_nu = poincare_constant(spec, unit_params, Kq=16)
-            chk = semigroup_decay_check(ovd.l_ovd, ovd.gram_q, r_nu, times, beta=1.0)
+            chk = semigroup_decay_check(ovd, r_nu, times, beta=1.0)
             assert chk.ok
             assert chk.max_ratio <= 1.0 + 1e-8
 
@@ -265,13 +265,13 @@ def test_criterion_10_variance_pipeline(cosine_spec, cosine_asm, unit_params):
             stride=10,
             dt=0.01,
             scheme="langevin",
-            observables=[lambda s: float(np.cos(2 * math.pi * s.q[0]))],
             spec=cosine_spec,
             params=unit_params,
             rng=RngStream(SEED),
         )
-        rep = asymptotic_variance_acf(rec.observable_values[:, 0], rec.spacing)
-        n = rec.observable_values.shape[0]
+        series = np.cos(2 * math.pi * rec.q[:, 0])
+        rep = asymptotic_variance_acf(series, rec.spacing)
+        n = series.size
         se = rep.sigma2 * math.sqrt(2.0 * (rep.window_or_batches + 1) / n)
         assert abs(rep.sigma2 - sigma2_spec) <= 3.0 * se
 
@@ -313,24 +313,20 @@ def test_criterion_11_sampler_moments(quad_spec):
         params = params_at(1.0)
         half = quad_spec.domain.length / 2
 
-        def q_centered(s):
-            # raw coordinates live in [0, L); the well bottom sits at the seam
-            return float((s.q[0] + half) % (2 * half) - half)
-
         rec = simulate(
             PhaseState(np.zeros(1), np.zeros(1)),
             n_steps=2_000_000,
             stride=5,
             dt=0.02,
             scheme="langevin",
-            observables=[lambda s: q_centered(s) ** 2, lambda s: float(s.p[0] ** 2)],
             spec=quad_spec,
             params=params,
             rng=RngStream(SEED, stream_id=1),
         )
         n = rec.times.size
-        for j, exact in ((0, 1.0), (1, 1.0)):  # <q^2> = 1/beta, <p^2> = m/beta
-            series = rec.observable_values[:, j]
+        # raw coordinates live in [0, L); the well bottom sits at the seam
+        q_centered = (rec.q[:, 0] + half) % (2 * half) - half
+        for series, exact in ((q_centered**2, 1.0), (rec.p[:, 0] ** 2, 1.0)):  # <q^2> = 1/beta, <p^2> = m/beta
             rep = asymptotic_variance_acf(series, rec.spacing)
             se = math.sqrt(rep.sigma2 / (n * rec.spacing))
             discretization_allowance = 0.02**2 / 4
@@ -344,12 +340,11 @@ def test_criterion_11_sampler_moments(quad_spec):
                 stride=5,
                 dt=0.02,
                 scheme="langevin",
-                observables=[lambda s: float(s.p[0] ** 2)],
                 spec=quad_spec,
                 params=params_at(1.0, beta=beta, mass=mass),
                 rng=RngStream(SEED, stream_id=2),
             )
-            series = p2.observable_values[:, 0]
+            series = p2.p[:, 0] ** 2
             rep = asymptotic_variance_acf(series, p2.spacing)
             se = math.sqrt(rep.sigma2 / (series.size * p2.spacing))
             assert abs(series.mean() - mass / beta) <= 3 * se + 1e-4 * mass / beta

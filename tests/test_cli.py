@@ -16,6 +16,7 @@ import pytest
 from hypokit import EnsembleParams, PhaseState, RngStream, builtin_potential, cli, eval_hamiltonian, simulate
 from hypokit.errors import InvalidArgumentError, NumericalFailureError
 from hypokit.model import _center_cell
+from hypokit.spectral import assemble_generator, build_basis, project_phase_function, reduced_generator
 
 
 def run(*argv):
@@ -339,10 +340,15 @@ def per_state_observables(spec, params):
     """The six sample observables written out on one state."""
     length = spec.domain.length
     c = 2.0 * math.pi / length
+
+    def q_centered(s):
+        x = float(_center_cell(s.q[0], length))
+        return 0.0 if x == -0.5 * length else x  # the odd sawtooth
+
     return [
         lambda s: float(np.cos(c * s.q[0])),
         lambda s: float(np.sin(c * s.q[0])),
-        lambda s: float(_center_cell(s.q[0], length)),
+        q_centered,
         lambda s: float(s.p[0]),
         lambda s: float(np.dot(s.p, s.p)),
         lambda s: eval_hamiltonian(spec, params, s),
@@ -367,10 +373,11 @@ def test_sample_columns_match_per_state_observables(scheme, name, params, q0, p0
     spec = builtin_potential(name, params)
     ensemble = EnsembleParams(beta=2.0, mass=0.5)
     rec = simulate(PhaseState(np.array(q0), np.array(p0)), n_steps=600, stride=3, dt=0.01, scheme=scheme,
-                   observables=per_state_observables(spec, ensemble), spec=spec, params=ensemble, rng=RngStream(9))
+                   spec=spec, params=ensemble, rng=RngStream(9))
+    states = [PhaseState(q, p) for q, p in zip(rec.q, rec.p)]
     assert np.array_equal(table[:, 0], rec.times)
-    for j, obs in enumerate(SIX_OBSERVABLES):
-        assert np.array_equal(table[:, j + 1], rec.observable_values[:, j]), obs
+    for j, (obs, f) in enumerate(zip(SIX_OBSERVABLES, per_state_observables(spec, ensemble))):
+        assert np.array_equal(table[:, j + 1], [f(s) for s in states]), obs
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +650,18 @@ def test_poisson_reports_its_relative_residual(observable, tmp_path):
     rep_path = tmp_path / "rep.json"
     assert run("poisson", "--observable", observable, "--Kq", "8", "--Np", "16", "--report", rep_path) == 0
     assert 0.0 < read_report(rep_path)["diagnostics"]["poisson_residual"] <= 1e-14
+
+
+def test_q_centered_projects_into_the_odd_sector():
+    # q -> -q maps the sawtooth to minus itself only if it is 0 at the jump q = L/2, a quadrature node
+    spec, params = builtin_potential("cosine", {"h": 1.0, "L": 1.0}), EnsembleParams()
+    f = cli._observable("q_centered", spec, params)
+    basis = build_basis(spec, params)
+    phi = project_phase_function(basis, lambda q, p: f(q[..., None], p[..., None]) + np.zeros((q.size, p.size)))
+    red = reduced_generator(assemble_generator(basis, spec, params))
+    z = red.to_reduced(phi)
+    assert red.sector_names == ("even", "odd")
+    assert np.linalg.norm(z[red.sector_index(0)]) <= 1e-12 * np.linalg.norm(z)
 
 
 @pytest.mark.parametrize("h, sector", [("1", "even"), ("5", "odd")])

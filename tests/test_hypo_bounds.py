@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 
 from hypokit.errors import DegenerateWitnessError, InvalidArgumentError, NumericalFailureError
-from hypokit import cli, hypo
+from hypokit import cli, spectral
 from hypokit.hypo import (
     modified_norm_dissipation,
     gamma_scan,
@@ -411,7 +411,7 @@ class TestGammaScan:
 
     def test_row_failure_is_isolated(self, quad_spec, ou_scan_assembly, monkeypatch):
         asm, p = ou_scan_assembly
-        real = hypo._gap_of_operator
+        real = spectral._gap_of_operator
         bad_gamma = self.LADDER[3]
 
         def flaky(op):
@@ -420,7 +420,7 @@ class TestGammaScan:
                 raise RuntimeError("synthetic row failure")
             return res
 
-        monkeypatch.setattr(hypo, "_gap_of_operator", flaky)
+        monkeypatch.setattr(spectral, "_gap_of_operator", flaky)
         res = gamma_scan(quad_spec, p, self.LADDER, assembly=asm)
         assert list(res.row_errors) == [pytest.approx(bad_gamma)]
         assert "synthetic row failure" in next(iter(res.row_errors.values()))

@@ -129,10 +129,9 @@ def test_simulate_record_shape_and_times(ou_setup):
     rec = simulate(
         PhaseState(np.array([0.0]), np.array([0.0])),
         n_steps=100, stride=10, dt=0.01, scheme="langevin",
-        observables=[lambda s: s.q[0], lambda s: s.p[0]],
         spec=spec, params=params, rng=RngStream(1),
     )
-    assert rec.observable_values.shape == (11, 2)
+    assert rec.q.shape == rec.p.shape == (11, 1)
     assert rec.times.shape == (11,)
     assert np.allclose(np.diff(rec.times), 0.1)
     assert rec.spacing == pytest.approx(0.1)
@@ -154,8 +153,7 @@ def test_simulate_matches_repeated_single_steps(ou_setup, scheme, dim):
         spec = builtin_potential("separable", SEPARABLE_2D)
         q0, p0 = np.array([0.2, 0.7]), np.array([-0.1, 0.4])
     rec = simulate(
-        PhaseState(q0, p0), n_steps=257, stride=1, dt=0.05, scheme=scheme,
-        observables=[lambda s: s.q[-1], lambda s: s.p[-1]], spec=spec, params=params,
+        PhaseState(q0, p0), n_steps=257, stride=1, dt=0.05, scheme=scheme, spec=spec, params=params,
         rng=RngStream(seed=777, stream_id=3),
     )
     noise = RngStream(seed=777, stream_id=3).normal((257, dim))
@@ -167,59 +165,38 @@ def test_simulate_matches_repeated_single_steps(ou_setup, scheme, dim):
         else:
             s = STEPS[scheme](s, spec, params, 0.05, noise=noise[k])
         states.append(s)
-    assert np.array_equal(rec.observable_values, [(s.q[-1], s.p[-1]) for s in states])
     assert np.array_equal(rec.q, [s.q for s in states]) and np.array_equal(rec.p, [s.p for s in states])
     assert np.array_equal(rec.final_state.q, s.q) and np.array_equal(rec.final_state.p, s.p)
 
 
-def test_simulate_without_observables_builds_no_state_per_record(ou_setup, monkeypatch):
-    spec, params = ou_setup
-    built = []
-
-    def counting_state(q, p):
-        built.append(1)
-        return PhaseState(q, p)
-
-    monkeypatch.setattr(sde, "PhaseState", counting_state)
-    rec = simulate(PhaseState(np.array([0.1]), np.array([0.0])), 100, 1, 0.01, "langevin", (), spec, params,
-                   rng=RngStream(1))
-    assert len(built) == 1  # the final state
-    assert rec.q.shape == rec.p.shape == (101, 1) and rec.observable_values.shape == (101, 0)
-
-
 def test_simulate_observables_see_read_only_rows(ou_setup):
     spec, params = ou_setup
-
-    def overwrite(s):
-        s.q[0] = 0.0
-        return 0.0
-
-    with pytest.raises(ValueError, match="read-only"):
-        simulate(PhaseState(np.array([0.1]), np.array([0.0])), 10, 1, 0.01, "langevin", [overwrite], spec, params,
-                 rng=RngStream(1))
+    rec = simulate(PhaseState(np.array([0.1]), np.array([0.0])), 10, 1, 0.01, "langevin", spec, params,
+                   rng=RngStream(1))
+    for rows in (rec.q, rec.p):
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0.0
 
 
 def test_simulate_noise_override_deterministic(ou_setup):
     spec, params = ou_setup
     noise = np.linspace(-1, 1, 20)[:, None]
-    r1 = simulate(PhaseState(np.array([0.0]), np.array([0.0])), 20, 1, 0.01,
-                  "langevin", [lambda s: s.q[0]], spec, params, noise=noise)
-    r2 = simulate(PhaseState(np.array([0.0]), np.array([0.0])), 20, 1, 0.01,
-                  "langevin", [lambda s: s.q[0]], spec, params, noise=noise)
-    assert np.array_equal(r1.observable_values, r2.observable_values)
+    r1 = simulate(PhaseState(np.array([0.0]), np.array([0.0])), 20, 1, 0.01, "langevin", spec, params, noise=noise)
+    r2 = simulate(PhaseState(np.array([0.0]), np.array([0.0])), 20, 1, 0.01, "langevin", spec, params, noise=noise)
+    assert np.array_equal(r1.q, r2.q) and np.array_equal(r1.p, r2.p)
 
 
 def test_simulate_validation(ou_setup):
     spec, params = ou_setup
     s0 = PhaseState(np.array([0.0]), np.array([0.0]))
     with pytest.raises(InvalidArgumentError):
-        simulate(s0, 0, 1, 0.01, "langevin", [], spec, params, rng=RngStream(1))
+        simulate(s0, 0, 1, 0.01, "langevin", spec, params, rng=RngStream(1))
     with pytest.raises(InvalidArgumentError):
-        simulate(s0, 10, 1, -0.01, "langevin", [], spec, params, rng=RngStream(1))
+        simulate(s0, 10, 1, -0.01, "langevin", spec, params, rng=RngStream(1))
     with pytest.raises(InvalidArgumentError):
-        simulate(s0, 10, 1, 0.01, "bogus", [], spec, params, rng=RngStream(1))
+        simulate(s0, 10, 1, 0.01, "bogus", spec, params, rng=RngStream(1))
     with pytest.raises(InvalidArgumentError):
-        simulate(s0, 10, 1, 0.01, "langevin", [], spec, params)  # no rng, no noise
+        simulate(s0, 10, 1, 0.01, "langevin", spec, params)  # no rng, no noise
 
 
 def test_langevin_needs_positive_friction(ou_setup):
@@ -245,11 +222,10 @@ def test_momentum_marginal_variance():
     params = EnsembleParams(beta=2.0, mass=3.0, gamma=1.5)
     rec = simulate(
         PhaseState(np.array([0.0]), np.array([0.0])),
-        n_steps=200_000, stride=5, dt=0.05, scheme="langevin",
-        observables=[lambda s: s.p[0] ** 2], spec=spec, params=params,
+        n_steps=200_000, stride=5, dt=0.05, scheme="langevin", spec=spec, params=params,
         rng=RngStream(31),
     )
-    p2 = rec.observable_values[200:, 0].mean()
+    p2 = (rec.p[200:, 0] ** 2).mean()
     assert p2 == pytest.approx(params.mass / params.beta, rel=0.05)
 
 
@@ -307,7 +283,7 @@ def test_float_path_is_bitwise_the_array_path(name, params, scheme):
 
     def run(s, stride, **noise):
         noise = noise or {"rng": RngStream(seed=41, stream_id=2)}
-        return simulate(init, TWO_CHUNKS, stride, 0.01, scheme, (), s, ensemble, **noise)
+        return simulate(init, TWO_CHUNKS, stride, 0.01, scheme, s, ensemble, **noise)
 
     want = run(dataclasses.replace(spec, grad1=None), 1)
     runs = [(run(spec, 1), 1), (run(spec, 7), 7)]
@@ -330,7 +306,7 @@ def test_float_path_never_calls_the_array_force():
         calls.append(1)
         return spec.grad(q)
 
-    rec = simulate(PhaseState(np.zeros(1), np.zeros(1)), 1000, 10, 0.01, "langevin", (),
+    rec = simulate(PhaseState(np.zeros(1), np.zeros(1)), 1000, 10, 0.01, "langevin",
                    dataclasses.replace(spec, grad=counting_grad), EnsembleParams(), rng=RngStream(5))
     assert not calls and rec.q.shape == (101, 1)
 
@@ -343,7 +319,7 @@ def test_one_part_separable_runs_on_the_array_path():
         calls.append(q.shape)
         return spec.grad(q)
 
-    args = (PhaseState(np.array([0.2]), np.array([0.1])), 500, 5, 0.01, "langevin", ())
+    args = (PhaseState(np.array([0.2]), np.array([0.1])), 500, 5, 0.01, "langevin")
     rec = simulate(*args, dataclasses.replace(spec, grad=counting_grad), EnsembleParams(), rng=RngStream(5))
     assert calls == [(1,)] * 501  # the initial force, then one per step
     scalar = simulate(*args, builtin_potential("cosine", {"h": 1.0}), EnsembleParams(), rng=RngStream(5))

@@ -184,8 +184,7 @@ def test_semigroup_decay_prefactor_one(cosine_spec, unit_params):
         r_nu = poincare_constant(spec, unit_params, Kq=16)
         basis = build_basis(spec, unit_params, Kq=16, Np=2, n_quad=256)
         ovd = assemble_overdamped(basis, spec, unit_params)
-        res = semigroup_decay_check(ovd.l_ovd, ovd.gram_q, r_nu,
-                                    times=[0.01, 0.1, 1.0], beta=unit_params.beta)
+        res = semigroup_decay_check(ovd, r_nu, times=[0.01, 0.1, 1.0], beta=unit_params.beta)
         assert res.ok
         assert res.max_ratio <= 1.0 + 1e-8
 
