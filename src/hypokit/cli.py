@@ -470,12 +470,11 @@ def _cmd_variance(cfg: dict) -> tuple[dict, dict]:
 
 
 def _spectral_setup(cfg: dict):
+    """(params, disc, basis): the basis carries the potential, beta and m; gamma is bound by the caller."""
     params = _ensemble(cfg)
     spec = _spectral_potential(cfg, params)
     disc = _discretization(cfg)
-    basis = build_basis(spec, params, Kq=disc["Kq"], Np=disc["Np"], n_quad=disc.get("n_quad"))
-    asm = assemble_generator(basis, spec, params)
-    return params, spec, disc, basis, asm
+    return params, disc, build_basis(spec, params, Kq=disc["Kq"], Np=disc["Np"], n_quad=disc.get("n_quad"))
 
 
 def _eig_row_order(eigs: np.ndarray, norm1: float) -> np.ndarray:
@@ -490,9 +489,9 @@ def _eig_row_order(eigs: np.ndarray, norm1: float) -> np.ndarray:
 
 
 def _cmd_spectrum(cfg: dict) -> tuple[dict, dict]:
-    params, spec, disc, basis, asm = _spectral_setup(cfg)
+    params, disc, basis = _spectral_setup(cfg)
     opts = cfg.get("options", {})
-    res = spectral_gap(asm)
+    res = spectral_gap(assemble_generator(basis, params.gamma))
     diagnostics: dict = {"n_quad": basis.nodes.size, "size": basis.size, "rank_q": basis.wq.shape[1],
                          "gap_sector": res.sector}
 
@@ -500,8 +499,8 @@ def _cmd_spectrum(cfg: dict) -> tuple[dict, dict]:
     if opts.get("check_convergence", True):
         kq2 = math.ceil(1.5 * disc["Kq"])
         np2 = math.ceil(1.5 * disc["Np"])
-        basis2 = build_basis(spec, params, Kq=kq2, Np=np2, n_quad=max(basis.nodes.size, 8 * kq2))
-        res2 = spectral_gap(assemble_generator(basis2, spec, params))
+        basis2 = build_basis(basis.spec, params, Kq=kq2, Np=np2, n_quad=max(basis.nodes.size, 8 * kq2))
+        res2 = spectral_gap(assemble_generator(basis2, params.gamma))
         converged = bool(abs(res2.gap - res.gap) <= 0.01 * abs(res.gap))
         diagnostics["refined_gap"] = res2.gap
         diagnostics["refined_Kq"] = kq2
@@ -525,24 +524,21 @@ def _cmd_spectrum(cfg: dict) -> tuple[dict, dict]:
 
 
 def _cmd_poisson(cfg: dict) -> tuple[dict, dict]:
-    params = _ensemble(cfg)
-    spec = _spectral_potential(cfg, params)
-    disc = _discretization(cfg)
+    params, disc, basis = _spectral_setup(cfg)
     opts = cfg.get("options", {})
     name = opts.get("observable", "cos_q")
     dynamics = _mode(cfg, "options.dynamics")
-    f = _observable(name, spec, params)
+    f = _observable(name, basis.spec, params)
 
-    basis = build_basis(spec, params, Kq=disc["Kq"], Np=disc["Np"], n_quad=disc.get("n_quad"))
     if dynamics == "langevin":
-        asm = assemble_generator(basis, spec, params)
+        asm = assemble_generator(basis, params.gamma)
         # a contiguous (n_quad, n_gh) table: a stride-0 broadcast view moved sigma2 in its last digits
         phi = project_phase_function(basis, lambda q, p: f(q[..., None], p[..., None]) + np.zeros((q.size, p.size)))
         sol = solve_poisson(asm, phi)
     else:
         if name not in _POSITION_OBSERVABLES:
             raise InvalidArgumentError(f"observable '{name}' depends on p; overdamped needs a position observable")
-        ovd = assemble_overdamped(basis, spec, params)
+        ovd = assemble_overdamped(basis)
         phi_q = project_position_function(basis, lambda q: f(q[..., None], np.zeros_like(q)[..., None]))
         sol = solve_poisson_overdamped(ovd, phi_q)
 
@@ -605,7 +601,8 @@ def _cmd_ode(cfg: dict) -> tuple[dict, dict]:
 
 
 def _cmd_dissipation(cfg: dict) -> tuple[dict, dict]:
-    params, spec, disc, basis, asm = _spectral_setup(cfg)
+    params, disc, basis = _spectral_setup(cfg)
+    asm = assemble_generator(basis, params.gamma)
     opts = cfg.get("options", {})
     eps = opts.get("epsilon")
     tuned = eps is None
@@ -624,19 +621,18 @@ def _cmd_dissipation(cfg: dict) -> tuple[dict, dict]:
 
 
 def _cmd_bounds(cfg: dict) -> tuple[dict, dict]:
-    params, spec, disc, basis, asm = _spectral_setup(cfg)
+    params, disc, basis = _spectral_setup(cfg)
+    asm = assemble_generator(basis, params.gamma)
     opts = cfg.get("options", {})
     case = opts.get("case", "auto")
     check = verify_schur_bound(
         asm,
-        spec,
-        params,
         case=None if case == "auto" else case,
         K=opts.get("K"),
         c_prime=opts.get("c_prime"),
         slack=opts.get("slack", 0.05),
     )
-    witnesses = resolvent_lower_bound(spec, params, asm)
+    witnesses = resolvent_lower_bound(asm)
     results = {
         "numeric": check.numeric,
         "bound": check.bound,
@@ -671,20 +667,9 @@ def _parse_gammas(text: str) -> list[float]:
 
 
 def _cmd_scan(cfg: dict) -> tuple[dict, dict]:
-    params = _ensemble(cfg)
-    spec = _spectral_potential(cfg, params)
-    disc = _discretization(cfg)
+    _, disc, basis = _spectral_setup(cfg)
     opts = cfg.get("options", {})
-    gammas = _parse_gammas(opts.get("gammas", "0.125:2:7"))
-    scan = gamma_scan(
-        spec,
-        params,
-        gammas,
-        Kq=disc["Kq"],
-        Np=disc["Np"],
-        n_quad=disc.get("n_quad"),
-        max_workers=opts.get("threads"),
-    )
+    scan = gamma_scan(basis, _parse_gammas(opts.get("gammas", "0.125:2:7")), max_workers=opts.get("threads"))
     out = cfg.get("output")
     if out:
         rows = np.column_stack([scan.table.gammas, scan.table.gaps, scan.table.lower_model])

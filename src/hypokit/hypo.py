@@ -10,6 +10,11 @@ Three layers:
     together with witness functions that bound the resolvent norm from below;
   * a friction scan fitting the min(gamma, 1/gamma) scaling of the gap.
 
+The Galerkin checks take no physical input of their own: each reads V, beta
+and m from the basis (asm.basis.spec, .beta, .mass) and gamma from the
+assembly, and the friction scan takes the basis and its ladder of gammas, so
+a bound or witness is always computed for the generator it is compared with.
+
 All Galerkin computations run in the whitened, constant-deflated frame
 provided by spectral.reduced_generator, where gram-weighted norms are
 Euclidean and the exact antisymmetry of the Hamiltonian block makes the
@@ -17,11 +22,12 @@ auxiliary operator R = (1 + (L_ham P0)* (L_ham P0))^{-1} (L_ham P0)* satisfy
 ||2R|| <= 1 and ||L_ham R|| <= 1 up to roundoff.
 
 The dissipation matrix D(eps) = D0 + eps D2 is solved on Hermite levels 0-2
-only, and exactly so.  D0 = -(L + L^T)/2 is the diagonal -gamma*fd, because
-L_ham is exactly antisymmetric.  T = L_ham P0 maps level 0 into level 1, so R
-lives on the (level 0 x level 1) block, and since L couples only adjacent
-levels, D2 = L^T S + S L (S the symmetric part of R) lives on levels 0-2.
-Beyond them D(eps) is diagonal, with smallest entry 3 gamma / m.
+only, and exactly so; the pencil is built once, and both the epsilon tuning
+and the reported rate read it.  D0 = -(L + L^T)/2 is the diagonal -gamma*fd,
+because L_ham is exactly antisymmetric.  T = L_ham P0 maps level 0 into
+level 1, so R lives on the (level 0 x level 1) block, and since L couples
+only adjacent levels, D2 = L^T S + S L (S the symmetric part of R) lives on
+levels 0-2.  Beyond them D(eps) is diagonal, with smallest entry 3 gamma / m.
 
 The resolvent norm ||L^{-1}|| = 1/sigma_min(L) comes from Lanczos on the
 symmetric positive definite L^{-T} L^{-1}, applied through one sparse LU of
@@ -39,6 +45,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -49,13 +56,10 @@ from .errors import (
     InvalidArgumentError,
     NumericalFailureError,
 )
-from .model import EnsembleParams, PotentialSpec
+from .model import EnsembleParams
 from .spectral import (
-    DEFAULT_KQ,
-    DEFAULT_NP,
+    BasisSet,
     GeneratorAssembly,
-    assemble_generator,
-    build_basis,
     poincare_constant,
     project_phase_function,
     reduced_gap,
@@ -248,37 +252,64 @@ class DissipationResult:
     lham_r_norm_ok: bool
 
 
-def _modified_norm_parts(asm: GeneratorAssembly):
-    """(rb, t1, l_k, tail): the pieces of D(eps) on Hermite levels 0-2.
+class _Pencil(NamedTuple):
+    """D(eps) = d0 + eps d2 on Hermite levels 0-2, with the pieces of R it is built from.
 
     T = L_ham Pi0 is nonzero only in its level-1 rows t1, the level-1 to
     level-0 coupling block, so R = (1 + T*T)^{-1} T* is nonzero only on its
-    (level 0 x level 1) block rb.  l_k is the generator on the first
-    k = n0 + 2r coordinates (levels 0-2), and tail is the smallest diagonal
-    entry of the dissipation matrix on the remaining levels (+inf if there
-    are none).
+    (level 0 x level 1) block rb, and sym_r is S = (R + R^T)/2 on levels 0-2.
+    With l_k the generator on those k = n0 + 2r coordinates, d0 = -(l_k +
+    l_k^T)/2 and d2 = l_k^T S + S l_k (symmetrized); tail is the smallest
+    diagonal entry of the dissipation matrix on the remaining levels (+inf if
+    there are none).
     """
-    red = reduced_generator(asm)
+
+    rb: Array
+    t1: Array
+    sym_r: Array
+    d0: Array
+    d2: Array
+    tail: float
+
+    def lambda_min(self, eps: float) -> float:
+        diss = self.d0 + eps * self.d2
+        return min(float(sla.eigh(diss, eigvals_only=True, subset_by_index=[0, 0])[0]), self.tail)
+
+
+def _dissipation_pencil(asm: GeneratorAssembly) -> _Pencil:
+    red = reduced_generator(asm.basis)
     n0 = red.n0
     t1 = math.sqrt(1.0 / red.beta_m) * (red.c_t @ red.q0)
     rb = sla.solve(np.eye(n0) + t1.T @ t1, t1.T, assume_a="pos")
     l_k = -red.neg_operator(asm.gamma, levels=3)
     k = l_k.shape[0]
     tail = -asm.gamma * float(red.fd[k]) if k < red.dim else math.inf
-    return rb, t1, l_k, tail
+    r = rb.shape[1]
+    sym_r = np.zeros((k, k))
+    sym_r[:n0, n0 : n0 + r] = 0.5 * rb
+    sym_r[n0 : n0 + r, :n0] = 0.5 * rb.T
+    d2 = l_k.T @ sym_r + sym_r @ l_k
+    return _Pencil(rb, t1, sym_r, -0.5 * (l_k.T + l_k), 0.5 * (d2 + d2.T), tail)
 
 
-def _sym_r(rb: Array, k: int) -> Array:
-    """S = (R + R^T)/2 on the level 0-2 block."""
-    n0, r = rb.shape
-    s = np.zeros((k, k))
-    s[:n0, n0 : n0 + r] = 0.5 * rb
-    s[n0 : n0 + r, :n0] = 0.5 * rb.T
-    return s
-
-
-def _lambda_min(diss: Array, tail: float) -> float:
-    return min(float(sla.eigh(diss, eigvals_only=True, subset_by_index=[0, 0])[0]), tail)
+def _dissipation_at(pencil: _Pencil, eps: float) -> DissipationResult:
+    """The DissipationResult of the pencil at eps; refuses an eps where M(eps) is not positive definite."""
+    # outside the block 1/2 I - eps S is 1/2 and D(eps) is its diagonal tail
+    m_eps = 0.5 * np.eye(pencil.sym_r.shape[0]) - eps * pencil.sym_r
+    if float(np.min(sla.eigvalsh(m_eps))) <= 0.0:
+        raise InvalidArgumentError(
+            f"modified norm is not positive definite at eps={eps} (norm equivalence broken)"
+        )
+    r_norm = 2.0 * float(np.linalg.norm(pencil.rb, 2))
+    lham_r_norm = float(np.linalg.norm(pencil.t1 @ pencil.rb, 2))
+    return DissipationResult(
+        lambda_est=pencil.lambda_min(eps),
+        epsilon=float(eps),
+        r_norm=r_norm,
+        lham_r_norm=lham_r_norm,
+        r_norm_ok=r_norm <= 1.0 + 1e-8,
+        lham_r_norm_ok=lham_r_norm <= 1.0 + 1e-8,
+    )
 
 
 def modified_norm_dissipation(asm: GeneratorAssembly, eps: float) -> DissipationResult:
@@ -291,25 +322,7 @@ def modified_norm_dissipation(asm: GeneratorAssembly, eps: float) -> Dissipation
     """
     if not abs(eps) < 1.0:
         raise InvalidArgumentError(f"|eps| must be < 1, got {eps}")
-    rb, t1, l_k, tail = _modified_norm_parts(asm)
-    r_norm = 2.0 * float(np.linalg.norm(rb, 2))
-    lham_r_norm = float(np.linalg.norm(t1 @ rb, 2))
-
-    # outside the block 1/2 I - eps S is 1/2 and D(eps) is its diagonal tail
-    m_eps = 0.5 * np.eye(l_k.shape[0]) - eps * _sym_r(rb, l_k.shape[0])
-    if float(np.min(sla.eigvalsh(m_eps))) <= 0.0:
-        raise InvalidArgumentError(
-            f"modified norm is not positive definite at eps={eps} (norm equivalence broken)"
-        )
-    diss = -(l_k.T @ m_eps + m_eps @ l_k)
-    return DissipationResult(
-        lambda_est=_lambda_min(0.5 * (diss + diss.T), tail),
-        epsilon=float(eps),
-        r_norm=r_norm,
-        lham_r_norm=lham_r_norm,
-        r_norm_ok=r_norm <= 1.0 + 1e-8,
-        lham_r_norm_ok=lham_r_norm <= 1.0 + 1e-8,
-    )
+    return _dissipation_at(_dissipation_pencil(asm), eps)
 
 
 def tune_modified_norm_epsilon(asm: GeneratorAssembly) -> DissipationResult:
@@ -318,15 +331,8 @@ def tune_modified_norm_epsilon(asm: GeneratorAssembly) -> DissipationResult:
     lambda_est(eps) is the minimum eigenvalue of a matrix pencil affine in
     eps, hence concave, so golden-section search is exact up to EPS_TOL.
     """
-    rb, _, l_k, tail = _modified_norm_parts(asm)
-    sym_r = _sym_r(rb, l_k.shape[0])
-    d0 = -0.5 * (l_k.T + l_k)
-    d2 = l_k.T @ sym_r + sym_r @ l_k
-    d2 = 0.5 * (d2 + d2.T)
-
-    def lam(eps: float) -> float:
-        return _lambda_min(d0 + eps * d2, tail)
-
+    pencil = _dissipation_pencil(asm)
+    lam = pencil.lambda_min
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = EPS_LO, EPS_HI
     c, d = b - invphi * (b - a), a + invphi * (b - a)
@@ -340,8 +346,7 @@ def tune_modified_norm_epsilon(asm: GeneratorAssembly) -> DissipationResult:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = lam(d)
-    best = 0.5 * (a + b)
-    return modified_norm_dissipation(asm, best)
+    return _dissipation_at(pencil, 0.5 * (a + b))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +366,7 @@ def resolvent_norm(asm: GeneratorAssembly) -> float:
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-    op = csc_matrix(reduced_generator(asm).neg_operator(asm.gamma).T)
+    op = csc_matrix(reduced_generator(asm.basis).neg_operator(asm.gamma).T)
     n = op.shape[0]
 
     def largest(matvec) -> float:
@@ -455,8 +460,6 @@ class SchurCheck:
 
 def verify_schur_bound(
     asm: GeneratorAssembly,
-    spec: PotentialSpec,
-    params: EnsembleParams,
     case: str | None = None,
     K: float | None = None,
     c_prime: float | None = None,
@@ -464,11 +467,13 @@ def verify_schur_bound(
 ) -> SchurCheck:
     """Compare the numerically computed resolvent norm against the explicit bound.
 
-    The Hessian lower bound is scanned on a uniform torus grid of
-    HESS_GRID_N points.  Requesting the convex case for a potential whose
-    Hessian dips below zero is refused (no non-constant torus potential is
-    convex).
+    V, beta and m come from the basis and gamma from the assembly, so the
+    bound is taken for the generator whose norm is computed.  The Hessian
+    lower bound is scanned on a uniform torus grid of HESS_GRID_N points.
+    Requesting the convex case for a potential whose Hessian dips below zero
+    is refused (no non-constant torus potential is convex).
     """
+    spec, params = asm.basis.spec, asm.params
     pts = (np.arange(HESS_GRID_N) * (asm.basis.L / HESS_GRID_N))[:, None]
     d2v = spec.hessian(pts)[:, 0, 0]
     min_hess = float(d2v.min())
@@ -527,13 +532,10 @@ class WitnessPair:
     underdamped: float
 
 
-def resolvent_lower_bound(
-    spec: PotentialSpec,
-    params: EnsembleParams,
-    asm: GeneratorAssembly,
-) -> WitnessPair:
+def resolvent_lower_bound(asm: GeneratorAssembly) -> WitnessPair:
     basis = asm.basis
-    red = reduced_generator(asm)
+    spec = basis.spec
+    red = reduced_generator(basis)
     w = basis.weights
     v = spec.eval(basis.nodes[:, None])
     v_mean = float(w @ v / w.sum())
@@ -541,7 +543,7 @@ def resolvent_lower_bound(
     if v_var <= 1e-14 * max(1.0, v_mean * v_mean):
         raise DegenerateWitnessError("witnesses vanish for a constant potential")
 
-    gamma, m = asm.gamma, params.mass
+    gamma, m = asm.gamma, basis.mass
     neg_op = red.neg_operator(gamma)  # ||L u|| = ||-L u||
 
     def ratio(f) -> float:
@@ -585,19 +587,10 @@ def _max_workers(n_rows: int, requested: int | None) -> int:
     return max(1, min(n_rows, os.cpu_count() or 1))
 
 
-def gamma_scan(
-    spec: PotentialSpec,
-    params_base: EnsembleParams,
-    gammas,
-    Kq: int = DEFAULT_KQ,
-    Np: int = DEFAULT_NP,
-    n_quad: int | None = None,
-    max_workers: int | None = None,
-    assembly: GeneratorAssembly | None = None,
-) -> ScanResult:
-    """Spectral gap across a friction ladder; fits both scaling branches.
+def gamma_scan(basis: BasisSet, gammas, max_workers: int | None = None) -> ScanResult:
+    """Spectral gap across a friction ladder on one basis; fits both scaling branches.
 
-    Requires at least 7 gamma values spanning [1/8, 8].  Rows run in parallel
+    Every rung shares the basis's gamma-free reduced generator.  Requires at least 7 gamma values spanning [1/8, 8].  Rows run in parallel
     (max_workers threads, default one per row up to the CPU count) and failed rows, including
     those whose gap is not above roundoff, are reported in row_errors with
     NaN gaps rather than aborting the scan.  Slopes are
@@ -612,9 +605,7 @@ def gamma_scan(
     if g[0] > 0.125 * (1 + 1e-9) or g[-1] < 8.0 * (1 - 1e-9):
         raise InvalidArgumentError("gammas must span at least [1/8, 8]")
 
-    if assembly is None:
-        assembly = assemble_generator(build_basis(spec, params_base, Kq=Kq, Np=Np, n_quad=n_quad), spec, params_base)
-    red = reduced_generator(assembly)
+    red = reduced_generator(basis)
 
     gaps = np.full(g.size, np.nan)
     row_errors: dict = {}

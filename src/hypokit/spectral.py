@@ -41,6 +41,11 @@ dense solve (gap, friction scan, Poisson) runs once per sector, at about a
 quarter of the full cost each.  Otherwise one sector, "all", holds every
 coordinate: the same code with a trivial partition.
 
+Inputs have one home each.  build_basis(spec, params, ...) keeps the
+potential, beta and m on the BasisSet; assemble_generator(basis, gamma) binds
+the friction; reduced_generator(basis) is gamma-free, so one reduced generator
+serves every friction of a scan.  No solver takes V, beta, m or gamma again.
+
 Full-basis coefficient indexing is Hermite-major: index = n * (2 Kq + 1) + a.
 """
 
@@ -81,11 +86,15 @@ DECAY_TOL = 1e-8  # slack on the semigroup decay bound
 
 @dataclass(frozen=True, eq=False)
 class BasisSet:
-    """Tensor Fourier x Hermite basis with its quadrature, position Gram and its whitening."""
+    """Tensor Fourier x Hermite basis with its quadrature, position Gram and its whitening.
 
+    The basis is the one home of the problem's V (spec), beta and m; every
+    downstream solver reads them from here.
+    """
+
+    spec: PotentialSpec
     Kq: int
     Np: int
-    L: float
     beta: float
     mass: float
     nodes: Array  # (n_quad,) uniform grid on [0, L)
@@ -96,6 +105,10 @@ class BasisSet:
     wq: Array  # (2Kq+1, rank_q) whitener from _whiten, wq^T gram_q wq = I
     q0: Array  # (rank_q, rank_q - 1) whitened level 0 orthogonal to the constant
     labels: Array  # (rank_q,) sector label of each whitened direction: 0 even, 1 odd; all 0 in one sector
+
+    @property
+    def L(self) -> float:
+        return self.spec.domain.length
 
     @property
     def n_q(self) -> int:
@@ -170,7 +183,7 @@ def build_basis(
     gram, parity = _parity_split(0.5 * (gram + gram.T))
     wq, q0, labels = _whiten(gram, parity)
     return BasisSet(
-        Kq=Kq, Np=Np, L=L, beta=params.beta, mass=params.mass,
+        spec=spec, Kq=Kq, Np=Np, beta=params.beta, mass=params.mass,
         nodes=nodes, weights=weights, F=F, D=D, gram_q=gram, wq=wq, q0=q0,
         labels=labels,
     )
@@ -181,34 +194,32 @@ class GeneratorAssembly:
     """The kinetic Langevin generator L_ham + gamma L_FD on a basis.
 
     Holds no matrices: reduced_generator builds the level blocks every
-    solver uses, in the whitened frame.
+    solver uses, in the whitened frame.  The basis carries V, beta and m,
+    the assembly binds gamma.
     """
 
     basis: BasisSet
     gamma: float
 
     @property
-    def size(self) -> int:
-        return self.basis.size
+    def params(self) -> EnsembleParams:
+        """The ensemble of this generator: the basis's beta and m with the bound gamma."""
+        return EnsembleParams(beta=self.basis.beta, mass=self.basis.mass, gamma=self.gamma)
 
 
-def assemble_generator(
-    basis: BasisSet, spec: PotentialSpec, params: EnsembleParams
-) -> GeneratorAssembly:
-    """Check that params and potential match the basis, and bind gamma > 0.
+def assemble_generator(basis: BasisSet, gamma: float) -> GeneratorAssembly:
+    """Bind a positive, finite friction gamma to the basis.
 
     The position Gram's rank is settled once, by the whitening build_basis
     stores on the basis, which every solver uses.  At gamma = 0 the deflated
     generator is singular (L_ham alone conserves every function of the
     energy), so no gap, Poisson solution or resolvent bound exists.
     """
-    if not params.gamma > 0:
+    if not gamma > 0:
         raise InvalidArgumentError("gamma must be positive for the kinetic generator")
-    if (params.beta, params.mass) != (basis.beta, basis.mass):
-        raise InvalidArgumentError("params.beta/mass must match the values the basis was built with")
-    if not isinstance(spec.domain, Torus) or spec.domain.length != basis.L:
-        raise InvalidArgumentError("potential domain does not match the basis torus")
-    return GeneratorAssembly(basis=basis, gamma=params.gamma)
+    if not math.isfinite(gamma):
+        raise InvalidArgumentError(f"gamma must be finite, got {gamma}")
+    return GeneratorAssembly(basis=basis, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +370,8 @@ class ReducedGenerator:
         return (blocks @ self.wq.T).reshape(-1)
 
 
-def reduced_generator(asm: GeneratorAssembly) -> ReducedGenerator:
-    """Whitened, constant-deflated view of an assembly, stored as its level blocks."""
-    basis = asm.basis
+def reduced_generator(basis: BasisSet) -> ReducedGenerator:
+    """Whitened, constant-deflated generator of a basis, stored as its level blocks; gamma-free."""
     wq, q0 = basis.wq, basis.q0
     r, n0 = wq.shape[1], q0.shape[1]
     return ReducedGenerator(
@@ -415,7 +425,7 @@ def reduced_gap(red: ReducedGenerator, gamma: float) -> GapResult:
 
 def spectral_gap(asm: GeneratorAssembly) -> GapResult:
     """The gap of the assembly's generator at its own friction (see reduced_gap)."""
-    return reduced_gap(reduced_generator(asm), asm.gamma)
+    return reduced_gap(reduced_generator(asm.basis), asm.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -424,27 +434,20 @@ def spectral_gap(asm: GeneratorAssembly) -> GapResult:
 
 class OverdampedOperator(NamedTuple):
     l_ovd: Array
-    gram_q: Array
-    wq: Array  # the whitening of gram_q, as in BasisSet
-    q0: Array
+    basis: BasisSet  # its gram_q, whitening and beta
 
 
-def assemble_overdamped(
-    basis: BasisSet, spec: PotentialSpec, params: EnsembleParams
-) -> OverdampedOperator:
+def assemble_overdamped(basis: BasisSet) -> OverdampedOperator:
     """Coefficient action of the overdamped generator -(1/beta) nabla* nabla."""
-    if params.beta != basis.beta:
-        raise InvalidArgumentError("params.beta must match the basis")
-    if not isinstance(spec.domain, Torus) or spec.domain.length != basis.L:
-        raise InvalidArgumentError("potential domain does not match the basis torus")
     a_form = -(1.0 / basis.beta) * (basis.D.T @ basis.gram_q @ basis.D)
     a_form = 0.5 * (a_form + a_form.T)
-    return OverdampedOperator(basis.wq @ (basis.wq.T @ a_form), basis.gram_q, basis.wq, basis.q0)
+    return OverdampedOperator(basis.wq @ (basis.wq.T @ a_form), basis)
 
 
 def _overdamped_reduced(ovd: OverdampedOperator) -> Array:
     """The symmetric overdamped operator in the whitened, constant-deflated frame."""
-    s = ovd.q0.T @ (ovd.wq.T @ (ovd.gram_q @ ovd.l_ovd) @ ovd.wq) @ ovd.q0
+    b = ovd.basis
+    s = b.q0.T @ (b.wq.T @ (b.gram_q @ ovd.l_ovd) @ b.wq) @ b.q0
     return 0.5 * (s + s.T)
 
 
@@ -462,7 +465,7 @@ def poincare_constant(
     prev = None
     for _ in range(POINCARE_MAX_ROUNDS):
         basis = build_basis(spec, params, Kq=k, Np=2)
-        s_red = _overdamped_reduced(assemble_overdamped(basis, spec, params))
+        s_red = _overdamped_reduced(assemble_overdamped(basis))
         gap = float(np.min(sla.eigvalsh(-s_red)))
         value = params.beta * gap
         if prev is not None and abs(value - prev) <= POINCARE_RTOL * abs(value):
@@ -484,13 +487,8 @@ class DecayCheckResult:
     bounds: Array
 
 
-def semigroup_decay_check(
-    ovd: OverdampedOperator,
-    r_nu: float,
-    times: Array,
-    beta: float = 1.0,
-) -> DecayCheckResult:
-    """Check ||exp(t L_ovd)|| <= exp(-r_nu t / beta) on mean-zero functions.
+def semigroup_decay_check(ovd: OverdampedOperator, r_nu: float, times: Array) -> DecayCheckResult:
+    """Check ||exp(t L_ovd)|| <= exp(-r_nu t / beta) on mean-zero functions, beta the basis's.
 
     Norms are gram-weighted operator norms of the matrix exponential on the
     constant-deflated space; the bound holds with prefactor exactly 1, up to
@@ -505,7 +503,7 @@ def semigroup_decay_check(
         norms[i] = sla.svdvals(sla.expm(t * s_red)).max()
     if not np.all(np.isfinite(norms)):
         raise NumericalFailureError("matrix exponential overflowed")
-    bounds = np.exp(-r_nu * times / beta)
+    bounds = np.exp(-r_nu * times / ovd.basis.beta)
     ratios = norms / bounds
     return DecayCheckResult(
         ok=bool(np.all(ratios <= 1.0 + DECAY_TOL)),
@@ -565,29 +563,29 @@ def solve_poisson(asm: GeneratorAssembly, phi_coeffs: Array) -> PoissonResult:
     """Solve -(L_ham + gamma L_FD) Phi = (phi - mean phi) and report sigma^2.
 
     sigma^2 = 2 <Phi, phi - mean phi> under the normalized invariant measure.
-    One LU solve per sector; a sector whose right-hand side is exactly zero
-    is skipped.  Returns the solution's full-basis coefficients (mean-zero
+    One LU solve per sector; a sector with a zero right-hand side solves to
+    exact zeros.  Returns the solution's full-basis coefficients (mean-zero
     representative).
     """
-    red = reduced_generator(asm)
+    red = reduced_generator(asm.basis)
     z_rhs = red.to_reduced(phi_coeffs)
-    z_sol, res = np.zeros_like(z_rhs), np.zeros_like(z_rhs)
+    z_sol, res = np.empty_like(z_rhs), np.empty_like(z_rhs)
     norm1 = 0.0
     for s in range(red.n_sectors):
         idx = red.sector_index(s)
-        if np.any(z_rhs[idx]):
-            z_sol[idx], res[idx], n1 = _lu_solve(red.neg_operator(asm.gamma, sector=s), z_rhs[idx])
-            norm1 = max(norm1, n1)
+        z_sol[idx], res[idx], n1 = _lu_solve(red.neg_operator(asm.gamma, sector=s), z_rhs[idx])
+        norm1 = max(norm1, n1)
     sigma2 = _sigma2_from_pair(z_sol, z_rhs, red.mass_nu)
     return PoissonResult(red.to_full(z_sol), sigma2, _relative_residual(res, z_sol, z_rhs, norm1))
 
 
 def solve_poisson_overdamped(ovd: OverdampedOperator, phi_q_coeffs: Array) -> PoissonResult:
     """Overdamped counterpart of solve_poisson for position-only observables."""
-    z_rhs = ovd.q0.T @ (ovd.wq.T @ (ovd.gram_q @ np.asarray(phi_q_coeffs, float)))
+    b = ovd.basis
+    z_rhs = b.q0.T @ (b.wq.T @ (b.gram_q @ np.asarray(phi_q_coeffs, float)))
     z_sol, res, norm1 = _lu_solve(-_overdamped_reduced(ovd), z_rhs)
-    sigma2 = _sigma2_from_pair(z_sol, z_rhs, float(ovd.gram_q[0, 0]))
-    return PoissonResult(ovd.wq @ (ovd.q0 @ z_sol), sigma2, _relative_residual(res, z_sol, z_rhs, norm1))
+    sigma2 = _sigma2_from_pair(z_sol, z_rhs, b.mass_nu)
+    return PoissonResult(b.wq @ (b.q0 @ z_sol), sigma2, _relative_residual(res, z_sol, z_rhs, norm1))
 
 
 # ---------------------------------------------------------------------------

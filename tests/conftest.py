@@ -40,10 +40,10 @@ def unit_params():
 @pytest.fixture(scope="session")
 def cosine_asm(cosine_spec, unit_params):
     basis = build_basis(cosine_spec, unit_params, Kq=16, Np=32, n_quad=256)
-    return assemble_generator(basis, cosine_spec, unit_params)
+    return assemble_generator(basis, unit_params.gamma)
 
 
 @pytest.fixture(scope="session")
 def cosine_asm_small(cosine_spec, unit_params):
     basis = build_basis(cosine_spec, unit_params, Kq=8, Np=12, n_quad=128)
-    return assemble_generator(basis, cosine_spec, unit_params)
+    return assemble_generator(basis, unit_params.gamma)

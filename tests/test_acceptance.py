@@ -155,9 +155,9 @@ def test_criterion_05_overdamped_decay(cosine_spec, unit_params):
         times = np.array([0.01, 0.1, 1.0])
         for spec in (builtin_potential("flat", {"L": 1.0}), cosine_spec):
             basis = build_basis(spec, unit_params, Kq=16, Np=8, n_quad=256)
-            ovd = assemble_overdamped(basis, spec, unit_params)
+            ovd = assemble_overdamped(basis)
             r_nu = poincare_constant(spec, unit_params, Kq=16)
-            chk = semigroup_decay_check(ovd, r_nu, times, beta=1.0)
+            chk = semigroup_decay_check(ovd, r_nu, times)
             assert chk.ok
             assert chk.max_ratio <= 1.0 + 1e-8
 
@@ -169,7 +169,7 @@ def test_criterion_05_overdamped_decay(cosine_spec, unit_params):
 def test_criterion_06_harmonic_gaps(quad_spec, quad_heavy):
     with criterion(6, "kinetic gaps match the harmonic closed form at four frictions"):
         for g in (0.5, 1.0, 2.5, 4.0):
-            asm = assemble_generator(quad_heavy, quad_spec, params_at(g))
+            asm = assemble_generator(quad_heavy, g)
             want = g / 2 if g <= 2 else (g - math.sqrt(g * g - 4)) / 2
             assert spectral_gap(asm).gap == pytest.approx(want, abs=1e-6)
 
@@ -177,12 +177,8 @@ def test_criterion_06_harmonic_gaps(quad_spec, quad_heavy):
 def test_criterion_07_friction_scaling(pendulum_spec):
     with criterion(7, "gap scales like gamma on one side and 1/gamma on the other"):
         res = gamma_scan(
-            pendulum_spec,
-            params_at(1.0),
+            build_basis(pendulum_spec, params_at(1.0), Kq=16, Np=32, n_quad=256),
             [0.125 * 2**k for k in range(7)],
-            Kq=16,
-            Np=32,
-            n_quad=256,
         )
         assert not res.row_errors
         assert np.all(np.isfinite(res.table.gaps)) and np.all(res.table.gaps > 0)
@@ -214,21 +210,18 @@ def test_criterion_09_resolvent_bounds(
             asm = (
                 cosine_asm
                 if g == 1.0
-                else assemble_generator(cosine_asm.basis, cosine_spec, params_at(g))
+                else assemble_generator(cosine_asm.basis, g)
             )
-            chk = verify_schur_bound(asm, cosine_spec, params_at(g))
+            chk = verify_schur_bound(asm)
             assert chk.holds, f"bound violated at gamma={g}: {chk}"
             assert chk.numeric <= chk.bound * 1.05
 
         # witness lower bounds stay below the numeric norm...
         pend_asms = {
-            g: assemble_generator(pendulum_basis, pendulum_spec, params_at(g))
+            g: assemble_generator(pendulum_basis, g)
             for g in (1 / 16, 1 / 8, 1 / 4, 4.0, 8.0, 16.0)
         }
-        pairs = {
-            g: resolvent_lower_bound(pendulum_spec, params_at(g), asm)
-            for g, asm in pend_asms.items()
-        }
+        pairs = {g: resolvent_lower_bound(asm) for g, asm in pend_asms.items()}
         for g in (1 / 4, 4.0):
             rn = resolvent_norm(pend_asms[g])
             assert pairs[g].overdamped <= rn * (1 + 1e-6)
@@ -278,7 +271,7 @@ def test_criterion_10_variance_pipeline(cosine_spec, cosine_asm, unit_params):
         # overdamped variant has a closed form on the flat cell
         flat = builtin_potential("flat", {"L": 1.0})
         basis = build_basis(flat, unit_params, Kq=8, Np=8, n_quad=64)
-        ovd = assemble_overdamped(basis, flat, unit_params)
+        ovd = assemble_overdamped(basis)
         phi_q = project_position_function(basis, lambda q: np.cos(2 * math.pi * q))
         got = solve_poisson_overdamped(ovd, phi_q).sigma2
         assert got == pytest.approx(1.0 / (4 * math.pi**2), abs=1e-8)

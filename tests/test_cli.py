@@ -16,7 +16,7 @@ import pytest
 from hypokit import EnsembleParams, PhaseState, RngStream, builtin_potential, cli, eval_hamiltonian, simulate
 from hypokit.errors import InvalidArgumentError, NumericalFailureError
 from hypokit.model import _center_cell
-from hypokit.spectral import assemble_generator, build_basis, project_phase_function, reduced_generator
+from hypokit.spectral import build_basis, project_phase_function, reduced_generator
 
 
 def run(*argv):
@@ -76,11 +76,10 @@ def test_dump_eigs_row_order_survives_roundoff():
     of these perturbations.
     """
     from hypokit import EnsembleParams, builtin_potential
-    from hypokit.spectral import assemble_generator, build_basis, reduced_generator
+    from hypokit.spectral import build_basis, reduced_generator
 
     spec, params = builtin_potential("cosine", {"h": 1.0, "L": 1.0}), EnsembleParams()
-    neg_op = reduced_generator(assemble_generator(
-        build_basis(spec, params, Kq=8, Np=16, n_quad=64), spec, params)).neg_operator(1.0)
+    neg_op = reduced_generator(build_basis(spec, params, Kq=8, Np=16, n_quad=64)).neg_operator(1.0)
     norm1 = np.linalg.norm(neg_op, 1)
 
     def rows(op):
@@ -658,7 +657,7 @@ def test_q_centered_projects_into_the_odd_sector():
     f = cli._observable("q_centered", spec, params)
     basis = build_basis(spec, params)
     phi = project_phase_function(basis, lambda q, p: f(q[..., None], p[..., None]) + np.zeros((q.size, p.size)))
-    red = reduced_generator(assemble_generator(basis, spec, params))
+    red = reduced_generator(basis)
     z = red.to_reduced(phi)
     assert red.sector_names == ("even", "odd")
     assert np.linalg.norm(z[red.sector_index(0)]) <= 1e-12 * np.linalg.norm(z)

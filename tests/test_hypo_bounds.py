@@ -70,7 +70,7 @@ class TestDissipation:
 
 def _dense_dissipation(asm, eps):
     """(lambda_est, r_norm, lham_r_norm) from the dense N x N matrices."""
-    red = reduced_generator(asm)
+    red = reduced_generator(asm.basis)
     h = -red.neg_operator(0.0)
     t0 = h[:, : red.n0]
     r_op = np.zeros_like(h)
@@ -86,7 +86,7 @@ def _dense_dissipation(asm, eps):
 
 def _dense_tuned_epsilon(asm, lo=1e-4, hi=0.9999, tol=1e-4):
     """Golden-section search on the dense pencil d0 + eps d2."""
-    red = reduced_generator(asm)
+    red = reduced_generator(asm.basis)
     h = -red.neg_operator(0.0)
     t0 = h[:, : red.n0]
     r_op = np.zeros_like(h)
@@ -136,9 +136,9 @@ def oracle_asm(request):
     spec = builtin_potential("cosine", pot)
     params = EnsembleParams(beta=beta, mass=mass, gamma=gamma)
     basis = build_basis(spec, params, Kq=kq, Np=npp, n_quad=256)
-    asm = assemble_generator(basis, spec, params)
+    asm = assemble_generator(basis, gamma)
     if request.param.startswith("rcond-cut"):
-        assert reduced_generator(asm).wq.shape[1] < basis.n_q  # the cut drops directions
+        assert reduced_generator(basis).wq.shape[1] < basis.n_q  # the cut drops directions
     return asm
 
 
@@ -160,7 +160,7 @@ class TestAgainstDenseOracle:
         assert res.lham_r_norm == pytest.approx(lham_r_norm, rel=1e-10)
 
     def test_resolvent_norm(self, oracle_asm):
-        l_op = -reduced_generator(oracle_asm).neg_operator(oracle_asm.gamma)
+        l_op = -reduced_generator(oracle_asm.basis).neg_operator(oracle_asm.gamma)
         assert resolvent_norm(oracle_asm) == pytest.approx(1.0 / sla.svdvals(l_op).min(), rel=1e-10)
 
 
@@ -239,7 +239,7 @@ class TestSchurArithmetic:
 
 class TestSchurVerification:
     def test_cosine_bound_holds(self, cosine_asm, cosine_spec, unit_params):
-        chk = verify_schur_bound(cosine_asm, cosine_spec, unit_params)
+        chk = verify_schur_bound(cosine_asm)
         assert chk.holds
         assert chk.numeric <= chk.bound * 1.05
         assert chk.case == "hessian_lower_bound"
@@ -249,8 +249,8 @@ class TestSchurVerification:
     def test_flat_potential_routes_to_convex(self, unit_params):
         spec = builtin_potential("flat", {"L": 1.0})
         basis = build_basis(spec, unit_params, Kq=8, Np=12, n_quad=128)
-        asm = assemble_generator(basis, spec, unit_params)
-        chk = verify_schur_bound(asm, spec, unit_params)
+        asm = assemble_generator(basis, unit_params.gamma)
+        chk = verify_schur_bound(asm)
         assert chk.case == "convex"
         assert chk.holds
 
@@ -259,21 +259,40 @@ class TestSchurVerification:
         # grid node, but its cell integral of V'' is far from zero -- the
         # C^1-seam signature.  Auto-routing must refuse to call it convex.
         basis = build_basis(quad_spec, unit_params, Kq=8, Np=12, n_quad=128)
-        asm = assemble_generator(basis, quad_spec, unit_params)
+        asm = assemble_generator(basis, unit_params.gamma)
         with pytest.raises(InvalidArgumentError, match="periodically convex"):
-            verify_schur_bound(asm, quad_spec, unit_params)
+            verify_schur_bound(asm)
         with pytest.raises(InvalidArgumentError):
-            verify_schur_bound(asm, quad_spec, unit_params, case="convex")
-        chk = verify_schur_bound(asm, quad_spec, unit_params, case="hessian_lower_bound")
+            verify_schur_bound(asm, case="convex")
+        chk = verify_schur_bound(asm, case="hessian_lower_bound")
         assert chk.holds
         assert chk.K == 0.0  # Hessian never dips below zero on the grid
 
     def test_general_case_accepted_anywhere(self, cosine_asm, cosine_spec, unit_params):
-        chk = verify_schur_bound(
-            cosine_asm, cosine_spec, unit_params, case="general", c_prime=R_FLAT
-        )
+        chk = verify_schur_bound(cosine_asm, case="general", c_prime=R_FLAT)
         assert chk.case == "general"
         assert chk.holds
+
+
+    def test_bound_is_taken_at_the_assembly_friction(self, cosine_asm_small):
+        """An assembly at gamma = 8 is checked against 2 beta gamma / R + (8 m / gamma)(3/8 + 1 + K / R) at gamma = 8."""
+        asm = assemble_generator(cosine_asm_small.basis, 8.0)
+        chk = verify_schur_bound(asm)
+        r, k = chk.r_nu, chk.K
+        assert chk.bound == pytest.approx(2.0 * 8.0 / r + (8.0 / 8.0) * (0.375 + 1.0 + k / r), rel=1e-14)
+        assert chk.numeric == resolvent_norm(asm)
+        assert chk.bound == schur_bound(EnsembleParams(gamma=8.0), r, chk.case, K=k).value
+
+    def test_double_well_basis_reports_its_own_constants(self, unit_params):
+        """K and R of a double-well basis are the double well's: V'' = 4(3x^2 - 1) dips to -4."""
+        spec = builtin_potential("double_well", {"L": 4.0})
+        asm = assemble_generator(build_basis(spec, unit_params, Kq=8, Np=12), unit_params.gamma)
+        chk = verify_schur_bound(asm, case="hessian_lower_bound")
+        assert chk.K == 4.0
+        assert chk.r_nu == spectral.poincare_constant(spec, unit_params, Kq=8)
+        cosine = verify_schur_bound(assemble_generator(
+            build_basis(builtin_potential("cosine", {"h": 1.0, "L": 1.0}), unit_params, Kq=8, Np=12), 1.0))
+        assert cosine.K == pytest.approx(R_FLAT, rel=1e-2) and cosine.r_nu != chk.r_nu
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +304,7 @@ def ou_resolvents(quad_spec, unit_params):
     basis = build_basis(quad_spec, unit_params, Kq=8, Np=16, n_quad=64)
 
     def rn(gamma):
-        p = EnsembleParams(beta=1.0, mass=1.0, gamma=gamma)
-        return resolvent_norm(assemble_generator(basis, quad_spec, p))
+        return resolvent_norm(assemble_generator(basis, gamma))
 
     return rn
 
@@ -300,7 +318,7 @@ class TestResolventNorm:
         assert ou_resolvents(1.0) == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-6)
 
     def test_exceeds_reciprocal_smallest_eigenvalue(self, cosine_asm):
-        red = reduced_generator(cosine_asm)
+        red = reduced_generator(cosine_asm.basis)
         lam = np.linalg.eigvals(-red.neg_operator(cosine_asm.gamma))
         assert resolvent_norm(cosine_asm) >= 1.0 / np.abs(lam).min() - 1e-9
 
@@ -321,7 +339,7 @@ class TestResolventNorm:
         vals = []
         for kq, npp in ((8, 16), (16, 32)):
             basis = build_basis(quad_spec, unit_params, Kq=kq, Np=npp, n_quad=8 * kq)
-            vals.append(resolvent_norm(assemble_generator(basis, quad_spec, unit_params)))
+            vals.append(resolvent_norm(assemble_generator(basis, unit_params.gamma)))
         assert abs(vals[1] - vals[0]) <= 0.02 * vals[0]
 
 
@@ -331,9 +349,8 @@ def pendulum_witnesses(pendulum_spec):
     basis = build_basis(pendulum_spec, basis_params, Kq=16, Np=32, n_quad=256)
 
     def at(gamma):
-        p = EnsembleParams(beta=1.0, mass=1.0, gamma=gamma)
-        asm = assemble_generator(basis, pendulum_spec, p)
-        return asm, resolvent_lower_bound(pendulum_spec, p, asm)
+        asm = assemble_generator(basis, gamma)
+        return asm, resolvent_lower_bound(asm)
 
     return at
 
@@ -360,12 +377,23 @@ class TestWitnesses:
         slope = np.polyfit(np.log(gammas), np.log(vals), 1)[0]
         assert slope == pytest.approx(-1.0, abs=1e-3)
 
+    @pytest.mark.parametrize("mass", [1.0, 2.0])
+    def test_witnesses_read_the_mass_from_the_basis(self, pendulum_spec, mass):
+        """The energy witness is V + p^2 / (2m) with the basis's m, the ratio ||u|| / ||L u||."""
+        basis = build_basis(pendulum_spec, EnsembleParams(mass=mass), Kq=8, Np=16, n_quad=128)
+        asm = assemble_generator(basis, 0.5)
+        red = reduced_generator(basis)
+        u = red.to_reduced(spectral.project_phase_function(
+            basis, lambda q, p: pendulum_spec.eval(q)[:, None] + p * p / (2.0 * mass)))
+        want = np.linalg.norm(u) / np.linalg.norm(red.neg_operator(0.5) @ u)
+        assert resolvent_lower_bound(asm).underdamped == pytest.approx(want, rel=1e-12)
+
     def test_flat_potential_degenerate(self, unit_params):
         spec = builtin_potential("flat", {"L": 1.0})
         basis = build_basis(spec, unit_params, Kq=8, Np=12, n_quad=128)
-        asm = assemble_generator(basis, spec, unit_params)
+        asm = assemble_generator(basis, unit_params.gamma)
         with pytest.raises(DegenerateWitnessError):
-            resolvent_lower_bound(spec, unit_params, asm)
+            resolvent_lower_bound(asm)
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +401,8 @@ class TestWitnesses:
 
 
 @pytest.fixture(scope="module")
-def ou_scan_assembly(quad_spec):
-    p = EnsembleParams(beta=1.0, mass=1.0, gamma=1.0)
-    basis = build_basis(quad_spec, p, Kq=8, Np=16, n_quad=64)
-    return assemble_generator(basis, quad_spec, p), p
+def ou_scan_basis(quad_spec):
+    return build_basis(quad_spec, EnsembleParams(beta=1.0, mass=1.0, gamma=1.0), Kq=8, Np=16, n_quad=64)
 
 
 class TestGammaScan:
@@ -384,17 +410,15 @@ class TestGammaScan:
     # harmonic generator is defective and the closed-form branches meet.
     LADDER = [0.125 * 2.1**k for k in range(7)]
 
-    def test_quadratic_branch_formulas(self, quad_spec, ou_scan_assembly):
-        asm, p = ou_scan_assembly
-        res = gamma_scan(quad_spec, p, self.LADDER, assembly=asm)
+    def test_quadratic_branch_formulas(self, ou_scan_basis):
+        res = gamma_scan(ou_scan_basis, self.LADDER)
         assert not res.row_errors
         for g, gap in zip(res.table.gammas, res.table.gaps):
             want = g / 2 if g < 2 else (g - math.sqrt(g * g - 4)) / 2
             assert gap == pytest.approx(want, abs=1e-6)
 
-    def test_scan_slopes_and_floor(self, quad_spec, ou_scan_assembly):
-        asm, p = ou_scan_assembly
-        res = gamma_scan(quad_spec, p, self.LADDER, assembly=asm)
+    def test_scan_slopes_and_floor(self, ou_scan_basis):
+        res = gamma_scan(ou_scan_basis, self.LADDER)
         # Underdamped branch is exactly gamma/2 on this ladder.
         assert res.slope_small_gamma == pytest.approx(1.0, abs=1e-6)
         # Overdamped rungs sit near the square-root singularity at gamma = 2,
@@ -409,8 +433,7 @@ class TestGammaScan:
         # rungs attain it at exactly 1/2.
         assert res.lambda_bar == pytest.approx(0.5, abs=1e-6)
 
-    def test_row_failure_is_isolated(self, quad_spec, ou_scan_assembly, monkeypatch):
-        asm, p = ou_scan_assembly
+    def test_row_failure_is_isolated(self, ou_scan_basis, monkeypatch):
         real = spectral._gap_of_operator
         bad_gamma = self.LADDER[3]
 
@@ -421,48 +444,45 @@ class TestGammaScan:
             return res
 
         monkeypatch.setattr(spectral, "_gap_of_operator", flaky)
-        res = gamma_scan(quad_spec, p, self.LADDER, assembly=asm)
+        res = gamma_scan(ou_scan_basis, self.LADDER)
         assert list(res.row_errors) == [pytest.approx(bad_gamma)]
         assert "synthetic row failure" in next(iter(res.row_errors.values()))
         nan_rows = np.isnan(res.table.gaps)
         assert nan_rows.sum() == 1
         assert np.isfinite(res.lambda_bar)
 
-    def test_roundoff_gaps_fail_their_rows_only(self, quad_spec, ou_scan_assembly):
+    def test_roundoff_gaps_fail_their_rows_only(self, ou_scan_basis):
         # At gamma = 1e-17 the gap is the smallest real part of roundoff-level
         # scatter about zero, hence negative; such rows are failed rows, never
         # a scan-wide error.
-        asm, p = ou_scan_assembly
         ladder = [1e-17 * 10.0**k for k in range(19)]
-        res = gamma_scan(quad_spec, p, ladder, assembly=asm)
+        res = gamma_scan(ou_scan_basis, ladder)
         failed = res.table.gammas[np.isnan(res.table.gaps)]
         assert failed[0] == 1e-17 and np.all(failed < 1e-10)
         assert sorted(res.row_errors) == pytest.approx(sorted(failed))
         assert all("not positive" in msg for msg in res.row_errors.values())
         assert res.table.gaps[-1] == pytest.approx((10.0 - math.sqrt(96.0)) / 2, abs=1e-6)
 
-    def test_rungs_need_a_margin_above_roundoff(self, quad_spec, ou_scan_assembly):
+    def test_rungs_need_a_margin_above_roundoff(self, ou_scan_basis):
         # gap / (eps ||L||_1) reads 6.3 at gamma = 1e-13, 610 at 1e-11 and 6000
         # at 1e-10: positive gaps, but only the last clears the margin.
-        asm, p = ou_scan_assembly
         ladder = [1e-17 * 10.0**k for k in range(19)]
-        res = gamma_scan(quad_spec, p, ladder, assembly=asm)
+        res = gamma_scan(ou_scan_basis, ladder)
         failed = res.table.gammas[np.isnan(res.table.gaps)]
         assert np.array_equal(failed, res.table.gammas[:7])  # 1e-17 ... 1e-11
 
-    def test_ladder_contract(self, quad_spec, ou_scan_assembly):
-        asm, p = ou_scan_assembly
+    def test_ladder_contract(self, ou_scan_basis):
         with pytest.raises(InvalidArgumentError, match="at least 7"):
-            gamma_scan(quad_spec, p, self.LADDER[:6], assembly=asm)
+            gamma_scan(ou_scan_basis, self.LADDER[:6])
         with pytest.raises(InvalidArgumentError, match="span"):
-            gamma_scan(quad_spec, p, [0.25 * 2.1**k for k in range(7)], assembly=asm)
+            gamma_scan(ou_scan_basis, [0.25 * 2.1**k for k in range(7)])
         with pytest.raises(InvalidArgumentError):
-            gamma_scan(quad_spec, p, [-1.0] + self.LADDER[1:], assembly=asm)
+            gamma_scan(ou_scan_basis, [-1.0] + self.LADDER[1:])
         with pytest.raises(InvalidArgumentError):
-            gamma_scan(quad_spec, p, [0.125, 0.125] + self.LADDER[2:], assembly=asm)
+            gamma_scan(ou_scan_basis, [0.125, 0.125] + self.LADDER[2:])
 
     def test_builds_its_basis_with_the_default_grid_for_any_kq(self, cosine_spec, unit_params):
         # n_quad defaults to max(256, 8 Kq) in build_basis alone; at Kq = 40 that is 320 nodes
         assert build_basis(cosine_spec, unit_params, Kq=40, Np=2).nodes.size == 320
-        res = gamma_scan(cosine_spec, unit_params, self.LADDER, Kq=40, Np=2)
+        res = gamma_scan(build_basis(cosine_spec, unit_params, Kq=40, Np=2), self.LADDER)
         assert not res.row_errors and np.all(res.table.gaps > 0)

@@ -1,0 +1,48 @@
+"""One source per input: no public function that takes a basis, an assembly or an
+overdamped operator also takes the potential, the ensemble or the discretization
+that object already carries."""
+
+import importlib
+import inspect
+import pkgutil
+import typing
+
+import pytest
+
+import hypokit
+from hypokit.spectral import BasisSet, GeneratorAssembly, OverdampedOperator
+
+CARRIERS = (BasisSet, GeneratorAssembly, OverdampedOperator)
+CARRIED = {"spec", "params", "beta", "mass", "Kq", "Np", "n_quad"}
+
+
+def _public_functions():
+    for info in pkgutil.iter_modules(hypokit.__path__):
+        if info.name.startswith("_"):  # __main__ runs the CLI on import
+            continue
+        module = importlib.import_module(f"hypokit.{info.name}")
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if not name.startswith("_") and fn.__module__ == module.__name__:
+                yield f"{module.__name__}.{name}", fn
+
+
+FUNCTIONS = dict(_public_functions())
+
+
+def _carries(hint) -> bool:
+    """The annotation is a carrier, or a union such as `GeneratorAssembly | None` holding one."""
+    return hint in CARRIERS or any(_carries(arg) for arg in typing.get_args(hint))
+
+
+def test_the_lint_sees_the_solvers():
+    assert {"hypokit.hypo.verify_schur_bound", "hypokit.hypo.gamma_scan",
+            "hypokit.spectral.semigroup_decay_check", "hypokit.spectral.assemble_generator"} <= set(FUNCTIONS)
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_no_function_takes_an_input_twice(name):
+    fn = FUNCTIONS[name]
+    hints = typing.get_type_hints(fn)
+    params = inspect.signature(fn).parameters
+    if any(_carries(hints.get(p)) for p in params):
+        assert not CARRIED & set(params), f"{name} takes {sorted(CARRIED & set(params))} beside its carrier"

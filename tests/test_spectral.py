@@ -61,7 +61,7 @@ def _levels(red):
 
 def test_reduced_symmetry_and_friction_diagonal(cosine_asm):
     """L_ham exactly antisymmetric; fd <= 0, zero on level 0 and -n/m on level n."""
-    red = reduced_generator(cosine_asm)
+    red = reduced_generator(cosine_asm.basis)
     ham = -red.neg_operator(0.0)
     assert ham.shape == (red.dim, red.dim)
     assert np.array_equal(ham, -ham.T)
@@ -71,7 +71,7 @@ def test_reduced_symmetry_and_friction_diagonal(cosine_asm):
 
 
 def test_ham_couples_adjacent_levels_only(cosine_asm_small):
-    red = reduced_generator(cosine_asm_small)
+    red = reduced_generator(cosine_asm_small.basis)
     ham = -red.neg_operator(0.0)
     lev = _levels(red)
     far = np.abs(lev[:, None] - lev[None, :]) != 1
@@ -81,21 +81,22 @@ def test_ham_couples_adjacent_levels_only(cosine_asm_small):
 
 def test_reduced_generator_stores_no_dense_array(cosine_asm):
     """At Kq16/Np32 (dim 1055) the level blocks total a few kB, not dim^2 doubles."""
-    red = reduced_generator(cosine_asm)
+    red = reduced_generator(cosine_asm.basis)
     arrays = [v for v in vars(red).values() if isinstance(v, np.ndarray)]
     assert all(a.ndim < 2 or a.shape[0] < red.dim for a in arrays)
     assert sum(a.nbytes for a in arrays) < 1_000_000
 
 
 def test_reduced_round_trip(cosine_asm_small):
-    red = reduced_generator(cosine_asm_small)
+    red = reduced_generator(cosine_asm_small.basis)
     y = np.random.default_rng(0).standard_normal(red.dim)
     assert np.abs(red.to_reduced(red.to_full(y)) - y).max() <= 1e-13 * np.abs(y).max()
 
 
 def test_pi0_is_momentum_average_projection(cosine_asm_small):
     """Pi0 keeps the first n0 reduced coordinates: functions of q live there only."""
-    basis, red = cosine_asm_small.basis, reduced_generator(cosine_asm_small)
+    basis = cosine_asm_small.basis
+    red = reduced_generator(basis)
     z_q = red.to_reduced(project_phase_function(
         basis, lambda q, p: np.cos(2 * math.pi * q) * np.ones_like(p)))
     z_p = red.to_reduced(project_phase_function(
@@ -110,7 +111,7 @@ def test_generator_acts_as_analytic_langevin_generator(cosine_spec, beta, mass, 
     """L p = -V'(q) - gamma p / m, and L_ham H = 0, on projected functions."""
     params = EnsembleParams(beta=beta, mass=mass, gamma=gamma)
     basis = build_basis(cosine_spec, params, Kq=8, Np=12, n_quad=128)
-    red = reduced_generator(assemble_generator(basis, cosine_spec, params))
+    red = reduced_generator(basis)
 
     def proj(f):
         return red.to_reduced(project_phase_function(basis, f))
@@ -126,16 +127,25 @@ def test_generator_acts_as_analytic_langevin_generator(cosine_spec, beta, mass, 
 
 def test_assembly_rejects_mismatched_params(cosine_spec, unit_params):
     basis = build_basis(cosine_spec, unit_params, Kq=4, Np=4, n_quad=64)
-    other = EnsembleParams(beta=2.0, mass=1.0, gamma=1.0)
-    with pytest.raises(InvalidArgumentError):
-        assemble_generator(basis, cosine_spec, other)
-    frictionless = EnsembleParams(beta=1.0, mass=1.0, gamma=0.0)
     with pytest.raises(InvalidArgumentError, match="gamma must be positive"):
-        assemble_generator(basis, cosine_spec, frictionless)
+        assemble_generator(basis, 0.0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+def test_assembly_refuses_a_friction_that_is_not_positive_and_finite(cosine_spec, unit_params, gamma):
+    basis = build_basis(cosine_spec, unit_params, Kq=4, Np=4, n_quad=64)
+    with pytest.raises(InvalidArgumentError, match="gamma must be"):
+        assemble_generator(basis, gamma)
+
+
+def test_assembly_params_are_the_basis_ensemble_at_the_bound_friction(cosine_spec):
+    basis = build_basis(cosine_spec, EnsembleParams(beta=2.0, mass=0.5), Kq=4, Np=4, n_quad=64)
+    assert basis.spec is cosine_spec and basis.L == cosine_spec.domain.length
+    assert assemble_generator(basis, 8.0).params == EnsembleParams(beta=2.0, mass=0.5, gamma=8.0)
 
 
 def test_reduced_generator_shape_and_stability(cosine_asm_small):
-    red = reduced_generator(cosine_asm_small)
+    red = reduced_generator(cosine_asm_small.basis)
     assert red.dim == cosine_asm_small.basis.size - 1  # one constant deflated
     ev = np.linalg.eigvals(-red.neg_operator(1.0))
     assert ev.real.max() <= 1e-10  # generator spectrum sits in the left half-plane
@@ -145,13 +155,13 @@ def test_ou_gap_pinned_values(quad_spec):
     # drift-matrix oracle: gap = gamma/2 below critical damping
     params = EnsembleParams(beta=1.0, mass=1.0, gamma=0.5)
     basis = build_basis(quad_spec, params, Kq=16, Np=32, n_quad=256)
-    res = spectral_gap(assemble_generator(basis, quad_spec, params))
+    res = spectral_gap(assemble_generator(basis, params.gamma))
     assert res.gap == pytest.approx(0.25, abs=1e-6)
     assert res.eig_count_checked == basis.size - 1
 
     params4 = EnsembleParams(beta=1.0, mass=1.0, gamma=4.0)
     basis4 = build_basis(quad_spec, params4, Kq=16, Np=32, n_quad=256)
-    res4 = spectral_gap(assemble_generator(basis4, quad_spec, params4))
+    res4 = spectral_gap(assemble_generator(basis4, params4.gamma))
     assert res4.gap == pytest.approx(2.0 - math.sqrt(3.0), abs=1e-6)
 
 
@@ -160,7 +170,7 @@ def test_cosine_gap_value_is_resolution_stable(cosine_spec, unit_params, cosine_
     # refinement moves only 1.4e-5, so 1e-3 is a safe Cauchy threshold
     gap = spectral_gap(cosine_asm).gap
     basis2 = build_basis(cosine_spec, unit_params, Kq=24, Np=48, n_quad=384)
-    gap2 = spectral_gap(assemble_generator(basis2, cosine_spec, unit_params)).gap
+    gap2 = spectral_gap(assemble_generator(basis2, unit_params.gamma)).gap
     assert gap2 == pytest.approx(gap, rel=1e-3)
 
 
@@ -183,17 +193,30 @@ def test_semigroup_decay_prefactor_one(cosine_spec, unit_params):
     for spec in (builtin_potential("flat", {"L": 1.0}), cosine_spec):
         r_nu = poincare_constant(spec, unit_params, Kq=16)
         basis = build_basis(spec, unit_params, Kq=16, Np=2, n_quad=256)
-        ovd = assemble_overdamped(basis, spec, unit_params)
-        res = semigroup_decay_check(ovd, r_nu, times=[0.01, 0.1, 1.0], beta=unit_params.beta)
+        ovd = assemble_overdamped(basis)
+        res = semigroup_decay_check(ovd, r_nu, times=[0.01, 0.1, 1.0])
         assert res.ok
         assert res.max_ratio <= 1.0 + 1e-8
+
+
+def test_semigroup_decay_reads_beta_from_the_basis(cosine_spec):
+    """At beta = 2 the bound is exp(-r_nu t / 2), with no beta passed to the check."""
+    params = EnsembleParams(beta=2.0)
+    r_nu = poincare_constant(cosine_spec, params, Kq=16)
+    ovd = assemble_overdamped(build_basis(cosine_spec, params, Kq=16, Np=2, n_quad=256))
+    times = np.array([0.01, 0.1, 1.0])
+    res = semigroup_decay_check(ovd, r_nu, times)
+    assert np.array_equal(res.bounds, np.exp(-r_nu * times / 2.0))
+    assert res.ok and res.max_ratio <= 1.0 + 1e-8
+    # at beta = 2 the slowest mode decays at r_nu / 2 exactly, so the beta = 1 bound would fail
+    assert np.any(res.norms > np.exp(-r_nu * times))
 
 
 def test_flat_overdamped_poisson_closed_form(unit_params):
     """For the flat torus, -L phi = cos(2 pi q) solves exactly: sigma2 = 1/(4 pi^2)."""
     spec = builtin_potential("flat", {"L": 1.0})
     basis = build_basis(spec, unit_params, Kq=16, Np=2, n_quad=256)
-    ovd = assemble_overdamped(basis, spec, unit_params)
+    ovd = assemble_overdamped(basis)
     phi_q = project_position_function(basis, lambda q: np.cos(2 * math.pi * q))
     sol = solve_poisson_overdamped(ovd, phi_q)
     assert sol.sigma2 == pytest.approx(1.0 / (4.0 * math.pi**2), abs=1e-8)
@@ -203,7 +226,7 @@ def test_langevin_poisson_ou_oracle(quad_spec):
     # time-average of the position coordinate: sigma2 = 2 gamma exactly for OU
     params = EnsembleParams(beta=1.0, mass=1.0, gamma=0.5)
     basis = build_basis(quad_spec, params, Kq=16, Np=32, n_quad=256)
-    asm = assemble_generator(basis, quad_spec, params)
+    asm = assemble_generator(basis, params.gamma)
     phi = project_phase_function(
         basis, lambda q, p: _center_cell(q, 14.0) * np.ones_like(p)
     )
@@ -272,14 +295,14 @@ def test_gram_solves_match_cholesky_on_full_rank_bases(name, pot, beta, Kq):
           sla.cho_solve(cho, basis.F.T @ (basis.weights[:, None] * t)))
 
     a_form = -(1.0 / beta) * (basis.D.T @ basis.gram_q @ basis.D)
-    close(assemble_overdamped(basis, spec, params).l_ovd,
+    close(assemble_overdamped(basis).l_ovd,
           sla.cho_solve(cho, 0.5 * (a_form + a_form.T)))
 
 
 def _shift_invariants(spec, params):
     """(gap, Langevin Poisson sigma^2 of cos 2 pi q, r_nu) on a small basis."""
     basis = build_basis(spec, params, Kq=6, Np=8, n_quad=64)
-    asm = assemble_generator(basis, spec, params)
+    asm = assemble_generator(basis, params.gamma)
     phi = project_phase_function(basis, lambda q, p: np.cos(2 * math.pi * q) * np.ones_like(p))
     return (spectral_gap(asm).gap, solve_poisson(asm, phi).sigma2,
             poincare_constant(spec, params, Kq=6))
@@ -353,8 +376,8 @@ def _assert_split_matches_full_operator(spec, params, basis):
     """Gap, spectrum, ||L||_1 and the six Poisson sigma^2 against the one full -L of the same frame."""
     from hypokit import cli
 
-    asm = assemble_generator(basis, spec, params)
-    red = reduced_generator(asm)
+    asm = assemble_generator(basis, params.gamma)
+    red = reduced_generator(basis)
     full = red.neg_operator(params.gamma)  # sector=None: every coordinate, block diagonal in the sectors
     norm1 = float(np.linalg.norm(full, 1))
     want = sla.eigvals(full)
@@ -388,7 +411,7 @@ def test_sector_solves_match_the_full_operator(name, pot, ens, gamma, Kq, Np):
 
 def test_sector_solves_match_the_full_operator_at_the_defaults(cosine_spec, unit_params, cosine_asm):
     """Kq16/Np32 splits 1055 = 527 + 528; the 1.5x refinement of spectrum agrees too."""
-    red = reduced_generator(cosine_asm)
+    red = reduced_generator(cosine_asm.basis)
     assert [red.sector_index(s).size for s in range(red.n_sectors)] == [527, 528]
     assert red.sector_names == ("even", "odd")
     res, want, norm1 = _assert_split_matches_full_operator(cosine_spec, unit_params, cosine_asm.basis)
@@ -400,15 +423,15 @@ def test_sector_solves_match_the_full_operator_at_the_defaults(cosine_spec, unit
 
     assert np.abs(rows(res.eigenvalues) - rows(want)).max() <= 1e-10 * norm1
     basis2 = build_basis(cosine_spec, unit_params, Kq=24, Np=48)
-    red2 = reduced_generator(assemble_generator(basis2, cosine_spec, unit_params))
+    red2 = reduced_generator(basis2)
     assert [red2.sector_index(s).size for s in range(2)] == [1175, 1176]
-    refined = spectral_gap(assemble_generator(basis2, cosine_spec, unit_params)).gap
+    refined = spectral_gap(assemble_generator(basis2, unit_params.gamma)).gap
     assert refined == pytest.approx(float(sla.eigvals(red2.neg_operator(1.0)).real.min()), rel=1e-10)
 
 
 def test_sectors_do_not_couple(cosine_asm_small):
     """c_t has only off-parity blocks, so -L is exactly block diagonal in the sectors."""
-    red = reduced_generator(cosine_asm_small)
+    red = reduced_generator(cosine_asm_small.basis)
     same = red.labels[:, None] == red.labels[None, :]
     assert np.all(red.c_t[same] == 0.0) and np.any(red.c_t != 0.0)
     full = red.neg_operator(0.7)
@@ -423,7 +446,7 @@ def test_gap_sector_is_the_parity_of_the_slowest_mode(cosine_spec, unit_params):
     """At h=5 the slowest mode is odd under (q, p) -> (-q, -p)."""
     spec = builtin_potential("cosine", {"h": 5.0, "L": 1.0})
     basis = build_basis(spec, unit_params, Kq=10, Np=20)
-    assert spectral_gap(assemble_generator(basis, spec, unit_params)).sector == "odd"
+    assert spectral_gap(assemble_generator(basis, unit_params.gamma)).sector == "odd"
 
 
 def test_asymmetric_potential_keeps_one_sector(unit_params):
@@ -431,8 +454,7 @@ def test_asymmetric_potential_keeps_one_sector(unit_params):
     spec = _asymmetric_spec()
     basis = build_basis(spec, unit_params, Kq=8, Np=12)
     assert basis.n_sectors == 1 and np.all(basis.labels == 0)
-    asm = assemble_generator(basis, spec, unit_params)
-    red = reduced_generator(asm)
+    red = reduced_generator(basis)
     assert red.sector_names == ("all",)
     assert np.array_equal(red.neg_operator(1.0, sector=0), red.neg_operator(1.0))
     res, _, _ = _assert_split_matches_full_operator(spec, unit_params, basis)
@@ -462,26 +484,18 @@ def test_default_gap_solves_only_half_size_matrices(cosine_asm, monkeypatch):
 
     monkeypatch.setattr(sla, "eigvals", spy)
     res = spectral_gap(cosine_asm)
-    n = reduced_generator(cosine_asm).dim
+    n = reduced_generator(cosine_asm.basis).dim
     assert sorted(sizes) == [527, 528] and sum(sizes) == res.eig_count_checked == n
     assert max(sizes) <= math.ceil(n / 2) + 1
 
 
-def test_poisson_skips_a_sector_with_zero_right_hand_side(cosine_asm_small, monkeypatch):
-    """A right-hand side that is exactly zero in one sector costs one half-size LU."""
-    red = reduced_generator(cosine_asm_small)
+def test_poisson_solves_a_zero_sector_to_exact_zeros(cosine_asm_small):
+    """A right-hand side that is exactly zero in one sector gives exactly zero there."""
+    red = reduced_generator(cosine_asm_small.basis)
     y = np.zeros(red.dim)
     y[red.sector_index(1)] = np.random.default_rng(1).standard_normal(red.sector_index(1).size)
-    real = sla.lu_factor
-    sizes = []
-
-    def spy(a, *args, **kwargs):
-        sizes.append(a.shape[0])
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(sla, "lu_factor", spy)
     sol = solve_poisson(cosine_asm_small, red.to_full(y))
-    assert sizes == [red.sector_index(1).size]
+    assert np.all(red.to_reduced(sol.phi_coeffs)[red.sector_index(0)] == 0.0)
     z = sla.solve(red.neg_operator(1.0), red.to_reduced(red.to_full(y)))
     assert sol.sigma2 == pytest.approx(2.0 * float(z @ red.to_reduced(red.to_full(y))) / red.mass_nu, rel=1e-10)
     assert sol.residual <= 1e-14
@@ -499,10 +513,9 @@ def test_scan_rows_match_the_full_operator(cosine_spec, unit_params):
     from hypokit.hypo import gamma_scan
 
     basis = build_basis(cosine_spec, unit_params, Kq=8, Np=16)
-    asm = assemble_generator(basis, cosine_spec, unit_params)
-    red = reduced_generator(asm)
+    red = reduced_generator(basis)
     ladder = [0.125 * 2.0**k for k in range(7)]
-    rows = gamma_scan(cosine_spec, unit_params, ladder, assembly=asm, max_workers=1).table.gaps
+    rows = gamma_scan(basis, ladder, max_workers=1).table.gaps
     want = [float(sla.eigvals(red.neg_operator(g)).real.min()) for g in ladder]
     assert rows == pytest.approx(want, rel=1e-10)
 
