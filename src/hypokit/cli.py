@@ -95,7 +95,7 @@ _OPTIONS = (
             "friction"),
     _Option("--Kq", "discretization.Kq", {"type": "integer", "minimum": 1}, _SPECTRAL + ("poincare",), "Fourier modes"),
     _Option("--Np", "discretization.Np", {"type": "integer", "minimum": 2}, _SPECTRAL, "Hermite functions in p"),
-    _Option("--n-quad", "discretization.n_quad", {"type": "integer", "minimum": 8}, _SPECTRAL,
+    _Option("--n-quad", "discretization.n_quad", {"type": "integer", "minimum": 8}, _SPECTRAL + ("poincare",),
             "quadrature nodes in q"),
     _Option("--dt", "discretization.dt", _POSITIVE, ("sample", "ode"), "time step"),
     _Option("--n-steps", "discretization.n_steps", {"type": "integer", "minimum": 1}, ("sample",),
@@ -142,7 +142,8 @@ _OPTIONS = (
             "relative tolerance of the bound check"),
     _Option("--gammas", "options.gammas", {"type": "string"}, ("scan",), "geometric friction ladder",
             {"metavar": "START:RATIO:COUNT"}),
-    _Option("--threads", "options.threads", {"type": "integer", "minimum": 1}, ("scan",), "worker threads"),
+    _Option("--threads", "options.threads", {"type": "integer", "minimum": 1}, ("scan",),
+            "worker threads, one friction each (default 1)"),
 )
 
 # The mode a mode key selects when it is absent.
@@ -556,7 +557,7 @@ def _cmd_poincare(cfg: dict) -> tuple[dict, dict]:
     params = _ensemble(cfg)
     spec = _spectral_potential(cfg, params)
     disc = _discretization(cfg)
-    r_nu = poincare_constant(spec, params, Kq=disc["Kq"])
+    r_nu = poincare_constant(spec, params, Kq=disc["Kq"], n_quad=disc.get("n_quad"))
     return {"r_nu": r_nu, "beta": params.beta, "Kq": disc["Kq"]}, {}
 
 
@@ -669,7 +670,7 @@ def _parse_gammas(text: str) -> list[float]:
 def _cmd_scan(cfg: dict) -> tuple[dict, dict]:
     _, disc, basis = _spectral_setup(cfg)
     opts = cfg.get("options", {})
-    scan = gamma_scan(basis, _parse_gammas(opts.get("gammas", "0.125:2:7")), max_workers=opts.get("threads"))
+    scan = gamma_scan(basis, _parse_gammas(opts.get("gammas", "0.125:2:7")), max_workers=opts.get("threads", 1))
     out = cfg.get("output")
     if out:
         rows = np.column_stack([scan.table.gammas, scan.table.gaps, scan.table.lower_model])

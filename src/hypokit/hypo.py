@@ -42,7 +42,6 @@ one per reflection-parity sector, and so does each friction-scan rung.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -504,7 +503,7 @@ def verify_schur_bound(
     if case == "hessian_lower_bound":
         k_used = float(K) if K is not None else max(0.0, -min_hess)
 
-    r_nu = poincare_constant(spec, params, Kq=asm.basis.Kq)
+    r_nu = poincare_constant(spec, params, Kq=asm.basis.Kq, n_quad=asm.basis.nodes.size)
     # before the resolvent solve, so that a constant the case does not read fails fast
     bound = schur_bound(params, r_nu, case, K=k_used if case == "hessian_lower_bound" else K, c_prime=c_prime)
     numeric = resolvent_norm(asm)
@@ -581,19 +580,18 @@ class ScanResult:
     row_errors: dict
 
 
-def _max_workers(n_rows: int, requested: int | None) -> int:
-    if requested is not None:
-        return max(1, int(requested))
-    return max(1, min(n_rows, os.cpu_count() or 1))
-
-
-def gamma_scan(basis: BasisSet, gammas, max_workers: int | None = None) -> ScanResult:
+def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
     """Spectral gap across a friction ladder on one basis; fits both scaling branches.
 
-    Every rung shares the basis's gamma-free reduced generator.  Requires at least 7 gamma values spanning [1/8, 8].  Rows run in parallel
-    (max_workers threads, default one per row up to the CPU count) and failed rows, including
-    those whose gap is not above roundoff, are reported in row_errors with
-    NaN gaps rather than aborting the scan.  Slopes are
+    Every rung shares the basis's gamma-free reduced generator.  Requires at
+    least 7 gamma values spanning [1/8, 8].  Rows run on max_workers threads,
+    default one.  The eigensolve releases the GIL, so on several threads rows
+    run at once; each row is computed the same way on any thread, so results
+    do not depend on the thread count.  More than one thread pays off with a
+    single-threaded BLAS: a multithreaded BLAS already spreads each
+    eigensolve over the cores, and concurrent rows then compete with it for
+    them.  Failed rows, including those whose gap is not above roundoff, are
+    reported in row_errors with NaN gaps rather than aborting the scan.  Slopes are
     log-log fits over gamma <= 1/2 and gamma >= 2; lambda_bar is the smallest
     ratio gap / min(gamma, 1/gamma).
     """
@@ -623,7 +621,7 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int | None = None) -> ScanR
         except Exception as exc:  # noqa: BLE001 - rows are isolated by design
             row_errors[float(g[i])] = f"{type(exc).__name__}: {exc}"
 
-    with ThreadPoolExecutor(max_workers=_max_workers(g.size, max_workers)) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, int(max_workers))) as pool:
         list(pool.map(run_row, range(g.size)))
 
     lower = np.minimum(g, 1.0 / g)

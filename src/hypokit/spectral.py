@@ -51,6 +51,7 @@ Full-basis coefficient indexing is Hermite-major: index = n * (2 Kq + 1) + a.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import warnings
 from dataclasses import dataclass
@@ -58,6 +59,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import cython_lapack
 
 from .errors import (
     IllConditionedBasisError,
@@ -395,13 +397,58 @@ class GapResult:
     sector: str = "all"  # the sector holding the gap, the parity of the slowest mode
 
 
+def _lapack_dgeev():
+    """SciPy's LAPACK dgeev as a ctypes foreign function, from the cython_lapack capsule.
+
+    A CFUNCTYPE call releases the GIL for its duration, which SciPy's f2py
+    wrapper does not, so gap eigensolves on a thread pool run concurrently.
+    """
+    capsule = cython_lapack.__pyx_capi__["dgeev"]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    i, d, c = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double), ctypes.c_char_p
+    # jobvl, jobvr, n, a, lda, wr, wi, vl, ldvl, vr, ldvr, work, lwork, info
+    proto = ctypes.CFUNCTYPE(None, c, c, i, d, i, d, d, d, i, d, i, d, i, i)
+    return proto(get_pointer(capsule, get_name(capsule)))
+
+
+_DGEEV = _lapack_dgeev()
+
+
+def _eigvals_overwrite(a: Array) -> Array:
+    """Eigenvalues wr + i wi of the square Fortran-ordered float array a by dgeev; a is overwritten.
+
+    The workspace is dgeev's own optimum from a query (lwork = -1), the size
+    scipy.linalg.eigvals also uses, so the eigenvalues are the same bits.
+    """
+    if a.dtype != np.float64 or not (a.flags.f_contiguous and a.flags.writeable) or a.shape[0] != a.shape[1]:
+        raise ValueError("dgeev needs a square, writeable, Fortran-ordered float64 array")
+    n = ctypes.c_int(a.shape[0])
+    wr, wi = np.empty(a.shape[0]), np.empty(a.shape[0])
+    one, info = ctypes.c_int(1), ctypes.c_int(0)
+    unused = ctypes.c_double()  # vl and vr: not referenced for jobvl = jobvr = "N"
+    dp = ctypes.POINTER(ctypes.c_double)
+
+    def call(work: Array, lwork: int) -> int:
+        _DGEEV(b"N", b"N", n, a.ctypes.data_as(dp), n, wr.ctypes.data_as(dp), wi.ctypes.data_as(dp),
+               unused, one, unused, one, work.ctypes.data_as(dp), ctypes.c_int(lwork), info)
+        if info.value < 0:
+            raise ValueError(f"dgeev: argument {-info.value} had an illegal value")
+        return info.value
+
+    query = np.empty(1)
+    call(query, -1)
+    lwork = max(int(query[0]), 1)
+    if call(np.empty(lwork), lwork) > 0:
+        raise NumericalFailureError("eigenvalue solver failed")
+    return wr + 1j * wi
+
+
 def _gap_of_operator(neg_op: Array) -> GapResult:
     """Gap from -L (or one sector of it); the eigensolve overwrites neg_op."""
     norm1 = float(sla.norm(neg_op, 1, check_finite=False))  # LAPACK lange: no N x N temporary
-    try:
-        eigs = sla.eigvals(neg_op, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError("eigenvalue solver failed") from exc
+    eigs = _eigvals_overwrite(neg_op)
     return GapResult(float(eigs.real.min()), int(eigs.size), eigs, norm1)
 
 
@@ -455,16 +502,20 @@ def poincare_constant(
     spec: PotentialSpec,
     params: EnsembleParams,
     Kq: int = DEFAULT_KQ,
+    n_quad: int | None = None,  # default max(DEFAULT_NQUAD, 8 Kq)
 ) -> float:
     """Poincare constant of exp(-beta V): beta times the overdamped spectral gap.
 
     The basis size is refined by factors of 1.5 until the value changes by
-    less than POINCARE_RTOL; the refined value is returned.
+    less than POINCARE_RTOL; the refined value is returned.  The first round
+    runs on n_quad nodes and each refinement at k modes on max(n_quad, 8 k),
+    so a grid that resolves the weight stays in use.
     """
+    n_quad = max(DEFAULT_NQUAD, 8 * Kq) if n_quad is None else n_quad
     k = Kq
     prev = None
     for _ in range(POINCARE_MAX_ROUNDS):
-        basis = build_basis(spec, params, Kq=k, Np=2)
+        basis = build_basis(spec, params, Kq=k, Np=2, n_quad=n_quad if k == Kq else max(n_quad, 8 * k))
         s_red = _overdamped_reduced(assemble_overdamped(basis))
         gap = float(np.min(sla.eigvalsh(-s_red)))
         value = params.beta * gap

@@ -229,6 +229,19 @@ def test_poincare_flat(tmp_path):
     assert res["r_nu"] == pytest.approx(4 * math.pi**2, rel=1e-8)
 
 
+def test_poincare_uses_the_grid_of_n_quad(tmp_path, capsys):
+    """A weight that needs more than the default 256 nodes: poincare and bounds take the
+    --n-quad that resolves it for spectrum, and bounds reads R from that grid."""
+    deep = ["--param", "h=2000"]
+    assert run("poincare", *deep) == 2
+    assert "n_quad=256" in capsys.readouterr().err
+    poincare_path, bounds_path = tmp_path / "poincare.json", tmp_path / "bounds.json"
+    assert run("poincare", *deep, "--Kq", "8", "--n-quad", "8192", "--report", poincare_path) == 0
+    assert run("bounds", *deep, "--Kq", "8", "--Np", "8", "--n-quad", "8192", "--report", bounds_path) == 0
+    r_nu = read_report(poincare_path)["results"]["r_nu"]
+    assert read_report(bounds_path)["results"]["r_nu"] == r_nu > 0
+
+
 def test_scan_csv_and_report(tmp_path):
     rep_path, csv_path = tmp_path / "rep.json", tmp_path / "scan.csv"
     assert run(
@@ -603,7 +616,7 @@ SUBCOMMAND_FLAGS = {
                  "--report", "-h"},
     "poisson": {"--Kq", "--Np", "--beta", "--config", "--dynamics", "--gamma", "--help", "--mass",
                 "--n-quad", "--observable", "--param", "--potential", "--report", "-h"},
-    "poincare": {"--Kq", "--beta", "--config", "--help", "--param", "--potential", "--report", "-h"},
+    "poincare": {"--Kq", "--beta", "--config", "--help", "--n-quad", "--param", "--potential", "--report", "-h"},
     "ode": {"--T", "--config", "--dt", "--figure1", "--gamma", "--help", "--out", "--report", "--x0", "-h"},
     "dissipation": {"--Kq", "--Np", "--beta", "--config", "--epsilon", "--gamma", "--help", "--mass",
                     "--n-quad", "--param", "--potential", "--report", "-h"},

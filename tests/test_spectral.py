@@ -12,6 +12,7 @@ from hypokit import (
     InvalidArgumentError,
     UnsupportedDomainError,
     builtin_potential,
+    spectral,
 )
 from hypokit.model import _center_cell
 from hypokit.spectral import (
@@ -474,15 +475,15 @@ def test_parity_whitening_keeps_the_rank(cosine_spec, beta, Kq, Np, rank):
 
 
 def test_default_gap_solves_only_half_size_matrices(cosine_asm, monkeypatch):
-    """spectral_gap on an even potential never hands eigvals more than ceil(N/2) + 1 rows."""
-    real = sla.eigvals
+    """spectral_gap on an even potential never hands the eigensolver more than ceil(N/2) + 1 rows."""
+    real = spectral._eigvals_overwrite
     sizes = []
 
-    def spy(a, *args, **kwargs):
+    def spy(a):
         sizes.append(a.shape[0])
-        return real(a, *args, **kwargs)
+        return real(a)
 
-    monkeypatch.setattr(sla, "eigvals", spy)
+    monkeypatch.setattr(spectral, "_eigvals_overwrite", spy)
     res = spectral_gap(cosine_asm)
     n = reduced_generator(cosine_asm.basis).dim
     assert sorted(sizes) == [527, 528] and sum(sizes) == res.eig_count_checked == n
@@ -509,6 +510,66 @@ def test_exactly_singular_pivot_is_a_numerical_failure():
         _lu_solve(np.zeros((3, 3), order="F"), np.ones(3))
 
 
+# (potential, params, ensemble, gamma, Kq, Np): the defaults at three frictions, spectrum's
+# refinement, a double well, a confining cell, a rank-cut beta = 50 basis
+EIGVALS_CASES = [
+    *[("cosine", {"h": 1.0, "L": 1.0}, {}, g, 16, 32) for g in (0.125, 1.0, 8.0)],
+    ("cosine", {"h": 1.0, "L": 1.0}, {}, 1.0, 24, 48),
+    ("double_well", {"L": 4.0}, {}, 1.0, 10, 20),
+    ("quadratic", {"omega": 1.0, "L": 14.0}, {}, 1.0, 10, 20),
+    ("cosine", {"h": 1.0, "L": 1.0}, {"beta": 50.0}, 1.0, 4, 8),
+]
+
+
+def _sector_operators(spec, params, Kq, Np):
+    red = reduced_generator(build_basis(spec, params, Kq=Kq, Np=Np))
+    return [red.neg_operator(params.gamma, sector=s) for s in range(red.n_sectors)]
+
+
+def _assert_eigvals_bitwise(ops):
+    for op in ops:
+        want = sla.eigvals(op.copy(order="F"), overwrite_a=True, check_finite=False)
+        got = spectral._eigvals_overwrite(op)
+        assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("name,pot,ens,gamma,Kq,Np", EIGVALS_CASES)
+def test_gap_eigensolve_is_bitwise_scipy_eigvals(name, pot, ens, gamma, Kq, Np):
+    """The dgeev kernel returns the bits of scipy.linalg.eigvals on every sector operator."""
+    _assert_eigvals_bitwise(_sector_operators(builtin_potential(name, pot), EnsembleParams(gamma=gamma, **ens), Kq, Np))
+
+
+def test_gap_eigensolve_is_bitwise_scipy_eigvals_in_one_sector(unit_params):
+    ops = _sector_operators(_asymmetric_spec(), unit_params, 8, 12)
+    assert len(ops) == 1
+    _assert_eigvals_bitwise(ops)
+
+
+def test_gap_eigensolve_releases_the_gil():
+    """The kernel is a CFUNCTYPE foreign function: ctypes drops the GIL for its call,
+    which a PYFUNCTYPE (like every f2py wrapper) would hold."""
+    import ctypes
+
+    assert isinstance(spectral._DGEEV, ctypes._CFuncPtr)
+    assert not type(spectral._DGEEV)._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+
+
+def test_gap_eigensolve_failure_is_a_numerical_failure(monkeypatch):
+    """dgeev's info > 0 (QR did not converge) keeps the message of the scipy path."""
+    from hypokit.errors import NumericalFailureError
+
+    def fails(jobvl, jobvr, n, a, lda, wr, wi, vl, ldvl, vr, ldvr, work, lwork, info):
+        if lwork[0] == -1:
+            work[0] = 3.0 * n[0]
+            info[0] = 0
+        else:
+            info[0] = 1
+
+    monkeypatch.setattr(spectral, "_DGEEV", type(spectral._DGEEV)(fails))
+    with pytest.raises(NumericalFailureError, match="eigenvalue solver failed"):
+        spectral._eigvals_overwrite(np.eye(3, order="F"))
+
+
 def test_scan_rows_match_the_full_operator(cosine_spec, unit_params):
     from hypokit.hypo import gamma_scan
 
@@ -518,6 +579,32 @@ def test_scan_rows_match_the_full_operator(cosine_spec, unit_params):
     rows = gamma_scan(basis, ladder, max_workers=1).table.gaps
     want = [float(sla.eigvals(red.neg_operator(g)).real.min()) for g in ladder]
     assert rows == pytest.approx(want, rel=1e-10)
+
+
+def _assert_same_scan(one, other):
+    assert np.array_equal(one.table.gaps, other.table.gaps)
+    assert (one.slope_small_gamma, one.slope_large_gamma, one.lambda_bar) == (
+        other.slope_small_gamma, other.slope_large_gamma, other.lambda_bar)
+    assert one.row_errors == other.row_errors == {}
+
+
+def test_scan_results_do_not_depend_on_the_thread_count(cosine_asm, cosine_asm_small):
+    """Rows, slopes and lambda_bar are the same bits on one thread and on two at the defaults,
+    and on seven threads (more than the cores) switching every 10 us on a small basis."""
+    import sys
+
+    from hypokit.hypo import gamma_scan
+
+    ladder = [0.125 * 2.0**k for k in range(7)]
+    _assert_same_scan(*(gamma_scan(cosine_asm.basis, ladder, max_workers=w) for w in (1, 2)))
+    one = gamma_scan(cosine_asm_small.basis, ladder)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        many = gamma_scan(cosine_asm_small.basis, ladder, max_workers=7)
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_same_scan(one, many)
 
 
 def test_whitening_with_an_eigenvector_across_both_sets_keeps_one_sector(unit_params, monkeypatch):
