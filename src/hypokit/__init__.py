@@ -56,9 +56,11 @@ from .spectral import (
     GeneratorAssembly,
     OverdampedOperator,
     PoissonResult,
+    RefinedGap,
     assemble_generator,
     assemble_overdamped,
     build_basis,
+    contour_gap,
     poincare_constant,
     project_phase_function,
     project_position_function,

@@ -17,6 +17,7 @@ import json
 import logging
 import math
 import sys
+import warnings
 from typing import Callable, NamedTuple
 
 import jsonschema
@@ -54,6 +55,7 @@ from .spectral import (
     assemble_generator,
     assemble_overdamped,
     build_basis,
+    contour_gap,
     poincare_constant,
     project_phase_function,
     project_position_function,
@@ -171,9 +173,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+_CSV_BLOCK = 1024  # rows formatted by one % call in _write_csv
+
+
+def _write_csv(path: str, header: list[str], rows: np.ndarray) -> None:
+    """The bytes np.savetxt writes with fmt="%.17g", formatted a block of rows per % call."""
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
-        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, rows.shape[0], _CSV_BLOCK):
+            block = rows[lo : lo + _CSV_BLOCK]
+            fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
@@ -183,12 +193,25 @@ def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
             if not header:
                 raise InvalidArgumentError(f"empty CSV file: {path}")
             names = header.split(",")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
     except OSError as exc:
         raise InvalidArgumentError(f"cannot read CSV file {path}: {exc}") from exc
+    except ValueError as exc:  # a cell that is not a number, or a row of another length
+        raise InvalidArgumentError(f"cannot parse CSV file {path}: {str(exc).splitlines()[0]}") from exc
+    if data.shape[0] == 0:
+        raise InvalidArgumentError(f"CSV file {path} has a header but no data rows")
     if data.shape[1] != len(names):
         raise InvalidArgumentError(f"CSV column count does not match header in {path}")
     return names, data
+
+
+def _finite_column(data: np.ndarray, names: list[str], name: str, path: str) -> np.ndarray:
+    values = data[:, names.index(name)]
+    if not np.all(np.isfinite(values)):
+        raise InvalidArgumentError(f"column '{name}' of CSV file {path} holds a NaN or infinite value")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +464,13 @@ def _cmd_variance(cfg: dict) -> tuple[dict, dict]:
         column = candidates[0]
     if column not in names:
         raise InvalidArgumentError(f"column '{column}' not in CSV header {names}")
-    values = data[:, names.index(column)]
+    values = _finite_column(data, names, column, path)
 
     spacing = opts.get("spacing")
     if spacing is None:
         if "time" not in names or data.shape[0] < 2:
             raise InvalidArgumentError("cannot infer spacing; pass --spacing")
-        t = data[:, names.index("time")]
+        t = _finite_column(data, names, "time", path)
         steps = np.diff(t)
         if np.any(np.abs(steps - steps[0]) > 1e-9 * max(abs(steps[0]), 1e-300)):
             raise InvalidArgumentError("time column is not uniformly spaced; pass --spacing")
@@ -501,11 +524,12 @@ def _cmd_spectrum(cfg: dict) -> tuple[dict, dict]:
         kq2 = math.ceil(1.5 * disc["Kq"])
         np2 = math.ceil(1.5 * disc["Np"])
         basis2 = build_basis(basis.spec, params, Kq=kq2, Np=np2, n_quad=max(basis.nodes.size, 8 * kq2))
-        res2 = spectral_gap(assemble_generator(basis2, params.gamma))
+        res2 = contour_gap(assemble_generator(basis2, params.gamma), res)
         converged = bool(abs(res2.gap - res.gap) <= 0.01 * abs(res.gap))
         diagnostics["refined_gap"] = res2.gap
         diagnostics["refined_Kq"] = kq2
         diagnostics["refined_Np"] = np2
+        diagnostics["refined_method"] = res2.method
 
     dump = opts.get("dump_eigs")
     if dump:

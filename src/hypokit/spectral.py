@@ -29,17 +29,25 @@ coordinates are thus level-blocked: n0 = r - 1 for level 0, which is the range
 of Pi0, then r per level n >= 1.  In them the coupling of level n to level
 n - 1 is sqrt(n / (beta m)) c_t, with c_t the whitened position derivative
 (restricted to the deflated level 0 when n = 1), so the generator is stored as
-the one r x r block c_t and the diagonal of L_FD; solvers that need a dense
-matrix build it with neg_operator.
+the one r x r block c_t and the diagonal of L_FD.  level_blocks gives its
+block-tridiagonal level blocks, with a block matvec; solvers that need a dense
+matrix build it with neg_operator, which refuses one above DENSE_MAX_BYTES.
 
 Reflection-parity sectors.  When V is even on the grid, S: (q, p) -> (-q, -p)
 commutes with L and F_a h_n has parity par(a) (-1)^n, with the constant and
 the cosines even and the sines odd.  build_basis then whitens the even and odd
 sets separately (_parity_split, _whiten), c_t has only off-parity blocks, and
 L splits into two decoupled sectors of about N / 2, "even" and "odd"; every
-dense solve (gap, friction scan, Poisson) runs once per sector, at about a
-quarter of the full cost each.  Otherwise one sector, "all", holds every
-coordinate: the same code with a trivial partition.
+solve (gap, friction scan, Poisson, refined gap) runs once per sector, at
+about a quarter of the full cost each.  Otherwise one sector, "all", holds
+every coordinate: the same code with a trivial partition.
+
+Dense and chain solves.  The gap, each friction-scan rung and the Poisson
+equation are dense solves of neg_operator.  The refined gap of `spectrum`
+(contour_gap) is not: it factors -L - z per sector along the Hermite levels
+(HermiteChain, the matrix continued fraction) and finds the eigenvalues
+inside an ellipse around a base gap by a contour integral, falling back to
+the dense solve for a sector the contour cannot settle.
 
 Inputs have one home each.  build_basis(spec, params, ...) keeps the
 potential, beta and m on the BasisSet; assemble_generator(basis, gamma) binds
@@ -84,6 +92,7 @@ WEIGHT_RESOLUTION_TOL = 1e-3
 POINCARE_RTOL = 5e-3  # relative change that ends the Poincare refinement
 POINCARE_MAX_ROUNDS = 6
 DECAY_TOL = 1e-8  # slack on the semigroup decay bound
+DENSE_MAX_BYTES = 2**30  # largest dense operator neg_operator allocates
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,6 +289,40 @@ def _whiten(gram_q: Array, parity: Array) -> tuple[Array, Array, Array]:
     return wq, q0, labels
 
 
+class LevelBlocks(NamedTuple):
+    """-(L_ham + gamma L_FD) on a sector as its Hermite-level blocks.
+
+    -L is block tridiagonal in the level n: diag(diags[n]) on level n
+    (gamma n / m), and between levels n and n - 1 the coupling -B_n below and
+    B_n^T above the diagonal, B_n = couplings[n - 1].
+    """
+
+    diags: list[Array]
+    couplings: list[Array]
+
+    @property
+    def start(self) -> Array:
+        """Offset of each level in the sector vector, then the sector size."""
+        return np.cumsum([0] + [d.size for d in self.diags])
+
+    def matvec(self, x: Array) -> Array:
+        """-L x for x of shape (k,) or (k, columns), with no dense operator."""
+        lev = np.split(x, self.start[1:-1])
+        out = [d.reshape((-1,) + (1,) * (x.ndim - 1)) * xn for d, xn in zip(self.diags, lev)]
+        for n, b in enumerate(self.couplings, 1):
+            out[n] = out[n] - b @ lev[n - 1]
+            out[n - 1] = out[n - 1] + b.T @ lev[n]
+        return np.concatenate(out)
+
+    def norm1(self) -> float:
+        """||L||_1: the largest column sum of |L|."""
+        cols = [np.abs(d) for d in self.diags]
+        for n, b in enumerate(self.couplings, 1):
+            cols[n] = cols[n] + np.abs(b).sum(axis=1)
+            cols[n - 1] = cols[n - 1] + np.abs(b).sum(axis=0)
+        return float(max(c.max(initial=0.0) for c in cols))
+
+
 @dataclass(frozen=True, eq=False)
 class ReducedGenerator:
     """Generator compressed to an orthonormal basis of span \\ constants.
@@ -337,26 +380,44 @@ class ReducedGenerator:
         """Positions of the sector's coordinates in the reduced vector."""
         return np.flatnonzero(np.concatenate(self._level_masks(self.n_p, sector)))
 
+    def level_blocks(self, gamma: float, levels: int | None = None, sector: int | None = None) -> LevelBlocks:
+        """-(L_ham + gamma L_FD) on the first `levels` Hermite levels (default all) as its level blocks.
+
+        With a sector, only its coordinates, in sector_index order.
+        """
+        n_lev = self.n_p if levels is None else min(levels, self.n_p)
+        masks = self._level_masks(n_lev, sector)
+        diag = -gamma * self.fd[np.flatnonzero(np.concatenate(masks))]
+        start = np.cumsum([int(m.sum()) for m in masks])[:-1]
+        couplings = []
+        for n in range(1, n_lev):
+            c = self.c_t @ self.q0 if n == 1 else self.c_t
+            couplings.append(math.sqrt(n / self.beta_m) * c[np.ix_(masks[n], masks[n - 1])])
+        return LevelBlocks(np.split(diag, start), couplings)
+
     def neg_operator(self, gamma: float, levels: int | None = None, sector: int | None = None) -> Array:
         """Dense -(L_ham + gamma L_FD) on the first `levels` Hermite levels (default all).
 
         With a sector, only its coordinates, in sector_index order; the full
         operator is block diagonal in the sectors.  Fortran-ordered, so LAPACK
-        can overwrite it without a copy.
+        can overwrite it without a copy.  A matrix above DENSE_MAX_BYTES is
+        refused before it is allocated.
         """
-        n_lev = self.n_p if levels is None else min(levels, self.n_p)
-        masks = self._level_masks(n_lev, sector)
-        start = np.cumsum([0] + [int(m.sum()) for m in masks])
+        blocks = self.level_blocks(gamma, levels, sector)
+        start = blocks.start
         k = int(start[-1])
+        if 8 * k * k > DENSE_MAX_BYTES:
+            raise InvalidArgumentError(
+                f"the dense generator would be {k} x {k} float64 ({8 * k * k / 2**30:.3g} GiB), above the "
+                f"{DENSE_MAX_BYTES / 2**30:g} GiB limit; lower Kq or Np"
+            )
         op = np.zeros((k, k), order="F")
-        for n in range(1, n_lev):
-            c = self.c_t @ self.q0 if n == 1 else self.c_t
-            block = math.sqrt(n / self.beta_m) * c[np.ix_(masks[n], masks[n - 1])]
+        for n, block in enumerate(blocks.couplings, 1):
             rows = slice(start[n], start[n + 1])
             below = slice(start[n - 1], start[n])
             op[rows, below] = -block
             op[below, rows] = block.T
-        op[np.diag_indices(k)] = -gamma * self.fd[np.flatnonzero(np.concatenate(masks))]
+        op[np.diag_indices(k)] = np.concatenate(blocks.diags)
         return op
 
     def to_reduced(self, coeffs: Array) -> Array:
@@ -473,6 +534,138 @@ def reduced_gap(red: ReducedGenerator, gamma: float) -> GapResult:
 def spectral_gap(asm: GeneratorAssembly) -> GapResult:
     """The gap of the assembly's generator at its own friction (see reduced_gap)."""
     return reduced_gap(reduced_generator(asm.basis), asm.gamma)
+
+
+# ---------------------------------------------------------------------------
+# Hermite-chain factorization and the contour-integral gap
+
+
+@dataclass(frozen=True, eq=False)
+class HermiteChain:
+    """Block factorization of -L - mu on one sector, eliminated from the top Hermite level down.
+
+    With D_n and B_n the level diagonals and couplings of LevelBlocks, the
+    pivots are S_top = D_top - mu and S_{n-1} = D_{n-1} - mu + B_n^T S_n^{-1} B_n:
+    Risken's matrix continued fraction for the Kramers equation.  Level 0,
+    whose diagonal block is zero, is eliminated last.  The pivot inverses are
+    precomputed, one batched inverse per level, because at these block sizes
+    per-level calls cost more than the arithmetic.  mu may be an array of
+    shifts: every factor then carries the shift axes first, and solve returns
+    one solution per shift.  A real mu keeps every factor real.
+    """
+
+    blocks: LevelBlocks
+    inv: list[Array]  # S_n^{-1}, shape mu.shape + (k_n, k_n)
+
+    def solve(self, v: Array) -> Array:
+        """(-L - mu)^{-1} v for v of shape (k, columns): shape mu.shape + (k, columns)."""
+        start, couplings = self.blocks.start, self.blocks.couplings
+        lev = [slice(start[n], start[n + 1]) for n in range(len(self.inv))]
+        x = np.empty(self.inv[0].shape[:-2] + v.shape, np.result_type(self.inv[0], v))
+        # backward: x_n = S_n^{-1} w_n, w_n the right-hand side once level n + 1 is eliminated
+        for n in range(len(self.inv) - 1, -1, -1):
+            w = v[lev[n]] if n == len(self.inv) - 1 else v[lev[n]] - couplings[n].T @ x[..., lev[n + 1], :]
+            x[..., lev[n], :] = self.inv[n] @ w
+        for n in range(1, len(self.inv)):  # forward: x_n = S_n^{-1} (w_n + B_n x_{n-1})
+            x[..., lev[n], :] += self.inv[n] @ (couplings[n - 1] @ x[..., lev[n - 1], :])
+        return x
+
+
+def hermite_chain(blocks: LevelBlocks, mu) -> HermiteChain:
+    """Factor -L - mu for a shift (or an array of shifts) mu; raises LinAlgError on a singular pivot."""
+    mu = np.asarray(mu)
+    top = len(blocks.diags) - 1
+    inv = [None] * (top + 1)
+    for n in range(top, -1, -1):
+        k = blocks.diags[n].size
+        if n == top:
+            pivot = np.zeros(mu.shape + (k, k), np.result_type(mu, float))
+        else:
+            pivot = blocks.couplings[n].T @ (inv[n + 1] @ blocks.couplings[n])
+        pivot[..., np.arange(k), np.arange(k)] += blocks.diags[n] - mu[..., None]
+        inv[n] = np.linalg.inv(pivot)
+    return HermiteChain(blocks, inv)
+
+
+CONTOUR_NODES = 64  # trapezoid nodes on the ellipse; the upper half is solved
+CONTOUR_CHUNK = 4  # shifts factored at once: 1.9 MB of pivot inverses at Kq24/Np48, no slower than 8 or 16
+CONTOUR_PROBES = 16  # columns of the probe block
+CONTOUR_SEED = 2024  # seed of the probe block, so reruns are bitwise identical
+CONTOUR_RANK_TOL = 1e-12  # singular values of the zeroth moment kept, relative to the largest
+CONTOUR_RESIDUAL_TOL = 1e-10  # ||(-L - mu) v|| / (||L||_1 ||v||) a candidate eigenpair must reach
+
+
+@dataclass(frozen=True)
+class RefinedGap:
+    gap: float
+    method: dict  # sector name -> "contour" or "dense", the path that solved it
+
+
+def _contour_sector_gap(blocks: LevelBlocks, center: float, a: float, b: float) -> float | None:
+    """Smallest real part of the eigenvalues of -L inside the ellipse, or None where the contour cannot tell.
+
+    Beyn's moments A_p = (1 / 2 pi i) \\oint z^p (-L - z)^{-1} V dz, p = 0, 1,
+    by the trapezoid rule on z = center + a cos t + i b sin t.  -L and V are
+    real, so the node mirrored below the axis adds -conj(X dz) to X dz and
+    only the upper half is solved.  The rank k of A_0 (its SVD) counts the
+    eigenvalues inside; those of the k x k matrix U^T A_1 W S^{-1} are the
+    candidates.  None when k = 0 or k = CONTOUR_PROBES (the probe block may
+    be saturated), when no candidate lies inside, or when one inside fails
+    its residual.
+    """
+    t = 2.0 * math.pi * (np.arange(CONTOUR_NODES // 2) + 0.5) / CONTOUR_NODES
+    z = center + a * np.cos(t) + 1j * b * np.sin(t)
+    dz = -a * np.sin(t) + 1j * b * np.cos(t)
+    probes = np.random.default_rng(CONTOUR_SEED).standard_normal((int(blocks.start[-1]), CONTOUR_PROBES))
+    a0, a1 = np.zeros_like(probes), np.zeros_like(probes)
+    for lo in range(0, z.size, CONTOUR_CHUNK):
+        part = slice(lo, lo + CONTOUR_CHUNK)
+        try:
+            x = hermite_chain(blocks, z[part]).solve(probes)
+        except np.linalg.LinAlgError:
+            return None
+        a0 += (2.0 / CONTOUR_NODES) * np.tensordot(dz[part], x, axes=1).imag
+        a1 += (2.0 / CONTOUR_NODES) * np.tensordot(z[part] * dz[part], x, axes=1).imag
+    u, sv, wt = np.linalg.svd(a0, full_matrices=False)
+    k = int(np.count_nonzero(sv > CONTOUR_RANK_TOL * sv[0]))
+    if k in (0, CONTOUR_PROBES):
+        return None
+    lam, w = np.linalg.eig(u[:, :k].T @ a1 @ wt[:k].T / sv[:k])
+    inside = ((lam.real - center) / a) ** 2 + (lam.imag / b) ** 2 < 1.0
+    if not inside.any():
+        return None
+    lam, vec = lam[inside], u[:, :k] @ w[:, inside]
+    res = np.linalg.norm(blocks.matvec(vec) - lam * vec, axis=0)
+    if np.any(res > CONTOUR_RESIDUAL_TOL * blocks.norm1() * np.linalg.norm(vec, axis=0)):
+        return None
+    return float(lam.real.min())
+
+
+def contour_gap(asm: GeneratorAssembly, base: GapResult) -> RefinedGap:
+    """The gap of the assembly's generator near a base gap, by a contour integral on Hermite chains.
+
+    Meant for a refined basis, with `base` the dense gap of a coarser one.
+    Each sector counts the eigenvalues of -L inside an ellipse built from the
+    base spectrum: its real axis spans 0.25-2.5 times the base gap, and its
+    half-height is 1.5 times the largest |Im| of the base eigenvalues with
+    real part below twice the gap, plus the gap, and at least the real
+    semi-axis.  The ellipse is a heuristic built from the base spectrum, not
+    a certificate, just like the 1 % convergence test it serves: an
+    eigenvalue of the refined basis outside it is not seen.  A sector that
+    the contour cannot settle (_contour_sector_gap) is solved dense, as
+    reduced_gap would; `method` records which path ran per sector.
+    """
+    red = reduced_generator(asm.basis)
+    g = base.gap
+    center, a = 1.375 * g, 1.125 * g
+    near = base.eigenvalues[base.eigenvalues.real < 2.0 * g]
+    b = max(1.5 * float(np.abs(near.imag).max(initial=0.0)) + g, a)
+    gaps, method = [], {}
+    for s, name in enumerate(red.sector_names):
+        gap = _contour_sector_gap(red.level_blocks(asm.gamma, sector=s), center, a, b) if g > 0 else None
+        method[name] = "dense" if gap is None else "contour"
+        gaps.append(_gap_of_operator(red.neg_operator(asm.gamma, sector=s)).gap if gap is None else gap)
+    return RefinedGap(min(gaps), method)
 
 
 # ---------------------------------------------------------------------------

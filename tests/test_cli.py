@@ -446,6 +446,44 @@ def test_rejection_names_what_it_rejects(argv, names, capsys):
     assert all(name in err for name in names) and "Traceback" not in err
 
 
+@pytest.mark.parametrize("body, message", [
+    ("time,x\n0,1\n0.5,abc\n", "cannot parse CSV file"),
+    ("time,x\n0,1\n0.5,2,3\n", "cannot parse CSV file"),
+    ("time,x\n", "has a header but no data rows"),
+    ("time,x\n0,1\n0.5,nan\n1,2\n", "holds a NaN or infinite value"),
+    ("time,x\n0,1\n0.5,-inf\n1,2\n", "holds a NaN or infinite value"),
+    ("time,x\n0,1\nnan,2\n1,2\n", "column 'time'"),
+], ids=["not-a-number", "ragged-row", "header-only", "nan", "inf", "nan-time"])
+@pytest.mark.filterwarnings("error")
+def test_variance_input_that_cannot_be_read_exits_1(body, message, tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    assert run("variance", "--input", path) == 1
+    err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert len(err) == 1 and message in err[0] and str(path) in err[0]
+
+
+def test_write_csv_is_the_bytes_of_savetxt(tmp_path):
+    """Every value class np.savetxt formats: NaN, +-inf, -0.0, subnormals, huge and tiny,
+    on a row count that is not a multiple of the block."""
+    rng = np.random.default_rng(11)
+    rows = rng.standard_normal((cli._CSV_BLOCK + 3, 3)) * 10.0 ** rng.integers(-300, 300, (cli._CSV_BLOCK + 3, 3))
+    rows[:6, 0] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e-310]
+    cli._write_csv(str(tmp_path / "fast.csv"), ["a", "b", "c"], rows)
+    with open(tmp_path / "ref.csv", "w", newline="\n") as fh:
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header="a,b,c", comments="")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_dense_operator_above_the_budget_exits_1(monkeypatch, capsys):
+    from hypokit import spectral
+
+    monkeypatch.setattr(spectral, "DENSE_MAX_BYTES", 1000)
+    assert run("bounds", "--Kq", "4", "--Np", "8") == 1
+    err = capsys.readouterr().err
+    assert "71 x 71 float64" in err and "limit" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("param, message", [
     ('L="abc"', "potential parameter 'L' must be a real number"),
     ("h=[1]", "potential parameter 'h' must be a real number"),

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -633,3 +634,126 @@ def test_gauss_hermite_limit_is_where_the_rule_overflows():
         assert np.all(np.isfinite(x)) and w.sum() == pytest.approx(math.sqrt(2 * math.pi), rel=1e-12)
         with pytest.raises(FloatingPointError):
             np.polynomial.hermite_e.hermegauss(GAUSS_HERMITE_MAX_NODES + 1)
+
+
+# ---------------------------------------------------------------------------
+# Hermite chain and the contour-integral gap
+
+
+def _sector_blocks(red, gamma):
+    return [red.level_blocks(gamma, sector=s) for s in range(red.n_sectors)]
+
+
+def test_level_blocks_apply_the_dense_operator(cosine_asm_small):
+    red = reduced_generator(cosine_asm_small.basis)
+    x = np.random.default_rng(3).standard_normal((red.dim, 4))
+    for s, blocks in enumerate(_sector_blocks(red, 0.7)):
+        op = red.neg_operator(0.7, sector=s)
+        assert np.abs(blocks.matvec(x[: op.shape[0]]) - op @ x[: op.shape[0]]).max() <= 1e-13 * np.abs(op).max()
+        assert np.allclose(blocks.matvec(x[: op.shape[0], 0]), op @ x[: op.shape[0], 0], rtol=0, atol=1e-12)
+        assert blocks.norm1() == pytest.approx(sla.norm(op, 1), rel=1e-14)
+
+
+@pytest.mark.parametrize("mu", [0.7 + 0.3j, 2.0 - 9.0j, 0.4])
+def test_chain_solve_residual(cosine_asm_small, mu):
+    """(-L - mu) x = v on each sector of Kq8/Np12, against the dense sector operator."""
+    red = reduced_generator(cosine_asm_small.basis)
+    for s, blocks in enumerate(_sector_blocks(red, 1.0)):
+        op = red.neg_operator(1.0, sector=s)
+        v = np.random.default_rng(s).standard_normal((op.shape[0], 3))
+        x = spectral.hermite_chain(blocks, mu).solve(v)
+        assert x.shape == v.shape and (x.dtype == float) == (not isinstance(mu, complex))
+        res = (op - mu * np.eye(op.shape[0])) @ x - v
+        assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(v)
+
+
+def test_chain_with_an_array_of_shifts_solves_each(cosine_asm_small):
+    blocks = reduced_generator(cosine_asm_small.basis).level_blocks(1.0, sector=1)
+    shifts = np.array([0.7 + 0.3j, 1.5 + 4.0j])
+    v = np.random.default_rng(5).standard_normal((int(blocks.start[-1]), 2))
+    x = spectral.hermite_chain(blocks, shifts).solve(v)
+    assert x.shape == (2,) + v.shape
+    for mu, xm in zip(shifts, x):
+        assert np.abs(xm - spectral.hermite_chain(blocks, mu).solve(v)).max() <= 1e-13 * np.abs(xm).max()
+
+
+def _refined(spec, params, Kq, Np, factor=1.5):
+    """(base dense gap, refined assembly) as spectrum builds them."""
+    basis = build_basis(spec, params, Kq=Kq, Np=Np)
+    kq2, np2 = math.ceil(factor * Kq), math.ceil(factor * Np)
+    basis2 = build_basis(spec, params, Kq=kq2, Np=np2, n_quad=max(basis.nodes.size, 8 * kq2))
+    return spectral_gap(assemble_generator(basis, params.gamma)), assemble_generator(basis2, params.gamma)
+
+
+CONTOUR_CASES = EIGVALS_CASES + [
+    ("cosine", {"h": 1.0, "L": 1.0}, {"beta": 2.0, "mass": 0.5}, 1.0, 16, 32),
+    ("cosine", {"h": 5.0, "L": 1.0}, {}, 1.0, 16, 32),
+]
+
+
+@pytest.mark.parametrize("name,pot,ens,gamma,Kq,Np", CONTOUR_CASES)
+def test_contour_gap_matches_the_dense_gap(name, pot, ens, gamma, Kq, Np):
+    """On the base basis itself, so the dense gap is the oracle at no extra cost."""
+    params = EnsembleParams(gamma=gamma, **ens)
+    base, asm = _refined(builtin_potential(name, pot), params, Kq, Np, factor=1.0)
+    res = spectral.contour_gap(asm, base)
+    assert res.gap == pytest.approx(base.gap, rel=1e-10)
+
+
+@pytest.mark.parametrize("name,pot,ens,gamma,Kq,Np,method", [
+    ("double_well", {"L": 4.0}, {}, 1.0, 10, 20, {"even": "dense", "odd": "contour"}),  # even: saturated probes
+    ("quadratic", {"omega": 1.0, "L": 14.0}, {}, 1.0, 10, 20, {"even": "contour", "odd": "contour"}),
+    ("cosine", {"h": 1.0, "L": 1.0}, {"beta": 50.0}, 1.0, 4, 8, {"even": "contour", "odd": "contour"}),
+])
+def test_contour_gap_matches_the_dense_refinement(name, pot, ens, gamma, Kq, Np, method):
+    params = EnsembleParams(gamma=gamma, **ens)
+    base, asm = _refined(builtin_potential(name, pot), params, Kq, Np)
+    res = spectral.contour_gap(asm, base)
+    dense = spectral_gap(asm)
+    assert res.gap == pytest.approx(dense.gap, rel=1e-10) and res.method == method
+    assert (abs(res.gap - base.gap) <= 0.01 * base.gap) == (abs(dense.gap - base.gap) <= 0.01 * base.gap)
+
+
+def test_contour_gap_in_one_sector(unit_params):
+    base, asm = _refined(_asymmetric_spec(), unit_params, 8, 12)
+    res = spectral.contour_gap(asm, base)
+    assert res.method == {"all": "contour"}
+    assert res.gap == pytest.approx(spectral_gap(asm).gap, rel=1e-10)
+
+
+def test_saturated_probe_block_falls_back_to_the_dense_gap(cosine_spec, unit_params, monkeypatch):
+    """Two probe columns cannot span the eigenvalues inside: every sector is solved dense, bitwise."""
+    base, asm = _refined(cosine_spec, unit_params, 8, 12)
+    monkeypatch.setattr(spectral, "CONTOUR_PROBES", 2)
+    res = spectral.contour_gap(asm, base)
+    assert res.method == {"even": "dense", "odd": "dense"}
+    assert res.gap == spectral_gap(asm).gap
+
+
+def test_default_spectrum_refines_without_a_dense_eigensolve(tmp_path, monkeypatch):
+    """Only the base sectors reach dgeev; the refined gap is the dense one pinned for Kq24/Np48."""
+    from hypokit import cli
+
+    real = spectral._eigvals_overwrite
+    sizes = []
+
+    def spy(a):
+        sizes.append(a.shape[0])
+        return real(a)
+
+    monkeypatch.setattr(spectral, "_eigvals_overwrite", spy)
+    assert cli.main(["spectrum", "--report", str(tmp_path / "rep.json")]) == 0
+    with open(tmp_path / "rep.json") as fh:
+        diag = json.load(fh)["diagnostics"]
+    assert sorted(sizes) == [527, 528]
+    assert diag["refined_method"] == {"even": "contour", "odd": "contour"}
+    assert diag["refined_gap"] == pytest.approx(1.0477428667307884, rel=1e-10)
+
+
+def test_dense_operator_above_the_budget_is_refused(cosine_asm_small, monkeypatch):
+    red = reduced_generator(cosine_asm_small.basis)
+    k = red.sector_index(0).size
+    monkeypatch.setattr(spectral, "DENSE_MAX_BYTES", 8 * k * k)
+    assert red.neg_operator(1.0, sector=0).shape == (k, k)
+    with pytest.raises(InvalidArgumentError, match=rf"{red.dim} x {red.dim} float64 .* limit"):
+        red.neg_operator(1.0)
