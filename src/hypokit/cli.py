@@ -50,6 +50,7 @@ from .model import (
 )
 from .sde import SCHEMES, RngStream, simulate
 from .spectral import (
+    CONVERGENCE_RTOL,
     DEFAULT_KQ,
     DEFAULT_NP,
     assemble_generator,
@@ -59,6 +60,7 @@ from .spectral import (
     poincare_constant,
     project_phase_function,
     project_position_function,
+    reduced_generator,
     solve_poisson,
     solve_poisson_overdamped,
     spectral_gap,
@@ -199,12 +201,39 @@ def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
     except OSError as exc:
         raise InvalidArgumentError(f"cannot read CSV file {path}: {exc}") from exc
     except ValueError as exc:  # a cell that is not a number, or a row of another length
-        raise InvalidArgumentError(f"cannot parse CSV file {path}: {str(exc).splitlines()[0]}") from exc
+        raise InvalidArgumentError(f"cannot parse CSV file {path}: {_bad_line(path) or str(exc).splitlines()[0]}") from exc
     if data.shape[0] == 0:
         raise InvalidArgumentError(f"CSV file {path} has a header but no data rows")
     if data.shape[1] != len(names):
         raise InvalidArgumentError(f"CSV column count does not match header in {path}")
     return names, data
+
+
+def _bad_line(path: str) -> str | None:
+    """Why the first unreadable data line of a CSV file fails, naming its line in the file (header = 1).
+
+    loadtxt's own message counts rows after the header, and counts them
+    differently for a bad cell and a ragged row, so the file is scanned again
+    with loadtxt's rules: "#" starts a comment, blank lines are skipped, and
+    every row has the width of the first.
+    """
+    width = first = None
+    with open(path, newline="\n") as fh:
+        for number, line in enumerate(fh, 1):
+            text = line.split("#", 1)[0].strip()
+            if number == 1 or not text:
+                continue
+            cells = text.split(",")
+            for cell in cells:
+                try:
+                    float(cell)
+                except ValueError:
+                    return f"line {number}: {cell.strip()!r} is not a number"
+            if width is None:
+                width, first = len(cells), number
+            elif len(cells) != width:
+                return f"line {number} has {len(cells)} columns, line {first} has {width}"
+    return None
 
 
 def _finite_column(data: np.ndarray, names: list[str], name: str, path: str) -> np.ndarray:
@@ -524,8 +553,8 @@ def _cmd_spectrum(cfg: dict) -> tuple[dict, dict]:
         kq2 = math.ceil(1.5 * disc["Kq"])
         np2 = math.ceil(1.5 * disc["Np"])
         basis2 = build_basis(basis.spec, params, Kq=kq2, Np=np2, n_quad=max(basis.nodes.size, 8 * kq2))
-        res2 = contour_gap(assemble_generator(basis2, params.gamma), res)
-        converged = bool(abs(res2.gap - res.gap) <= 0.01 * abs(res.gap))
+        res2 = contour_gap(reduced_generator(basis2), params.gamma, res)
+        converged = bool(abs(res2.gap - res.gap) <= CONVERGENCE_RTOL * abs(res.gap))
         diagnostics["refined_gap"] = res2.gap
         diagnostics["refined_Kq"] = kq2
         diagnostics["refined_Np"] = np2
@@ -710,7 +739,7 @@ def _cmd_scan(cfg: dict) -> tuple[dict, dict]:
         "row_errors": {str(k): v for k, v in scan.row_errors.items()},
         "output": out,
     }
-    return results, {"Kq": disc["Kq"], "Np": disc["Np"]}
+    return results, {"Kq": disc["Kq"], "Np": disc["Np"], "rung_methods": scan.rung_methods}
 
 
 _COMMANDS = {

@@ -36,7 +36,10 @@ positive definite operator the largest Lanczos eigenvalue is the wanted one.
 A shift-invert eigensolve of L itself could not give the spectral gap that
 safely: it returns the eigenvalues nearest 0 in modulus, which can miss the
 one with the smallest real part, so spectral_gap stays a dense eigensolve,
-one per reflection-parity sector, and so does each friction-scan rung.
+one per reflection-parity sector.  A friction-scan rung is a dense gap on a
+coarse basis refined by spectral.contour_gap, which counts the eigenvalues
+inside an ellipse around that gap, and is solved dense when that fails its
+guard (see gamma_scan).
 """
 
 from __future__ import annotations
@@ -57,8 +60,11 @@ from .errors import (
 )
 from .model import EnsembleParams
 from .spectral import (
+    CONVERGENCE_RTOL,
     BasisSet,
     GeneratorAssembly,
+    build_basis,
+    contour_gap,
     poincare_constant,
     project_phase_function,
     reduced_gap,
@@ -578,22 +584,40 @@ class ScanResult:
     slope_large_gamma: float
     lambda_bar: float
     row_errors: dict
+    rung_methods: list  # per rung: gamma, the contour's path per sector, and whether the guard fired
+
+
+def _coarse_basis(basis: BasisSet) -> BasisSet:
+    """The basis at (Kq // 2, Np // 2), at least (1, 2), on the same grid: the scan's dense base."""
+    params = EnsembleParams(beta=basis.beta, mass=basis.mass)
+    return build_basis(basis.spec, params, Kq=max(1, basis.Kq // 2), Np=max(2, basis.Np // 2),
+                       n_quad=basis.nodes.size)
 
 
 def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
     """Spectral gap across a friction ladder on one basis; fits both scaling branches.
 
-    Every rung shares the basis's gamma-free reduced generator.  Requires at
-    least 7 gamma values spanning [1/8, 8].  Rows run on max_workers threads,
-    default one.  The eigensolve releases the GIL, so on several threads rows
-    run at once; each row is computed the same way on any thread, so results
-    do not depend on the thread count.  More than one thread pays off with a
-    single-threaded BLAS: a multithreaded BLAS already spreads each
-    eigensolve over the cores, and concurrent rows then compete with it for
-    them.  Failed rows, including those whose gap is not above roundoff, are
-    reported in row_errors with NaN gaps rather than aborting the scan.  Slopes are
-    log-log fits over gamma <= 1/2 and gamma >= 2; lambda_bar is the smallest
-    ratio gap / min(gamma, 1/gamma).
+    Each rung computes its gap as `spectrum` computes its refined gap: a
+    dense gap on the coarse basis (_coarse_basis), then spectral.contour_gap
+    on this basis around it.  Every rung shares the two gamma-free reduced
+    generators, of this basis and of the coarse one.  The rung so rests on
+    the same heuristic ellipse as `spectrum`'s refinement, with a guard: the
+    rung is solved dense on this basis instead when the coarse gap is not
+    above its roundoff floor, or when the contour gap differs from it by more
+    than CONVERGENCE_RTOL.  rung_methods records, per rung, the contour's
+    path per sector (none when it did not run) and whether the guard fired.
+
+    Requires at least 7 gamma values spanning [1/8, 8].  Rows run on
+    max_workers threads, default one.  The dense eigensolve and the chain's
+    inverses and products release the GIL, so on several threads rows run at
+    once; each row is computed the same way on any thread, so results do not
+    depend on the thread count.  More than one thread pays off with a
+    single-threaded BLAS: a multithreaded BLAS already spreads each solve
+    over the cores, and concurrent rows then compete with it for them.
+    Failed rows, including those whose gap is not above roundoff, are
+    reported in row_errors with NaN gaps rather than aborting the scan.
+    Slopes are log-log fits over gamma <= 1/2 and gamma >= 2; lambda_bar is
+    the smallest ratio gap / min(gamma, 1/gamma).
     """
     g = np.asarray(sorted(float(x) for x in gammas))
     if g.size < 7:
@@ -604,17 +628,28 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
         raise InvalidArgumentError("gammas must span at least [1/8, 8]")
 
     red = reduced_generator(basis)
+    coarse = reduced_generator(_coarse_basis(basis))
 
     gaps = np.full(g.size, np.nan)
     row_errors: dict = {}
+    rung_methods = [{"gamma": float(x), "sectors": {}, "guard": False} for x in g]
+
+    def roundoff_floor(norm1: float) -> float:
+        # Near-zero friction leaves a gap at roundoff level, of either sign;
+        # eps * ||L||_1 is the backward-error scale of the dense eigensolve,
+        # and a gap a few times above it still moves by ~1e-2 between solves.
+        return GAP_ROUNDOFF_MARGIN * np.finfo(float).eps * norm1
 
     def run_row(i: int):
         try:
-            res = reduced_gap(red, g[i])
-            # Near-zero friction leaves a gap at roundoff level, of either sign;
-            # eps * ||L||_1 is the backward-error scale of the dense eigensolve,
-            # and a gap a few times above it still moves by ~1e-2 between solves.
-            gap, floor = res.gap, GAP_ROUNDOFF_MARGIN * np.finfo(float).eps * res.norm1
+            base = reduced_gap(coarse, g[i])
+            res = contour_gap(red, g[i], base) if base.gap > roundoff_floor(base.norm1) else None
+            if res is not None:
+                rung_methods[i]["sectors"] = res.method
+            if res is None or abs(res.gap - base.gap) > CONVERGENCE_RTOL * abs(base.gap):
+                rung_methods[i]["guard"] = True
+                res = reduced_gap(red, g[i])
+            gap, floor = res.gap, roundoff_floor(res.norm1)
             if not gap > floor:
                 raise NumericalFailureError(f"computed gap {gap:.3g} is not positive above roundoff margin {floor:.3g}")
             gaps[i] = gap
@@ -642,4 +677,5 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
         slope_large_gamma=branch_slope(g >= 2.0),
         lambda_bar=lam_bar,
         row_errors=row_errors,
+        rung_methods=rung_methods,
     )

@@ -42,12 +42,13 @@ solve (gap, friction scan, Poisson, refined gap) runs once per sector, at
 about a quarter of the full cost each.  Otherwise one sector, "all", holds
 every coordinate: the same code with a trivial partition.
 
-Dense and chain solves.  The gap, each friction-scan rung and the Poisson
-equation are dense solves of neg_operator.  The refined gap of `spectrum`
-(contour_gap) is not: it factors -L - z per sector along the Hermite levels
-(HermiteChain, the matrix continued fraction) and finds the eigenvalues
-inside an ellipse around a base gap by a contour integral, falling back to
-the dense solve for a sector the contour cannot settle.
+Dense and chain solves.  The gap and the Poisson equation are dense solves
+of neg_operator.  A gap near a known coarser one (the refined gap of
+`spectrum`, each friction-scan rung) is not: contour_gap factors -L - z per
+sector along the Hermite levels (HermiteChain, the matrix continued
+fraction) and finds the eigenvalues inside an ellipse around the base gap by
+a contour integral, falling back to the dense solve for a sector the contour
+cannot settle.
 
 Inputs have one home each.  build_basis(spec, params, ...) keeps the
 potential, beta and m on the BasisSet; assemble_generator(basis, gamma) binds
@@ -93,6 +94,7 @@ POINCARE_RTOL = 5e-3  # relative change that ends the Poincare refinement
 POINCARE_MAX_ROUNDS = 6
 DECAY_TOL = 1e-8  # slack on the semigroup decay bound
 DENSE_MAX_BYTES = 2**30  # largest dense operator neg_operator allocates
+CONVERGENCE_RTOL = 0.01  # relative change between a gap and its refinement read as converged
 
 
 @dataclass(frozen=True, eq=False)
@@ -598,7 +600,8 @@ CONTOUR_RESIDUAL_TOL = 1e-10  # ||(-L - mu) v|| / (||L||_1 ||v||) a candidate ei
 @dataclass(frozen=True)
 class RefinedGap:
     gap: float
-    method: dict  # sector name -> "contour" or "dense", the path that solved it
+    method: dict  # sector name -> "contour", "empty" or "dense", the path that solved it
+    norm1: float  # ||L||_1 of the refined operator, the largest sector 1-norm
 
 
 def _contour_sector_gap(blocks: LevelBlocks, center: float, a: float, b: float) -> float | None:
@@ -609,9 +612,13 @@ def _contour_sector_gap(blocks: LevelBlocks, center: float, a: float, b: float) 
     real, so the node mirrored below the axis adds -conj(X dz) to X dz and
     only the upper half is solved.  The rank k of A_0 (its SVD) counts the
     eigenvalues inside; those of the k x k matrix U^T A_1 W S^{-1} are the
-    candidates.  None when k = 0 or k = CONTOUR_PROBES (the probe block may
-    be saturated), when no candidate lies inside, or when one inside fails
-    its residual.
+    candidates.  An A_0 whose largest singular value is at most
+    CONTOUR_RANK_TOL ||V||_2 is read as k = 0, no eigenvalue inside, and
+    gives inf.  That rule is a heuristic, like the ellipse: an eigenvalue
+    inside with a tiny projection on V would not be seen.  Otherwise k counts
+    the singular values above CONTOUR_RANK_TOL times the largest.  None when
+    k = CONTOUR_PROBES (the probe block may be saturated), when no candidate
+    lies inside, or when one inside fails its residual.
     """
     t = 2.0 * math.pi * (np.arange(CONTOUR_NODES // 2) + 0.5) / CONTOUR_NODES
     z = center + a * np.cos(t) + 1j * b * np.sin(t)
@@ -627,8 +634,10 @@ def _contour_sector_gap(blocks: LevelBlocks, center: float, a: float, b: float) 
         a0 += (2.0 / CONTOUR_NODES) * np.tensordot(dz[part], x, axes=1).imag
         a1 += (2.0 / CONTOUR_NODES) * np.tensordot(z[part] * dz[part], x, axes=1).imag
     u, sv, wt = np.linalg.svd(a0, full_matrices=False)
+    if sv[0] <= CONTOUR_RANK_TOL * np.linalg.norm(probes, 2):
+        return math.inf
     k = int(np.count_nonzero(sv > CONTOUR_RANK_TOL * sv[0]))
-    if k in (0, CONTOUR_PROBES):
+    if k == CONTOUR_PROBES:
         return None
     lam, w = np.linalg.eig(u[:, :k].T @ a1 @ wt[:k].T / sv[:k])
     inside = ((lam.real - center) / a) ** 2 + (lam.imag / b) ** 2 < 1.0
@@ -641,31 +650,37 @@ def _contour_sector_gap(blocks: LevelBlocks, center: float, a: float, b: float) 
     return float(lam.real.min())
 
 
-def contour_gap(asm: GeneratorAssembly, base: GapResult) -> RefinedGap:
-    """The gap of the assembly's generator near a base gap, by a contour integral on Hermite chains.
+def contour_gap(red: ReducedGenerator, gamma: float, base: GapResult) -> RefinedGap:
+    """The gap of -(L_ham + gamma L_FD) near a base gap, by a contour integral on Hermite chains.
 
-    Meant for a refined basis, with `base` the dense gap of a coarser one.
-    Each sector counts the eigenvalues of -L inside an ellipse built from the
-    base spectrum: its real axis spans 0.25-2.5 times the base gap, and its
-    half-height is 1.5 times the largest |Im| of the base eigenvalues with
-    real part below twice the gap, plus the gap, and at least the real
-    semi-axis.  The ellipse is a heuristic built from the base spectrum, not
-    a certificate, just like the 1 % convergence test it serves: an
-    eigenvalue of the refined basis outside it is not seen.  A sector that
-    the contour cannot settle (_contour_sector_gap) is solved dense, as
-    reduced_gap would; `method` records which path ran per sector.
+    Meant for a finer basis than the one of `base`, the dense gap at the same
+    friction.  Each sector counts the eigenvalues of -L inside an ellipse
+    built from the base spectrum: its real axis spans 0.25-2.5 times the base
+    gap, and its half-height is 1.5 times the largest |Im| of the base
+    eigenvalues with real part below twice the gap, plus the gap, and at
+    least the real semi-axis.  The ellipse is a heuristic built from the base
+    spectrum, not a certificate, just like the CONVERGENCE_RTOL test it
+    serves: an eigenvalue of the finer basis outside it is not seen.  A
+    sector the contour reads as empty (_contour_sector_gap) is left out when
+    another sector has a verified eigenvalue inside, and recorded `empty`.
+    A sector the contour cannot settle, or every sector when all read empty,
+    is solved dense, as reduced_gap would; `method` records which path ran
+    per sector.
     """
-    red = reduced_generator(asm.basis)
     g = base.gap
     center, a = 1.375 * g, 1.125 * g
     near = base.eigenvalues[base.eigenvalues.real < 2.0 * g]
     b = max(1.5 * float(np.abs(near.imag).max(initial=0.0)) + g, a)
-    gaps, method = [], {}
+    blocks = [red.level_blocks(gamma, sector=s) for s in range(red.n_sectors)]
+    gaps = [_contour_sector_gap(bl, center, a, b) if g > 0 else None for bl in blocks]
+    if not any(x is not None and x < math.inf for x in gaps):
+        gaps = [None] * len(gaps)
+    method = {}
     for s, name in enumerate(red.sector_names):
-        gap = _contour_sector_gap(red.level_blocks(asm.gamma, sector=s), center, a, b) if g > 0 else None
-        method[name] = "dense" if gap is None else "contour"
-        gaps.append(_gap_of_operator(red.neg_operator(asm.gamma, sector=s)).gap if gap is None else gap)
-    return RefinedGap(min(gaps), method)
+        method[name] = "dense" if gaps[s] is None else "empty" if gaps[s] == math.inf else "contour"
+        if gaps[s] is None:
+            gaps[s] = _gap_of_operator(red.neg_operator(gamma, sector=s)).gap
+    return RefinedGap(min(gaps), method, max(bl.norm1() for bl in blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -582,11 +582,109 @@ def test_scan_rows_match_the_full_operator(cosine_spec, unit_params):
     assert rows == pytest.approx(want, rel=1e-10)
 
 
+# Dense rung gaps (spectral.reduced_gap) on the ladder 0.125:2:7 of the larger scan bases, pinned:
+# computing them costs 14 dense sector eigensolves of 527-1176 rows per basis, 5-20 s each.
+PINNED_DENSE_RUNGS = {
+    ("cosine", 2.0 * math.pi, 1.0, 16, 32): [0.13193614449244315, 0.2565294327546154, 0.4703311991709052,
+                                             0.7117305674424695, 0.5623888070152198, 0.28970857403723776,
+                                             0.14549014924265805],
+    ("cosine", 1.0, 1.0, 24, 48): [0.13413253952961035, 0.26763675960326744, 0.5319121995343874,
+                                   1.0477428667307744, 2.015872037998491, 3.431174872338482, 4.715263157960544],
+    ("double_well", 4.0, None, 16, 32): [0.08997421518824782, 0.14851354805940653, 0.22938508730715326,
+                                         0.3007683233810831, 0.2730189610344054, 0.17063997175136802,
+                                         0.09148375737280814],
+    ("cosine", 1.0, 5.0, 16, 32): [0.11524332072984828, 0.23048136176536146, 0.4609221033016906,
+                                   0.7210803576198793, 1.178244914995481, 2.130980354600828, 4.109337227834553],
+}
+
+
+def _scan_cases():
+    """(potential, params, ensemble, Kq, Np, n_quad, ladder): criterion 7's pendulum, TestGammaScan's
+    harmonic cell, each basis of EIGVALS_CASES but the defaults (the pinned rows of
+    test_default_scan_solves_dense_only_on_the_coarse_basis), and double_well L=4 and cosine h=5."""
+    ladder = [0.125 * 2.0**k for k in range(7)]
+    cases = [
+        ("cosine", {"h": 1.0, "L": 2.0 * math.pi}, {}, 16, 32, 256, ladder),
+        ("quadratic", {"omega": 1.0, "L": 14.0}, {}, 8, 16, 64, [0.125 * 2.1**k for k in range(7)]),
+    ]
+    for name, pot, ens, _, Kq, Np in EIGVALS_CASES:
+        case = (name, pot, ens, Kq, Np, None, ladder)
+        if case not in cases and (Kq, Np, ens) != (16, 32, {}):
+            cases.append(case)
+    cases += [("double_well", {"L": 4.0}, {}, 16, 32, None, ladder), ("cosine", {"h": 5.0, "L": 1.0}, {}, 16, 32, None, ladder)]
+    return cases
+
+
+@pytest.mark.parametrize("name,pot,ens,Kq,Np,n_quad,ladder", _scan_cases())
+def test_scan_rungs_match_the_dense_gap(name, pot, ens, Kq, Np, n_quad, ladder):
+    """Every rung is the dense gap to 1e-10, and the guard fired exactly where the coarse
+    base is more than CONVERGENCE_RTOL off it (double_well at gamma = 1/8 and 1/4)."""
+    from hypokit.hypo import _coarse_basis, gamma_scan
+
+    basis = build_basis(builtin_potential(name, pot), EnsembleParams(**ens), Kq=Kq, Np=Np, n_quad=n_quad)
+    res = gamma_scan(basis, ladder, max_workers=2)
+    red, coarse = reduced_generator(basis), reduced_generator(_coarse_basis(basis))
+    want = PINNED_DENSE_RUNGS.get((name, pot["L"], pot.get("h"), Kq, Np))
+    want = np.array(want or [spectral.reduced_gap(red, g).gap for g in ladder])
+    base = np.array([spectral.reduced_gap(coarse, g).gap for g in ladder])
+    assert res.row_errors == {}
+    assert res.table.gaps == pytest.approx(want, rel=1e-10)
+    guard = [m["guard"] for m in res.rung_methods]
+    assert guard == list(np.abs(want - base) > spectral.CONVERGENCE_RTOL * base)
+
+
+def test_default_scan_solves_dense_only_on_the_coarse_basis(tmp_path, monkeypatch):
+    """Kq16/Np32 scans from a Kq8/Np16 dense base: dgeev sees only its sectors, 135 and 136, once
+    per rung, every rung is refined by the contour in both sectors, and the rows are the pinned
+    dense ones."""
+    from hypokit import cli
+
+    real = spectral._eigvals_overwrite
+    sizes = []
+
+    def spy(a):
+        sizes.append(a.shape[0])
+        return real(a)
+
+    monkeypatch.setattr(spectral, "_eigvals_overwrite", spy)
+    assert cli.main(["scan", "--threads", "2", "--report", str(tmp_path / "rep.json")]) == 0
+    with open(tmp_path / "rep.json") as fh:
+        report = json.load(fh)
+    assert sorted(sizes) == [135] * 7 + [136] * 7
+    methods = report["diagnostics"]["rung_methods"]
+    assert [m["gamma"] for m in methods] == [0.125 * 2.0**k for k in range(7)]
+    assert all(m["sectors"] == {"even": "contour", "odd": "contour"} and not m["guard"] for m in methods)
+    pinned = [0.13420578526658788, 0.2678710960619917, 0.5323788407419694, 1.0479845452024361,
+              2.015884925705092, 3.43117486157212, 4.71526315796104]
+    assert [row["gap"] for row in report["results"]["rows"]] == pytest.approx(pinned, rel=1e-12)
+
+
+def test_a_contour_gap_off_the_coarse_base_gives_the_dense_rung(cosine_asm_small, monkeypatch):
+    """A contour result 2 % off the coarse gap fires the guard: the rung is the dense gap, bitwise."""
+    from hypokit import hypo
+
+    real, methods = hypo.contour_gap, []
+
+    def off(red, gamma, base):
+        res = real(red, gamma, base)
+        methods.append(res.method)
+        return dataclasses.replace(res, gap=1.02 * base.gap)
+
+    monkeypatch.setattr(hypo, "contour_gap", off)
+    ladder = [0.125 * 2.0**k for k in range(7)]
+    res = hypo.gamma_scan(cosine_asm_small.basis, ladder)
+    red = reduced_generator(cosine_asm_small.basis)
+    assert np.array_equal(res.table.gaps, [spectral.reduced_gap(red, g).gap for g in ladder])
+    assert [m["sectors"] for m in res.rung_methods] == methods and len(methods) == 7
+    assert all(m["guard"] for m in res.rung_methods)
+
+
 def _assert_same_scan(one, other):
     assert np.array_equal(one.table.gaps, other.table.gaps)
     assert (one.slope_small_gamma, one.slope_large_gamma, one.lambda_bar) == (
         other.slope_small_gamma, other.slope_large_gamma, other.lambda_bar)
     assert one.row_errors == other.row_errors == {}
+    assert one.rung_methods == other.rung_methods
 
 
 def test_scan_results_do_not_depend_on_the_thread_count(cosine_asm, cosine_asm_small):
@@ -685,6 +783,10 @@ def _refined(spec, params, Kq, Np, factor=1.5):
     return spectral_gap(assemble_generator(basis, params.gamma)), assemble_generator(basis2, params.gamma)
 
 
+def _contour(asm, base):
+    return spectral.contour_gap(reduced_generator(asm.basis), asm.gamma, base)
+
+
 CONTOUR_CASES = EIGVALS_CASES + [
     ("cosine", {"h": 1.0, "L": 1.0}, {"beta": 2.0, "mass": 0.5}, 1.0, 16, 32),
     ("cosine", {"h": 5.0, "L": 1.0}, {}, 1.0, 16, 32),
@@ -696,19 +798,19 @@ def test_contour_gap_matches_the_dense_gap(name, pot, ens, gamma, Kq, Np):
     """On the base basis itself, so the dense gap is the oracle at no extra cost."""
     params = EnsembleParams(gamma=gamma, **ens)
     base, asm = _refined(builtin_potential(name, pot), params, Kq, Np, factor=1.0)
-    res = spectral.contour_gap(asm, base)
+    res = _contour(asm, base)
     assert res.gap == pytest.approx(base.gap, rel=1e-10)
 
 
 @pytest.mark.parametrize("name,pot,ens,gamma,Kq,Np,method", [
-    ("double_well", {"L": 4.0}, {}, 1.0, 10, 20, {"even": "dense", "odd": "contour"}),  # even: saturated probes
+    ("double_well", {"L": 4.0}, {}, 1.0, 10, 20, {"even": "empty", "odd": "contour"}),  # even: nothing inside
     ("quadratic", {"omega": 1.0, "L": 14.0}, {}, 1.0, 10, 20, {"even": "contour", "odd": "contour"}),
     ("cosine", {"h": 1.0, "L": 1.0}, {"beta": 50.0}, 1.0, 4, 8, {"even": "contour", "odd": "contour"}),
 ])
 def test_contour_gap_matches_the_dense_refinement(name, pot, ens, gamma, Kq, Np, method):
     params = EnsembleParams(gamma=gamma, **ens)
     base, asm = _refined(builtin_potential(name, pot), params, Kq, Np)
-    res = spectral.contour_gap(asm, base)
+    res = _contour(asm, base)
     dense = spectral_gap(asm)
     assert res.gap == pytest.approx(dense.gap, rel=1e-10) and res.method == method
     assert (abs(res.gap - base.gap) <= 0.01 * base.gap) == (abs(dense.gap - base.gap) <= 0.01 * base.gap)
@@ -716,7 +818,7 @@ def test_contour_gap_matches_the_dense_refinement(name, pot, ens, gamma, Kq, Np,
 
 def test_contour_gap_in_one_sector(unit_params):
     base, asm = _refined(_asymmetric_spec(), unit_params, 8, 12)
-    res = spectral.contour_gap(asm, base)
+    res = _contour(asm, base)
     assert res.method == {"all": "contour"}
     assert res.gap == pytest.approx(spectral_gap(asm).gap, rel=1e-10)
 
@@ -725,9 +827,24 @@ def test_saturated_probe_block_falls_back_to_the_dense_gap(cosine_spec, unit_par
     """Two probe columns cannot span the eigenvalues inside: every sector is solved dense, bitwise."""
     base, asm = _refined(cosine_spec, unit_params, 8, 12)
     monkeypatch.setattr(spectral, "CONTOUR_PROBES", 2)
-    res = spectral.contour_gap(asm, base)
+    res = _contour(asm, base)
     assert res.method == {"even": "dense", "odd": "dense"}
     assert res.gap == spectral_gap(asm).gap
+
+
+def test_an_empty_sector_is_left_out_and_all_empty_sectors_run_dense(monkeypatch):
+    """double_well L=4 at gamma = 1: the even sector's A_0 is roundoff against ||V||_2, so it
+    reads empty beside the odd sector's verified gap; with every sector empty, all run dense."""
+    params = EnsembleParams(gamma=1.0)
+    base, asm = _refined(builtin_potential("double_well", {"L": 4.0}), params, 10, 20)
+    dense = spectral_gap(asm)
+    res = _contour(asm, base)
+    assert res.method == {"even": "empty", "odd": "contour"} and dense.sector == "odd"
+    assert res.gap == pytest.approx(dense.gap, rel=1e-10)
+    assert res.norm1 == pytest.approx(dense.norm1, rel=1e-14)
+    monkeypatch.setattr(spectral, "_contour_sector_gap", lambda *args: math.inf)
+    res = _contour(asm, base)
+    assert res.method == {"even": "dense", "odd": "dense"} and res.gap == dense.gap
 
 
 def test_default_spectrum_refines_without_a_dense_eigensolve(tmp_path, monkeypatch):
