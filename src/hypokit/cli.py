@@ -20,8 +20,9 @@ import sys
 import warnings
 from typing import Callable, NamedTuple
 
-import jsonschema
 import numpy as np
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from . import __version__
 from .errors import HypokitError, InvalidArgumentError, NumericalFailureError
@@ -189,15 +190,16 @@ def _write_csv(path: str, header: list[str], rows: np.ndarray) -> None:
 
 
 def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
+    """(header names, data rows); loadtxt reads the path itself, in C chunks, not line by line."""
     try:
         with open(path, newline="\n") as fh:
             header = fh.readline().strip()
-            if not header:
-                raise InvalidArgumentError(f"empty CSV file: {path}")
-            names = header.split(",")
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        if not header:
+            raise InvalidArgumentError(f"empty CSV file: {path}")
+        names = header.split(",")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
     except OSError as exc:
         raise InvalidArgumentError(f"cannot read CSV file {path}: {exc}") from exc
     except ValueError as exc:  # a cell that is not a number, or a row of another length
@@ -267,16 +269,21 @@ def _schema(command: str) -> dict:
 
 
 def _validate(cfg: dict, command: str) -> None:
-    try:
-        jsonschema.validate(cfg, _schema(command))
-    except jsonschema.ValidationError as exc:
-        if exc.validator == "additionalProperties":
-            prefix = "".join(f"{part}." for part in exc.absolute_path)
-            unread = sorted(set(exc.instance) - set(exc.schema["properties"]))
-            raise InvalidArgumentError(
-                f"{command} does not read config key(s): {', '.join(prefix + k for k in unread)}"
-            ) from exc
-        raise InvalidArgumentError(f"config validation failed: {exc.message}") from exc
+    """Raise the error jsonschema.validate would, without its check of the schema itself.
+
+    That metaschema check costs 6-22 ms per call; the generated schemas are
+    checked once, by the test suite.
+    """
+    exc = best_match(Draft202012Validator(_schema(command)).iter_errors(cfg))
+    if exc is None:
+        return
+    if exc.validator == "additionalProperties":
+        prefix = "".join(f"{part}." for part in exc.absolute_path)
+        unread = sorted(set(exc.instance) - set(exc.schema["properties"]))
+        raise InvalidArgumentError(
+            f"{command} does not read config key(s): {', '.join(prefix + k for k in unread)}"
+        ) from exc
+    raise InvalidArgumentError(f"config validation failed: {exc.message}") from exc
 
 
 def _lookup(cfg: dict, key: str):

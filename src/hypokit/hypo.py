@@ -31,8 +31,10 @@ levels 0-2.  Beyond them D(eps) is diagonal, with smallest entry 3 gamma / m.
 
 The resolvent norm ||L^{-1}|| = 1/sigma_min(L) comes from Lanczos on the
 symmetric positive definite L^{-T} L^{-1}, applied through one sparse LU of
-the banded -L^T.  Its largest eigenvalue is 1/sigma_min^2, and for a symmetric
+the banded -L^T, which is written from the level blocks with no dense
+operator.  Its largest eigenvalue is 1/sigma_min^2, and for a symmetric
 positive definite operator the largest Lanczos eigenvalue is the wanted one.
+The witnesses apply -L by the block matvec.
 A shift-invert eigensolve of L itself could not give the spectral gap that
 safely: it returns the eigenvalues nearest 0 in modulus, which can miss the
 one with the smallest real part, so spectral_gap stays a dense eigensolve,
@@ -363,15 +365,14 @@ def resolvent_norm(asm: GeneratorAssembly) -> float:
 
     ||L^{-1}|| = 1/sigma_min(L), from Lanczos on the symmetric positive
     definite A^{-1} A^{-T} (one sparse LU of A); sigma_max from Lanczos on
-    A^T A.  A = -L^T has the singular values of L and is the C-ordered view
-    of the Fortran-ordered -L, which csc_matrix reads about 3x faster.  A
-    fixed start vector keeps reruns bitwise identical.
+    A^T A.  A = -L^T has the singular values of L; its CSC matrix is written
+    from the level blocks (LevelBlocks.transpose_csc), so no dense operator
+    is built.  A fixed start vector keeps reruns bitwise identical.
     """
     # imported here: scipy.sparse costs every CLI start-up about 30 ms
-    from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-    op = csc_matrix(reduced_generator(asm.basis).neg_operator(asm.gamma).T)
+    op = reduced_generator(asm.basis).level_blocks(asm.gamma).transpose_csc()
     n = op.shape[0]
 
     def largest(matvec) -> float:
@@ -549,11 +550,11 @@ def resolvent_lower_bound(asm: GeneratorAssembly) -> WitnessPair:
         raise DegenerateWitnessError("witnesses vanish for a constant potential")
 
     gamma, m = asm.gamma, basis.mass
-    neg_op = red.neg_operator(gamma)  # ||L u|| = ||-L u||
+    blocks = red.level_blocks(gamma)  # ||L u|| = ||-L u||
 
     def ratio(f) -> float:
         z = red.to_reduced(project_phase_function(basis, f))
-        img = neg_op @ z
+        img = blocks.matvec(z)
         nz, ni = float(np.linalg.norm(z)), float(np.linalg.norm(img))
         if ni <= 1e-14 * max(nz, 1.0):
             raise NumericalFailureError("witness image under the generator is numerically zero")

@@ -42,13 +42,16 @@ solve (gap, friction scan, Poisson, refined gap) runs once per sector, at
 about a quarter of the full cost each.  Otherwise one sector, "all", holds
 every coordinate: the same code with a trivial partition.
 
-Dense and chain solves.  The gap and the Poisson equation are dense solves
-of neg_operator.  A gap near a known coarser one (the refined gap of
-`spectrum`, each friction-scan rung) is not: contour_gap factors -L - z per
-sector along the Hermite levels (HermiteChain, the matrix continued
-fraction) and finds the eigenvalues inside an ellipse around the base gap by
-a contour integral, falling back to the dense solve for a sector the contour
-cannot settle.
+Dense and chain solves.  Only the gap is a dense solve of neg_operator
+(hypo's dissipation rate also reads its levels 0-2).  The Poisson equation is solved per sector by the Hermite chain at mu = 0
+(HermiteChain, the matrix continued fraction, which factors -L - mu along the
+Hermite levels), with its residual from the block matvec.  A gap near a known
+coarser one (the refined gap of `spectrum`, each friction-scan rung) is found
+by contour_gap, which factors -L - z on the chain at the nodes of an ellipse
+around the base gap and counts the eigenvalues inside by a contour integral,
+falling back to the dense solve for a sector the contour cannot settle.  The
+resolvent norm (hypo) reads -L^T as a sparse matrix written from the level
+blocks (LevelBlocks.transpose_csc).
 
 Inputs have one home each.  build_basis(spec, params, ...) keeps the
 potential, beta and m on the BasisSet; assemble_generator(basis, gamma) binds
@@ -323,6 +326,33 @@ class LevelBlocks(NamedTuple):
             cols[n] = cols[n] + np.abs(b).sum(axis=1)
             cols[n - 1] = cols[n - 1] + np.abs(b).sum(axis=0)
         return float(max(c.max(initial=0.0) for c in cols))
+
+    def transpose_csc(self):
+        """-L^T as a scipy.sparse CSC matrix, written level by level with no dense operator.
+
+        The CSC arrays of -L^T are the CSR arrays of -L: row by row, the
+        entries that are not exactly zero in ascending column order, which are
+        the arrays csc_matrix reads from a dense -L^T.
+        """
+        from scipy.sparse import csc_matrix  # imported here: scipy.sparse costs every CLI start-up about 30 ms
+
+        start, top = self.start, len(self.diags) - 1
+        data, indices, counts = [], [], []
+        for n, d in enumerate(self.diags):
+            lo, mid, hi = start[max(n - 1, 0)], start[n], start[n + 1]
+            strip = np.zeros((d.size, start[min(n + 1, top) + 1] - lo))  # the rows of level n, levels n -/+ 1
+            if n > 0:
+                strip[:, : mid - lo] = -self.couplings[n - 1]
+            strip[np.arange(d.size), mid - lo + np.arange(d.size)] = d
+            if n < top:
+                strip[:, hi - lo :] = self.couplings[n].T
+            nonzero = strip != 0
+            data.append(strip[nonzero])
+            indices.append(lo + np.nonzero(nonzero)[1])
+            counts.append(np.count_nonzero(nonzero, axis=1))
+        indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+        k = int(start[-1])
+        return csc_matrix((np.concatenate(data), np.concatenate(indices), indptr), shape=(k, k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -795,12 +825,7 @@ def _sigma2_from_pair(z_sol: Array, z_rhs: Array, mass_nu: float) -> float:
 
 
 def _lu_solve(neg_op: Array, rhs: Array) -> tuple[Array, Array, float]:
-    """(z, -L z - rhs, ||L||_1) from one LU solve of -L z = rhs.
-
-    LU makes no condition estimate, so a stiff but solvable operator (gamma
-    near the float maximum) solves without a warning; an exactly zero pivot
-    is a numerical failure.
-    """
+    """(z, -L z - rhs, ||L||_1) from one LU solve of -L z = rhs; an exactly zero pivot is a numerical failure."""
     norm1 = float(sla.norm(neg_op, 1, check_finite=False))
     with warnings.catch_warnings():
         warnings.simplefilter("error", sla.LinAlgWarning)
@@ -822,9 +847,13 @@ def solve_poisson(asm: GeneratorAssembly, phi_coeffs: Array) -> PoissonResult:
     """Solve -(L_ham + gamma L_FD) Phi = (phi - mean phi) and report sigma^2.
 
     sigma^2 = 2 <Phi, phi - mean phi> under the normalized invariant measure.
-    One LU solve per sector; a sector with a zero right-hand side solves to
-    exact zeros.  Returns the solution's full-basis coefficients (mean-zero
-    representative).
+    Each sector is solved by its Hermite chain at mu = 0 (hermite_chain), and
+    the residual and ||L||_1 come from its level blocks, so no dense operator
+    is built.  The chain makes no condition estimate, so a stiff but solvable
+    operator (gamma near the float maximum) solves without a warning; an
+    exactly singular pivot is a numerical failure.  A sector with a zero
+    right-hand side solves to exact zeros.  Returns the solution's full-basis
+    coefficients (mean-zero representative).
     """
     red = reduced_generator(asm.basis)
     z_rhs = red.to_reduced(phi_coeffs)
@@ -832,8 +861,13 @@ def solve_poisson(asm: GeneratorAssembly, phi_coeffs: Array) -> PoissonResult:
     norm1 = 0.0
     for s in range(red.n_sectors):
         idx = red.sector_index(s)
-        z_sol[idx], res[idx], n1 = _lu_solve(red.neg_operator(asm.gamma, sector=s), z_rhs[idx])
-        norm1 = max(norm1, n1)
+        blocks = red.level_blocks(asm.gamma, sector=s)
+        try:
+            z_sol[idx] = hermite_chain(blocks, 0.0).solve(z_rhs[idx, None])[:, 0]
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(f"Poisson solve failed (singular pivot): {exc}") from exc
+        res[idx] = blocks.matvec(z_sol[idx]) - z_rhs[idx]
+        norm1 = max(norm1, blocks.norm1())
     sigma2 = _sigma2_from_pair(z_sol, z_rhs, red.mass_nu)
     return PoissonResult(red.to_full(z_sol), sigma2, _relative_residual(res, z_sol, z_rhs, norm1))
 
@@ -876,8 +910,22 @@ def project_position_function(basis: BasisSet, f: Callable[[Array], Array]) -> A
 
 
 # hermegauss(n) overflows from n = 371 on: at 371 nodes its weight sum overflows and
-# every weight comes back 0.0, from 372 on the weights are inf or nan.
+# every weight comes back 0.0, from 372 on the weights are inf or nan.  Larger
+# rules come from scipy.special.roots_hermitenorm, which stays finite.
 GAUSS_HERMITE_MAX_NODES = 370
+
+
+def _gauss_hermite(n: int) -> tuple[Array, Array]:
+    """Nodes and weights of the n-node Gauss-Hermite rule for the weight exp(-x^2 / 2).
+
+    NumPy's hermegauss up to GAUSS_HERMITE_MAX_NODES, so those bits do not
+    move; SciPy's roots_hermitenorm above it.
+    """
+    if n <= GAUSS_HERMITE_MAX_NODES:
+        return np.polynomial.hermite_e.hermegauss(n)
+    from scipy.special import roots_hermitenorm  # imported here: no CLI start-up pays for scipy.special
+
+    return roots_hermitenorm(n)
 
 
 def project_phase_function(basis: BasisSet, f: Callable[[Array, Array], Array]) -> Array:
@@ -885,24 +933,25 @@ def project_phase_function(basis: BasisSet, f: Callable[[Array, Array], Array]) 
 
     f must broadcast over a (n_quad, 1) position array against a (1, n_gh)
     momentum array.  Momentum integrals use Gauss-Hermite quadrature with
-    n_gh = Np + 8 nodes.
+    n_gh = Np + 8 nodes (_gauss_hermite).  A Hermite table that overflows at
+    the outer nodes is a numerical failure.
     """
     n_gh = basis.Np + 8
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            x, w = np.polynomial.hermite_e.hermegauss(n_gh)
-    except FloatingPointError as exc:
-        raise NumericalFailureError(
-            f"the {n_gh}-node Gauss-Hermite rule for Np={basis.Np} overflows ({exc}); "
-            f"the largest Np that works is {GAUSS_HERMITE_MAX_NODES - 8}"
-        ) from exc
+    x, w = _gauss_hermite(n_gh)
     w = w / math.sqrt(2.0 * math.pi)  # weights of the standard Gaussian measure
     p = basis.sigma_p * x
     vals = np.asarray(f(basis.nodes[:, None], p[None, :]), dtype=float)
     if vals.shape != (basis.nodes.size, n_gh):
         raise InvalidArgumentError("f must broadcast to shape (n_quad, Np + 8)")
-    h_tab = hermite_values(basis.Np, x)  # (n_gh, Np)
-    t = vals @ (w[:, None] * h_tab)  # (n_quad, Np) momentum integrals
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            wh = w[:, None] * hermite_values(basis.Np, x)  # (n_gh, Np)
+    except FloatingPointError as exc:
+        raise NumericalFailureError(
+            f"the Hermite functions up to Np={basis.Np} overflow at the outer nodes of the {n_gh}-node "
+            f"Gauss-Hermite rule ({exc}); lower Np"
+        ) from exc
+    t = vals @ wh  # (n_quad, Np) momentum integrals
     rhs = basis.F.T @ (basis.weights[:, None] * t)  # (n_q, Np)
     coeffs = basis.wq @ (basis.wq.T @ rhs)  # (n_q, Np)
     return coeffs.T.reshape(-1)  # Hermite-major layout

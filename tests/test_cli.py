@@ -134,12 +134,21 @@ def test_unresolved_weight_exits_2(h, extra, capsys):
 
 @pytest.mark.parametrize("command", [["poisson", "--observable", "p_squared"], ["bounds"]], ids=["poisson", "bounds"])
 @pytest.mark.parametrize("n_p", [363, 400])
-def test_gauss_hermite_overflow_exits_2(command, n_p, capsys, recwarn):
-    # at Np + 8 = 371 nodes the rule's weights come back all zero, beyond that inf or nan
-    assert run(*command, "--Kq", "2", "--Np", n_p) == 2
+def test_gauss_hermite_rule_above_numpys_limit_solves(command, n_p, tmp_path, recwarn):
+    # NumPy's hermegauss overflows from Np + 8 = 371 nodes; SciPy's rule takes over there
+    rep_path = tmp_path / "rep.json"
+    assert run(*command, "--Kq", "2", "--Np", n_p, "--report", rep_path) == 0
+    results = read_report(rep_path)["results"]
+    assert all(math.isfinite(v) for v in results.values() if isinstance(v, float)) and not recwarn.list
+    if command[0] == "poisson":  # sigma^2 of p^2 is 2 m^2 / (beta^2 gamma) for any V
+        assert results["sigma2"] == pytest.approx(2.0, rel=1e-12)
+
+
+def test_hermite_table_overflow_exits_2(capsys, recwarn):
+    # at Np = 719 the Hermite functions overflow at the outer nodes of the 727-node rule
+    assert run("poisson", "--observable", "p_squared", "--Kq", "1", "--Np", "719") == 2
     err = capsys.readouterr().err.splitlines()
-    assert err[-1].startswith(f"numerical failure: the {n_p + 8}-node Gauss-Hermite rule for Np={n_p} overflows")
-    assert err[-1].endswith("the largest Np that works is 362") and not recwarn.list
+    assert err[-1].startswith("numerical failure: the Hermite functions up to Np=719 overflow") and not recwarn.list
 
 
 def test_deep_well_is_resolved_on_a_finer_grid(tmp_path):
@@ -468,6 +477,18 @@ def test_variance_input_that_cannot_be_read_exits_1(body, message, tmp_path, cap
     assert len(err) == 1 and re.search(message, err[0]) and str(path) in err[0]
 
 
+@pytest.mark.parametrize("body", [
+    "time,x\r\n0,1.5\r\n0.5,2.5\r\n1,3.5\r\n",
+    "time,x\n# a comment line\n0,1.5\n0.5,2.5 # a trailing comment\n\n1,3.5\n",
+], ids=["crlf", "comments"])
+def test_csv_line_endings_and_comments_parse_like_a_plain_file(body, tmp_path):
+    (tmp_path / "plain.csv").write_bytes(b"time,x\n0,1.5\n0.5,2.5\n1,3.5\n")
+    (tmp_path / "other.csv").write_bytes(body.encode())
+    names, data = cli._read_csv(str(tmp_path / "other.csv"))
+    want_names, want = cli._read_csv(str(tmp_path / "plain.csv"))
+    assert names == want_names == ["time", "x"] and np.array_equal(data, want)
+
+
 def test_write_csv_is_the_bytes_of_savetxt(tmp_path):
     """Every value class np.savetxt formats: NaN, +-inf, -0.0, subnormals, huge and tiny,
     on a row count that is not a multiple of the block."""
@@ -484,9 +505,33 @@ def test_dense_operator_above_the_budget_exits_1(monkeypatch, capsys):
     from hypokit import spectral
 
     monkeypatch.setattr(spectral, "DENSE_MAX_BYTES", 1000)
-    assert run("bounds", "--Kq", "4", "--Np", "8") == 1
+    assert run("spectrum", "--Kq", "4", "--Np", "8", "--no-check-convergence") == 1
     err = capsys.readouterr().err
-    assert "71 x 71 float64" in err and "limit" in err and "Traceback" not in err
+    assert "35 x 35 float64" in err and "limit" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["bounds", "poisson"])
+def test_bounds_and_poisson_build_no_dense_generator(command, monkeypatch, tmp_path):
+    from hypokit import spectral
+
+    monkeypatch.setattr(spectral, "DENSE_MAX_BYTES", 1000)
+    assert run(command, "--Kq", "4", "--Np", "8", "--report", tmp_path / "rep.json") == 0
+
+
+def test_singular_chain_pivot_exits_2(monkeypatch, capsys):
+    # with every coupling zero, level 0 (whose diagonal is zero) has a zero pivot
+    from hypokit import spectral
+
+    real = spectral.ReducedGenerator.level_blocks
+
+    def uncoupled(self, *args, **kwargs):
+        blocks = real(self, *args, **kwargs)
+        return blocks._replace(couplings=[np.zeros_like(b) for b in blocks.couplings])
+
+    monkeypatch.setattr(spectral.ReducedGenerator, "level_blocks", uncoupled)
+    assert run("poisson", "--Kq", "4", "--Np", "8") == 2
+    err = capsys.readouterr().err
+    assert "Poisson solve failed (singular pivot)" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("param, message", [
@@ -679,6 +724,16 @@ def test_subcommand_flags(command):
     assert flags == SUBCOMMAND_FLAGS[command]
 
 
+@pytest.mark.parametrize("command", list(SUBCOMMAND_FLAGS))
+def test_generated_schema_is_valid_under_its_metaschema(command):
+    # cli._validate skips this check at run time, so it is made here once per subcommand
+    from jsonschema import Draft202012Validator
+
+    schema = cli._schema(command)
+    assert schema["$schema"] == "https://json-schema.org/draft/2020-12/schema"
+    Draft202012Validator.check_schema(schema)
+
+
 def test_parse_gammas_helper():
     assert cli._parse_gammas("0.125:2:7") == pytest.approx(
         [0.125 * 2**k for k in range(7)]
@@ -689,8 +744,9 @@ def test_parse_gammas_helper():
 
 
 def test_poisson_at_float_max_friction_solves_without_a_warning(tmp_path):
-    """gamma = 1e300 is stiff but solvable: the LU solve makes no rcond estimate, so no
-    LinAlgWarning (which the suite turns into an error), and sigma^2 is gamma sigma^2_overdamped."""
+    """gamma = 1e300 is stiff but solvable: neither the Hermite chain nor the overdamped LU solve makes
+    an rcond estimate, so no LinAlgWarning (which the suite turns into an error), and sigma^2 is
+    gamma sigma^2_overdamped."""
     lang, ovd = tmp_path / "lang.json", tmp_path / "ovd.json"
     assert run("poisson", "--Kq", "4", "--Np", "8", "--gamma", "1e300", "--report", lang) == 0
     assert run("poisson", "--Kq", "4", "--dynamics", "overdamped", "--report", ovd) == 0

@@ -534,6 +534,38 @@ def _assert_eigvals_bitwise(ops):
         assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("gamma", [0.125, 1.0, 8.0])
+@pytest.mark.parametrize("name,pot,ens,Kq,Np", [(n, p, e, kq, np_) for n, p, e, g, kq, np_ in EIGVALS_CASES if g == 1.0])
+def test_poisson_chain_matches_the_dense_solve(name, pot, ens, Kq, Np, gamma):
+    """sigma^2 and the solution of the Hermite-chain Poisson solve against a dense solve per sector."""
+    basis = build_basis(builtin_potential(name, pot), EnsembleParams(**ens), Kq=Kq, Np=Np)
+    red = reduced_generator(basis)
+    y = np.random.default_rng(Kq * Np).standard_normal(red.dim)
+    sol = solve_poisson(assemble_generator(basis, gamma), red.to_full(y))
+    z_rhs = red.to_reduced(red.to_full(y))
+    want = np.empty_like(z_rhs)
+    for s in range(red.n_sectors):
+        idx = red.sector_index(s)
+        want[idx] = sla.solve(red.neg_operator(gamma, sector=s), z_rhs[idx])
+    # compared in full coefficients: on the quadratic and beta = 50 Grams to_reduced(to_full(z)) is z only to ~1e-8
+    assert np.linalg.norm(sol.phi_coeffs - red.to_full(want)) <= 1e-10 * np.linalg.norm(red.to_full(want))
+    assert sol.sigma2 == pytest.approx(2.0 * float(want @ z_rhs) / red.mass_nu, rel=1e-10)
+    assert sol.residual <= 1e-13
+
+
+@pytest.mark.parametrize("fixture", ["cosine_asm_small", "cosine_asm"])
+@pytest.mark.parametrize("gamma", [0.125, 1.0, 8.0])
+def test_transpose_csc_is_bitwise_the_dense_conversion(fixture, gamma, request):
+    """The CSC matrix of -L^T written from the level blocks holds the arrays csc_matrix reads from the dense -L^T."""
+    from scipy.sparse import csc_matrix
+
+    red = reduced_generator(request.getfixturevalue(fixture).basis)
+    got, want = red.level_blocks(gamma).transpose_csc(), csc_matrix(red.neg_operator(gamma).T)
+    assert got.shape == want.shape and got.nnz == want.nnz
+    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+
+
 @pytest.mark.parametrize("name,pot,ens,gamma,Kq,Np", EIGVALS_CASES)
 def test_gap_eigensolve_is_bitwise_scipy_eigvals(name, pot, ens, gamma, Kq, Np):
     """The dgeev kernel returns the bits of scipy.linalg.eigvals on every sector operator."""
@@ -732,6 +764,16 @@ def test_gauss_hermite_limit_is_where_the_rule_overflows():
         assert np.all(np.isfinite(x)) and w.sum() == pytest.approx(math.sqrt(2 * math.pi), rel=1e-12)
         with pytest.raises(FloatingPointError):
             np.polynomial.hermite_e.hermegauss(GAUSS_HERMITE_MAX_NODES + 1)
+
+
+@pytest.mark.parametrize("n", [GAUSS_HERMITE_MAX_NODES - 1, GAUSS_HERMITE_MAX_NODES, 408, 1032])
+def test_gauss_hermite_rule_keeps_numpys_bits_and_stays_finite_above_them(n):
+    x, w = spectral._gauss_hermite(n)
+    if n <= GAUSS_HERMITE_MAX_NODES:
+        want = np.polynomial.hermite_e.hermegauss(n)
+        assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip((x, w), want))
+    assert x.shape == w.shape == (n,) and np.all(np.isfinite(x)) and np.all(np.isfinite(w))
+    assert w.sum() / math.sqrt(2 * math.pi) == pytest.approx(1.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
