@@ -79,6 +79,10 @@ OPTIMAL_P_TOL = 1e-10  # slack on the ODE decay-norm certificate
 EPS_LO, EPS_HI, EPS_TOL = 1e-4, 0.9999, 1e-4  # golden-section bracket and width
 HESS_GRID_N = 4096  # torus grid on which the Hessian lower bound is scanned
 GAP_ROUNDOFF_MARGIN = 1e3  # a scan rung's gap must exceed its roundoff floor this many times
+# Scan bases whose largest sector is smaller are solved dense at once: one BLAS thread,
+# cosine and double_well, the dense rung and the coarse solve + contour cost the same near
+# 210 coordinates (Kq10/Np20; 12 against 19-23 ms per rung at 136, 74-92 against 45-54 at 300).
+SCAN_DENSE_SECTOR_MAX = 200
 ODE_MAX_STEPS = 10**7  # RK4 steps ode_trajectory takes at most (250 times the figure-1 run)
 
 
@@ -364,37 +368,41 @@ def resolvent_norm(asm: GeneratorAssembly) -> float:
     """Gram-weighted norm of the inverse generator on the deflated space.
 
     ||L^{-1}|| = 1/sigma_min(L), from Lanczos on the symmetric positive
-    definite A^{-1} A^{-T} (one sparse LU of A); sigma_max from Lanczos on
-    A^T A.  A = -L^T has the singular values of L; its CSC matrix is written
-    from the level blocks (LevelBlocks.transpose_csc), so no dense operator
-    is built.  A fixed start vector keeps reruns bitwise identical.
+    definite A^{-1} A^{-T} (one sparse LU of A).  A = -L^T has the singular
+    values of L; its CSC matrix is written from the level blocks
+    (LevelBlocks.transpose_csc), so no dense operator is built.  The
+    singularity test weighs sigma_min against sqrt(||L||_1 ||L||_inf), an
+    upper bound of sigma_max read from the matrix at no cost.  A fixed start
+    vector keeps reruns bitwise identical.
     """
     # imported here: scipy.sparse costs every CLI start-up about 30 ms
     from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
     op = reduced_generator(asm.basis).level_blocks(asm.gamma).transpose_csc()
     n = op.shape[0]
+    try:
+        lu = splu(op)
 
-    def largest(matvec) -> float:
-        # An overflowing product would reach LAPACK inside ARPACK, which
-        # prints to stdout; it shows on the start vector already.
+        def matvec(x):
+            return lu.solve(lu.solve(x, trans="T"))
+
+        # An overflowing solve would reach LAPACK inside ARPACK, which prints
+        # to stdout; it shows on the start vector already.
         v0 = np.ones(n)
         y = matvec(v0)
         if not np.all(np.isfinite(y)):
             raise NumericalFailureError("generator is numerically singular on the deflated space")
         if n == 1:  # ARPACK needs n >= 2
-            return float(y[0])
-        sym = LinearOperator((n, n), matvec=matvec, dtype=float)
-        return float(eigsh(sym, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
-
-    try:
-        lu = splu(op)
-        big_inv = largest(lambda x: lu.solve(lu.solve(x, trans="T")))
-        big = largest(lambda x: op.T @ (op @ x))
+            big_inv = float(y[0])
+        else:
+            sym = LinearOperator((n, n), matvec=matvec, dtype=float)
+            big_inv = float(eigsh(sym, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
     except RuntimeError as exc:  # a singular LU factor, or any ARPACK failure
         raise NumericalFailureError(f"resolvent norm solve failed: {exc}") from exc
+    mag = abs(op)
+    smax_bound = math.sqrt(float(mag.sum(axis=0).max())) * math.sqrt(float(mag.sum(axis=1).max()))
     smin = 1.0 / math.sqrt(big_inv) if big_inv > 0.0 else 0.0
-    if not smin > 1e-14 * math.sqrt(big):
+    if not smin > 1e-14 * smax_bound:
         raise NumericalFailureError("generator is numerically singular on the deflated space")
     return 1.0 / smin
 
@@ -585,7 +593,7 @@ class ScanResult:
     slope_large_gamma: float
     lambda_bar: float
     row_errors: dict
-    rung_methods: list  # per rung: gamma, the contour's path per sector, and whether the guard fired
+    rung_methods: list  # per rung: gamma, the path per sector, and whether the guard fired
 
 
 def _coarse_basis(basis: BasisSet) -> BasisSet:
@@ -605,16 +613,23 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
     the same heuristic ellipse as `spectrum`'s refinement, with a guard: the
     rung is solved dense on this basis instead when the coarse gap is not
     above its roundoff floor, or when the contour gap differs from it by more
-    than CONVERGENCE_RTOL.  rung_methods records, per rung, the contour's
-    path per sector (none when it did not run) and whether the guard fired.
+    than CONVERGENCE_RTOL.  On a basis whose largest sector has fewer than
+    SCAN_DENSE_SECTOR_MAX coordinates the dense solve is the cheaper one, so
+    every rung is solved dense on this basis at once, with no coarse solve.
+    rung_methods records, per rung, the path per sector: the contour's
+    (none when it did not run), or "dense" in every sector for a rung solved
+    dense at once; and whether the guard fired.
 
     Requires at least 7 gamma values spanning [1/8, 8].  Rows run on
-    max_workers threads, default one.  The dense eigensolve and the chain's
-    inverses and products release the GIL, so on several threads rows run at
-    once; each row is computed the same way on any thread, so results do not
-    depend on the thread count.  More than one thread pays off with a
-    single-threaded BLAS: a multithreaded BLAS already spreads each solve
-    over the cores, and concurrent rows then compete with it for them.
+    max_workers threads, default one.  The dense eigensolve releases the GIL
+    for its whole call.  The contour's chain releases it only inside each
+    batched inverse and product and holds it for the Python steps between
+    them, so two contours overlap only as far as those calls are long, which
+    is why the chain batches its shifts (spectral.CONTOUR_CHUNK_BYTES).  Each
+    row is computed the same way on any thread, so results do not depend on
+    the thread count.  More than one thread pays off with a single-threaded
+    BLAS: a multithreaded BLAS already spreads each solve over the cores, and
+    concurrent rows then compete with it for them.
     Failed rows, including those whose gap is not above roundoff, are
     reported in row_errors with NaN gaps rather than aborting the scan.
     Slopes are log-log fits over gamma <= 1/2 and gamma >= 2; lambda_bar is
@@ -629,7 +644,8 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
         raise InvalidArgumentError("gammas must span at least [1/8, 8]")
 
     red = reduced_generator(basis)
-    coarse = reduced_generator(_coarse_basis(basis))
+    dense_at_once = max(red.sector_index(s).size for s in range(red.n_sectors)) < SCAN_DENSE_SECTOR_MAX
+    coarse = None if dense_at_once else reduced_generator(_coarse_basis(basis))
 
     gaps = np.full(g.size, np.nan)
     row_errors: dict = {}
@@ -641,15 +657,23 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
         # and a gap a few times above it still moves by ~1e-2 between solves.
         return GAP_ROUNDOFF_MARGIN * np.finfo(float).eps * norm1
 
+    def refined_rung(i: int):
+        base = reduced_gap(coarse, g[i])
+        res = contour_gap(red, g[i], base) if base.gap > roundoff_floor(base.norm1) else None
+        if res is not None:
+            rung_methods[i]["sectors"] = res.method
+        if res is None or abs(res.gap - base.gap) > CONVERGENCE_RTOL * abs(base.gap):
+            rung_methods[i]["guard"] = True
+            res = reduced_gap(red, g[i])
+        return res
+
     def run_row(i: int):
         try:
-            base = reduced_gap(coarse, g[i])
-            res = contour_gap(red, g[i], base) if base.gap > roundoff_floor(base.norm1) else None
-            if res is not None:
-                rung_methods[i]["sectors"] = res.method
-            if res is None or abs(res.gap - base.gap) > CONVERGENCE_RTOL * abs(base.gap):
-                rung_methods[i]["guard"] = True
+            if dense_at_once:
+                rung_methods[i]["sectors"] = dict.fromkeys(red.sector_names, "dense")
                 res = reduced_gap(red, g[i])
+            else:
+                res = refined_rung(i)
             gap, floor = res.gap, roundoff_floor(res.norm1)
             if not gap > floor:
                 raise NumericalFailureError(f"computed gap {gap:.3g} is not positive above roundoff margin {floor:.3g}")

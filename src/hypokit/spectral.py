@@ -583,24 +583,59 @@ class HermiteChain:
     precomputed, one batched inverse per level, because at these block sizes
     per-level calls cost more than the arithmetic.  mu may be an array of
     shifts: every factor then carries the shift axes first, and solve returns
-    one solution per shift.  A real mu keeps every factor real.
+    one solution per shift; moments folds them into weighted sums level by
+    level.  The chain releases the GIL only inside its NumPy calls, so more
+    shifts per chain also let chains on other threads run longer between
+    Python steps (CONTOUR_CHUNK_BYTES).  A real mu keeps every factor real.
+    With a complex mu, each product with a real B_n runs as one real product
+    on the float64 view of its complex operand, half the arithmetic of a
+    complex one.
     """
 
     blocks: LevelBlocks
     inv: list[Array]  # S_n^{-1}, shape mu.shape + (k_n, k_n)
 
-    def solve(self, v: Array) -> Array:
-        """(-L - mu)^{-1} v for v of shape (k, columns): shape mu.shape + (k, columns)."""
-        start, couplings = self.blocks.start, self.blocks.couplings
-        lev = [slice(start[n], start[n + 1]) for n in range(len(self.inv))]
+    def _sweep(self, v: Array, fold: Callable[[slice, Array], None] | None = None) -> Array:
+        """(-L - mu)^{-1} v, shape mu.shape + (k, columns); fold(level, x_n) sees each level once it is final."""
+        start, couplings, top = self.blocks.start, self.blocks.couplings, len(self.inv) - 1
+        lev = [slice(start[n], start[n + 1]) for n in range(top + 1)]
         x = np.empty(self.inv[0].shape[:-2] + v.shape, np.result_type(self.inv[0], v))
         # backward: x_n = S_n^{-1} w_n, w_n the right-hand side once level n + 1 is eliminated
-        for n in range(len(self.inv) - 1, -1, -1):
-            w = v[lev[n]] if n == len(self.inv) - 1 else v[lev[n]] - couplings[n].T @ x[..., lev[n + 1], :]
+        for n in range(top, -1, -1):
+            w = v[lev[n]] if n == top else v[lev[n]] - _real_times(couplings[n].T, x[..., lev[n + 1], :])
             x[..., lev[n], :] = self.inv[n] @ w
-        for n in range(1, len(self.inv)):  # forward: x_n = S_n^{-1} (w_n + B_n x_{n-1})
-            x[..., lev[n], :] += self.inv[n] @ (couplings[n - 1] @ x[..., lev[n - 1], :])
+        for n in range(top + 1):  # forward: x_n = S_n^{-1} (w_n + B_n x_{n-1})
+            if n > 0:
+                x[..., lev[n], :] += self.inv[n] @ _real_times(couplings[n - 1], x[..., lev[n - 1], :])
+            if fold is not None:
+                fold(lev[n], x[..., lev[n], :])
         return x
+
+    def solve(self, v: Array) -> Array:
+        """(-L - mu)^{-1} v for v of shape (k, columns): shape mu.shape + (k, columns)."""
+        return self._sweep(v)
+
+    def moments(self, v: Array, weights: Array) -> Array:
+        """sum_j weights[p, j] (-L - mu_j)^{-1} v over the shifts mu_j: shape (p, k, columns).
+
+        weights has shape (p,) + mu.shape; the sum is folded in level by level
+        as the sweep finishes each level.
+        """
+        out = np.empty(weights.shape[:1] + v.shape, np.result_type(weights, self.inv[0], v))
+        w = weights.reshape(weights.shape[0], -1)
+
+        def fold(level: slice, xn: Array) -> None:
+            out[:, level] = (w @ xn.reshape(w.shape[1], -1)).reshape(-1, *xn.shape[-2:])
+
+        self._sweep(v, fold)
+        return out
+
+
+def _real_times(b: Array, x: Array) -> Array:
+    """b @ x for a real b; a complex x (last axis contiguous) is multiplied as its float64 view."""
+    if x.dtype.kind != "c":
+        return b @ x
+    return (b @ x.view(np.float64)).view(np.complex128)
 
 
 def hermite_chain(blocks: LevelBlocks, mu) -> HermiteChain:
@@ -612,15 +647,23 @@ def hermite_chain(blocks: LevelBlocks, mu) -> HermiteChain:
         k = blocks.diags[n].size
         if n == top:
             pivot = np.zeros(mu.shape + (k, k), np.result_type(mu, float))
+        elif np.iscomplexobj(mu):  # B^T S^{-1} B as (B^T (B^T S^{-1})^T)^T: two real-left products
+            bt = blocks.couplings[n].T
+            pivot = _real_times(bt, np.ascontiguousarray(_real_times(bt, inv[n + 1]).swapaxes(-1, -2)))
+            pivot = pivot.swapaxes(-1, -2)
         else:
             pivot = blocks.couplings[n].T @ (inv[n + 1] @ blocks.couplings[n])
-        pivot[..., np.arange(k), np.arange(k)] += blocks.diags[n] - mu[..., None]
+        np.einsum("...ii->...i", pivot)[...] += blocks.diags[n] - mu[..., None]  # the diagonal as a strided view
         inv[n] = np.linalg.inv(pivot)
     return HermiteChain(blocks, inv)
 
 
 CONTOUR_NODES = 64  # trapezoid nodes on the ellipse; the upper half is solved
-CONTOUR_CHUNK = 4  # shifts factored at once: 1.9 MB of pivot inverses at Kq24/Np48, no slower than 8 or 16
+# Pivot inverses one chain of contour shifts may hold (contour_batch): 8 shifts on the
+# Kq16/Np32 sectors (139 kB each), 4 at Kq24/Np48 (461 kB), 1 above 2 MiB.  A larger
+# batch makes fewer, longer LAPACK/BLAS calls, each outside the GIL, and fewer Python
+# steps per shift; 16 shifts per chain cost a two-thread scan 4-6 MB more peak memory.
+CONTOUR_CHUNK_BYTES = 2 * 2**20
 CONTOUR_PROBES = 16  # columns of the probe block
 CONTOUR_SEED = 2024  # seed of the probe block, so reruns are bitwise identical
 CONTOUR_RANK_TOL = 1e-12  # singular values of the zeroth moment kept, relative to the largest
@@ -632,6 +675,14 @@ class RefinedGap:
     gap: float
     method: dict  # sector name -> "contour", "empty" or "dense", the path that solved it
     norm1: float  # ||L||_1 of the refined operator, the largest sector 1-norm
+
+
+def contour_batch(blocks: LevelBlocks) -> int:
+    """Shifts one chain of a sector's contour factors at once: the largest power of two, at most
+    CONTOUR_NODES / 2, whose complex pivot inverses fit in CONTOUR_CHUNK_BYTES; at least 1."""
+    per_shift = 16 * sum(d.size**2 for d in blocks.diags)
+    fits = min(CONTOUR_NODES // 2, max(1, CONTOUR_CHUNK_BYTES // per_shift))
+    return 1 << (fits.bit_length() - 1)
 
 
 def _contour_sector_gap(blocks: LevelBlocks, center: float, a: float, b: float) -> float | None:
@@ -654,15 +705,16 @@ def _contour_sector_gap(blocks: LevelBlocks, center: float, a: float, b: float) 
     z = center + a * np.cos(t) + 1j * b * np.sin(t)
     dz = -a * np.sin(t) + 1j * b * np.cos(t)
     probes = np.random.default_rng(CONTOUR_SEED).standard_normal((int(blocks.start[-1]), CONTOUR_PROBES))
-    a0, a1 = np.zeros_like(probes), np.zeros_like(probes)
-    for lo in range(0, z.size, CONTOUR_CHUNK):
-        part = slice(lo, lo + CONTOUR_CHUNK)
-        try:
-            x = hermite_chain(blocks, z[part]).solve(probes)
+    weights = (2.0 / CONTOUR_NODES) * np.stack([dz, z * dz])
+    moments = np.zeros((2,) + probes.shape)  # A_0 and A_1
+    batch = contour_batch(blocks)
+    for lo in range(0, z.size, batch):
+        part = slice(lo, lo + batch)
+        try:  # one statement, so no batch's moments outlive it into the next chain
+            moments += hermite_chain(blocks, z[part]).moments(probes, weights[:, part]).imag
         except np.linalg.LinAlgError:
             return None
-        a0 += (2.0 / CONTOUR_NODES) * np.tensordot(dz[part], x, axes=1).imag
-        a1 += (2.0 / CONTOUR_NODES) * np.tensordot(z[part] * dz[part], x, axes=1).imag
+    a0, a1 = moments
     u, sv, wt = np.linalg.svd(a0, full_matrices=False)
     if sv[0] <= CONTOUR_RANK_TOL * np.linalg.norm(probes, 2):
         return math.inf

@@ -692,10 +692,12 @@ def test_default_scan_solves_dense_only_on_the_coarse_basis(tmp_path, monkeypatc
 
 
 def test_a_contour_gap_off_the_coarse_base_gives_the_dense_rung(cosine_asm_small, monkeypatch):
-    """A contour result 2 % off the coarse gap fires the guard: the rung is the dense gap, bitwise."""
+    """A contour result 2 % off the coarse gap fires the guard: the rung is the dense gap, bitwise.
+    The small basis would be solved dense at once, so the crossover is lowered to reach the guard."""
     from hypokit import hypo
 
     real, methods = hypo.contour_gap, []
+    monkeypatch.setattr(hypo, "SCAN_DENSE_SECTOR_MAX", 0)
 
     def off(red, gamma, base):
         res = real(red, gamma, base)
@@ -711,6 +713,25 @@ def test_a_contour_gap_off_the_coarse_base_gives_the_dense_rung(cosine_asm_small
     assert all(m["guard"] for m in res.rung_methods)
 
 
+def test_small_scan_basis_solves_every_rung_dense_at_once(cosine_spec, unit_params, monkeypatch):
+    """Kq4/Np8 (sectors of 36): no coarse basis and no contour; each rung is reduced_gap, the same
+    bits as the guard path, which fires on every rung there."""
+    from hypokit import hypo
+
+    basis = build_basis(cosine_spec, unit_params, Kq=4, Np=8, n_quad=64)
+    ladder = [0.125 * 2.0**k for k in range(7)]
+    monkeypatch.setattr(hypo, "_coarse_basis", None)  # building a coarse basis would raise
+    res = hypo.gamma_scan(basis, ladder)
+    red = reduced_generator(basis)
+    assert np.array_equal(res.table.gaps, [spectral.reduced_gap(red, g).gap for g in ladder])
+    assert all(m["sectors"] == {"even": "dense", "odd": "dense"} and not m["guard"] for m in res.rung_methods)
+    monkeypatch.undo()
+    monkeypatch.setattr(hypo, "SCAN_DENSE_SECTOR_MAX", 0)
+    guarded = hypo.gamma_scan(basis, ladder)
+    assert all(m["guard"] for m in guarded.rung_methods)
+    assert np.array_equal(res.table.gaps, guarded.table.gaps)
+
+
 def _assert_same_scan(one, other):
     assert np.array_equal(one.table.gaps, other.table.gaps)
     assert (one.slope_small_gamma, one.slope_large_gamma, one.lambda_bar) == (
@@ -719,15 +740,20 @@ def _assert_same_scan(one, other):
     assert one.rung_methods == other.rung_methods
 
 
-def test_scan_results_do_not_depend_on_the_thread_count(cosine_asm, cosine_asm_small):
+def test_scan_results_do_not_depend_on_the_thread_count(cosine_asm, cosine_asm_small, monkeypatch):
     """Rows, slopes and lambda_bar are the same bits on one thread and on two at the defaults,
-    and on seven threads (more than the cores) switching every 10 us on a small basis."""
+    where each chain factors 8 contour shifts, and on seven threads (more than the cores)
+    switching every 10 us on a small basis, taken through the contour as well."""
     import sys
 
+    from hypokit import hypo
     from hypokit.hypo import gamma_scan
 
     ladder = [0.125 * 2.0**k for k in range(7)]
+    red = reduced_generator(cosine_asm.basis)
+    assert [spectral.contour_batch(b) for b in _sector_blocks(red, 1.0)] == [8, 8]
     _assert_same_scan(*(gamma_scan(cosine_asm.basis, ladder, max_workers=w) for w in (1, 2)))
+    monkeypatch.setattr(hypo, "SCAN_DENSE_SECTOR_MAX", 0)
     one = gamma_scan(cosine_asm_small.basis, ladder)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -815,6 +841,95 @@ def test_chain_with_an_array_of_shifts_solves_each(cosine_asm_small):
     assert x.shape == (2,) + v.shape
     for mu, xm in zip(shifts, x):
         assert np.abs(xm - spectral.hermite_chain(blocks, mu).solve(v)).max() <= 1e-13 * np.abs(xm).max()
+
+
+def test_chain_moments_are_the_weighted_sum_of_the_solutions(cosine_asm_small):
+    blocks = reduced_generator(cosine_asm_small.basis).level_blocks(1.0, sector=0)
+    rng = np.random.default_rng(11)
+    shifts = np.array([0.7 + 0.3j, 1.5 + 4.0j, 0.2 - 2.0j])
+    weights = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    v = rng.standard_normal((int(blocks.start[-1]), 4))
+    chain = spectral.hermite_chain(blocks, shifts)
+    want = np.tensordot(weights, chain.solve(v), axes=1)
+    got = chain.moments(v, weights)
+    assert got.shape == (2,) + v.shape
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_contour_batch_is_the_largest_power_of_two_in_the_budget(cosine_spec, unit_params):
+    for (Kq, Np), batch in (((16, 32), 8), ((24, 48), 4)):
+        red = reduced_generator(build_basis(cosine_spec, unit_params, Kq=Kq, Np=Np))
+        assert [spectral.contour_batch(b) for b in _sector_blocks(red, 1.0)] == [batch, batch]
+    huge = spectral.LevelBlocks([np.zeros(400)] * 20, [np.zeros((400, 400))] * 19)  # 51 MB per shift
+    assert spectral.contour_batch(huge) == 1
+    tiny = spectral.LevelBlocks([np.zeros(2)] * 2, [np.zeros((2, 2))])
+    assert spectral.contour_batch(tiny) == spectral.CONTOUR_NODES // 2
+
+
+def _coarse_base(spec, params, Kq, Np):
+    """(dense gap on the scan's coarse basis, reduced generator of the basis) as gamma_scan builds them."""
+    from hypokit.hypo import _coarse_basis
+
+    basis = build_basis(spec, params, Kq=Kq, Np=Np)
+    return spectral.reduced_gap(reduced_generator(_coarse_basis(basis)), params.gamma), reduced_generator(basis)
+
+
+@pytest.mark.parametrize("gamma", [0.125, 1.0, 8.0])
+@pytest.mark.parametrize("name,pot,ens,Kq,Np", [(n, p, e, kq, np_) for n, p, e, g, kq, np_ in EIGVALS_CASES if g == 1.0])
+def test_contour_gap_does_not_depend_on_the_batch(name, pot, ens, Kq, Np, gamma, monkeypatch):
+    """Each sector's contour reads the same gap, to 1e-12, whether a chain factors 1, 4, 8 or all 32 shifts."""
+    base, red = _coarse_base(builtin_potential(name, pot), EnsembleParams(gamma=gamma, **ens), Kq, Np)
+    g = base.gap
+    near = base.eigenvalues[base.eigenvalues.real < 2.0 * g]
+    center, a = 1.375 * g, 1.125 * g
+    b = max(1.5 * float(np.abs(near.imag).max(initial=0.0)) + g, a)
+    for blocks in _sector_blocks(red, gamma):
+        per_shift = 16 * sum(d.size**2 for d in blocks.diags)
+        gaps = []
+        for batch in (1, 4, 8, 32):
+            monkeypatch.setattr(spectral, "CONTOUR_CHUNK_BYTES", batch * per_shift)
+            assert spectral.contour_batch(blocks) == batch
+            gaps.append(spectral._contour_sector_gap(blocks, center, a, b))
+        if gaps[0] is None or gaps[0] == math.inf:
+            assert all(x == gaps[0] for x in gaps)
+        else:
+            assert gaps[1:] == pytest.approx([gaps[0]] * 3, rel=1e-12)
+
+
+# tracemalloc peak of contour_gap at Kq24/Np48 around the Kq16/Np32 gap (spectrum's default
+# refinement) when each chain solved its 4 shifts and the contour then summed the solutions
+CONTOUR_PEAK_KQ24_BYTES = 5_320_740
+
+
+def test_contour_gap_peak_memory(cosine_spec, unit_params):
+    """At spectrum's refinement the peak stays at most what it was before the moment sweep;
+    at the scan basis it is the budget's pivot inverses, the sweep's solutions, the moments and
+    their sums, the probes, and at most 512 kB of level blocks and per-level arrays."""
+    import tracemalloc
+
+    def peak(Kq, Np, base_kq, base_np):
+        base = spectral_gap(assemble_generator(build_basis(cosine_spec, unit_params, Kq=base_kq, Np=base_np), 1.0))
+        red = reduced_generator(build_basis(cosine_spec, unit_params, Kq=Kq, Np=Np))
+        spectral.contour_gap(red, 1.0, base)  # first-call allocations out of the way
+        tracemalloc.start()
+        try:
+            res = spectral.contour_gap(red, 1.0, base)
+            return tracemalloc.get_traced_memory()[1], res, red
+        finally:
+            tracemalloc.stop()
+
+    used, res, _ = peak(24, 48, 16, 32)
+    assert res.method == {"even": "contour", "odd": "contour"}
+    assert used <= CONTOUR_PEAK_KQ24_BYTES
+    used, res, red = peak(16, 32, 8, 16)
+    assert res.method == {"even": "contour", "odd": "contour"}
+    blocks = max(_sector_blocks(red, 1.0), key=lambda b: b.start[-1])
+    k, batch, probes = int(blocks.start[-1]), spectral.contour_batch(blocks), spectral.CONTOUR_PROBES
+    need = (batch * 16 * sum(d.size**2 for d in blocks.diags)  # pivot inverses
+            + batch * k * probes * 16  # the sweep's solutions
+            + 2 * k * probes * (16 + 8)  # the moments of one batch and their sums over batches
+            + k * probes * 8)  # the probe block
+    assert used <= need + 512 * 1024
 
 
 def _refined(spec, params, Kq, Np, factor=1.5):
