@@ -11,7 +11,7 @@ from .errors import (
     NumericalFailureError,
     UnsupportedDomainError,
 )
-from .estimators import VarianceReport, asymptotic_variance_acf, batch_means_variance, ergodic_average
+from .estimators import VarianceReport, asymptotic_variance_acf, batch_means_variance
 from .hypo import (
     DissipationResult,
     OdeEigs,
@@ -37,16 +37,13 @@ from .hypo import (
     verify_schur_bound,
 )
 from .model import (
-    ConditionConstants,
     EnsembleParams,
     FullSpace,
     PhaseState,
     PotentialSpec,
     Torus,
     builtin_potential,
-    check_condition_constants,
     eval_hamiltonian,
-    torus_grid,
 )
 from .sde import RngStream, TrajectoryRecord, simulate, step_hamiltonian, step_langevin, step_overdamped
 from .spectral import (

@@ -24,7 +24,7 @@ import numpy as np
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
-from . import __version__
+from . import __version__, hypo
 from .errors import HypokitError, InvalidArgumentError, NumericalFailureError
 from .estimators import asymptotic_variance_acf, batch_means_variance
 from .hypo import (
@@ -42,7 +42,6 @@ from .hypo import (
 )
 from .model import (
     EnsembleParams,
-    FullSpace,
     PhaseState,
     PotentialSpec,
     Torus,
@@ -51,7 +50,6 @@ from .model import (
 )
 from .sde import SCHEMES, RngStream, simulate
 from .spectral import (
-    CONVERGENCE_RTOL,
     DEFAULT_KQ,
     DEFAULT_NP,
     assemble_generator,
@@ -557,14 +555,12 @@ def _cmd_spectrum(cfg: dict) -> tuple[dict, dict]:
 
     converged = None
     if opts.get("check_convergence", True):
-        kq2 = math.ceil(1.5 * disc["Kq"])
-        np2 = math.ceil(1.5 * disc["Np"])
-        basis2 = build_basis(basis.spec, params, Kq=kq2, Np=np2, n_quad=max(basis.nodes.size, 8 * kq2))
+        basis2 = basis.resized(math.ceil(1.5 * basis.Kq), math.ceil(1.5 * basis.Np))
         res2 = contour_gap(reduced_generator(basis2), params.gamma, res)
-        converged = bool(abs(res2.gap - res.gap) <= CONVERGENCE_RTOL * abs(res.gap))
+        converged = res2.converged
         diagnostics["refined_gap"] = res2.gap
-        diagnostics["refined_Kq"] = kq2
-        diagnostics["refined_Np"] = np2
+        diagnostics["refined_Kq"] = basis2.Kq
+        diagnostics["refined_Np"] = basis2.Np
         diagnostics["refined_method"] = res2.method
 
     dump = opts.get("dump_eigs")
@@ -718,6 +714,8 @@ def _parse_gammas(text: str) -> list[float]:
         raise InvalidArgumentError(f"bad --gammas value {text!r}: {exc}") from exc
     if start <= 0 or ratio <= 0 or count < 1:
         raise InvalidArgumentError("--gammas needs start > 0, ratio > 0, count >= 1")
+    if count > hypo.SCAN_MAX_RUNGS:
+        raise InvalidArgumentError(f"--gammas count {count} is above the limit of {hypo.SCAN_MAX_RUNGS} rungs")
     try:
         gammas = [start * ratio**k for k in range(count)]
     except OverflowError:

@@ -35,13 +35,6 @@ class VarianceReport:
     window_or_batches: int
 
 
-def ergodic_average(values: Array) -> float:
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size < 1:
-        raise InsufficientDataError("need a non-empty 1-D series")
-    return float(np.mean(values))
-
-
 def _autocovariance(x: Array) -> Array:
     """Biased sample autocovariances c_0..c_{n-1} via FFT."""
     n = x.size

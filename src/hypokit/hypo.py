@@ -39,9 +39,9 @@ A shift-invert eigensolve of L itself could not give the spectral gap that
 safely: it returns the eigenvalues nearest 0 in modulus, which can miss the
 one with the smallest real part, so spectral_gap stays a dense eigensolve,
 one per reflection-parity sector.  A friction-scan rung is a dense gap on a
-coarse basis refined by spectral.contour_gap, which counts the eigenvalues
-inside an ellipse around that gap, and is solved dense when that fails its
-guard (see gamma_scan).
+coarse basis refined by spectral.contour_gap, which holds the refinement
+policy `spectrum` uses too, and is solved dense when that fails its guard
+(see gamma_scan).
 """
 
 from __future__ import annotations
@@ -62,11 +62,10 @@ from .errors import (
 )
 from .model import EnsembleParams
 from .spectral import (
-    CONVERGENCE_RTOL,
     BasisSet,
     GeneratorAssembly,
-    build_basis,
     contour_gap,
+    gap_roundoff_floor,
     poincare_constant,
     project_phase_function,
     reduced_gap,
@@ -78,11 +77,10 @@ Array = np.ndarray
 OPTIMAL_P_TOL = 1e-10  # slack on the ODE decay-norm certificate
 EPS_LO, EPS_HI, EPS_TOL = 1e-4, 0.9999, 1e-4  # golden-section bracket and width
 HESS_GRID_N = 4096  # torus grid on which the Hessian lower bound is scanned
-GAP_ROUNDOFF_MARGIN = 1e3  # a scan rung's gap must exceed its roundoff floor this many times
-# Scan bases whose largest sector is smaller are solved dense at once: one BLAS thread,
-# cosine and double_well, the dense rung and the coarse solve + contour cost the same near
-# 210 coordinates (Kq10/Np20; 12 against 19-23 ms per rung at 136, 74-92 against 45-54 at 300).
-SCAN_DENSE_SECTOR_MAX = 200
+# Largest --gammas count `scan` accepts, checked before the ladder is built: each rung
+# costs a coarse and a refined gap solve, some 0.1 s at the defaults, so 1024 rungs
+# already take minutes, and a count of 10**9 would ask for some 32 GB of rungs.
+SCAN_MAX_RUNGS = 1024
 ODE_MAX_STEPS = 10**7  # RK4 steps ode_trajectory takes at most (250 times the figure-1 run)
 
 
@@ -596,29 +594,20 @@ class ScanResult:
     rung_methods: list  # per rung: gamma, the path per sector, and whether the guard fired
 
 
-def _coarse_basis(basis: BasisSet) -> BasisSet:
-    """The basis at (Kq // 2, Np // 2), at least (1, 2), on the same grid: the scan's dense base."""
-    params = EnsembleParams(beta=basis.beta, mass=basis.mass)
-    return build_basis(basis.spec, params, Kq=max(1, basis.Kq // 2), Np=max(2, basis.Np // 2),
-                       n_quad=basis.nodes.size)
-
-
 def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
     """Spectral gap across a friction ladder on one basis; fits both scaling branches.
 
     Each rung computes its gap as `spectrum` computes its refined gap: a
-    dense gap on the coarse basis (_coarse_basis), then spectral.contour_gap
-    on this basis around it.  Every rung shares the two gamma-free reduced
-    generators, of this basis and of the coarse one.  The rung so rests on
-    the same heuristic ellipse as `spectrum`'s refinement, with a guard: the
-    rung is solved dense on this basis instead when the coarse gap is not
-    above its roundoff floor, or when the contour gap differs from it by more
-    than CONVERGENCE_RTOL.  On a basis whose largest sector has fewer than
-    SCAN_DENSE_SECTOR_MAX coordinates the dense solve is the cheaper one, so
-    every rung is solved dense on this basis at once, with no coarse solve.
-    rung_methods records, per rung, the path per sector: the contour's
-    (none when it did not run), or "dense" in every sector for a rung solved
-    dense at once; and whether the guard fired.
+    dense gap on the coarse basis (Kq // 2, Np // 2, at least 1 and 2, on the
+    same grid), then spectral.contour_gap on this basis around it, which
+    solves dense at once each sector below its crossover and every sector
+    when the coarse gap is at roundoff level.  Every rung shares the two
+    gamma-free reduced generators, of this basis and of the coarse one.  The
+    rung so rests on the same heuristic ellipse as `spectrum`'s refinement,
+    with a guard: when the refined gap has not converged on the coarse one
+    and some sector did not go dense, the rung is solved dense on this basis
+    (reduced_gap).  rung_methods records, per rung, contour_gap's path per
+    sector and whether the guard fired.
 
     Requires at least 7 gamma values spanning [1/8, 8].  Rows run on
     max_workers threads, default one.  The dense eigensolve releases the GIL
@@ -630,10 +619,11 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
     the thread count.  More than one thread pays off with a single-threaded
     BLAS: a multithreaded BLAS already spreads each solve over the cores, and
     concurrent rows then compete with it for them.
-    Failed rows, including those whose gap is not above roundoff, are
-    reported in row_errors with NaN gaps rather than aborting the scan.
-    Slopes are log-log fits over gamma <= 1/2 and gamma >= 2; lambda_bar is
-    the smallest ratio gap / min(gamma, 1/gamma).
+    Failed rows, including those whose gap is not above roundoff
+    (spectral.gap_roundoff_floor), are reported in row_errors with NaN gaps
+    rather than aborting the scan.  Slopes are log-log fits over
+    gamma <= 1/2 and gamma >= 2; lambda_bar is the smallest ratio
+    gap / min(gamma, 1/gamma).
     """
     g = np.asarray(sorted(float(x) for x in gammas))
     if g.size < 7:
@@ -644,40 +634,23 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
         raise InvalidArgumentError("gammas must span at least [1/8, 8]")
 
     red = reduced_generator(basis)
-    dense_at_once = max(red.sector_index(s).size for s in range(red.n_sectors)) < SCAN_DENSE_SECTOR_MAX
-    coarse = None if dense_at_once else reduced_generator(_coarse_basis(basis))
+    coarse = reduced_generator(basis.resized(max(1, basis.Kq // 2), max(2, basis.Np // 2)))
 
     gaps = np.full(g.size, np.nan)
     row_errors: dict = {}
     rung_methods = [{"gamma": float(x), "sectors": {}, "guard": False} for x in g]
 
-    def roundoff_floor(norm1: float) -> float:
-        # Near-zero friction leaves a gap at roundoff level, of either sign;
-        # eps * ||L||_1 is the backward-error scale of the dense eigensolve,
-        # and a gap a few times above it still moves by ~1e-2 between solves.
-        return GAP_ROUNDOFF_MARGIN * np.finfo(float).eps * norm1
-
-    def refined_rung(i: int):
-        base = reduced_gap(coarse, g[i])
-        res = contour_gap(red, g[i], base) if base.gap > roundoff_floor(base.norm1) else None
-        if res is not None:
-            rung_methods[i]["sectors"] = res.method
-        if res is None or abs(res.gap - base.gap) > CONVERGENCE_RTOL * abs(base.gap):
-            rung_methods[i]["guard"] = True
-            res = reduced_gap(red, g[i])
-        return res
-
     def run_row(i: int):
         try:
-            if dense_at_once:
-                rung_methods[i]["sectors"] = dict.fromkeys(red.sector_names, "dense")
+            res = contour_gap(red, g[i], reduced_gap(coarse, g[i]))
+            guard = not res.converged and set(res.method.values()) != {"dense"}
+            rung_methods[i].update(sectors=res.method, guard=guard)
+            if guard:
                 res = reduced_gap(red, g[i])
-            else:
-                res = refined_rung(i)
-            gap, floor = res.gap, roundoff_floor(res.norm1)
-            if not gap > floor:
-                raise NumericalFailureError(f"computed gap {gap:.3g} is not positive above roundoff margin {floor:.3g}")
-            gaps[i] = gap
+            floor = gap_roundoff_floor(res.norm1)
+            if not res.gap > floor:
+                raise NumericalFailureError(f"computed gap {res.gap:.3g} is not positive above roundoff margin {floor:.3g}")
+            gaps[i] = res.gap
         except Exception as exc:  # noqa: BLE001 - rows are isolated by design
             row_errors[float(g[i])] = f"{type(exc).__name__}: {exc}"
 

@@ -14,9 +14,8 @@ Potential callables follow a single vectorization contract:
 The last axis of q is the dimension d, also for d = 1: one point is a (d,)
 array.  Every builtin is written once in this contract and does not check
 shapes; a custom PotentialSpec must follow the same contract.  The entry points
-that take states or grids (eval_hamiltonian, check_condition_constants,
-simulate and the step functions in sde) check their dimension against the
-domain.
+that take states (eval_hamiltonian, simulate and the step functions in sde)
+check their dimension against the domain.
 
 The one-dimensional builtins (flat, quadratic, double_well and cosine at
 d = 1) also carry `grad1`, the force on one Python float.  It repeats `grad`'s
@@ -374,59 +373,3 @@ def builtin_potential(name: str, params: dict | None = None) -> PotentialSpec:
             f"unknown potential '{name}'; available: {', '.join(BUILTIN_POTENTIALS)}"
         )
     return _BUILDERS[name](dict(params or {}))
-
-
-# ---------------------------------------------------------------------------
-# structural condition constants
-
-
-@dataclass(frozen=True)
-class ConditionConstants:
-    """Smallest grid-verified constants in the Laplacian/Hessian growth conditions."""
-
-    c1: float
-    c3: float
-    feasible: bool
-
-
-def check_condition_constants(
-    spec: PotentialSpec,
-    params: EnsembleParams,
-    grid: Array,
-    c2: float = 0.0,
-) -> ConditionConstants:
-    """Fit c1 and c3 on a grid of probe points.
-
-    c1 is the smallest nonnegative constant with
-        Lap V <= c1 * d + (c2 * beta / 2) |grad V|^2   on the grid,
-    and c3 the smallest constant with
-        |Hess V|_F <= c3 * sqrt(d + |grad V|^2)        on the grid.
-    """
-    if not 0.0 <= c2 <= 1.0:
-        raise InvalidArgumentError(f"c2 must lie in [0, 1], got {c2}")
-    d = spec.domain.dim
-    pts = np.asarray(grid, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != d or pts.shape[0] < 1:
-        raise InvalidArgumentError(f"grid must have shape (n, {d}) with n >= 1, got {pts.shape}")
-
-    hess = spec.hessian(pts)
-    grad = spec.grad(pts)
-    lap = np.trace(hess, axis1=-2, axis2=-1)
-    g2 = np.sum(grad * grad, axis=-1)
-    frob2 = np.sum(hess * hess, axis=(-2, -1))
-
-    c1 = float(max(0.0, np.max((lap - 0.5 * c2 * params.beta * g2) / d)))
-    c3 = float(np.max(np.sqrt(frob2 / (d + g2))))
-    feasible = bool(np.isfinite(c1) and np.isfinite(c3))
-    return ConditionConstants(c1=c1, c3=c3, feasible=feasible)
-
-
-def torus_grid(domain: Torus, n_per_dim: int) -> Array:
-    """Uniform tensor grid on the torus, shape (n_per_dim**d, d)."""
-    if not isinstance(domain, Torus):
-        raise InvalidArgumentError("torus_grid requires a Torus domain")
-    if n_per_dim < 1:
-        raise InvalidArgumentError("n_per_dim must be >= 1")
-    g = np.arange(n_per_dim) * (domain.length / n_per_dim)
-    axes = np.meshgrid(*([g] * domain.dim), indexing="ij")
-    return np.stack(axes, axis=-1).reshape(-1, domain.dim)

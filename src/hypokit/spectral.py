@@ -43,15 +43,18 @@ about a quarter of the full cost each.  Otherwise one sector, "all", holds
 every coordinate: the same code with a trivial partition.
 
 Dense and chain solves.  Only the gap is a dense solve of neg_operator
-(hypo's dissipation rate also reads its levels 0-2).  The Poisson equation is solved per sector by the Hermite chain at mu = 0
-(HermiteChain, the matrix continued fraction, which factors -L - mu along the
-Hermite levels), with its residual from the block matvec.  A gap near a known
-coarser one (the refined gap of `spectrum`, each friction-scan rung) is found
-by contour_gap, which factors -L - z on the chain at the nodes of an ellipse
-around the base gap and counts the eigenvalues inside by a contour integral,
-falling back to the dense solve for a sector the contour cannot settle.  The
-resolvent norm (hypo) reads -L^T as a sparse matrix written from the level
-blocks (LevelBlocks.transpose_csc).
+(hypo's dissipation rate also reads its levels 0-2).  The Poisson equation is
+solved per sector by the Hermite chain at mu = 0 (HermiteChain, the matrix
+continued fraction, which factors -L - mu along the Hermite levels), with its
+residual from the block matvec.  A gap near a known one on another basis (the
+refined gap of `spectrum`, each friction-scan rung) is found by contour_gap,
+the one home of that refinement policy: it factors -L - z on the chain at the
+nodes of an ellipse around the base gap and counts the eigenvalues inside by
+a contour integral, solves dense a sector below DENSE_SECTOR_MAX coordinates,
+every sector when the base gap is at roundoff level, and a sector the contour
+cannot settle, and reads the CONVERGENCE_RTOL test.  The resolvent norm
+(hypo) reads -L^T as a sparse matrix written from the level blocks
+(LevelBlocks.transpose_csc).
 
 Inputs have one home each.  build_basis(spec, params, ...) keeps the
 potential, beta and m on the BasisSet; assemble_generator(basis, gamma) binds
@@ -97,7 +100,6 @@ POINCARE_RTOL = 5e-3  # relative change that ends the Poincare refinement
 POINCARE_MAX_ROUNDS = 6
 DECAY_TOL = 1e-8  # slack on the semigroup decay bound
 DENSE_MAX_BYTES = 2**30  # largest dense operator neg_operator allocates
-CONVERGENCE_RTOL = 0.01  # relative change between a gap and its refinement read as converged
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,6 +150,11 @@ class BasisSet:
     def mass_nu(self) -> float:
         """Unnormalized configurational mass <1, 1> = integral of exp(-beta (V - min V))."""
         return float(self.gram_q[0, 0])
+
+    def resized(self, Kq: int, Np: int) -> BasisSet:
+        """The basis of the same problem at Kq and Np, on max(n_quad, 8 Kq) nodes, so its grid still resolves the weight."""
+        return build_basis(self.spec, EnsembleParams(beta=self.beta, mass=self.mass), Kq=Kq, Np=Np,
+                           n_quad=max(self.nodes.size, 8 * Kq))
 
 
 def _fourier_table(Kq: int, L: float, q: Array) -> Array:
@@ -668,6 +675,22 @@ CONTOUR_PROBES = 16  # columns of the probe block
 CONTOUR_SEED = 2024  # seed of the probe block, so reruns are bitwise identical
 CONTOUR_RANK_TOL = 1e-12  # singular values of the zeroth moment kept, relative to the largest
 CONTOUR_RESIDUAL_TOL = 1e-10  # ||(-L - mu) v|| / (||L||_1 ||v||) a candidate eigenpair must reach
+# Sectors with fewer coordinates are solved dense at once: one BLAS thread, cosine and
+# double_well, a dense sector and its contour cost the same near 210 coordinates
+# (Kq10/Np20; 12 against 19-23 ms per scan rung at 136, 74-92 against 45-54 at 300).
+DENSE_SECTOR_MAX = 200
+CONVERGENCE_RTOL = 0.01  # relative change between a gap and its refinement read as converged
+GAP_ROUNDOFF_MARGIN = 1e3  # a gap must exceed its roundoff floor this many times
+
+
+def gap_roundoff_floor(norm1: float) -> float:
+    """The level a gap of an operator with 1-norm norm1 must exceed to be read as above roundoff.
+
+    Near-zero friction leaves a gap at roundoff level, of either sign;
+    eps ||L||_1 is the backward-error scale of the dense eigensolve, and a gap
+    a few times above it still moves by ~1e-2 between solves.
+    """
+    return GAP_ROUNDOFF_MARGIN * np.finfo(float).eps * norm1
 
 
 @dataclass(frozen=True)
@@ -675,6 +698,12 @@ class RefinedGap:
     gap: float
     method: dict  # sector name -> "contour", "empty" or "dense", the path that solved it
     norm1: float  # ||L||_1 of the refined operator, the largest sector 1-norm
+    base_gap: float  # the gap it refines
+
+    @property
+    def converged(self) -> bool:
+        """The refinement moved the base gap by at most CONVERGENCE_RTOL."""
+        return abs(self.gap - self.base_gap) <= CONVERGENCE_RTOL * abs(self.base_gap)
 
 
 def contour_batch(blocks: LevelBlocks) -> int:
@@ -685,7 +714,7 @@ def contour_batch(blocks: LevelBlocks) -> int:
     return 1 << (fits.bit_length() - 1)
 
 
-def _contour_sector_gap(blocks: LevelBlocks, center: float, a: float, b: float) -> float | None:
+def _contour_sector_gap(blocks: LevelBlocks, center: float, a: float, b: float, norm1: float) -> float | None:
     """Smallest real part of the eigenvalues of -L inside the ellipse, or None where the contour cannot tell.
 
     Beyn's moments A_p = (1 / 2 pi i) \\oint z^p (-L - z)^{-1} V dz, p = 0, 1,
@@ -699,7 +728,8 @@ def _contour_sector_gap(blocks: LevelBlocks, center: float, a: float, b: float) 
     inside with a tiny projection on V would not be seen.  Otherwise k counts
     the singular values above CONTOUR_RANK_TOL times the largest.  None when
     k = CONTOUR_PROBES (the probe block may be saturated), when no candidate
-    lies inside, or when one inside fails its residual.
+    lies inside, or when one inside fails its residual, weighed against
+    norm1 = ||L||_1 of the sector.
     """
     t = 2.0 * math.pi * (np.arange(CONTOUR_NODES // 2) + 0.5) / CONTOUR_NODES
     z = center + a * np.cos(t) + 1j * b * np.sin(t)
@@ -727,7 +757,7 @@ def _contour_sector_gap(blocks: LevelBlocks, center: float, a: float, b: float) 
         return None
     lam, vec = lam[inside], u[:, :k] @ w[:, inside]
     res = np.linalg.norm(blocks.matvec(vec) - lam * vec, axis=0)
-    if np.any(res > CONTOUR_RESIDUAL_TOL * blocks.norm1() * np.linalg.norm(vec, axis=0)):
+    if np.any(res > CONTOUR_RESIDUAL_TOL * norm1 * np.linalg.norm(vec, axis=0)):
         return None
     return float(lam.real.min())
 
@@ -735,26 +765,34 @@ def _contour_sector_gap(blocks: LevelBlocks, center: float, a: float, b: float) 
 def contour_gap(red: ReducedGenerator, gamma: float, base: GapResult) -> RefinedGap:
     """The gap of -(L_ham + gamma L_FD) near a base gap, by a contour integral on Hermite chains.
 
-    Meant for a finer basis than the one of `base`, the dense gap at the same
-    friction.  Each sector counts the eigenvalues of -L inside an ellipse
-    built from the base spectrum: its real axis spans 0.25-2.5 times the base
-    gap, and its half-height is 1.5 times the largest |Im| of the base
-    eigenvalues with real part below twice the gap, plus the gap, and at
+    The one home of the refinement policy of `spectrum` and of each friction
+    scan rung.  Meant for another basis than the one of `base`, the dense gap
+    at the same friction; `converged` reads whether the gap moved by at most
+    CONVERGENCE_RTOL.  Each sector counts the eigenvalues of -L inside an
+    ellipse built from the base spectrum: its real axis spans 0.25-2.5 times
+    the base gap, and its half-height is 1.5 times the largest |Im| of the
+    base eigenvalues with real part below twice the gap, plus the gap, and at
     least the real semi-axis.  The ellipse is a heuristic built from the base
-    spectrum, not a certificate, just like the CONVERGENCE_RTOL test it
-    serves: an eigenvalue of the finer basis outside it is not seen.  A
-    sector the contour reads as empty (_contour_sector_gap) is left out when
-    another sector has a verified eigenvalue inside, and recorded `empty`.
-    A sector the contour cannot settle, or every sector when all read empty,
-    is solved dense, as reduced_gap would; `method` records which path ran
-    per sector.
+    spectrum, not a certificate, just like the CONVERGENCE_RTOL test: an
+    eigenvalue of the finer basis outside it is not seen.  A sector with
+    fewer than DENSE_SECTOR_MAX coordinates, where the dense solve is the
+    cheaper one, and every sector when the base gap is not above its
+    roundoff floor (gap_roundoff_floor), is solved dense at once, as
+    reduced_gap would.  A sector the contour reads as empty
+    (_contour_sector_gap) is left out when another sector has a verified
+    eigenvalue inside, and recorded `empty`.  A sector the contour cannot
+    settle, or every sector when none has a verified eigenvalue inside, is
+    solved dense; `method` records which path ran per sector.
     """
     g = base.gap
     center, a = 1.375 * g, 1.125 * g
     near = base.eigenvalues[base.eigenvalues.real < 2.0 * g]
     b = max(1.5 * float(np.abs(near.imag).max(initial=0.0)) + g, a)
     blocks = [red.level_blocks(gamma, sector=s) for s in range(red.n_sectors)]
-    gaps = [_contour_sector_gap(bl, center, a, b) if g > 0 else None for bl in blocks]
+    norm1 = [bl.norm1() for bl in blocks]
+    contour = g > gap_roundoff_floor(base.norm1)
+    gaps = [_contour_sector_gap(bl, center, a, b, n1) if contour and bl.start[-1] >= DENSE_SECTOR_MAX else None
+            for bl, n1 in zip(blocks, norm1)]
     if not any(x is not None and x < math.inf for x in gaps):
         gaps = [None] * len(gaps)
     method = {}
@@ -762,7 +800,7 @@ def contour_gap(red: ReducedGenerator, gamma: float, base: GapResult) -> Refined
         method[name] = "dense" if gaps[s] is None else "empty" if gaps[s] == math.inf else "contour"
         if gaps[s] is None:
             gaps[s] = _gap_of_operator(red.neg_operator(gamma, sector=s)).gap
-    return RefinedGap(min(gaps), method, max(bl.norm1() for bl in blocks))
+    return RefinedGap(min(gaps), method, max(norm1), g)
 
 
 # ---------------------------------------------------------------------------
@@ -798,21 +836,20 @@ def poincare_constant(
 
     The basis size is refined by factors of 1.5 until the value changes by
     less than POINCARE_RTOL; the refined value is returned.  The first round
-    runs on n_quad nodes and each refinement at k modes on max(n_quad, 8 k),
-    so a grid that resolves the weight stays in use.
+    runs on n_quad nodes and each refinement at k modes on max(n_quad, 8 k)
+    (BasisSet.resized), so a grid that resolves the weight stays in use.
     """
-    n_quad = max(DEFAULT_NQUAD, 8 * Kq) if n_quad is None else n_quad
-    k = Kq
+    basis = build_basis(spec, params, Kq=Kq, Np=2, n_quad=n_quad)
     prev = None
     for _ in range(POINCARE_MAX_ROUNDS):
-        basis = build_basis(spec, params, Kq=k, Np=2, n_quad=n_quad if k == Kq else max(n_quad, 8 * k))
+        if prev is not None:
+            basis = basis.resized(math.ceil(1.5 * basis.Kq), 2)
         s_red = _overdamped_reduced(assemble_overdamped(basis))
         gap = float(np.min(sla.eigvalsh(-s_red)))
         value = params.beta * gap
         if prev is not None and abs(value - prev) <= POINCARE_RTOL * abs(value):
             return value
         prev = value
-        k = int(math.ceil(1.5 * k))
     raise NumericalFailureError(
         f"Poincare constant did not stabilize to {POINCARE_RTOL:g} "
         f"within {POINCARE_MAX_ROUNDS} refinements"
@@ -937,13 +974,17 @@ def solve_poisson_overdamped(ovd: OverdampedOperator, phi_q_coeffs: Array) -> Po
 # projections
 
 
-def hermite_values(n_levels: int, x: Array) -> Array:
-    """Orthonormal probabilists' Hermite functions h_0..h_{n_levels-1} at x."""
+def hermite_values(n_levels: int, x: Array, scale: Array | float = 1.0) -> Array:
+    """scale times the orthonormal probabilists' Hermite functions h_0..h_{n_levels-1} at x.
+
+    The recurrence is linear, so it is seeded with scale: a scale that decays
+    where h_n grows keeps the table finite where h_n alone would overflow.
+    """
     x = np.asarray(x, dtype=float)
     out = np.empty((x.size, n_levels))
-    out[:, 0] = 1.0
+    out[:, 0] = scale
     if n_levels > 1:
-        out[:, 1] = x
+        out[:, 1] = x * scale
     for k in range(2, n_levels):
         out[:, k] = (x * out[:, k - 1] - math.sqrt(k - 1) * out[:, k - 2]) / math.sqrt(k)
     return out
@@ -985,8 +1026,9 @@ def project_phase_function(basis: BasisSet, f: Callable[[Array, Array], Array]) 
 
     f must broadcast over a (n_quad, 1) position array against a (1, n_gh)
     momentum array.  Momentum integrals use Gauss-Hermite quadrature with
-    n_gh = Np + 8 nodes (_gauss_hermite).  A Hermite table that overflows at
-    the outer nodes is a numerical failure.
+    n_gh = Np + 8 nodes (_gauss_hermite).  The weighted table w h_n is built
+    as sqrt(w) (sqrt(w) h_n), the Hermite recurrence seeded with sqrt(w): at
+    the outer nodes h_n alone overflows from Np = 719, where w h_n is tiny.
     """
     n_gh = basis.Np + 8
     x, w = _gauss_hermite(n_gh)
@@ -995,14 +1037,8 @@ def project_phase_function(basis: BasisSet, f: Callable[[Array, Array], Array]) 
     vals = np.asarray(f(basis.nodes[:, None], p[None, :]), dtype=float)
     if vals.shape != (basis.nodes.size, n_gh):
         raise InvalidArgumentError("f must broadcast to shape (n_quad, Np + 8)")
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            wh = w[:, None] * hermite_values(basis.Np, x)  # (n_gh, Np)
-    except FloatingPointError as exc:
-        raise NumericalFailureError(
-            f"the Hermite functions up to Np={basis.Np} overflow at the outer nodes of the {n_gh}-node "
-            f"Gauss-Hermite rule ({exc}); lower Np"
-        ) from exc
+    sw = np.sqrt(w)
+    wh = sw[:, None] * hermite_values(basis.Np, x, sw)  # (n_gh, Np)
     t = vals @ wh  # (n_quad, Np) momentum integrals
     rhs = basis.F.T @ (basis.weights[:, None] * t)  # (n_q, Np)
     coeffs = basis.wq @ (basis.wq.T @ rhs)  # (n_q, Np)

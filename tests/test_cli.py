@@ -144,11 +144,11 @@ def test_gauss_hermite_rule_above_numpys_limit_solves(command, n_p, tmp_path, re
         assert results["sigma2"] == pytest.approx(2.0, rel=1e-12)
 
 
-def test_hermite_table_overflow_exits_2(capsys, recwarn):
-    # at Np = 719 the Hermite functions overflow at the outer nodes of the 727-node rule
-    assert run("poisson", "--observable", "p_squared", "--Kq", "1", "--Np", "719") == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err[-1].startswith("numerical failure: the Hermite functions up to Np=719 overflow") and not recwarn.list
+def test_weighted_hermite_table_stays_finite_where_the_functions_overflow(tmp_path, recwarn):
+    # from Np = 719 h_n alone overflows at the outer nodes of the rule; the table is sqrt(w) (sqrt(w) h_n)
+    rep_path = tmp_path / "rep.json"
+    assert run("poisson", "--observable", "p_squared", "--Kq", "1", "--Np", "719", "--report", rep_path) == 0
+    assert read_report(rep_path)["results"]["sigma2"] == pytest.approx(2.0, rel=1e-12) and not recwarn.list
 
 
 def test_deep_well_is_resolved_on_a_finer_grid(tmp_path):
@@ -741,6 +741,16 @@ def test_parse_gammas_helper():
     for bad in ("1:2", "a:2:7", "0:2:7", "1:-2:7", "1:2:0"):
         with pytest.raises(InvalidArgumentError):
             cli._parse_gammas(bad)
+
+
+def test_scan_count_above_the_rung_limit_exits_1_before_the_ladder_is_built(monkeypatch, capsys):
+    from hypokit import hypo
+
+    monkeypatch.setattr(hypo, "SCAN_MAX_RUNGS", 7)
+    assert cli._parse_gammas("0.125:2:7") == pytest.approx([0.125 * 2**k for k in range(7)])
+    assert run("scan", "--gammas", "0.125:2:8", *SMALL_COSINE) == 1
+    err = capsys.readouterr().err
+    assert "--gammas count 8 is above the limit of 7 rungs" in err and "Traceback" not in err
 
 
 def test_poisson_at_float_max_friction_solves_without_a_warning(tmp_path):

@@ -11,7 +11,6 @@ from hypokit import (
     InvalidArgumentError,
     asymptotic_variance_acf,
     batch_means_variance,
-    ergodic_average,
 )
 
 
@@ -23,11 +22,6 @@ def ar1(n, rho, seed=0):
     for i in range(1, n):
         x[i] = rho * x[i - 1] + xi[i]
     return x
-
-
-def test_ergodic_average_is_plain_mean():
-    x = np.array([1.0, 2.0, 3.0, 4.0])
-    assert ergodic_average(x) == 2.5
 
 
 def test_iid_series_recovers_marginal_variance():

@@ -12,9 +12,7 @@ from hypokit import (
     PhaseState,
     Torus,
     builtin_potential,
-    check_condition_constants,
     eval_hamiltonian,
-    torus_grid,
 )
 
 
@@ -142,48 +140,6 @@ def test_ensemble_params_validation():
     EnsembleParams(gamma=0.0)  # frictionless is allowed
 
 
-class TestConditionConstants:
-    def test_flat_all_zero(self):
-        spec = builtin_potential("flat", {"L": 1.0})
-        grid = torus_grid(spec.domain, 256)
-        res = check_condition_constants(spec, EnsembleParams(), grid, c2=0.5)
-        assert res.c1 == 0.0 and res.c3 == 0.0 and res.feasible
-
-    def test_quadratic_c2_zero(self):
-        spec = builtin_potential("quadratic", {"omega": 1.0})
-        grid = np.linspace(-3.0, 3.0, 2049)[:, None]  # contains q=0
-        res = check_condition_constants(spec, EnsembleParams(), grid, c2=0.0)
-        assert res.c1 == pytest.approx(1.0, abs=1e-12)
-        assert res.c3 == pytest.approx(1.0, abs=1e-12)  # 1/sqrt(1+q^2) peaks at 0
-
-    def test_cosine_c2_zero_matches_brute_force(self):
-        spec = builtin_potential("cosine", {"h": 1.0, "L": 1.0})
-        grid = torus_grid(spec.domain, 10_000)
-        res = check_condition_constants(spec, EnsembleParams(), grid, c2=0.0)
-        assert res.c1 == pytest.approx(4.0 * math.pi**2, rel=1e-6)
-        q = grid[:, 0]
-        c3_brute = np.max(
-            4.0 * math.pi**2 * np.abs(np.cos(2 * math.pi * q))
-            / np.sqrt(1.0 + 4.0 * math.pi**2 * np.sin(2 * math.pi * q) ** 2)
-        )
-        assert res.c3 == pytest.approx(c3_brute, rel=1e-12)
-
-    def test_monotone_in_grid(self):
-        spec = builtin_potential("cosine", {"h": 1.0, "L": 1.0})
-        small = torus_grid(spec.domain, 64)
-        large = torus_grid(spec.domain, 4096)
-        params = EnsembleParams()
-        r_small = check_condition_constants(spec, params, small, c2=0.3)
-        r_large = check_condition_constants(spec, params, large, c2=0.3)
-        assert r_large.c1 >= r_small.c1 - 1e-12
-        assert r_large.c3 >= r_small.c3 - 1e-12
-
-    def test_empty_grid_rejected(self):
-        spec = builtin_potential("flat", {"L": 1.0})
-        with pytest.raises(InvalidArgumentError):
-            check_condition_constants(spec, EnsembleParams(), np.empty((0, 1)), c2=0.0)
-
-
 CONTRACT_CASES = {
     "flat-d1": ("flat", {"d": 1}),
     "flat-d2": ("flat", {"d": 2, "L": 2.0}),
@@ -220,12 +176,6 @@ def test_builtins_follow_the_one_shape_contract(name, params, batch):
         assert np.array_equal(outs[1], np.concatenate([s.grad(c) for s, c in zip(parts, cols)], axis=-1))
         diag = np.concatenate([s.hessian(c)[..., 0] for s, c in zip(parts, cols)], axis=-1)
         assert np.array_equal(outs[2], diag[..., None] * np.eye(d))
-
-
-def test_condition_constants_reject_a_grid_without_the_dimension_axis():
-    spec = builtin_potential("cosine", {"h": 1.0, "L": 1.0})
-    with pytest.raises(InvalidArgumentError, match=r"grid must have shape \(n, 1\)"):
-        check_condition_constants(spec, EnsembleParams(), np.linspace(0.0, 1.0, 16), c2=0.0)
 
 
 @pytest.mark.parametrize("name, params, message", [

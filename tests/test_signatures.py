@@ -1,10 +1,13 @@
 """One source per input: no public function that takes a basis, an assembly or an
 overdamped operator also takes the potential, the ensemble or the discretization
-that object already carries."""
+that object already carries.  One home per policy: only spectral names the
+constants of the gap refinement."""
 
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
 import typing
 
 import pytest
@@ -46,3 +49,15 @@ def test_no_function_takes_an_input_twice(name):
     params = inspect.signature(fn).parameters
     if any(_carries(hints.get(p)) for p in params):
         assert not CARRIED & set(params), f"{name} takes {sorted(CARRIED & set(params))} beside its carrier"
+
+
+# the refinement policy's constants (spectral.contour_gap); a module that names one writes out
+# part of the policy again
+REFINEMENT_POLICY = re.compile(r"\w*(CONVERGENCE_RTOL|DENSE_SECTOR_MAX|GAP_ROUNDOFF_MARGIN)")
+
+
+def test_only_spectral_names_the_refinement_policy():
+    package = pathlib.Path(hypokit.__file__).parent
+    named = {path.stem: set(REFINEMENT_POLICY.findall(path.read_text())) for path in package.glob("*.py")}
+    assert named.pop("spectral") == {"CONVERGENCE_RTOL", "DENSE_SECTOR_MAX", "GAP_ROUNDOFF_MARGIN"}
+    assert {name: found for name, found in named.items() if found} == {}

@@ -650,19 +650,21 @@ def _scan_cases():
 @pytest.mark.parametrize("name,pot,ens,Kq,Np,n_quad,ladder", _scan_cases())
 def test_scan_rungs_match_the_dense_gap(name, pot, ens, Kq, Np, n_quad, ladder):
     """Every rung is the dense gap to 1e-10, and the guard fired exactly where the coarse
-    base is more than CONVERGENCE_RTOL off it (double_well at gamma = 1/8 and 1/4)."""
-    from hypokit.hypo import _coarse_basis, gamma_scan
+    base is more than CONVERGENCE_RTOL off it (double_well at gamma = 1/8 and 1/4) and some
+    sector did not go dense."""
+    from hypokit.hypo import gamma_scan
 
     basis = build_basis(builtin_potential(name, pot), EnsembleParams(**ens), Kq=Kq, Np=Np, n_quad=n_quad)
     res = gamma_scan(basis, ladder, max_workers=2)
-    red, coarse = reduced_generator(basis), reduced_generator(_coarse_basis(basis))
+    red, coarse = reduced_generator(basis), reduced_generator(basis.resized(max(1, Kq // 2), max(2, Np // 2)))
     want = PINNED_DENSE_RUNGS.get((name, pot["L"], pot.get("h"), Kq, Np))
     want = np.array(want or [spectral.reduced_gap(red, g).gap for g in ladder])
     base = np.array([spectral.reduced_gap(coarse, g).gap for g in ladder])
     assert res.row_errors == {}
     assert res.table.gaps == pytest.approx(want, rel=1e-10)
     guard = [m["guard"] for m in res.rung_methods]
-    assert guard == list(np.abs(want - base) > spectral.CONVERGENCE_RTOL * base)
+    dense = [set(m["sectors"].values()) == {"dense"} for m in res.rung_methods]
+    assert guard == [bool(off) and not d for off, d in zip(np.abs(want - base) > spectral.CONVERGENCE_RTOL * base, dense)]
 
 
 def test_default_scan_solves_dense_only_on_the_coarse_basis(tmp_path, monkeypatch):
@@ -693,16 +695,18 @@ def test_default_scan_solves_dense_only_on_the_coarse_basis(tmp_path, monkeypatc
 
 def test_a_contour_gap_off_the_coarse_base_gives_the_dense_rung(cosine_asm_small, monkeypatch):
     """A contour result 2 % off the coarse gap fires the guard: the rung is the dense gap, bitwise.
-    The small basis would be solved dense at once, so the crossover is lowered to reach the guard."""
+    The small basis would be solved dense at once, so the crossover is lowered to reach the guard.
+    A rung whose sectors all went dense (the contour could not settle them) is left as it is: its
+    gap is already the dense one, and the guard does not solve it again."""
     from hypokit import hypo
 
     real, methods = hypo.contour_gap, []
-    monkeypatch.setattr(hypo, "SCAN_DENSE_SECTOR_MAX", 0)
+    monkeypatch.setattr(spectral, "DENSE_SECTOR_MAX", 0)
 
     def off(red, gamma, base):
         res = real(red, gamma, base)
         methods.append(res.method)
-        return dataclasses.replace(res, gap=1.02 * base.gap)
+        return res if set(res.method.values()) == {"dense"} else dataclasses.replace(res, gap=1.02 * base.gap)
 
     monkeypatch.setattr(hypo, "contour_gap", off)
     ladder = [0.125 * 2.0**k for k in range(7)]
@@ -710,23 +714,23 @@ def test_a_contour_gap_off_the_coarse_base_gives_the_dense_rung(cosine_asm_small
     red = reduced_generator(cosine_asm_small.basis)
     assert np.array_equal(res.table.gaps, [spectral.reduced_gap(red, g).gap for g in ladder])
     assert [m["sectors"] for m in res.rung_methods] == methods and len(methods) == 7
-    assert all(m["guard"] for m in res.rung_methods)
+    guard = [m["guard"] for m in res.rung_methods]
+    assert guard == [set(m.values()) != {"dense"} for m in methods] and any(guard)
 
 
 def test_small_scan_basis_solves_every_rung_dense_at_once(cosine_spec, unit_params, monkeypatch):
-    """Kq4/Np8 (sectors of 36): no coarse basis and no contour; each rung is reduced_gap, the same
-    bits as the guard path, which fires on every rung there."""
+    """Kq4/Np8 (sectors of 36): contour_gap solves every sector dense at once and the guard does not
+    run; each rung is reduced_gap, the same bits as the contour and guard path, which fires on every
+    rung there."""
     from hypokit import hypo
 
     basis = build_basis(cosine_spec, unit_params, Kq=4, Np=8, n_quad=64)
     ladder = [0.125 * 2.0**k for k in range(7)]
-    monkeypatch.setattr(hypo, "_coarse_basis", None)  # building a coarse basis would raise
     res = hypo.gamma_scan(basis, ladder)
     red = reduced_generator(basis)
     assert np.array_equal(res.table.gaps, [spectral.reduced_gap(red, g).gap for g in ladder])
     assert all(m["sectors"] == {"even": "dense", "odd": "dense"} and not m["guard"] for m in res.rung_methods)
-    monkeypatch.undo()
-    monkeypatch.setattr(hypo, "SCAN_DENSE_SECTOR_MAX", 0)
+    monkeypatch.setattr(spectral, "DENSE_SECTOR_MAX", 0)
     guarded = hypo.gamma_scan(basis, ladder)
     assert all(m["guard"] for m in guarded.rung_methods)
     assert np.array_equal(res.table.gaps, guarded.table.gaps)
@@ -746,14 +750,13 @@ def test_scan_results_do_not_depend_on_the_thread_count(cosine_asm, cosine_asm_s
     switching every 10 us on a small basis, taken through the contour as well."""
     import sys
 
-    from hypokit import hypo
     from hypokit.hypo import gamma_scan
 
     ladder = [0.125 * 2.0**k for k in range(7)]
     red = reduced_generator(cosine_asm.basis)
     assert [spectral.contour_batch(b) for b in _sector_blocks(red, 1.0)] == [8, 8]
     _assert_same_scan(*(gamma_scan(cosine_asm.basis, ladder, max_workers=w) for w in (1, 2)))
-    monkeypatch.setattr(hypo, "SCAN_DENSE_SECTOR_MAX", 0)
+    monkeypatch.setattr(spectral, "DENSE_SECTOR_MAX", 0)
     one = gamma_scan(cosine_asm_small.basis, ladder)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -868,10 +871,9 @@ def test_contour_batch_is_the_largest_power_of_two_in_the_budget(cosine_spec, un
 
 def _coarse_base(spec, params, Kq, Np):
     """(dense gap on the scan's coarse basis, reduced generator of the basis) as gamma_scan builds them."""
-    from hypokit.hypo import _coarse_basis
-
     basis = build_basis(spec, params, Kq=Kq, Np=Np)
-    return spectral.reduced_gap(reduced_generator(_coarse_basis(basis)), params.gamma), reduced_generator(basis)
+    coarse = reduced_generator(basis.resized(max(1, Kq // 2), max(2, Np // 2)))
+    return spectral.reduced_gap(coarse, params.gamma), reduced_generator(basis)
 
 
 @pytest.mark.parametrize("gamma", [0.125, 1.0, 8.0])
@@ -889,7 +891,7 @@ def test_contour_gap_does_not_depend_on_the_batch(name, pot, ens, Kq, Np, gamma,
         for batch in (1, 4, 8, 32):
             monkeypatch.setattr(spectral, "CONTOUR_CHUNK_BYTES", batch * per_shift)
             assert spectral.contour_batch(blocks) == batch
-            gaps.append(spectral._contour_sector_gap(blocks, center, a, b))
+            gaps.append(spectral._contour_sector_gap(blocks, center, a, b, blocks.norm1()))
         if gaps[0] is None or gaps[0] == math.inf:
             assert all(x == gaps[0] for x in gaps)
         else:
@@ -935,8 +937,7 @@ def test_contour_gap_peak_memory(cosine_spec, unit_params):
 def _refined(spec, params, Kq, Np, factor=1.5):
     """(base dense gap, refined assembly) as spectrum builds them."""
     basis = build_basis(spec, params, Kq=Kq, Np=Np)
-    kq2, np2 = math.ceil(factor * Kq), math.ceil(factor * Np)
-    basis2 = build_basis(spec, params, Kq=kq2, Np=np2, n_quad=max(basis.nodes.size, 8 * kq2))
+    basis2 = basis.resized(math.ceil(factor * Kq), math.ceil(factor * Np))
     return spectral_gap(assemble_generator(basis, params.gamma)), assemble_generator(basis2, params.gamma)
 
 
@@ -951,8 +952,10 @@ CONTOUR_CASES = EIGVALS_CASES + [
 
 
 @pytest.mark.parametrize("name,pot,ens,gamma,Kq,Np", CONTOUR_CASES)
-def test_contour_gap_matches_the_dense_gap(name, pot, ens, gamma, Kq, Np):
-    """On the base basis itself, so the dense gap is the oracle at no extra cost."""
+def test_contour_gap_matches_the_dense_gap(name, pot, ens, gamma, Kq, Np, monkeypatch):
+    """On the base basis itself, so the dense gap is the oracle at no extra cost; sectors below the
+    crossover run the contour too."""
+    monkeypatch.setattr(spectral, "DENSE_SECTOR_MAX", 0)
     params = EnsembleParams(gamma=gamma, **ens)
     base, asm = _refined(builtin_potential(name, pot), params, Kq, Np, factor=1.0)
     res = _contour(asm, base)
@@ -964,7 +967,8 @@ def test_contour_gap_matches_the_dense_gap(name, pot, ens, gamma, Kq, Np):
     ("quadratic", {"omega": 1.0, "L": 14.0}, {}, 1.0, 10, 20, {"even": "contour", "odd": "contour"}),
     ("cosine", {"h": 1.0, "L": 1.0}, {"beta": 50.0}, 1.0, 4, 8, {"even": "contour", "odd": "contour"}),
 ])
-def test_contour_gap_matches_the_dense_refinement(name, pot, ens, gamma, Kq, Np, method):
+def test_contour_gap_matches_the_dense_refinement(name, pot, ens, gamma, Kq, Np, method, monkeypatch):
+    monkeypatch.setattr(spectral, "DENSE_SECTOR_MAX", 0)  # the beta = 50 refinement has sectors of 53 and 54
     params = EnsembleParams(gamma=gamma, **ens)
     base, asm = _refined(builtin_potential(name, pot), params, Kq, Np)
     res = _contour(asm, base)
@@ -1022,6 +1026,89 @@ def test_default_spectrum_refines_without_a_dense_eigensolve(tmp_path, monkeypat
     assert sorted(sizes) == [527, 528]
     assert diag["refined_method"] == {"even": "contour", "odd": "contour"}
     assert diag["refined_gap"] == pytest.approx(1.0477428667307884, rel=1e-10)
+
+
+def test_small_spectrum_refinement_is_the_dense_gap_of_the_refined_basis(cosine_spec, unit_params, tmp_path):
+    """Kq4/Np8 refines on Kq6/Np12, sectors of 77 and 78, below the crossover: both are solved dense
+    at once, bitwise reduced_gap on the refined basis."""
+    from hypokit import cli
+
+    assert cli.main(["spectrum", "--Kq", "4", "--Np", "8", "--n-quad", "64", "--report", str(tmp_path / "r.json")]) == 0
+    with open(tmp_path / "r.json") as fh:
+        report = json.load(fh)
+    diag = report["diagnostics"]
+    assert diag["refined_method"] == {"even": "dense", "odd": "dense"} and (diag["refined_Kq"], diag["refined_Np"]) == (6, 12)
+    want = spectral.reduced_gap(reduced_generator(build_basis(cosine_spec, unit_params, Kq=6, Np=12, n_quad=64)), 1.0)
+    assert diag["refined_gap"] == want.gap
+    assert report["results"]["converged"] == (abs(want.gap - report["results"]["gap"]) <= 0.01 * report["results"]["gap"])
+
+
+def test_a_rung_dense_in_every_sector_is_solved_dense_once(cosine_asm_small, monkeypatch):
+    """Two probe columns saturate every contour, so each rung goes dense in both sectors; no rung
+    converges at a zero tolerance, and still dgeev sees each scan sector once per rung, beside the
+    coarse ones, and the rows are reduced_gap's."""
+    from hypokit.hypo import gamma_scan
+
+    basis = cosine_asm_small.basis
+    red, coarse = reduced_generator(basis), reduced_generator(basis.resized(4, 6))
+    real, sizes = spectral._eigvals_overwrite, []
+
+    def spy(a):
+        sizes.append(a.shape[0])
+        return real(a)
+
+    monkeypatch.setattr(spectral, "DENSE_SECTOR_MAX", 0)
+    monkeypatch.setattr(spectral, "CONTOUR_PROBES", 2)
+    monkeypatch.setattr(spectral, "CONVERGENCE_RTOL", 0.0)
+    monkeypatch.setattr(spectral, "_eigvals_overwrite", spy)
+    ladder = [0.125 * 2.0**k for k in range(7)]
+    res = gamma_scan(basis, ladder)
+    monkeypatch.setattr(spectral, "_eigvals_overwrite", real)
+    per_rung = [red.sector_index(s).size for s in range(2)] + [coarse.sector_index(s).size for s in range(2)]
+    assert sorted(sizes) == sorted(per_rung * 7)
+    assert all(m["sectors"] == {"even": "dense", "odd": "dense"} and not m["guard"] for m in res.rung_methods)
+    assert np.array_equal(res.table.gaps, [spectral.reduced_gap(red, g).gap for g in ladder])
+
+
+def test_resized_basis_keeps_the_three_old_sizes(cosine_spec, unit_params, monkeypatch):
+    """The scan's coarse basis, spectrum's refinement and the Poincare rounds are built at the
+    (Kq, Np, n_quad) they were built at before BasisSet.resized."""
+    for Kq, Np, n_quad in ((16, 32, 256), (24, 48, 200), (1, 2, 32), (5, 3, 64)):
+        basis = build_basis(cosine_spec, unit_params, Kq=Kq, Np=Np, n_quad=n_quad)
+        coarse = basis.resized(max(1, Kq // 2), max(2, Np // 2))
+        assert (coarse.Kq, coarse.Np, coarse.nodes.size) == (max(1, Kq // 2), max(2, Np // 2), n_quad)
+        kq2, np2 = math.ceil(1.5 * Kq), math.ceil(1.5 * Np)
+        fine = basis.resized(kq2, np2)
+        assert (fine.Kq, fine.Np, fine.nodes.size) == (kq2, np2, max(n_quad, 8 * kq2))
+        assert np.array_equal(fine.gram_q, build_basis(cosine_spec, unit_params, Kq=kq2, Np=np2,
+                                                       n_quad=max(n_quad, 8 * kq2)).gram_q)
+    real, built = spectral.build_basis, []
+
+    def spy(spec, params, Kq, Np, n_quad=None):
+        basis = real(spec, params, Kq, Np, n_quad)
+        built.append((basis.Kq, basis.Np, basis.nodes.size))
+        return basis
+
+    monkeypatch.setattr(spectral, "build_basis", spy)
+    monkeypatch.setattr(spectral, "POINCARE_RTOL", -1.0)  # no round converges: run them all
+    with pytest.raises(spectral.NumericalFailureError):
+        spectral.poincare_constant(cosine_spec, unit_params, Kq=4, n_quad=40)
+    k, want = 4, []
+    for _ in range(spectral.POINCARE_MAX_ROUNDS):
+        want.append((k, 2, 40 if k == 4 else max(40, 8 * k)))
+        k = math.ceil(1.5 * k)
+    assert built == want
+
+
+def test_weighted_hermite_table_matches_the_plain_product_below_the_overflow():
+    """sqrt(w) (sqrt(w) h_n) against w h_n on the 726-node rule of Np = 718, the largest that
+    h_n alone keeps finite, relative to the table's largest entry."""
+    x, w = spectral._gauss_hermite(726)
+    with np.errstate(over="raise", invalid="raise"):
+        want = w[:, None] * spectral.hermite_values(718, x)
+    sw = np.sqrt(w)
+    got = sw[:, None] * spectral.hermite_values(718, x, sw)
+    assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
 
 
 def test_dense_operator_above_the_budget_is_refused(cosine_asm_small, monkeypatch):
