@@ -60,6 +60,7 @@ from .spectral import (
     project_phase_function,
     project_position_function,
     reduced_generator,
+    require_gap_above_roundoff,
     solve_poisson,
     solve_poisson_overdamped,
     spectral_gap,
@@ -550,6 +551,7 @@ def _cmd_spectrum(cfg: dict) -> tuple[dict, dict]:
     params, disc, basis = _spectral_setup(cfg)
     opts = cfg.get("options", {})
     res = spectral_gap(assemble_generator(basis, params.gamma))
+    require_gap_above_roundoff(res)
     diagnostics: dict = {"n_quad": basis.nodes.size, "size": basis.size, "rank_q": basis.wq.shape[1],
                          "gap_sector": res.sector}
 

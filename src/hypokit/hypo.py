@@ -65,11 +65,11 @@ from .spectral import (
     BasisSet,
     GeneratorAssembly,
     contour_gap,
-    gap_roundoff_floor,
     poincare_constant,
     project_phase_function,
     reduced_gap,
     reduced_generator,
+    require_gap_above_roundoff,
 )
 
 Array = np.ndarray
@@ -610,18 +610,19 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
     sector and whether the guard fired.
 
     Requires at least 7 gamma values spanning [1/8, 8].  Rows run on
-    max_workers threads, default one.  The dense eigensolve releases the GIL
-    for its whole call.  The contour's chain releases it only inside each
-    batched inverse and product and holds it for the Python steps between
-    them, so two contours overlap only as far as those calls are long, which
-    is why the chain batches its shifts (spectral.CONTOUR_CHUNK_BYTES).  Each
+    max_workers threads, default one.  The dense eigensolve
+    (np.linalg.eigvals) releases the GIL for its whole call.  The contour's
+    chain releases it only inside each batched inverse and product and holds
+    it for the Python steps between them, so two contours overlap only as far
+    as those calls are long, which is why the chain batches its shifts
+    (spectral.CONTOUR_CHUNK_BYTES).  Each
     row is computed the same way on any thread, so results do not depend on
     the thread count.  More than one thread pays off with a single-threaded
     BLAS: a multithreaded BLAS already spreads each solve over the cores, and
     concurrent rows then compete with it for them.
     Failed rows, including those whose gap is not above roundoff
-    (spectral.gap_roundoff_floor), are reported in row_errors with NaN gaps
-    rather than aborting the scan.  Slopes are log-log fits over
+    (spectral.require_gap_above_roundoff), are reported in row_errors with
+    NaN gaps rather than aborting the scan.  Slopes are log-log fits over
     gamma <= 1/2 and gamma >= 2; lambda_bar is the smallest ratio
     gap / min(gamma, 1/gamma).
     """
@@ -647,9 +648,7 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
             rung_methods[i].update(sectors=res.method, guard=guard)
             if guard:
                 res = reduced_gap(red, g[i])
-            floor = gap_roundoff_floor(res.norm1)
-            if not res.gap > floor:
-                raise NumericalFailureError(f"computed gap {res.gap:.3g} is not positive above roundoff margin {floor:.3g}")
+            require_gap_above_roundoff(res)
             gaps[i] = res.gap
         except Exception as exc:  # noqa: BLE001 - rows are isolated by design
             row_errors[float(g[i])] = f"{type(exc).__name__}: {exc}"

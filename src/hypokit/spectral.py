@@ -66,7 +66,6 @@ Full-basis coefficient indexing is Hermite-major: index = n * (2 Kq + 1) + a.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import warnings
 from dataclasses import dataclass
@@ -74,7 +73,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import cython_lapack
 
 from .errors import (
     IllConditionedBasisError,
@@ -99,7 +97,13 @@ WEIGHT_RESOLUTION_TOL = 1e-3
 POINCARE_RTOL = 5e-3  # relative change that ends the Poincare refinement
 POINCARE_MAX_ROUNDS = 6
 DECAY_TOL = 1e-8  # slack on the semigroup decay bound
-DENSE_MAX_BYTES = 2**30  # largest dense operator neg_operator allocates
+# Largest relative residual a Poisson solve may report: ordinary inputs read <= 1.1e-12 at
+# gamma >= 1e-3; cosine cos_q at the defaults reads 2.6e-10 at gamma = 1e-5 (sigma^2 off by
+# 4e-5), 4.9e-8 at 1e-6 (off by 2.4e-3) and 3.2e-4 at 1e-8.
+POISSON_RESIDUAL_TOL = 1e-9
+# Largest dense operator neg_operator allocates; the gap eigensolve (np.linalg.eigvals)
+# holds a second copy of it, so a solve peaks at about twice this.
+DENSE_MAX_BYTES = 2**30
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,9 +442,9 @@ class ReducedGenerator:
         """Dense -(L_ham + gamma L_FD) on the first `levels` Hermite levels (default all).
 
         With a sector, only its coordinates, in sector_index order; the full
-        operator is block diagonal in the sectors.  Fortran-ordered, so LAPACK
-        can overwrite it without a copy.  A matrix above DENSE_MAX_BYTES is
-        refused before it is allocated.
+        operator is block diagonal in the sectors.  Fortran-ordered: hypo's
+        dissipation products read this layout, and their bits depend on it.
+        A matrix above DENSE_MAX_BYTES is refused before it is allocated.
         """
         blocks = self.level_blocks(gamma, levels, sector)
         start = blocks.start
@@ -497,58 +501,13 @@ class GapResult:
     sector: str = "all"  # the sector holding the gap, the parity of the slowest mode
 
 
-def _lapack_dgeev():
-    """SciPy's LAPACK dgeev as a ctypes foreign function, from the cython_lapack capsule.
-
-    A CFUNCTYPE call releases the GIL for its duration, which SciPy's f2py
-    wrapper does not, so gap eigensolves on a thread pool run concurrently.
-    """
-    capsule = cython_lapack.__pyx_capi__["dgeev"]
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    i, d, c = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double), ctypes.c_char_p
-    # jobvl, jobvr, n, a, lda, wr, wi, vl, ldvl, vr, ldvr, work, lwork, info
-    proto = ctypes.CFUNCTYPE(None, c, c, i, d, i, d, d, d, i, d, i, d, i, i)
-    return proto(get_pointer(capsule, get_name(capsule)))
-
-
-_DGEEV = _lapack_dgeev()
-
-
-def _eigvals_overwrite(a: Array) -> Array:
-    """Eigenvalues wr + i wi of the square Fortran-ordered float array a by dgeev; a is overwritten.
-
-    The workspace is dgeev's own optimum from a query (lwork = -1), the size
-    scipy.linalg.eigvals also uses, so the eigenvalues are the same bits.
-    """
-    if a.dtype != np.float64 or not (a.flags.f_contiguous and a.flags.writeable) or a.shape[0] != a.shape[1]:
-        raise ValueError("dgeev needs a square, writeable, Fortran-ordered float64 array")
-    n = ctypes.c_int(a.shape[0])
-    wr, wi = np.empty(a.shape[0]), np.empty(a.shape[0])
-    one, info = ctypes.c_int(1), ctypes.c_int(0)
-    unused = ctypes.c_double()  # vl and vr: not referenced for jobvl = jobvr = "N"
-    dp = ctypes.POINTER(ctypes.c_double)
-
-    def call(work: Array, lwork: int) -> int:
-        _DGEEV(b"N", b"N", n, a.ctypes.data_as(dp), n, wr.ctypes.data_as(dp), wi.ctypes.data_as(dp),
-               unused, one, unused, one, work.ctypes.data_as(dp), ctypes.c_int(lwork), info)
-        if info.value < 0:
-            raise ValueError(f"dgeev: argument {-info.value} had an illegal value")
-        return info.value
-
-    query = np.empty(1)
-    call(query, -1)
-    lwork = max(int(query[0]), 1)
-    if call(np.empty(lwork), lwork) > 0:
-        raise NumericalFailureError("eigenvalue solver failed")
-    return wr + 1j * wi
-
-
 def _gap_of_operator(neg_op: Array) -> GapResult:
-    """Gap from -L (or one sector of it); the eigensolve overwrites neg_op."""
+    """Gap from -L (or one sector of it) by NumPy's dense eigensolve, which releases the GIL."""
     norm1 = float(sla.norm(neg_op, 1, check_finite=False))  # LAPACK lange: no N x N temporary
-    eigs = _eigvals_overwrite(neg_op)
+    try:
+        eigs = np.linalg.eigvals(neg_op).astype(complex, copy=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigenvalue solver failed: {exc}") from exc
     return GapResult(float(eigs.real.min()), int(eigs.size), eigs, norm1)
 
 
@@ -704,6 +663,13 @@ class RefinedGap:
     def converged(self) -> bool:
         """The refinement moved the base gap by at most CONVERGENCE_RTOL."""
         return abs(self.gap - self.base_gap) <= CONVERGENCE_RTOL * abs(self.base_gap)
+
+
+def require_gap_above_roundoff(res: GapResult | RefinedGap) -> None:
+    """Raise NumericalFailureError unless the gap of res is above its roundoff floor (gap_roundoff_floor)."""
+    floor = gap_roundoff_floor(res.norm1)
+    if not res.gap > floor:
+        raise NumericalFailureError(f"computed gap {res.gap:.3g} is not positive above roundoff margin {floor:.3g}")
 
 
 def contour_batch(blocks: LevelBlocks) -> int:
@@ -927,9 +893,14 @@ def _lu_solve(neg_op: Array, rhs: Array) -> tuple[Array, Array, float]:
 
 
 def _relative_residual(res: Array, z_sol: Array, z_rhs: Array, norm1: float) -> float:
+    """||res|| / (||L||_1 ||z|| + ||b||); a solve above POISSON_RESIDUAL_TOL is a numerical failure."""
     # scipy's norm is BLAS nrm2, which scales: a solution near the float maximum keeps a finite norm
     scale = norm1 * float(sla.norm(z_sol)) + float(sla.norm(z_rhs))
-    return float(sla.norm(res)) / scale if scale > 0 else 0.0
+    residual = float(sla.norm(res)) / scale if scale > 0 else 0.0
+    if not residual <= POISSON_RESIDUAL_TOL:
+        raise NumericalFailureError(
+            f"Poisson solve is inaccurate: relative residual {residual:.3g} is above {POISSON_RESIDUAL_TOL:g}")
+    return residual
 
 
 def solve_poisson(asm: GeneratorAssembly, phi_coeffs: Array) -> PoissonResult:
@@ -939,8 +910,9 @@ def solve_poisson(asm: GeneratorAssembly, phi_coeffs: Array) -> PoissonResult:
     Each sector is solved by its Hermite chain at mu = 0 (hermite_chain), and
     the residual and ||L||_1 come from its level blocks, so no dense operator
     is built.  The chain makes no condition estimate, so a stiff but solvable
-    operator (gamma near the float maximum) solves without a warning; an
-    exactly singular pivot is a numerical failure.  A sector with a zero
+    operator (gamma near the float maximum) solves without a warning.  An
+    exactly singular pivot, or a relative residual above POISSON_RESIDUAL_TOL
+    (gamma near zero), is a numerical failure.  A sector with a zero
     right-hand side solves to exact zeros.  Returns the solution's full-basis
     coefficients (mean-zero representative).
     """
@@ -957,8 +929,8 @@ def solve_poisson(asm: GeneratorAssembly, phi_coeffs: Array) -> PoissonResult:
             raise NumericalFailureError(f"Poisson solve failed (singular pivot): {exc}") from exc
         res[idx] = blocks.matvec(z_sol[idx]) - z_rhs[idx]
         norm1 = max(norm1, blocks.norm1())
-    sigma2 = _sigma2_from_pair(z_sol, z_rhs, red.mass_nu)
-    return PoissonResult(red.to_full(z_sol), sigma2, _relative_residual(res, z_sol, z_rhs, norm1))
+    residual = _relative_residual(res, z_sol, z_rhs, norm1)
+    return PoissonResult(red.to_full(z_sol), _sigma2_from_pair(z_sol, z_rhs, red.mass_nu), residual)
 
 
 def solve_poisson_overdamped(ovd: OverdampedOperator, phi_q_coeffs: Array) -> PoissonResult:
@@ -966,8 +938,8 @@ def solve_poisson_overdamped(ovd: OverdampedOperator, phi_q_coeffs: Array) -> Po
     b = ovd.basis
     z_rhs = b.q0.T @ (b.wq.T @ (b.gram_q @ np.asarray(phi_q_coeffs, float)))
     z_sol, res, norm1 = _lu_solve(-_overdamped_reduced(ovd), z_rhs)
-    sigma2 = _sigma2_from_pair(z_sol, z_rhs, b.mass_nu)
-    return PoissonResult(b.wq @ (b.q0 @ z_sol), sigma2, _relative_residual(res, z_sol, z_rhs, norm1))
+    residual = _relative_residual(res, z_sol, z_rhs, norm1)
+    return PoissonResult(b.wq @ (b.q0 @ z_sol), _sigma2_from_pair(z_sol, z_rhs, b.mass_nu), residual)
 
 
 # ---------------------------------------------------------------------------

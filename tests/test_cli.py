@@ -692,6 +692,32 @@ def test_scan_roundoff_rows_set_neither_floor_nor_slope(tmp_path):
     assert res["slope_small_gamma"] == pytest.approx(1.0, abs=0.02)
 
 
+@pytest.mark.parametrize("gamma", ["1e-300", "1e300"])
+def test_spectrum_gap_at_roundoff_exits_2(gamma, capsys):
+    # at the defaults the gap read -1.41e-13 at gamma = 1e-300 and -8.76e120 at 1e300, both reported
+    assert run("spectrum", "--gamma", gamma, *SMALL_COSINE) == 2
+    assert "is not positive above roundoff margin" in capsys.readouterr().err
+
+
+def test_spectrum_refuses_the_gap_a_scan_row_refuses(tmp_path, capsys):
+    """One roundoff check for both: at Kq4/Np8 a roundoff rung is solved dense on the scan basis,
+    the operator spectrum solves, so spectrum exits 2 with the row's message."""
+    rep_path = tmp_path / "rep.json"
+    assert run("scan", "--gammas", "1e-17:10:19", *SMALL_COSINE, "--report", rep_path) == 0
+    row = read_report(rep_path)["results"]["row_errors"]["1e-15"]
+    capsys.readouterr()
+    assert run("spectrum", "--gamma", "1e-15", *SMALL_COSINE) == 2
+    assert row.startswith("NumericalFailureError: ")
+    assert f"numerical failure: {row.removeprefix('NumericalFailureError: ')}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gamma", ["1e-20", "1e-8"])
+def test_inaccurate_poisson_solve_exits_2(gamma, capsys):
+    # relative residuals 0.18 and 3.2e-4; at 1e-8 gamma sigma^2 read 0.0095 against 0.3297
+    assert run("poisson", "--gamma", gamma) == 2
+    assert "Poisson solve is inaccurate: relative residual" in capsys.readouterr().err
+
+
 # Option strings of each subcommand; scan takes no --gamma (its ladder sets it).
 SUBCOMMAND_FLAGS = {
     "sample": {"--beta", "--config", "--dt", "--gamma", "--help", "--mass", "--n-steps", "--observable",

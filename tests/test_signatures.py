@@ -51,13 +51,14 @@ def test_no_function_takes_an_input_twice(name):
         assert not CARRIED & set(params), f"{name} takes {sorted(CARRIED & set(params))} beside its carrier"
 
 
-# the refinement policy's constants (spectral.contour_gap); a module that names one writes out
-# part of the policy again
-REFINEMENT_POLICY = re.compile(r"\w*(CONVERGENCE_RTOL|DENSE_SECTOR_MAX|GAP_ROUNDOFF_MARGIN)")
+# the refinement policy's constants and roundoff floor (spectral.contour_gap); a module that
+# names one writes out part of the policy again
+REFINEMENT_POLICY = re.compile(r"\w*(CONVERGENCE_RTOL|DENSE_SECTOR_MAX|GAP_ROUNDOFF_MARGIN|gap_roundoff_floor)")
 
 
 def test_only_spectral_names_the_refinement_policy():
     package = pathlib.Path(hypokit.__file__).parent
     named = {path.stem: set(REFINEMENT_POLICY.findall(path.read_text())) for path in package.glob("*.py")}
-    assert named.pop("spectral") == {"CONVERGENCE_RTOL", "DENSE_SECTOR_MAX", "GAP_ROUNDOFF_MARGIN"}
+    assert named.pop("spectral") == {"CONVERGENCE_RTOL", "DENSE_SECTOR_MAX", "GAP_ROUNDOFF_MARGIN",
+                                     "gap_roundoff_floor"}
     assert {name: found for name, found in named.items() if found} == {}

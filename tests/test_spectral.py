@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -477,14 +480,14 @@ def test_parity_whitening_keeps_the_rank(cosine_spec, beta, Kq, Np, rank):
 
 def test_default_gap_solves_only_half_size_matrices(cosine_asm, monkeypatch):
     """spectral_gap on an even potential never hands the eigensolver more than ceil(N/2) + 1 rows."""
-    real = spectral._eigvals_overwrite
+    real = spectral._gap_of_operator
     sizes = []
 
     def spy(a):
         sizes.append(a.shape[0])
         return real(a)
 
-    monkeypatch.setattr(spectral, "_eigvals_overwrite", spy)
+    monkeypatch.setattr(spectral, "_gap_of_operator", spy)
     res = spectral_gap(cosine_asm)
     n = reduced_generator(cosine_asm.basis).dim
     assert sorted(sizes) == [527, 528] and sum(sizes) == res.eig_count_checked == n
@@ -527,11 +530,39 @@ def _sector_operators(spec, params, Kq, Np):
     return [red.neg_operator(params.gamma, sector=s) for s in range(red.n_sectors)]
 
 
-def _assert_eigvals_bitwise(ops):
+def _eigvals_bitwise(ops) -> bool:
+    """Whether the gap eigensolve gives SciPy's eigenvalues bit for bit, in the same order."""
     for op in ops:
-        want = sla.eigvals(op.copy(order="F"), overwrite_a=True, check_finite=False)
-        got = spectral._eigvals_overwrite(op)
-        assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        want = sla.eigvals(op, check_finite=False)
+        got = spectral._gap_of_operator(op).eigenvalues
+        if got.dtype != want.dtype or not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
+            return False
+    return True
+
+
+def _bitwise_case_operators(case):
+    name, pot, ens, gamma, Kq, Np = case
+    spec = _asymmetric_spec() if name == "asymmetric" else builtin_potential(name, pot)
+    return _sector_operators(spec, EnsembleParams(gamma=gamma, **ens), Kq, Np)
+
+
+# every EIGVALS_CASES entry and the one-sector asymmetric potential
+BITWISE_CASES = [*EIGVALS_CASES, ("asymmetric", {}, {}, 1.0, 8, 12)]
+
+
+@pytest.fixture(scope="module")
+def single_thread_bits():
+    """_eigvals_bitwise of each BITWISE_CASES entry, computed in a child process with one BLAS thread.
+
+    NumPy and SciPy link separate OpenBLAS builds, which agree bit for bit with one thread (the
+    setting of the README's reproducibility section and of the benchmark), not with several.
+    """
+    child = ("import json, test_spectral as t; "
+             "print(json.dumps([t._eigvals_bitwise(t._bitwise_case_operators(c)) for c in t.BITWISE_CASES]))")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([os.path.dirname(__file__), *sys.path])}
+    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
 
 
 @pytest.mark.parametrize("gamma", [0.125, 1.0, 8.0])
@@ -567,40 +598,25 @@ def test_transpose_csc_is_bitwise_the_dense_conversion(fixture, gamma, request):
 
 
 @pytest.mark.parametrize("name,pot,ens,gamma,Kq,Np", EIGVALS_CASES)
-def test_gap_eigensolve_is_bitwise_scipy_eigvals(name, pot, ens, gamma, Kq, Np):
-    """The dgeev kernel returns the bits of scipy.linalg.eigvals on every sector operator."""
-    _assert_eigvals_bitwise(_sector_operators(builtin_potential(name, pot), EnsembleParams(gamma=gamma, **ens), Kq, Np))
+def test_gap_eigensolve_is_bitwise_scipy_eigvals(name, pot, ens, gamma, Kq, Np, single_thread_bits):
+    """With one BLAS thread the gap eigensolve returns the bits of scipy.linalg.eigvals on every
+    sector operator, so reports stay byte-identical to the SciPy-backed solve."""
+    assert single_thread_bits[BITWISE_CASES.index((name, pot, ens, gamma, Kq, Np))]
 
 
-def test_gap_eigensolve_is_bitwise_scipy_eigvals_in_one_sector(unit_params):
-    ops = _sector_operators(_asymmetric_spec(), unit_params, 8, 12)
-    assert len(ops) == 1
-    _assert_eigvals_bitwise(ops)
+def test_gap_eigensolve_is_bitwise_scipy_eigvals_in_one_sector(single_thread_bits):
+    assert len(_bitwise_case_operators(BITWISE_CASES[-1])) == 1
+    assert single_thread_bits[-1]
 
 
-def test_gap_eigensolve_releases_the_gil():
-    """The kernel is a CFUNCTYPE foreign function: ctypes drops the GIL for its call,
-    which a PYFUNCTYPE (like every f2py wrapper) would hold."""
-    import ctypes
-
-    assert isinstance(spectral._DGEEV, ctypes._CFuncPtr)
-    assert not type(spectral._DGEEV)._flags_ & ctypes._FUNCFLAG_PYTHONAPI
-
-
-def test_gap_eigensolve_failure_is_a_numerical_failure(monkeypatch):
-    """dgeev's info > 0 (QR did not converge) keeps the message of the scipy path."""
+def test_gap_eigensolve_failure_is_a_numerical_failure(cosine_asm_small):
+    """NumPy refuses a non-finite operator; its LinAlgError becomes a numerical failure (exit 2)."""
     from hypokit.errors import NumericalFailureError
 
-    def fails(jobvl, jobvr, n, a, lda, wr, wi, vl, ldvl, vr, ldvr, work, lwork, info):
-        if lwork[0] == -1:
-            work[0] = 3.0 * n[0]
-            info[0] = 0
-        else:
-            info[0] = 1
-
-    monkeypatch.setattr(spectral, "_DGEEV", type(spectral._DGEEV)(fails))
+    op = reduced_generator(cosine_asm_small.basis).neg_operator(1.0, sector=0)
+    op[1, 0] = np.nan
     with pytest.raises(NumericalFailureError, match="eigenvalue solver failed"):
-        spectral._eigvals_overwrite(np.eye(3, order="F"))
+        spectral._gap_of_operator(op)
 
 
 def test_scan_rows_match_the_full_operator(cosine_spec, unit_params):
@@ -668,19 +684,19 @@ def test_scan_rungs_match_the_dense_gap(name, pot, ens, Kq, Np, n_quad, ladder):
 
 
 def test_default_scan_solves_dense_only_on_the_coarse_basis(tmp_path, monkeypatch):
-    """Kq16/Np32 scans from a Kq8/Np16 dense base: dgeev sees only its sectors, 135 and 136, once
-    per rung, every rung is refined by the contour in both sectors, and the rows are the pinned
-    dense ones."""
+    """Kq16/Np32 scans from a Kq8/Np16 dense base: the eigensolve sees only its sectors, 135 and
+    136, once per rung, every rung is refined by the contour in both sectors, and the rows are the
+    pinned dense ones."""
     from hypokit import cli
 
-    real = spectral._eigvals_overwrite
+    real = spectral._gap_of_operator
     sizes = []
 
     def spy(a):
         sizes.append(a.shape[0])
         return real(a)
 
-    monkeypatch.setattr(spectral, "_eigvals_overwrite", spy)
+    monkeypatch.setattr(spectral, "_gap_of_operator", spy)
     assert cli.main(["scan", "--threads", "2", "--report", str(tmp_path / "rep.json")]) == 0
     with open(tmp_path / "rep.json") as fh:
         report = json.load(fh)
@@ -1009,17 +1025,17 @@ def test_an_empty_sector_is_left_out_and_all_empty_sectors_run_dense(monkeypatch
 
 
 def test_default_spectrum_refines_without_a_dense_eigensolve(tmp_path, monkeypatch):
-    """Only the base sectors reach dgeev; the refined gap is the dense one pinned for Kq24/Np48."""
+    """Only the base sectors reach the eigensolve; the refined gap is the dense one pinned for Kq24/Np48."""
     from hypokit import cli
 
-    real = spectral._eigvals_overwrite
+    real = spectral._gap_of_operator
     sizes = []
 
     def spy(a):
         sizes.append(a.shape[0])
         return real(a)
 
-    monkeypatch.setattr(spectral, "_eigvals_overwrite", spy)
+    monkeypatch.setattr(spectral, "_gap_of_operator", spy)
     assert cli.main(["spectrum", "--report", str(tmp_path / "rep.json")]) == 0
     with open(tmp_path / "rep.json") as fh:
         diag = json.load(fh)["diagnostics"]
@@ -1045,13 +1061,13 @@ def test_small_spectrum_refinement_is_the_dense_gap_of_the_refined_basis(cosine_
 
 def test_a_rung_dense_in_every_sector_is_solved_dense_once(cosine_asm_small, monkeypatch):
     """Two probe columns saturate every contour, so each rung goes dense in both sectors; no rung
-    converges at a zero tolerance, and still dgeev sees each scan sector once per rung, beside the
+    converges at a zero tolerance, and still the eigensolve sees each scan sector once per rung, beside the
     coarse ones, and the rows are reduced_gap's."""
     from hypokit.hypo import gamma_scan
 
     basis = cosine_asm_small.basis
     red, coarse = reduced_generator(basis), reduced_generator(basis.resized(4, 6))
-    real, sizes = spectral._eigvals_overwrite, []
+    real, sizes = spectral._gap_of_operator, []
 
     def spy(a):
         sizes.append(a.shape[0])
@@ -1060,10 +1076,10 @@ def test_a_rung_dense_in_every_sector_is_solved_dense_once(cosine_asm_small, mon
     monkeypatch.setattr(spectral, "DENSE_SECTOR_MAX", 0)
     monkeypatch.setattr(spectral, "CONTOUR_PROBES", 2)
     monkeypatch.setattr(spectral, "CONVERGENCE_RTOL", 0.0)
-    monkeypatch.setattr(spectral, "_eigvals_overwrite", spy)
+    monkeypatch.setattr(spectral, "_gap_of_operator", spy)
     ladder = [0.125 * 2.0**k for k in range(7)]
     res = gamma_scan(basis, ladder)
-    monkeypatch.setattr(spectral, "_eigvals_overwrite", real)
+    monkeypatch.setattr(spectral, "_gap_of_operator", real)
     per_rung = [red.sector_index(s).size for s in range(2)] + [coarse.sector_index(s).size for s in range(2)]
     assert sorted(sizes) == sorted(per_rung * 7)
     assert all(m["sectors"] == {"even": "dense", "odd": "dense"} and not m["guard"] for m in res.rung_methods)
