@@ -53,14 +53,13 @@ from .spectral import (
     GeneratorAssembly,
     OverdampedOperator,
     PoissonResult,
-    RefinedGap,
     assemble_generator,
     assemble_overdamped,
     build_basis,
-    contour_gap,
     poincare_constant,
     project_phase_function,
     project_position_function,
+    rung_gap,
     semigroup_decay_check,
     solve_poisson,
     solve_poisson_overdamped,

@@ -55,12 +55,13 @@ from .spectral import (
     assemble_generator,
     assemble_overdamped,
     build_basis,
-    contour_gap,
     poincare_constant,
     project_phase_function,
     project_position_function,
     reduced_generator,
+    refined_gap,
     require_gap_above_roundoff,
+    rung_gap,
     solve_poisson,
     solve_poisson_overdamped,
     spectral_gap,
@@ -550,22 +551,25 @@ def _eig_row_order(eigs: np.ndarray, norm1: float) -> np.ndarray:
 def _cmd_spectrum(cfg: dict) -> tuple[dict, dict]:
     params, disc, basis = _spectral_setup(cfg)
     opts = cfg.get("options", {})
-    res = spectral_gap(assemble_generator(basis, params.gamma))
+    asm = assemble_generator(basis, params.gamma)
+    dump = opts.get("dump_eigs")
+    if dump:  # every eigenvalue is written, so every sector is solved dense
+        res = spectral_gap(asm)
+    else:
+        res = rung_gap(reduced_generator(basis), reduced_generator(basis.halved()), asm.gamma)
     require_gap_above_roundoff(res)
     diagnostics: dict = {"n_quad": basis.nodes.size, "size": basis.size, "rank_q": basis.wq.shape[1],
-                         "gap_sector": res.sector}
+                         "gap_sector": res.sector, "gap_method": res.method, "gap_guard": res.guard}
 
     converged = None
     if opts.get("check_convergence", True):
-        basis2 = basis.resized(math.ceil(1.5 * basis.Kq), math.ceil(1.5 * basis.Np))
-        res2 = contour_gap(reduced_generator(basis2), params.gamma, res)
+        basis2, res2 = refined_gap(basis, asm.gamma, res)
         converged = res2.converged
         diagnostics["refined_gap"] = res2.gap
         diagnostics["refined_Kq"] = basis2.Kq
         diagnostics["refined_Np"] = basis2.Np
         diagnostics["refined_method"] = res2.method
 
-    dump = opts.get("dump_eigs")
     if dump:
         eigs = res.eigenvalues[_eig_row_order(res.eigenvalues, res.norm1)]
         _write_csv(dump, ["real", "imag"], np.column_stack([eigs.real, eigs.imag]))

@@ -37,11 +37,10 @@ positive definite operator the largest Lanczos eigenvalue is the wanted one.
 The witnesses apply -L by the block matvec.
 A shift-invert eigensolve of L itself could not give the spectral gap that
 safely: it returns the eigenvalues nearest 0 in modulus, which can miss the
-one with the smallest real part, so spectral_gap stays a dense eigensolve,
-one per reflection-parity sector.  A friction-scan rung is a dense gap on a
-coarse basis refined by spectral.contour_gap, which holds the refinement
-policy `spectrum` uses too, and is solved dense when that fails its guard
-(see gamma_scan).
+one with the smallest real part.  A friction-scan rung is
+spectral.rung_gap, the gap `spectrum` reports too: a dense gap on a coarse
+basis, refined by a contour integral on this one, and solved dense when that
+fails its guard (see gamma_scan).
 """
 
 from __future__ import annotations
@@ -64,12 +63,11 @@ from .model import EnsembleParams
 from .spectral import (
     BasisSet,
     GeneratorAssembly,
-    contour_gap,
     poincare_constant,
     project_phase_function,
-    reduced_gap,
     reduced_generator,
     require_gap_above_roundoff,
+    rung_gap,
 )
 
 Array = np.ndarray
@@ -597,16 +595,16 @@ class ScanResult:
 def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
     """Spectral gap across a friction ladder on one basis; fits both scaling branches.
 
-    Each rung computes its gap as `spectrum` computes its refined gap: a
-    dense gap on the coarse basis (Kq // 2, Np // 2, at least 1 and 2, on the
-    same grid), then spectral.contour_gap on this basis around it, which
-    solves dense at once each sector below its crossover and every sector
-    when the coarse gap is at roundoff level.  Every rung shares the two
-    gamma-free reduced generators, of this basis and of the coarse one.  The
-    rung so rests on the same heuristic ellipse as `spectrum`'s refinement,
-    with a guard: when the refined gap has not converged on the coarse one
-    and some sector did not go dense, the rung is solved dense on this basis
-    (reduced_gap).  rung_methods records, per rung, contour_gap's path per
+    Each rung is spectral.rung_gap, the gap `spectrum` reports: a dense gap
+    on the coarse basis (BasisSet.halved), then a contour integral on this
+    basis around it, which solves dense at once each sector below its
+    crossover and every sector when the coarse gap is at roundoff level; no
+    coarse gap is solved when every sector of this basis is below the
+    crossover.  Every rung shares the two gamma-free reduced generators, of
+    this basis and of the coarse one, and their coupling blocks.  The rung
+    so rests on a heuristic ellipse, with a guard: when the gap has not
+    converged on the coarse one and some sector did not go dense, the rung is
+    solved dense on this basis.  rung_methods records, per rung, the path per
     sector and whether the guard fired.
 
     Requires at least 7 gamma values spanning [1/8, 8].  Rows run on
@@ -634,8 +632,7 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
     if g[0] > 0.125 * (1 + 1e-9) or g[-1] < 8.0 * (1 - 1e-9):
         raise InvalidArgumentError("gammas must span at least [1/8, 8]")
 
-    red = reduced_generator(basis)
-    coarse = reduced_generator(basis.resized(max(1, basis.Kq // 2), max(2, basis.Np // 2)))
+    red, coarse = reduced_generator(basis), reduced_generator(basis.halved())
 
     gaps = np.full(g.size, np.nan)
     row_errors: dict = {}
@@ -643,11 +640,8 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
 
     def run_row(i: int):
         try:
-            res = contour_gap(red, g[i], reduced_gap(coarse, g[i]))
-            guard = not res.converged and set(res.method.values()) != {"dense"}
-            rung_methods[i].update(sectors=res.method, guard=guard)
-            if guard:
-                res = reduced_gap(red, g[i])
+            res = rung_gap(red, coarse, g[i])
+            rung_methods[i].update(sectors=res.method, guard=res.guard)
             require_gap_above_roundoff(res)
             gaps[i] = res.gap
         except Exception as exc:  # noqa: BLE001 - rows are isolated by design

@@ -46,13 +46,15 @@ Dense and chain solves.  Only the gap is a dense solve of neg_operator
 (hypo's dissipation rate also reads its levels 0-2).  The Poisson equation is
 solved per sector by the Hermite chain at mu = 0 (HermiteChain, the matrix
 continued fraction, which factors -L - mu along the Hermite levels), with its
-residual from the block matvec.  A gap near a known one on another basis (the
-refined gap of `spectrum`, each friction-scan rung) is found by contour_gap,
-the one home of that refinement policy: it factors -L - z on the chain at the
-nodes of an ellipse around the base gap and counts the eigenvalues inside by
-a contour integral, solves dense a sector below DENSE_SECTOR_MAX coordinates,
-every sector when the base gap is at roundoff level, and a sector the contour
-cannot settle, and reads the CONVERGENCE_RTOL test.  The resolvent norm
+residual from the block matvec.  A gap near a known one on another basis is
+found by contour_gap, the one home of that refinement policy: it factors
+-L - z on the chain at the nodes of an ellipse around the base gap and counts
+the eigenvalues inside by a contour integral, solves dense a sector below
+DENSE_SECTOR_MAX coordinates, every sector when the base gap is at roundoff
+level, and a sector the contour cannot settle, and reads the CONVERGENCE_RTOL
+test.  rung_gap is the gap on a basis, for `spectrum` and each friction-scan
+rung: contour_gap around a dense gap on the halved basis, with a dense guard;
+refined_gap is `spectrum`'s 1.5x convergence check.  The resolvent norm
 (hypo) reads -L^T as a sparse matrix written from the level blocks
 (LevelBlocks.transpose_csc).
 
@@ -68,7 +70,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -159,6 +161,10 @@ class BasisSet:
         """The basis of the same problem at Kq and Np, on max(n_quad, 8 Kq) nodes, so its grid still resolves the weight."""
         return build_basis(self.spec, EnsembleParams(beta=self.beta, mass=self.mass), Kq=Kq, Np=Np,
                            n_quad=max(self.nodes.size, 8 * Kq))
+
+    def halved(self) -> BasisSet:
+        """The coarse basis rung_gap solves its base on: Kq // 2 and Np // 2, at least 1 and 2, on the same grid."""
+        return self.resized(max(1, self.Kq // 2), max(2, self.Np // 2))
 
 
 def _fourier_table(Kq: int, L: float, q: Array) -> Array:
@@ -394,6 +400,7 @@ class ReducedGenerator:
     mass_nu: float
     n_p: int
     beta_m: float  # beta * mass
+    _cache: dict = field(default_factory=dict, init=False, repr=False)  # sector -> _gamma_free's arrays
 
     @property
     def dim(self) -> int:
@@ -411,32 +418,48 @@ class ReducedGenerator:
     def sector_names(self) -> tuple[str, ...]:
         return ("even", "odd") if self.n_sectors == 2 else ("all",)
 
-    def _level_masks(self, n_lev: int, sector: int | None) -> list[Array]:
-        """Which coordinates of each of the first n_lev levels lie in the sector (all if None)."""
-        masks = []
-        for n in range(n_lev):
-            labels = self.labels[1:] if n == 0 else self.labels  # q0 drops one label-0 direction
-            masks.append(np.ones(labels.size, bool) if sector is None else labels == (sector + n) % self.n_sectors)
-        return masks
-
     def sector_index(self, sector: int) -> Array:
-        """Positions of the sector's coordinates in the reduced vector."""
-        return np.flatnonzero(np.concatenate(self._level_masks(self.n_p, sector)))
+        """Positions of the sector's coordinates in the reduced vector (read-only)."""
+        return self._gamma_free(sector)[0]
+
+    def _gamma_free(self, sector: int | None) -> tuple[Array, Array, list[Array]]:
+        """(index, start, couplings) of the sector (all if None), built once per generator.
+
+        index holds the positions of its coordinates in the reduced vector,
+        start the offset of each level after level 0, and couplings the
+        read-only blocks sqrt(n / beta_m) c_t between levels n and n - 1
+        (c_t q0 for n = 1).  Only the level diagonals depend on gamma.
+        """
+        if sector not in self._cache:  # a race between threads builds the same arrays twice
+            masks = []
+            for n in range(self.n_p):
+                labels = self.labels[1:] if n == 0 else self.labels  # q0 drops one label-0 direction
+                masks.append(np.ones(labels.size, bool) if sector is None else labels == (sector + n) % self.n_sectors)
+            couplings = []
+            for n in range(1, self.n_p):
+                c = self.c_t @ self.q0 if n == 1 else self.c_t
+                couplings.append(math.sqrt(n / self.beta_m) * c[np.ix_(masks[n], masks[n - 1])])
+            index = np.flatnonzero(np.concatenate(masks))
+            for a in (index, *couplings):
+                a.flags.writeable = False
+            self._cache[sector] = (index, np.cumsum([int(m.sum()) for m in masks])[:-1], couplings)
+        return self._cache[sector]
 
     def level_blocks(self, gamma: float, levels: int | None = None, sector: int | None = None) -> LevelBlocks:
         """-(L_ham + gamma L_FD) on the first `levels` Hermite levels (default all) as its level blocks.
 
-        With a sector, only its coordinates, in sector_index order.
+        With a sector, only its coordinates, in sector_index order.  The
+        couplings are the generator's own read-only arrays, shared by every
+        gamma.  A gamma whose top level diagonal gamma (Np - 1) / m overflows
+        is refused.
         """
+        if not math.isfinite(float(gamma) * float(-self.fd[-1])):
+            raise InvalidArgumentError(
+                f"gamma = {gamma:g} overflows the generator's friction diagonal gamma (Np - 1) / m; lower gamma")
         n_lev = self.n_p if levels is None else min(levels, self.n_p)
-        masks = self._level_masks(n_lev, sector)
-        diag = -gamma * self.fd[np.flatnonzero(np.concatenate(masks))]
-        start = np.cumsum([int(m.sum()) for m in masks])[:-1]
-        couplings = []
-        for n in range(1, n_lev):
-            c = self.c_t @ self.q0 if n == 1 else self.c_t
-            couplings.append(math.sqrt(n / self.beta_m) * c[np.ix_(masks[n], masks[n - 1])])
-        return LevelBlocks(np.split(diag, start), couplings)
+        index, start, couplings = self._gamma_free(sector)
+        diags = np.split(-gamma * self.fd[index], start)
+        return LevelBlocks(diags[:n_lev], couplings[: n_lev - 1])
 
     def neg_operator(self, gamma: float, levels: int | None = None, sector: int | None = None) -> Array:
         """Dense -(L_ham + gamma L_FD) on the first `levels` Hermite levels (default all).
@@ -494,11 +517,29 @@ def reduced_generator(basis: BasisSet) -> ReducedGenerator:
 
 @dataclass(frozen=True, eq=False)
 class GapResult:
+    """The gap of -L on one basis, and how it was found.
+
+    method holds per sector the path that solved it: "dense" (every
+    eigenvalue, np.linalg.eigvals), "contour" (the verified eigenvalues
+    inside contour_gap's ellipse) or "empty" (none inside).  eigenvalues are
+    the eigenvalues so computed, sector by sector, and eig_count_checked
+    counts them.  base_gap is the gap contour_gap started from (None without
+    one); guard says rung_gap then solved every sector dense.
+    """
+
     gap: float
     eig_count_checked: int
-    eigenvalues: Array  # the deflated spectrum of -L: each sector's in LAPACK order, sector by sector
+    eigenvalues: Array  # each sector's in LAPACK order (dense) or contour order, sector by sector
     norm1: float  # ||L||_1; eps * norm1 is the backward-error scale of the eigensolve
     sector: str = "all"  # the sector holding the gap, the parity of the slowest mode
+    method: dict = field(default_factory=dict)
+    base_gap: float | None = None
+    guard: bool = False
+
+    @property
+    def converged(self) -> bool:
+        """The gap moved from its base gap by at most CONVERGENCE_RTOL; False with no base."""
+        return self.base_gap is not None and abs(self.gap - self.base_gap) <= CONVERGENCE_RTOL * abs(self.base_gap)
 
 
 def _gap_of_operator(neg_op: Array) -> GapResult:
@@ -526,6 +567,7 @@ def reduced_gap(red: ReducedGenerator, gamma: float) -> GapResult:
         eigenvalues=np.concatenate([p.eigenvalues for p in parts]),
         norm1=max(p.norm1 for p in parts),
         sector=red.sector_names[best],
+        method=dict.fromkeys(red.sector_names, "dense"),
     )
 
 
@@ -652,20 +694,7 @@ def gap_roundoff_floor(norm1: float) -> float:
     return GAP_ROUNDOFF_MARGIN * np.finfo(float).eps * norm1
 
 
-@dataclass(frozen=True)
-class RefinedGap:
-    gap: float
-    method: dict  # sector name -> "contour", "empty" or "dense", the path that solved it
-    norm1: float  # ||L||_1 of the refined operator, the largest sector 1-norm
-    base_gap: float  # the gap it refines
-
-    @property
-    def converged(self) -> bool:
-        """The refinement moved the base gap by at most CONVERGENCE_RTOL."""
-        return abs(self.gap - self.base_gap) <= CONVERGENCE_RTOL * abs(self.base_gap)
-
-
-def require_gap_above_roundoff(res: GapResult | RefinedGap) -> None:
+def require_gap_above_roundoff(res: GapResult) -> None:
     """Raise NumericalFailureError unless the gap of res is above its roundoff floor (gap_roundoff_floor)."""
     floor = gap_roundoff_floor(res.norm1)
     if not res.gap > floor:
@@ -680,8 +709,8 @@ def contour_batch(blocks: LevelBlocks) -> int:
     return 1 << (fits.bit_length() - 1)
 
 
-def _contour_sector_gap(blocks: LevelBlocks, center: float, a: float, b: float, norm1: float) -> float | None:
-    """Smallest real part of the eigenvalues of -L inside the ellipse, or None where the contour cannot tell.
+def _contour_sector_eigs(blocks: LevelBlocks, center: float, a: float, b: float, norm1: float) -> Array | None:
+    """The eigenvalues of -L inside the ellipse, each verified, or None where the contour cannot tell.
 
     Beyn's moments A_p = (1 / 2 pi i) \\oint z^p (-L - z)^{-1} V dz, p = 0, 1,
     by the trapezoid rule on z = center + a cos t + i b sin t.  -L and V are
@@ -690,7 +719,7 @@ def _contour_sector_gap(blocks: LevelBlocks, center: float, a: float, b: float, 
     eigenvalues inside; those of the k x k matrix U^T A_1 W S^{-1} are the
     candidates.  An A_0 whose largest singular value is at most
     CONTOUR_RANK_TOL ||V||_2 is read as k = 0, no eigenvalue inside, and
-    gives inf.  That rule is a heuristic, like the ellipse: an eigenvalue
+    gives an empty array.  That rule is a heuristic, like the ellipse: an eigenvalue
     inside with a tiny projection on V would not be seen.  Otherwise k counts
     the singular values above CONTOUR_RANK_TOL times the largest.  None when
     k = CONTOUR_PROBES (the probe block may be saturated), when no candidate
@@ -713,7 +742,7 @@ def _contour_sector_gap(blocks: LevelBlocks, center: float, a: float, b: float, 
     a0, a1 = moments
     u, sv, wt = np.linalg.svd(a0, full_matrices=False)
     if sv[0] <= CONTOUR_RANK_TOL * np.linalg.norm(probes, 2):
-        return math.inf
+        return np.empty(0, complex)
     k = int(np.count_nonzero(sv > CONTOUR_RANK_TOL * sv[0]))
     if k == CONTOUR_PROBES:
         return None
@@ -725,48 +754,83 @@ def _contour_sector_gap(blocks: LevelBlocks, center: float, a: float, b: float, 
     res = np.linalg.norm(blocks.matvec(vec) - lam * vec, axis=0)
     if np.any(res > CONTOUR_RESIDUAL_TOL * norm1 * np.linalg.norm(vec, axis=0)):
         return None
-    return float(lam.real.min())
+    return lam
 
 
-def contour_gap(red: ReducedGenerator, gamma: float, base: GapResult) -> RefinedGap:
+def contour_gap(red: ReducedGenerator, gamma: float, base: GapResult | None) -> GapResult:
     """The gap of -(L_ham + gamma L_FD) near a base gap, by a contour integral on Hermite chains.
 
-    The one home of the refinement policy of `spectrum` and of each friction
-    scan rung.  Meant for another basis than the one of `base`, the dense gap
-    at the same friction; `converged` reads whether the gap moved by at most
+    The one home of the refinement policy, which rung_gap and refined_gap
+    read.  Meant for another basis than the one of `base`, a gap at the same
+    friction; `converged` reads whether the gap moved by at most
     CONVERGENCE_RTOL.  Each sector counts the eigenvalues of -L inside an
     ellipse built from the base spectrum: its real axis spans 0.25-2.5 times
     the base gap, and its half-height is 1.5 times the largest |Im| of the
     base eigenvalues with real part below twice the gap, plus the gap, and at
     least the real semi-axis.  The ellipse is a heuristic built from the base
     spectrum, not a certificate, just like the CONVERGENCE_RTOL test: an
-    eigenvalue of the finer basis outside it is not seen.  A sector with
-    fewer than DENSE_SECTOR_MAX coordinates, where the dense solve is the
-    cheaper one, and every sector when the base gap is not above its
-    roundoff floor (gap_roundoff_floor), is solved dense at once, as
+    eigenvalue of this basis outside it is not seen.  A sector with fewer
+    than DENSE_SECTOR_MAX coordinates, where the dense solve is the cheaper
+    one, and every sector when there is no base or the base gap is not above
+    its roundoff floor (gap_roundoff_floor), is solved dense at once, as
     reduced_gap would.  A sector the contour reads as empty
-    (_contour_sector_gap) is left out when another sector has a verified
+    (_contour_sector_eigs) is left out when another sector has a verified
     eigenvalue inside, and recorded `empty`.  A sector the contour cannot
     settle, or every sector when none has a verified eigenvalue inside, is
     solved dense; `method` records which path ran per sector.
     """
-    g = base.gap
-    center, a = 1.375 * g, 1.125 * g
-    near = base.eigenvalues[base.eigenvalues.real < 2.0 * g]
-    b = max(1.5 * float(np.abs(near.imag).max(initial=0.0)) + g, a)
     blocks = [red.level_blocks(gamma, sector=s) for s in range(red.n_sectors)]
     norm1 = [bl.norm1() for bl in blocks]
-    contour = g > gap_roundoff_floor(base.norm1)
-    gaps = [_contour_sector_gap(bl, center, a, b, n1) if contour and bl.start[-1] >= DENSE_SECTOR_MAX else None
-            for bl, n1 in zip(blocks, norm1)]
-    if not any(x is not None and x < math.inf for x in gaps):
-        gaps = [None] * len(gaps)
+    found = [None] * len(blocks)
+    if base is not None and base.gap > gap_roundoff_floor(base.norm1):
+        g = base.gap
+        center, a = 1.375 * g, 1.125 * g
+        near = base.eigenvalues[base.eigenvalues.real < 2.0 * g]
+        b = max(1.5 * float(np.abs(near.imag).max(initial=0.0)) + g, a)
+        found = [_contour_sector_eigs(bl, center, a, b, n1) if bl.start[-1] >= DENSE_SECTOR_MAX else None
+                 for bl, n1 in zip(blocks, norm1)]
+        if not any(x is not None and x.size for x in found):
+            found = [None] * len(found)
     method = {}
     for s, name in enumerate(red.sector_names):
-        method[name] = "dense" if gaps[s] is None else "empty" if gaps[s] == math.inf else "contour"
-        if gaps[s] is None:
-            gaps[s] = _gap_of_operator(red.neg_operator(gamma, sector=s)).gap
-    return RefinedGap(min(gaps), method, max(norm1), g)
+        method[name] = "dense" if found[s] is None else "contour" if found[s].size else "empty"
+        if found[s] is None:
+            found[s] = _gap_of_operator(red.neg_operator(gamma, sector=s)).eigenvalues
+    gaps = [float(x.real.min(initial=math.inf)) for x in found]
+    best = int(np.argmin(gaps))
+    eigs = np.concatenate(found)
+    return GapResult(gaps[best], eigs.size, eigs, max(norm1), red.sector_names[best], method,
+                     None if base is None else base.gap)
+
+
+def rung_gap(red: ReducedGenerator, coarse: ReducedGenerator, gamma: float) -> GapResult:
+    """The gap of -(L_ham + gamma L_FD) on red's basis: a friction-scan rung, and `spectrum`'s gap.
+
+    The one implementation of "the gap on this basis" outside the dense
+    reduced_gap.  A dense gap on the coarse basis (BasisSet.halved, its
+    reduced generator `coarse`) is the base of contour_gap on red.  When
+    every sector of red is below DENSE_SECTOR_MAX, contour_gap solves them
+    all dense whatever the base, so none is solved.  Guard: when the gap has
+    not converged on the coarse one and some sector did not go dense, every
+    sector is solved dense (reduced_gap); that result keeps contour_gap's
+    method and reads guard = True.
+    """
+    if all(red.sector_index(s).size < DENSE_SECTOR_MAX for s in range(red.n_sectors)):
+        return contour_gap(red, gamma, None)
+    res = contour_gap(red, gamma, reduced_gap(coarse, gamma))
+    if res.converged or set(res.method.values()) == {"dense"}:
+        return res
+    return replace(reduced_gap(red, gamma), method=res.method, guard=True)
+
+
+def refined_gap(basis: BasisSet, gamma: float, base: GapResult) -> tuple[BasisSet, GapResult]:
+    """`spectrum`'s convergence check: (finer basis, its gap near base) at 1.5 times Kq and Np.
+
+    contour_gap with no guard: `converged` reports whether the gap moved,
+    and a dense solve of the finer basis would cost several times the rest.
+    """
+    fine = basis.resized(math.ceil(1.5 * basis.Kq), math.ceil(1.5 * basis.Np))
+    return fine, contour_gap(reduced_generator(fine), gamma, base)
 
 
 # ---------------------------------------------------------------------------
@@ -1016,12 +1080,3 @@ def project_phase_function(basis: BasisSet, f: Callable[[Array, Array], Array]) 
     coeffs = basis.wq @ (basis.wq.T @ rhs)  # (n_q, Np)
     return coeffs.T.reshape(-1)  # Hermite-major layout
 
-
-def evaluate_coeffs(basis: BasisSet, coeffs: Array, q: Array, p: Array) -> Array:
-    """Evaluate a coefficient vector at phase points (broadcast q against p)."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    c = np.asarray(coeffs, dtype=float).reshape(basis.Np, basis.n_q)
-    f_tab = _fourier_table(basis.Kq, basis.L, q)
-    h_tab = hermite_values(basis.Np, np.ravel(p) / basis.sigma_p).reshape(p.shape + (basis.Np,))
-    return np.einsum("...a,na,...n->...", f_tab, c, h_tab)

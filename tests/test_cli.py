@@ -10,6 +10,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -659,10 +660,10 @@ def test_malformed_config_file(tmp_path):
 
 
 def test_numerical_failure_exits_2(tmp_path, monkeypatch):
-    def boom(asm):
+    def boom(red, coarse, gamma):
         raise NumericalFailureError("synthetic blowup")
 
-    monkeypatch.setattr(cli, "spectral_gap", boom)
+    monkeypatch.setattr(cli, "rung_gap", boom)
     assert run("spectrum", *SMALL_QUAD, "--gamma", "1.0",
                "--report", tmp_path / "r.json") == 2
 
@@ -790,6 +791,20 @@ def test_poisson_at_float_max_friction_solves_without_a_warning(tmp_path):
     assert got["results"]["sigma2"] == pytest.approx(1e300 * want["results"]["sigma2"], rel=1e-12)
     for rep in (got, want):
         assert 0.0 <= rep["diagnostics"]["poisson_residual"] <= 1e-14
+
+
+@pytest.mark.parametrize("command", ["spectrum", "poisson", "dissipation", "bounds"])
+def test_overflowing_friction_exits_1_without_a_warning(command, capsys):
+    """gamma (Np - 1) / m above the float maximum is refused where every solver reads the friction
+    diagonal: exit 1 and one error line, with no warning of any category and no traceback."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(command, "--gamma", "1e308", "--Kq", "4", "--Np", "8") == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error")] == [
+        "error: gamma = 1e+308 overflows the generator's friction diagonal gamma (Np - 1) / m; lower gamma"]
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("observable", ["cos_q", "q_centered", "energy"])

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from hypokit.spectral import (
     assemble_generator,
     assemble_overdamped,
     build_basis,
-    evaluate_coeffs,
     hermite_values,
     poincare_constant,
     project_phase_function,
@@ -252,10 +252,10 @@ def test_projection_round_trip(cosine_asm_small):
     basis = cosine_asm_small.basis
     f = lambda q, p: np.sin(2 * math.pi * q) * np.ones_like(p)
     coeffs = project_phase_function(basis, f)
-    q = np.array([0.1, 0.37, 0.62])
     p = np.array([-0.5, 0.0, 1.3])
-    got = evaluate_coeffs(basis, coeffs, q, p)
-    assert np.allclose(got, np.sin(2 * math.pi * q), atol=1e-10)
+    c = coeffs.reshape(basis.Np, basis.n_q)  # Hermite-major
+    got = basis.F @ c.T @ hermite_values(basis.Np, p / basis.sigma_p).T  # (nodes, p)
+    assert np.allclose(got, np.sin(2 * math.pi * basis.nodes)[:, None], atol=1e-10)
 
 
 def test_position_projection_round_trip(cosine_asm_small):
@@ -716,7 +716,7 @@ def test_a_contour_gap_off_the_coarse_base_gives_the_dense_rung(cosine_asm_small
     gap is already the dense one, and the guard does not solve it again."""
     from hypokit import hypo
 
-    real, methods = hypo.contour_gap, []
+    real, methods = spectral.contour_gap, []
     monkeypatch.setattr(spectral, "DENSE_SECTOR_MAX", 0)
 
     def off(red, gamma, base):
@@ -724,7 +724,7 @@ def test_a_contour_gap_off_the_coarse_base_gives_the_dense_rung(cosine_asm_small
         methods.append(res.method)
         return res if set(res.method.values()) == {"dense"} else dataclasses.replace(res, gap=1.02 * base.gap)
 
-    monkeypatch.setattr(hypo, "contour_gap", off)
+    monkeypatch.setattr(spectral, "contour_gap", off)
     ladder = [0.125 * 2.0**k for k in range(7)]
     res = hypo.gamma_scan(cosine_asm_small.basis, ladder)
     red = reduced_generator(cosine_asm_small.basis)
@@ -750,6 +750,81 @@ def test_small_scan_basis_solves_every_rung_dense_at_once(cosine_spec, unit_para
     guarded = hypo.gamma_scan(basis, ladder)
     assert all(m["guard"] for m in guarded.rung_methods)
     assert np.array_equal(res.table.gaps, guarded.table.gaps)
+
+
+def test_small_scan_basis_solves_no_coarse_gap(cosine_spec, unit_params, monkeypatch):
+    """Kq4/Np8: every sector is below DENSE_SECTOR_MAX, so contour_gap solves them all dense whatever
+    the base, and no rung solves the coarse Kq2/Np4 gap: the eigensolve sees only the scan sectors."""
+    from hypokit import hypo
+
+    basis = build_basis(cosine_spec, unit_params, Kq=4, Np=8, n_quad=64)
+    red = reduced_generator(basis)
+    real, sizes = spectral._gap_of_operator, []
+
+    def spy(a):
+        sizes.append(a.shape[0])
+        return real(a)
+
+    monkeypatch.setattr(spectral, "_gap_of_operator", spy)
+    hypo.gamma_scan(basis, [0.125 * 2.0**k for k in range(7)])
+    assert sorted(sizes) == sorted([red.sector_index(s).size for s in range(2)] * 7)
+
+
+# rung_gap against the dense gap: every EIGVALS_CASES basis, and four potentials at the defaults
+# across the friction range
+RUNG_CASES = EIGVALS_CASES + [
+    (name, pot, {}, gamma, 16, 32)
+    for name, pot in (("cosine", {"h": 1.0, "L": 1.0}), ("cosine", {"h": 5.0, "L": 1.0}),
+                      ("double_well", {"L": 4.0}), ("quadratic", {"omega": 1.0, "L": 14.0}))
+    for gamma in (1 / 64, 1 / 8, 1.0, 8.0)
+    if (name, pot, {}, gamma, 16, 32) not in EIGVALS_CASES
+]
+
+
+@pytest.mark.parametrize("name,pot,ens,gamma,Kq,Np", RUNG_CASES)
+def test_rung_gap_matches_the_dense_gap(name, pot, ens, gamma, Kq, Np):
+    """The one gap path of spectrum and scan gives the dense gap to 1e-10 and its sector; it counts
+    the eigenvalues it computed."""
+    basis = build_basis(builtin_potential(name, pot), EnsembleParams(**ens), Kq=Kq, Np=Np)
+    red = reduced_generator(basis)
+    res = spectral.rung_gap(red, reduced_generator(basis.halved()), gamma)
+    dense = spectral.reduced_gap(red, gamma)
+    assert res.gap == pytest.approx(dense.gap, rel=1e-10)
+    assert res.sector == dense.sector
+    assert res.eig_count_checked == res.eigenvalues.size > 0
+
+
+def test_level_blocks_share_their_gamma_free_couplings(cosine_asm_small):
+    """Each sector's couplings are built once per reduced generator, read-only, and bitwise the
+    sqrt(n / beta m) c_t gather of every level_blocks call before; only the diagonals scale with gamma."""
+    red = reduced_generator(cosine_asm_small.basis)
+    for sector in (None, 0, 1):
+        masks = [np.ones(red.labels.size - (n == 0), bool) if sector is None
+                 else (red.labels[1:] if n == 0 else red.labels) == (sector + n) % 2 for n in range(red.n_p)]
+        want = [math.sqrt(n / red.beta_m) * (red.c_t @ red.q0 if n == 1 else red.c_t)[np.ix_(masks[n], masks[n - 1])]
+                for n in range(1, red.n_p)]
+        slow, fast = red.level_blocks(0.125, sector=sector), red.level_blocks(8.0, sector=sector)
+        assert len(slow.couplings) == len(want) and all(a is b for a, b in zip(slow.couplings, fast.couplings))
+        assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(slow.couplings, want))
+        assert not any(b.flags.writeable for b in slow.couplings)
+        index = np.arange(red.dim) if sector is None else red.sector_index(sector)
+        for gamma, blocks in ((0.125, slow), (8.0, fast)):
+            assert np.array_equal(np.concatenate(blocks.diags), -gamma * red.fd[index])
+    top3 = red.level_blocks(8.0, levels=3)
+    assert len(top3.diags) == 3 and all(a is b for a, b in zip(top3.couplings, red.level_blocks(1.0).couplings))
+
+
+def test_overflowing_friction_is_a_failed_rung_without_a_warning(cosine_spec, unit_params):
+    """A rung whose gamma (Np - 1) / m overflows is refused by level_blocks, with no RuntimeWarning."""
+    from hypokit.hypo import gamma_scan
+
+    basis = build_basis(cosine_spec, unit_params, Kq=4, Np=8, n_quad=64)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = gamma_scan(basis, [0.125 * 2.0**k for k in range(7)] + [1e308])
+    assert [str(w.message) for w in caught] == []
+    assert list(res.row_errors) == [1e308] and "overflows" in res.row_errors[1e308]
+    assert np.isfinite(res.table.gaps[:7]).all()
 
 
 def _assert_same_scan(one, other):
@@ -907,7 +982,8 @@ def test_contour_gap_does_not_depend_on_the_batch(name, pot, ens, Kq, Np, gamma,
         for batch in (1, 4, 8, 32):
             monkeypatch.setattr(spectral, "CONTOUR_CHUNK_BYTES", batch * per_shift)
             assert spectral.contour_batch(blocks) == batch
-            gaps.append(spectral._contour_sector_gap(blocks, center, a, b, blocks.norm1()))
+            eigs = spectral._contour_sector_eigs(blocks, center, a, b, blocks.norm1())
+            gaps.append(eigs if eigs is None else eigs.real.min(initial=math.inf))
         if gaps[0] is None or gaps[0] == math.inf:
             assert all(x == gaps[0] for x in gaps)
         else:
@@ -1019,13 +1095,13 @@ def test_an_empty_sector_is_left_out_and_all_empty_sectors_run_dense(monkeypatch
     assert res.method == {"even": "empty", "odd": "contour"} and dense.sector == "odd"
     assert res.gap == pytest.approx(dense.gap, rel=1e-10)
     assert res.norm1 == pytest.approx(dense.norm1, rel=1e-14)
-    monkeypatch.setattr(spectral, "_contour_sector_gap", lambda *args: math.inf)
+    monkeypatch.setattr(spectral, "_contour_sector_eigs", lambda *args: np.empty(0, complex))
     res = _contour(asm, base)
     assert res.method == {"even": "dense", "odd": "dense"} and res.gap == dense.gap
 
 
-def test_default_spectrum_refines_without_a_dense_eigensolve(tmp_path, monkeypatch):
-    """Only the base sectors reach the eigensolve; the refined gap is the dense one pinned for Kq24/Np48."""
+def _spectrum_eigensolve_sizes(monkeypatch, tmp_path, *extra):
+    """(report, sorted row counts of every matrix spectrum hands the dense eigensolve)."""
     from hypokit import cli
 
     real = spectral._gap_of_operator
@@ -1036,12 +1112,33 @@ def test_default_spectrum_refines_without_a_dense_eigensolve(tmp_path, monkeypat
         return real(a)
 
     monkeypatch.setattr(spectral, "_gap_of_operator", spy)
-    assert cli.main(["spectrum", "--report", str(tmp_path / "rep.json")]) == 0
+    assert cli.main(["spectrum", *extra, "--report", str(tmp_path / "rep.json")]) == 0
     with open(tmp_path / "rep.json") as fh:
-        diag = json.load(fh)["diagnostics"]
-    assert sorted(sizes) == [527, 528]
-    assert diag["refined_method"] == {"even": "contour", "odd": "contour"}
+        return json.load(fh), sorted(sizes)
+
+
+def test_default_spectrum_refines_without_a_dense_eigensolve(tmp_path, monkeypatch):
+    """Only the coarse Kq8/Np16 sectors reach the eigensolve, never the Kq16/Np32 ones: the base gap
+    is a scan rung and the refinement a contour.  The gaps are the dense ones for Kq16/Np32 and
+    Kq24/Np48, and the count is of the verified eigenvalues inside the two contours."""
+    report, sizes = _spectrum_eigensolve_sizes(monkeypatch, tmp_path)
+    diag = report["diagnostics"]
+    assert sizes == [135, 136]
+    assert diag["gap_method"] == diag["refined_method"] == {"even": "contour", "odd": "contour"}
+    assert not diag["gap_guard"] and 0 < report["results"]["eig_count_checked"] < spectral.CONTOUR_PROBES
+    assert report["results"]["gap"] == pytest.approx(1.0479845452024361, rel=1e-10)
     assert diag["refined_gap"] == pytest.approx(1.0477428667307884, rel=1e-10)
+
+
+def test_dump_eigs_solves_the_base_gap_dense(tmp_path, monkeypatch):
+    """--dump-eigs writes every eigenvalue, so it alone solves the Kq16/Np32 sectors dense, and
+    counts and writes all 1055."""
+    report, sizes = _spectrum_eigensolve_sizes(monkeypatch, tmp_path, "--dump-eigs", str(tmp_path / "eigs.csv"))
+    assert sizes == [527, 528]
+    assert report["diagnostics"]["gap_method"] == {"even": "dense", "odd": "dense"}
+    assert report["results"]["eig_count_checked"] == 1055
+    assert np.loadtxt(tmp_path / "eigs.csv", delimiter=",", skiprows=1).shape == (1055, 2)
+    assert report["results"]["gap"] == pytest.approx(1.0479845452024361, rel=1e-10)
 
 
 def test_small_spectrum_refinement_is_the_dense_gap_of_the_refined_basis(cosine_spec, unit_params, tmp_path):
