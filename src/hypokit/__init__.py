@@ -60,6 +60,7 @@ from .spectral import (
     project_phase_function,
     project_position_function,
     rung_gap,
+    rung_ladder,
     semigroup_decay_check,
     solve_poisson,
     solve_poisson_overdamped,

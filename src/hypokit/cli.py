@@ -58,10 +58,10 @@ from .spectral import (
     poincare_constant,
     project_phase_function,
     project_position_function,
-    reduced_generator,
     refined_gap,
     require_gap_above_roundoff,
     rung_gap,
+    rung_ladder,
     solve_poisson,
     solve_poisson_overdamped,
     spectral_gap,
@@ -556,7 +556,7 @@ def _cmd_spectrum(cfg: dict) -> tuple[dict, dict]:
     if dump:  # every eigenvalue is written, so every sector is solved dense
         res = spectral_gap(asm)
     else:
-        res = rung_gap(reduced_generator(basis), reduced_generator(basis.halved()), asm.gamma)
+        res = rung_gap(rung_ladder(basis), asm.gamma)
     require_gap_above_roundoff(res)
     diagnostics: dict = {"n_quad": basis.nodes.size, "size": basis.size, "rank_q": basis.wq.shape[1],
                          "gap_sector": res.sector, "gap_method": res.method, "gap_guard": res.guard}

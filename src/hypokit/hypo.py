@@ -38,9 +38,7 @@ The witnesses apply -L by the block matvec.
 A shift-invert eigensolve of L itself could not give the spectral gap that
 safely: it returns the eigenvalues nearest 0 in modulus, which can miss the
 one with the smallest real part.  A friction-scan rung is
-spectral.rung_gap, the gap `spectrum` reports too: a dense gap on a coarse
-basis, refined by a contour integral on this one, and solved dense when that
-fails its guard (see gamma_scan).
+spectral.rung_gap, the gap `spectrum` reports too (see gamma_scan).
 """
 
 from __future__ import annotations
@@ -68,6 +66,7 @@ from .spectral import (
     reduced_generator,
     require_gap_above_roundoff,
     rung_gap,
+    rung_ladder,
 )
 
 Array = np.ndarray
@@ -595,17 +594,12 @@ class ScanResult:
 def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
     """Spectral gap across a friction ladder on one basis; fits both scaling branches.
 
-    Each rung is spectral.rung_gap, the gap `spectrum` reports: a dense gap
-    on the coarse basis (BasisSet.halved), then a contour integral on this
-    basis around it, which solves dense at once each sector below its
-    crossover and every sector when the coarse gap is at roundoff level; no
-    coarse gap is solved when every sector of this basis is below the
-    crossover.  Every rung shares the two gamma-free reduced generators, of
-    this basis and of the coarse one, and their coupling blocks.  The rung
-    so rests on a heuristic ellipse, with a guard: when the gap has not
-    converged on the coarse one and some sector did not go dense, the rung is
-    solved dense on this basis.  rung_methods records, per rung, the path per
-    sector and whether the guard fired.
+    Each rung is spectral.rung_gap on the one gamma-free spectral.rung_ladder
+    of this basis, the gap `spectrum` reports: a dense gap on the ladder's
+    coarsest basis, refined by a contour integral on each finer one, with a
+    dense guard; every rung shares the ladder's coupling blocks, and so
+    rests on heuristic ellipses.  rung_methods records, per rung, the path
+    per sector on this basis and whether the guard fired there.
 
     Requires at least 7 gamma values spanning [1/8, 8].  Rows run on
     max_workers threads, default one.  The dense eigensolve
@@ -632,7 +626,7 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
     if g[0] > 0.125 * (1 + 1e-9) or g[-1] < 8.0 * (1 - 1e-9):
         raise InvalidArgumentError("gammas must span at least [1/8, 8]")
 
-    red, coarse = reduced_generator(basis), reduced_generator(basis.halved())
+    ladder = rung_ladder(basis)
 
     gaps = np.full(g.size, np.nan)
     row_errors: dict = {}
@@ -640,7 +634,7 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
 
     def run_row(i: int):
         try:
-            res = rung_gap(red, coarse, g[i])
+            res = rung_gap(ladder, g[i])
             rung_methods[i].update(sectors=res.method, guard=res.guard)
             require_gap_above_roundoff(res)
             gaps[i] = res.gap

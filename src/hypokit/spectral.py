@@ -50,11 +50,12 @@ residual from the block matvec.  A gap near a known one on another basis is
 found by contour_gap, the one home of that refinement policy: it factors
 -L - z on the chain at the nodes of an ellipse around the base gap and counts
 the eigenvalues inside by a contour integral, solves dense a sector below
-DENSE_SECTOR_MAX coordinates, every sector when the base gap is at roundoff
-level, and a sector the contour cannot settle, and reads the CONVERGENCE_RTOL
-test.  rung_gap is the gap on a basis, for `spectrum` and each friction-scan
-rung: contour_gap around a dense gap on the halved basis, with a dense guard;
-refined_gap is `spectrum`'s 1.5x convergence check.  The resolvent norm
+DENSE_SECTOR_MAX coordinates, every sector with no base (the dense gap,
+spectral_gap) or a base at roundoff level, and a sector the contour cannot
+settle, and reads the CONVERGENCE_RTOL test.  rung_gap is the gap on a basis,
+for `spectrum` and each friction-scan rung: from a dense gap on the bottom of
+rung_ladder (the basis and its halvings), contour_gap on each rung around the
+one below, with a dense guard; refined_gap is `spectrum`'s 1.5x check.  The resolvent norm
 (hypo) reads -L^T as a sparse matrix written from the level blocks
 (LevelBlocks.transpose_csc).
 
@@ -161,10 +162,6 @@ class BasisSet:
         """The basis of the same problem at Kq and Np, on max(n_quad, 8 Kq) nodes, so its grid still resolves the weight."""
         return build_basis(self.spec, EnsembleParams(beta=self.beta, mass=self.mass), Kq=Kq, Np=Np,
                            n_quad=max(self.nodes.size, 8 * Kq))
-
-    def halved(self) -> BasisSet:
-        """The coarse basis rung_gap solves its base on: Kq // 2 and Np // 2, at least 1 and 2, on the same grid."""
-        return self.resized(max(1, self.Kq // 2), max(2, self.Np // 2))
 
 
 def _fourier_table(Kq: int, L: float, q: Array) -> Array:
@@ -524,11 +521,10 @@ class GapResult:
     inside contour_gap's ellipse) or "empty" (none inside).  eigenvalues are
     the eigenvalues so computed, sector by sector, and eig_count_checked
     counts them.  base_gap is the gap contour_gap started from (None without
-    one); guard says rung_gap then solved every sector dense.
+    one); guard says rung_gap then solved every sector of this rung dense.
     """
 
     gap: float
-    eig_count_checked: int
     eigenvalues: Array  # each sector's in LAPACK order (dense) or contour order, sector by sector
     norm1: float  # ||L||_1; eps * norm1 is the backward-error scale of the eigensolve
     sector: str = "all"  # the sector holding the gap, the parity of the slowest mode
@@ -537,43 +533,26 @@ class GapResult:
     guard: bool = False
 
     @property
+    def eig_count_checked(self) -> int:
+        return int(self.eigenvalues.size)
+
+    @property
     def converged(self) -> bool:
         """The gap moved from its base gap by at most CONVERGENCE_RTOL; False with no base."""
         return self.base_gap is not None and abs(self.gap - self.base_gap) <= CONVERGENCE_RTOL * abs(self.base_gap)
 
 
-def _gap_of_operator(neg_op: Array) -> GapResult:
-    """Gap from -L (or one sector of it) by NumPy's dense eigensolve, which releases the GIL."""
-    norm1 = float(sla.norm(neg_op, 1, check_finite=False))  # LAPACK lange: no N x N temporary
+def _gap_of_operator(neg_op: Array) -> Array:
+    """Every eigenvalue of -L (or one sector of it) by NumPy's dense eigensolve, which releases the GIL."""
     try:
-        eigs = np.linalg.eigvals(neg_op).astype(complex, copy=False)
+        return np.linalg.eigvals(neg_op).astype(complex, copy=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigenvalue solver failed: {exc}") from exc
-    return GapResult(float(eigs.real.min()), int(eigs.size), eigs, norm1)
-
-
-def reduced_gap(red: ReducedGenerator, gamma: float) -> GapResult:
-    """Smallest real part of the deflated spectrum of -(L_ham + gamma L_FD), one eigensolve per sector.
-
-    The gap is the smallest sector gap, counts add, spectra are joined in
-    sector order, and ||L||_1 is the largest sector 1-norm (each column lies
-    in one sector).
-    """
-    parts = [_gap_of_operator(red.neg_operator(gamma, sector=s)) for s in range(red.n_sectors)]
-    best = min(range(len(parts)), key=lambda s: parts[s].gap)
-    return GapResult(
-        gap=parts[best].gap,
-        eig_count_checked=sum(p.eig_count_checked for p in parts),
-        eigenvalues=np.concatenate([p.eigenvalues for p in parts]),
-        norm1=max(p.norm1 for p in parts),
-        sector=red.sector_names[best],
-        method=dict.fromkeys(red.sector_names, "dense"),
-    )
 
 
 def spectral_gap(asm: GeneratorAssembly) -> GapResult:
-    """The gap of the assembly's generator at its own friction (see reduced_gap)."""
-    return reduced_gap(reduced_generator(asm.basis), asm.gamma)
+    """The gap of the assembly's generator at its own friction, every sector solved dense (contour_gap)."""
+    return contour_gap(reduced_generator(asm.basis), asm.gamma, None)
 
 
 # ---------------------------------------------------------------------------
@@ -772,8 +751,9 @@ def contour_gap(red: ReducedGenerator, gamma: float, base: GapResult | None) -> 
     eigenvalue of this basis outside it is not seen.  A sector with fewer
     than DENSE_SECTOR_MAX coordinates, where the dense solve is the cheaper
     one, and every sector when there is no base or the base gap is not above
-    its roundoff floor (gap_roundoff_floor), is solved dense at once, as
-    reduced_gap would.  A sector the contour reads as empty
+    its roundoff floor (gap_roundoff_floor), is solved dense at once; with no
+    base this is the dense gap, every eigenvalue of every sector, whose
+    ||L||_1 is the largest sector 1-norm.  A sector the contour reads as empty
     (_contour_sector_eigs) is left out when another sector has a verified
     eigenvalue inside, and recorded `empty`.  A sector the contour cannot
     settle, or every sector when none has a verified eigenvalue inside, is
@@ -795,32 +775,47 @@ def contour_gap(red: ReducedGenerator, gamma: float, base: GapResult | None) -> 
     for s, name in enumerate(red.sector_names):
         method[name] = "dense" if found[s] is None else "contour" if found[s].size else "empty"
         if found[s] is None:
-            found[s] = _gap_of_operator(red.neg_operator(gamma, sector=s)).eigenvalues
+            found[s] = _gap_of_operator(red.neg_operator(gamma, sector=s))
     gaps = [float(x.real.min(initial=math.inf)) for x in found]
     best = int(np.argmin(gaps))
     eigs = np.concatenate(found)
-    return GapResult(gaps[best], eigs.size, eigs, max(norm1), red.sector_names[best], method,
+    return GapResult(gaps[best], eigs, max(norm1), red.sector_names[best], method,
                      None if base is None else base.gap)
 
 
-def rung_gap(red: ReducedGenerator, coarse: ReducedGenerator, gamma: float) -> GapResult:
-    """The gap of -(L_ham + gamma L_FD) on red's basis: a friction-scan rung, and `spectrum`'s gap.
+def rung_ladder(basis: BasisSet) -> list[ReducedGenerator]:
+    """The reduced generators rung_gap climbs: the basis's, then those of its successive halvings.
 
-    The one implementation of "the gap on this basis" outside the dense
-    reduced_gap.  A dense gap on the coarse basis (BasisSet.halved, its
-    reduced generator `coarse`) is the base of contour_gap on red.  When
-    every sector of red is below DENSE_SECTOR_MAX, contour_gap solves them
-    all dense whatever the base, so none is solved.  Guard: when the gap has
-    not converged on the coarse one and some sector did not go dense, every
-    sector is solved dense (reduced_gap); that result keeps contour_gap's
-    method and reads guard = True.
+    Each rung halves Kq and Np of the one above, to at least 1 and 2, on the
+    same grid.  The ladder ends at the first rung whose every sector is below
+    DENSE_SECTOR_MAX, or where halving no longer shrinks the basis (Kq1/Np2).
+    It is gamma-free: one ladder serves every friction of a scan.
     """
-    if all(red.sector_index(s).size < DENSE_SECTOR_MAX for s in range(red.n_sectors)):
-        return contour_gap(red, gamma, None)
-    res = contour_gap(red, gamma, reduced_gap(coarse, gamma))
-    if res.converged or set(res.method.values()) == {"dense"}:
-        return res
-    return replace(reduced_gap(red, gamma), method=res.method, guard=True)
+    ladder = [reduced_generator(basis)]
+    while any(ladder[-1].sector_index(s).size >= DENSE_SECTOR_MAX for s in range(ladder[-1].n_sectors)):
+        Kq, Np = max(1, basis.Kq // 2), max(2, basis.Np // 2)
+        if (Kq, Np) == (basis.Kq, basis.Np):
+            break
+        basis = basis.resized(Kq, Np)
+        ladder.append(reduced_generator(basis))
+    return ladder
+
+
+def rung_gap(ladder: list[ReducedGenerator], gamma: float) -> GapResult:
+    """The gap of -(L_ham + gamma L_FD) on the top basis of a rung_ladder: a friction-scan rung, and `spectrum`'s gap.
+
+    The bottom rung is solved dense, and each rung above it is contour_gap
+    around the gap of the rung below.  Guard: when a rung's gap has not
+    converged on the one below and some sector did not go dense, every
+    sector of that rung is solved dense; that result keeps contour_gap's
+    method and reads guard = True.  The result is the top rung's.
+    """
+    res = contour_gap(ladder[-1], gamma, None)
+    for red in reversed(ladder[:-1]):
+        res = contour_gap(red, gamma, res)
+        if not (res.converged or set(res.method.values()) == {"dense"}):
+            res = replace(contour_gap(red, gamma, None), method=res.method, guard=True)
+    return res
 
 
 def refined_gap(basis: BasisSet, gamma: float, base: GapResult) -> tuple[BasisSet, GapResult]:

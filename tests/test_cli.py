@@ -660,7 +660,7 @@ def test_malformed_config_file(tmp_path):
 
 
 def test_numerical_failure_exits_2(tmp_path, monkeypatch):
-    def boom(red, coarse, gamma):
+    def boom(ladder, gamma):
         raise NumericalFailureError("synthetic blowup")
 
     monkeypatch.setattr(cli, "rung_gap", boom)

@@ -51,16 +51,17 @@ def test_no_function_takes_an_input_twice(name):
         assert not CARRIED & set(params), f"{name} takes {sorted(CARRIED & set(params))} beside its carrier"
 
 
-# the refinement policy's constants, roundoff floor and contour (spectral.contour_gap); a module
-# that names one writes out part of the policy again, or reaches the contour past the one gap path,
-# spectral.rung_gap (and spectrum's convergence check, spectral.refined_gap)
+# the refinement policy's constants, roundoff floor, contour (spectral.contour_gap) and the basis
+# halving of its rung ladder (spectral.rung_ladder); a module that names one writes out part of the
+# policy again, or reaches the contour past the one gap path, spectral.rung_gap (and spectrum's
+# convergence check, spectral.refined_gap)
 REFINEMENT_POLICY = re.compile(
-    r"\w*(CONVERGENCE_RTOL|DENSE_SECTOR_MAX|GAP_ROUNDOFF_MARGIN|gap_roundoff_floor|contour_gap)")
+    r"\w*(CONVERGENCE_RTOL|DENSE_SECTOR_MAX|GAP_ROUNDOFF_MARGIN|gap_roundoff_floor|contour_gap|halved|resized)")
 
 
 def test_only_spectral_names_the_refinement_policy():
     package = pathlib.Path(hypokit.__file__).parent
     named = {path.stem: set(REFINEMENT_POLICY.findall(path.read_text())) for path in package.glob("*.py")}
     assert named.pop("spectral") == {"CONVERGENCE_RTOL", "DENSE_SECTOR_MAX", "GAP_ROUNDOFF_MARGIN",
-                                     "gap_roundoff_floor", "contour_gap"}
+                                     "gap_roundoff_floor", "contour_gap", "resized"}
     assert {name: found for name, found in named.items() if found} == {}

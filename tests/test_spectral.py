@@ -534,7 +534,7 @@ def _eigvals_bitwise(ops) -> bool:
     """Whether the gap eigensolve gives SciPy's eigenvalues bit for bit, in the same order."""
     for op in ops:
         want = sla.eigvals(op, check_finite=False)
-        got = spectral._gap_of_operator(op).eigenvalues
+        got = spectral._gap_of_operator(op)
         if got.dtype != want.dtype or not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
             return False
     return True
@@ -630,7 +630,7 @@ def test_scan_rows_match_the_full_operator(cosine_spec, unit_params):
     assert rows == pytest.approx(want, rel=1e-10)
 
 
-# Dense rung gaps (spectral.reduced_gap) on the ladder 0.125:2:7 of the larger scan bases, pinned:
+# Dense rung gaps (spectral.spectral_gap) on the ladder 0.125:2:7 of the larger scan bases, pinned:
 # computing them costs 14 dense sector eigensolves of 527-1176 rows per basis, 5-20 s each.
 PINNED_DENSE_RUNGS = {
     ("cosine", 2.0 * math.pi, 1.0, 16, 32): [0.13193614449244315, 0.2565294327546154, 0.4703311991709052,
@@ -665,17 +665,17 @@ def _scan_cases():
 
 @pytest.mark.parametrize("name,pot,ens,Kq,Np,n_quad,ladder", _scan_cases())
 def test_scan_rungs_match_the_dense_gap(name, pot, ens, Kq, Np, n_quad, ladder):
-    """Every rung is the dense gap to 1e-10, and the guard fired exactly where the coarse
-    base is more than CONVERGENCE_RTOL off it (double_well at gamma = 1/8 and 1/4) and some
-    sector did not go dense."""
+    """Every rung is the dense gap to 1e-10, and the guard fired exactly where the gap of the
+    rung below is more than CONVERGENCE_RTOL off it (double_well at gamma = 1/8 and 1/4) and some
+    sector did not go dense; a one-rung ladder has no base and solves every sector dense."""
     from hypokit.hypo import gamma_scan
 
     basis = build_basis(builtin_potential(name, pot), EnsembleParams(**ens), Kq=Kq, Np=Np, n_quad=n_quad)
     res = gamma_scan(basis, ladder, max_workers=2)
-    red, coarse = reduced_generator(basis), reduced_generator(basis.resized(max(1, Kq // 2), max(2, Np // 2)))
+    rungs = spectral.rung_ladder(basis)
     want = PINNED_DENSE_RUNGS.get((name, pot["L"], pot.get("h"), Kq, Np))
-    want = np.array(want or [spectral.reduced_gap(red, g).gap for g in ladder])
-    base = np.array([spectral.reduced_gap(coarse, g).gap for g in ladder])
+    want = np.array(want or [spectral.contour_gap(rungs[0], g, None).gap for g in ladder])
+    base = np.array([spectral.rung_gap(rungs[1:], g).gap for g in ladder] if len(rungs) > 1 else want)
     assert res.row_errors == {}
     assert res.table.gaps == pytest.approx(want, rel=1e-10)
     guard = [m["guard"] for m in res.rung_methods]
@@ -718,17 +718,18 @@ def test_a_contour_gap_off_the_coarse_base_gives_the_dense_rung(cosine_asm_small
 
     real, methods = spectral.contour_gap, []
     monkeypatch.setattr(spectral, "DENSE_SECTOR_MAX", 0)
+    red = spectral.rung_ladder(cosine_asm_small.basis)[0]
 
-    def off(red, gamma, base):
-        res = real(red, gamma, base)
-        methods.append(res.method)
+    def off(rung, gamma, base):
+        res = real(rung, gamma, base)
+        if base is not None and rung.dim == red.dim:  # the top rung's contour around the rung below
+            methods.append(res.method)
         return res if set(res.method.values()) == {"dense"} else dataclasses.replace(res, gap=1.02 * base.gap)
 
     monkeypatch.setattr(spectral, "contour_gap", off)
     ladder = [0.125 * 2.0**k for k in range(7)]
     res = hypo.gamma_scan(cosine_asm_small.basis, ladder)
-    red = reduced_generator(cosine_asm_small.basis)
-    assert np.array_equal(res.table.gaps, [spectral.reduced_gap(red, g).gap for g in ladder])
+    assert np.array_equal(res.table.gaps, [real(red, g, None).gap for g in ladder])
     assert [m["sectors"] for m in res.rung_methods] == methods and len(methods) == 7
     guard = [m["guard"] for m in res.rung_methods]
     assert guard == [set(m.values()) != {"dense"} for m in methods] and any(guard)
@@ -736,7 +737,7 @@ def test_a_contour_gap_off_the_coarse_base_gives_the_dense_rung(cosine_asm_small
 
 def test_small_scan_basis_solves_every_rung_dense_at_once(cosine_spec, unit_params, monkeypatch):
     """Kq4/Np8 (sectors of 36): contour_gap solves every sector dense at once and the guard does not
-    run; each rung is reduced_gap, the same bits as the contour and guard path, which fires on every
+    run; each rung is the dense gap, the same bits as the contour and guard path, which fires on every
     rung there."""
     from hypokit import hypo
 
@@ -744,7 +745,7 @@ def test_small_scan_basis_solves_every_rung_dense_at_once(cosine_spec, unit_para
     ladder = [0.125 * 2.0**k for k in range(7)]
     res = hypo.gamma_scan(basis, ladder)
     red = reduced_generator(basis)
-    assert np.array_equal(res.table.gaps, [spectral.reduced_gap(red, g).gap for g in ladder])
+    assert np.array_equal(res.table.gaps, [spectral.contour_gap(red, g, None).gap for g in ladder])
     assert all(m["sectors"] == {"even": "dense", "odd": "dense"} and not m["guard"] for m in res.rung_methods)
     monkeypatch.setattr(spectral, "DENSE_SECTOR_MAX", 0)
     guarded = hypo.gamma_scan(basis, ladder)
@@ -753,12 +754,12 @@ def test_small_scan_basis_solves_every_rung_dense_at_once(cosine_spec, unit_para
 
 
 def test_small_scan_basis_solves_no_coarse_gap(cosine_spec, unit_params, monkeypatch):
-    """Kq4/Np8: every sector is below DENSE_SECTOR_MAX, so contour_gap solves them all dense whatever
-    the base, and no rung solves the coarse Kq2/Np4 gap: the eigensolve sees only the scan sectors."""
+    """Kq4/Np8: every sector is below DENSE_SECTOR_MAX, so the ladder is one rung, solved dense, and
+    no rung solves the coarse Kq2/Np4 gap: the eigensolve sees only the scan sectors."""
     from hypokit import hypo
 
     basis = build_basis(cosine_spec, unit_params, Kq=4, Np=8, n_quad=64)
-    red = reduced_generator(basis)
+    [red] = spectral.rung_ladder(basis)
     real, sizes = spectral._gap_of_operator, []
 
     def spy(a):
@@ -786,9 +787,8 @@ def test_rung_gap_matches_the_dense_gap(name, pot, ens, gamma, Kq, Np):
     """The one gap path of spectrum and scan gives the dense gap to 1e-10 and its sector; it counts
     the eigenvalues it computed."""
     basis = build_basis(builtin_potential(name, pot), EnsembleParams(**ens), Kq=Kq, Np=Np)
-    red = reduced_generator(basis)
-    res = spectral.rung_gap(red, reduced_generator(basis.halved()), gamma)
-    dense = spectral.reduced_gap(red, gamma)
+    res = spectral.rung_gap(spectral.rung_ladder(basis), gamma)
+    dense = spectral_gap(assemble_generator(basis, gamma))
     assert res.gap == pytest.approx(dense.gap, rel=1e-10)
     assert res.sector == dense.sector
     assert res.eig_count_checked == res.eigenvalues.size > 0
@@ -960,18 +960,21 @@ def test_contour_batch_is_the_largest_power_of_two_in_the_budget(cosine_spec, un
     assert spectral.contour_batch(tiny) == spectral.CONTOUR_NODES // 2
 
 
-def _coarse_base(spec, params, Kq, Np):
-    """(dense gap on the scan's coarse basis, reduced generator of the basis) as gamma_scan builds them."""
-    basis = build_basis(spec, params, Kq=Kq, Np=Np)
-    coarse = reduced_generator(basis.resized(max(1, Kq // 2), max(2, Np // 2)))
-    return spectral.reduced_gap(coarse, params.gamma), reduced_generator(basis)
+def _coarse_base(spec, params, Kq, Np, monkeypatch):
+    """(dense gap on the first halving of the basis, reduced generator of the basis), both read from
+    rung_ladder; its crossover is lowered while it is built, so the beta = 50 Kq4/Np8 basis, one
+    rung at the crossover, has a halving too."""
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "DENSE_SECTOR_MAX", 0)
+        rungs = spectral.rung_ladder(build_basis(spec, params, Kq=Kq, Np=Np))
+    return spectral.contour_gap(rungs[1], params.gamma, None), rungs[0]
 
 
 @pytest.mark.parametrize("gamma", [0.125, 1.0, 8.0])
 @pytest.mark.parametrize("name,pot,ens,Kq,Np", [(n, p, e, kq, np_) for n, p, e, g, kq, np_ in EIGVALS_CASES if g == 1.0])
 def test_contour_gap_does_not_depend_on_the_batch(name, pot, ens, Kq, Np, gamma, monkeypatch):
     """Each sector's contour reads the same gap, to 1e-12, whether a chain factors 1, 4, 8 or all 32 shifts."""
-    base, red = _coarse_base(builtin_potential(name, pot), EnsembleParams(gamma=gamma, **ens), Kq, Np)
+    base, red = _coarse_base(builtin_potential(name, pot), EnsembleParams(gamma=gamma, **ens), Kq, Np, monkeypatch)
     g = base.gap
     near = base.eigenvalues[base.eigenvalues.real < 2.0 * g]
     center, a = 1.375 * g, 1.125 * g
@@ -1141,9 +1144,43 @@ def test_dump_eigs_solves_the_base_gap_dense(tmp_path, monkeypatch):
     assert report["results"]["gap"] == pytest.approx(1.0479845452024361, rel=1e-10)
 
 
+def _rung_sizes(rungs):
+    """(Kq, Np, sector sizes) of each rung of a ladder."""
+    return [((r.wq.shape[0] - 1) // 2, r.n_p, [r.sector_index(s).size for s in range(r.n_sectors)]) for r in rungs]
+
+
+def test_three_rung_spectrum_solves_dense_only_the_bottom_rung(cosine_spec, unit_params, tmp_path, monkeypatch):
+    """Kq24/Np48 climbs from a dense Kq6/Np12 rung through a Kq12/Np24 contour: the eigensolve sees
+    only the 77 + 78 bottom sectors, never the 299 + 300 of the middle rung, and the gap is the
+    pinned dense one."""
+    rungs = spectral.rung_ladder(build_basis(cosine_spec, unit_params, Kq=24, Np=48))
+    assert _rung_sizes(rungs) == [(24, 48, [1175, 1176]), (12, 24, [299, 300]), (6, 12, [77, 78])]
+    report, sizes = _spectrum_eigensolve_sizes(monkeypatch, tmp_path, "--Kq", "24", "--Np", "48",
+                                               "--no-check-convergence")
+    assert sizes == [77, 78]
+    assert report["diagnostics"]["gap_method"] == {"even": "contour", "odd": "contour"}
+    assert report["results"]["gap"] == pytest.approx(PINNED_DENSE_RUNGS[("cosine", 1.0, 1.0, 24, 48)][3], rel=1e-10)
+
+
+def test_the_ladder_ends_where_halving_no_longer_shrinks_the_basis(cosine_spec, unit_params, monkeypatch):
+    """At a zero crossover no rung ends the ladder by its size, so it ends at Kq1/Np2, whose halving
+    is itself; every rung above the dense bottom is then a guarded contour, and the rows are still
+    the dense gaps."""
+    from hypokit.hypo import gamma_scan
+
+    basis = build_basis(cosine_spec, unit_params, Kq=4, Np=8, n_quad=64)
+    monkeypatch.setattr(spectral, "DENSE_SECTOR_MAX", 0)
+    rungs = spectral.rung_ladder(basis)
+    assert [(kq, np_) for kq, np_, _ in _rung_sizes(rungs)] == [(4, 8), (2, 4), (1, 2)]
+    ladder = [0.125 * 2.0**k for k in range(7)]
+    res = gamma_scan(basis, ladder)
+    assert res.row_errors == {}
+    assert np.array_equal(res.table.gaps, [spectral.contour_gap(rungs[0], g, None).gap for g in ladder])
+
+
 def test_small_spectrum_refinement_is_the_dense_gap_of_the_refined_basis(cosine_spec, unit_params, tmp_path):
     """Kq4/Np8 refines on Kq6/Np12, sectors of 77 and 78, below the crossover: both are solved dense
-    at once, bitwise reduced_gap on the refined basis."""
+    at once, bitwise the dense gap of the refined basis."""
     from hypokit import cli
 
     assert cli.main(["spectrum", "--Kq", "4", "--Np", "8", "--n-quad", "64", "--report", str(tmp_path / "r.json")]) == 0
@@ -1151,19 +1188,18 @@ def test_small_spectrum_refinement_is_the_dense_gap_of_the_refined_basis(cosine_
         report = json.load(fh)
     diag = report["diagnostics"]
     assert diag["refined_method"] == {"even": "dense", "odd": "dense"} and (diag["refined_Kq"], diag["refined_Np"]) == (6, 12)
-    want = spectral.reduced_gap(reduced_generator(build_basis(cosine_spec, unit_params, Kq=6, Np=12, n_quad=64)), 1.0)
+    want = spectral_gap(assemble_generator(build_basis(cosine_spec, unit_params, Kq=6, Np=12, n_quad=64), 1.0))
     assert diag["refined_gap"] == want.gap
     assert report["results"]["converged"] == (abs(want.gap - report["results"]["gap"]) <= 0.01 * report["results"]["gap"])
 
 
 def test_a_rung_dense_in_every_sector_is_solved_dense_once(cosine_asm_small, monkeypatch):
     """Two probe columns saturate every contour, so each rung goes dense in both sectors; no rung
-    converges at a zero tolerance, and still the eigensolve sees each scan sector once per rung, beside the
-    coarse ones, and the rows are reduced_gap's."""
+    converges at a zero tolerance, and still the eigensolve sees each sector of each rung of the
+    ladder (Kq8/Np12 down to Kq1/Np2) once per friction, and the rows are the dense gaps."""
     from hypokit.hypo import gamma_scan
 
     basis = cosine_asm_small.basis
-    red, coarse = reduced_generator(basis), reduced_generator(basis.resized(4, 6))
     real, sizes = spectral._gap_of_operator, []
 
     def spy(a):
@@ -1171,16 +1207,18 @@ def test_a_rung_dense_in_every_sector_is_solved_dense_once(cosine_asm_small, mon
         return real(a)
 
     monkeypatch.setattr(spectral, "DENSE_SECTOR_MAX", 0)
+    rungs = spectral.rung_ladder(basis)
+    assert [rung.n_p for rung in rungs] == [12, 6, 3, 2]
     monkeypatch.setattr(spectral, "CONTOUR_PROBES", 2)
     monkeypatch.setattr(spectral, "CONVERGENCE_RTOL", 0.0)
     monkeypatch.setattr(spectral, "_gap_of_operator", spy)
     ladder = [0.125 * 2.0**k for k in range(7)]
     res = gamma_scan(basis, ladder)
     monkeypatch.setattr(spectral, "_gap_of_operator", real)
-    per_rung = [red.sector_index(s).size for s in range(2)] + [coarse.sector_index(s).size for s in range(2)]
+    per_rung = [rung.sector_index(s).size for rung in rungs for s in range(2)]
     assert sorted(sizes) == sorted(per_rung * 7)
     assert all(m["sectors"] == {"even": "dense", "odd": "dense"} and not m["guard"] for m in res.rung_methods)
-    assert np.array_equal(res.table.gaps, [spectral.reduced_gap(red, g).gap for g in ladder])
+    assert np.array_equal(res.table.gaps, [spectral.contour_gap(rungs[0], g, None).gap for g in ladder])
 
 
 def test_resized_basis_keeps_the_three_old_sizes(cosine_spec, unit_params, monkeypatch):
