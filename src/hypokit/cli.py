@@ -21,8 +21,6 @@ import warnings
 from typing import Callable, NamedTuple
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from . import __version__, hypo
 from .errors import HypokitError, InvalidArgumentError, NumericalFailureError
@@ -268,22 +266,68 @@ def _schema(command: str) -> dict:
     return schema
 
 
-def _validate(cfg: dict, command: str) -> None:
-    """Raise the error jsonschema.validate would, without its check of the schema itself.
+# The JSON-schema keywords _schema_errors implements; a test keeps _OPTIONS within them.
+_KEYWORDS = ("$schema", "type", "minimum", "exclusiveMinimum", "enum", "items", "minItems", "maxItems",
+             "properties", "required", "additionalProperties")
+_TYPES = {"string": str, "number": (int, float), "integer": int, "boolean": bool, "object": dict, "array": list}
 
-    That metaschema check costs 6-22 ms per call; the generated schemas are
-    checked once, by the test suite.
+
+def _schema_errors(schema: dict, value, path: tuple = ()):
+    """Yield (path, keyword, message) for each way `value` breaks `schema`, in jsonschema's order.
+
+    Draft 2020-12 semantics and jsonschema's messages for the keywords in
+    _KEYWORDS, except that "integer" means an int: 4.0 is not one.  A bool is
+    neither a number nor an integer.  The message of additionalProperties is
+    the list of unread keys, each with its path.
     """
-    exc = best_match(Draft202012Validator(_schema(command)).iter_errors(cfg))
-    if exc is None:
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    for keyword, arg in schema.items():
+        if keyword == "type":
+            if isinstance(value, bool) != (arg == "boolean") or not isinstance(value, _TYPES[arg]):
+                yield path, keyword, f"{value!r} is not of type {arg!r}"
+        elif keyword == "minimum":
+            if is_number and value < arg:
+                yield path, keyword, f"{value!r} is less than the minimum of {arg!r}"
+        elif keyword == "exclusiveMinimum":
+            if is_number and value <= arg:
+                yield path, keyword, f"{value!r} is less than or equal to the minimum of {arg!r}"
+        elif keyword == "enum":
+            if not any(each == value and isinstance(each, bool) == isinstance(value, bool) for each in arg):
+                yield path, keyword, f"{value!r} is not one of {arg!r}"
+        elif isinstance(value, list):
+            if keyword == "items":
+                for index, item in enumerate(value):
+                    yield from _schema_errors(arg, item, path + (index,))
+            elif keyword == "minItems" and len(value) < arg:
+                yield path, keyword, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+            elif keyword == "maxItems" and len(value) > arg:
+                yield path, keyword, f"{value!r} {'is expected to be empty' if arg == 0 else 'is too long'}"
+        elif isinstance(value, dict):
+            if keyword == "properties":
+                for key, sub in arg.items():
+                    if key in value:
+                        yield from _schema_errors(sub, value[key], path + (key,))
+            elif keyword == "required":
+                for key in arg:
+                    if key not in value:
+                        yield path, keyword, f"{key!r} is a required property"
+            elif keyword == "additionalProperties" and arg is False:
+                unread = sorted(set(value) - set(schema.get("properties", {})))
+                if unread:
+                    prefix = "".join(f"{part}." for part in path)
+                    yield path, keyword, ", ".join(prefix + key for key in unread)
+
+
+def _validate(cfg: dict, command: str) -> None:
+    """Exit 1 on the error of `cfg` under _schema(command) that jsonschema's best_match would pick."""
+    # best_match: the shallowest error, then the greatest path among siblings, then the first
+    error = max(_schema_errors(_schema(command), cfg), key=lambda e: (-len(e[0]), e[0]), default=None)
+    if error is None:
         return
-    if exc.validator == "additionalProperties":
-        prefix = "".join(f"{part}." for part in exc.absolute_path)
-        unread = sorted(set(exc.instance) - set(exc.schema["properties"]))
-        raise InvalidArgumentError(
-            f"{command} does not read config key(s): {', '.join(prefix + k for k in unread)}"
-        ) from exc
-    raise InvalidArgumentError(f"config validation failed: {exc.message}") from exc
+    _, keyword, message = error
+    if keyword == "additionalProperties":
+        raise InvalidArgumentError(f"{command} does not read config key(s): {message}")
+    raise InvalidArgumentError(f"config validation failed: {message}")
 
 
 def _lookup(cfg: dict, key: str):
@@ -611,8 +655,11 @@ def _cmd_poisson(cfg: dict) -> tuple[dict, dict]:
         "sigma2": sol.sigma2,
         "gamma": params.gamma if dynamics == "langevin" else None,
     }
-    return results, {"Kq": disc["Kq"], "Np": disc["Np"], "n_quad": basis.nodes.size, "rank_q": basis.wq.shape[1],
-                     "poisson_residual": sol.residual}
+    diagnostics = {"Kq": disc["Kq"], "Np": disc["Np"], "n_quad": basis.nodes.size, "rank_q": basis.wq.shape[1],
+                   "poisson_residual": sol.residual}
+    if sol.refinement_steps:  # only near zero friction, so the reports of other solves keep their bytes
+        diagnostics["poisson_refinement_steps"] = sol.refinement_steps
+    return results, diagnostics
 
 
 def _cmd_poincare(cfg: dict) -> tuple[dict, dict]:

@@ -101,9 +101,14 @@ POINCARE_RTOL = 5e-3  # relative change that ends the Poincare refinement
 POINCARE_MAX_ROUNDS = 6
 DECAY_TOL = 1e-8  # slack on the semigroup decay bound
 # Largest relative residual a Poisson solve may report: ordinary inputs read <= 1.1e-12 at
-# gamma >= 1e-3; cosine cos_q at the defaults reads 2.6e-10 at gamma = 1e-5 (sigma^2 off by
-# 4e-5), 4.9e-8 at 1e-6 (off by 2.4e-3) and 3.2e-4 at 1e-8.
+# gamma >= 1e-3; before refinement, cosine cos_q at the defaults reads 2.6e-10 at gamma = 1e-5
+# (sigma^2 off by 4e-5), 4.9e-8 at 1e-6 (off by 2.4e-3) and 3.2e-4 at 1e-8.
 POISSON_RESIDUAL_TOL = 1e-9
+# A sector's Poisson solve whose first relative residual is above this is refined on its
+# chain's factors, up to POISSON_REFINE_STEPS times: cosine cos_q at the defaults reads
+# 2.2e-17 at gamma = 1, 4.3e-14 at 1e-3 and 5.5e-12 at 1e-4, so only frictions near zero are.
+POISSON_REFINE_ABOVE = 2e-12
+POISSON_REFINE_STEPS = 4
 # Largest dense operator neg_operator allocates; the gap eigensolve (np.linalg.eigvals)
 # holds a second copy of it, so a solve peaks at about twice this.
 DENSE_MAX_BYTES = 2**30
@@ -926,6 +931,7 @@ class PoissonResult:
     phi_coeffs: Array
     sigma2: float
     residual: float  # ||(-L) z - b|| / (||L||_1 ||z|| + ||b||) in the whitened frame
+    refinement_steps: int = 0  # iterative-refinement steps, summed over the sectors (solve_poisson)
 
 
 def _sigma2_from_pair(z_sol: Array, z_rhs: Array, mass_nu: float) -> float:
@@ -952,14 +958,44 @@ def _lu_solve(neg_op: Array, rhs: Array) -> tuple[Array, Array, float]:
 
 
 def _relative_residual(res: Array, z_sol: Array, z_rhs: Array, norm1: float) -> float:
-    """||res|| / (||L||_1 ||z|| + ||b||); a solve above POISSON_RESIDUAL_TOL is a numerical failure."""
+    """||res|| / (||L||_1 ||z|| + ||b||)."""
     # scipy's norm is BLAS nrm2, which scales: a solution near the float maximum keeps a finite norm
     scale = norm1 * float(sla.norm(z_sol)) + float(sla.norm(z_rhs))
-    residual = float(sla.norm(res)) / scale if scale > 0 else 0.0
+    return float(sla.norm(res)) / scale if scale > 0 else 0.0
+
+
+def _require_accurate(residual: float) -> float:
+    """The relative residual of a Poisson solve; one above POISSON_RESIDUAL_TOL is a numerical failure."""
     if not residual <= POISSON_RESIDUAL_TOL:
         raise NumericalFailureError(
             f"Poisson solve is inaccurate: relative residual {residual:.3g} is above {POISSON_RESIDUAL_TOL:g}")
     return residual
+
+
+def _refined_chain_solve(chain: HermiteChain, blocks: LevelBlocks, b: Array, norm1: float) -> tuple[Array, Array, int]:
+    """The chain's solution z of -L z = b, its residual -L z - b and the refinement steps taken.
+
+    A relative residual above POISSON_REFINE_ABOVE is refined on the chain's
+    factors, z <- z - chain.solve(-L z - b), while it falls, at most
+    POISSON_REFINE_STEPS times; a first step that does not lower it is a
+    numerical failure.
+    """
+    z = chain.solve(b[:, None])[:, 0]
+    res = blocks.matvec(z) - b
+    residual, steps = _relative_residual(res, z, b, norm1), 0
+    if residual > POISSON_REFINE_ABOVE:
+        while steps < POISSON_REFINE_STEPS:
+            z_new = z - chain.solve(res[:, None])[:, 0]
+            res_new = blocks.matvec(z_new) - b
+            residual_new = _relative_residual(res_new, z_new, b, norm1)
+            if not residual_new < residual:
+                break
+            z, res, residual, steps = z_new, res_new, residual_new, steps + 1
+        if steps == 0:
+            raise NumericalFailureError(
+                f"Poisson solve is inaccurate: relative residual {residual:.3g}, and iterative refinement "
+                "does not lower it")
+    return z, res, steps
 
 
 def solve_poisson(asm: GeneratorAssembly, phi_coeffs: Array) -> PoissonResult:
@@ -969,27 +1005,30 @@ def solve_poisson(asm: GeneratorAssembly, phi_coeffs: Array) -> PoissonResult:
     Each sector is solved by its Hermite chain at mu = 0 (hermite_chain), and
     the residual and ||L||_1 come from its level blocks, so no dense operator
     is built.  The chain makes no condition estimate, so a stiff but solvable
-    operator (gamma near the float maximum) solves without a warning.  An
-    exactly singular pivot, or a relative residual above POISSON_RESIDUAL_TOL
-    (gamma near zero), is a numerical failure.  A sector with a zero
-    right-hand side solves to exact zeros.  Returns the solution's full-basis
-    coefficients (mean-zero representative).
+    operator (gamma near the float maximum) solves without a warning.  Near
+    zero friction the chain loses accuracy roughly as 1/gamma, and a sector's
+    solve is refined on its factors (_refined_chain_solve).  An exactly
+    singular pivot, or a relative residual above POISSON_RESIDUAL_TOL, is a
+    numerical failure.  A sector with a zero right-hand side solves to exact
+    zeros.  Returns the solution's full-basis coefficients (mean-zero
+    representative).
     """
     red = reduced_generator(asm.basis)
     z_rhs = red.to_reduced(phi_coeffs)
     z_sol, res = np.empty_like(z_rhs), np.empty_like(z_rhs)
-    norm1 = 0.0
+    norm1, steps = 0.0, 0
     for s in range(red.n_sectors):
         idx = red.sector_index(s)
         blocks = red.level_blocks(asm.gamma, sector=s)
+        sector_norm1 = blocks.norm1()
         try:
-            z_sol[idx] = hermite_chain(blocks, 0.0).solve(z_rhs[idx, None])[:, 0]
+            z_sol[idx], res[idx], sector_steps = _refined_chain_solve(
+                hermite_chain(blocks, 0.0), blocks, z_rhs[idx], sector_norm1)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"Poisson solve failed (singular pivot): {exc}") from exc
-        res[idx] = blocks.matvec(z_sol[idx]) - z_rhs[idx]
-        norm1 = max(norm1, blocks.norm1())
-    residual = _relative_residual(res, z_sol, z_rhs, norm1)
-    return PoissonResult(red.to_full(z_sol), _sigma2_from_pair(z_sol, z_rhs, red.mass_nu), residual)
+        norm1, steps = max(norm1, sector_norm1), steps + sector_steps
+    residual = _require_accurate(_relative_residual(res, z_sol, z_rhs, norm1))
+    return PoissonResult(red.to_full(z_sol), _sigma2_from_pair(z_sol, z_rhs, red.mass_nu), residual, steps)
 
 
 def solve_poisson_overdamped(ovd: OverdampedOperator, phi_q_coeffs: Array) -> PoissonResult:
@@ -997,7 +1036,7 @@ def solve_poisson_overdamped(ovd: OverdampedOperator, phi_q_coeffs: Array) -> Po
     b = ovd.basis
     z_rhs = b.q0.T @ (b.wq.T @ (b.gram_q @ np.asarray(phi_q_coeffs, float)))
     z_sol, res, norm1 = _lu_solve(-_overdamped_reduced(ovd), z_rhs)
-    residual = _relative_residual(res, z_sol, z_rhs, norm1)
+    residual = _require_accurate(_relative_residual(res, z_sol, z_rhs, norm1))
     return PoissonResult(b.wq @ (b.q0 @ z_sol), _sigma2_from_pair(z_sol, z_rhs, b.mass_nu), residual)
 
 

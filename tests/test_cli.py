@@ -2,6 +2,7 @@
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -14,8 +15,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hypokit import EnsembleParams, PhaseState, RngStream, builtin_potential, cli, eval_hamiltonian, simulate
+from hypokit import EnsembleParams, PhaseState, RngStream, builtin_potential, cli, eval_hamiltonian, simulate, spectral
 from hypokit.errors import InvalidArgumentError, NumericalFailureError
 from hypokit.model import _center_cell
 from hypokit.spectral import build_basis, project_phase_function, reduced_generator
@@ -503,8 +506,6 @@ def test_write_csv_is_the_bytes_of_savetxt(tmp_path):
 
 
 def test_dense_operator_above_the_budget_exits_1(monkeypatch, capsys):
-    from hypokit import spectral
-
     monkeypatch.setattr(spectral, "DENSE_MAX_BYTES", 1000)
     assert run("spectrum", "--Kq", "4", "--Np", "8", "--no-check-convergence") == 1
     err = capsys.readouterr().err
@@ -513,16 +514,12 @@ def test_dense_operator_above_the_budget_exits_1(monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["bounds", "poisson"])
 def test_bounds_and_poisson_build_no_dense_generator(command, monkeypatch, tmp_path):
-    from hypokit import spectral
-
     monkeypatch.setattr(spectral, "DENSE_MAX_BYTES", 1000)
     assert run(command, "--Kq", "4", "--Np", "8", "--report", tmp_path / "rep.json") == 0
 
 
 def test_singular_chain_pivot_exits_2(monkeypatch, capsys):
     # with every coupling zero, level 0 (whose diagonal is zero) has a zero pivot
-    from hypokit import spectral
-
     real = spectral.ReducedGenerator.level_blocks
 
     def uncoupled(self, *args, **kwargs):
@@ -637,11 +634,13 @@ def test_mass_still_read_by_overdamped_sample(tmp_path):
     assert energy_mean(1.0) != energy_mean(3.0)
 
 
-def test_cli_import_leaves_scipy_sparse_unloaded():
-    # scipy.sparse is imported where a solver needs it; at module level it
-    # adds about 30 ms to every start-up
+@pytest.mark.parametrize("prefix", ["scipy.sparse", "jsonschema"])
+def test_cli_import_leaves_module_unloaded(prefix):
+    # scipy.sparse is imported where a solver needs it; at module level it adds
+    # about 30 ms to every start-up.  jsonschema is a test-only reference for
+    # cli._validate, and importing it cost 70-90 ms.
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    code = "import sys, hypokit.cli; print(any(m.startswith('scipy.sparse') for m in sys.modules))"
+    code = f"import sys, hypokit.cli; print(any(m.startswith({prefix!r}) for m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
@@ -714,9 +713,36 @@ def test_spectrum_refuses_the_gap_a_scan_row_refuses(tmp_path, capsys):
 
 @pytest.mark.parametrize("gamma", ["1e-20", "1e-8"])
 def test_inaccurate_poisson_solve_exits_2(gamma, capsys):
-    # relative residuals 0.18 and 3.2e-4; at 1e-8 gamma sigma^2 read 0.0095 against 0.3297
+    # relative residuals 0.12 and 3.2e-4 (refinement does not lower the second); unrefined, gamma sigma^2
+    # read 0.0095 at 1e-8 against 0.3297
     assert run("poisson", "--gamma", gamma) == 2
     assert "Poisson solve is inaccurate: relative residual" in capsys.readouterr().err
+
+
+def _gamma_sigma2(gamma, path):
+    assert run("poisson", "--observable", "cos_q", "--gamma", gamma, "--report", path) == 0
+    rep = read_report(path)
+    return gamma * rep["results"]["sigma2"], rep["diagnostics"]
+
+
+@pytest.mark.parametrize("gamma", [1e-5, 10**-5.5, 1e-6])
+def test_poisson_near_zero_friction_is_refined_to_the_small_friction_plateau(gamma, tmp_path):
+    """Unrefined, gamma sigma^2 read 4e-5 relative off at 1e-5 and the solve exited 2 below 5e-6.
+
+    The reference is gamma = 1e-4, not 1e-3: gamma sigma^2 is about c0 + 0.089 gamma^2 on this basis,
+    so the 1e-3 value sits 2.7e-7 relative above the plateau, and 1e-4 only 2.7e-9.
+    """
+    want, _ = _gamma_sigma2(1e-4, tmp_path / "ref.json")
+    got, diagnostics = _gamma_sigma2(gamma, tmp_path / "rep.json")
+    assert got == pytest.approx(want, rel=1e-7)
+    assert 1 <= diagnostics["poisson_refinement_steps"] <= 2 * spectral.POISSON_REFINE_STEPS
+    assert diagnostics["poisson_residual"] <= 1e-13
+
+
+def test_poisson_at_ordinary_friction_is_not_refined(tmp_path):
+    # the first residual is far below POISSON_REFINE_ABOVE, so the report keeps its keys and bytes
+    _, diagnostics = _gamma_sigma2(1e-3, tmp_path / "rep.json")
+    assert "poisson_refinement_steps" not in diagnostics
 
 
 # Option strings of each subcommand; scan takes no --gamma (its ladder sets it).
@@ -753,12 +779,182 @@ def test_subcommand_flags(command):
 
 @pytest.mark.parametrize("command", list(SUBCOMMAND_FLAGS))
 def test_generated_schema_is_valid_under_its_metaschema(command):
-    # cli._validate skips this check at run time, so it is made here once per subcommand
     from jsonschema import Draft202012Validator
 
     schema = cli._schema(command)
     assert schema["$schema"] == "https://json-schema.org/draft/2020-12/schema"
     Draft202012Validator.check_schema(schema)
+
+
+def _schema_keywords(schema):
+    """(keyword, value) of every keyword in a schema and in its subschemas."""
+    for keyword, value in schema.items():
+        yield keyword, value
+        if keyword == "items":
+            yield from _schema_keywords(value)
+        elif keyword == "properties":
+            for sub in value.values():
+                yield from _schema_keywords(sub)
+
+
+def test_option_schemas_use_only_what_the_checker_implements():
+    # a keyword the checker does not know (say a future "maximum") would be ignored
+    schemas = [opt.schema for opt in cli._OPTIONS] + [cli._schema(c) for c in SUBCOMMAND_FLAGS]
+    used = [kv for schema in schemas for kv in _schema_keywords(schema)]
+    assert {keyword for keyword, _ in used} <= set(cli._KEYWORDS)
+    assert {value for keyword, value in used if keyword == "type"} <= set(cli._TYPES)
+    assert all(value is False for keyword, value in used if keyword == "additionalProperties")
+
+
+_INTEGER_OPTIONS = [opt for opt in cli._OPTIONS if opt.schema.get("type") == "integer"]
+
+
+@pytest.mark.parametrize("opt", _INTEGER_OPTIONS, ids=[opt.key for opt in _INTEGER_OPTIONS])
+def test_integral_float_for_an_integer_key_exits_1(opt, tmp_path, capsys):
+    # JSON schema counts 4.0 as an integer; the solvers and the report do not
+    section, _, name = opt.key.rpartition(".")
+    value = float(opt.schema["minimum"] + 2)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({section: {name: value}} if section else {name: value}))
+    assert run(opt.commands[0], "--config", cfg_path) == 1
+    err = capsys.readouterr().err
+    assert f"config validation failed: {value!r} is not of type 'integer'" in err
+    assert "Traceback" not in err
+
+
+def _valid(schema):
+    """Values that keep to `schema`."""
+    kind = schema.get("type")
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    if kind == "object":
+        props = schema.get("properties")
+        if props is None:  # potential.params: any object
+            return st.dictionaries(st.text(max_size=2), st.floats(-3, 12), max_size=2)
+        required = schema.get("required", [])
+        return st.fixed_dictionaries({key: _valid(props[key]) for key in required},
+                                     optional={key: _valid(sub) for key, sub in props.items() if key not in required})
+    if kind == "array":
+        return st.lists(_valid(schema["items"]), min_size=schema.get("minItems", 0), max_size=schema.get("maxItems", 3))
+    if kind in ("number", "integer"):
+        low = schema.get("minimum", schema.get("exclusiveMinimum", -3))
+        ints = st.integers(math.ceil(low) + ("exclusiveMinimum" in schema), 12)
+        return ints if kind == "integer" else st.one_of(
+            ints, st.floats(low, 12, exclude_min="exclusiveMinimum" in schema))
+    return {"string": st.text(max_size=2), "boolean": st.booleans()}[kind]
+
+
+def _minimal(schema):
+    """The smallest value that keeps to `schema`."""
+    if "enum" in schema:
+        return schema["enum"][0]
+    kind = schema["type"]
+    if kind == "object":
+        return {key: _minimal(schema["properties"][key]) for key in schema.get("required", [])}
+    if kind == "array":
+        return [_minimal(schema["items"])] * schema.get("minItems", 0)
+    if kind in ("number", "integer"):
+        return schema.get("minimum", schema.get("exclusiveMinimum", 0) + 1)
+    return {"string": "", "boolean": False}[kind]
+
+
+def _nodes(schema, path=()):
+    """(path, subschema) of `schema` and of everything nested in it: an array's items sit at index 0, and each
+    closed object has a key "unread" with the empty schema."""
+    yield path, schema
+    if "properties" in schema:
+        yield path + ("unread",), {}
+    for key, sub in schema.get("properties", {}).items():
+        yield from _nodes(sub, path + (key,))
+    if "items" in schema:
+        yield from _nodes(schema["items"], path + (0,))
+
+
+def _faults(schema):
+    """Values at or past the edges of `schema` (some still keep to it): other types, bools, the bound and
+    below it, integral floats, empty and overlong arrays, unread keys and missing ones."""
+    values = [None, True, False, "x", [0], {"unread": 0}, {}, 0, -1, 2.5]
+    low = schema.get("minimum", schema.get("exclusiveMinimum"))
+    if low is not None:
+        values += [low, float(low), low - 1, low - 0.5, float(low + 2)]
+    if schema.get("type") == "array":
+        values += [[], [1.0] * (schema.get("maxItems", 2) + 1)]
+    return values
+
+
+def _put(schema, value, path, fault):
+    """`value` with `fault` at `path`; a container missing on the way is the schema's minimal value."""
+    if not path:
+        return fault
+    key, rest = path[0], path[1:]
+    if isinstance(key, int):
+        items = list(value) if isinstance(value, list) and value else [_minimal(schema["items"])]
+        items[0] = _put(schema["items"], items[0], rest, fault)
+        return items
+    value = dict(value) if isinstance(value, dict) else _minimal(schema)
+    value[key] = _put(schema["properties"].get(key, {}), value.get(key), rest, fault)
+    return value
+
+
+@functools.cache
+def _reference_validator(command):
+    """jsonschema's Draft 2020-12 validator of _schema(command), with "integer" narrowed to int."""
+    from jsonschema import Draft202012Validator, validators
+
+    types = Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool))
+    return validators.extend(Draft202012Validator, type_checker=types)(cli._schema(command))
+
+
+def _reference_message(command, cfg):
+    """cli._validate's message by the reference validator if it finds one error, else the error count."""
+    errors = list(_reference_validator(command).iter_errors(cfg))
+    if len(errors) != 1:
+        return len(errors)
+    (exc,) = errors
+    if exc.validator == "additionalProperties":
+        prefix = "".join(f"{part}." for part in exc.absolute_path)
+        unread = sorted(set(exc.instance) - set(exc.schema["properties"]))
+        return f"{command} does not read config key(s): {', '.join(prefix + k for k in unread)}"
+    return f"config validation failed: {exc.message}"
+
+
+def _agrees_with_reference(command, cfg):
+    try:
+        cli._validate(cfg, command)
+        message = None
+    except InvalidArgumentError as exc:
+        message = str(exc)
+    want = _reference_message(command, cfg)
+    if isinstance(want, int):  # zero or several errors: accept exactly when there are none
+        return (message is None) == (want == 0)
+    return message == want
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMAND_FLAGS))
+def test_config_checker_agrees_with_jsonschema_on_each_fault(command):
+    """cli._validate accepts and rejects as Draft 2020-12 does (an integral float is not an integer), with
+    jsonschema's message where it finds one error, for every _faults value at every node of the schema."""
+    schema = cli._schema(command)
+    cfgs = [_put(schema, _minimal(schema), path, fault) for path, node in _nodes(schema) for fault in _faults(node)]
+    assert [cfg for cfg in cfgs if isinstance(cfg, dict) and not _agrees_with_reference(command, cfg)] == []
+
+
+@st.composite
+def _configs(draw, schema):
+    """A valid config, with _faults values at up to three of the schema's nodes."""
+    cfg = draw(_valid(schema))
+    for path, node in draw(st.lists(st.sampled_from(list(_nodes(schema))[1:]), max_size=3)):
+        cfg = _put(schema, cfg, path, draw(st.sampled_from(_faults(node))))
+    return cfg
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMAND_FLAGS))
+@settings(max_examples=100)
+@given(data=st.data())
+def test_config_checker_agrees_with_jsonschema(command, data):
+    """As above, on drawn configs: valid ones, and ones with faults in several places."""
+    assert _agrees_with_reference(command, data.draw(_configs(cli._schema(command))))
 
 
 def test_parse_gammas_helper():
