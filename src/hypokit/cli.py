@@ -190,11 +190,11 @@ def _write_csv(path: str, header: list[str], rows: np.ndarray) -> None:
 def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
     """(header names, data rows); loadtxt reads the path itself, in C chunks, not line by line."""
     try:
-        with open(path, newline="\n") as fh:
+        with open(path, newline="\n", encoding="utf-8-sig") as fh:  # utf-8-sig drops a leading BOM
             header = fh.readline().strip()
         if not header:
             raise InvalidArgumentError(f"empty CSV file: {path}")
-        names = header.split(",")
+        names = [name.strip() for name in header.split(",")]
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
@@ -550,11 +550,19 @@ def _cmd_variance(cfg: dict) -> tuple[dict, dict]:
     if spacing is None:
         if "time" not in names or data.shape[0] < 2:
             raise InvalidArgumentError("cannot infer spacing; pass --spacing")
-        t = _finite_column(data, names, "time", path)
-        steps = np.diff(t)
-        if np.any(np.abs(steps - steps[0]) > 1e-9 * max(abs(steps[0]), 1e-300)):
-            raise InvalidArgumentError("time column is not uniformly spaced; pass --spacing")
+        steps = np.diff(_finite_column(data, names, "time", path))  # the one temporary of the check
         spacing = float(steps[0])
+        if not spacing > 0:
+            raise InvalidArgumentError(
+                f"time column of CSV file {path} does not increase (first step {spacing:g}); pass --spacing")
+        steps -= spacing
+        np.abs(steps, out=steps)
+        if np.any(steps > 1e-9 * max(spacing, 1e-300)):
+            raise InvalidArgumentError(f"time column of CSV file {path} is not uniformly spaced; pass --spacing")
+        del steps
+    # the estimators read one contiguous column; the table goes before they allocate
+    values = values.copy()
+    del data
 
     method = _mode(cfg, "options.method")
     if method == "acf":

@@ -36,12 +36,28 @@ class VarianceReport:
 
 
 def _autocovariance(x: Array) -> Array:
-    """Biased sample autocovariances c_0..c_{n-1} via FFT."""
+    """Biased sample autocovariances c_0..c_{n-1} via FFT, as a view of one padded buffer.
+
+    The centred series is zero-padded to nfft >= 2n - 1 in a real buffer,
+    whose rfft f becomes |f|^2 in place and is transformed back into the same
+    buffer.  The memory is the buffer and f, about 2 x 8 nfft bytes, plus
+    pocketfft's work buffers.  |f|^2 is formed as conj(f) * f: NumPy's complex
+    multiply is FMA-contracted, so the operand order sets the last bit of the
+    imaginary part, and this order gives the bits of the former
+    irfft(f * conj(f)) for n > 8192.
+    """
     n = x.size
-    xc = x - x.mean()
     nfft = 1 << (2 * n - 1).bit_length()
-    f = np.fft.rfft(xc, nfft)
-    acov = np.fft.irfft(f * np.conj(f), nfft)[:n].real / n
+    buf = np.zeros(nfft)
+    np.subtract(x, x.mean(), out=buf[:n])
+    f = np.fft.rfft(buf)
+    step = 1 << 16  # bins per chunk, so conj's temporary is 1 MiB
+    for lo in range(0, f.size, step):
+        chunk = f[lo : lo + step]
+        np.multiply(np.conj(chunk), chunk, out=chunk)
+    np.fft.irfft(f, nfft, out=buf)
+    acov = buf[:n]
+    acov /= n
     return acov
 
 

@@ -1027,6 +1027,8 @@ def solve_poisson(asm: GeneratorAssembly, phi_coeffs: Array) -> PoissonResult:
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"Poisson solve failed (singular pivot): {exc}") from exc
         norm1, steps = max(norm1, sector_norm1), steps + sector_steps
+        del blocks
+        red._cache.pop(s)  # each sector is read once: its couplings go before the next sector's are built
     residual = _require_accurate(_relative_residual(res, z_sol, z_rhs, norm1))
     return PoissonResult(red.to_full(z_sol), _sigma2_from_pair(z_sol, z_rhs, red.mass_nu), residual, steps)
 

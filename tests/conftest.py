@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -47,3 +48,23 @@ def cosine_asm(cosine_spec, unit_params):
 def cosine_asm_small(cosine_spec, unit_params):
     basis = build_basis(cosine_spec, unit_params, Kq=8, Np=12, n_quad=128)
     return assemble_generator(basis, unit_params.gamma)
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(fn, *args) -> (fn(*args), the tracemalloc peak in bytes above what was traced before the call)."""
+
+    def run(fn, *args):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    return run

@@ -471,7 +471,11 @@ def test_rejection_names_what_it_rejects(argv, names, capsys):
     ("time,x\n0,1\n0.5,nan\n1,2\n", "holds a NaN or infinite value"),
     ("time,x\n0,1\n0.5,-inf\n1,2\n", "holds a NaN or infinite value"),
     ("time,x\n0,1\nnan,2\n1,2\n", "column 'time'"),
-], ids=["not-a-number", "ragged-row", "header-only", "nan", "inf", "nan-time"])
+    ("time,x\n1,1\n0.5,2\n0,3\n", "time column of .* does not increase .*; pass --spacing"),
+    ("time,x\n0,1\n0,2\n0,3\n", "time column of .* does not increase .*; pass --spacing"),
+    ("time,x\n0,1\n0.5,2\n2,3\n", "time column of .* is not uniformly spaced; pass --spacing"),
+], ids=["not-a-number", "ragged-row", "header-only", "nan", "inf", "nan-time", "decreasing-time", "repeated-time",
+        "uneven-time"])
 @pytest.mark.filterwarnings("error")
 def test_variance_input_that_cannot_be_read_exits_1(body, message, tmp_path, capsys):
     path = tmp_path / "bad.csv"
@@ -484,13 +488,25 @@ def test_variance_input_that_cannot_be_read_exits_1(body, message, tmp_path, cap
 @pytest.mark.parametrize("body", [
     "time,x\r\n0,1.5\r\n0.5,2.5\r\n1,3.5\r\n",
     "time,x\n# a comment line\n0,1.5\n0.5,2.5 # a trailing comment\n\n1,3.5\n",
-], ids=["crlf", "comments"])
+    " time , x\t\n0,1.5\n0.5,2.5\n1,3.5\n",
+    "\ufefftime,x\n0,1.5\n0.5,2.5\n1,3.5\n",
+], ids=["crlf", "comments", "spaced-names", "bom"])
 def test_csv_line_endings_and_comments_parse_like_a_plain_file(body, tmp_path):
     (tmp_path / "plain.csv").write_bytes(b"time,x\n0,1.5\n0.5,2.5\n1,3.5\n")
     (tmp_path / "other.csv").write_bytes(body.encode())
     names, data = cli._read_csv(str(tmp_path / "other.csv"))
     want_names, want = cli._read_csv(str(tmp_path / "plain.csv"))
     assert names == want_names == ["time", "x"] and np.array_equal(data, want)
+
+
+@pytest.mark.parametrize("header", ["time, x", "\ufefftime,x"], ids=["spaced-names", "bom"])
+def test_variance_reads_spaced_and_bom_headers(header, tmp_path):
+    t = np.arange(200) * 0.25
+    path = tmp_path / "in.csv"
+    cli._write_csv(str(path), ["time", "x"], np.column_stack([t, np.sin(t)]))
+    path.write_text(header + path.read_text()[len("time,x"):], encoding="utf-8")
+    assert run("variance", "--input", path, "--column", "x", "--report", tmp_path / "r.json") == 0
+    assert read_report(tmp_path / "r.json")["results"]["spacing"] == 0.25
 
 
 def test_write_csv_is_the_bytes_of_savetxt(tmp_path):

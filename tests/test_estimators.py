@@ -12,6 +12,7 @@ from hypokit import (
     asymptotic_variance_acf,
     batch_means_variance,
 )
+from hypokit.estimators import _autocovariance
 
 
 def ar1(n, rho, seed=0):
@@ -105,3 +106,41 @@ def test_ess_never_exceeds_sample_count():
     assert 0 < rep.ess <= 30_000
     # strongly correlated chain: far fewer effective samples than raw ones
     assert rep.ess < 3_000
+
+
+def _former_autocovariance(x):
+    """The estimator's autocovariances as they were computed before the in-place buffer."""
+    n = x.size
+    nfft = 1 << (2 * n - 1).bit_length()
+    f = np.fft.rfft(x - x.mean(), nfft)
+    return np.fft.irfft(f * np.conj(f), nfft)[:n].real / n
+
+
+def _drifting_series(n):
+    rng = np.random.default_rng(n)
+    return rng.standard_normal(n) + 0.01 * np.cumsum(rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("n", [8193, 100_000, 1_000_000])
+def test_autocovariance_keeps_its_bits(n):
+    """Above n = 8192, NumPy's temporary elision evaluated f * conj(f) as conj(f) * f, the order kept now."""
+    x = _drifting_series(n)
+    assert np.array_equal(_autocovariance(x), _former_autocovariance(x))
+
+
+@pytest.mark.parametrize("n", [100, 101, 8192])
+def test_autocovariance_of_short_series_moves_by_roundoff(n):
+    """Below that, f * conj(f) was computed in the other order: the last bit of its imaginary part moves."""
+    x = _drifting_series(n)
+    acov, former = _autocovariance(x), _former_autocovariance(x)
+    assert np.max(np.abs(acov - former)) <= 1e-15 * former[0]
+
+
+def test_acf_memory_is_two_padded_buffers(traced_peak):
+    """At n = 2**18 (nfft = 2**19) the traced peak was 3.50 x 8 nfft bytes and is 2.25 x now:
+    the padded buffer, its rfft and one 1 MiB chunk of conj(f)."""
+    n = 1 << 18
+    x = _drifting_series(n)
+    rep, peak = traced_peak(asymptotic_variance_acf, x, 1.0)
+    assert rep.sigma2 > 0
+    assert peak < 2.5 * 8 * (2 * n)

@@ -239,6 +239,23 @@ def test_langevin_poisson_ou_oracle(quad_spec):
     assert sol.sigma2 == pytest.approx(2.0 * params.gamma, abs=1e-6)
 
 
+def test_solve_poisson_holds_one_sectors_couplings_at_a_time(cosine_spec, unit_params, traced_peak):
+    """At Kq16/Np64 the traced peak was 619 kB with both sectors' couplings cached and is 463 kB:
+    one sector's couplings (137 kB) and chain (153 kB) with their vectors, under twice their sum."""
+    basis = build_basis(cosine_spec, unit_params, Kq=16, Np=64, n_quad=256)
+    asm = assemble_generator(basis, 1.0)
+    red = reduced_generator(basis)
+    largest = 0
+    for s in range(red.n_sectors):
+        blocks = red.level_blocks(1.0, sector=s)
+        chain_bytes = traced_peak(spectral.hermite_chain, blocks, 0.0)[1]
+        largest = max(largest, sum(b.nbytes for b in blocks.couplings) + chain_bytes)
+    phi = project_phase_function(basis, lambda q, p: np.cos(2 * math.pi * q) + np.sin(2 * math.pi * q) + p)
+    sol, peak = traced_peak(solve_poisson, asm, phi)
+    assert sol.sigma2 > 0
+    assert peak < 2 * largest
+
+
 def test_poisson_insensitive_to_constant_shift(cosine_asm):
     basis = cosine_asm.basis
     f = lambda q, p: np.cos(2 * math.pi * q) * np.ones_like(p)
