@@ -762,7 +762,7 @@ def _cmd_bounds(cfg: dict) -> tuple[dict, dict]:
         "witness_underdamped": witnesses.underdamped,
         "gamma": params.gamma,
     }
-    return results, {"size": basis.size, "rank_q": basis.wq.shape[1]}
+    return results, {"size": basis.size, "rank_q": basis.wq.shape[1], "resolvent_lanczos_steps": check.lanczos_steps}
 
 
 def _parse_gammas(text: str) -> list[float]:

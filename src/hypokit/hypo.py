@@ -30,11 +30,13 @@ only adjacent levels, D2 = L^T S + S L (S the symmetric part of R) lives on
 levels 0-2.  Beyond them D(eps) is diagonal, with smallest entry 3 gamma / m.
 
 The resolvent norm ||L^{-1}|| = 1/sigma_min(L) comes from Lanczos on the
-symmetric positive definite L^{-T} L^{-1}, applied through one sparse LU of
-the banded -L^T, which is written from the level blocks with no dense
-operator.  Its largest eigenvalue is 1/sigma_min^2, and for a symmetric
-positive definite operator the largest Lanczos eigenvalue is the wanted one.
-The witnesses apply -L by the block matvec.
+symmetric positive definite L^{-1} L^{-T}, applied through the Hermite chain
+of each sector of -L at mu = 0 (spectral.hermite_chain), the factorization
+the Poisson solve uses; -L^T has the same pivots, so one factorization serves
+both solves and no dense or sparse operator is built.  Its largest eigenvalue is
+1/sigma_min^2, and for a symmetric positive definite operator the largest
+Lanczos eigenvalue is the wanted one.  The witnesses apply -L by the block
+matvec.
 A shift-invert eigensolve of L itself could not give the spectral gap that
 safely: it returns the eigenvalues nearest 0 in modulus, which can miss the
 one with the smallest real part.  A friction-scan rung is
@@ -46,7 +48,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -61,6 +63,8 @@ from .model import EnsembleParams
 from .spectral import (
     BasisSet,
     GeneratorAssembly,
+    HermiteChain,
+    hermite_chain,
     poincare_constant,
     project_phase_function,
     reduced_generator,
@@ -79,6 +83,10 @@ HESS_GRID_N = 4096  # torus grid on which the Hessian lower bound is scanned
 # already take minutes, and a count of 10**9 would ask for some 32 GB of rungs.
 SCAN_MAX_RUNGS = 1024
 ODE_MAX_STEPS = 10**7  # RK4 steps ode_trajectory takes at most (250 times the figure-1 run)
+LANCZOS_MAX_STEPS = 300  # Lanczos steps resolvent_norm takes at most; the defaults take 9-11 at gamma 1e-4 to 1e3
+LANCZOS_RTOL = 1e-10  # Ritz residual bound, relative to the Ritz value, that ends a Lanczos run
+SINGULAR_RTOL = 1e-14  # a sigma_min(L) at most this times ||L||_1 is a singular generator
+SINGULAR_MESSAGE = "generator is numerically singular on the deflated space"
 
 
 # ---------------------------------------------------------------------------
@@ -359,47 +367,89 @@ def tune_modified_norm_epsilon(asm: GeneratorAssembly) -> DissipationResult:
 # resolvent bounds
 
 
+def _lanczos_largest(apply: Callable[[Array], Array], n: int) -> tuple[Array, int]:
+    """Unit Ritz vector of the largest eigenvalue of a symmetric positive definite operator, and the steps taken.
+
+    Lanczos with full reorthogonalization (Paige 1972) from the fixed unit
+    vector of ones, so reruns are bitwise identical.  It stops once the Ritz
+    residual bound beta_k |e_k^T s| is at most LANCZOS_RTOL times the Ritz
+    value; a run that reaches LANCZOS_MAX_STEPS steps is a numerical failure.
+    """
+    q = np.empty((min(LANCZOS_MAX_STEPS, n), n))  # the Lanczos vectors; only the rows written are touched
+    q[0] = 1.0 / math.sqrt(n)
+    tri = np.zeros((q.shape[0], q.shape[0]))  # the tridiagonal T_k of the Lanczos relation
+    for k in range(1, q.shape[0] + 1):
+        w = apply(q[k - 1])
+        tri[k - 1, k - 1] = q[k - 1] @ w
+        for _ in range(2):  # classical Gram-Schmidt twice keeps q orthonormal to roundoff
+            w -= q[:k].T @ (q[:k] @ w)
+        beta = float(np.linalg.norm(w))
+        theta, s = np.linalg.eigh(tri[:k, :k])
+        if beta * abs(s[-1, -1]) <= LANCZOS_RTOL * theta[-1]:
+            u = q[:k].T @ s[:, -1]
+            return u / np.linalg.norm(u), k
+        if k < q.shape[0]:
+            tri[k, k - 1] = tri[k - 1, k] = beta
+            q[k] = w / beta
+    raise NumericalFailureError(f"resolvent norm: Lanczos did not converge in {q.shape[0]} steps")
+
+
+def _refined_transposed_solve(chain: HermiteChain, b: Array) -> Array:
+    """(-L)^{-T} b on the chain of -L at mu = 0, with one step of iterative refinement on its factors."""
+    y = chain.solve(b[:, None], transpose=True)
+    y -= chain.solve(chain.blocks.matvec(y, transpose=True) - b[:, None], transpose=True)
+    return y[:, 0]
+
+
+def _resolvent_lanczos(asm: GeneratorAssembly) -> tuple[float, int]:
+    """resolvent_norm and the number of Lanczos steps it took."""
+    red = reduced_generator(asm.basis)
+    sectors = [(red.sector_index(s), red.level_blocks(asm.gamma, sector=s)) for s in range(red.n_sectors)]
+    # an overflow in a chain shows as a solve that is not finite, which is refused below
+    with np.errstate(all="ignore"):
+        try:
+            chains = [(idx, hermite_chain(blocks, 0.0)) for idx, blocks in sectors]
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(f"resolvent norm solve failed (singular chain pivot): {exc}") from exc
+
+        def apply(x: Array) -> Array:  # (-L)^{-1} (-L)^{-T} x, sector by sector
+            y = np.empty_like(x)
+            for idx, chain in chains:
+                y[idx] = chain.solve(chain.solve(x[idx, None], transpose=True))[:, 0]
+            if not np.all(np.isfinite(y)):
+                raise NumericalFailureError(SINGULAR_MESSAGE)
+            return y
+
+        u, steps = _lanczos_largest(apply, red.dim)
+        # The Rayleigh quotient ||(-L)^{-T} u||^2 from one refined solve: the chain loses accuracy
+        # as 1/gamma near zero friction, and the quotient's error is quadratic in u's.
+        big_inv = 0.0
+        for idx, chain in chains:
+            y = _refined_transposed_solve(chain, u[idx])
+            big_inv += float(y @ y)
+    smin = 1.0 / math.sqrt(big_inv) if big_inv > 0.0 else 0.0
+    if not smin > SINGULAR_RTOL * max(blocks.norm1() for _, blocks in sectors):
+        raise NumericalFailureError(SINGULAR_MESSAGE)
+    return 1.0 / smin, steps
+
+
 def resolvent_norm(asm: GeneratorAssembly) -> float:
     """Gram-weighted norm of the inverse generator on the deflated space.
 
-    ||L^{-1}|| = 1/sigma_min(L), from Lanczos on the symmetric positive
-    definite A^{-1} A^{-T} (one sparse LU of A).  A = -L^T has the singular
-    values of L; its CSC matrix is written from the level blocks
-    (LevelBlocks.transpose_csc), so no dense operator is built.  The
-    singularity test weighs sigma_min against sqrt(||L||_1 ||L||_inf), an
-    upper bound of sigma_max read from the matrix at no cost.  A fixed start
-    vector keeps reruns bitwise identical.
+    ||L^{-1}|| = 1/sigma_min(L), from one Lanczos run on the symmetric
+    positive definite (-L)^{-1} (-L)^{-T}, whose largest eigenvalue is
+    1/sigma_min^2 (_lanczos_largest).  The run spans every sector; each
+    sector's solves run on its Hermite chain at mu = 0
+    (spectral.hermite_chain), as solve_poisson's do: -L^T has the same
+    pivots, so its solve is the same sweep with the couplings' signs flipped,
+    and no dense or sparse operator is built.  The value is the Rayleigh
+    quotient of the converged Ritz vector, taken with one refined solve.  The
+    singularity test weighs sigma_min against ||L||_1 (LevelBlocks.norm1),
+    which bounds sigma_max: |L| is symmetric, so ||L||_1 = ||L||_inf.  An
+    exactly singular pivot, a solve that is not finite, or a run that does
+    not converge is a numerical failure.
     """
-    # imported here: scipy.sparse costs every CLI start-up about 30 ms
-    from scipy.sparse.linalg import LinearOperator, eigsh, splu
-
-    op = reduced_generator(asm.basis).level_blocks(asm.gamma).transpose_csc()
-    n = op.shape[0]
-    try:
-        lu = splu(op)
-
-        def matvec(x):
-            return lu.solve(lu.solve(x, trans="T"))
-
-        # An overflowing solve would reach LAPACK inside ARPACK, which prints
-        # to stdout; it shows on the start vector already.
-        v0 = np.ones(n)
-        y = matvec(v0)
-        if not np.all(np.isfinite(y)):
-            raise NumericalFailureError("generator is numerically singular on the deflated space")
-        if n == 1:  # ARPACK needs n >= 2
-            big_inv = float(y[0])
-        else:
-            sym = LinearOperator((n, n), matvec=matvec, dtype=float)
-            big_inv = float(eigsh(sym, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
-    except RuntimeError as exc:  # a singular LU factor, or any ARPACK failure
-        raise NumericalFailureError(f"resolvent norm solve failed: {exc}") from exc
-    mag = abs(op)
-    smax_bound = math.sqrt(float(mag.sum(axis=0).max())) * math.sqrt(float(mag.sum(axis=1).max()))
-    smin = 1.0 / math.sqrt(big_inv) if big_inv > 0.0 else 0.0
-    if not smin > 1e-14 * smax_bound:
-        raise NumericalFailureError("generator is numerically singular on the deflated space")
-    return 1.0 / smin
+    return _resolvent_lanczos(asm)[0]
 
 
 SCHUR_CASES = ("convex", "hessian_lower_bound", "general")
@@ -465,6 +515,7 @@ class SchurCheck:
     case: str
     K: float
     r_nu: float
+    lanczos_steps: int  # steps of the resolvent norm's Lanczos run
 
 
 def verify_schur_bound(
@@ -516,7 +567,7 @@ def verify_schur_bound(
     r_nu = poincare_constant(spec, params, Kq=asm.basis.Kq, n_quad=asm.basis.nodes.size)
     # before the resolvent solve, so that a constant the case does not read fails fast
     bound = schur_bound(params, r_nu, case, K=k_used if case == "hessian_lower_bound" else K, c_prime=c_prime)
-    numeric = resolvent_norm(asm)
+    numeric, steps = _resolvent_lanczos(asm)
     return SchurCheck(
         numeric=numeric,
         bound=bound.value,
@@ -524,6 +575,7 @@ def verify_schur_bound(
         case=case,
         K=k_used,
         r_nu=r_nu,
+        lanczos_steps=steps,
     )
 
 
@@ -609,9 +661,11 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
     as those calls are long, which is why the chain batches its shifts
     (spectral.CONTOUR_CHUNK_BYTES).  Each
     row is computed the same way on any thread, so results do not depend on
-    the thread count.  More than one thread pays off with a single-threaded
-    BLAS: a multithreaded BLAS already spreads each solve over the cores, and
-    concurrent rows then compete with it for them.
+    the thread count.  More than one thread pays off only with a
+    single-threaded BLAS and only where a second core is free: a
+    multithreaded BLAS already spreads each solve over the cores, and
+    concurrent rows then compete with it for them, and on a shared host whose
+    second core is busy the rows take turns on one.
     Failed rows, including those whose gap is not above roundoff
     (spectral.require_gap_above_roundoff), are reported in row_errors with
     NaN gaps rather than aborting the scan.  Slopes are log-log fits over

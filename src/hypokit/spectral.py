@@ -56,8 +56,9 @@ settle, and reads the CONVERGENCE_RTOL test.  rung_gap is the gap on a basis,
 for `spectrum` and each friction-scan rung: from a dense gap on the bottom of
 rung_ladder (the basis and its halvings), contour_gap on each rung around the
 one below, with a dense guard; refined_gap is `spectrum`'s 1.5x check.  The resolvent norm
-(hypo) reads -L^T as a sparse matrix written from the level blocks
-(LevelBlocks.transpose_csc).
+(hypo) solves with -L and -L^T on each sector's chain at mu = 0: -L^T has the
+pivots of -L, and HermiteChain.solve(v, transpose=True) sweeps them with
+every coupling negated.
 
 Inputs have one home each.  build_basis(spec, params, ...) keeps the
 potential, beta and m on the BasisSet; assemble_generator(basis, gamma) binds
@@ -318,7 +319,8 @@ class LevelBlocks(NamedTuple):
 
     -L is block tridiagonal in the level n: diag(diags[n]) on level n
     (gamma n / m), and between levels n and n - 1 the coupling -B_n below and
-    B_n^T above the diagonal, B_n = couplings[n - 1].
+    B_n^T above the diagonal, B_n = couplings[n - 1].  -L^T has the same
+    blocks with every coupling negated.
     """
 
     diags: list[Array]
@@ -329,13 +331,14 @@ class LevelBlocks(NamedTuple):
         """Offset of each level in the sector vector, then the sector size."""
         return np.cumsum([0] + [d.size for d in self.diags])
 
-    def matvec(self, x: Array) -> Array:
-        """-L x for x of shape (k,) or (k, columns), with no dense operator."""
+    def matvec(self, x: Array, transpose: bool = False) -> Array:
+        """-L x (-L^T x with transpose) for x of shape (k,) or (k, columns), with no dense operator."""
         lev = np.split(x, self.start[1:-1])
         out = [d.reshape((-1,) + (1,) * (x.ndim - 1)) * xn for d, xn in zip(self.diags, lev)]
+        below, above = (np.add, np.subtract) if transpose else (np.subtract, np.add)
         for n, b in enumerate(self.couplings, 1):
-            out[n] = out[n] - b @ lev[n - 1]
-            out[n - 1] = out[n - 1] + b.T @ lev[n]
+            out[n] = below(out[n], b @ lev[n - 1])
+            out[n - 1] = above(out[n - 1], b.T @ lev[n])
         return np.concatenate(out)
 
     def norm1(self) -> float:
@@ -345,33 +348,6 @@ class LevelBlocks(NamedTuple):
             cols[n] = cols[n] + np.abs(b).sum(axis=1)
             cols[n - 1] = cols[n - 1] + np.abs(b).sum(axis=0)
         return float(max(c.max(initial=0.0) for c in cols))
-
-    def transpose_csc(self):
-        """-L^T as a scipy.sparse CSC matrix, written level by level with no dense operator.
-
-        The CSC arrays of -L^T are the CSR arrays of -L: row by row, the
-        entries that are not exactly zero in ascending column order, which are
-        the arrays csc_matrix reads from a dense -L^T.
-        """
-        from scipy.sparse import csc_matrix  # imported here: scipy.sparse costs every CLI start-up about 30 ms
-
-        start, top = self.start, len(self.diags) - 1
-        data, indices, counts = [], [], []
-        for n, d in enumerate(self.diags):
-            lo, mid, hi = start[max(n - 1, 0)], start[n], start[n + 1]
-            strip = np.zeros((d.size, start[min(n + 1, top) + 1] - lo))  # the rows of level n, levels n -/+ 1
-            if n > 0:
-                strip[:, : mid - lo] = -self.couplings[n - 1]
-            strip[np.arange(d.size), mid - lo + np.arange(d.size)] = d
-            if n < top:
-                strip[:, hi - lo :] = self.couplings[n].T
-            nonzero = strip != 0
-            data.append(strip[nonzero])
-            indices.append(lo + np.nonzero(nonzero)[1])
-            counts.append(np.count_nonzero(nonzero, axis=1))
-        indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-        k = int(start[-1])
-        return csc_matrix((np.concatenate(data), np.concatenate(indices), indptr), shape=(k, k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -587,25 +563,32 @@ class HermiteChain:
     blocks: LevelBlocks
     inv: list[Array]  # S_n^{-1}, shape mu.shape + (k_n, k_n)
 
-    def _sweep(self, v: Array, fold: Callable[[slice, Array], None] | None = None) -> Array:
-        """(-L - mu)^{-1} v, shape mu.shape + (k, columns); fold(level, x_n) sees each level once it is final."""
+    def _sweep(self, v: Array, fold: Callable[[slice, Array], None] | None = None, transpose: bool = False) -> Array:
+        """(-L - mu)^{-1} v, shape mu.shape + (k, columns); fold(level, x_n) sees each level once it is final.
+
+        With transpose, (-L^T - mu)^{-1} v: -L^T is -L with every coupling
+        negated, which leaves each B_n^T S_n^{-1} B_n and so every pivot as it
+        is, and the sweep only flips the sign of its coupling terms.
+        """
         start, couplings, top = self.blocks.start, self.blocks.couplings, len(self.inv) - 1
         lev = [slice(start[n], start[n + 1]) for n in range(top + 1)]
         x = np.empty(self.inv[0].shape[:-2] + v.shape, np.result_type(self.inv[0], v))
+        less, more = (np.add, np.subtract) if transpose else (np.subtract, np.add)
         # backward: x_n = S_n^{-1} w_n, w_n the right-hand side once level n + 1 is eliminated
         for n in range(top, -1, -1):
-            w = v[lev[n]] if n == top else v[lev[n]] - _real_times(couplings[n].T, x[..., lev[n + 1], :])
+            w = v[lev[n]] if n == top else less(v[lev[n]], _real_times(couplings[n].T, x[..., lev[n + 1], :]))
             x[..., lev[n], :] = self.inv[n] @ w
         for n in range(top + 1):  # forward: x_n = S_n^{-1} (w_n + B_n x_{n-1})
             if n > 0:
-                x[..., lev[n], :] += self.inv[n] @ _real_times(couplings[n - 1], x[..., lev[n - 1], :])
+                xn = x[..., lev[n], :]
+                more(xn, self.inv[n] @ _real_times(couplings[n - 1], x[..., lev[n - 1], :]), out=xn)
             if fold is not None:
                 fold(lev[n], x[..., lev[n], :])
         return x
 
-    def solve(self, v: Array) -> Array:
-        """(-L - mu)^{-1} v for v of shape (k, columns): shape mu.shape + (k, columns)."""
-        return self._sweep(v)
+    def solve(self, v: Array, transpose: bool = False) -> Array:
+        """(-L - mu)^{-1} v ((-L^T - mu)^{-1} v with transpose) for v of shape (k, columns): shape mu.shape + (k, columns)."""
+        return self._sweep(v, transpose=transpose)
 
     def moments(self, v: Array, weights: Array) -> Array:
         """sum_j weights[p, j] (-L - mu_j)^{-1} v over the shifts mu_j: shape (p, k, columns).

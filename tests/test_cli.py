@@ -534,7 +534,7 @@ def test_bounds_and_poisson_build_no_dense_generator(command, monkeypatch, tmp_p
     assert run(command, "--Kq", "4", "--Np", "8", "--report", tmp_path / "rep.json") == 0
 
 
-def test_singular_chain_pivot_exits_2(monkeypatch, capsys):
+def _uncouple_the_levels(monkeypatch):
     # with every coupling zero, level 0 (whose diagonal is zero) has a zero pivot
     real = spectral.ReducedGenerator.level_blocks
 
@@ -543,9 +543,57 @@ def test_singular_chain_pivot_exits_2(monkeypatch, capsys):
         return blocks._replace(couplings=[np.zeros_like(b) for b in blocks.couplings])
 
     monkeypatch.setattr(spectral.ReducedGenerator, "level_blocks", uncoupled)
+
+
+def test_singular_chain_pivot_exits_2(monkeypatch, capsys):
+    _uncouple_the_levels(monkeypatch)
     assert run("poisson", "--Kq", "4", "--Np", "8") == 2
     err = capsys.readouterr().err
     assert "Poisson solve failed (singular pivot)" in err and "Traceback" not in err
+
+
+def test_bounds_singular_chain_pivot_exits_2(monkeypatch, capsys):
+    _uncouple_the_levels(monkeypatch)
+    assert run("bounds", "--Kq", "4", "--Np", "8") == 2
+    err = capsys.readouterr().err
+    assert "resolvent norm solve failed (singular chain pivot)" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--gamma", "1e-300"), ("--gamma", "5e-324"), ("--gamma", "1e300"), ("--beta", "1e-300"), ("--mass", "1e300")])
+def test_bounds_at_extreme_inputs_exits_2_without_a_warning(flag, value, capsys):
+    """The chain overflows or meets a zero pivot at these inputs; the resolvent norm refuses them with one
+    line, and its NumPy overflow stays inside it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("bounds", "--Kq", "4", "--Np", "8", flag, value) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if line.startswith("numerical failure: ")]) == 1
+    assert "Traceback" not in err
+
+
+def test_bounds_on_the_smallest_basis(tmp_path):
+    rep_path = tmp_path / "rep.json"
+    assert run("bounds", "--Kq", "1", "--Np", "2", "--report", rep_path) == 0
+    assert read_report(rep_path)["results"]["numeric"] == pytest.approx(1.0, rel=1e-10)
+
+
+def test_bounds_reports_its_lanczos_steps(tmp_path):
+    from hypokit import hypo
+
+    rep_path = tmp_path / "rep.json"
+    assert run("bounds", *SMALL_COSINE, "--report", rep_path) == 0
+    assert 1 <= read_report(rep_path)["diagnostics"]["resolvent_lanczos_steps"] <= hypo.LANCZOS_MAX_STEPS
+
+
+def test_lanczos_step_cap_exits_2(monkeypatch, capsys):
+    from hypokit import hypo
+
+    monkeypatch.setattr(hypo, "LANCZOS_MAX_STEPS", 2)
+    assert run("bounds", "--Kq", "4", "--Np", "8") == 2
+    err = capsys.readouterr().err
+    assert "resolvent norm: Lanczos did not converge in 2 steps" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("param, message", [
@@ -652,14 +700,29 @@ def test_mass_still_read_by_overdamped_sample(tmp_path):
 
 @pytest.mark.parametrize("prefix", ["scipy.sparse", "jsonschema"])
 def test_cli_import_leaves_module_unloaded(prefix):
-    # scipy.sparse is imported where a solver needs it; at module level it adds
-    # about 30 ms to every start-up.  jsonschema is a test-only reference for
+    # scipy.sparse is imported by no module (test_spectral_commands_leave_scipy_sparse_unloaded); at
+    # module level it added about 30 ms to every start-up.  jsonschema is a test-only reference for
     # cli._validate, and importing it cost 70-90 ms.
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     code = f"import sys, hypokit.cli; print(any(m.startswith({prefix!r}) for m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_spectral_commands_leave_scipy_sparse_unloaded(tmp_path):
+    # no solver needs scipy.sparse: the resolvent norm runs on the Hermite chain like the Poisson solve
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    small = ["--Kq", "4", "--Np", "8"]
+    argvs = [["spectrum", *small], ["poisson", *small], ["dissipation", *small], ["bounds", *small],
+             ["poincare", "--Kq", "4"], ["scan", *small, "--gammas", "0.125:2:7"]]
+    code = ("import sys, hypokit.cli\n"
+            f"for argv in {argvs!r}:\n"
+            f"    assert hypokit.cli.main(argv + ['--report', {str(tmp_path / 'rep.json')!r}]) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_malformed_config_section_exits_1(tmp_path):

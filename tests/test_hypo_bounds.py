@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 
 from hypokit.errors import DegenerateWitnessError, InvalidArgumentError, NumericalFailureError
-from hypokit import cli, spectral
+from hypokit import cli, hypo, spectral
 from hypokit.hypo import (
     modified_norm_dissipation,
     gamma_scan,
@@ -335,12 +335,50 @@ class TestResolventNorm:
             resolvent_norm(asm)
         assert capfd.readouterr().out == ""
 
+    @pytest.mark.parametrize("gamma", [1e-3, 1.0, 8.0])
+    def test_transposed_chain_solve_is_the_dense_transposed_solve(self, cosine_asm_small, gamma):
+        """-L^T y = b on the pivots of -L's own chain, against a dense solve per sector.  Refined once, as
+        the norm's final Rayleigh quotient is, it holds at gamma = 1e-3 too, where the plain solve was
+        off by 2.7e-9 in the even sector."""
+        red = reduced_generator(cosine_asm_small.basis)
+        for s in range(red.n_sectors):
+            blocks = red.level_blocks(gamma, sector=s)
+            b = np.random.default_rng(s).standard_normal(int(blocks.start[-1]))
+            want = np.linalg.solve(red.neg_operator(gamma, sector=s).T, b)
+            chain = spectral.hermite_chain(blocks, 0.0)
+            solves = [hypo._refined_transposed_solve(chain, b)]
+            if gamma >= 1.0:
+                solves.append(chain.solve(b[:, None], transpose=True)[:, 0])
+            for got in solves:
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_stable_under_refinement(self, quad_spec, unit_params):
         vals = []
         for kq, npp in ((8, 16), (16, 32)):
             basis = build_basis(quad_spec, unit_params, Kq=kq, Np=npp, n_quad=8 * kq)
             vals.append(resolvent_norm(assemble_generator(basis, unit_params.gamma)))
         assert abs(vals[1] - vals[0]) <= 0.02 * vals[0]
+
+
+# ||L^{-1}|| from one sparse LU of -L^T and ARPACK's eigsh, the solver the Hermite-chain Lanczos replaced
+SPARSE_RESOLVENT_NORMS = [
+    ("cosine", {"h": 1.0, "L": 1.0}, {}, 16, 32, 1e-4, 9307.209717881862),
+    ("cosine", {"h": 1.0, "L": 1.0}, {}, 16, 32, 1e-3, 930.7210523602832),
+    ("cosine", {"h": 1.0, "L": 1.0}, {}, 16, 32, 0.125, 7.455771786164748),
+    ("cosine", {"h": 1.0, "L": 1.0}, {}, 16, 32, 1.0, 0.9867593062103064),
+    ("cosine", {"h": 1.0, "L": 1.0}, {}, 16, 32, 8.0, 0.36286119967642344),
+    ("cosine", {"h": 1.0, "L": 1.0}, {}, 16, 32, 1e3, 21.735553712087388),
+    ("double_well", {"L": 4.0}, {}, 8, 16, 1.0, 4.038820202263448),
+    ("quadratic", {"L": 14.0}, {}, 8, 16, 1.0, 1.6180339405086297),
+    ("cosine", {"h": 5.0, "L": 1.0}, {}, 8, 16, 1.0, 1.088694066380336),
+    ("cosine", {"h": 1.0, "L": 1.0}, {"beta": 50.0}, 8, 16, 1.0, 1.0182060870200822),
+]
+
+
+@pytest.mark.parametrize("name, pot, ens, Kq, Np, gamma, want", SPARSE_RESOLVENT_NORMS)
+def test_resolvent_norm_matches_the_sparse_solver(name, pot, ens, Kq, Np, gamma, want):
+    basis = build_basis(builtin_potential(name, pot), EnsembleParams(**ens), Kq=Kq, Np=Np)
+    assert resolvent_norm(assemble_generator(basis, gamma)) == pytest.approx(want, rel=1e-10)
 
 
 @pytest.fixture(scope="module")

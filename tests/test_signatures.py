@@ -65,3 +65,10 @@ def test_only_spectral_names_the_refinement_policy():
     assert named.pop("spectral") == {"CONVERGENCE_RTOL", "DENSE_SECTOR_MAX", "GAP_ROUNDOFF_MARGIN",
                                      "gap_roundoff_floor", "contour_gap", "resized"}
     assert {name: found for name, found in named.items() if found} == {}
+
+
+def test_no_module_names_scipy_sparse():
+    # the resolvent norm, the last sparse solver, runs on the Hermite chain; scipy.sparse costs every
+    # process that imports it 20-40 ms and a few MB
+    package = pathlib.Path(hypokit.__file__).parent
+    assert [path.name for path in sorted(package.glob("*.py")) if "scipy.sparse" in path.read_text()] == []

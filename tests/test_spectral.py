@@ -601,19 +601,6 @@ def test_poisson_chain_matches_the_dense_solve(name, pot, ens, Kq, Np, gamma):
     assert sol.residual <= 1e-13
 
 
-@pytest.mark.parametrize("fixture", ["cosine_asm_small", "cosine_asm"])
-@pytest.mark.parametrize("gamma", [0.125, 1.0, 8.0])
-def test_transpose_csc_is_bitwise_the_dense_conversion(fixture, gamma, request):
-    """The CSC matrix of -L^T written from the level blocks holds the arrays csc_matrix reads from the dense -L^T."""
-    from scipy.sparse import csc_matrix
-
-    red = reduced_generator(request.getfixturevalue(fixture).basis)
-    got, want = red.level_blocks(gamma).transpose_csc(), csc_matrix(red.neg_operator(gamma).T)
-    assert got.shape == want.shape and got.nnz == want.nnz
-    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
-    assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
-
-
 @pytest.mark.parametrize("name,pot,ens,gamma,Kq,Np", EIGVALS_CASES)
 def test_gap_eigensolve_is_bitwise_scipy_eigvals(name, pot, ens, gamma, Kq, Np, single_thread_bits):
     """With one BLAS thread the gap eigensolve returns the bits of scipy.linalg.eigvals on every
@@ -929,6 +916,8 @@ def test_level_blocks_apply_the_dense_operator(cosine_asm_small):
         assert np.abs(blocks.matvec(x[: op.shape[0]]) - op @ x[: op.shape[0]]).max() <= 1e-13 * np.abs(op).max()
         assert np.allclose(blocks.matvec(x[: op.shape[0], 0]), op @ x[: op.shape[0], 0], rtol=0, atol=1e-12)
         assert blocks.norm1() == pytest.approx(sla.norm(op, 1), rel=1e-14)
+        assert np.abs(blocks.matvec(x[: op.shape[0]], transpose=True) - op.T @ x[: op.shape[0]]).max() <= (
+            1e-13 * np.abs(op).max())
 
 
 @pytest.mark.parametrize("mu", [0.7 + 0.3j, 2.0 - 9.0j, 0.4])
