@@ -36,7 +36,9 @@ the Poisson solve uses; -L^T has the same pivots, so one factorization serves
 both solves and no dense or sparse operator is built.  Its largest eigenvalue is
 1/sigma_min^2, and for a symmetric positive definite operator the largest
 Lanczos eigenvalue is the wanted one.  The witnesses apply -L by the block
-matvec.
+matvec, one sector at a time, on the coupling blocks those chains were built
+from: reduced_generator returns the basis's one generator, so `bounds`
+builds each sector's couplings once and no full-operator blocks.
 A shift-invert eigensolve of L itself could not give the spectral gap that
 safely: it returns the eigenvalues nearest 0 in modulus, which can miss the
 one with the smallest real part.  A friction-scan rung is
@@ -125,15 +127,19 @@ class OdeEigs:
 
 
 def ode_eigs(gamma: float) -> OdeEigs:
-    """Closed-form spectrum of -L: lambda_pm = gamma/2 +- sqrt(gamma^2/4 - 1)."""
+    """Closed-form spectrum of -L: lambda_pm = gamma/2 +- sqrt(gamma^2/4 - 1).
+
+    Above gamma = 2 both roots are real: lambda_+ = gamma/2 + sqrt(gamma/2 - 1) sqrt(gamma/2 + 1),
+    which forms no gamma^2 (it overflows from gamma ~ 1.3e154), and lambda_- = gap = 1/lambda_+,
+    since the roots' product is 1, with no cancellation.
+    """
     toy = OdeToy(gamma)
-    disc = np.sqrt(complex(0.25 * gamma * gamma - 1.0))
-    lam_p = 0.5 * gamma + disc
-    lam_m = 0.5 * gamma - disc
     if gamma <= 2.0:
-        gap = 0.5 * gamma
+        disc = np.sqrt(complex(0.25 * gamma * gamma - 1.0))
+        lam_p, lam_m, gap = 0.5 * gamma + disc, 0.5 * gamma - disc, 0.5 * gamma
     else:
-        gap = 2.0 / (gamma + math.sqrt(gamma * gamma - 4.0))
+        lam = 0.5 * gamma + math.sqrt(0.5 * gamma - 1.0) * math.sqrt(0.5 * gamma + 1.0)
+        lam_p, lam_m, gap = complex(lam), complex(1.0 / lam), 1.0 / lam
     numeric = np.linalg.eigvals(-toy.l_mat)
     return OdeEigs(lambda_plus=lam_p, lambda_minus=lam_m, gap=float(gap), numeric=numeric)
 
@@ -200,11 +206,13 @@ def ode_trajectory(gamma: float, x0, T: float, dt: float) -> Array:
         raise InvalidArgumentError(f"need 0 < dt <= T, got dt={dt}, T={T}")
     if not T / dt <= ODE_MAX_STEPS:
         raise InvalidArgumentError(f"T / dt exceeds ODE_MAX_STEPS = {ODE_MAX_STEPS} steps, got T={T}, dt={dt}")
-    # one classical RK4 step of a linear ODE is x -> M x with
-    # M = I + h (I + h/2 (I + h/3 (I + h/4))), h = dt L
-    h = dt * toy.l_mat
-    eye = np.eye(2)
-    m = eye + h @ (eye + (h / 2.0) @ (eye + (h / 3.0) @ (eye + h / 4.0)))
+    m = _rk4_step(toy.l_mat, dt)
+    rho = _spectral_radius(m)
+    if not rho <= 1.0:  # the exact flow contracts, so a step that expands is RK4's instability
+        growth = "overflows" if rho == math.inf else f"has spectral radius {rho!r} > 1"
+        raise InvalidArgumentError(  # both in full: rounded, a radius reads 1 and a stable dt can round up past the limit
+            f"RK4 is unstable at gamma={gamma:g} with dt={dt:g}: its step matrix {growth}; "
+            f"the largest stable dt is {_largest_stable_dt(toy.l_mat, dt)!r}")
     (m00, m01), (m10, m11) = m.tolist()
     n = int(round(T / dt))
     out = np.empty((n + 1, 3))  # filled in place: 24 bytes per row, no list or stacked copy
@@ -215,6 +223,32 @@ def ode_trajectory(gamma: float, x0, T: float, dt: float) -> Array:
         a, b = m00 * a + m01 * b, m10 * a + m11 * b
         out[k, 1], out[k, 2] = a, b
     return out
+
+
+def _rk4_step(l_mat: Array, dt: float) -> Array:
+    """M of one classical RK4 step x -> M x of dX/dt = L X: I + h (I + h/2 (I + h/3 (I + h/4))), h = dt L."""
+    h = dt * l_mat
+    eye = np.eye(2)
+    with np.errstate(all="ignore"):  # a step too large for the floats is not finite, which _spectral_radius reads
+        return eye + h @ (eye + (h / 2.0) @ (eye + (h / 3.0) @ (eye + h / 4.0)))
+
+
+def _spectral_radius(m: Array) -> float:
+    """Largest |eigenvalue| of m; inf when m is not finite."""
+    return float(np.abs(np.linalg.eigvals(m)).max()) if np.all(np.isfinite(m)) else math.inf
+
+
+def _largest_stable_dt(l_mat: Array, dt: float) -> float:
+    """The stability limit of RK4 below an unstable dt, by bisection in log dt.
+
+    It starts from dt ||L||_1 <= 1, where every dt * eigenvalue lies in the
+    unit half disc that RK4's stability region contains.
+    """
+    lo, hi = min(dt, 1.0 / float(np.abs(l_mat).sum(axis=0).max())), dt
+    for _ in range(64):
+        mid = math.sqrt(lo) * math.sqrt(hi)  # lo * hi underflows from lo ~ 1e-154
+        lo, hi = (mid, hi) if _spectral_radius(_rk4_step(l_mat, mid)) <= 1.0 else (lo, mid)
+    return lo
 
 
 def fit_envelope_rate(times: Array, x1: Array, x2: Array) -> float:
@@ -605,11 +639,14 @@ def resolvent_lower_bound(asm: GeneratorAssembly) -> WitnessPair:
         raise DegenerateWitnessError("witnesses vanish for a constant potential")
 
     gamma, m = asm.gamma, basis.mass
-    blocks = red.level_blocks(gamma)  # ||L u|| = ||-L u||
+    # ||L u|| = ||-L u||, applied one sector at a time on the blocks the resolvent norm's chains read
+    sectors = [(red.sector_index(s), red.level_blocks(gamma, sector=s)) for s in range(red.n_sectors)]
 
     def ratio(f) -> float:
         z = red.to_reduced(project_phase_function(basis, f))
-        img = blocks.matvec(z)
+        img = np.empty_like(z)
+        for idx, blocks in sectors:
+            img[idx] = blocks.matvec(z[idx])
         nz, ni = float(np.linalg.norm(z)), float(np.linalg.norm(img))
         if ni <= 1e-14 * max(nz, 1.0):
             raise NumericalFailureError("witness image under the generator is numerically zero")

@@ -58,12 +58,15 @@ rung_ladder (the basis and its halvings), contour_gap on each rung around the
 one below, with a dense guard; refined_gap is `spectrum`'s 1.5x check.  The resolvent norm
 (hypo) solves with -L and -L^T on each sector's chain at mu = 0: -L^T has the
 pivots of -L, and HermiteChain.solve(v, transpose=True) sweeps them with
-every coupling negated.
+every coupling negated.  hypo's witnesses apply -L per sector on the same
+coupling blocks.
 
 Inputs have one home each.  build_basis(spec, params, ...) keeps the
 potential, beta and m on the BasisSet; assemble_generator(basis, gamma) binds
 the friction; reduced_generator(basis) is gamma-free, so one reduced generator
-serves every friction of a scan.  No solver takes V, beta, m or gamma again.
+serves every friction of a scan.  It is built once per basis: the basis keeps
+it, so every solver on the basis reads one generator and the per-sector
+coupling blocks it has cached.  No solver takes V, beta, m or gamma again.
 
 Full-basis coefficient indexing is Hermite-major: index = n * (2 Kq + 1) + a.
 """
@@ -136,6 +139,7 @@ class BasisSet:
     wq: Array  # (2Kq+1, rank_q) whitener from _whiten, wq^T gram_q wq = I
     q0: Array  # (rank_q, rank_q - 1) whitened level 0 orthogonal to the constant
     labels: Array  # (rank_q,) sector label of each whitened direction: 0 even, 1 odd; all 0 in one sector
+    _generator: list = field(default_factory=list, init=False, repr=False)  # reduced_generator's one generator
 
     @property
     def L(self) -> float:
@@ -229,9 +233,11 @@ def build_basis(
 class GeneratorAssembly:
     """The kinetic Langevin generator L_ham + gamma L_FD on a basis.
 
-    Holds no matrices: reduced_generator builds the level blocks every
-    solver uses, in the whitened frame.  The basis carries V, beta and m,
-    the assembly binds gamma.
+    Holds no matrices: every solver reads the level blocks of the basis's
+    one reduced generator (reduced_generator, built on the first call for
+    the basis), in the whitened frame, so assemblies of one basis at any
+    gamma share its couplings.  The basis carries V, beta and m, the
+    assembly binds gamma.
     """
 
     basis: BasisSet
@@ -398,30 +404,35 @@ class ReducedGenerator:
 
     def sector_index(self, sector: int) -> Array:
         """Positions of the sector's coordinates in the reduced vector (read-only)."""
-        return self._gamma_free(sector)[0]
+        return self._gamma_free(sector, 1)[0]
 
-    def _gamma_free(self, sector: int | None) -> tuple[Array, Array, list[Array]]:
-        """(index, start, couplings) of the sector (all if None), built once per generator.
+    def _gamma_free(self, sector: int | None, levels: int) -> tuple[Array, Array, list[Array]]:
+        """(index, start, couplings) of the sector (all if None) on its first `levels` levels, built once per generator.
 
         index holds the positions of its coordinates in the reduced vector,
         start the offset of each level after level 0, and couplings the
         read-only blocks sqrt(n / beta_m) c_t between levels n and n - 1
-        (c_t q0 for n = 1).  Only the level diagonals depend on gamma.
+        (c_t q0 for n = 1).  A block is built by the first call that reads its
+        level, and every later call reads that array: the dissipation's
+        levels 0-2 build two blocks, not Np - 1.  Only the level diagonals
+        depend on gamma.
         """
-        if sector not in self._cache:  # a race between threads builds the same arrays twice
+        index, start, couplings = self._cache.get(sector, (None, None, []))
+        if index is None or len(couplings) < levels - 1:  # a race between threads builds the same arrays twice
             masks = []
             for n in range(self.n_p):
                 labels = self.labels[1:] if n == 0 else self.labels  # q0 drops one label-0 direction
                 masks.append(np.ones(labels.size, bool) if sector is None else labels == (sector + n) % self.n_sectors)
-            couplings = []
-            for n in range(1, self.n_p):
-                c = self.c_t @ self.q0 if n == 1 else self.c_t
-                couplings.append(math.sqrt(n / self.beta_m) * c[np.ix_(masks[n], masks[n - 1])])
-            index = np.flatnonzero(np.concatenate(masks))
-            for a in (index, *couplings):
-                a.flags.writeable = False
-            self._cache[sector] = (index, np.cumsum([int(m.sum()) for m in masks])[:-1], couplings)
-        return self._cache[sector]
+            if index is None:
+                index, start = np.flatnonzero(np.concatenate(masks)), np.cumsum([int(m.sum()) for m in masks])[:-1]
+                index.flags.writeable = False
+            new = [math.sqrt(n / self.beta_m) * (self.c_t @ self.q0 if n == 1 else self.c_t)[np.ix_(masks[n], masks[n - 1])]
+                   for n in range(len(couplings) + 1, levels)]
+            for b in new:
+                b.flags.writeable = False
+            couplings = couplings + new  # a new list, so that a thread reading the old one keeps it whole
+            self._cache[sector] = (index, start, couplings)
+        return index, start, couplings[: levels - 1]
 
     def level_blocks(self, gamma: float, levels: int | None = None, sector: int | None = None) -> LevelBlocks:
         """-(L_ham + gamma L_FD) on the first `levels` Hermite levels (default all) as its level blocks.
@@ -435,9 +446,9 @@ class ReducedGenerator:
             raise InvalidArgumentError(
                 f"gamma = {gamma:g} overflows the generator's friction diagonal gamma (Np - 1) / m; lower gamma")
         n_lev = self.n_p if levels is None else min(levels, self.n_p)
-        index, start, couplings = self._gamma_free(sector)
+        index, start, couplings = self._gamma_free(sector, n_lev)
         diags = np.split(-gamma * self.fd[index], start)
-        return LevelBlocks(diags[:n_lev], couplings[: n_lev - 1])
+        return LevelBlocks(diags[:n_lev], couplings)
 
     def neg_operator(self, gamma: float, levels: int | None = None, sector: int | None = None) -> Array:
         """Dense -(L_ham + gamma L_FD) on the first `levels` Hermite levels (default all).
@@ -478,15 +489,22 @@ class ReducedGenerator:
 
 
 def reduced_generator(basis: BasisSet) -> ReducedGenerator:
-    """Whitened, constant-deflated generator of a basis, stored as its level blocks; gamma-free."""
-    wq, q0 = basis.wq, basis.q0
-    r, n0 = wq.shape[1], q0.shape[1]
-    return ReducedGenerator(
-        c_t=wq.T @ (basis.gram_q @ basis.D) @ wq,
-        fd=np.repeat(-np.arange(basis.Np) / basis.mass, r)[r - n0 :],
-        q0=q0, wq=wq, gq_w=wq.T @ basis.gram_q, labels=basis.labels,
-        mass_nu=basis.mass_nu, n_p=basis.Np, beta_m=basis.beta * basis.mass,
-    )
+    """Whitened, constant-deflated generator of a basis, stored as its level blocks; gamma-free.
+
+    Built on the first call for a basis, which keeps it: every later call
+    returns the same object, so every solver on the basis shares its
+    generator and the coupling blocks it has cached.
+    """
+    if not basis._generator:  # a race between threads builds it twice; both callers get the first
+        wq, q0 = basis.wq, basis.q0
+        r, n0 = wq.shape[1], q0.shape[1]
+        basis._generator.append(ReducedGenerator(
+            c_t=wq.T @ (basis.gram_q @ basis.D) @ wq,
+            fd=np.repeat(-np.arange(basis.Np) / basis.mass, r)[r - n0 :],
+            q0=q0, wq=wq, gq_w=wq.T @ basis.gram_q, labels=basis.labels,
+            mass_nu=basis.mass_nu, n_p=basis.Np, beta_m=basis.beta * basis.mass,
+        ))
+    return basis._generator[0]
 
 
 # ---------------------------------------------------------------------------
@@ -813,6 +831,8 @@ def refined_gap(basis: BasisSet, gamma: float, base: GapResult) -> tuple[BasisSe
     and a dense solve of the finer basis would cost several times the rest.
     """
     fine = basis.resized(math.ceil(1.5 * basis.Kq), math.ceil(1.5 * basis.Np))
+    for red in basis._generator:  # the coarse basis keeps its generator, but its couplings go before the finer ones are built
+        red._cache.clear()
     return fine, contour_gap(reduced_generator(fine), gamma, base)
 
 

@@ -457,11 +457,16 @@ def test_bad_invocations_exit_1(argv, capsys):
     # 8 PB of records, beyond any address space
     (["sample", "--n-steps", "1000000000000000", "--stride", "1"],
      ["n_steps=1000000000000000", "stride=1", "16000000000000016 bytes"]),
+    # RK4 steps past its stability limit dt * gamma ~ 2.785: the trajectory grew to 9e188, and the
+    # step matrix overflows at 1e200
+    (["ode", "--gamma", "2800"], ["gamma=2800", "dt=0.001", "spectral radius 1.02239945", "largest stable dt is 0.00099474782"]),
+    (["ode", "--gamma", "1e200"], ["gamma=1e+200", "dt=0.001", "overflows", "largest stable dt is 2.78529"]),
 ])
 def test_rejection_names_what_it_rejects(argv, names, capsys):
     assert run(*argv) == 1
     err = capsys.readouterr().err
-    assert all(name in err for name in names) and "Traceback" not in err
+    assert all(name in err for name in names) and "Traceback" not in err and "Warning" not in err
+    assert err.count("error:") == 1
 
 
 @pytest.mark.parametrize("body, message", [

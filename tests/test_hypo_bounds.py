@@ -26,6 +26,8 @@ from hypokit.spectral import (
     spectral_gap,
 )
 
+from test_spectral import _asymmetric_spec
+
 R_FLAT = 4.0 * math.pi**2  # flat unit cell: slowest mode is the first Fourier pair
 
 
@@ -62,6 +64,12 @@ class TestDissipation:
     def test_eps_outside_unit_interval_rejected(self, cosine_asm, eps):
         with pytest.raises(InvalidArgumentError):
             modified_norm_dissipation(cosine_asm, eps)
+
+    def test_builds_only_the_couplings_of_levels_0_to_2(self, cosine_spec, unit_params):
+        """The basis keeps its generator, so couplings built for the pencil stay: it builds the two it reads."""
+        basis = build_basis(cosine_spec, unit_params, Kq=8, Np=12, n_quad=128)
+        tune_modified_norm_epsilon(assemble_generator(basis, 1.0))
+        assert list(reduced_generator(basis)._cache) == [None] and len(reduced_generator(basis)._cache[None][2]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +423,45 @@ class TestWitnesses:
         slope = np.polyfit(np.log(gammas), np.log(vals), 1)[0]
         assert slope == pytest.approx(-1.0, abs=1e-3)
 
-    @pytest.mark.parametrize("mass", [1.0, 2.0])
-    def test_witnesses_read_the_mass_from_the_basis(self, pendulum_spec, mass):
-        """The energy witness is V + p^2 / (2m) with the basis's m, the ratio ||u|| / ||L u||."""
-        basis = build_basis(pendulum_spec, EnsembleParams(mass=mass), Kq=8, Np=16, n_quad=128)
-        asm = assemble_generator(basis, 0.5)
+    @pytest.mark.parametrize("potential, mass", [
+        pytest.param("pendulum", 1.0, id="1.0"), pytest.param("pendulum", 2.0, id="2.0"),
+        pytest.param("asymmetric", 1.0, id="asymmetric-1.0"), pytest.param("asymmetric", 2.0, id="asymmetric-2.0"),
+    ])
+    def test_witnesses_read_the_mass_from_the_basis(self, pendulum_spec, potential, mass):
+        """Both witnesses are the ratio ||u|| / ||L u|| with L the dense full operator, the energy witness
+        V + p^2 / (2m) with the basis's m: on the two sectors of the pendulum and the one of the asymmetric
+        potential, whose -L the witnesses apply sector by sector."""
+        spec = pendulum_spec if potential == "pendulum" else _asymmetric_spec()
+        basis = build_basis(spec, EnsembleParams(mass=mass), Kq=8, Np=16, n_quad=128)
+        assert basis.n_sectors == (2 if potential == "pendulum" else 1)
+        gamma = 0.5
         red = reduced_generator(basis)
-        u = red.to_reduced(spectral.project_phase_function(
-            basis, lambda q, p: pendulum_spec.eval(q)[:, None] + p * p / (2.0 * mass)))
-        want = np.linalg.norm(u) / np.linalg.norm(red.neg_operator(0.5) @ u)
-        assert resolvent_lower_bound(asm).underdamped == pytest.approx(want, rel=1e-12)
+        w, v = basis.weights, spec.eval(basis.nodes[:, None])
+        v_mean = float(w @ v / w.sum())
+        pair = resolvent_lower_bound(assemble_generator(basis, gamma))
+        dense = red.neg_operator(gamma)
+
+        def ratio(f):
+            u = red.to_reduced(spectral.project_phase_function(basis, f))
+            return np.linalg.norm(u) / np.linalg.norm(dense @ u)
+
+        over = ratio(lambda q, p: p * spec.grad(q) + gamma * (spec.eval(q)[:, None] - v_mean))
+        assert pair.overdamped == pytest.approx(over, rel=1e-12)
+        assert pair.underdamped == pytest.approx(ratio(lambda q, p: spec.eval(q)[:, None] + p * p / (2.0 * mass)),
+                                                 rel=1e-12)
+
+    def test_bounds_builds_one_generator_and_one_coupling_set_per_sector(self, cosine_spec, unit_params):
+        """`bounds` runs verify_schur_bound and then resolvent_lower_bound: both read the basis's one reduced
+        generator, and the witnesses apply -L on the sector couplings the resolvent norm built, with no
+        full-operator (sector None) set beside them."""
+        basis = build_basis(cosine_spec, unit_params, Kq=8, Np=12, n_quad=128)
+        red = reduced_generator(basis)
+        assert reduced_generator(basis) is red and red.n_sectors == 2
+        asm = assemble_generator(basis, 1.0)
+        verify_schur_bound(asm)
+        built = dict(red._cache)
+        resolvent_lower_bound(asm)
+        assert set(red._cache) == {0, 1} and all(red._cache[s] is built[s] for s in built)
 
     def test_flat_potential_degenerate(self, unit_params):
         spec = builtin_potential("flat", {"L": 1.0})

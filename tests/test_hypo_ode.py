@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,17 @@ def test_gap_branches_meet_at_critical_friction():
     assert ode_eigs(2.0).gap == pytest.approx(1.0, abs=1e-12)
     assert ode_eigs(0.5).gap == pytest.approx(0.25)
     assert ode_eigs(4.0).gap == pytest.approx(2.0 - math.sqrt(3.0), abs=1e-12)
+
+
+def test_eigs_stay_finite_at_large_friction():
+    """gamma^2 overflowed from gamma ~ 1.3e154, where the gap read 0 and lambda_pm +-inf."""
+    eigs = ode_eigs(1e200)
+    assert eigs.gap == pytest.approx(1e-200) and eigs.lambda_minus == eigs.gap
+    assert math.isfinite(eigs.lambda_plus.real) and math.isfinite(eigs.lambda_minus.real)
+    for g in np.logspace(math.log10(2.5), 6, 25):  # gamma^2 still fits: the old formulas' gap and lambda_+
+        eigs = ode_eigs(g)
+        assert eigs.gap == pytest.approx(2.0 / (g + math.sqrt(g * g - 4.0)), rel=1e-15)
+        assert eigs.lambda_plus.real == pytest.approx(0.5 * g + math.sqrt(0.25 * g * g - 1.0), rel=1e-15)
 
 
 def test_gap_maximized_at_critical_friction():
@@ -144,6 +156,20 @@ def test_trajectory_validation():
         ode_trajectory(1.0, [1.0, 0.0], 1.0, -1e-3)
     with pytest.raises(InvalidArgumentError):
         OdeToy(0.0)
+
+
+@pytest.mark.parametrize("gamma, stable", [(1e-20, True), (2785.0, True), (2786.0, False), (1e100, False)])
+def test_trajectory_refuses_an_unstable_rk4_step(gamma, stable):
+    """RK4 is stable on the negative real axis down to -2.7853, so at dt = 1e-3 up to gamma ~ 2785; the
+    message names the limit dt * lambda_+ = 2.7853, a dt that is accepted."""
+    if stable:
+        assert np.all(np.isfinite(ode_trajectory(gamma, [1.0, 1.0], 1.0, 1e-3)))
+        return
+    with pytest.raises(InvalidArgumentError, match=re.escape(f"gamma={gamma:g} with dt=0.001")) as exc:
+        ode_trajectory(gamma, [1.0, 1.0], 1.0, 1e-3)
+    dt_max = float(str(exc.value).rsplit(" ", 1)[1])
+    assert dt_max * ode_eigs(gamma).lambda_plus.real == pytest.approx(2.785293563405282, rel=1e-12)
+    assert np.all(np.isfinite(ode_trajectory(gamma, [1.0, 1.0], 10 * dt_max, dt_max)))
 
 
 def test_inverse_equals_integrated_semigroup_on_toy():

@@ -3,6 +3,7 @@ overdamped operator also takes the potential, the ensemble or the discretization
 that object already carries.  One home per policy: only spectral names the
 constants of the gap refinement."""
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -72,3 +73,15 @@ def test_no_module_names_scipy_sparse():
     # process that imports it 20-40 ms and a few MB
     package = pathlib.Path(hypokit.__file__).parent
     assert [path.name for path in sorted(package.glob("*.py")) if "scipy.sparse" in path.read_text()] == []
+
+
+def test_only_reduced_generator_builds_a_reduced_generator():
+    # spectral.reduced_generator builds a basis's generator once and keeps it on the basis; a
+    # ReducedGenerator built anywhere else would build -L and its coupling blocks a second time
+    package = pathlib.Path(hypokit.__file__).parent
+    sites = {path.stem: path.read_text().count("ReducedGenerator(") for path in sorted(package.glob("*.py"))}
+    assert {name: n for name, n in sites.items() if n} == {"spectral": 1}
+    source = (package / "spectral.py").read_text()
+    fn = next(node for node in ast.parse(source).body
+              if isinstance(node, ast.FunctionDef) and node.name == "reduced_generator")
+    assert "ReducedGenerator(" in ast.get_source_segment(source, fn)

@@ -241,10 +241,12 @@ def test_langevin_poisson_ou_oracle(quad_spec):
 
 def test_solve_poisson_holds_one_sectors_couplings_at_a_time(cosine_spec, unit_params, traced_peak):
     """At Kq16/Np64 the traced peak was 619 kB with both sectors' couplings cached and is 463 kB:
-    one sector's couplings (137 kB) and chain (153 kB) with their vectors, under twice their sum."""
+    one sector's couplings (137 kB) and chain (153 kB) with their vectors, under twice their sum.
+    The sizes come from a second basis of the same problem: the solve's own basis keeps its one
+    reduced generator, whose couplings the solve must build itself to be measured."""
     basis = build_basis(cosine_spec, unit_params, Kq=16, Np=64, n_quad=256)
     asm = assemble_generator(basis, 1.0)
-    red = reduced_generator(basis)
+    red = reduced_generator(build_basis(cosine_spec, unit_params, Kq=16, Np=64, n_quad=256))
     largest = 0
     for s in range(red.n_sectors):
         blocks = red.level_blocks(1.0, sector=s)
@@ -1044,6 +1046,17 @@ def _refined(spec, params, Kq, Np, factor=1.5):
 
 def _contour(asm, base):
     return spectral.contour_gap(reduced_generator(asm.basis), asm.gamma, base)
+
+
+def test_refined_gap_drops_the_coarse_couplings(cosine_spec, unit_params):
+    """`spectrum` holds its basis, and with it the basis's generator, through the refinement: the coarse
+    couplings go before the finer basis's are built, and the generator stays the basis's one."""
+    basis = build_basis(cosine_spec, unit_params, Kq=8, Np=12, n_quad=128)
+    ladder = spectral.rung_ladder(basis)
+    base = spectral.rung_gap(ladder, 1.0)
+    assert set(ladder[0]._cache) == {0, 1}
+    spectral.refined_gap(basis, 1.0, base)
+    assert reduced_generator(basis) is ladder[0] and ladder[0]._cache == {}
 
 
 CONTOUR_CASES = EIGVALS_CASES + [
