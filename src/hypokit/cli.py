@@ -513,10 +513,16 @@ def _cmd_sample(cfg: dict) -> tuple[dict, dict]:
     # one column per observable, filled in row blocks to bound the temporaries
     table = np.empty((rec.times.size, 1 + len(fs)))
     table[:, 0] = rec.times
-    for lo in range(0, rec.times.size, _OBSERVABLE_BLOCK):
-        rows = slice(lo, lo + _OBSERVABLE_BLOCK)
-        for j, f in enumerate(fs, 1):
-            table[rows, j] = f(rec.q[rows], rec.p[rows])
+    with np.errstate(all="ignore"):  # a value that overflows is refused below, with its observable named
+        for lo in range(0, rec.times.size, _OBSERVABLE_BLOCK):
+            rows = slice(lo, lo + _OBSERVABLE_BLOCK)
+            for j, f in enumerate(fs, 1):
+                table[rows, j] = f(rec.q[rows], rec.p[rows])
+    for j, name in enumerate(names, 1):
+        finite = np.isfinite(table[:, j])
+        if not finite.all():
+            raise NumericalFailureError(
+                f"observable '{name}' is not finite on the trajectory: first at t={table[np.argmin(finite), 0]:g}")
     out = cfg.get("output")
     if out:
         _write_csv(out, ["time"] + names, table)

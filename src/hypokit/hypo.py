@@ -36,9 +36,7 @@ the Poisson solve uses; -L^T has the same pivots, so one factorization serves
 both solves and no dense or sparse operator is built.  Its largest eigenvalue is
 1/sigma_min^2, and for a symmetric positive definite operator the largest
 Lanczos eigenvalue is the wanted one.  The witnesses apply -L by the block
-matvec, one sector at a time, on the coupling blocks those chains were built
-from: reduced_generator returns the basis's one generator, so `bounds`
-builds each sector's couplings once and no full-operator blocks.
+matvec, one sector at a time, so `bounds` builds no full-operator blocks.
 A shift-invert eigensolve of L itself could not give the spectral gap that
 safely: it returns the eigenvalues nearest 0 in modulus, which can miss the
 one with the smallest real part.  A friction-scan rung is
@@ -266,7 +264,11 @@ def fit_envelope_rate(times: Array, x1: Array, x2: Array) -> float:
         raise NumericalFailureError("trajectory passes through the origin; no envelope")
     ls = np.log(s)
     tc = t - t.mean()
-    pilot = np.dot(tc, ls) / np.dot(tc, tc)  # least-squares slope, without polyfit's (n, 2) design matrix
+    spread = np.dot(tc, tc)
+    if not spread > 0:
+        raise NumericalFailureError(
+            f"times span {t[-1] - t[0]:.3g}, too short to fit a slope: their spread squared underflows")
+    pilot = np.dot(tc, ls) / spread  # least-squares slope, without polyfit's (n, 2) design matrix
     del tc  # free it before the detrended copies below: it would add 8 bytes per row to the peak
     d = ls - pilot * t
     interior = np.nonzero((d[1:-1] >= d[:-2]) & (d[1:-1] > d[2:]))[0] + 1
@@ -377,7 +379,10 @@ def tune_modified_norm_epsilon(asm: GeneratorAssembly) -> DissipationResult:
     """Golden-section maximization of lambda_est over eps in [EPS_LO, EPS_HI].
 
     lambda_est(eps) is the minimum eigenvalue of a matrix pencil affine in
-    eps, hence concave, so golden-section search is exact up to EPS_TOL.
+    eps, hence concave, so golden-section search is exact up to EPS_TOL.  A
+    best rate that is not positive certifies no decay and is a numerical
+    failure.  At the defaults gamma = 1e-6, 1e-4, 1e8 and 1e12 fail so, each
+    search ending at EPS_LO.
     """
     pencil = _dissipation_pencil(asm)
     lam = pencil.lambda_min
@@ -394,7 +399,12 @@ def tune_modified_norm_epsilon(asm: GeneratorAssembly) -> DissipationResult:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = lam(d)
-    return _dissipation_at(pencil, 0.5 * (a + b))
+    res = _dissipation_at(pencil, 0.5 * (a + b))
+    if not res.lambda_est > 0:
+        raise NumericalFailureError(
+            f"the tuned dissipation rate {res.lambda_est:.3g} at gamma={asm.gamma:g} is not positive: its best "
+            f"eps={res.epsilon:.6g} in the bracket [{EPS_LO:g}, {EPS_HI:g}] certifies no decay")
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -686,9 +696,10 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
     Each rung is spectral.rung_gap on the one gamma-free spectral.rung_ladder
     of this basis, the gap `spectrum` reports: a dense gap on the ladder's
     coarsest basis, refined by a contour integral on each finer one, with a
-    dense guard; every rung shares the ladder's coupling blocks, and so
-    rests on heuristic ellipses.  rung_methods records, per rung, the path
-    per sector on this basis and whether the guard fired there.
+    dense guard, and so rests on heuristic ellipses.  Every rung reads the
+    one ladder, whose generators hold no mutable state: each rung forms its
+    own level blocks.  rung_methods records, per rung, the path per sector
+    on this basis and whether the guard fired there.
 
     Requires at least 7 gamma values spanning [1/8, 8].  Rows run on
     max_workers threads, default one.  The dense eigensolve

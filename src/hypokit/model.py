@@ -229,6 +229,8 @@ def _quadratic(params: dict) -> PotentialSpec:
     if not omega > 0:
         raise InvalidArgumentError(f"omega must be positive, got {omega}")
     w2 = omega * omega
+    if not math.isfinite(w2):
+        raise InvalidArgumentError(f"omega={omega:g} is too large: omega^2 overflows the float range")
     dom, cell, cell1 = _cell(length, d)
 
     def eval_(q):

@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericalFailureError
 from .model import EnsembleParams, PhaseState, PotentialSpec
 
 Array = np.ndarray
@@ -239,7 +239,9 @@ def simulate(
     Every step goes through the scheme's step map, so a trajectory is bitwise
     identical to calling the matching step function repeatedly with the same
     noise rows.  A 1-D potential with a scalar force `spec.grad1` is stepped on
-    Python floats (see the module docstring), with the same bits.
+    Python floats (see the module docstring), with the same bits.  A
+    trajectory with a record that is not finite (a dt too large for the
+    force) is a numerical failure.
     """
     d = init.dim
     _check_args(scheme, init, spec, params, dt, rng, noise, (n_steps, d))
@@ -273,11 +275,17 @@ def simulate(
         ) from exc
     rq, rp = (qs[:, 0], ps[:, 0]) if scalar else (qs, ps)  # a record is one float or one (d,) row
     rq[0], rp[0] = q, p
-    for step, xi in enumerate(rows, 1):
-        q, p, g = advance(q, p, g, xi)
-        if step % stride == 0:
-            rq[step // stride], rp[step // stride] = q, p
+    with np.errstate(all="ignore"):  # an array step that overflows leaves a record that is refused below
+        for step, xi in enumerate(rows, 1):
+            q, p, g = advance(q, p, g, xi)
+            if step % stride == 0:
+                rq[step // stride], rp[step // stride] = q, p
 
+    finite = np.isfinite(qs).all(axis=1) & np.isfinite(ps).all(axis=1)
+    if not finite.all():
+        raise NumericalFailureError(
+            f"the {scheme} trajectory diverged at dt={dt:g}: its record at t={np.argmin(finite) * stride * dt:g} "
+            "is not finite; lower dt")
     qs.flags.writeable = ps.flags.writeable = False
     return TrajectoryRecord(
         times=np.arange(n_records) * (stride * dt),

@@ -58,15 +58,16 @@ rung_ladder (the basis and its halvings), contour_gap on each rung around the
 one below, with a dense guard; refined_gap is `spectrum`'s 1.5x check.  The resolvent norm
 (hypo) solves with -L and -L^T on each sector's chain at mu = 0: -L^T has the
 pivots of -L, and HermiteChain.solve(v, transpose=True) sweeps them with
-every coupling negated.  hypo's witnesses apply -L per sector on the same
-coupling blocks.
+every coupling negated.  hypo's witnesses apply -L per sector by the block
+matvec.
 
 Inputs have one home each.  build_basis(spec, params, ...) keeps the
 potential, beta and m on the BasisSet; assemble_generator(basis, gamma) binds
 the friction; reduced_generator(basis) is gamma-free, so one reduced generator
-serves every friction of a scan.  It is built once per basis: the basis keeps
-it, so every solver on the basis reads one generator and the per-sector
-coupling blocks it has cached.  No solver takes V, beta, m or gamma again.
+serves every friction of a scan.  It holds c_t and no coupling block: each
+level_blocks call gathers three blocks of c_t for its sector and scales them
+per level, so the generator holds no mutable state and a scan's threads share
+only arrays that no code writes.  No solver takes V, beta, m or gamma again.
 
 Full-basis coefficient indexing is Hermite-major: index = n * (2 Kq + 1) + a.
 """
@@ -139,7 +140,6 @@ class BasisSet:
     wq: Array  # (2Kq+1, rank_q) whitener from _whiten, wq^T gram_q wq = I
     q0: Array  # (rank_q, rank_q - 1) whitened level 0 orthogonal to the constant
     labels: Array  # (rank_q,) sector label of each whitened direction: 0 even, 1 odd; all 0 in one sector
-    _generator: list = field(default_factory=list, init=False, repr=False)  # reduced_generator's one generator
 
     @property
     def L(self) -> float:
@@ -200,7 +200,8 @@ def build_basis(
     L = spec.domain.length
     h = L / n_quad
     nodes = np.arange(n_quad) * h
-    v = spec.eval(nodes[:, None])
+    with np.errstate(all="ignore"):  # a V that overflows on the grid is refused below
+        v = spec.eval(nodes[:, None])
     if not np.all(np.isfinite(v)):
         raise NumericalFailureError("potential is not finite on the quadrature grid")
     with np.errstate(over="ignore"):  # a range of V beyond the float maximum gives weight 0
@@ -234,10 +235,8 @@ class GeneratorAssembly:
     """The kinetic Langevin generator L_ham + gamma L_FD on a basis.
 
     Holds no matrices: every solver reads the level blocks of the basis's
-    one reduced generator (reduced_generator, built on the first call for
-    the basis), in the whitened frame, so assemblies of one basis at any
-    gamma share its couplings.  The basis carries V, beta and m, the
-    assembly binds gamma.
+    reduced generator (reduced_generator), in the whitened frame, which is
+    gamma-free.  The basis carries V, beta and m, the assembly binds gamma.
     """
 
     basis: BasisSet
@@ -384,7 +383,6 @@ class ReducedGenerator:
     mass_nu: float
     n_p: int
     beta_m: float  # beta * mass
-    _cache: dict = field(default_factory=dict, init=False, repr=False)  # sector -> _gamma_free's arrays
 
     @property
     def dim(self) -> int:
@@ -402,53 +400,43 @@ class ReducedGenerator:
     def sector_names(self) -> tuple[str, ...]:
         return ("even", "odd") if self.n_sectors == 2 else ("all",)
 
+    def _level_masks(self, sector: int | None, levels: int) -> tuple[Array, Array, Array, Array]:
+        """(held, zero, odd, even): the whitened directions the sector (all if None) holds on level 0, on the
+        odd levels and on the even levels n >= 2, and `held`, its coordinates on the first `levels` levels."""
+        if sector is None:
+            odd = even = np.ones(self.labels.size, bool)
+        else:
+            odd, even = self.labels == (sector + 1) % self.n_sectors, self.labels == sector
+        zero = even[1:]  # q0's columns carry labels[1:]
+        upper = np.tile(np.concatenate([odd, even]), levels // 2)[: (levels - 1) * odd.size]
+        return np.concatenate([zero, upper]), zero, odd, even
+
     def sector_index(self, sector: int) -> Array:
-        """Positions of the sector's coordinates in the reduced vector (read-only)."""
-        return self._gamma_free(sector, 1)[0]
-
-    def _gamma_free(self, sector: int | None, levels: int) -> tuple[Array, Array, list[Array]]:
-        """(index, start, couplings) of the sector (all if None) on its first `levels` levels, built once per generator.
-
-        index holds the positions of its coordinates in the reduced vector,
-        start the offset of each level after level 0, and couplings the
-        read-only blocks sqrt(n / beta_m) c_t between levels n and n - 1
-        (c_t q0 for n = 1).  A block is built by the first call that reads its
-        level, and every later call reads that array: the dissipation's
-        levels 0-2 build two blocks, not Np - 1.  Only the level diagonals
-        depend on gamma.
-        """
-        index, start, couplings = self._cache.get(sector, (None, None, []))
-        if index is None or len(couplings) < levels - 1:  # a race between threads builds the same arrays twice
-            masks = []
-            for n in range(self.n_p):
-                labels = self.labels[1:] if n == 0 else self.labels  # q0 drops one label-0 direction
-                masks.append(np.ones(labels.size, bool) if sector is None else labels == (sector + n) % self.n_sectors)
-            if index is None:
-                index, start = np.flatnonzero(np.concatenate(masks)), np.cumsum([int(m.sum()) for m in masks])[:-1]
-                index.flags.writeable = False
-            new = [math.sqrt(n / self.beta_m) * (self.c_t @ self.q0 if n == 1 else self.c_t)[np.ix_(masks[n], masks[n - 1])]
-                   for n in range(len(couplings) + 1, levels)]
-            for b in new:
-                b.flags.writeable = False
-            couplings = couplings + new  # a new list, so that a thread reading the old one keeps it whole
-            self._cache[sector] = (index, start, couplings)
-        return index, start, couplings[: levels - 1]
+        """Positions of the sector's coordinates in the reduced vector."""
+        return np.flatnonzero(self._level_masks(sector, self.n_p)[0])
 
     def level_blocks(self, gamma: float, levels: int | None = None, sector: int | None = None) -> LevelBlocks:
         """-(L_ham + gamma L_FD) on the first `levels` Hermite levels (default all) as its level blocks.
 
         With a sector, only its coordinates, in sector_index order.  The
-        couplings are the generator's own read-only arrays, shared by every
-        gamma.  A gamma whose top level diagonal gamma (Np - 1) / m overflows
-        is refused.
+        couplings are formed on each call, and the generator keeps none: the
+        one between levels n and n - 1 is sqrt(n / beta_m) times one of three
+        blocks gathered from c_t, (c_t q0)[odd, level 0] for n = 1, then
+        c_t[even, odd] or c_t[odd, even] by the parity of n.  Only the level
+        diagonals depend on gamma.  A gamma whose top level diagonal
+        gamma (Np - 1) / m overflows is refused.
         """
         if not math.isfinite(float(gamma) * float(-self.fd[-1])):
             raise InvalidArgumentError(
                 f"gamma = {gamma:g} overflows the generator's friction diagonal gamma (Np - 1) / m; lower gamma")
         n_lev = self.n_p if levels is None else min(levels, self.n_p)
-        index, start, couplings = self._gamma_free(sector, n_lev)
-        diags = np.split(-gamma * self.fd[index], start)
-        return LevelBlocks(diags[:n_lev], couplings)
+        held, zero, odd, even = self._level_masks(sector, n_lev)
+        sizes = np.where(np.arange(n_lev) % 2, np.count_nonzero(odd), np.count_nonzero(even))
+        sizes[0] = np.count_nonzero(zero)
+        first = (self.c_t @ self.q0)[np.ix_(odd, zero)]
+        pair = self.c_t[np.ix_(even, odd)], self.c_t[np.ix_(odd, even)]
+        return LevelBlocks(np.split(-gamma * self.fd[: held.size][held], np.cumsum(sizes)[:-1]),
+                           [math.sqrt(n / self.beta_m) * (first if n == 1 else pair[n % 2]) for n in range(1, n_lev)])
 
     def neg_operator(self, gamma: float, levels: int | None = None, sector: int | None = None) -> Array:
         """Dense -(L_ham + gamma L_FD) on the first `levels` Hermite levels (default all).
@@ -489,22 +477,15 @@ class ReducedGenerator:
 
 
 def reduced_generator(basis: BasisSet) -> ReducedGenerator:
-    """Whitened, constant-deflated generator of a basis, stored as its level blocks; gamma-free.
-
-    Built on the first call for a basis, which keeps it: every later call
-    returns the same object, so every solver on the basis shares its
-    generator and the coupling blocks it has cached.
-    """
-    if not basis._generator:  # a race between threads builds it twice; both callers get the first
-        wq, q0 = basis.wq, basis.q0
-        r, n0 = wq.shape[1], q0.shape[1]
-        basis._generator.append(ReducedGenerator(
-            c_t=wq.T @ (basis.gram_q @ basis.D) @ wq,
-            fd=np.repeat(-np.arange(basis.Np) / basis.mass, r)[r - n0 :],
-            q0=q0, wq=wq, gq_w=wq.T @ basis.gram_q, labels=basis.labels,
-            mass_nu=basis.mass_nu, n_p=basis.Np, beta_m=basis.beta * basis.mass,
-        ))
-    return basis._generator[0]
+    """Whitened, constant-deflated generator of a basis, stored as its level blocks; gamma-free."""
+    wq, q0 = basis.wq, basis.q0
+    r, n0 = wq.shape[1], q0.shape[1]
+    return ReducedGenerator(
+        c_t=wq.T @ (basis.gram_q @ basis.D) @ wq,
+        fd=np.repeat(-np.arange(basis.Np) / basis.mass, r)[r - n0 :],
+        q0=q0, wq=wq, gq_w=wq.T @ basis.gram_q, labels=basis.labels,
+        mass_nu=basis.mass_nu, n_p=basis.Np, beta_m=basis.beta * basis.mass,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -831,8 +812,6 @@ def refined_gap(basis: BasisSet, gamma: float, base: GapResult) -> tuple[BasisSe
     and a dense solve of the finer basis would cost several times the rest.
     """
     fine = basis.resized(math.ceil(1.5 * basis.Kq), math.ceil(1.5 * basis.Np))
-    for red in basis._generator:  # the coarse basis keeps its generator, but its couplings go before the finer ones are built
-        red._cache.clear()
     return fine, contour_gap(reduced_generator(fine), gamma, base)
 
 
@@ -1030,8 +1009,6 @@ def solve_poisson(asm: GeneratorAssembly, phi_coeffs: Array) -> PoissonResult:
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"Poisson solve failed (singular pivot): {exc}") from exc
         norm1, steps = max(norm1, sector_norm1), steps + sector_steps
-        del blocks
-        red._cache.pop(s)  # each sector is read once: its couplings go before the next sector's are built
     residual = _require_accurate(_relative_residual(res, z_sol, z_rhs, norm1))
     return PoissonResult(red.to_full(z_sol), _sigma2_from_pair(z_sol, z_rhs, red.mass_nu), residual, steps)
 

@@ -461,6 +461,8 @@ def test_bad_invocations_exit_1(argv, capsys):
     # step matrix overflows at 1e200
     (["ode", "--gamma", "2800"], ["gamma=2800", "dt=0.001", "spectral radius 1.02239945", "largest stable dt is 0.00099474782"]),
     (["ode", "--gamma", "1e200"], ["gamma=1e+200", "dt=0.001", "overflows", "largest stable dt is 2.78529"]),
+    # omega^2 overflows, and V(0) = 0.5 * inf * 0 read NaN
+    (["sample", "--potential", "quadratic", "--param", "omega=1e155", "--n-steps", "10"], ["omega=1e+155"]),
 ])
 def test_rejection_names_what_it_rejects(argv, names, capsys):
     assert run(*argv) == 1
@@ -576,6 +578,48 @@ def test_bounds_at_extreme_inputs_exits_2_without_a_warning(flag, value, capsys)
     err = capsys.readouterr().err
     assert len([line for line in err.splitlines() if line.startswith("numerical failure: ")]) == 1
     assert "Traceback" not in err
+
+
+SMALL = ["--Kq", "4", "--Np", "8"]
+CELL_OVERFLOW = ["--potential", "quadratic", "--param", "omega=1e-200", "--Kq", "4"]  # L = 1.4e201
+
+
+@pytest.mark.parametrize("argv, names", [
+    # the bracket's smallest eps is too large for these frictions: the tuned rate read -1.3e-4 and -92
+    (["dissipation", "--gamma", "1e-6", *SMALL], ["rate -0.000132", "gamma=1e-06", "eps=0.000133", "[0.0001, 0.9999]"]),
+    (["dissipation", "--gamma", "1e12", *SMALL], ["rate -92.1", "gamma=1e+12", "eps=0.000133", "[0.0001, 0.9999]"]),
+    # dt = 0.01 is unstable at these stiffnesses: the records went nan and the report printed NaN means
+    (["sample", "--potential", "quadratic", "--param", "omega=1000", "--n-steps", "2000"],
+     ["langevin trajectory diverged", "dt=0.01", "t=1.55"]),
+    (["sample", "--potential", "quadratic", "--param", "omega=1000", "--n-steps", "2000", "--scheme", "overdamped"],
+     ["overdamped trajectory diverged", "dt=0.01", "t=0.78"]),
+    (["sample", "--potential", "double_well", "--param", "a=1e6"], ["langevin trajectory diverged", "t=0.07"]),
+    (["sample", "--potential", "quadratic", "--param", "omega=1000", "--param", "d=2", "--n-steps", "2000"],
+     ["langevin trajectory diverged", "dt=0.01", "t=1.55"]),
+    # finite records whose observable overflows
+    (["sample", "--scheme", "hamiltonian", "--p0", "1e200", "--n-steps", "10", "--observable", "p_squared"],
+     ["observable 'p_squared' is not finite", "t=0"]),
+    # V overflows on the cell of a tiny omega
+    *[([command, *CELL_OVERFLOW, *extra], ["potential is not finite on the quadrature grid"])
+      for command, extra in [("spectrum", ["--Np", "8"]), ("poisson", ["--Np", "8"]), ("bounds", ["--Np", "8"]),
+                             ("scan", ["--Np", "8"]), ("poincare", [])]],
+])
+def test_numerical_failure_names_what_failed(argv, names, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(*argv) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert all(name in err for name in names) and "Traceback" not in err and "Warning" not in err
+    assert err.count("numerical failure:") == 1 and "error:" not in err
+
+
+def test_dissipation_reports_a_positive_tuned_rate_and_any_explicit_one(tmp_path):
+    rep_path = tmp_path / "rep.json"
+    assert run("dissipation", "--gamma", "1e-3", *SMALL, "--report", rep_path) == 0
+    assert read_report(rep_path)["results"]["lambda_est"] > 0
+    assert run("dissipation", "--gamma", "1e-6", "--epsilon", "0.2", *SMALL, "--report", rep_path) == 0
+    assert read_report(rep_path)["results"]["lambda_est"] < 0
 
 
 def test_bounds_on_the_smallest_basis(tmp_path):

@@ -65,11 +65,16 @@ class TestDissipation:
         with pytest.raises(InvalidArgumentError):
             modified_norm_dissipation(cosine_asm, eps)
 
-    def test_builds_only_the_couplings_of_levels_0_to_2(self, cosine_spec, unit_params):
-        """The basis keeps its generator, so couplings built for the pencil stay: it builds the two it reads."""
-        basis = build_basis(cosine_spec, unit_params, Kq=8, Np=12, n_quad=128)
-        tune_modified_norm_epsilon(assemble_generator(basis, 1.0))
-        assert list(reduced_generator(basis)._cache) == [None] and len(reduced_generator(basis)._cache[None][2]) == 2
+    def test_builds_only_the_couplings_of_levels_0_to_2(self, cosine_spec, unit_params, traced_peak):
+        """The pencil reads Hermite levels 0-2, so its traced peak grows with Np only by the generator's
+        friction diagonal (one float per coordinate); every level's couplings would add an r x r block
+        per level, 33 times that at Kq16."""
+        dims, peaks = [], []
+        for Np in (12, 384):
+            asm = assemble_generator(build_basis(cosine_spec, unit_params, Kq=16, Np=Np), 1.0)
+            dims.append(reduced_generator(asm.basis).dim)
+            peaks.append(traced_peak(hypo._dissipation_pencil, asm)[1])
+        assert peaks[1] - peaks[0] < 2 * 8 * (dims[1] - dims[0])
 
 
 # ---------------------------------------------------------------------------
@@ -450,18 +455,20 @@ class TestWitnesses:
         assert pair.underdamped == pytest.approx(ratio(lambda q, p: spec.eval(q)[:, None] + p * p / (2.0 * mass)),
                                                  rel=1e-12)
 
-    def test_bounds_builds_one_generator_and_one_coupling_set_per_sector(self, cosine_spec, unit_params):
-        """`bounds` runs verify_schur_bound and then resolvent_lower_bound: both read the basis's one reduced
-        generator, and the witnesses apply -L on the sector couplings the resolvent norm built, with no
-        full-operator (sector None) set beside them."""
+    def test_witnesses_apply_the_generator_sector_by_sector(self, cosine_spec, unit_params, monkeypatch):
+        """The witnesses apply -L one sector at a time: resolvent_lower_bound builds no full-operator
+        (sector None) blocks."""
         basis = build_basis(cosine_spec, unit_params, Kq=8, Np=12, n_quad=128)
-        red = reduced_generator(basis)
-        assert reduced_generator(basis) is red and red.n_sectors == 2
-        asm = assemble_generator(basis, 1.0)
-        verify_schur_bound(asm)
-        built = dict(red._cache)
-        resolvent_lower_bound(asm)
-        assert set(red._cache) == {0, 1} and all(red._cache[s] is built[s] for s in built)
+        asked = []
+        real = spectral.ReducedGenerator.level_blocks
+
+        def spy(red, gamma, levels=None, sector=None):
+            asked.append(sector)
+            return real(red, gamma, levels, sector)
+
+        monkeypatch.setattr(spectral.ReducedGenerator, "level_blocks", spy)
+        resolvent_lower_bound(assemble_generator(basis, 1.0))
+        assert asked == [0, 1]
 
     def test_flat_potential_degenerate(self, unit_params):
         spec = builtin_potential("flat", {"L": 1.0})

@@ -92,6 +92,13 @@ def test_envelope_needs_oscillation():
         fit_envelope_rate(traj[:, 0], traj[:, 1], traj[:, 2])
 
 
+def test_envelope_of_a_span_whose_square_underflows_is_refused():
+    # (t - mean t)^2 underflows to 0 at this span; the slope was 0 / 0, with two RuntimeWarnings
+    traj = ode_trajectory(1.0, [1.0, 1.0], 1e-299, 1e-300)
+    with pytest.raises(NumericalFailureError, match="too short to fit a slope"):
+        fit_envelope_rate(traj[:, 0], traj[:, 1], traj[:, 2])
+
+
 @pytest.mark.parametrize("g", [0.25, 0.5, 1.0, 1.5, 3.0, 4.0, 8.0])
 def test_optimal_p_certificate_and_monotone_decay(g):
     opt = ode_optimal_P(g)

@@ -4,6 +4,7 @@ that object already carries.  One home per policy: only spectral names the
 constants of the gap refinement."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -14,7 +15,7 @@ import typing
 import pytest
 
 import hypokit
-from hypokit.spectral import BasisSet, GeneratorAssembly, OverdampedOperator
+from hypokit.spectral import BasisSet, GeneratorAssembly, OverdampedOperator, ReducedGenerator
 
 CARRIERS = (BasisSet, GeneratorAssembly, OverdampedOperator)
 CARRIED = {"spec", "params", "beta", "mass", "Kq", "Np", "n_quad"}
@@ -76,8 +77,7 @@ def test_no_module_names_scipy_sparse():
 
 
 def test_only_reduced_generator_builds_a_reduced_generator():
-    # spectral.reduced_generator builds a basis's generator once and keeps it on the basis; a
-    # ReducedGenerator built anywhere else would build -L and its coupling blocks a second time
+    # spectral.reduced_generator is the one place that forms c_t, fd and the deflation from a basis
     package = pathlib.Path(hypokit.__file__).parent
     sites = {path.stem: path.read_text().count("ReducedGenerator(") for path in sorted(package.glob("*.py"))}
     assert {name: n for name, n in sites.items() if n} == {"spectral": 1}
@@ -85,3 +85,10 @@ def test_only_reduced_generator_builds_a_reduced_generator():
     fn = next(node for node in ast.parse(source).body
               if isinstance(node, ast.FunctionDef) and node.name == "reduced_generator")
     assert "ReducedGenerator(" in ast.get_source_segment(source, fn)
+
+
+@pytest.mark.parametrize("cls", [BasisSet, ReducedGenerator])
+def test_basis_and_generator_hold_no_derived_state(cls):
+    # a field the constructor does not set is state filled in later: a cache or memo of derived
+    # arrays, which every caller then shares and which needs code to evict it
+    assert [f.name for f in dataclasses.fields(cls) if not f.init] == []

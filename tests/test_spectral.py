@@ -241,12 +241,10 @@ def test_langevin_poisson_ou_oracle(quad_spec):
 
 def test_solve_poisson_holds_one_sectors_couplings_at_a_time(cosine_spec, unit_params, traced_peak):
     """At Kq16/Np64 the traced peak was 619 kB with both sectors' couplings cached and is 463 kB:
-    one sector's couplings (137 kB) and chain (153 kB) with their vectors, under twice their sum.
-    The sizes come from a second basis of the same problem: the solve's own basis keeps its one
-    reduced generator, whose couplings the solve must build itself to be measured."""
+    one sector's couplings (137 kB) and chain (153 kB) with their vectors, under twice their sum."""
     basis = build_basis(cosine_spec, unit_params, Kq=16, Np=64, n_quad=256)
     asm = assemble_generator(basis, 1.0)
-    red = reduced_generator(build_basis(cosine_spec, unit_params, Kq=16, Np=64, n_quad=256))
+    red = reduced_generator(basis)
     largest = 0
     for s in range(red.n_sectors):
         blocks = red.level_blocks(1.0, sector=s)
@@ -800,9 +798,9 @@ def test_rung_gap_matches_the_dense_gap(name, pot, ens, gamma, Kq, Np):
     assert res.eig_count_checked == res.eigenvalues.size > 0
 
 
-def test_level_blocks_share_their_gamma_free_couplings(cosine_asm_small):
-    """Each sector's couplings are built once per reduced generator, read-only, and bitwise the
-    sqrt(n / beta m) c_t gather of every level_blocks call before; only the diagonals scale with gamma."""
+def test_level_blocks_are_the_scaled_gamma_free_couplings(cosine_asm_small):
+    """Each sector's couplings are bitwise the sqrt(n / beta m) c_t gather of each level, formed from
+    three gathered blocks; only the diagonals scale with gamma."""
     red = reduced_generator(cosine_asm_small.basis)
     for sector in (None, 0, 1):
         masks = [np.ones(red.labels.size - (n == 0), bool) if sector is None
@@ -810,14 +808,18 @@ def test_level_blocks_share_their_gamma_free_couplings(cosine_asm_small):
         want = [math.sqrt(n / red.beta_m) * (red.c_t @ red.q0 if n == 1 else red.c_t)[np.ix_(masks[n], masks[n - 1])]
                 for n in range(1, red.n_p)]
         slow, fast = red.level_blocks(0.125, sector=sector), red.level_blocks(8.0, sector=sector)
-        assert len(slow.couplings) == len(want) and all(a is b for a, b in zip(slow.couplings, fast.couplings))
-        assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(slow.couplings, want))
-        assert not any(b.flags.writeable for b in slow.couplings)
-        index = np.arange(red.dim) if sector is None else red.sector_index(sector)
+        for blocks in (slow, fast):
+            assert len(blocks.couplings) == len(want)
+            assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(blocks.couplings, want))
+        index = np.flatnonzero(np.concatenate(masks))
+        if sector is not None:
+            assert np.array_equal(red.sector_index(sector), index)
         for gamma, blocks in ((0.125, slow), (8.0, fast)):
+            assert [d.size for d in blocks.diags] == [int(m.sum()) for m in masks]
             assert np.array_equal(np.concatenate(blocks.diags), -gamma * red.fd[index])
-    top3 = red.level_blocks(8.0, levels=3)
-    assert len(top3.diags) == 3 and all(a is b for a, b in zip(top3.couplings, red.level_blocks(1.0).couplings))
+    top3, every = red.level_blocks(8.0, levels=3), red.level_blocks(1.0)
+    assert len(top3.diags) == 3 and len(top3.couplings) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(top3.couplings, every.couplings))
 
 
 def test_overflowing_friction_is_a_failed_rung_without_a_warning(cosine_spec, unit_params):
@@ -1046,17 +1048,6 @@ def _refined(spec, params, Kq, Np, factor=1.5):
 
 def _contour(asm, base):
     return spectral.contour_gap(reduced_generator(asm.basis), asm.gamma, base)
-
-
-def test_refined_gap_drops_the_coarse_couplings(cosine_spec, unit_params):
-    """`spectrum` holds its basis, and with it the basis's generator, through the refinement: the coarse
-    couplings go before the finer basis's are built, and the generator stays the basis's one."""
-    basis = build_basis(cosine_spec, unit_params, Kq=8, Np=12, n_quad=128)
-    ladder = spectral.rung_ladder(basis)
-    base = spectral.rung_gap(ladder, 1.0)
-    assert set(ladder[0]._cache) == {0, 1}
-    spectral.refined_gap(basis, 1.0, base)
-    assert reduced_generator(basis) is ladder[0] and ladder[0]._cache == {}
 
 
 CONTOUR_CASES = EIGVALS_CASES + [
