@@ -41,6 +41,9 @@ A shift-invert eigensolve of L itself could not give the spectral gap that
 safely: it returns the eigenvalues nearest 0 in modulus, which can miss the
 one with the smallest real part.  A friction-scan rung is
 spectral.rung_gap, the gap `spectrum` reports too (see gamma_scan).
+
+The dissipation pencil imports scipy.linalg inside the functions that call it,
+as spectral does, so the ODE toy model runs without loading SciPy.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     DefectiveCaseError,
@@ -256,9 +258,12 @@ def fit_envelope_rate(times: Array, x1: Array, x2: Array) -> float:
     symmetric part of the drift only damps one component), so raw local maxima
     of log|X| need not exist.  Detrending by a pilot linear fit exposes one
     maximum per oscillation period; a line through those points has slope equal
-    to the mean decay rate.
+    to the mean decay rate.  One period of |X| is half a turn of X, so X points
+    the opposite way at consecutive peaks; peaks where it does not are roundoff,
+    as on a span far shorter than one period, and are refused.
     """
-    s = np.hypot(np.asarray(x1, float), np.asarray(x2, float))
+    x1, x2 = np.asarray(x1, float), np.asarray(x2, float)
+    s = np.hypot(x1, x2)
     t = np.asarray(times, float)
     if np.any(s <= 0):
         raise NumericalFailureError("trajectory passes through the origin; no envelope")
@@ -274,6 +279,9 @@ def fit_envelope_rate(times: Array, x1: Array, x2: Array) -> float:
     interior = np.nonzero((d[1:-1] >= d[:-2]) & (d[1:-1] > d[2:]))[0] + 1
     if interior.size < 2:
         raise NumericalFailureError("need at least two envelope peaks to fit a rate")
+    u1, u2 = x1[interior] / s[interior], x2[interior] / s[interior]  # X at each peak, as a unit vector
+    if not np.all(u1[1:] * u1[:-1] + u2[1:] * u2[:-1] < 0):
+        raise NumericalFailureError("envelope peaks less than a quarter turn apart are roundoff, not an oscillation")
     # parabolic refinement of each detrended peak
     tp = np.empty(interior.size)
     lp = np.empty(interior.size)
@@ -322,15 +330,21 @@ class _Pencil(NamedTuple):
     tail: float
 
     def lambda_min(self, eps: float) -> float:
+        import scipy.linalg as sla
         diss = self.d0 + eps * self.d2
         return min(float(sla.eigh(diss, eigvals_only=True, subset_by_index=[0, 0])[0]), self.tail)
 
 
 def _dissipation_pencil(asm: GeneratorAssembly) -> _Pencil:
+    import scipy.linalg as sla
     red = reduced_generator(asm.basis)
     n0 = red.n0
-    t1 = math.sqrt(1.0 / red.beta_m) * (red.c_t @ red.q0)
-    rb = sla.solve(np.eye(n0) + t1.T @ t1, t1.T, assume_a="pos")
+    with np.errstate(all="ignore"):  # on a cell too narrow for the floats T^T T overflows, refused below
+        t1 = math.sqrt(1.0 / red.beta_m) * (red.c_t @ red.q0)
+        gram_t = np.eye(n0) + t1.T @ t1
+    if not np.all(np.isfinite(gram_t)):
+        raise NumericalFailureError("auxiliary operator is not finite on this cell")
+    rb = sla.solve(gram_t, t1.T, assume_a="pos")
     l_k = -red.neg_operator(asm.gamma, levels=3)
     k = l_k.shape[0]
     tail = -asm.gamma * float(red.fd[k]) if k < red.dim else math.inf
@@ -344,6 +358,7 @@ def _dissipation_pencil(asm: GeneratorAssembly) -> _Pencil:
 
 def _dissipation_at(pencil: _Pencil, eps: float) -> DissipationResult:
     """The DissipationResult of the pencil at eps; refuses an eps where M(eps) is not positive definite."""
+    import scipy.linalg as sla
     # outside the block 1/2 I - eps S is 1/2 and D(eps) is its diagonal tail
     m_eps = 0.5 * np.eye(pencil.sym_r.shape[0]) - eps * pencil.sym_r
     if float(np.min(sla.eigvalsh(m_eps))) <= 0.0:

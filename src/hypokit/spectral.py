@@ -69,6 +69,12 @@ level_blocks call gathers three blocks of c_t for its sector and scales them
 per level, so the generator holds no mutable state and a scan's threads share
 only arrays that no code writes.  No solver takes V, beta, m or gamma again.
 
+SciPy is imported by each function that calls it, not by the module: the
+whitening eigh (so the first basis build), the Poincare eigvalsh, the decay
+check's expm, the overdamped LU and the residual norms.  A process that
+builds no basis (`sample`, `variance`, `ode`) never loads SciPy, whose
+import costs about 0.3 s.
+
 Full-basis coefficient indexing is Hermite-major: index = n * (2 Kq + 1) + a.
 """
 
@@ -80,7 +86,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     IllConditionedBasisError,
@@ -299,6 +304,7 @@ def _whiten(gram_q: Array, parity: Array) -> tuple[Array, Array, Array]:
     which lies in set 0: the complement within set 0, then the other set
     unchanged, so q0's columns carry labels[1:].
     """
+    import scipy.linalg as sla
     order = np.argsort(parity, kind="stable")
     evals, vecs = sla.eigh(gram_q[np.ix_(order, order)])
     if evals[-1] <= 0:
@@ -825,16 +831,24 @@ class OverdampedOperator(NamedTuple):
 
 
 def assemble_overdamped(basis: BasisSet) -> OverdampedOperator:
-    """Coefficient action of the overdamped generator -(1/beta) nabla* nabla."""
-    a_form = -(1.0 / basis.beta) * (basis.D.T @ basis.gram_q @ basis.D)
-    a_form = 0.5 * (a_form + a_form.T)
-    return OverdampedOperator(basis.wq @ (basis.wq.T @ a_form), basis)
+    """Coefficient action of the overdamped generator -(1/beta) nabla* nabla.
+
+    On a cell too narrow for the floats D^T G D overflows; every solver reads
+    the operator through _overdamped_reduced, which refuses it.
+    """
+    with np.errstate(all="ignore"):
+        a_form = -(1.0 / basis.beta) * (basis.D.T @ basis.gram_q @ basis.D)
+        a_form = 0.5 * (a_form + a_form.T)
+        return OverdampedOperator(basis.wq @ (basis.wq.T @ a_form), basis)
 
 
 def _overdamped_reduced(ovd: OverdampedOperator) -> Array:
-    """The symmetric overdamped operator in the whitened, constant-deflated frame."""
+    """The symmetric overdamped operator in the whitened, constant-deflated frame; refused when not finite."""
     b = ovd.basis
-    s = b.q0.T @ (b.wq.T @ (b.gram_q @ ovd.l_ovd) @ b.wq) @ b.q0
+    with np.errstate(all="ignore"):
+        s = b.q0.T @ (b.wq.T @ (b.gram_q @ ovd.l_ovd) @ b.wq) @ b.q0
+    if not np.all(np.isfinite(s)):
+        raise NumericalFailureError("overdamped operator is not finite on this cell")
     return 0.5 * (s + s.T)
 
 
@@ -851,6 +865,7 @@ def poincare_constant(
     runs on n_quad nodes and each refinement at k modes on max(n_quad, 8 k)
     (BasisSet.resized), so a grid that resolves the weight stays in use.
     """
+    import scipy.linalg as sla
     basis = build_basis(spec, params, Kq=Kq, Np=2, n_quad=n_quad)
     prev = None
     for _ in range(POINCARE_MAX_ROUNDS):
@@ -884,6 +899,7 @@ def semigroup_decay_check(ovd: OverdampedOperator, r_nu: float, times: Array) ->
     constant-deflated space; the bound holds with prefactor exactly 1, up to
     DECAY_TOL.
     """
+    import scipy.linalg as sla
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1 or np.any(times < 0):
         raise InvalidArgumentError("times must be a non-empty 1-D array of nonnegative values")
@@ -928,6 +944,7 @@ def _sigma2_from_pair(z_sol: Array, z_rhs: Array, mass_nu: float) -> float:
 
 def _lu_solve(neg_op: Array, rhs: Array) -> tuple[Array, Array, float]:
     """(z, -L z - rhs, ||L||_1) from one LU solve of -L z = rhs; an exactly zero pivot is a numerical failure."""
+    import scipy.linalg as sla
     norm1 = float(sla.norm(neg_op, 1, check_finite=False))
     with warnings.catch_warnings():
         warnings.simplefilter("error", sla.LinAlgWarning)
@@ -940,7 +957,10 @@ def _lu_solve(neg_op: Array, rhs: Array) -> tuple[Array, Array, float]:
 
 
 def _relative_residual(res: Array, z_sol: Array, z_rhs: Array, norm1: float) -> float:
-    """||res|| / (||L||_1 ||z|| + ||b||)."""
+    """||res|| / (||L||_1 ||z|| + ||b||); a residual that is not finite is a numerical failure."""
+    import scipy.linalg as sla
+    if not np.all(np.isfinite(res)):  # a z that is not finite leaves inf * 0 = nan in res
+        raise NumericalFailureError("Poisson solve is not finite: its residual overflowed")
     # scipy's norm is BLAS nrm2, which scales: a solution near the float maximum keeps a finite norm
     scale = norm1 * float(sla.norm(z_sol)) + float(sla.norm(z_rhs))
     return float(sla.norm(res)) / scale if scale > 0 else 0.0
@@ -1004,8 +1024,9 @@ def solve_poisson(asm: GeneratorAssembly, phi_coeffs: Array) -> PoissonResult:
         blocks = red.level_blocks(asm.gamma, sector=s)
         sector_norm1 = blocks.norm1()
         try:
-            z_sol[idx], res[idx], sector_steps = _refined_chain_solve(
-                hermite_chain(blocks, 0.0), blocks, z_rhs[idx], sector_norm1)
+            with np.errstate(all="ignore"):  # a chain that overflows is refused by _relative_residual
+                z_sol[idx], res[idx], sector_steps = _refined_chain_solve(
+                    hermite_chain(blocks, 0.0), blocks, z_rhs[idx], sector_norm1)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"Poisson solve failed (singular pivot): {exc}") from exc
         norm1, steps = max(norm1, sector_norm1), steps + sector_steps

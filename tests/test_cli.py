@@ -582,6 +582,7 @@ def test_bounds_at_extreme_inputs_exits_2_without_a_warning(flag, value, capsys)
 
 SMALL = ["--Kq", "4", "--Np", "8"]
 CELL_OVERFLOW = ["--potential", "quadratic", "--param", "omega=1e-200", "--Kq", "4"]  # L = 1.4e201
+CELL_NARROW = ["--potential", "quadratic", "--param", "omega=1e154", "--Kq", "4"]  # L = 1.4e-153
 
 
 @pytest.mark.parametrize("argv, names", [
@@ -603,6 +604,11 @@ CELL_OVERFLOW = ["--potential", "quadratic", "--param", "omega=1e-200", "--Kq", 
     *[([command, *CELL_OVERFLOW, *extra], ["potential is not finite on the quadrature grid"])
       for command, extra in [("spectrum", ["--Np", "8"]), ("poisson", ["--Np", "8"]), ("bounds", ["--Np", "8"]),
                              ("scan", ["--Np", "8"]), ("poincare", [])]],
+    # on the cell of a huge omega (L = 1.4e-153) D^T G D, the Hermite chain and T^T T overflow; SciPy's
+    # finite checks had raised a ValueError traceback after RuntimeWarnings
+    (["poincare", *CELL_NARROW], ["overdamped operator is not finite"]),
+    (["poisson", *CELL_NARROW, "--Np", "8"], ["Poisson solve is not finite"]),
+    (["dissipation", *CELL_NARROW, "--Np", "8"], ["auxiliary operator is not finite"]),
 ])
 def test_numerical_failure_names_what_failed(argv, names, capsys):
     with warnings.catch_warnings(record=True) as caught:
@@ -747,11 +753,12 @@ def test_mass_still_read_by_overdamped_sample(tmp_path):
     assert energy_mean(1.0) != energy_mean(3.0)
 
 
-@pytest.mark.parametrize("prefix", ["scipy.sparse", "jsonschema"])
+@pytest.mark.parametrize("prefix", ["scipy.sparse", "jsonschema", "scipy"])
 def test_cli_import_leaves_module_unloaded(prefix):
     # scipy.sparse is imported by no module (test_spectral_commands_leave_scipy_sparse_unloaded); at
     # module level it added about 30 ms to every start-up.  jsonschema is a test-only reference for
-    # cli._validate, and importing it cost 70-90 ms.
+    # cli._validate, and importing it cost 70-90 ms.  scipy.linalg is imported by each solver that
+    # calls it (test_sampling_commands_leave_scipy_unloaded); at module level it cost about 0.3 s.
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     code = f"import sys, hypokit.cli; print(any(m.startswith({prefix!r}) for m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
@@ -772,6 +779,27 @@ def test_spectral_commands_leave_scipy_sparse_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_sampling_commands_leave_scipy_unloaded(tmp_path):
+    # the sampler, the variance estimators, the ODE toy and argument checking call no SciPy, so they
+    # never pay its import; a spectral command imports scipy.linalg at its first solver call
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    csv_path, rep_path = str(tmp_path / "s.csv"), str(tmp_path / "rep.json")
+    argvs = [["sample", "--n-steps", "200", "--observable", "cos_q", "--out", csv_path],
+             ["sample", "--scheme", "overdamped", "--n-steps", "200"],
+             ["variance", "--input", csv_path, "--column", "cos_q"],
+             ["ode", "--figure1"]]
+    code = ("import sys, hypokit.cli\n"
+            f"for argv in {argvs!r}:\n"
+            f"    assert hypokit.cli.main(argv + ['--report', {rep_path!r}]) == 0, argv\n"
+            "assert hypokit.cli.main(['spectrum', '--Kq', '0']) == 1\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            f"assert hypokit.cli.main(['poisson', '--Kq', '4', '--Np', '8', '--report', {rep_path!r}]) == 0\n"
+            "print('scipy.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["[]", "True"]
 
 
 def test_malformed_config_section_exits_1(tmp_path):

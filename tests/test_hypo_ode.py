@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from hypokit import DefectiveCaseError, InvalidArgumentError, NumericalFailureError
+from hypokit import DefectiveCaseError, InvalidArgumentError, NumericalFailureError, cli
 from hypokit.hypo import (
     OdeToy,
     fit_envelope_rate,
@@ -97,6 +98,16 @@ def test_envelope_of_a_span_whose_square_underflows_is_refused():
     traj = ode_trajectory(1.0, [1.0, 1.0], 1e-299, 1e-300)
     with pytest.raises(NumericalFailureError, match="too short to fit a slope"):
         fit_envelope_rate(traj[:, 0], traj[:, 1], traj[:, 2])
+
+
+def test_envelope_of_a_span_far_shorter_than_a_period_is_refused(tmp_path):
+    # 11 rows 1e-160 apart: the detrended log-norm is roundoff, and its "peaks" gave a rate of 1.07e143
+    traj = ode_trajectory(1.0, [1.0, 1.0], 1e-159, 1e-160)
+    with pytest.raises(NumericalFailureError, match="quarter turn"):
+        fit_envelope_rate(traj[:, 0], traj[:, 1], traj[:, 2])
+    rep_path = tmp_path / "rep.json"
+    assert cli.main(["ode", "--dt", "1e-160", "--T", "1e-159", "--report", str(rep_path)]) == 0
+    assert json.loads(rep_path.read_text())["results"]["envelope_rate"] is None
 
 
 @pytest.mark.parametrize("g", [0.25, 0.5, 1.0, 1.5, 3.0, 4.0, 8.0])

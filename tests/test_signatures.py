@@ -76,6 +76,28 @@ def test_no_module_names_scipy_sparse():
     assert [path.name for path in sorted(package.glob("*.py")) if "scipy.sparse" in path.read_text()] == []
 
 
+def _import_time_imports(tree):
+    """The modules a module imports when it is imported: every import outside a function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_scipy_at_top_level():
+    # each solver that calls SciPy imports it in its own body: at module level scipy.linalg cost every
+    # process about 0.3 s, `sample`, `variance` and `ode` included, which call no SciPy
+    package = pathlib.Path(hypokit.__file__).parent
+    found = {path.name: [m for m in _import_time_imports(ast.parse(path.read_text())) if m.split(".")[0] == "scipy"]
+             for path in sorted(package.glob("*.py"))}
+    assert {name: mods for name, mods in found.items() if mods} == {}
+
+
 def test_only_reduced_generator_builds_a_reduced_generator():
     # spectral.reduced_generator is the one place that forms c_t, fd and the deflation from a basis
     package = pathlib.Path(hypokit.__file__).parent
