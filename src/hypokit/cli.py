@@ -805,7 +805,7 @@ def _cmd_scan(cfg: dict) -> tuple[dict, dict]:
         "slope_large_gamma": scan.slope_large_gamma,
         "lambda_bar": scan.lambda_bar,
         "rows": [
-            {"gamma": float(g), "gap": float(gap), "lower_model": float(lm)}
+            {"gamma": float(g), "gap": float(gap) if math.isfinite(gap) else None, "lower_model": float(lm)}
             for g, gap, lm in zip(scan.table.gammas, scan.table.gaps, scan.table.lower_model)
         ],
         "row_errors": {str(k): v for k, v in scan.row_errors.items()},

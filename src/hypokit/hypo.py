@@ -17,9 +17,10 @@ a bound or witness is always computed for the generator it is compared with.
 
 All Galerkin computations run in the whitened, constant-deflated frame
 provided by spectral.reduced_generator, where gram-weighted norms are
-Euclidean and the exact antisymmetry of the Hamiltonian block makes the
-auxiliary operator R = (1 + (L_ham P0)* (L_ham P0))^{-1} (L_ham P0)* satisfy
-||2R|| <= 1 and ||L_ham R|| <= 1 up to roundoff.
+Euclidean.  The auxiliary operator R = (1 + T*T)^{-1} T*, T = L_ham P0, comes
+from one SVD of T (_Pencil), so ||2R|| <= 1 and ||L_ham R|| < 1 hold by
+construction (Dolbeault, Mouhot and Schmeiser, Trans. AMS 367, 2015); hypo
+imports no SciPy.
 
 The dissipation matrix D(eps) = D0 + eps D2 is solved on Hermite levels 0-2
 only, and exactly so; the pencil is built once, and both the epsilon tuning
@@ -41,9 +42,6 @@ A shift-invert eigensolve of L itself could not give the spectral gap that
 safely: it returns the eigenvalues nearest 0 in modulus, which can miss the
 one with the smallest real part.  A friction-scan rung is
 spectral.rung_gap, the gap `spectrum` reports too (see gamma_scan).
-
-The dissipation pencil imports scipy.linalg inside the functions that call it,
-as spectral does, so the ODE toy model runs without loading SciPy.
 """
 
 from __future__ import annotations
@@ -311,69 +309,66 @@ class DissipationResult:
 
 
 class _Pencil(NamedTuple):
-    """D(eps) = d0 + eps d2 on Hermite levels 0-2, with the pieces of R it is built from.
+    """D(eps) = d0 + eps d2 on Hermite levels 0-2, with the norms of R it is built from.
 
     T = L_ham Pi0 is nonzero only in its level-1 rows t1, the level-1 to
     level-0 coupling block, so R = (1 + T*T)^{-1} T* is nonzero only on its
-    (level 0 x level 1) block rb, and sym_r is S = (R + R^T)/2 on levels 0-2.
-    With l_k the generator on those k = n0 + 2r coordinates, d0 = -(l_k +
-    l_k^T)/2 and d2 = l_k^T S + S l_k (symmetrized); tail is the smallest
-    diagonal entry of the dissipation matrix on the remaining levels (+inf if
-    there are none).
+    (level 0 x level 1) block rb = V diag(sigma / (1 + sigma^2)) U^T, from one SVD
+    t1 = U diag(sigma) V^T: ||2R|| = max 2 sigma / (1 + sigma^2) <= 1 and
+    ||L_ham R|| = max sigma^2 / (1 + sigma^2) < 1.  With l_k the generator on
+    those k = n0 + 2r coordinates, d0 = -(l_k + l_k^T)/2 and d2 = X + X^T, X =
+    S l_k with S = (R + R^T)/2, whose nonzero rows are rb's two blocks times
+    l_k; tail is the smallest diagonal entry of D on the remaining levels.
     """
 
-    rb: Array
-    t1: Array
-    sym_r: Array
+    r_norm: float  # ||2R||
+    lham_r_norm: float  # ||L_ham R||
     d0: Array
     d2: Array
     tail: float
 
     def lambda_min(self, eps: float) -> float:
-        import scipy.linalg as sla
-        diss = self.d0 + eps * self.d2
-        return min(float(sla.eigh(diss, eigvals_only=True, subset_by_index=[0, 0])[0]), self.tail)
+        return min(float(np.linalg.eigvalsh(self.d0 + eps * self.d2)[0]), self.tail)
 
 
 def _dissipation_pencil(asm: GeneratorAssembly) -> _Pencil:
-    import scipy.linalg as sla
     red = reduced_generator(asm.basis)
     n0 = red.n0
-    with np.errstate(all="ignore"):  # on a cell too narrow for the floats T^T T overflows, refused below
+    with np.errstate(all="ignore"):  # on a cell too narrow for the floats t1 overflows, refused below
         t1 = math.sqrt(1.0 / red.beta_m) * (red.c_t @ red.q0)
-        gram_t = np.eye(n0) + t1.T @ t1
-    if not np.all(np.isfinite(gram_t)):
+    if not np.all(np.isfinite(t1)):
         raise NumericalFailureError("auxiliary operator is not finite on this cell")
-    rb = sla.solve(gram_t, t1.T, assume_a="pos")
+    u, sigma, vt = np.linalg.svd(t1, full_matrices=False)
+    root = np.hypot(1.0, sigma)  # sqrt(1 + sigma^2), finite where sigma^2 overflows
+    frac = sigma / root
+    g = frac / root  # sigma / (1 + sigma^2)
+    rb = (vt.T * g) @ u.T
     l_k = -red.neg_operator(asm.gamma, levels=3)
-    k = l_k.shape[0]
+    k, r = l_k.shape[0], rb.shape[1]
+    x = np.zeros((k, k))
+    with np.errstate(all="ignore"):  # a pencil that overflows is refused below
+        x[:n0] = 0.5 * rb @ l_k[n0 : n0 + r]
+        x[n0 : n0 + r] = 0.5 * rb.T @ l_k[:n0]
+        d0, d2 = -0.5 * (l_k.T + l_k), x + x.T
+    if not (np.all(np.isfinite(d0)) and np.all(np.isfinite(d2))):
+        raise NumericalFailureError("dissipation matrix is not finite on this cell")
     tail = -asm.gamma * float(red.fd[k]) if k < red.dim else math.inf
-    r = rb.shape[1]
-    sym_r = np.zeros((k, k))
-    sym_r[:n0, n0 : n0 + r] = 0.5 * rb
-    sym_r[n0 : n0 + r, :n0] = 0.5 * rb.T
-    d2 = l_k.T @ sym_r + sym_r @ l_k
-    return _Pencil(rb, t1, sym_r, -0.5 * (l_k.T + l_k), 0.5 * (d2 + d2.T), tail)
+    return _Pencil(2.0 * float(g.max(initial=0.0)), float((frac * frac).max(initial=0.0)), d0, d2, tail)
 
 
 def _dissipation_at(pencil: _Pencil, eps: float) -> DissipationResult:
     """The DissipationResult of the pencil at eps; refuses an eps where M(eps) is not positive definite."""
-    import scipy.linalg as sla
-    # outside the block 1/2 I - eps S is 1/2 and D(eps) is its diagonal tail
-    m_eps = 0.5 * np.eye(pencil.sym_r.shape[0]) - eps * pencil.sym_r
-    if float(np.min(sla.eigvalsh(m_eps))) <= 0.0:
+    if not abs(eps) * pencil.r_norm < 2.0:  # the smallest eigenvalue of 1/2 - eps S is (1 - |eps| r_norm / 2) / 2
         raise InvalidArgumentError(
             f"modified norm is not positive definite at eps={eps} (norm equivalence broken)"
         )
-    r_norm = 2.0 * float(np.linalg.norm(pencil.rb, 2))
-    lham_r_norm = float(np.linalg.norm(pencil.t1 @ pencil.rb, 2))
     return DissipationResult(
         lambda_est=pencil.lambda_min(eps),
         epsilon=float(eps),
-        r_norm=r_norm,
-        lham_r_norm=lham_r_norm,
-        r_norm_ok=r_norm <= 1.0 + 1e-8,
-        lham_r_norm_ok=lham_r_norm <= 1.0 + 1e-8,
+        r_norm=pencil.r_norm,
+        lham_r_norm=pencil.lham_r_norm,
+        r_norm_ok=pencil.r_norm <= 1.0 + 1e-8,
+        lham_r_norm_ok=pencil.lham_r_norm <= 1.0 + 1e-8,
     )
 
 
@@ -594,14 +589,18 @@ def verify_schur_bound(
     """
     spec, params = asm.basis.spec, asm.params
     pts = (np.arange(HESS_GRID_N) * (asm.basis.L / HESS_GRID_N))[:, None]
-    d2v = spec.hessian(pts)[:, 0, 0]
+    with np.errstate(all="ignore"):  # a Hessian or its mean past the float maximum is refused below
+        d2v = spec.hessian(pts)[:, 0, 0]
+        mean_hess = float(d2v.mean())  # not finite if any entry is not
+    if not math.isfinite(mean_hess):
+        raise NumericalFailureError("Hessian of the potential overflows on the torus grid")
     min_hess = float(d2v.min())
     scale = float(np.abs(d2v).max())
     convex_ok = min_hess >= -1e-10 * max(scale, 1.0)
     # A C^1 torus potential has zero-mean second derivative; a nonzero mean
     # betrays a confining potential clipped onto a cell, whose apparent grid
     # convexity hides a negative seam contribution.
-    periodic_hess = abs(float(d2v.mean())) <= 1e-8 * max(scale, 1.0)
+    periodic_hess = abs(mean_hess) <= 1e-8 * max(scale, 1.0)
 
     if case is None:
         if convex_ok and periodic_hess:
@@ -698,8 +697,8 @@ class ScalingTable:
 @dataclass(frozen=True)
 class ScanResult:
     table: ScalingTable
-    slope_small_gamma: float
-    slope_large_gamma: float
+    slope_small_gamma: float | None  # None where the branch has fewer than two good rungs
+    slope_large_gamma: float | None
     lambda_bar: float
     row_errors: dict
     rung_methods: list  # per rung: gamma, the path per sector, and whether the guard fired
@@ -731,9 +730,9 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
     second core is busy the rows take turns on one.
     Failed rows, including those whose gap is not above roundoff
     (spectral.require_gap_above_roundoff), are reported in row_errors with
-    NaN gaps rather than aborting the scan.  Slopes are log-log fits over
-    gamma <= 1/2 and gamma >= 2; lambda_bar is the smallest ratio
-    gap / min(gamma, 1/gamma).
+    NaN gaps; only a scan with no good row is a numerical failure.  Slopes
+    are log-log fits over gamma <= 1/2 and gamma >= 2 (None on a branch of
+    fewer than two good rows); lambda_bar is the smallest gap / min(gamma, 1/gamma).
     """
     g = np.asarray(sorted(float(x) for x in gammas))
     if g.size < 7:
@@ -765,19 +764,20 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
     table = ScalingTable(gammas=g, gaps=gaps, lower_model=lower)
 
     ok = np.isfinite(gaps)
+    if not np.any(ok):
+        raise NumericalFailureError(f"every rung failed; the first, at gamma={g[0]:g}: {row_errors[float(g[0])]}")
 
-    def branch_slope(mask) -> float:
+    def branch_slope(mask) -> float | None:
         sel = mask & ok
         if sel.sum() < 2:
-            return float("nan")
+            return None
         return float(np.polyfit(np.log(g[sel]), np.log(gaps[sel]), 1)[0])
 
-    lam_bar = float(np.min(gaps[ok] / lower[ok])) if np.any(ok) else float("nan")
     return ScanResult(
         table=table,
         slope_small_gamma=branch_slope(g <= 0.5),
         slope_large_gamma=branch_slope(g >= 2.0),
-        lambda_bar=lam_bar,
+        lambda_bar=float(np.min(gaps[ok] / lower[ok])),
         row_errors=row_errors,
         rung_methods=rung_methods,
     )

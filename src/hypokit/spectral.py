@@ -69,11 +69,11 @@ level_blocks call gathers three blocks of c_t for its sector and scales them
 per level, so the generator holds no mutable state and a scan's threads share
 only arrays that no code writes.  No solver takes V, beta, m or gamma again.
 
-SciPy is imported by each function that calls it, not by the module: the
-whitening eigh (so the first basis build), the Poincare eigvalsh, the decay
-check's expm, the overdamped LU and the residual norms.  A process that
-builds no basis (`sample`, `variance`, `ode`) never loads SciPy, whose
-import costs about 0.3 s.
+Only _whiten (scipy.linalg.eigh, whose syevr whitens a Gram near the rank cut
+more accurately than NumPy's syevd) and _gauss_hermite above its NumPy rule
+import SciPy, each in its own body; every other solve is NumPy's.  A process
+that builds no basis (`sample`, `variance`, `ode`) never loads SciPy, whose
+import costs about 0.2 s and 27 MB.
 
 Full-basis coefficient indexing is Hermite-major: index = n * (2 Kq + 1) + a.
 """
@@ -81,7 +81,6 @@ Full-basis coefficient indexing is Hermite-major: index = n * (2 Kq + 1) + a.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -321,7 +320,8 @@ def _whiten(gram_q: Array, parity: Array) -> tuple[Array, Array, Array]:
     labels = labels[by_label]
     z_const = wq[:, labels == 0].T @ gram_q[:, 0]
     z_const /= np.linalg.norm(z_const)
-    q0 = sla.block_diag(sla.null_space(z_const[None, :]), np.eye(wq.shape[1] - z_const.size))
+    q0 = np.eye(wq.shape[1], wq.shape[1] - 1, k=-1)  # below set 0's block: the other set, unchanged
+    q0[: z_const.size, : z_const.size - 1] = np.linalg.svd(z_const[None, :])[2][1:].T  # z_const's complement
     return wq, q0, labels
 
 
@@ -865,14 +865,13 @@ def poincare_constant(
     runs on n_quad nodes and each refinement at k modes on max(n_quad, 8 k)
     (BasisSet.resized), so a grid that resolves the weight stays in use.
     """
-    import scipy.linalg as sla
     basis = build_basis(spec, params, Kq=Kq, Np=2, n_quad=n_quad)
     prev = None
     for _ in range(POINCARE_MAX_ROUNDS):
         if prev is not None:
             basis = basis.resized(math.ceil(1.5 * basis.Kq), 2)
         s_red = _overdamped_reduced(assemble_overdamped(basis))
-        gap = float(np.min(sla.eigvalsh(-s_red)))
+        gap = float(np.linalg.eigvalsh(-s_red)[0])
         value = params.beta * gap
         if prev is not None and abs(value - prev) <= POINCARE_RTOL * abs(value):
             return value
@@ -897,16 +896,15 @@ def semigroup_decay_check(ovd: OverdampedOperator, r_nu: float, times: Array) ->
 
     Norms are gram-weighted operator norms of the matrix exponential on the
     constant-deflated space; the bound holds with prefactor exactly 1, up to
-    DECAY_TOL.
+    DECAY_TOL.  The reduced operator S is symmetric, so ||exp(t S)|| is
+    exp(t lambda_max(S)), from one eigvalsh.
     """
-    import scipy.linalg as sla
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1 or np.any(times < 0):
         raise InvalidArgumentError("times must be a non-empty 1-D array of nonnegative values")
     s_red = _overdamped_reduced(ovd)
-    norms = np.empty(times.size)
-    for i, t in enumerate(times):
-        norms[i] = sla.svdvals(sla.expm(t * s_red)).max()
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        norms = np.exp(times * np.linalg.eigvalsh(s_red)[-1])
     if not np.all(np.isfinite(norms)):
         raise NumericalFailureError("matrix exponential overflowed")
     bounds = np.exp(-r_nu * times / ovd.basis.beta)
@@ -944,26 +942,27 @@ def _sigma2_from_pair(z_sol: Array, z_rhs: Array, mass_nu: float) -> float:
 
 def _lu_solve(neg_op: Array, rhs: Array) -> tuple[Array, Array, float]:
     """(z, -L z - rhs, ||L||_1) from one LU solve of -L z = rhs; an exactly zero pivot is a numerical failure."""
-    import scipy.linalg as sla
-    norm1 = float(sla.norm(neg_op, 1, check_finite=False))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", sla.LinAlgWarning)
-        try:
-            lu = sla.lu_factor(neg_op, check_finite=False)
-        except sla.LinAlgWarning as exc:
-            raise NumericalFailureError(f"Poisson solve failed (singular operator): {exc}") from exc
-    z = sla.lu_solve(lu, rhs, check_finite=False)
+    with np.errstate(over="ignore"):  # a column sum past the float maximum is an infinite norm, as in LAPACK
+        norm1 = float(np.abs(neg_op).sum(axis=0).max())
+    try:
+        z = np.linalg.solve(neg_op, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"Poisson solve failed (singular operator): {exc}") from exc
     return z, neg_op @ z - rhs, norm1
 
 
 def _relative_residual(res: Array, z_sol: Array, z_rhs: Array, norm1: float) -> float:
     """||res|| / (||L||_1 ||z|| + ||b||); a residual that is not finite is a numerical failure."""
-    import scipy.linalg as sla
     if not np.all(np.isfinite(res)):  # a z that is not finite leaves inf * 0 = nan in res
         raise NumericalFailureError("Poisson solve is not finite: its residual overflowed")
-    # scipy's norm is BLAS nrm2, which scales: a solution near the float maximum keeps a finite norm
-    scale = norm1 * float(sla.norm(z_sol)) + float(sla.norm(z_rhs))
-    return float(sla.norm(res)) / scale if scale > 0 else 0.0
+    scale = norm1 * _scaled_norm(z_sol) + _scaled_norm(z_rhs)
+    return _scaled_norm(res) / scale if scale > 0 else 0.0
+
+
+def _scaled_norm(x: Array) -> float:
+    """||x||_2 taken on x / max|x|, so a vector near the float maximum keeps a finite norm."""
+    big = float(np.abs(x).max(initial=0.0))
+    return big * float(np.linalg.norm(x / big)) if big > 0 else 0.0
 
 
 def _require_accurate(residual: float) -> float:

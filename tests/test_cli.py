@@ -34,9 +34,14 @@ SMALL_QUAD = [
 ]
 
 
+def _refuse_constant(name):
+    raise ValueError(f"report holds {name}, which is not JSON")
+
+
 def read_report(path):
+    """The report at path, parsed strictly: NaN and Infinity are refused."""
     with open(path) as fh:
-        rep = json.load(fh)
+        rep = json.load(fh, parse_constant=_refuse_constant)
     assert set(rep) == {"config", "results", "diagnostics", "version"}
     return rep
 
@@ -604,11 +609,12 @@ CELL_NARROW = ["--potential", "quadratic", "--param", "omega=1e154", "--Kq", "4"
     *[([command, *CELL_OVERFLOW, *extra], ["potential is not finite on the quadrature grid"])
       for command, extra in [("spectrum", ["--Np", "8"]), ("poisson", ["--Np", "8"]), ("bounds", ["--Np", "8"]),
                              ("scan", ["--Np", "8"]), ("poincare", [])]],
-    # on the cell of a huge omega (L = 1.4e-153) D^T G D, the Hermite chain and T^T T overflow; SciPy's
-    # finite checks had raised a ValueError traceback after RuntimeWarnings
+    # on the cell of a huge omega (L = 1.4e-153) D^T G D and the Hermite chain overflow; SciPy's finite
+    # checks had raised a ValueError traceback after RuntimeWarnings.  The Hessian grid's mean overflows:
+    # bounds leaked a RuntimeWarning and blamed a clipped cell (exit 1)
     (["poincare", *CELL_NARROW], ["overdamped operator is not finite"]),
     (["poisson", *CELL_NARROW, "--Np", "8"], ["Poisson solve is not finite"]),
-    (["dissipation", *CELL_NARROW, "--Np", "8"], ["auxiliary operator is not finite"]),
+    (["bounds", *CELL_NARROW, "--Np", "8"], ["Hessian of the potential overflows on the torus grid"]),
 ])
 def test_numerical_failure_names_what_failed(argv, names, capsys):
     with warnings.catch_warnings(record=True) as caught:
@@ -844,8 +850,66 @@ def test_scan_roundoff_rows_set_neither_floor_nor_slope(tmp_path):
     assert run("scan", "--gammas", "1e-17:10:19", *SMALL_COSINE, "--report", rep_path) == 0
     res = read_report(rep_path)["results"]
     assert 1e-15 in map(float, res["row_errors"])
+    assert [row["gap"] is None for row in res["rows"]] == [str(row["gamma"]) in res["row_errors"]
+                                                          for row in res["rows"]]
     assert res["lambda_bar"] > 1
     assert res["slope_small_gamma"] == pytest.approx(1.0, abs=0.02)
+
+
+def test_scan_with_no_good_rung_exits_2_with_the_first_rows_message(capsys):
+    # every rung's gap is not positive above roundoff on this cell: the report read "lambda_bar": NaN
+    assert run("scan", "--potential", "quadratic", "--param", "omega=1e154", *SMALL) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: every rung failed; the first, at gamma=0.125: NumericalFailureError: " in err
+    assert "is not positive above roundoff margin" in err
+
+
+def test_scan_branch_with_one_rung_writes_a_null_slope(tmp_path):
+    # rungs 1e-26 to 1e-11 are roundoff (null gaps), 1e-6 and 0.1 fit the small-friction slope, and
+    # 1e4 alone on the large-friction branch fits none: the report read NaN there
+    rep_path = tmp_path / "rep.json"
+    assert run("scan", "--gammas", "1e-26:1e5:7", *SMALL_COSINE, "--report", rep_path) == 0
+    res = read_report(rep_path)["results"]
+    assert [row["gap"] is None for row in res["rows"]] == [True] * 4 + [False] * 3
+    assert res["slope_small_gamma"] == pytest.approx(1.0, abs=0.02) and res["slope_large_gamma"] is None
+
+
+def test_dissipation_on_a_cell_where_1_plus_t_t_is_singular(tmp_path):
+    """1 + T^T T is numerically singular here and overflows on the narrower cell; R comes from the
+    SVD of T, so its norms stay below 1 and no solve can warn."""
+    rep_path = tmp_path / "rep.json"
+    for omega in ("5e153", "1e154"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("dissipation", "--potential", "quadratic", "--param", f"omega={omega}", *SMALL,
+                       "--report", rep_path) == 0
+        assert [str(w.message) for w in caught] == []
+        res = read_report(rep_path)["results"]
+        assert res["r_norm_ok"] and res["lham_r_norm_ok"] and res["lambda_est"] > 0
+
+
+EXTREME_OMEGAS = ["1e100", "1e150", "5e153", "1e154", "1e157"]
+SPECTRAL_COMMANDS = [["spectrum", "--Np", "8"], ["scan", "--Np", "8"], ["poisson", "--Np", "8"],
+                     ["poisson", "--dynamics", "overdamped"], ["dissipation", "--Np", "8"], ["bounds", "--Np", "8"],
+                     ["poincare"]]
+
+
+@pytest.mark.parametrize("omega", EXTREME_OMEGAS)
+def test_spectral_commands_on_extreme_cells_fail_cleanly(omega, tmp_path, capsys):
+    """Every spectral command on a quadratic cell from L = 1.4e-99 down to one whose omega^2 overflows:
+    it exits 0, 1 or 2, raises no warning (LinAlgWarning is a RuntimeWarning too), and every report it
+    writes is strict JSON."""
+    for command in SPECTRAL_COMMANDS:
+        rep_path = tmp_path / f"{command[0]}.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(*command, "--potential", "quadratic", "--param", f"omega={omega}", "--Kq", "4",
+                       "--report", rep_path)
+        assert code in (0, 1, 2), command
+        assert [str(w.message) for w in caught] == [], command
+        assert "Traceback" not in capsys.readouterr().err
+        if code == 0:
+            read_report(rep_path)
 
 
 @pytest.mark.parametrize("gamma", ["1e-300", "1e300"])

@@ -98,6 +98,37 @@ def test_no_module_imports_scipy_at_top_level():
     assert {name: mods for name, mods in found.items() if mods} == {}
 
 
+def _scipy_imports(node, fn=None):
+    """(enclosing function or None, import node) for every import of a SciPy module under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _scipy_imports(child, child)
+        elif isinstance(child, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in child.names] if isinstance(child, ast.Import) else [child.module or ""]
+            if any(name.split(".")[0] == "scipy" for name in names):
+                yield fn, child
+        else:
+            yield from _scipy_imports(child, fn)
+
+
+def test_scipy_is_confined_to_the_whitening_eigh_and_large_hermite_rules():
+    # every other SciPy call has a NumPy form or a closed form.  The whitening keeps scipy.linalg.eigh
+    # (LAPACK syevr), which whitens a Gram near the rank cut more accurately than NumPy's syevd, and
+    # Gauss-Hermite rules above 370 nodes come from scipy.special
+    package = pathlib.Path(hypokit.__file__).parent
+    sites = {}
+    for path in sorted(package.glob("*.py")):
+        for fn, node in _scipy_imports(ast.parse(path.read_text())):
+            sites.setdefault(f"{path.stem}.{fn.name if fn else '<module>'}", []).append((fn, node))
+    assert sorted(sites) == ["spectral._gauss_hermite", "spectral._whiten"]
+    [(fn, node)] = sites["spectral._whiten"]
+    assert ast.unparse(node) == "import scipy.linalg as sla"
+    uses = [n for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id == "sla"]
+    attrs = {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+             and n.value.id == "sla"}
+    assert attrs == {"eigh"} and len(uses) == 1
+
+
 def test_only_reduced_generator_builds_a_reduced_generator():
     # spectral.reduced_generator is the one place that forms c_t, fd and the deflation from a basis
     package = pathlib.Path(hypokit.__file__).parent
