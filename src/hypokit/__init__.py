@@ -51,10 +51,8 @@ from .spectral import (
     DecayCheckResult,
     GapResult,
     GeneratorAssembly,
-    OverdampedOperator,
     PoissonResult,
     assemble_generator,
-    assemble_overdamped,
     build_basis,
     poincare_constant,
     project_phase_function,

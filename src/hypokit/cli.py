@@ -51,7 +51,6 @@ from .spectral import (
     DEFAULT_KQ,
     DEFAULT_NP,
     assemble_generator,
-    assemble_overdamped,
     build_basis,
     poincare_constant,
     project_phase_function,
@@ -659,9 +658,8 @@ def _cmd_poisson(cfg: dict) -> tuple[dict, dict]:
     else:
         if name not in _POSITION_OBSERVABLES:
             raise InvalidArgumentError(f"observable '{name}' depends on p; overdamped needs a position observable")
-        ovd = assemble_overdamped(basis)
         phi_q = project_position_function(basis, lambda q: f(q[..., None], np.zeros_like(q)[..., None]))
-        sol = solve_poisson_overdamped(ovd, phi_q)
+        sol = solve_poisson_overdamped(basis, phi_q)
 
     results = {
         "observable": name,
@@ -677,10 +675,8 @@ def _cmd_poisson(cfg: dict) -> tuple[dict, dict]:
 
 
 def _cmd_poincare(cfg: dict) -> tuple[dict, dict]:
-    params = _ensemble(cfg)
-    spec = _spectral_potential(cfg, params)
-    disc = _discretization(cfg)
-    r_nu = poincare_constant(spec, params, Kq=disc["Kq"], n_quad=disc.get("n_quad"))
+    params, disc, basis = _spectral_setup(cfg)
+    r_nu = poincare_constant(basis)
     return {"r_nu": r_nu, "beta": params.beta, "Kq": disc["Kq"]}, {}
 
 

@@ -335,7 +335,7 @@ def _dissipation_pencil(asm: GeneratorAssembly) -> _Pencil:
     red = reduced_generator(asm.basis)
     n0 = red.n0
     with np.errstate(all="ignore"):  # on a cell too narrow for the floats t1 overflows, refused below
-        t1 = math.sqrt(1.0 / red.beta_m) * (red.c_t @ red.q0)
+        t1 = math.sqrt(1.0 / red.beta_m) * red.c_t_q0
     if not np.all(np.isfinite(t1)):
         raise NumericalFailureError("auxiliary operator is not finite on this cell")
     u, sigma, vt = np.linalg.svd(t1, full_matrices=False)
@@ -357,11 +357,8 @@ def _dissipation_pencil(asm: GeneratorAssembly) -> _Pencil:
 
 
 def _dissipation_at(pencil: _Pencil, eps: float) -> DissipationResult:
-    """The DissipationResult of the pencil at eps; refuses an eps where M(eps) is not positive definite."""
-    if not abs(eps) * pencil.r_norm < 2.0:  # the smallest eigenvalue of 1/2 - eps S is (1 - |eps| r_norm / 2) / 2
-        raise InvalidArgumentError(
-            f"modified norm is not positive definite at eps={eps} (norm equivalence broken)"
-        )
+    """The DissipationResult of the pencil at an eps with |eps| < 1, where ||2R|| <= 1 keeps the modified norm
+    equivalent to the flat one: the smallest eigenvalue of 1/2 - eps S is (1 - |eps| r_norm / 2) / 2."""
     return DissipationResult(
         lambda_est=pencil.lambda_min(eps),
         epsilon=float(eps),
@@ -622,7 +619,7 @@ def verify_schur_bound(
     if case == "hessian_lower_bound":
         k_used = float(K) if K is not None else max(0.0, -min_hess)
 
-    r_nu = poincare_constant(spec, params, Kq=asm.basis.Kq, n_quad=asm.basis.nodes.size)
+    r_nu = poincare_constant(asm.basis)
     # before the resolvent solve, so that a constant the case does not read fails fast
     bound = schur_bound(params, r_nu, case, K=k_used if case == "hessian_lower_bound" else K, c_prime=c_prime)
     numeric, steps = _resolvent_lanczos(asm)

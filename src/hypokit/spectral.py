@@ -23,8 +23,8 @@ solvers use one representation, the ReducedGenerator: each level is whitened
 by the same gram_q^{-1/2}, and the constant function, which lies in level 0, is
 deflated inside level 0 only.  The basis owns the one rank policy: build_basis
 whitens the position Gram once, keeping the r eigendirections above
-DEFAULT_RCOND times the largest, and every Gram solve (projections, overdamped
-operator, reduced generator) is least squares on them.  The reduced
+DEFAULT_RCOND times the largest, and every Gram solve (projections, reduced
+generator) is least squares on them.  The reduced
 coordinates are thus level-blocked: n0 = r - 1 for level 0, which is the range
 of Pi0, then r per level n >= 1.  In them the coupling of level n to level
 n - 1 is sqrt(n / (beta m)) c_t, with c_t the whitened position derivative
@@ -61,13 +61,20 @@ pivots of -L, and HermiteChain.solve(v, transpose=True) sweeps them with
 every coupling negated.  hypo's witnesses apply -L per sector by the block
 matvec.
 
-Inputs have one home each.  build_basis(spec, params, ...) keeps the
-potential, beta and m on the BasisSet; assemble_generator(basis, gamma) binds
-the friction; reduced_generator(basis) is gamma-free, so one reduced generator
-serves every friction of a scan.  It holds c_t and no coupling block: each
-level_blocks call gathers three blocks of c_t for its sector and scales them
-per level, so the generator holds no mutable state and a scan's threads share
-only arrays that no code writes.  No solver takes V, beta, m or gamma again.
+The overdamped generator needs no assembly of its own.  On mean-zero position
+functions it is S = -(1/beta) M^T M with M = c_t q0 (ReducedGenerator.c_t_q0),
+the block the level-1 coupling holds as sqrt(1 / (beta m)) M: S is
+-m Pi0 L_ham* L_ham Pi0, whose gap times beta is the Poincare constant (the
+macroscopic coercivity of the hypocoercivity argument).  poincare_constant,
+solve_poisson_overdamped and semigroup_decay_check read it from the basis.
+
+Inputs have one home each.  build_basis(spec, params, ...), the one function
+that takes a potential, keeps it with beta and m on the BasisSet;
+assemble_generator(basis, gamma) binds the friction; reduced_generator(basis)
+is gamma-free, so one reduced generator serves every friction of a scan.  It
+holds c_t and no coupling block: each level_blocks call gathers three blocks
+of c_t for its sector and scales them per level, so the generator holds no
+mutable state and a scan's threads share only arrays that no code writes.  No solver takes V, beta, m or gamma again.
 
 Only _whiten (scipy.linalg.eigh, whose syevr whitens a Gram near the rank cut
 more accurately than NumPy's syevd) and _gauss_hermite above its NumPy rule
@@ -406,6 +413,12 @@ class ReducedGenerator:
     def sector_names(self) -> tuple[str, ...]:
         return ("even", "odd") if self.n_sectors == 2 else ("all",)
 
+    @property
+    def c_t_q0(self) -> Array:
+        """c_t q0, formed per call: the level-1 to level-0 coupling over sqrt(1 / beta_m), and the M of the
+        overdamped generator -(1/beta) M^T M (_overdamped_reduced)."""
+        return self.c_t @ self.q0
+
     def _level_masks(self, sector: int | None, levels: int) -> tuple[Array, Array, Array, Array]:
         """(held, zero, odd, even): the whitened directions the sector (all if None) holds on level 0, on the
         odd levels and on the even levels n >= 2, and `held`, its coordinates on the first `levels` levels."""
@@ -439,7 +452,7 @@ class ReducedGenerator:
         held, zero, odd, even = self._level_masks(sector, n_lev)
         sizes = np.where(np.arange(n_lev) % 2, np.count_nonzero(odd), np.count_nonzero(even))
         sizes[0] = np.count_nonzero(zero)
-        first = (self.c_t @ self.q0)[np.ix_(odd, zero)]
+        first = self.c_t_q0[np.ix_(odd, zero)]
         pair = self.c_t[np.ix_(even, odd)], self.c_t[np.ix_(odd, even)]
         return LevelBlocks(np.split(-gamma * self.fd[: held.size][held], np.cumsum(sizes)[:-1]),
                            [math.sqrt(n / self.beta_m) * (first if n == 1 else pair[n % 2]) for n in range(1, n_lev)])
@@ -825,54 +838,34 @@ def refined_gap(basis: BasisSet, gamma: float, base: GapResult) -> tuple[BasisSe
 # overdamped generator on the position factor
 
 
-class OverdampedOperator(NamedTuple):
-    l_ovd: Array
-    basis: BasisSet  # its gram_q, whitening and beta
+def _overdamped_reduced(basis: BasisSet) -> Array:
+    """S = -(1/beta) M^T M, M = c_t q0: the overdamped generator -(1/beta) nabla* nabla on mean-zero position
+    functions in the whitened frame, which no Np enters; refused when not finite (a cell too narrow for the floats).
 
-
-def assemble_overdamped(basis: BasisSet) -> OverdampedOperator:
-    """Coefficient action of the overdamped generator -(1/beta) nabla* nabla.
-
-    On a cell too narrow for the floats D^T G D overflows; every solver reads
-    the operator through _overdamped_reduced, which refuses it.
+    gamma times the Langevin generator's Schur complement on level 0 tends to S as gamma grows.  On a
+    rank-cut basis M keeps only the kept directions of each derivative.
     """
     with np.errstate(all="ignore"):
-        a_form = -(1.0 / basis.beta) * (basis.D.T @ basis.gram_q @ basis.D)
-        a_form = 0.5 * (a_form + a_form.T)
-        return OverdampedOperator(basis.wq @ (basis.wq.T @ a_form), basis)
-
-
-def _overdamped_reduced(ovd: OverdampedOperator) -> Array:
-    """The symmetric overdamped operator in the whitened, constant-deflated frame; refused when not finite."""
-    b = ovd.basis
-    with np.errstate(all="ignore"):
-        s = b.q0.T @ (b.wq.T @ (b.gram_q @ ovd.l_ovd) @ b.wq) @ b.q0
+        m = reduced_generator(basis).c_t_q0
+        s = -(1.0 / basis.beta) * (m.T @ m)
     if not np.all(np.isfinite(s)):
         raise NumericalFailureError("overdamped operator is not finite on this cell")
-    return 0.5 * (s + s.T)
+    return s
 
 
-def poincare_constant(
-    spec: PotentialSpec,
-    params: EnsembleParams,
-    Kq: int = DEFAULT_KQ,
-    n_quad: int | None = None,  # default max(DEFAULT_NQUAD, 8 Kq)
-) -> float:
+def poincare_constant(basis: BasisSet) -> float:
     """Poincare constant of exp(-beta V): beta times the overdamped spectral gap.
 
-    The basis size is refined by factors of 1.5 until the value changes by
-    less than POINCARE_RTOL; the refined value is returned.  The first round
-    runs on n_quad nodes and each refinement at k modes on max(n_quad, 8 k)
-    (BasisSet.resized), so a grid that resolves the weight stays in use.
+    The first round runs on the basis, at any Np; each later round at 1.5
+    times the Kq of the one before (BasisSet.resized, so a grid that
+    resolves the weight stays in use), until the value changes by less than
+    POINCARE_RTOL; the refined value is returned.
     """
-    basis = build_basis(spec, params, Kq=Kq, Np=2, n_quad=n_quad)
     prev = None
     for _ in range(POINCARE_MAX_ROUNDS):
         if prev is not None:
             basis = basis.resized(math.ceil(1.5 * basis.Kq), 2)
-        s_red = _overdamped_reduced(assemble_overdamped(basis))
-        gap = float(np.linalg.eigvalsh(-s_red)[0])
-        value = params.beta * gap
+        value = basis.beta * float(np.linalg.eigvalsh(-_overdamped_reduced(basis))[0])
         if prev is not None and abs(value - prev) <= POINCARE_RTOL * abs(value):
             return value
         prev = value
@@ -891,24 +884,26 @@ class DecayCheckResult:
     bounds: Array
 
 
-def semigroup_decay_check(ovd: OverdampedOperator, r_nu: float, times: Array) -> DecayCheckResult:
+def semigroup_decay_check(basis: BasisSet, r_nu: float, times: Array) -> DecayCheckResult:
     """Check ||exp(t L_ovd)|| <= exp(-r_nu t / beta) on mean-zero functions, beta the basis's.
 
     Norms are gram-weighted operator norms of the matrix exponential on the
     constant-deflated space; the bound holds with prefactor exactly 1, up to
     DECAY_TOL.  The reduced operator S is symmetric, so ||exp(t S)|| is
-    exp(t lambda_max(S)), from one eigvalsh.
+    exp(t lambda_max(S)), from one eigvalsh, and each ratio is
+    exp(t (lambda_max(S) + r_nu / beta)), which no finite time makes NaN.
+    Times must be finite and nonnegative, r_nu positive and finite.
     """
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 1 or np.any(times < 0):
-        raise InvalidArgumentError("times must be a non-empty 1-D array of nonnegative values")
-    s_red = _overdamped_reduced(ovd)
-    with np.errstate(over="ignore"):  # an overflow is refused below
-        norms = np.exp(times * np.linalg.eigvalsh(s_red)[-1])
-    if not np.all(np.isfinite(norms)):
-        raise NumericalFailureError("matrix exponential overflowed")
-    bounds = np.exp(-r_nu * times / ovd.basis.beta)
-    ratios = norms / bounds
+    if times.ndim != 1 or times.size < 1 or not np.all(np.isfinite(times) & (times >= 0)):
+        raise InvalidArgumentError("times must be a non-empty 1-D array of finite nonnegative values")
+    if not 0 < r_nu < math.inf:
+        raise InvalidArgumentError(f"r_nu must be positive and finite, got {r_nu}")
+    lam = float(np.linalg.eigvalsh(_overdamped_reduced(basis))[-1])
+    with np.errstate(over="ignore"):  # a norm or ratio past the float maximum reads inf
+        norms = np.exp(times * lam)
+        bounds = np.exp(-r_nu * times / basis.beta)
+        ratios = np.exp(times * (lam + r_nu / basis.beta))
     return DecayCheckResult(
         ok=bool(np.all(ratios <= 1.0 + DECAY_TOL)),
         max_ratio=float(ratios.max()),
@@ -1033,13 +1028,12 @@ def solve_poisson(asm: GeneratorAssembly, phi_coeffs: Array) -> PoissonResult:
     return PoissonResult(red.to_full(z_sol), _sigma2_from_pair(z_sol, z_rhs, red.mass_nu), residual, steps)
 
 
-def solve_poisson_overdamped(ovd: OverdampedOperator, phi_q_coeffs: Array) -> PoissonResult:
-    """Overdamped counterpart of solve_poisson for position-only observables."""
-    b = ovd.basis
-    z_rhs = b.q0.T @ (b.wq.T @ (b.gram_q @ np.asarray(phi_q_coeffs, float)))
-    z_sol, res, norm1 = _lu_solve(-_overdamped_reduced(ovd), z_rhs)
+def solve_poisson_overdamped(basis: BasisSet, phi_q_coeffs: Array) -> PoissonResult:
+    """Overdamped counterpart of solve_poisson for position-only observables, on S of _overdamped_reduced."""
+    z_rhs = basis.q0.T @ (basis.wq.T @ (basis.gram_q @ np.asarray(phi_q_coeffs, float)))
+    z_sol, res, norm1 = _lu_solve(-_overdamped_reduced(basis), z_rhs)
     residual = _require_accurate(_relative_residual(res, z_sol, z_rhs, norm1))
-    return PoissonResult(b.wq @ (b.q0 @ z_sol), _sigma2_from_pair(z_sol, z_rhs, b.mass_nu), residual)
+    return PoissonResult(basis.wq @ (basis.q0 @ z_sol), _sigma2_from_pair(z_sol, z_rhs, basis.mass_nu), residual)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from hypokit.model import EnsembleParams, PhaseState, builtin_potential
 from hypokit.sde import RngStream, simulate, step_langevin
 from hypokit.spectral import (
     assemble_generator,
-    assemble_overdamped,
     build_basis,
     poincare_constant,
     project_phase_function,
@@ -146,10 +145,10 @@ def _fd_poincare_oracle(spec, beta: float, n: int = 4096) -> float:
 def test_criterion_04_poincare(cosine_spec, unit_params):
     with criterion(4, "Poincare constants: exact flat value, FD oracle for cosine"):
         flat = builtin_potential("flat", {"L": 1.0})
-        assert poincare_constant(flat, unit_params, Kq=16) == pytest.approx(
+        assert poincare_constant(build_basis(flat, unit_params, Kq=16, Np=2)) == pytest.approx(
             4 * math.pi**2, rel=1e-10
         )
-        got = poincare_constant(cosine_spec, unit_params, Kq=16)
+        got = poincare_constant(build_basis(cosine_spec, unit_params, Kq=16, Np=2))
         oracle = _fd_poincare_oracle(cosine_spec, beta=1.0)
         assert got == pytest.approx(oracle, rel=5e-3)
 
@@ -159,9 +158,8 @@ def test_criterion_05_overdamped_decay(cosine_spec, unit_params):
         times = np.array([0.01, 0.1, 1.0])
         for spec in (builtin_potential("flat", {"L": 1.0}), cosine_spec):
             basis = build_basis(spec, unit_params, Kq=16, Np=8, n_quad=256)
-            ovd = assemble_overdamped(basis)
-            r_nu = poincare_constant(spec, unit_params, Kq=16)
-            chk = semigroup_decay_check(ovd, r_nu, times)
+            r_nu = poincare_constant(basis)
+            chk = semigroup_decay_check(basis, r_nu, times)
             assert chk.ok
             assert chk.max_ratio <= 1.0 + 1e-8
 
@@ -275,9 +273,8 @@ def test_criterion_10_variance_pipeline(cosine_spec, cosine_asm, unit_params):
         # overdamped variant has a closed form on the flat cell
         flat = builtin_potential("flat", {"L": 1.0})
         basis = build_basis(flat, unit_params, Kq=8, Np=8, n_quad=64)
-        ovd = assemble_overdamped(basis)
         phi_q = project_position_function(basis, lambda q: np.cos(2 * math.pi * q))
-        got = solve_poisson_overdamped(ovd, phi_q).sigma2
+        got = solve_poisson_overdamped(basis, phi_q).sigma2
         assert got == pytest.approx(1.0 / (4 * math.pi**2), abs=1e-8)
 
 

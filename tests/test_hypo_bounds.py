@@ -302,7 +302,7 @@ class TestSchurVerification:
         asm = assemble_generator(build_basis(spec, unit_params, Kq=8, Np=12), unit_params.gamma)
         chk = verify_schur_bound(asm, case="hessian_lower_bound")
         assert chk.K == 4.0
-        assert chk.r_nu == spectral.poincare_constant(spec, unit_params, Kq=8)
+        assert chk.r_nu == spectral.poincare_constant(build_basis(spec, unit_params, Kq=8, Np=2))
         cosine = verify_schur_bound(assemble_generator(
             build_basis(builtin_potential("cosine", {"h": 1.0, "L": 1.0}), unit_params, Kq=8, Np=12), 1.0))
         assert cosine.K == pytest.approx(R_FLAT, rel=1e-2) and cosine.r_nu != chk.r_nu

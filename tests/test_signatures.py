@@ -1,7 +1,7 @@
-"""One source per input: no public function that takes a basis, an assembly or an
-overdamped operator also takes the potential, the ensemble or the discretization
-that object already carries.  One home per policy: only spectral names the
-constants of the gap refinement."""
+"""One source per input: no public function that takes a basis or an assembly also
+takes the potential, the ensemble or the discretization that object already
+carries, and in spectral and hypo only build_basis takes a potential.  One home
+per policy: only spectral names the constants of the gap refinement."""
 
 import ast
 import dataclasses
@@ -15,9 +15,10 @@ import typing
 import pytest
 
 import hypokit
-from hypokit.spectral import BasisSet, GeneratorAssembly, OverdampedOperator, ReducedGenerator
+from hypokit.model import PotentialSpec
+from hypokit.spectral import BasisSet, GeneratorAssembly, ReducedGenerator
 
-CARRIERS = (BasisSet, GeneratorAssembly, OverdampedOperator)
+CARRIERS = (BasisSet, GeneratorAssembly)
 CARRIED = {"spec", "params", "beta", "mass", "Kq", "Np", "n_quad"}
 
 
@@ -34,9 +35,9 @@ def _public_functions():
 FUNCTIONS = dict(_public_functions())
 
 
-def _carries(hint) -> bool:
+def _carries(hint, carriers=CARRIERS) -> bool:
     """The annotation is a carrier, or a union such as `GeneratorAssembly | None` holding one."""
-    return hint in CARRIERS or any(_carries(arg) for arg in typing.get_args(hint))
+    return hint in carriers or any(_carries(arg, carriers) for arg in typing.get_args(hint))
 
 
 def test_the_lint_sees_the_solvers():
@@ -51,6 +52,17 @@ def test_no_function_takes_an_input_twice(name):
     params = inspect.signature(fn).parameters
     if any(_carries(hints.get(p)) for p in params):
         assert not CARRIED & set(params), f"{name} takes {sorted(CARRIED & set(params))} beside its carrier"
+
+
+def test_only_build_basis_takes_a_potential():
+    # every other solver reads V from the basis; one that takes the potential builds a basis of its own
+    takes = []
+    for name, fn in FUNCTIONS.items():
+        hints = typing.get_type_hints(fn)
+        if name.startswith(("hypokit.spectral.", "hypokit.hypo.")) and any(
+                _carries(hints.get(p), (PotentialSpec,)) for p in inspect.signature(fn).parameters):
+            takes.append(name)
+    assert takes == ["hypokit.spectral.build_basis"]
 
 
 # the refinement policy's constants, roundoff floor, contour (spectral.contour_gap) and the basis

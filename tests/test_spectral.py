@@ -23,7 +23,6 @@ from hypokit.model import _center_cell
 from hypokit.spectral import (
     GAUSS_HERMITE_MAX_NODES,
     assemble_generator,
-    assemble_overdamped,
     build_basis,
     hermite_values,
     poincare_constant,
@@ -181,25 +180,24 @@ def test_cosine_gap_value_is_resolution_stable(cosine_spec, unit_params, cosine_
 
 def test_poincare_flat_torus(unit_params):
     spec = builtin_potential("flat", {"L": 1.0})
-    r = poincare_constant(spec, unit_params, Kq=16)
+    r = poincare_constant(build_basis(spec, unit_params, Kq=16, Np=2))
     assert r == pytest.approx(4.0 * math.pi**2, abs=1e-10)
     # beta rescaling leaves R_nu alone for the flat measure
-    r2 = poincare_constant(spec, EnsembleParams(beta=2.0), Kq=16)
+    r2 = poincare_constant(build_basis(spec, EnsembleParams(beta=2.0), Kq=16, Np=2))
     assert r2 == pytest.approx(4.0 * math.pi**2, abs=1e-8)
 
 
 def test_poincare_rejects_full_space(unit_params):
     full = builtin_potential("quadratic", {"omega": 1.0})
     with pytest.raises(UnsupportedDomainError):
-        poincare_constant(full, unit_params, Kq=8)
+        poincare_constant(build_basis(full, unit_params, Kq=8, Np=2))
 
 
 def test_semigroup_decay_prefactor_one(cosine_spec, unit_params):
     for spec in (builtin_potential("flat", {"L": 1.0}), cosine_spec):
-        r_nu = poincare_constant(spec, unit_params, Kq=16)
         basis = build_basis(spec, unit_params, Kq=16, Np=2, n_quad=256)
-        ovd = assemble_overdamped(basis)
-        res = semigroup_decay_check(ovd, r_nu, times=[0.01, 0.1, 1.0])
+        r_nu = poincare_constant(basis)
+        res = semigroup_decay_check(basis, r_nu, times=[0.01, 0.1, 1.0])
         assert res.ok
         assert res.max_ratio <= 1.0 + 1e-8
 
@@ -207,23 +205,57 @@ def test_semigroup_decay_prefactor_one(cosine_spec, unit_params):
 def test_semigroup_decay_reads_beta_from_the_basis(cosine_spec):
     """At beta = 2 the bound is exp(-r_nu t / 2), with no beta passed to the check."""
     params = EnsembleParams(beta=2.0)
-    r_nu = poincare_constant(cosine_spec, params, Kq=16)
-    ovd = assemble_overdamped(build_basis(cosine_spec, params, Kq=16, Np=2, n_quad=256))
+    basis = build_basis(cosine_spec, params, Kq=16, Np=2, n_quad=256)
+    r_nu = poincare_constant(basis)
     times = np.array([0.01, 0.1, 1.0])
-    res = semigroup_decay_check(ovd, r_nu, times)
+    res = semigroup_decay_check(basis, r_nu, times)
     assert np.array_equal(res.bounds, np.exp(-r_nu * times / 2.0))
     assert res.ok and res.max_ratio <= 1.0 + 1e-8
     # at beta = 2 the slowest mode decays at r_nu / 2 exactly, so the beta = 1 bound would fail
     assert np.any(res.norms > np.exp(-r_nu * times))
 
 
+@pytest.mark.parametrize("times, r_scale, want", [
+    ([math.nan], 1.0, None), ([math.inf], 1.0, None), ([-1.0], 1.0, None),
+    ([1.0], math.nan, None), ([1.0], math.inf, None), ([1.0], 0.0, None), ([1.0], -1.0, None),
+    ([0.0, 1e300], 0.5, (True, 1.0)), ([1e300], 2.0, (False, math.inf)),
+])
+def test_semigroup_decay_check_refuses_bad_inputs_and_reads_long_times(cosine_spec, unit_params, times, r_scale, want):
+    """Times that are not finite and nonnegative, and an r_nu that is not positive and finite, are refused.
+    Each ratio is exp(t (lambda_max(S) + r_nu / beta)), so a long time reads 0 or inf, never NaN, and warns
+    of nothing (RuntimeWarnings are errors here)."""
+    basis = build_basis(cosine_spec, unit_params, Kq=8, Np=2)
+    r_nu = r_scale * poincare_constant(basis)
+    if want is None:
+        with pytest.raises(InvalidArgumentError):
+            semigroup_decay_check(basis, r_nu, times)
+    else:
+        res = semigroup_decay_check(basis, r_nu, times)
+        assert (res.ok, res.max_ratio) == want
+
+
+@pytest.mark.parametrize("name, pot, beta, Kq", [
+    ("cosine", {"h": 1.0, "L": 1.0}, 1.0, 8),
+    ("cosine", {"h": 1.0, "L": 1.0}, 50.0, 8),  # rank 10 of 17: the Gram cut drops part of each derivative
+    ("double_well", {"L": 4.0}, 5.0, 24),
+])
+def test_overdamped_poisson_is_the_large_friction_limit(name, pot, beta, Kq):
+    """d(gamma) = sigma^2_Langevin(gamma) / gamma - sigma^2_overdamped of cos_q shrinks like 1 / gamma^2:
+    -(1/beta) M^T M is the large-friction limit of the Galerkin Langevin generator, on rank-cut bases too."""
+    basis = build_basis(builtin_potential(name, pot), EnsembleParams(beta=beta), Kq=Kq, Np=16)
+    c = 2.0 * math.pi / basis.L
+    ovd = solve_poisson_overdamped(basis, project_position_function(basis, lambda q: np.cos(c * q))).sigma2
+    phi = project_phase_function(basis, lambda q, p: np.cos(c * q) + np.zeros_like(p))
+    d = [solve_poisson(assemble_generator(basis, g), phi).sigma2 / g - ovd for g in (64.0, 256.0, 1024.0)]
+    assert 14.0 <= d[0] / d[1] <= 18.0 and 14.0 <= d[1] / d[2] <= 18.0
+
+
 def test_flat_overdamped_poisson_closed_form(unit_params):
     """For the flat torus, -L phi = cos(2 pi q) solves exactly: sigma2 = 1/(4 pi^2)."""
     spec = builtin_potential("flat", {"L": 1.0})
     basis = build_basis(spec, unit_params, Kq=16, Np=2, n_quad=256)
-    ovd = assemble_overdamped(basis)
     phi_q = project_position_function(basis, lambda q: np.cos(2 * math.pi * q))
-    sol = solve_poisson_overdamped(ovd, phi_q)
+    sol = solve_poisson_overdamped(basis, phi_q)
     assert sol.sigma2 == pytest.approx(1.0 / (4.0 * math.pi**2), abs=1e-8)
 
 
@@ -316,9 +348,10 @@ def test_gram_solves_match_cholesky_on_full_rank_bases(name, pot, beta, Kq):
     close(project_phase_function(basis, f_qp).reshape(basis.Np, basis.n_q).T,
           sla.cho_solve(cho, basis.F.T @ (basis.weights[:, None] * t)))
 
-    a_form = -(1.0 / beta) * (basis.D.T @ basis.gram_q @ basis.D)
-    close(assemble_overdamped(basis).l_ovd,
-          sla.cho_solve(cho, 0.5 * (a_form + a_form.T)))
+    # the overdamped operator -(1/beta) M^T M, M = c_t q0, against its exact Galerkin form
+    wq0 = basis.wq @ basis.q0
+    want = -(1.0 / beta) * (wq0.T @ basis.D.T @ basis.gram_q @ basis.D @ wq0)
+    assert np.linalg.norm(spectral._overdamped_reduced(basis) - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def _shift_invariants(spec, params):
@@ -326,8 +359,7 @@ def _shift_invariants(spec, params):
     basis = build_basis(spec, params, Kq=6, Np=8, n_quad=64)
     asm = assemble_generator(basis, params.gamma)
     phi = project_phase_function(basis, lambda q, p: np.cos(2 * math.pi * q) * np.ones_like(p))
-    return (spectral_gap(asm).gap, solve_poisson(asm, phi).sigma2,
-            poincare_constant(spec, params, Kq=6))
+    return (spectral_gap(asm).gap, solve_poisson(asm, phi).sigma2, poincare_constant(basis))
 
 
 @pytest.fixture(scope="module")
@@ -1233,7 +1265,7 @@ def test_a_rung_dense_in_every_sector_is_solved_dense_once(cosine_asm_small, mon
 
 def test_resized_basis_keeps_the_three_old_sizes(cosine_spec, unit_params, monkeypatch):
     """The scan's coarse basis, spectrum's refinement and the Poincare rounds are built at the
-    (Kq, Np, n_quad) they were built at before BasisSet.resized."""
+    (Kq, Np, n_quad) they were built at before BasisSet.resized; the first Poincare round builds none."""
     for Kq, Np, n_quad in ((16, 32, 256), (24, 48, 200), (1, 2, 32), (5, 3, 64)):
         basis = build_basis(cosine_spec, unit_params, Kq=Kq, Np=Np, n_quad=n_quad)
         coarse = basis.resized(max(1, Kq // 2), max(2, Np // 2))
@@ -1250,15 +1282,16 @@ def test_resized_basis_keeps_the_three_old_sizes(cosine_spec, unit_params, monke
         built.append((basis.Kq, basis.Np, basis.nodes.size))
         return basis
 
+    basis = build_basis(cosine_spec, unit_params, Kq=4, Np=8, n_quad=40)
     monkeypatch.setattr(spectral, "build_basis", spy)
     monkeypatch.setattr(spectral, "POINCARE_RTOL", -1.0)  # no round converges: run them all
     with pytest.raises(spectral.NumericalFailureError):
-        spectral.poincare_constant(cosine_spec, unit_params, Kq=4, n_quad=40)
+        spectral.poincare_constant(basis)
     k, want = 4, []
     for _ in range(spectral.POINCARE_MAX_ROUNDS):
         want.append((k, 2, 40 if k == 4 else max(40, 8 * k)))
         k = math.ceil(1.5 * k)
-    assert built == want
+    assert built == want[1:]
 
 
 def test_weighted_hermite_table_matches_the_plain_product_below_the_overflow():
