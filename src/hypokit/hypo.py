@@ -24,7 +24,7 @@ imports no SciPy.
 
 The dissipation matrix D(eps) = D0 + eps D2 is solved on Hermite levels 0-2
 only, and exactly so; the pencil is built once, and both the epsilon tuning
-and the reported rate read it.  D0 = -(L + L^T)/2 is the diagonal -gamma*fd,
+and the reported rate read it.  D0 = -(L + L^T)/2 is gamma n / m on level n,
 because L_ham is exactly antisymmetric.  T = L_ham P0 maps level 0 into
 level 1, so R lives on the (level 0 x level 1) block, and since L couples
 only adjacent levels, D2 = L^T S + S L (S the symmetric part of R) lives on
@@ -332,10 +332,11 @@ class _Pencil(NamedTuple):
 
 
 def _dissipation_pencil(asm: GeneratorAssembly) -> _Pencil:
-    red = reduced_generator(asm.basis)
+    basis = asm.basis
+    red = reduced_generator(basis)
     n0 = red.n0
     with np.errstate(all="ignore"):  # on a cell too narrow for the floats t1 overflows, refused below
-        t1 = math.sqrt(1.0 / red.beta_m) * red.c_t_q0
+        t1 = math.sqrt(1.0 / (basis.beta * basis.mass)) * red.c_t_q0
     if not np.all(np.isfinite(t1)):
         raise NumericalFailureError("auxiliary operator is not finite on this cell")
     u, sigma, vt = np.linalg.svd(t1, full_matrices=False)
@@ -352,7 +353,7 @@ def _dissipation_pencil(asm: GeneratorAssembly) -> _Pencil:
         d0, d2 = -0.5 * (l_k.T + l_k), x + x.T
     if not (np.all(np.isfinite(d0)) and np.all(np.isfinite(d2))):
         raise NumericalFailureError("dissipation matrix is not finite on this cell")
-    tail = -asm.gamma * float(red.fd[k]) if k < red.dim else math.inf
+    tail = -asm.gamma * (-3 / basis.mass) if k < red.dim else math.inf
     return _Pencil(2.0 * float(g.max(initial=0.0)), float((frac * frac).max(initial=0.0)), d0, d2, tail)
 
 
@@ -455,7 +456,7 @@ def _refined_transposed_solve(chain: HermiteChain, b: Array) -> Array:
 def _resolvent_lanczos(asm: GeneratorAssembly) -> tuple[float, int]:
     """resolvent_norm and the number of Lanczos steps it took."""
     red = reduced_generator(asm.basis)
-    sectors = [(red.sector_index(s), red.level_blocks(asm.gamma, sector=s)) for s in range(red.n_sectors)]
+    sectors = [(red.sector_index(s), red.level_blocks(asm.gamma, sector=s)) for s in range(asm.basis.n_sectors)]
     # an overflow in a chain shows as a solve that is not finite, which is refused below
     with np.errstate(all="ignore"):
         try:
@@ -661,7 +662,7 @@ def resolvent_lower_bound(asm: GeneratorAssembly) -> WitnessPair:
 
     gamma, m = asm.gamma, basis.mass
     # ||L u|| = ||-L u||, applied one sector at a time on the blocks the resolvent norm's chains read
-    sectors = [(red.sector_index(s), red.level_blocks(gamma, sector=s)) for s in range(red.n_sectors)]
+    sectors = [(red.sector_index(s), red.level_blocks(gamma, sector=s)) for s in range(basis.n_sectors)]
 
     def ratio(f) -> float:
         z = red.to_reduced(project_phase_function(basis, f))

@@ -29,7 +29,8 @@ coordinates are thus level-blocked: n0 = r - 1 for level 0, which is the range
 of Pi0, then r per level n >= 1.  In them the coupling of level n to level
 n - 1 is sqrt(n / (beta m)) c_t, with c_t the whitened position derivative
 (restricted to the deflated level 0 when n = 1), so the generator is stored as
-the one r x r block c_t and the diagonal of L_FD.  level_blocks gives its
+the one r x r block c_t next to its basis; L_FD's diagonal -n/m is fixed by Np
+and m and is formed per call.  level_blocks gives its
 block-tridiagonal level blocks, with a block matvec; solvers that need a dense
 matrix build it with neg_operator, which refuses one above DENSE_MAX_BYTES.
 
@@ -72,9 +73,10 @@ Inputs have one home each.  build_basis(spec, params, ...), the one function
 that takes a potential, keeps it with beta and m on the BasisSet;
 assemble_generator(basis, gamma) binds the friction; reduced_generator(basis)
 is gamma-free, so one reduced generator serves every friction of a scan.  It
-holds c_t and no coupling block: each level_blocks call gathers three blocks
-of c_t for its sector and scales them per level, so the generator holds no
-mutable state and a scan's threads share only arrays that no code writes.  No solver takes V, beta, m or gamma again.
+holds its basis and c_t, and no coupling block: each level_blocks call gathers
+three blocks of c_t for its sector and scales them per level, so the generator
+holds no mutable state and a scan's threads share only arrays that no code
+writes.  No solver takes V, beta, m or gamma again.
 
 Only _whiten (scipy.linalg.eigh, whose syevr whitens a Gram near the rank cut
 more accurately than NumPy's syevd) and _gauss_hermite above its NumPy rule
@@ -115,7 +117,7 @@ PARITY_TOL = 1e-12
 WEIGHT_RESOLUTION_TOL = 1e-3
 POINCARE_RTOL = 5e-3  # relative change that ends the Poincare refinement
 POINCARE_MAX_ROUNDS = 6
-DECAY_TOL = 1e-8  # slack on the semigroup decay bound
+DECAY_TOL = 1e-8  # relative slack on the semigroup decay rate
 # Largest relative residual a Poisson solve may report: ordinary inputs read <= 1.1e-12 at
 # gamma >= 1e-3; before refinement, cosine cos_q at the defaults reads 2.6e-10 at gamma = 1e-5
 # (sigma^2 off by 4e-5), 4.9e-8 at 1e-6 (off by 2.4e-3) and 3.2e-4 at 1e-8.
@@ -370,92 +372,86 @@ class LevelBlocks(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class ReducedGenerator:
-    """Generator compressed to an orthonormal basis of span \\ constants.
+    """Generator compressed to an orthonormal basis of span \\ constants: the basis and its one block c_t.
 
     Coordinates are orthonormal for the (unnormalized) gram inner product, so
     all gram-weighted norms are Euclidean here.  They are ordered by Hermite
     level: the first n0 = r - 1 span level 0 without the constant (Pi0 keeps
     exactly these), then r per level n >= 1.  L_ham is stored as its one
-    block c_t: level n >= 2 couples to level n - 1 through sqrt(n / beta_m) c_t
-    and level 1 to level 0 through sqrt(1 / beta_m) c_t q0, each with the
+    block c_t: level n >= 2 couples to level n - 1 through sqrt(n / (beta m)) c_t
+    and level 1 to level 0 through sqrt(1 / (beta m)) c_t q0, each with the
     negated transpose above the diagonal, so L_ham is exactly antisymmetric.
-    `fd` is the diagonal of L_FD, -n/m on level n.  The generator at friction
-    gamma is L_ham + gamma*diag(fd).
+    L_FD is the diagonal -n/m on level n, which level_blocks forms per call;
+    the generator at friction gamma is L_ham + gamma L_FD.  Every other value
+    (wq, q0, the sector labels, beta, m, Np) is read from the basis.
 
-    Sector s (0 <= s < n_sectors) holds, on level n, the coordinates whose
+    Sector s (0 <= s < basis.n_sectors) holds, on level n, the coordinates whose
     label is (s + n) mod n_sectors; c_t couples only labels that differ by
     one mod n_sectors, so no sector couples to another.
     """
 
+    basis: BasisSet
     c_t: Array  # (r, r) whitened position derivative wq^T gram_q D wq
-    fd: Array  # (dim,)
-    q0: Array  # (r, n0) level-0 deflation basis
-    wq: Array  # (n_q, r) per-level whitener, wq^T gram_q wq = I
-    gq_w: Array  # (r, n_q) = wq^T gram_q, coordinates of the gram projection
-    labels: Array  # (r,) sector label of each whitened position direction
-    mass_nu: float
-    n_p: int
-    beta_m: float  # beta * mass
-
-    @property
-    def dim(self) -> int:
-        return self.fd.size
 
     @property
     def n0(self) -> int:
-        return self.q0.shape[1]
+        return self.basis.q0.shape[1]
 
     @property
-    def n_sectors(self) -> int:
-        return int(self.labels.max()) + 1
+    def dim(self) -> int:
+        return self.n0 + (self.basis.Np - 1) * self.c_t.shape[0]
 
     @property
     def sector_names(self) -> tuple[str, ...]:
-        return ("even", "odd") if self.n_sectors == 2 else ("all",)
+        return ("even", "odd") if self.basis.n_sectors == 2 else ("all",)
 
     @property
     def c_t_q0(self) -> Array:
-        """c_t q0, formed per call: the level-1 to level-0 coupling over sqrt(1 / beta_m), and the M of the
+        """c_t q0, formed per call: the level-1 to level-0 coupling over sqrt(1 / (beta m)), and the M of the
         overdamped generator -(1/beta) M^T M (_overdamped_reduced)."""
-        return self.c_t @ self.q0
+        return self.c_t @ self.basis.q0
 
-    def _level_masks(self, sector: int | None, levels: int) -> tuple[Array, Array, Array, Array]:
-        """(held, zero, odd, even): the whitened directions the sector (all if None) holds on level 0, on the
-        odd levels and on the even levels n >= 2, and `held`, its coordinates on the first `levels` levels."""
+    def _level_masks(self, sector: int | None) -> tuple[Array, Array, Array]:
+        """(zero, odd, even): the whitened directions the sector (all if None) holds on level 0, on the odd
+        levels and on the even levels n >= 2."""
+        labels = self.basis.labels
         if sector is None:
-            odd = even = np.ones(self.labels.size, bool)
+            odd = even = np.ones(labels.size, bool)
         else:
-            odd, even = self.labels == (sector + 1) % self.n_sectors, self.labels == sector
-        zero = even[1:]  # q0's columns carry labels[1:]
-        upper = np.tile(np.concatenate([odd, even]), levels // 2)[: (levels - 1) * odd.size]
-        return np.concatenate([zero, upper]), zero, odd, even
+            odd, even = labels == (sector + 1) % self.basis.n_sectors, labels == sector
+        return even[1:], odd, even  # q0's columns carry labels[1:]
 
     def sector_index(self, sector: int) -> Array:
         """Positions of the sector's coordinates in the reduced vector."""
-        return np.flatnonzero(self._level_masks(sector, self.n_p)[0])
+        zero, odd, even = self._level_masks(sector)
+        n_p = self.basis.Np
+        upper = np.tile(np.concatenate([odd, even]), n_p // 2)[: (n_p - 1) * odd.size]
+        return np.flatnonzero(np.concatenate([zero, upper]))
 
     def level_blocks(self, gamma: float, levels: int | None = None, sector: int | None = None) -> LevelBlocks:
         """-(L_ham + gamma L_FD) on the first `levels` Hermite levels (default all) as its level blocks.
 
         With a sector, only its coordinates, in sector_index order.  The
         couplings are formed on each call, and the generator keeps none: the
-        one between levels n and n - 1 is sqrt(n / beta_m) times one of three
+        one between levels n and n - 1 is sqrt(n / (beta m)) times one of three
         blocks gathered from c_t, (c_t q0)[odd, level 0] for n = 1, then
         c_t[even, odd] or c_t[odd, even] by the parity of n.  Only the level
-        diagonals depend on gamma.  A gamma whose top level diagonal
-        gamma (Np - 1) / m overflows is refused.
+        diagonals depend on gamma: -gamma (-n / m) on level n, -0.0 on level 0.
+        A gamma whose top level diagonal gamma (Np - 1) / m overflows is refused.
         """
-        if not math.isfinite(float(gamma) * float(-self.fd[-1])):
+        n_p, m = self.basis.Np, self.basis.mass
+        if not math.isfinite(float(gamma) * ((n_p - 1) / m)):
             raise InvalidArgumentError(
                 f"gamma = {gamma:g} overflows the generator's friction diagonal gamma (Np - 1) / m; lower gamma")
-        n_lev = self.n_p if levels is None else min(levels, self.n_p)
-        held, zero, odd, even = self._level_masks(sector, n_lev)
+        n_lev = n_p if levels is None else min(levels, n_p)
+        zero, odd, even = self._level_masks(sector)
         sizes = np.where(np.arange(n_lev) % 2, np.count_nonzero(odd), np.count_nonzero(even))
         sizes[0] = np.count_nonzero(zero)
         first = self.c_t_q0[np.ix_(odd, zero)]
         pair = self.c_t[np.ix_(even, odd)], self.c_t[np.ix_(odd, even)]
-        return LevelBlocks(np.split(-gamma * self.fd[: held.size][held], np.cumsum(sizes)[:-1]),
-                           [math.sqrt(n / self.beta_m) * (first if n == 1 else pair[n % 2]) for n in range(1, n_lev)])
+        beta_m = self.basis.beta * m
+        return LevelBlocks([np.full(k, -gamma * (-n / m)) for n, k in enumerate(sizes)],
+                           [math.sqrt(n / beta_m) * (first if n == 1 else pair[n % 2]) for n in range(1, n_lev)])
 
     def neg_operator(self, gamma: float, levels: int | None = None, sector: int | None = None) -> Array:
         """Dense -(L_ham + gamma L_FD) on the first `levels` Hermite levels (default all).
@@ -484,27 +480,22 @@ class ReducedGenerator:
 
     def to_reduced(self, coeffs: Array) -> Array:
         """Gram-orthogonal projection of a full coefficient vector (drops constants)."""
-        x = np.asarray(coeffs, dtype=float).reshape(self.n_p, -1)
-        z = x @ self.gq_w.T
-        return np.concatenate([self.q0.T @ z[0], z[1:].reshape(-1)])
+        basis = self.basis
+        x = np.asarray(coeffs, dtype=float).reshape(basis.Np, -1)
+        z = x @ (basis.wq.T @ basis.gram_q).T
+        return np.concatenate([basis.q0.T @ z[0], z[1:].reshape(-1)])
 
     def to_full(self, y: Array) -> Array:
-        blocks = np.empty((self.n_p, self.wq.shape[1]))
-        blocks[0] = self.q0 @ y[: self.n0]
-        blocks[1:] = y[self.n0 :].reshape(self.n_p - 1, -1)
-        return (blocks @ self.wq.T).reshape(-1)
+        basis = self.basis
+        blocks = np.empty((basis.Np, basis.wq.shape[1]))
+        blocks[0] = basis.q0 @ y[: self.n0]
+        blocks[1:] = y[self.n0 :].reshape(basis.Np - 1, -1)
+        return (blocks @ basis.wq.T).reshape(-1)
 
 
 def reduced_generator(basis: BasisSet) -> ReducedGenerator:
-    """Whitened, constant-deflated generator of a basis, stored as its level blocks; gamma-free."""
-    wq, q0 = basis.wq, basis.q0
-    r, n0 = wq.shape[1], q0.shape[1]
-    return ReducedGenerator(
-        c_t=wq.T @ (basis.gram_q @ basis.D) @ wq,
-        fd=np.repeat(-np.arange(basis.Np) / basis.mass, r)[r - n0 :],
-        q0=q0, wq=wq, gq_w=wq.T @ basis.gram_q, labels=basis.labels,
-        mass_nu=basis.mass_nu, n_p=basis.Np, beta_m=basis.beta * basis.mass,
-    )
+    """Whitened, constant-deflated generator of a basis: the basis and c_t, the one place c_t is formed; gamma-free."""
+    return ReducedGenerator(basis=basis, c_t=basis.wq.T @ (basis.gram_q @ basis.D) @ basis.wq)
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +560,8 @@ class HermiteChain:
     precomputed, one batched inverse per level, because at these block sizes
     per-level calls cost more than the arithmetic.  mu may be an array of
     shifts: every factor then carries the shift axes first, and solve returns
-    one solution per shift; moments folds them into weighted sums level by
-    level.  The chain releases the GIL only inside its NumPy calls, so more
+    one solution per shift, which moments sums with weights over the shifts.
+    The chain releases the GIL only inside its NumPy calls, so more
     shifts per chain also let chains on other threads run longer between
     Python steps (CONTOUR_CHUNK_BYTES).  A real mu keeps every factor real.
     With a complex mu, each product with a real B_n runs as one real product
@@ -581,8 +572,8 @@ class HermiteChain:
     blocks: LevelBlocks
     inv: list[Array]  # S_n^{-1}, shape mu.shape + (k_n, k_n)
 
-    def _sweep(self, v: Array, fold: Callable[[slice, Array], None] | None = None, transpose: bool = False) -> Array:
-        """(-L - mu)^{-1} v, shape mu.shape + (k, columns); fold(level, x_n) sees each level once it is final.
+    def solve(self, v: Array, transpose: bool = False) -> Array:
+        """(-L - mu)^{-1} v for v of shape (k, columns): shape mu.shape + (k, columns).
 
         With transpose, (-L^T - mu)^{-1} v: -L^T is -L with every coupling
         negated, which leaves each B_n^T S_n^{-1} B_n and so every pivot as it
@@ -596,32 +587,16 @@ class HermiteChain:
         for n in range(top, -1, -1):
             w = v[lev[n]] if n == top else less(v[lev[n]], _real_times(couplings[n].T, x[..., lev[n + 1], :]))
             x[..., lev[n], :] = self.inv[n] @ w
-        for n in range(top + 1):  # forward: x_n = S_n^{-1} (w_n + B_n x_{n-1})
-            if n > 0:
-                xn = x[..., lev[n], :]
-                more(xn, self.inv[n] @ _real_times(couplings[n - 1], x[..., lev[n - 1], :]), out=xn)
-            if fold is not None:
-                fold(lev[n], x[..., lev[n], :])
+        for n in range(1, top + 1):  # forward: x_n = S_n^{-1} (w_n + B_n x_{n-1})
+            xn = x[..., lev[n], :]
+            more(xn, self.inv[n] @ _real_times(couplings[n - 1], x[..., lev[n - 1], :]), out=xn)
         return x
 
-    def solve(self, v: Array, transpose: bool = False) -> Array:
-        """(-L - mu)^{-1} v ((-L^T - mu)^{-1} v with transpose) for v of shape (k, columns): shape mu.shape + (k, columns)."""
-        return self._sweep(v, transpose=transpose)
-
     def moments(self, v: Array, weights: Array) -> Array:
-        """sum_j weights[p, j] (-L - mu_j)^{-1} v over the shifts mu_j: shape (p, k, columns).
-
-        weights has shape (p,) + mu.shape; the sum is folded in level by level
-        as the sweep finishes each level.
-        """
-        out = np.empty(weights.shape[:1] + v.shape, np.result_type(weights, self.inv[0], v))
+        """sum_j weights[p, j] (-L - mu_j)^{-1} v over the shifts mu_j, weights of shape (p,) + mu.shape:
+        shape (p, k, columns)."""
         w = weights.reshape(weights.shape[0], -1)
-
-        def fold(level: slice, xn: Array) -> None:
-            out[:, level] = (w @ xn.reshape(w.shape[1], -1)).reshape(-1, *xn.shape[-2:])
-
-        self._sweep(v, fold)
-        return out
+        return (w @ self.solve(v).reshape(w.shape[1], -1)).reshape(weights.shape[:1] + v.shape)
 
 
 def _real_times(b: Array, x: Array) -> Array:
@@ -765,7 +740,7 @@ def contour_gap(red: ReducedGenerator, gamma: float, base: GapResult | None) -> 
     settle, or every sector when none has a verified eigenvalue inside, is
     solved dense; `method` records which path ran per sector.
     """
-    blocks = [red.level_blocks(gamma, sector=s) for s in range(red.n_sectors)]
+    blocks = [red.level_blocks(gamma, sector=s) for s in range(red.basis.n_sectors)]
     norm1 = [bl.norm1() for bl in blocks]
     found = [None] * len(blocks)
     if base is not None and base.gap > gap_roundoff_floor(base.norm1):
@@ -798,7 +773,7 @@ def rung_ladder(basis: BasisSet) -> list[ReducedGenerator]:
     It is gamma-free: one ladder serves every friction of a scan.
     """
     ladder = [reduced_generator(basis)]
-    while any(ladder[-1].sector_index(s).size >= DENSE_SECTOR_MAX for s in range(ladder[-1].n_sectors)):
+    while any(ladder[-1].sector_index(s).size >= DENSE_SECTOR_MAX for s in range(basis.n_sectors)):
         Kq, Np = max(1, basis.Kq // 2), max(2, basis.Np // 2)
         if (Kq, Np) == (basis.Kq, basis.Np):
             break
@@ -888,11 +863,13 @@ def semigroup_decay_check(basis: BasisSet, r_nu: float, times: Array) -> DecayCh
     """Check ||exp(t L_ovd)|| <= exp(-r_nu t / beta) on mean-zero functions, beta the basis's.
 
     Norms are gram-weighted operator norms of the matrix exponential on the
-    constant-deflated space; the bound holds with prefactor exactly 1, up to
-    DECAY_TOL.  The reduced operator S is symmetric, so ||exp(t S)|| is
-    exp(t lambda_max(S)), from one eigvalsh, and each ratio is
-    exp(t (lambda_max(S) + r_nu / beta)), which no finite time makes NaN.
-    Times must be finite and nonnegative, r_nu positive and finite.
+    constant-deflated space; the bound holds with prefactor exactly 1.  The
+    reduced operator S is symmetric, so ||exp(t S)|| is exp(t lambda_max(S)),
+    from one eigvalsh, and each ratio is exp(t (lambda_max(S) + r_nu / beta)),
+    which no finite time makes NaN.  The slack is on the rate, so the verdict
+    does not depend on how long the times are: ok when lambda_max(S) + r_nu / beta
+    <= DECAY_TOL r_nu / beta, or when every time is 0.  Times must be finite and
+    nonnegative, r_nu positive and finite.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1 or not np.all(np.isfinite(times) & (times >= 0)):
@@ -900,12 +877,13 @@ def semigroup_decay_check(basis: BasisSet, r_nu: float, times: Array) -> DecayCh
     if not 0 < r_nu < math.inf:
         raise InvalidArgumentError(f"r_nu must be positive and finite, got {r_nu}")
     lam = float(np.linalg.eigvalsh(_overdamped_reduced(basis))[-1])
+    rate = r_nu / basis.beta
     with np.errstate(over="ignore"):  # a norm or ratio past the float maximum reads inf
         norms = np.exp(times * lam)
         bounds = np.exp(-r_nu * times / basis.beta)
-        ratios = np.exp(times * (lam + r_nu / basis.beta))
+        ratios = np.exp(times * (lam + rate))
     return DecayCheckResult(
-        ok=bool(np.all(ratios <= 1.0 + DECAY_TOL)),
+        ok=bool(lam + rate <= DECAY_TOL * rate or not times.any()),
         max_ratio=float(ratios.max()),
         times=times,
         norms=norms,
@@ -1013,7 +991,7 @@ def solve_poisson(asm: GeneratorAssembly, phi_coeffs: Array) -> PoissonResult:
     z_rhs = red.to_reduced(phi_coeffs)
     z_sol, res = np.empty_like(z_rhs), np.empty_like(z_rhs)
     norm1, steps = 0.0, 0
-    for s in range(red.n_sectors):
+    for s in range(asm.basis.n_sectors):
         idx = red.sector_index(s)
         blocks = red.level_blocks(asm.gamma, sector=s)
         sector_norm1 = blocks.norm1()
@@ -1025,7 +1003,7 @@ def solve_poisson(asm: GeneratorAssembly, phi_coeffs: Array) -> PoissonResult:
             raise NumericalFailureError(f"Poisson solve failed (singular pivot): {exc}") from exc
         norm1, steps = max(norm1, sector_norm1), steps + sector_steps
     residual = _require_accurate(_relative_residual(res, z_sol, z_rhs, norm1))
-    return PoissonResult(red.to_full(z_sol), _sigma2_from_pair(z_sol, z_rhs, red.mass_nu), residual, steps)
+    return PoissonResult(red.to_full(z_sol), _sigma2_from_pair(z_sol, z_rhs, asm.basis.mass_nu), residual, steps)
 
 
 def solve_poisson_overdamped(basis: BasisSet, phi_q_coeffs: Array) -> PoissonResult:

@@ -12,11 +12,12 @@ import pkgutil
 import re
 import typing
 
+import numpy as np
 import pytest
 
 import hypokit
-from hypokit.model import PotentialSpec
-from hypokit.spectral import BasisSet, GeneratorAssembly, ReducedGenerator
+from hypokit.model import EnsembleParams, PotentialSpec
+from hypokit.spectral import BasisSet, GeneratorAssembly, ReducedGenerator, build_basis, reduced_generator
 
 CARRIERS = (BasisSet, GeneratorAssembly)
 CARRIED = {"spec", "params", "beta", "mass", "Kq", "Np", "n_quad"}
@@ -157,3 +158,23 @@ def test_basis_and_generator_hold_no_derived_state(cls):
     # a field the constructor does not set is state filled in later: a cache or memo of derived
     # arrays, which every caller then shares and which needs code to evict it
     assert [f.name for f in dataclasses.fields(cls) if not f.init] == []
+
+
+def _same_value(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.shape(a) == np.shape(b) and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+def test_reduced_generator_holds_nothing_its_basis_holds(cosine_spec):
+    # the basis is the one home of wq, q0, the sector labels, beta, m and Np: a generator field that holds
+    # one of its fields or property values again is a second source of that value
+    basis = build_basis(cosine_spec, EnsembleParams(beta=2.0, mass=0.5), Kq=4, Np=4)
+    red = reduced_generator(basis)
+    names = [f.name for f in dataclasses.fields(BasisSet)]
+    names += [name for name, attr in inspect.getmembers(BasisSet) if isinstance(attr, property)]
+    held = {name: getattr(basis, name) for name in names}
+    for f in dataclasses.fields(ReducedGenerator):
+        value = getattr(red, f.name)
+        if f.name != "basis":
+            assert [n for n, v in held.items() if v is value or _same_value(v, value)] == [], f.name
