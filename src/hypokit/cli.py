@@ -4,9 +4,10 @@ One JSON report per run is written to stdout (or --report PATH) with keys
 {config, results, diagnostics, version}; bulk numbers go to CSV files with
 floats formatted to 17 significant digits.  A JSON config file supplies any
 subset of the keys its subcommand reads (`hypokit COMMAND --help` lists them
-in brackets); command-line flags override config keys; a key the subcommand
-does not read is rejected.  Exit codes: 0 success, 1 invalid input or config,
-2 numerical failure.
+in brackets, each with its default); command-line flags override config keys;
+a key the subcommand does not read is rejected.  The report's config holds the
+keys given, and an absent key reads its default.  Exit codes: 0 success, 1
+invalid input or config, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .sde import SCHEMES, RngStream, simulate
 from .spectral import (
     DEFAULT_KQ,
     DEFAULT_NP,
+    BasisSet,
     assemble_generator,
     build_basis,
     poincare_constant,
@@ -68,88 +70,96 @@ log = logging.getLogger("hypokit")
 
 
 class _Option(NamedTuple):
-    """One option: flag, config key, value schema and the subcommands that read it."""
+    """One option: flag, config key, value schema, the subcommands that read it and its default."""
 
     flag: str
     key: str  # "section.key" or a top-level key
     schema: dict  # JSON-schema fragment for the value
     commands: tuple[str, ...]
     help: str
+    default: object = None  # the value of an absent key; None: absent, or the rule the help states
     extras: dict = {}  # further argparse keywords
 
 
 _KINETIC = ("spectrum", "poisson", "dissipation", "bounds")
 _SPECTRAL = _KINETIC + ("scan",)
 _POTENTIAL = _SPECTRAL + ("sample", "poincare")
+_STRING = {"type": "string"}
+_COUNT = {"type": "integer", "minimum": 1}
+_NON_NEGATIVE = {"type": "number", "minimum": 0}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _NUMBERS = {"type": "array", "items": {"type": "number"}, "minItems": 1}
 
-# The one declaration of every option: the parser, each subcommand's config
-# schema and the flag merge are all generated from this table.
-_OPTIONS = (
-    _Option("--potential", "potential.name", {"type": "string"}, _POTENTIAL, "builtin potential name"),
-    _Option("--param", "potential.params", {"type": "object"}, _POTENTIAL,
-            "potential parameter (JSON value), repeatable", {"action": "append", "metavar": "KEY=VALUE"}),
-    _Option("--beta", "ensemble.beta", _POSITIVE, _POTENTIAL, "inverse temperature"),
-    _Option("--mass", "ensemble.mass", _POSITIVE, _SPECTRAL + ("sample",), "particle mass"),
-    # scan takes its frictions from --gammas
-    _Option("--gamma", "ensemble.gamma", {"type": "number", "minimum": 0}, _KINETIC + ("sample", "ode"),
-            "friction"),
-    _Option("--Kq", "discretization.Kq", {"type": "integer", "minimum": 1}, _SPECTRAL + ("poincare",), "Fourier modes"),
-    _Option("--Np", "discretization.Np", {"type": "integer", "minimum": 2}, _SPECTRAL, "Hermite functions in p"),
-    _Option("--n-quad", "discretization.n_quad", {"type": "integer", "minimum": 8}, _SPECTRAL + ("poincare",),
-            "quadrature nodes in q"),
-    _Option("--dt", "discretization.dt", _POSITIVE, ("sample", "ode"), "time step"),
-    _Option("--n-steps", "discretization.n_steps", {"type": "integer", "minimum": 1}, ("sample",),
-            "number of steps"),
-    _Option("--stride", "discretization.stride", {"type": "integer", "minimum": 1}, ("sample",),
-            "record every stride-th step"),
-    _Option("--seed", "seed", {"type": "integer", "minimum": 0}, ("sample",), "noise seed"),
-    _Option("--stream-id", "stream_id", {"type": "integer", "minimum": 0}, ("sample",), "noise stream id"),
-    _Option("--out", "output", {"type": "string"}, ("sample", "ode", "scan"), "output CSV path"),
-    _Option("--report", "report", {"type": "string"}, _POTENTIAL + ("variance", "ode"),
-            "write the JSON report here instead of stdout"),
-    _Option("--observable", "options.observables", {"type": "array", "items": {"type": "string"}, "minItems": 1},
-            ("sample",), "observable to record, repeatable", {"action": "append", "metavar": "NAME"}),
-    _Option("--observable", "options.observable", {"type": "string"}, ("poisson",), "observable"),
-    _Option("--scheme", "options.scheme", {"enum": list(SCHEMES)}, ("sample",), "integrator"),
-    _Option("--q0", "options.q0", _NUMBERS, ("sample",), "initial position, comma-separated"),
-    _Option("--p0", "options.p0", _NUMBERS, ("sample",), "initial momentum, comma-separated"),
-    _Option("--input", "options.input", {"type": "string"}, ("variance",), "CSV produced by `hypokit sample`"),
-    _Option("--column", "options.column", {"type": "string"}, ("variance",),
-            "column to analyse (default: the first that is not time)"),
-    _Option("--spacing", "options.spacing", _POSITIVE, ("variance",),
-            "time between rows (default: from the time column)"),
-    _Option("--method", "options.method", {"enum": ["acf", "batch_means"]}, ("variance",), "estimator"),
-    _Option("--batches", "options.batches", {"type": "integer", "minimum": 2}, ("variance",),
-            "number of batches for batch_means"),
-    _Option("--check-convergence", "options.check_convergence", {"type": "boolean"}, ("spectrum",),
-            "recompute the gap at 1.5x Kq and Np", {"action": argparse.BooleanOptionalAction}),
-    _Option("--dump-eigs", "options.dump_eigs", {"type": "string"}, ("spectrum",),
-            "CSV path for the deflated spectrum"),
-    _Option("--dynamics", "options.dynamics", {"enum": ["langevin", "overdamped"]}, ("poisson",), "dynamics"),
-    _Option("--x0", "options.x0", {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
-            ("ode",), "initial point", {"metavar": "X1,X2"}),
-    _Option("--T", "options.T", _POSITIVE, ("ode",), "final time"),
-    _Option("--figure1", "options.figure1", {"type": "boolean"}, ("ode",), "preset: gamma=0.5, x0=(1,1), T=40",
-            {"action": "store_true"}),
-    _Option("--epsilon", "options.epsilon", {"type": "number"}, ("dissipation",),
-            "modified-norm epsilon (default: tuned)"),
-    _Option("--case", "options.case", {"enum": ["auto", "convex", "hessian_lower_bound", "general"]},
-            ("bounds",), "case of the resolvent bound"),
-    _Option("--K", "options.K", {"type": "number", "minimum": 0}, ("bounds",), "Hessian lower bound -K"),
-    _Option("--c-prime", "options.c_prime", {"type": "number", "minimum": 0}, ("bounds",),
-            "constant C' of the general case"),
-    _Option("--slack", "options.slack", {"type": "number", "minimum": 0}, ("bounds",),
-            "relative tolerance of the bound check"),
-    _Option("--gammas", "options.gammas", {"type": "string"}, ("scan",), "geometric friction ladder",
-            {"metavar": "START:RATIO:COUNT"}),
-    _Option("--threads", "options.threads", {"type": "integer", "minimum": 1}, ("scan",),
-            "worker threads, one friction each (default 1)"),
-)
+# The potential is one value, a name with its params; --param without --potential also starts from it.
+_DEFAULT_POTENTIAL = {"name": "cosine", "params": {"h": 1.0, "L": 1.0}}
 
-# The mode a mode key selects when it is absent.
-_MODE_DEFAULTS = {"options.dynamics": "langevin", "options.scheme": "langevin", "options.method": "acf"}
+# The one declaration of every option: the parser, its help, each subcommand's config
+# schema, the flag merge and the defaults are all generated from this table.  A key
+# two subcommands default differently has one row per subcommand.
+_OPTIONS = (
+    _Option("--potential", "potential.name", _STRING, _POTENTIAL, "builtin potential name; when absent, "
+            f"{_DEFAULT_POTENTIAL['name']} with params {json.dumps(_DEFAULT_POTENTIAL['params'])}"),
+    _Option("--param", "potential.params", {"type": "object"}, _POTENTIAL,
+            "potential parameter (JSON value), repeatable", None, {"action": "append", "metavar": "KEY=VALUE"}),
+    _Option("--beta", "ensemble.beta", _POSITIVE, _POTENTIAL, "inverse temperature", 1.0),
+    _Option("--mass", "ensemble.mass", _POSITIVE, _SPECTRAL + ("sample",), "particle mass", 1.0),
+    # scan takes its frictions from --gammas
+    _Option("--gamma", "ensemble.gamma", _NON_NEGATIVE, _KINETIC + ("sample",), "friction", 1.0),
+    _Option("--gamma", "ensemble.gamma", _NON_NEGATIVE, ("ode",),
+            "friction; when absent, 0.5 with --figure1, else 1.0"),
+    _Option("--Kq", "discretization.Kq", _COUNT, _SPECTRAL + ("poincare",), "Fourier modes", DEFAULT_KQ),
+    _Option("--Np", "discretization.Np", {"type": "integer", "minimum": 2}, _SPECTRAL, "Hermite functions in p",
+            DEFAULT_NP),
+    _Option("--n-quad", "discretization.n_quad", {"type": "integer", "minimum": 8}, _SPECTRAL + ("poincare",),
+            "quadrature nodes in q; when absent, max(256, 8 Kq)"),
+    _Option("--dt", "discretization.dt", _POSITIVE, ("sample",), "time step", 0.01),
+    _Option("--dt", "discretization.dt", _POSITIVE, ("ode",), "time step", 1e-3),
+    _Option("--n-steps", "discretization.n_steps", _COUNT, ("sample",), "number of steps", 10000),
+    _Option("--stride", "discretization.stride", _COUNT, ("sample",), "record every stride-th step", 1),
+    _Option("--seed", "seed", {"type": "integer", "minimum": 0}, ("sample",), "noise seed", 2024),
+    _Option("--stream-id", "stream_id", {"type": "integer", "minimum": 0}, ("sample",), "noise stream id", 0),
+    _Option("--out", "output", _STRING, ("sample", "ode", "scan"), "output CSV path"),
+    _Option("--report", "report", _STRING, _POTENTIAL + ("variance", "ode"),
+            "write the JSON report here instead of stdout"),
+    _Option("--observable", "options.observables", {"type": "array", "items": _STRING, "minItems": 1},
+            ("sample",), "observable to record, repeatable", ["energy"], {"action": "append", "metavar": "NAME"}),
+    _Option("--observable", "options.observable", _STRING, ("poisson",), "observable", "cos_q"),
+    _Option("--scheme", "options.scheme", {"enum": list(SCHEMES)}, ("sample",), "integrator", "langevin"),
+    _Option("--q0", "options.q0", _NUMBERS, ("sample",),
+            "initial position, comma-separated; when absent, zeros of the domain's dimension"),
+    _Option("--p0", "options.p0", _NUMBERS, ("sample",),
+            "initial momentum, comma-separated; when absent, zeros of the domain's dimension"),
+    _Option("--input", "options.input", _STRING, ("variance",), "CSV produced by `hypokit sample`"),
+    _Option("--column", "options.column", _STRING, ("variance",),
+            "column to analyse; when absent, the first that is not time"),
+    _Option("--spacing", "options.spacing", _POSITIVE, ("variance",),
+            "time between rows; when absent, the step of the time column"),
+    _Option("--method", "options.method", {"enum": ["acf", "batch_means"]}, ("variance",), "estimator", "acf"),
+    _Option("--batches", "options.batches", {"type": "integer", "minimum": 2}, ("variance",),
+            "number of batches for batch_means", 32),
+    _Option("--check-convergence", "options.check_convergence", {"type": "boolean"}, ("spectrum",),
+            "recompute the gap at 1.5x Kq and Np", True, {"action": argparse.BooleanOptionalAction}),
+    _Option("--dump-eigs", "options.dump_eigs", _STRING, ("spectrum",), "CSV path for the deflated spectrum"),
+    _Option("--dynamics", "options.dynamics", {"enum": ["langevin", "overdamped"]}, ("poisson",), "dynamics",
+            "langevin"),
+    _Option("--x0", "options.x0", {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
+            ("ode",), "initial point", [1.0, 1.0], {"metavar": "X1,X2"}),
+    _Option("--T", "options.T", _POSITIVE, ("ode",), "final time; when absent, 40.0 with --figure1, else 20.0"),
+    _Option("--figure1", "options.figure1", {"type": "boolean"}, ("ode",), "preset: gamma=0.5, x0=(1,1), T=40",
+            False, {"action": "store_true"}),
+    _Option("--epsilon", "options.epsilon", {"type": "number"}, ("dissipation",),
+            "modified-norm epsilon; when absent, tuned"),
+    _Option("--case", "options.case", {"enum": ["auto", "convex", "hessian_lower_bound", "general"]},
+            ("bounds",), "case of the resolvent bound", "auto"),
+    _Option("--K", "options.K", _NON_NEGATIVE, ("bounds",),
+            "Hessian lower bound -K; when absent, max(0, -min V'') on the grid"),
+    _Option("--c-prime", "options.c_prime", _NON_NEGATIVE, ("bounds",),
+            "constant C' of the general case, which needs it"),
+    _Option("--slack", "options.slack", _NON_NEGATIVE, ("bounds",), "relative tolerance of the bound check", 0.05),
+    _Option("--gammas", "options.gammas", _STRING, ("scan",), "geometric friction ladder", "0.125:2:7",
+            {"metavar": "START:RATIO:COUNT"}),
+    _Option("--threads", "options.threads", _COUNT, ("scan",), "worker threads, one friction each", 1),
+)
 
 # Keys a subcommand reads in some modes only: (command, mode key, mode) -> the
 # keys that mode ignores.  Giving one of them in that mode exits 1.
@@ -159,8 +169,6 @@ _UNREAD_IN_MODE = {
     ("sample", "options.scheme", "hamiltonian"): ("ensemble.gamma", "seed", "stream_id"),
     ("variance", "options.method", "acf"): ("options.batches",),
 }
-
-_DEFAULT_POTENTIAL = {"name": "cosine", "params": {"h": 1.0, "L": 1.0}}
 
 
 class _UsageError(Exception):
@@ -334,14 +342,21 @@ def _lookup(cfg: dict, key: str):
     return (cfg.get(section, {}) if section else cfg).get(name)
 
 
-def _mode(cfg: dict, mode_key: str) -> str:
-    value = _lookup(cfg, mode_key)
-    return _MODE_DEFAULTS[mode_key] if value is None else value
+def _resolve(cfg: dict, command: str) -> dict:
+    """Each key `command` reads, dotted: its config value, else its row's default; and "potential", the
+    config's own entry (so a quadratic cell's L reaches the report, _spectral_potential) or _DEFAULT_POTENTIAL."""
+    opts = {"potential": cfg.get("potential", _DEFAULT_POTENTIAL)}
+    for opt in _OPTIONS:
+        if command in opt.commands and not opt.key.startswith("potential."):
+            value = _lookup(cfg, opt.key)
+            opts[opt.key] = opt.default if value is None else value
+    return opts
 
 
-def _reject_unread_in_mode(cfg: dict, command: str) -> None:
+def _reject_unread_in_mode(cfg: dict, opts: dict, command: str) -> None:
+    """Exit 1 on a key given in `cfg` that the mode of the resolved `opts` does not read."""
     for (cmd, mode_key, mode), keys in _UNREAD_IN_MODE.items():
-        if cmd != command or _mode(cfg, mode_key) != mode:
+        if cmd != command or opts[mode_key] != mode:
             continue
         given = [k for k in keys if _lookup(cfg, k) is not None]
         if given:
@@ -396,53 +411,35 @@ def _load_config(args) -> dict:
             (cfg.setdefault(section, {}) if section else cfg)[key] = value
 
     _validate(cfg, args.command)
-    _reject_unread_in_mode(cfg, args.command)
     return cfg
 
 
-def _ensemble(cfg: dict) -> EnsembleParams:
-    e = cfg.get("ensemble", {})
-    return EnsembleParams(
-        beta=e.get("beta", 1.0), mass=e.get("mass", 1.0), gamma=e.get("gamma", 1.0)
-    )
+def _ensemble(opts: dict) -> EnsembleParams:
+    """The ensemble of the keys the subcommand reads; EnsembleParams' own defaults fill the others."""
+    return EnsembleParams(**{key.removeprefix("ensemble."): value for key, value in opts.items()
+                             if key.startswith("ensemble.")})
 
 
-def _potential(cfg: dict) -> PotentialSpec:
-    pot = cfg.get("potential", _DEFAULT_POTENTIAL)
+def _potential(opts: dict) -> PotentialSpec:
+    pot = opts["potential"]
     return builtin_potential(pot["name"], pot.get("params", {}))
 
 
-def _spectral_potential(cfg: dict, params: EnsembleParams) -> PotentialSpec:
-    """Potential for torus-spectral commands; confining potentials get a cell."""
-    pot = dict(cfg.get("potential", _DEFAULT_POTENTIAL))
-    spec = builtin_potential(pot["name"], pot.get("params", {}))
+def _spectral_potential(opts: dict, params: EnsembleParams) -> PotentialSpec:
+    """Potential for torus-spectral commands; confining potentials get a cell, whose L is written to the config."""
+    spec = _potential(opts)
+    pot = opts["potential"]
     if isinstance(spec.domain, Torus):
         return spec
     if pot["name"] == "quadratic":
-        omega = float(pot.get("params", {}).get("omega", 1.0))
+        pot_params = pot.setdefault("params", {})
         # Cell wide enough that the clipped Gaussian tail is far below the
         # spectral tolerances; 12 sigma left the gap error near 6e-7.
-        length = 14.0 / (omega * math.sqrt(params.beta))
-        new_params = dict(pot.get("params", {}), L=length)
-        cfg.setdefault("potential", {}).setdefault("params", {})["L"] = length
-        return builtin_potential("quadratic", new_params)
+        pot_params["L"] = 14.0 / (float(pot_params.get("omega", 1.0)) * math.sqrt(params.beta))
+        return builtin_potential("quadratic", pot_params)
     raise InvalidArgumentError(
         f"potential '{pot['name']}' lives on full space; pass an explicit torus length L"
     )
-
-
-def _discretization(cfg: dict) -> dict:
-    d = dict(cfg.get("discretization", {}))
-    d.setdefault("Kq", DEFAULT_KQ)
-    d.setdefault("Np", DEFAULT_NP)
-    d.setdefault("dt", 0.01)
-    d.setdefault("n_steps", 10000)
-    d.setdefault("stride", 1)
-    return d
-
-
-def _rng(cfg: dict) -> RngStream:
-    return RngStream(seed=cfg.get("seed", 2024), stream_id=cfg.get("stream_id", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -484,30 +481,28 @@ def _observable(name: str, spec: PotentialSpec, params: EnsembleParams) -> Calla
 # subcommand handlers (each returns a results dict and a diagnostics dict)
 
 
-def _cmd_sample(cfg: dict) -> tuple[dict, dict]:
-    params = _ensemble(cfg)
-    spec = _potential(cfg)
-    disc = _discretization(cfg)
-    opts = cfg.get("options", {})
-    scheme = _mode(cfg, "options.scheme")
-    names = opts.get("observables", ["energy"])
+def _cmd_sample(opts: dict) -> tuple[dict, dict]:
+    params = _ensemble(opts)
+    spec = _potential(opts)
+    scheme = opts["options.scheme"]
+    names = opts["options.observables"]
     fs = [_observable(n, spec, params) for n in names]
 
     d = spec.domain.dim
-    q0 = np.asarray(opts.get("q0", [0.0] * d), dtype=float)
-    p0 = np.asarray(opts.get("p0", [0.0] * d), dtype=float)
+    q0, p0 = (np.zeros(d) if x is None else np.asarray(x, dtype=float)
+              for x in (opts["options.q0"], opts["options.p0"]))
     if q0.shape != (d,) or p0.shape != (d,):
         raise InvalidArgumentError(f"q0 and p0 must have length {d}")
 
     rec = simulate(
         PhaseState(q0, p0),
-        n_steps=disc["n_steps"],
-        stride=disc["stride"],
-        dt=disc["dt"],
+        n_steps=opts["discretization.n_steps"],
+        stride=opts["discretization.stride"],
+        dt=opts["discretization.dt"],
         scheme=scheme,
         spec=spec,
         params=params,
-        rng=_rng(cfg),
+        rng=RngStream(seed=opts["seed"], stream_id=opts["stream_id"]),
     )
     # one column per observable, filled in row blocks to bound the temporaries
     table = np.empty((rec.times.size, 1 + len(fs)))
@@ -522,7 +517,7 @@ def _cmd_sample(cfg: dict) -> tuple[dict, dict]:
         if not finite.all():
             raise NumericalFailureError(
                 f"observable '{name}' is not finite on the trajectory: first at t={table[np.argmin(finite), 0]:g}")
-    out = cfg.get("output")
+    out = opts["output"]
     if out:
         _write_csv(out, ["time"] + names, table)
     results = {
@@ -532,16 +527,15 @@ def _cmd_sample(cfg: dict) -> tuple[dict, dict]:
         "means": {n: float(table[:, j].mean()) for j, n in enumerate(names, 1)},
         "output": out,
     }
-    return results, {"scheme": scheme, "n_steps": disc["n_steps"]}
+    return results, {"scheme": scheme, "n_steps": opts["discretization.n_steps"]}
 
 
-def _cmd_variance(cfg: dict) -> tuple[dict, dict]:
-    opts = cfg.get("options", {})
-    path = opts.get("input")
+def _cmd_variance(opts: dict) -> tuple[dict, dict]:
+    path = opts["options.input"]
     if not path:
         raise InvalidArgumentError("variance needs --input CSV")
     names, data = _read_csv(path)
-    column = opts.get("column")
+    column = opts["options.column"]
     if column is None:
         candidates = [n for n in names if n != "time"]
         if not candidates:
@@ -551,7 +545,7 @@ def _cmd_variance(cfg: dict) -> tuple[dict, dict]:
         raise InvalidArgumentError(f"column '{column}' not in CSV header {names}")
     values = _finite_column(data, names, column, path)
 
-    spacing = opts.get("spacing")
+    spacing = opts["options.spacing"]
     if spacing is None:
         if "time" not in names or data.shape[0] < 2:
             raise InvalidArgumentError("cannot infer spacing; pass --spacing")
@@ -569,11 +563,12 @@ def _cmd_variance(cfg: dict) -> tuple[dict, dict]:
     values = values.copy()
     del data
 
-    method = _mode(cfg, "options.method")
-    if method == "acf":
-        rep = asymptotic_variance_acf(values, spacing)
-    else:
-        rep = batch_means_variance(values, spacing, n_batches=opts.get("batches", 32))
+    with warnings.catch_warnings(record=True) as caught:  # a constant series warns; stderr gets one line
+        warnings.simplefilter("always")
+        rep = (asymptotic_variance_acf(values, spacing) if opts["options.method"] == "acf"
+               else batch_means_variance(values, spacing, n_batches=opts["options.batches"]))
+    for warning in caught:
+        log.warning("%s", warning.message)
     results = {
         "column": column,
         "spacing": spacing,
@@ -586,12 +581,14 @@ def _cmd_variance(cfg: dict) -> tuple[dict, dict]:
     return results, {"n_samples": int(values.size)}
 
 
-def _spectral_setup(cfg: dict):
-    """(params, disc, basis): the basis carries the potential, beta and m; gamma is bound by the caller."""
-    params = _ensemble(cfg)
-    spec = _spectral_potential(cfg, params)
-    disc = _discretization(cfg)
-    return params, disc, build_basis(spec, params, Kq=disc["Kq"], Np=disc["Np"], n_quad=disc.get("n_quad"))
+def _spectral_setup(opts: dict) -> tuple[EnsembleParams, BasisSet]:
+    """(params, basis): the basis carries the potential, beta and m; gamma is bound by the caller.
+    poincare reads no Np, which does not enter its operator, and gets DEFAULT_NP."""
+    params = _ensemble(opts)
+    spec = _spectral_potential(opts, params)
+    n_p = opts["discretization.Np"] if "discretization.Np" in opts else DEFAULT_NP
+    return params, build_basis(spec, params, Kq=opts["discretization.Kq"], Np=n_p,
+                               n_quad=opts["discretization.n_quad"])
 
 
 def _eig_row_order(eigs: np.ndarray, norm1: float) -> np.ndarray:
@@ -605,11 +602,10 @@ def _eig_row_order(eigs: np.ndarray, norm1: float) -> np.ndarray:
     return np.lexsort((eigs.imag, eigs.real, np.abs(eigs.imag), bins))
 
 
-def _cmd_spectrum(cfg: dict) -> tuple[dict, dict]:
-    params, disc, basis = _spectral_setup(cfg)
-    opts = cfg.get("options", {})
+def _cmd_spectrum(opts: dict) -> tuple[dict, dict]:
+    params, basis = _spectral_setup(opts)
     asm = assemble_generator(basis, params.gamma)
-    dump = opts.get("dump_eigs")
+    dump = opts["options.dump_eigs"]
     if dump:  # every eigenvalue is written, so every sector is solved dense
         res = spectral_gap(asm)
     else:
@@ -619,7 +615,7 @@ def _cmd_spectrum(cfg: dict) -> tuple[dict, dict]:
                          "gap_sector": res.sector, "gap_method": res.method, "gap_guard": res.guard}
 
     converged = None
-    if opts.get("check_convergence", True):
+    if opts["options.check_convergence"]:
         basis2, res2 = refined_gap(basis, asm.gamma, res)
         converged = res2.converged
         diagnostics["refined_gap"] = res2.gap
@@ -635,19 +631,18 @@ def _cmd_spectrum(cfg: dict) -> tuple[dict, dict]:
     results = {
         "gamma": params.gamma,
         "gap": res.gap,
-        "Kq": disc["Kq"],
-        "Np": disc["Np"],
+        "Kq": basis.Kq,
+        "Np": basis.Np,
         "converged": converged,
         "eig_count_checked": res.eig_count_checked,
     }
     return results, diagnostics
 
 
-def _cmd_poisson(cfg: dict) -> tuple[dict, dict]:
-    params, disc, basis = _spectral_setup(cfg)
-    opts = cfg.get("options", {})
-    name = opts.get("observable", "cos_q")
-    dynamics = _mode(cfg, "options.dynamics")
+def _cmd_poisson(opts: dict) -> tuple[dict, dict]:
+    params, basis = _spectral_setup(opts)
+    name = opts["options.observable"]
+    dynamics = opts["options.dynamics"]
     f = _observable(name, basis.spec, params)
 
     if dynamics == "langevin":
@@ -667,26 +662,24 @@ def _cmd_poisson(cfg: dict) -> tuple[dict, dict]:
         "sigma2": sol.sigma2,
         "gamma": params.gamma if dynamics == "langevin" else None,
     }
-    diagnostics = {"Kq": disc["Kq"], "Np": disc["Np"], "n_quad": basis.nodes.size, "rank_q": basis.wq.shape[1],
+    diagnostics = {"Kq": basis.Kq, "Np": basis.Np, "n_quad": basis.nodes.size, "rank_q": basis.wq.shape[1],
                    "poisson_residual": sol.residual}
     if sol.refinement_steps:  # only near zero friction, so the reports of other solves keep their bytes
         diagnostics["poisson_refinement_steps"] = sol.refinement_steps
     return results, diagnostics
 
 
-def _cmd_poincare(cfg: dict) -> tuple[dict, dict]:
-    params, disc, basis = _spectral_setup(cfg)
+def _cmd_poincare(opts: dict) -> tuple[dict, dict]:
+    params, basis = _spectral_setup(opts)
     r_nu = poincare_constant(basis)
-    return {"r_nu": r_nu, "beta": params.beta, "Kq": disc["Kq"]}, {}
+    return {"r_nu": r_nu, "beta": params.beta, "Kq": basis.Kq}, {}
 
 
-def _cmd_ode(cfg: dict) -> tuple[dict, dict]:
-    opts = cfg.get("options", {})
-    figure1 = bool(opts.get("figure1", False))
-    gamma = cfg.get("ensemble", {}).get("gamma", 0.5 if figure1 else 1.0)
-    x0 = opts.get("x0", [1.0, 1.0])
-    T = opts.get("T", 40.0 if figure1 else 20.0)
-    dt = cfg.get("discretization", {}).get("dt", 1e-3)
+def _cmd_ode(opts: dict) -> tuple[dict, dict]:
+    figure1 = opts["options.figure1"]
+    gamma = (0.5 if figure1 else 1.0) if opts["ensemble.gamma"] is None else opts["ensemble.gamma"]
+    T = (40.0 if figure1 else 20.0) if opts["options.T"] is None else opts["options.T"]
+    x0, dt = opts["options.x0"], opts["discretization.dt"]
 
     eigs = ode_eigs(gamma)
     results: dict = {
@@ -709,7 +702,7 @@ def _cmd_ode(cfg: dict) -> tuple[dict, dict]:
         results["perturbative_fallback"] = True
 
     traj = ode_trajectory(gamma, x0, T, dt)
-    out = cfg.get("output")
+    out = opts["output"]
     if out:
         _write_csv(out, ["t", "X1", "X2"], traj)
         results["output"] = out
@@ -720,11 +713,10 @@ def _cmd_ode(cfg: dict) -> tuple[dict, dict]:
     return results, {"n_rows": int(traj.shape[0]), "dt": dt, "T": T}
 
 
-def _cmd_dissipation(cfg: dict) -> tuple[dict, dict]:
-    params, disc, basis = _spectral_setup(cfg)
+def _cmd_dissipation(opts: dict) -> tuple[dict, dict]:
+    params, basis = _spectral_setup(opts)
     asm = assemble_generator(basis, params.gamma)
-    opts = cfg.get("options", {})
-    eps = opts.get("epsilon")
+    eps = opts["options.epsilon"]
     tuned = eps is None
     res = tune_modified_norm_epsilon(asm) if tuned else modified_norm_dissipation(asm, eps)
     results = {
@@ -740,17 +732,16 @@ def _cmd_dissipation(cfg: dict) -> tuple[dict, dict]:
     return results, {"size": basis.size, "rank_q": basis.wq.shape[1]}
 
 
-def _cmd_bounds(cfg: dict) -> tuple[dict, dict]:
-    params, disc, basis = _spectral_setup(cfg)
+def _cmd_bounds(opts: dict) -> tuple[dict, dict]:
+    params, basis = _spectral_setup(opts)
     asm = assemble_generator(basis, params.gamma)
-    opts = cfg.get("options", {})
-    case = opts.get("case", "auto")
+    case = opts["options.case"]
     check = verify_schur_bound(
         asm,
         case=None if case == "auto" else case,
-        K=opts.get("K"),
-        c_prime=opts.get("c_prime"),
-        slack=opts.get("slack", 0.05),
+        K=opts["options.K"],
+        c_prime=opts["options.c_prime"],
+        slack=opts["options.slack"],
     )
     witnesses = resolvent_lower_bound(asm)
     results = {
@@ -788,11 +779,10 @@ def _parse_gammas(text: str) -> list[float]:
     return gammas
 
 
-def _cmd_scan(cfg: dict) -> tuple[dict, dict]:
-    _, disc, basis = _spectral_setup(cfg)
-    opts = cfg.get("options", {})
-    scan = gamma_scan(basis, _parse_gammas(opts.get("gammas", "0.125:2:7")), max_workers=opts.get("threads", 1))
-    out = cfg.get("output")
+def _cmd_scan(opts: dict) -> tuple[dict, dict]:
+    _, basis = _spectral_setup(opts)
+    scan = gamma_scan(basis, _parse_gammas(opts["options.gammas"]), max_workers=opts["options.threads"])
+    out = opts["output"]
     if out:
         rows = np.column_stack([scan.table.gammas, scan.table.gaps, scan.table.lower_model])
         _write_csv(out, ["gamma", "gap", "lower_model"], rows)
@@ -807,7 +797,7 @@ def _cmd_scan(cfg: dict) -> tuple[dict, dict]:
         "row_errors": {str(k): v for k, v in scan.row_errors.items()},
         "output": out,
     }
-    return results, {"Kq": disc["Kq"], "Np": disc["Np"], "rung_methods": scan.rung_methods}
+    return results, {"Kq": basis.Kq, "Np": basis.Np, "rung_methods": scan.rung_methods}
 
 
 _COMMANDS = {
@@ -857,8 +847,10 @@ def _add_option(parser: argparse.ArgumentParser, opt: _Option) -> None:
     if "choices" not in kwargs and schema.get("type") != "boolean":
         # dest is the dotted config key; name the value after the flag instead
         kwargs.setdefault("metavar", opt.flag[2:].replace("-", "_").upper())
-    # default None keeps an absent flag out of the config
-    parser.add_argument(opt.flag, dest=opt.key, default=None, help=f"{opt.help} [{opt.key}]", **kwargs)
+    # the parser's default None keeps an absent flag out of the config; the row's default is shown
+    default = opt.default if isinstance(opt.default, str) else json.dumps(opt.default)
+    shown = "" if opt.default is None else f", default {default}"
+    parser.add_argument(opt.flag, dest=opt.key, default=None, help=f"{opt.help} [{opt.key}{shown}]", **kwargs)
 
 
 def _build_parser() -> _Parser:
@@ -889,9 +881,11 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        cfg = _load_config(args)
+        cfg = _load_config(args)  # the keys given, which the report echoes
+        opts = _resolve(cfg, args.command)
+        _reject_unread_in_mode(cfg, opts, args.command)
         log.info("resolved config: %s", json.dumps(cfg, sort_keys=True))
-        results, diagnostics = _COMMANDS[args.command][0](cfg)
+        results, diagnostics = _COMMANDS[args.command][0](opts)
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -909,8 +903,8 @@ def main(argv=None) -> int:
         "version": __version__,
     }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if cfg.get("report"):
-        with open(cfg["report"], "w", newline="\n") as fh:
+    if opts["report"]:
+        with open(opts["report"], "w", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

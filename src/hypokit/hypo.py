@@ -309,26 +309,29 @@ class DissipationResult:
 
 
 class _Pencil(NamedTuple):
-    """D(eps) = d0 + eps d2 on Hermite levels 0-2, with the norms of R it is built from.
+    """D(eps) = diag(d0) + eps d2 on Hermite levels 0-2, with the norms of R it is built from.
 
     T = L_ham Pi0 is nonzero only in its level-1 rows t1, the level-1 to
     level-0 coupling block, so R = (1 + T*T)^{-1} T* is nonzero only on its
     (level 0 x level 1) block rb = V diag(sigma / (1 + sigma^2)) U^T, from one SVD
     t1 = U diag(sigma) V^T: ||2R|| = max 2 sigma / (1 + sigma^2) <= 1 and
     ||L_ham R|| = max sigma^2 / (1 + sigma^2) < 1.  With l_k the generator on
-    those k = n0 + 2r coordinates, d0 = -(l_k + l_k^T)/2 and d2 = X + X^T, X =
-    S l_k with S = (R + R^T)/2, whose nonzero rows are rb's two blocks times
-    l_k; tail is the smallest diagonal entry of D on the remaining levels.
+    those k = n0 + 2r coordinates, -(l_k + l_k^T)/2 is diag(d0), d0 = -diag(l_k),
+    since l_k is antisymmetric off its diagonal, and d2 = X + X^T, X = S l_k with
+    S = (R + R^T)/2, whose nonzero rows are rb's two blocks times l_k; tail is
+    the smallest diagonal entry of D on the remaining levels.
     """
 
     r_norm: float  # ||2R||
     lham_r_norm: float  # ||L_ham R||
-    d0: Array
+    d0: Array  # (k,) the diagonal of D(0)
     d2: Array
     tail: float
 
     def lambda_min(self, eps: float) -> float:
-        return min(float(np.linalg.eigvalsh(self.d0 + eps * self.d2)[0]), self.tail)
+        d = eps * self.d2
+        d[np.diag_indices_from(d)] += self.d0
+        return min(float(np.linalg.eigvalsh(d)[0]), self.tail)
 
 
 def _dissipation_pencil(asm: GeneratorAssembly) -> _Pencil:
@@ -350,7 +353,7 @@ def _dissipation_pencil(asm: GeneratorAssembly) -> _Pencil:
     with np.errstate(all="ignore"):  # a pencil that overflows is refused below
         x[:n0] = 0.5 * rb @ l_k[n0 : n0 + r]
         x[n0 : n0 + r] = 0.5 * rb.T @ l_k[:n0]
-        d0, d2 = -0.5 * (l_k.T + l_k), x + x.T
+        d0, d2 = -np.diagonal(l_k), x + x.T
     if not (np.all(np.isfinite(d0)) and np.all(np.isfinite(d2))):
         raise NumericalFailureError("dissipation matrix is not finite on this cell")
     tail = -asm.gamma * (-3 / basis.mass) if k < red.dim else math.inf

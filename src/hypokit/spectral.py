@@ -32,7 +32,7 @@ n - 1 is sqrt(n / (beta m)) c_t, with c_t the whitened position derivative
 the one r x r block c_t next to its basis; L_FD's diagonal -n/m is fixed by Np
 and m and is formed per call.  level_blocks gives its
 block-tridiagonal level blocks, with a block matvec; solvers that need a dense
-matrix build it with neg_operator, which refuses one above DENSE_MAX_BYTES.
+matrix build it with LevelBlocks.dense, which refuses one above DENSE_MAX_BYTES.
 
 Reflection-parity sectors.  When V is even on the grid, S: (q, p) -> (-q, -p)
 commutes with L and F_a h_n has parity par(a) (-1)^n, with the constant and
@@ -43,11 +43,11 @@ solve (gap, friction scan, Poisson, refined gap) runs once per sector, at
 about a quarter of the full cost each.  Otherwise one sector, "all", holds
 every coordinate: the same code with a trivial partition.
 
-Dense and chain solves.  Only the gap is a dense solve of neg_operator
-(hypo's dissipation rate also reads its levels 0-2).  The Poisson equation is
-solved per sector by the Hermite chain at mu = 0 (HermiteChain, the matrix
-continued fraction, which factors -L - mu along the Hermite levels), with its
-residual from the block matvec.  A gap near a known one on another basis is
+Dense and chain solves.  Only the gap is a dense solve of LevelBlocks.dense
+(hypo's dissipation rate also reads levels 0-2 of neg_operator, the dense
+operator).  The Poisson equation is solved per sector by the Hermite chain at
+mu = 0 (HermiteChain, the matrix continued fraction, which factors -L - mu
+along the Hermite levels), with its residual from the block matvec.  A gap near a known one on another basis is
 found by contour_gap, the one home of that refinement policy: it factors
 -L - z on the chain at the nodes of an ellipse around the base gap and counts
 the eigenvalues inside by a contour integral, solves dense a sector below
@@ -127,7 +127,7 @@ POISSON_RESIDUAL_TOL = 1e-9
 # 2.2e-17 at gamma = 1, 4.3e-14 at 1e-3 and 5.5e-12 at 1e-4, so only frictions near zero are.
 POISSON_REFINE_ABOVE = 2e-12
 POISSON_REFINE_STEPS = 4
-# Largest dense operator neg_operator allocates; the gap eigensolve (np.linalg.eigvals)
+# Largest dense operator LevelBlocks.dense allocates; the gap eigensolve (np.linalg.eigvals)
 # holds a second copy of it, so a solve peaks at about twice this.
 DENSE_MAX_BYTES = 2**30
 
@@ -369,6 +369,25 @@ class LevelBlocks(NamedTuple):
             cols[n - 1] = cols[n - 1] + np.abs(b).sum(axis=0)
         return float(max(c.max(initial=0.0) for c in cols))
 
+    def dense(self) -> Array:
+        """The dense operator, Fortran-ordered: hypo's dissipation products read this layout, and their bits
+        depend on it.  A matrix above DENSE_MAX_BYTES is refused before it is allocated."""
+        start = self.start
+        k = int(start[-1])
+        if 8 * k * k > DENSE_MAX_BYTES:
+            raise InvalidArgumentError(
+                f"the dense generator would be {k} x {k} float64 ({8 * k * k / 2**30:.3g} GiB), above the "
+                f"{DENSE_MAX_BYTES / 2**30:g} GiB limit; lower Kq or Np"
+            )
+        op = np.zeros((k, k), order="F")
+        for n, block in enumerate(self.couplings, 1):
+            rows = slice(start[n], start[n + 1])
+            below = slice(start[n - 1], start[n])
+            op[rows, below] = -block
+            op[below, rows] = block.T
+        op[np.diag_indices(k)] = np.concatenate(self.diags)
+        return op
+
 
 @dataclass(frozen=True, eq=False)
 class ReducedGenerator:
@@ -437,9 +456,11 @@ class ReducedGenerator:
         blocks gathered from c_t, (c_t q0)[odd, level 0] for n = 1, then
         c_t[even, odd] or c_t[odd, even] by the parity of n.  Only the level
         diagonals depend on gamma: -gamma (-n / m) on level n, -0.0 on level 0.
-        A gamma whose top level diagonal gamma (Np - 1) / m overflows is refused.
+        A gamma whose top level diagonal gamma (Np - 1) / m overflows is refused, and so are levels below 1.
         """
         n_p, m = self.basis.Np, self.basis.mass
+        if levels is not None and levels < 1:
+            raise InvalidArgumentError(f"levels must be at least 1, got {levels}")
         if not math.isfinite(float(gamma) * ((n_p - 1) / m)):
             raise InvalidArgumentError(
                 f"gamma = {gamma:g} overflows the generator's friction diagonal gamma (Np - 1) / m; lower gamma")
@@ -454,29 +475,9 @@ class ReducedGenerator:
                            [math.sqrt(n / beta_m) * (first if n == 1 else pair[n % 2]) for n in range(1, n_lev)])
 
     def neg_operator(self, gamma: float, levels: int | None = None, sector: int | None = None) -> Array:
-        """Dense -(L_ham + gamma L_FD) on the first `levels` Hermite levels (default all).
-
-        With a sector, only its coordinates, in sector_index order; the full
-        operator is block diagonal in the sectors.  Fortran-ordered: hypo's
-        dissipation products read this layout, and their bits depend on it.
-        A matrix above DENSE_MAX_BYTES is refused before it is allocated.
-        """
-        blocks = self.level_blocks(gamma, levels, sector)
-        start = blocks.start
-        k = int(start[-1])
-        if 8 * k * k > DENSE_MAX_BYTES:
-            raise InvalidArgumentError(
-                f"the dense generator would be {k} x {k} float64 ({8 * k * k / 2**30:.3g} GiB), above the "
-                f"{DENSE_MAX_BYTES / 2**30:g} GiB limit; lower Kq or Np"
-            )
-        op = np.zeros((k, k), order="F")
-        for n, block in enumerate(blocks.couplings, 1):
-            rows = slice(start[n], start[n + 1])
-            below = slice(start[n - 1], start[n])
-            op[rows, below] = -block
-            op[below, rows] = block.T
-        op[np.diag_indices(k)] = np.concatenate(blocks.diags)
-        return op
+        """Dense -(L_ham + gamma L_FD) on the first `levels` Hermite levels (default all), by LevelBlocks.dense;
+        with a sector, only its coordinates, in sector_index order (the full operator is block diagonal in them)."""
+        return self.level_blocks(gamma, levels, sector).dense()
 
     def to_reduced(self, coeffs: Array) -> Array:
         """Gram-orthogonal projection of a full coefficient vector (drops constants)."""
@@ -756,7 +757,7 @@ def contour_gap(red: ReducedGenerator, gamma: float, base: GapResult | None) -> 
     for s, name in enumerate(red.sector_names):
         method[name] = "dense" if found[s] is None else "contour" if found[s].size else "empty"
         if found[s] is None:
-            found[s] = _gap_of_operator(red.neg_operator(gamma, sector=s))
+            found[s] = _gap_of_operator(blocks[s].dense())
     gaps = [float(x.real.min(initial=math.inf)) for x in found]
     best = int(np.argmin(gaps))
     eigs = np.concatenate(found)

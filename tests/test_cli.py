@@ -959,6 +959,20 @@ def test_poisson_near_zero_friction_is_refined_to_the_small_friction_plateau(gam
     assert diagnostics["poisson_residual"] <= 1e-13
 
 
+@pytest.mark.parametrize("method", ["acf", "batch_means"])
+def test_constant_column_warns_in_one_stderr_line(method, tmp_path):
+    """A constant series reports sigma2 = 0 and ess = n; its warning reaches stderr as one hypokit line,
+    not as a UserWarning that names a source line."""
+    csv = tmp_path / "const.csv"
+    cli._write_csv(str(csv), ["time", "x"], np.column_stack([0.1 * np.arange(200), np.full(200, 2.5)]))
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-m", "hypokit", "variance", "--input", str(csv), "--method", method],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert out.stderr.splitlines()[1:] == ["hypokit: constant series: asymptotic variance is zero"]
+    results = json.loads(out.stdout)["results"]
+    assert results["sigma2"] == 0.0 and results["ess"] == 200.0
+
+
 def test_poisson_at_ordinary_friction_is_not_refined(tmp_path):
     # the first residual is far below POISSON_REFINE_ABOVE, so the report keeps its keys and bytes
     _, diagnostics = _gamma_sigma2(1e-3, tmp_path / "rep.json")
@@ -995,6 +1009,79 @@ def test_subcommand_flags(command):
     assert set(subparsers.choices) == set(SUBCOMMAND_FLAGS)
     flags = {s for action in subparsers.choices[command]._actions for s in action.option_strings}
     assert flags == SUBCOMMAND_FLAGS[command]
+
+
+def _shown(default):
+    return default if isinstance(default, str) else json.dumps(default)
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMAND_FLAGS))
+def test_help_shows_every_default_of_the_table(command, capsys):
+    """Each row with a default writes it into its help line's brackets, from the row itself."""
+    with pytest.raises(SystemExit) as stop:
+        run(command, "--help")
+    assert stop.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps help lines at spaces
+    rows = [opt for opt in cli._OPTIONS if command in opt.commands and opt.default is not None]
+    for opt in rows:
+        assert f"[{opt.key}, default {_shown(opt.default)}]" in text
+    assert text.count(", default ") == len(rows)
+
+
+@pytest.mark.parametrize("command, shown", [
+    ("sample", "[discretization.dt, default 0.01]"),
+    ("ode", "[discretization.dt, default 0.001]"),
+    ("sample", '[options.observables, default ["energy"]]'),
+    ("spectrum", "[options.check_convergence, default true]"),
+    ("spectrum", "[discretization.Kq, default 16]"),
+    ("scan", "[options.gammas, default 0.125:2:7]"),
+    ("poincare", "[ensemble.beta, default 1.0]"),
+    ("ode", "0.5 with --figure1, else 1.0 [ensemble.gamma]"),
+    ("dissipation", "when absent, tuned [options.epsilon]"),
+    ("spectrum", "when absent, cosine with params {\"h\": 1.0, \"L\": 1.0} [potential.name]"),
+])
+def test_help_line_of_a_default(command, shown, capsys):
+    with pytest.raises(SystemExit):
+        run(command, "--help")
+    assert shown in " ".join(capsys.readouterr().out.split())
+
+
+def _csv_for_variance(path):
+    rng = np.random.default_rng(4)
+    rows = np.column_stack([0.5 * np.arange(400), rng.standard_normal(400), rng.standard_normal(400)])
+    cli._write_csv(str(path), ["time", "a", "b"], rows)
+
+
+# What both runs of test_absent_keys_read_their_row_defaults give: small discretizations and the input.
+_SHARED = {"discretization": {"Kq": 4, "Np": 8}}
+_SHARED_BY_COMMAND = {"poincare": {"discretization": {"Kq": 4}}, "variance": {"options": {"input": "in.csv"}},
+                      "sample": {}, "ode": {}}
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMAND_FLAGS))
+def test_absent_keys_read_their_row_defaults(command, tmp_path, monkeypatch):
+    """A run with every defaulted key absent and one that gives each at its row default report the same
+    results and diagnostics; the keys the default mode does not read are left out of both."""
+    monkeypatch.chdir(tmp_path)
+    _csv_for_variance(tmp_path / "in.csv")
+    shared = _SHARED_BY_COMMAND.get(command, _SHARED)
+    rows = {opt.key: opt.default for opt in cli._OPTIONS if command in opt.commands}
+    unread = {key for (cmd, mode_key, mode), keys in cli._UNREAD_IN_MODE.items()
+              if cmd == command and rows[mode_key] == mode for key in keys}
+    given = copy.deepcopy(shared)
+    for key, default in rows.items():
+        section, _, name = key.rpartition(".")
+        if default is not None and key not in unread and name not in shared.get(section, {}):
+            (given.setdefault(section, {}) if section else given)[name] = default
+    assert given != shared
+    reports = []
+    for cfg in (shared, given):
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert run(command, "--config", "cfg.json", "--report", "rep.json") == 0
+        rep = read_report(tmp_path / "rep.json")
+        assert rep["config"] == {**cfg, "report": "rep.json"}  # the keys given, no defaults
+        reports.append((rep["results"], rep["diagnostics"]))
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("command", list(SUBCOMMAND_FLAGS))

@@ -65,6 +65,16 @@ class TestDissipation:
         with pytest.raises(InvalidArgumentError):
             modified_norm_dissipation(cosine_asm, eps)
 
+    def test_pencil_keeps_the_diagonal_of_d0(self, cosine_asm):
+        """-(l_k + l_k^T)/2 is diagonal (l_k is antisymmetric off its diagonal), so the pencil keeps d0 as a
+        vector, and lambda_min is the smallest eigenvalue of the dense d0 + eps d2 bit for bit."""
+        pencil = hypo._dissipation_pencil(cosine_asm)
+        l_k = -reduced_generator(cosine_asm.basis).neg_operator(cosine_asm.gamma, levels=3)
+        d0 = -0.5 * (l_k.T + l_k)
+        assert pencil.d0.shape == (l_k.shape[0],) and np.array_equal(d0, np.diag(pencil.d0))
+        for eps in (-0.4, 0.3, 0.7):
+            assert pencil.lambda_min(eps) == min(float(np.linalg.eigvalsh(d0 + eps * pencil.d2)[0]), pencil.tail)
+
     def test_builds_only_the_couplings_of_levels_0_to_2(self, cosine_spec, unit_params, traced_peak):
         """The pencil reads Hermite levels 0-2, and the generator stores no per-coordinate array, so its
         traced peak does not grow with Np (Np 12 and 384 read 421 and 419 kB); the bound allows two floats

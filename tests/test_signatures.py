@@ -178,3 +178,17 @@ def test_reduced_generator_holds_nothing_its_basis_holds(cosine_spec):
         value = getattr(red, f.name)
         if f.name != "basis":
             assert [n for n, v in held.items() if v is value or _same_value(v, value)] == [], f.name
+
+
+def test_no_cli_handler_reads_a_key_with_a_default_of_its_own():
+    """Every default the CLI applies lives in its _OPTIONS row: a handler reads the resolved mapping, and
+    calls no .get(key, default)."""
+    from hypokit import cli
+
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    handlers = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_")]
+    assert sorted(fn.name for fn in handlers) == sorted(f"_cmd_{name}" for name in cli._COMMANDS)
+    defaulted = [f"{fn.name} line {node.lineno}" for fn in handlers for node in ast.walk(fn)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get"
+                 and len(node.args) + len(node.keywords) > 1]
+    assert defaulted == []

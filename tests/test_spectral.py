@@ -553,6 +553,29 @@ def test_default_gap_solves_only_half_size_matrices(cosine_asm, monkeypatch):
     assert max(sizes) <= math.ceil(n / 2) + 1
 
 
+def test_dense_gap_forms_each_sector_once(cosine_asm_small, monkeypatch):
+    """The dense gap solves the dense form of the level blocks it already holds: one level_blocks call per
+    sector, and each sector's operator is neg_operator's bit for bit."""
+    red = reduced_generator(cosine_asm_small.basis)
+    dense = [red.neg_operator(cosine_asm_small.gamma, sector=s) for s in range(2)]
+    asked, solved = [], []
+    real_blocks, real_gap = spectral.ReducedGenerator.level_blocks, spectral._gap_of_operator
+
+    def spy_blocks(red, gamma, levels=None, sector=None):
+        asked.append(sector)
+        return real_blocks(red, gamma, levels, sector)
+
+    def spy_gap(op):
+        solved.append(op)
+        return real_gap(op)
+
+    monkeypatch.setattr(spectral.ReducedGenerator, "level_blocks", spy_blocks)
+    monkeypatch.setattr(spectral, "_gap_of_operator", spy_gap)
+    spectral_gap(cosine_asm_small)
+    assert asked == [0, 1]
+    assert all(_same_bits(a, b) and a.flags.f_contiguous for a, b in zip(solved, dense, strict=True))
+
+
 def test_poisson_solves_a_zero_sector_to_exact_zeros(cosine_asm_small):
     """A right-hand side that is exactly zero in one sector gives exactly zero there."""
     red = reduced_generator(cosine_asm_small.basis)
@@ -863,6 +886,15 @@ def test_level_blocks_are_the_scaled_gamma_free_couplings(cosine_asm_small):
     top3, every = red.level_blocks(8.0, levels=3), red.level_blocks(1.0)
     assert len(top3.diags) == 3 and len(top3.couplings) == 2
     assert all(np.array_equal(a, b) for a, b in zip(top3.couplings, every.couplings))
+
+
+@pytest.mark.parametrize("levels", [0, -1])
+def test_levels_below_one_are_refused(cosine_asm_small, levels):
+    """No level is no operator: level_blocks and neg_operator refuse it by name, not with an IndexError."""
+    red = reduced_generator(cosine_asm_small.basis)
+    for build in (red.level_blocks, red.neg_operator):
+        with pytest.raises(InvalidArgumentError, match=f"levels must be at least 1, got {levels}"):
+            build(1.0, levels=levels)
 
 
 def test_overflowing_friction_is_a_failed_rung_without_a_warning(cosine_spec, unit_params):
