@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__, hypo
+from . import __version__, hypo, model
 from .errors import HypokitError, InvalidArgumentError, NumericalFailureError
 from .estimators import asymptotic_variance_acf, batch_means_variance
 from .hypo import (
@@ -158,7 +158,7 @@ _OPTIONS = (
     _Option("--slack", "options.slack", _NON_NEGATIVE, ("bounds",), "relative tolerance of the bound check", 0.05),
     _Option("--gammas", "options.gammas", _STRING, ("scan",), "geometric friction ladder", "0.125:2:7",
             {"metavar": "START:RATIO:COUNT"}),
-    _Option("--threads", "options.threads", _COUNT, ("scan",), "worker threads, one friction each", 1),
+    _Option("--threads", "options.threads", _COUNT, ("scan",), "threads, one friction each, at most the usable cores", 1),
 )
 
 # Keys a subcommand reads in some modes only: (command, mode key, mode) -> the
@@ -435,7 +435,7 @@ def _spectral_potential(opts: dict, params: EnsembleParams) -> PotentialSpec:
         pot_params = pot.setdefault("params", {})
         # Cell wide enough that the clipped Gaussian tail is far below the
         # spectral tolerances; 12 sigma left the gap error near 6e-7.
-        pot_params["L"] = 14.0 / (float(pot_params.get("omega", 1.0)) * math.sqrt(params.beta))
+        pot_params["L"] = 14.0 / (float(pot_params.get("omega", model.QUADRATIC_OMEGA)) * math.sqrt(params.beta))
         return builtin_potential("quadratic", pot_params)
     raise InvalidArgumentError(
         f"potential '{pot['name']}' lives on full space; pass an explicit torus length L"
@@ -781,7 +781,10 @@ def _parse_gammas(text: str) -> list[float]:
 
 def _cmd_scan(opts: dict) -> tuple[dict, dict]:
     _, basis = _spectral_setup(opts)
-    scan = gamma_scan(basis, _parse_gammas(opts["options.gammas"]), max_workers=opts["options.threads"])
+    threads = hypo.scan_threads(opts["options.threads"])
+    if threads < opts["options.threads"]:
+        log.info("--threads %d capped to the %d usable cores", opts["options.threads"], threads)
+    scan = gamma_scan(basis, _parse_gammas(opts["options.gammas"]), max_workers=threads)
     out = opts["output"]
     if out:
         rows = np.column_stack([scan.table.gammas, scan.table.gaps, scan.table.lower_model])
@@ -884,7 +887,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args)  # the keys given, which the report echoes
         opts = _resolve(cfg, args.command)
         _reject_unread_in_mode(cfg, opts, args.command)
-        log.info("resolved config: %s", json.dumps(cfg, sort_keys=True))
+        log.info("resolved config: %s", json.dumps(opts, sort_keys=True))
         results, diagnostics = _COMMANDS[args.command][0](opts)
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)

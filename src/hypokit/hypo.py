@@ -31,13 +31,11 @@ only adjacent levels, D2 = L^T S + S L (S the symmetric part of R) lives on
 levels 0-2.  Beyond them D(eps) is diagonal, with smallest entry 3 gamma / m.
 
 The resolvent norm ||L^{-1}|| = 1/sigma_min(L) comes from Lanczos on the
-symmetric positive definite L^{-1} L^{-T}, applied through the Hermite chain
-of each sector of -L at mu = 0 (spectral.hermite_chain), the factorization
-the Poisson solve uses; -L^T has the same pivots, so one factorization serves
-both solves and no dense or sparse operator is built.  Its largest eigenvalue is
-1/sigma_min^2, and for a symmetric positive definite operator the largest
-Lanczos eigenvalue is the wanted one.  The witnesses apply -L by the block
-matvec, one sector at a time, so `bounds` builds no full-operator blocks.
+symmetric (-L)^{-1} J, J the momentum flip (spectral.LevelBlocks), through
+the Hermite chain of each sector of -L at mu = 0 (spectral.hermite_chain),
+the factorization the Poisson solve uses; no dense or sparse operator is
+built.  The witnesses apply -L by the block matvec, one sector at a time,
+so `bounds` builds no full-operator blocks.
 A shift-invert eigensolve of L itself could not give the spectral gap that
 safely: it returns the eigenvalues nearest 0 in modulus, which can miss the
 one with the smallest real part.  A friction-scan rung is
@@ -47,6 +45,7 @@ spectral.rung_gap, the gap `spectrum` reports too (see gamma_scan).
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -63,7 +62,6 @@ from .model import EnsembleParams
 from .spectral import (
     BasisSet,
     GeneratorAssembly,
-    HermiteChain,
     hermite_chain,
     poincare_constant,
     project_phase_function,
@@ -83,8 +81,8 @@ HESS_GRID_N = 4096  # torus grid on which the Hessian lower bound is scanned
 # already take minutes, and a count of 10**9 would ask for some 32 GB of rungs.
 SCAN_MAX_RUNGS = 1024
 ODE_MAX_STEPS = 10**7  # RK4 steps ode_trajectory takes at most (250 times the figure-1 run)
-LANCZOS_MAX_STEPS = 300  # Lanczos steps resolvent_norm takes at most; the defaults take 9-11 at gamma 1e-4 to 1e3
-LANCZOS_RTOL = 1e-10  # Ritz residual bound, relative to the Ritz value, that ends a Lanczos run
+LANCZOS_MAX_STEPS = 300  # Lanczos steps resolvent_norm takes at most; the defaults take 13-18 at gamma 1e-4 to 1e3
+LANCZOS_RTOL = 1e-10  # Ritz residual bound, relative to the Ritz value's modulus, that ends a Lanczos run
 SINGULAR_RTOL = 1e-14  # a sigma_min(L) at most this times ||L||_1 is a singular generator
 SINGULAR_MESSAGE = "generator is numerically singular on the deflated space"
 
@@ -423,12 +421,12 @@ def tune_modified_norm_epsilon(asm: GeneratorAssembly) -> DissipationResult:
 
 
 def _lanczos_largest(apply: Callable[[Array], Array], n: int) -> tuple[Array, int]:
-    """Unit Ritz vector of the largest eigenvalue of a symmetric positive definite operator, and the steps taken.
+    """Unit Ritz vector of the eigenvalue largest in modulus of a symmetric operator, and the steps taken.
 
     Lanczos with full reorthogonalization (Paige 1972) from the fixed unit
     vector of ones, so reruns are bitwise identical.  It stops once the Ritz
-    residual bound beta_k |e_k^T s| is at most LANCZOS_RTOL times the Ritz
-    value; a run that reaches LANCZOS_MAX_STEPS steps is a numerical failure.
+    value theta largest in modulus has a residual bound beta_k |e_k^T s| of at
+    most LANCZOS_RTOL |theta|; reaching LANCZOS_MAX_STEPS steps is a numerical failure.
     """
     q = np.empty((min(LANCZOS_MAX_STEPS, n), n))  # the Lanczos vectors; only the rows written are touched
     q[0] = 1.0 / math.sqrt(n)
@@ -440,8 +438,9 @@ def _lanczos_largest(apply: Callable[[Array], Array], n: int) -> tuple[Array, in
             w -= q[:k].T @ (q[:k] @ w)
         beta = float(np.linalg.norm(w))
         theta, s = np.linalg.eigh(tri[:k, :k])
-        if beta * abs(s[-1, -1]) <= LANCZOS_RTOL * theta[-1]:
-            u = q[:k].T @ s[:, -1]
+        j = int(np.argmax(np.abs(theta)))
+        if beta * abs(s[-1, j]) <= LANCZOS_RTOL * abs(theta[j]):
+            u = q[:k].T @ s[:, j]
             return u / np.linalg.norm(u), k
         if k < q.shape[0]:
             tri[k, k - 1] = tri[k - 1, k] = beta
@@ -449,41 +448,36 @@ def _lanczos_largest(apply: Callable[[Array], Array], n: int) -> tuple[Array, in
     raise NumericalFailureError(f"resolvent norm: Lanczos did not converge in {q.shape[0]} steps")
 
 
-def _refined_transposed_solve(chain: HermiteChain, b: Array) -> Array:
-    """(-L)^{-T} b on the chain of -L at mu = 0, with one step of iterative refinement on its factors."""
-    y = chain.solve(b[:, None], transpose=True)
-    y -= chain.solve(chain.blocks.matvec(y, transpose=True) - b[:, None], transpose=True)
-    return y[:, 0]
-
-
 def _resolvent_lanczos(asm: GeneratorAssembly) -> tuple[float, int]:
     """resolvent_norm and the number of Lanczos steps it took."""
     red = reduced_generator(asm.basis)
-    sectors = [(red.sector_index(s), red.level_blocks(asm.gamma, sector=s)) for s in range(asm.basis.n_sectors)]
     # an overflow in a chain shows as a solve that is not finite, which is refused below
     with np.errstate(all="ignore"):
         try:
-            chains = [(idx, hermite_chain(blocks, 0.0)) for idx, blocks in sectors]
+            chains = [(red.sector_index(s), hermite_chain(red.level_blocks(asm.gamma, sector=s), 0.0))
+                      for s in range(asm.basis.n_sectors)]
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"resolvent norm solve failed (singular chain pivot): {exc}") from exc
 
-        def apply(x: Array) -> Array:  # (-L)^{-1} (-L)^{-T} x, sector by sector
+        def apply(x: Array) -> Array:  # (-L)^{-1} J x, sector by sector
             y = np.empty_like(x)
             for idx, chain in chains:
-                y[idx] = chain.solve(chain.solve(x[idx, None], transpose=True))[:, 0]
+                y[idx] = chain.solve((chain.blocks.reversal * x[idx])[:, None])[:, 0]
             if not np.all(np.isfinite(y)):
                 raise NumericalFailureError(SINGULAR_MESSAGE)
             return y
 
         u, steps = _lanczos_largest(apply, red.dim)
-        # The Rayleigh quotient ||(-L)^{-T} u||^2 from one refined solve: the chain loses accuracy
-        # as 1/gamma near zero friction, and the quotient's error is quadratic in u's.
+        # ||(-L)^{-1} J u||^2 = u^T (-L)^{-1} (-L)^{-T} u from one solve refined once on the chain's factors:
+        # the chain loses accuracy as 1/gamma near zero friction, and the quotient's error is quadratic in u's.
         big_inv = 0.0
         for idx, chain in chains:
-            y = _refined_transposed_solve(chain, u[idx])
-            big_inv += float(y @ y)
+            b = (chain.blocks.reversal * u[idx])[:, None]
+            y = chain.solve(b)
+            y -= chain.solve(chain.blocks.matvec(y) - b)
+            big_inv += float(y[:, 0] @ y[:, 0])
     smin = 1.0 / math.sqrt(big_inv) if big_inv > 0.0 else 0.0
-    if not smin > SINGULAR_RTOL * max(blocks.norm1() for _, blocks in sectors):
+    if not smin > SINGULAR_RTOL * max(chain.blocks.norm1() for _, chain in chains):
         raise NumericalFailureError(SINGULAR_MESSAGE)
     return 1.0 / smin, steps
 
@@ -491,15 +485,14 @@ def _resolvent_lanczos(asm: GeneratorAssembly) -> tuple[float, int]:
 def resolvent_norm(asm: GeneratorAssembly) -> float:
     """Gram-weighted norm of the inverse generator on the deflated space.
 
-    ||L^{-1}|| = 1/sigma_min(L), from one Lanczos run on the symmetric
-    positive definite (-L)^{-1} (-L)^{-T}, whose largest eigenvalue is
-    1/sigma_min^2 (_lanczos_largest).  The run spans every sector; each
-    sector's solves run on its Hermite chain at mu = 0
-    (spectral.hermite_chain), as solve_poisson's do: -L^T has the same
-    pivots, so its solve is the same sweep with the couplings' signs flipped,
-    and no dense or sparse operator is built.  The value is the Rayleigh
-    quotient of the converged Ritz vector, taken with one refined solve.  The
-    singularity test weighs sigma_min against ||L||_1 (LevelBlocks.norm1),
+    ||L^{-1}|| = 1/sigma_min(L), from one Lanczos run on (-L)^{-1} J, J the
+    momentum flip: -L^T = J (-L) J (spectral.LevelBlocks) makes it symmetric,
+    with square (-L)^{-1} (-L)^{-T}, so its eigenvalue largest in modulus is
+    +-1/sigma_min (_lanczos_largest).  The run spans every sector; each
+    sector's solves run on its Hermite chain at mu = 0 (spectral.hermite_chain),
+    as solve_poisson's do, and no dense or sparse operator is built.  The
+    value is ||(-L)^{-1} J u|| for the converged Ritz vector u, taken with one
+    refined solve.  The singularity test weighs sigma_min against ||L||_1 (LevelBlocks.norm1),
     which bounds sigma_max: |L| is symmetric, so ||L||_1 = ||L||_inf.  An
     exactly singular pivot, a solve that is not finite, or a run that does
     not converge is a numerical failure.
@@ -705,6 +698,11 @@ class ScanResult:
     rung_methods: list  # per rung: gamma, the path per sector, and whether the guard fired
 
 
+def scan_threads(max_workers: int) -> int:
+    """The threads gamma_scan runs for max_workers: at least one, at most the cores this process may use."""
+    return min(max(1, int(max_workers)), len(os.sched_getaffinity(0)))
+
+
 def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
     """Spectral gap across a friction ladder on one basis; fits both scaling branches.
 
@@ -717,18 +715,14 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
     on this basis and whether the guard fired there.
 
     Requires at least 7 gamma values spanning [1/8, 8].  Rows run on
-    max_workers threads, default one.  The dense eigensolve
-    (np.linalg.eigvals) releases the GIL for its whole call.  The contour's
-    chain releases it only inside each batched inverse and product and holds
-    it for the Python steps between them, so two contours overlap only as far
-    as those calls are long, which is why the chain batches its shifts
-    (spectral.CONTOUR_CHUNK_BYTES).  Each
-    row is computed the same way on any thread, so results do not depend on
-    the thread count.  More than one thread pays off only with a
-    single-threaded BLAS and only where a second core is free: a
-    multithreaded BLAS already spreads each solve over the cores, and
-    concurrent rows then compete with it for them, and on a shared host whose
-    second core is busy the rows take turns on one.
+    max_workers threads, default one, at most the usable cores
+    (scan_threads).  Each row is computed the same way on any thread, so
+    results do not depend on the thread count.  Threads overlap little: the
+    dense eigensolve (np.linalg.eigvals) holds the GIL for its whole call,
+    and the contour's chain releases it only inside each batched inverse and
+    product, so two threads reach about 1.4 times the speed of one at best,
+    and only with a single-threaded BLAS (which concurrent rows would
+    compete with) and a second core that is free.
     Failed rows, including those whose gap is not above roundoff
     (spectral.require_gap_above_roundoff), are reported in row_errors with
     NaN gaps; only a scan with no good row is a numerical failure.  Slopes
@@ -758,7 +752,7 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
         except Exception as exc:  # noqa: BLE001 - rows are isolated by design
             row_errors[float(g[i])] = f"{type(exc).__name__}: {exc}"
 
-    with ThreadPoolExecutor(max_workers=max(1, int(max_workers))) as pool:
+    with ThreadPoolExecutor(max_workers=scan_threads(max_workers)) as pool:
         list(pool.map(run_row, range(g.size)))
 
     lower = np.minimum(g, 1.0 / g)

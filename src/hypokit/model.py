@@ -37,6 +37,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 
 Array = np.ndarray
+QUADRATIC_OMEGA = 1.0  # the quadratic potential's omega when none is given; the CLI sizes its cell from it
 
 
 @dataclass(frozen=True)
@@ -222,7 +223,7 @@ def _flat(params: dict) -> PotentialSpec:
 
 
 def _quadratic(params: dict) -> PotentialSpec:
-    omega = _take_real(params, "omega", 1.0)
+    omega = _take_real(params, "omega", QUADRATIC_OMEGA)
     d = _take_int(params, "d", 1)
     length = _take_real(params, "L")
     _reject_leftovers("quadratic", params)

@@ -57,10 +57,9 @@ settle, and reads the CONVERGENCE_RTOL test.  rung_gap is the gap on a basis,
 for `spectrum` and each friction-scan rung: from a dense gap on the bottom of
 rung_ladder (the basis and its halvings), contour_gap on each rung around the
 one below, with a dense guard; refined_gap is `spectrum`'s 1.5x check.  The resolvent norm
-(hypo) solves with -L and -L^T on each sector's chain at mu = 0: -L^T has the
-pivots of -L, and HermiteChain.solve(v, transpose=True) sweeps them with
-every coupling negated.  hypo's witnesses apply -L per sector by the block
-matvec.
+(hypo) solves on each sector's chain at mu = 0 as well: -L^T = J (-L) J, J the
+momentum flip (LevelBlocks), so no solve or product sweeps -L^T.  hypo's
+witnesses apply -L per sector by the block matvec.
 
 The overdamped generator needs no assembly of its own.  On mean-zero position
 functions it is S = -(1/beta) M^T M with M = c_t q0 (ReducedGenerator.c_t_q0),
@@ -339,8 +338,9 @@ class LevelBlocks(NamedTuple):
 
     -L is block tridiagonal in the level n: diag(diags[n]) on level n
     (gamma n / m), and between levels n and n - 1 the coupling -B_n below and
-    B_n^T above the diagonal, B_n = couplings[n - 1].  -L^T has the same
-    blocks with every coupling negated.
+    B_n^T above the diagonal, B_n = couplings[n - 1].  L's adjoint is L
+    reversed in momentum: -L^T = J (-L) J, J = reversal, which negates every
+    coupling.  So J (-L) is symmetric, and -L^T x is J matvec(J x).
     """
 
     diags: list[Array]
@@ -351,14 +351,18 @@ class LevelBlocks(NamedTuple):
         """Offset of each level in the sector vector, then the sector size."""
         return np.cumsum([0] + [d.size for d in self.diags])
 
-    def matvec(self, x: Array, transpose: bool = False) -> Array:
-        """-L x (-L^T x with transpose) for x of shape (k,) or (k, columns), with no dense operator."""
+    @property
+    def reversal(self) -> Array:
+        """J, the momentum flip p -> -p on the sector vector: (-1)^n on level n."""
+        return np.repeat(np.resize([1.0, -1.0], len(self.diags)), np.diff(self.start))
+
+    def matvec(self, x: Array) -> Array:
+        """-L x for x of shape (k,) or (k, columns), with no dense operator."""
         lev = np.split(x, self.start[1:-1])
         out = [d.reshape((-1,) + (1,) * (x.ndim - 1)) * xn for d, xn in zip(self.diags, lev)]
-        below, above = (np.add, np.subtract) if transpose else (np.subtract, np.add)
         for n, b in enumerate(self.couplings, 1):
-            out[n] = below(out[n], b @ lev[n - 1])
-            out[n - 1] = above(out[n - 1], b.T @ lev[n])
+            out[n] = out[n] - b @ lev[n - 1]
+            out[n - 1] = out[n - 1] + b.T @ lev[n]
         return np.concatenate(out)
 
     def norm1(self) -> float:
@@ -534,7 +538,7 @@ class GapResult:
 
 
 def _gap_of_operator(neg_op: Array) -> Array:
-    """Every eigenvalue of -L (or one sector of it) by NumPy's dense eigensolve, which releases the GIL."""
+    """Every eigenvalue of -L (or one sector of it) by NumPy's dense eigensolve, which holds the GIL throughout."""
     try:
         return np.linalg.eigvals(neg_op).astype(complex, copy=False)
     except np.linalg.LinAlgError as exc:
@@ -561,10 +565,9 @@ class HermiteChain:
     precomputed, one batched inverse per level, because at these block sizes
     per-level calls cost more than the arithmetic.  mu may be an array of
     shifts: every factor then carries the shift axes first, and solve returns
-    one solution per shift, which moments sums with weights over the shifts.
-    The chain releases the GIL only inside its NumPy calls, so more
-    shifts per chain also let chains on other threads run longer between
-    Python steps (CONTOUR_CHUNK_BYTES).  A real mu keeps every factor real.
+    one solution per shift, which moments sums with weights over the shifts:
+    fewer Python steps and longer NumPy calls per shift (CONTOUR_CHUNK_BYTES).
+    A real mu keeps every factor real.
     With a complex mu, each product with a real B_n runs as one real product
     on the float64 view of its complex operand, half the arithmetic of a
     complex one.
@@ -573,24 +576,19 @@ class HermiteChain:
     blocks: LevelBlocks
     inv: list[Array]  # S_n^{-1}, shape mu.shape + (k_n, k_n)
 
-    def solve(self, v: Array, transpose: bool = False) -> Array:
-        """(-L - mu)^{-1} v for v of shape (k, columns): shape mu.shape + (k, columns).
-
-        With transpose, (-L^T - mu)^{-1} v: -L^T is -L with every coupling
-        negated, which leaves each B_n^T S_n^{-1} B_n and so every pivot as it
-        is, and the sweep only flips the sign of its coupling terms.
-        """
+    def solve(self, v: Array) -> Array:
+        """(-L - mu)^{-1} v for v of shape (k, columns): shape mu.shape + (k, columns).  (-L^T - mu)^{-1} v is
+        J solve(J v), J = blocks.reversal."""
         start, couplings, top = self.blocks.start, self.blocks.couplings, len(self.inv) - 1
         lev = [slice(start[n], start[n + 1]) for n in range(top + 1)]
         x = np.empty(self.inv[0].shape[:-2] + v.shape, np.result_type(self.inv[0], v))
-        less, more = (np.add, np.subtract) if transpose else (np.subtract, np.add)
         # backward: x_n = S_n^{-1} w_n, w_n the right-hand side once level n + 1 is eliminated
         for n in range(top, -1, -1):
-            w = v[lev[n]] if n == top else less(v[lev[n]], _real_times(couplings[n].T, x[..., lev[n + 1], :]))
+            w = v[lev[n]] if n == top else v[lev[n]] - _real_times(couplings[n].T, x[..., lev[n + 1], :])
             x[..., lev[n], :] = self.inv[n] @ w
         for n in range(1, top + 1):  # forward: x_n = S_n^{-1} (w_n + B_n x_{n-1})
             xn = x[..., lev[n], :]
-            more(xn, self.inv[n] @ _real_times(couplings[n - 1], x[..., lev[n - 1], :]), out=xn)
+            xn += self.inv[n] @ _real_times(couplings[n - 1], x[..., lev[n - 1], :])
         return x
 
     def moments(self, v: Array, weights: Array) -> Array:
@@ -630,8 +628,9 @@ def hermite_chain(blocks: LevelBlocks, mu) -> HermiteChain:
 CONTOUR_NODES = 64  # trapezoid nodes on the ellipse; the upper half is solved
 # Pivot inverses one chain of contour shifts may hold (contour_batch): 8 shifts on the
 # Kq16/Np32 sectors (139 kB each), 4 at Kq24/Np48 (461 kB), 1 above 2 MiB.  A larger
-# batch makes fewer, longer LAPACK/BLAS calls, each outside the GIL, and fewer Python
-# steps per shift; 16 shifts per chain cost a two-thread scan 4-6 MB more peak memory.
+# batch makes fewer, longer LAPACK/BLAS calls and fewer Python steps per shift, which
+# pays on one thread: one Kq16/Np32 sector contour took 36.9 ms at 1 shift per chain
+# and 16.5 ms at 8.  16 shifts per chain cost a two-thread scan 4-6 MB more peak memory.
 CONTOUR_CHUNK_BYTES = 2 * 2**20
 CONTOUR_PROBES = 16  # columns of the probe block
 CONTOUR_SEED = 2024  # seed of the probe block, so reruns are bitwise identical

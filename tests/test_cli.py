@@ -280,6 +280,67 @@ def test_scan_csv_and_report(tmp_path):
     assert all(path in {"contour", "empty", "dense"} for m in methods for path in m["sectors"].values())
 
 
+class _RecordingPool:
+    """A stand-in for ThreadPoolExecutor that records max_workers and runs every row on the calling thread."""
+
+    seen: list = []
+
+    def __init__(self, max_workers):
+        self.seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("threads, cores", [(10000, 3), (10000, 1), (2, 3), (3, 3)])
+def test_scan_threads_are_capped_at_the_usable_cores(threads, cores, monkeypatch, caplog):
+    """--threads above the cores this process may use runs that many threads, no more, and says so in one
+    stderr line; no thread starts here, as the pool is a recording stand-in."""
+    from hypokit import hypo
+
+    monkeypatch.setattr(_RecordingPool, "seen", [])
+    monkeypatch.setattr(hypo, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    caplog.set_level("INFO", logger="hypokit")
+    assert run("scan", "--Kq", "4", "--Np", "8", "--n-quad", "64", "--threads", threads) == 0
+    assert _RecordingPool.seen == [min(threads, cores)]
+    capped = [r.getMessage() for r in caplog.records if "capped" in r.getMessage()]
+    assert capped == ([f"--threads {threads} capped to the {cores} usable cores"] if threads > cores else [])
+
+
+def test_quadratic_cell_follows_the_models_default_omega(monkeypatch, tmp_path):
+    """The CLI sizes a quadratic cell L = 14 / (omega sqrt(beta)) from the omega of model.QUADRATIC_OMEGA, the
+    potential's own default: moving it moves the cell."""
+    from hypokit import model
+
+    rep_path = tmp_path / "rep.json"
+    for omega in (1.0, 2.0):
+        monkeypatch.setattr(model, "QUADRATIC_OMEGA", omega)
+        assert run("poincare", "--potential", "quadratic", "--beta", "4", "--Kq", "4", "--n-quad", "64",
+                   "--report", rep_path) == 0
+        assert read_report(rep_path)["config"]["potential"]["params"]["L"] == 14.0 / (omega * 2.0)
+        assert builtin_potential("quadratic", {}).name == f"quadratic(omega={omega:g})"
+
+
+def test_resolved_config_line_shows_the_defaults(caplog):
+    """The stderr line `resolved config` prints every key the subcommand reads, defaults included, as one
+    line: spectrum given only Kq and Np shows them and the default friction."""
+    caplog.set_level("INFO", logger="hypokit")
+    assert run("spectrum", "--Kq", "4", "--Np", "8") == 0
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("resolved config: ")]
+    assert len(lines) == 1 and "\n" not in lines[0]
+    resolved = json.loads(lines[0].removeprefix("resolved config: "))
+    assert (resolved["discretization.Kq"], resolved["discretization.Np"]) == (4, 8)
+    assert resolved["ensemble.gamma"] == next(o.default for o in cli._OPTIONS
+                                              if o.key == "ensemble.gamma" and "spectrum" in o.commands) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # config handling
 

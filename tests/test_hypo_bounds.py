@@ -361,20 +361,41 @@ class TestResolventNorm:
 
     @pytest.mark.parametrize("gamma", [1e-3, 1.0, 8.0])
     def test_transposed_chain_solve_is_the_dense_transposed_solve(self, cosine_asm_small, gamma):
-        """-L^T y = b on the pivots of -L's own chain, against a dense solve per sector.  Refined once, as
-        the norm's final Rayleigh quotient is, it holds at gamma = 1e-3 too, where the plain solve was
-        off by 2.7e-9 in the even sector."""
+        """-L^T y = b as y = J (-L)^{-1} J b on -L's own chain (LevelBlocks.reversal), against a dense solve per
+        sector.  Refined once, as the norm's final Rayleigh quotient is, it holds at gamma = 1e-3 too, where the
+        plain solve was off by 2.7e-9 in the even sector."""
         red = reduced_generator(cosine_asm_small.basis)
         for s in range(red.basis.n_sectors):
             blocks = red.level_blocks(gamma, sector=s)
             b = np.random.default_rng(s).standard_normal(int(blocks.start[-1]))
             want = np.linalg.solve(red.neg_operator(gamma, sector=s).T, b)
-            chain = spectral.hermite_chain(blocks, 0.0)
-            solves = [hypo._refined_transposed_solve(chain, b)]
+            chain, flip = spectral.hermite_chain(blocks, 0.0), blocks.reversal
+            y = chain.solve((flip * b)[:, None])
+            refined = y - chain.solve(blocks.matvec(y) - (flip * b)[:, None])
+            solves = [flip * refined[:, 0]]
             if gamma >= 1.0:
-                solves.append(chain.solve(b[:, None], transpose=True)[:, 0])
+                solves.append(flip * y[:, 0])
             for got in solves:
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_flipped_generator_is_symmetric(self, cosine_asm_small, unit_params):
+        """J (-L) equals its transpose bitwise in every sector, J the momentum flip (-1)^n on level n: the
+        generator's adjoint is L reversed in momentum, the identity the resolvent norm's Lanczos run reads."""
+        asym = build_basis(_asymmetric_spec(), unit_params, Kq=6, Np=9, n_quad=96)
+        for basis in (cosine_asm_small.basis, asym):
+            red = reduced_generator(basis)
+            for gamma in (1e-3, 1.0, 8.0):
+                for s in range(basis.n_sectors):
+                    blocks = red.level_blocks(gamma, sector=s)
+                    flipped = blocks.reversal[:, None] * blocks.dense()
+                    assert np.array_equal(flipped, flipped.T)
+
+    def test_matches_a_dense_svd_near_zero_friction(self, cosine_spec, unit_params):
+        """||L^{-1}|| = 1 / sigma_min(-L) from a dense SVD at gamma = 1e-5, on cosine Kq4/Np8; the chain
+        reads 2.8e-10 relative there."""
+        basis = build_basis(cosine_spec, unit_params, Kq=4, Np=8)
+        want = 1.0 / np.linalg.svd(reduced_generator(basis).neg_operator(1e-5), compute_uv=False)[-1]
+        assert resolvent_norm(assemble_generator(basis, 1e-5)) == pytest.approx(want, rel=1e-9)
 
     def test_stable_under_refinement(self, quad_spec, unit_params):
         vals = []

@@ -920,11 +920,15 @@ def _assert_same_scan(one, other):
 
 def test_scan_results_do_not_depend_on_the_thread_count(cosine_asm, cosine_asm_small, monkeypatch):
     """Rows, slopes and lambda_bar are the same bits on one thread and on two at the defaults,
-    where each chain factors 8 contour shifts, and on seven threads (more than the cores)
-    switching every 10 us on a small basis, taken through the contour as well."""
+    where each chain factors 8 contour shifts, and on seven threads switching every 10 us on a
+    small basis, taken through the contour as well; the scan reads 7 usable cores, so it starts
+    all seven whatever the host's count."""
+    import os
     import sys
 
     from hypokit.hypo import gamma_scan
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(7)))
 
     ladder = [0.125 * 2.0**k for k in range(7)]
     red = reduced_generator(cosine_asm.basis)
@@ -995,7 +999,8 @@ def test_level_blocks_apply_the_dense_operator(cosine_asm_small):
         assert np.abs(blocks.matvec(x[: op.shape[0]]) - op @ x[: op.shape[0]]).max() <= 1e-13 * np.abs(op).max()
         assert np.allclose(blocks.matvec(x[: op.shape[0], 0]), op @ x[: op.shape[0], 0], rtol=0, atol=1e-12)
         assert blocks.norm1() == pytest.approx(sla.norm(op, 1), rel=1e-14)
-        assert np.abs(blocks.matvec(x[: op.shape[0]], transpose=True) - op.T @ x[: op.shape[0]]).max() <= (
+        flip = blocks.reversal[:, None]  # -L^T x = J (-L) J x
+        assert np.abs(flip * blocks.matvec(flip * x[: op.shape[0]]) - op.T @ x[: op.shape[0]]).max() <= (
             1e-13 * np.abs(op).max())
 
 
