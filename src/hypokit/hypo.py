@@ -696,6 +696,7 @@ class ScanResult:
     lambda_bar: float
     row_errors: dict
     rung_methods: list  # per rung: gamma, the path per sector, and whether the guard fired
+    rung_nodes: list  # per rung: the node count of each sector's last contour rule (GapResult.nodes)
 
 
 def scan_threads(max_workers: int) -> int:
@@ -712,7 +713,8 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
     dense guard, and so rests on heuristic ellipses.  Every rung reads the
     one ladder, whose generators hold no mutable state: each rung forms its
     own level blocks.  rung_methods records, per rung, the path per sector
-    on this basis and whether the guard fired there.
+    on this basis and whether the guard fired there, and rung_nodes the node
+    count of each sector's last contour rule there (0 where none ran).
 
     Requires at least 7 gamma values spanning [1/8, 8].  Rows run on
     max_workers threads, default one, at most the usable cores
@@ -720,9 +722,10 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
     results do not depend on the thread count.  Threads overlap little: the
     dense eigensolve (np.linalg.eigvals) holds the GIL for its whole call,
     and the contour's chain releases it only inside each batched inverse and
-    product, so two threads reach about 1.4 times the speed of one at best,
-    and only with a single-threaded BLAS (which concurrent rows would
-    compete with) and a second core that is free.
+    product, so two threads gain little: on a shared 2-core host with one BLAS
+    thread the default scan took 0.28-0.29 s on one thread and 0.30-0.34 s on
+    two.  A second thread needs a single-threaded BLAS (which concurrent rows
+    would compete with) and a second core that is free.
     Failed rows, including those whose gap is not above roundoff
     (spectral.require_gap_above_roundoff), are reported in row_errors with
     NaN gaps; only a scan with no good row is a numerical failure.  Slopes
@@ -742,11 +745,13 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
     gaps = np.full(g.size, np.nan)
     row_errors: dict = {}
     rung_methods = [{"gamma": float(x), "sectors": {}, "guard": False} for x in g]
+    rung_nodes = [{} for _ in g]
 
     def run_row(i: int):
         try:
             res = rung_gap(ladder, g[i])
             rung_methods[i].update(sectors=res.method, guard=res.guard)
+            rung_nodes[i] = res.nodes
             require_gap_above_roundoff(res)
             gaps[i] = res.gap
         except Exception as exc:  # noqa: BLE001 - rows are isolated by design
@@ -775,4 +780,5 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
         lambda_bar=float(np.min(gaps[ok] / lower[ok])),
         row_errors=row_errors,
         rung_methods=rung_methods,
+        rung_nodes=rung_nodes,
     )

@@ -47,13 +47,19 @@ Dense and chain solves.  Only the gap is a dense solve of LevelBlocks.dense
 (hypo's dissipation rate also reads levels 0-2 of neg_operator, the dense
 operator).  The Poisson equation is solved per sector by the Hermite chain at
 mu = 0 (HermiteChain, the matrix continued fraction, which factors -L - mu
-along the Hermite levels), with its residual from the block matvec.  A gap near a known one on another basis is
-found by contour_gap, the one home of that refinement policy: it factors
--L - z on the chain at the nodes of an ellipse around the base gap and counts
-the eigenvalues inside by a contour integral, solves dense a sector below
-DENSE_SECTOR_MAX coordinates, every sector with no base (the dense gap,
-spectral_gap) or a base at roundoff level, and a sector the contour cannot
-settle, and reads the CONVERGENCE_RTOL test.  rung_gap is the gap on a basis,
+along the Hermite levels), with its residual from the block matvec.  A gap
+near a known one on another basis is found by contour_gap, the one home of
+that refinement policy.  Per sector it filters a block of random probes by a
+contour integral of (-L - z)^{-1} around an ellipse about the base gap, the
+chain factoring -L - z at the trapezoid nodes of its upper half, and takes the
+eigenvalues inside as Ritz values of -L on the filtered probes, each verified
+by its residual (the FEAST / Sakurai-Tadano practice).  The first rule has
+CONTOUR_NODES / 2 nodes, and the nodes between them, which complete the
+CONTOUR_NODES rule without solving a shift twice, run only where it cannot
+settle the sector.  contour_gap solves dense a sector below DENSE_SECTOR_MAX
+coordinates, every sector with no base (the dense gap, spectral_gap) or a
+base at roundoff level, and a sector the contour cannot settle, and reads the
+CONVERGENCE_RTOL test.  rung_gap is the gap on a basis,
 for `spectrum` and each friction-scan rung: from a dense gap on the bottom of
 rung_ladder (the basis and its halvings), contour_gap on each rung around the
 one below, with a dense guard; refined_gap is `spectrum`'s 1.5x check.  The resolvent norm
@@ -526,6 +532,7 @@ class GapResult:
     method: dict = field(default_factory=dict)
     base_gap: float | None = None
     guard: bool = False
+    nodes: dict = field(default_factory=dict)  # per sector, the node count of the last contour rule run; 0 for none
 
     @property
     def eig_count_checked(self) -> int:
@@ -625,12 +632,15 @@ def hermite_chain(blocks: LevelBlocks, mu) -> HermiteChain:
     return HermiteChain(blocks, inv)
 
 
-CONTOUR_NODES = 64  # trapezoid nodes on the ellipse; the upper half is solved
+# Trapezoid nodes on the ellipse of the finer contour rule; the first rule has half as many,
+# and only the upper half of either is solved: 16 shifts, then 17 more.
+CONTOUR_NODES = 64
 # Pivot inverses one chain of contour shifts may hold (contour_batch): 8 shifts on the
 # Kq16/Np32 sectors (139 kB each), 4 at Kq24/Np48 (461 kB), 1 above 2 MiB.  A larger
 # batch makes fewer, longer LAPACK/BLAS calls and fewer Python steps per shift, which
-# pays on one thread: one Kq16/Np32 sector contour took 36.9 ms at 1 shift per chain
-# and 16.5 ms at 8.  16 shifts per chain cost a two-thread scan 4-6 MB more peak memory.
+# pays on one thread: one Kq16/Np32 sector contour settled by the first rule took
+# 25.8 ms at 1 shift per chain and 14.5 ms at 8.  16 shifts per chain cost a two-thread
+# scan 4-6 MB more peak memory.
 CONTOUR_CHUNK_BYTES = 2 * 2**20
 CONTOUR_PROBES = 16  # columns of the probe block
 CONTOUR_SEED = 2024  # seed of the probe block, so reruns are bitwise identical
@@ -663,58 +673,105 @@ def require_gap_above_roundoff(res: GapResult) -> None:
 
 def contour_batch(blocks: LevelBlocks) -> int:
     """Shifts one chain of a sector's contour factors at once: the largest power of two, at most
-    CONTOUR_NODES / 2, whose complex pivot inverses fit in CONTOUR_CHUNK_BYTES; at least 1."""
+    CONTOUR_NODES / 2, whose complex pivot inverses fit in CONTOUR_CHUNK_BYTES; at least 1.  A contour
+    rule solves at most CONTOUR_NODES / 4 + 1 shifts, so a larger batch factors a whole rule in one chain."""
     per_shift = 16 * sum(d.size**2 for d in blocks.diags)
     fits = min(CONTOUR_NODES // 2, max(1, CONTOUR_CHUNK_BYTES // per_shift))
     return 1 << (fits.bit_length() - 1)
 
 
-def _contour_sector_eigs(blocks: LevelBlocks, center: float, a: float, b: float, norm1: float) -> Array | None:
+def _contour_sector_eigs(blocks: LevelBlocks, center: float, a: float, b: float, norm1: float,
+                         nodes_run: list | None = None) -> Array | None:
     """The eigenvalues of -L inside the ellipse, each verified, or None where the contour cannot tell.
 
-    Beyn's moments A_p = (1 / 2 pi i) \\oint z^p (-L - z)^{-1} V dz, p = 0, 1,
+    The seeded probe block V is filtered by the moments
+    A_p = (1 / 2 pi i) \\oint (z - center)^p (-L - z)^{-1} V dz, p = 0, 1, summed
     by the trapezoid rule on z = center + a cos t + i b sin t.  -L and V are
-    real, so the node mirrored below the axis adds -conj(X dz) to X dz and
-    only the upper half is solved.  The rank k of A_0 (its SVD) counts the
-    eigenvalues inside; those of the k x k matrix U^T A_1 W S^{-1} are the
-    candidates.  An A_0 whose largest singular value is at most
-    CONTOUR_RANK_TOL ||V||_2 is read as k = 0, no eigenvalue inside, and
-    gives an empty array.  That rule is a heuristic, like the ellipse: an eigenvalue
-    inside with a tiny projection on V would not be seen.  Otherwise k counts
-    the singular values above CONTOUR_RANK_TOL times the largest.  None when
-    k = CONTOUR_PROBES (the probe block may be saturated), when no candidate
-    lies inside, or when one inside fails its residual, weighed against
-    norm1 = ||L||_1 of the sector.
+    real, so the node mirrored below the axis adds -conj(X dz) to X dz, and
+    only the upper half is solved.
+
+    Two nested rules.  The first has CONTOUR_NODES / 2 nodes,
+    t = 2 pi (j + 1/2) / (CONTOUR_NODES / 2).  Where it cannot settle the
+    sector, the nodes halfway between, t = 2 pi j / (CONTOUR_NODES / 2) with
+    the two on the real axis at half weight, are added to the same sums,
+    which then hold the CONTOUR_NODES-node rule: no shift is solved twice.
+    A sector the finer rule cannot settle either gives None.
+
+    After each rule, an A_0 whose largest singular value is at most
+    CONTOUR_RANK_TOL ||V||_2 holds no eigenvalue inside and gives an empty
+    array.  Like the ellipse, that is a heuristic: an eigenvalue inside with
+    a tiny projection on V would not be seen.  Otherwise A_0's rank k counts
+    its singular values above CONTOUR_RANK_TOL times the largest.  The rule
+    settles the sector when k < CONTOUR_PROBES (at k = CONTOUR_PROBES the
+    probe block may be saturated) and _verified_ritz_values finds Ritz
+    values of -L on span[A_0, A_1] inside the ellipse, each passing its
+    residual test against norm1 = ||L||_1 of the sector.  nodes_run, when
+    given, gets the node count of each rule run.
     """
-    t = 2.0 * math.pi * (np.arange(CONTOUR_NODES // 2) + 0.5) / CONTOUR_NODES
-    z = center + a * np.cos(t) + 1j * b * np.sin(t)
-    dz = -a * np.sin(t) + 1j * b * np.cos(t)
+    half = CONTOUR_NODES // 2
     probes = np.random.default_rng(CONTOUR_SEED).standard_normal((int(blocks.start[-1]), CONTOUR_PROBES))
-    weights = (2.0 / CONTOUR_NODES) * np.stack([dz, z * dz])
-    moments = np.zeros((2,) + probes.shape)  # A_0 and A_1
+    sums = np.zeros((probes.shape[0], 2, CONTOUR_PROBES))  # A_0 and A_1 side by side, times nodes / 2
     batch = contour_batch(blocks)
-    for lo in range(0, z.size, batch):
-        part = slice(lo, lo + batch)
-        try:  # one statement, so no batch's moments outlive it into the next chain
-            moments += hermite_chain(blocks, z[part]).moments(probes, weights[:, part]).imag
-        except np.linalg.LinAlgError:
-            return None
-    a0, a1 = moments
-    u, sv, wt = np.linalg.svd(a0, full_matrices=False)
-    if sv[0] <= CONTOUR_RANK_TOL * np.linalg.norm(probes, 2):
-        return np.empty(0, complex)
-    k = int(np.count_nonzero(sv > CONTOUR_RANK_TOL * sv[0]))
-    if k == CONTOUR_PROBES:
-        return None
-    lam, w = np.linalg.eig(u[:, :k].T @ a1 @ wt[:k].T / sv[:k])
+    ends = np.ones(half // 2 + 1)
+    ends[[0, -1]] = 0.5
+    rules = ((half, np.arange(half // 2) + 0.5, 1.0),  # the first rule, off the real axis
+             (CONTOUR_NODES, np.arange(half // 2 + 1.0), ends))  # the nodes between, both real-axis ends
+    for nodes, j, w in rules:
+        if nodes_run is not None:
+            nodes_run.append(nodes)
+        t = 2.0 * math.pi * j / half
+        z = center + a * np.cos(t) + 1j * b * np.sin(t)
+        dz = w * (-a * np.sin(t) + 1j * b * np.cos(t))
+        weights = np.stack([dz, (z - center) * dz])
+        for lo in range(0, z.size, batch):
+            part = slice(lo, lo + batch)
+            try:  # one statement, so no batch's moments outlive it into the next chain
+                sums += hermite_chain(blocks, z[part]).moments(probes, weights[:, part]).imag.transpose(1, 0, 2)
+            except np.linalg.LinAlgError:
+                return None
+        sv = (2.0 / nodes) * np.linalg.svd(sums[:, 0], compute_uv=False)
+        if sv[0] <= CONTOUR_RANK_TOL * np.linalg.norm(probes, 2):
+            return np.empty(0, complex)
+        if np.count_nonzero(sv > CONTOUR_RANK_TOL * sv[0]) < CONTOUR_PROBES:
+            lam = _verified_ritz_values(blocks, sums.reshape(probes.shape[0], -1), center, a, b, norm1)
+            if lam is not None:
+                return lam
+    return None
+
+
+def _verified_ritz_values(blocks: LevelBlocks, span: Array, center: float, a: float, b: float,
+                          norm1: float) -> Array | None:
+    """The Ritz values of -L on span's columns inside the ellipse, or None when none lies inside or one fails
+    its residual ||(-L - lam) x|| <= CONTOUR_RESIDUAL_TOL norm1 ||x||.
+
+    Rayleigh-Ritz on an orthonormal basis Q of the span, its singular values
+    cut at CONTOUR_RANK_TOL times the largest: the eigenpairs (lam, y) of
+    Q^T (-L Q) give x = Q y.  Unlike eigenvalues read off the moments
+    (Beyn's method), Ritz pairs need only the right subspace, not a sharp
+    filter.
+    """
+    q, s, _ = np.linalg.svd(span, full_matrices=False)
+    q = q[:, : np.count_nonzero(s > CONTOUR_RANK_TOL * s[0])]
+    lq = blocks.matvec(q)
+    lam, y = np.linalg.eig(q.T @ lq)
     inside = ((lam.real - center) / a) ** 2 + (lam.imag / b) ** 2 < 1.0
     if not inside.any():
         return None
-    lam, vec = lam[inside], u[:, :k] @ w[:, inside]
-    res = np.linalg.norm(blocks.matvec(vec) - lam * vec, axis=0)
-    if np.any(res > CONTOUR_RESIDUAL_TOL * norm1 * np.linalg.norm(vec, axis=0)):
+    lam, y = lam[inside], y[:, inside]
+    res = np.linalg.norm(lq @ y - (q @ y) * lam, axis=0)
+    if np.any(res > CONTOUR_RESIDUAL_TOL * norm1 * np.linalg.norm(y, axis=0)):
         return None
     return lam
+
+
+def _contour_ellipse(base: GapResult) -> tuple[float, float, float]:
+    """(center, a, b) of contour_gap's ellipse around the gap g of base: its real axis spans 0.25-2.5 g, and its
+    half-height b is 1.5 times the largest |Im| of the base eigenvalues with real part below 2 g, plus g, and at
+    least the real semi-axis a."""
+    g = base.gap
+    a = 1.125 * g
+    near = base.eigenvalues[base.eigenvalues.real < 2.0 * g]
+    return 1.375 * g, a, max(1.5 * float(np.abs(near.imag).max(initial=0.0)) + g, a)
 
 
 def contour_gap(red: ReducedGenerator, gamma: float, base: GapResult | None) -> GapResult:
@@ -723,11 +780,13 @@ def contour_gap(red: ReducedGenerator, gamma: float, base: GapResult | None) -> 
     The one home of the refinement policy, which rung_gap and refined_gap
     read.  Meant for another basis than the one of `base`, a gap at the same
     friction; `converged` reads whether the gap moved by at most
-    CONVERGENCE_RTOL.  Each sector counts the eigenvalues of -L inside an
-    ellipse built from the base spectrum: its real axis spans 0.25-2.5 times
-    the base gap, and its half-height is 1.5 times the largest |Im| of the
-    base eigenvalues with real part below twice the gap, plus the gap, and at
-    least the real semi-axis.  The ellipse is a heuristic built from the base
+    CONVERGENCE_RTOL.  Each sector finds the eigenvalues of -L inside an
+    ellipse built from the base spectrum (_contour_ellipse) by a contour
+    integral on its Hermite chains (_contour_sector_eigs): Rayleigh-Ritz on the
+    probes the contour filters, on CONTOUR_NODES / 2 trapezoid nodes, or
+    CONTOUR_NODES where those cannot settle the sector; `nodes` records the
+    node count of the last rule run per sector, 0 where none ran.  The
+    ellipse is a heuristic built from the base
     spectrum, not a certificate, just like the CONVERGENCE_RTOL test: an
     eigenvalue of this basis outside it is not seen.  A sector with fewer
     than DENSE_SECTOR_MAX coordinates, where the dense solve is the cheaper
@@ -743,16 +802,15 @@ def contour_gap(red: ReducedGenerator, gamma: float, base: GapResult | None) -> 
     blocks = [red.level_blocks(gamma, sector=s) for s in range(red.basis.n_sectors)]
     norm1 = [bl.norm1() for bl in blocks]
     found = [None] * len(blocks)
+    nodes_run = [[] for _ in blocks]  # per sector, the node count of each rule its contour ran
     if base is not None and base.gap > gap_roundoff_floor(base.norm1):
-        g = base.gap
-        center, a = 1.375 * g, 1.125 * g
-        near = base.eigenvalues[base.eigenvalues.real < 2.0 * g]
-        b = max(1.5 * float(np.abs(near.imag).max(initial=0.0)) + g, a)
-        found = [_contour_sector_eigs(bl, center, a, b, n1) if bl.start[-1] >= DENSE_SECTOR_MAX else None
-                 for bl, n1 in zip(blocks, norm1)]
+        center, a, b = _contour_ellipse(base)
+        found = [_contour_sector_eigs(bl, center, a, b, n1, r) if bl.start[-1] >= DENSE_SECTOR_MAX else None
+                 for bl, n1, r in zip(blocks, norm1, nodes_run)]
         if not any(x is not None and x.size for x in found):
             found = [None] * len(found)
     method = {}
+    nodes = {name: r[-1] if r else 0 for name, r in zip(red.sector_names, nodes_run)}
     for s, name in enumerate(red.sector_names):
         method[name] = "dense" if found[s] is None else "contour" if found[s].size else "empty"
         if found[s] is None:
@@ -761,7 +819,7 @@ def contour_gap(red: ReducedGenerator, gamma: float, base: GapResult | None) -> 
     best = int(np.argmin(gaps))
     eigs = np.concatenate(found)
     return GapResult(gaps[best], eigs, max(norm1), red.sector_names[best], method,
-                     None if base is None else base.gap)
+                     None if base is None else base.gap, nodes=nodes)
 
 
 def rung_ladder(basis: BasisSet) -> list[ReducedGenerator]:
@@ -795,7 +853,7 @@ def rung_gap(ladder: list[ReducedGenerator], gamma: float) -> GapResult:
     for red in reversed(ladder[:-1]):
         res = contour_gap(red, gamma, res)
         if not (res.converged or set(res.method.values()) == {"dense"}):
-            res = replace(contour_gap(red, gamma, None), method=res.method, guard=True)
+            res = replace(contour_gap(red, gamma, None), method=res.method, nodes=res.nodes, guard=True)
     return res
 
 

@@ -1193,6 +1193,93 @@ def test_an_empty_sector_is_left_out_and_all_empty_sectors_run_dense(monkeypatch
     assert res.method == {"even": "dense", "odd": "dense"} and res.gap == dense.gap
 
 
+@settings(max_examples=30)
+@given(name=st.sampled_from(["cosine", "double_well", "quadratic"]), beta=st.floats(0.5, 5.0),
+       log2_gamma=st.floats(-6.0, 6.0), Kq=st.integers(6, 10), Np=st.integers(12, 20))
+def test_a_settled_contour_holds_exactly_the_dense_eigenvalues_inside(name, beta, log2_gamma, Kq, Np):
+    """Around the dense gap of the halved basis, as a rung is built: a sector the contour settles returns
+    every dense eigenvalue inside the ellipse and nothing else, and reads empty only when none lies inside."""
+    pot = {"cosine": {"h": 1.0, "L": 1.0}, "double_well": {"L": 4.0},
+           "quadratic": {"omega": 1.0, "L": 14.0 / math.sqrt(beta)}}[name]
+    gamma = 2.0**log2_gamma
+    basis = build_basis(builtin_potential(name, pot), EnsembleParams(beta=beta), Kq=Kq, Np=Np)
+    base = spectral.contour_gap(reduced_generator(basis.resized(Kq // 2, Np // 2)), gamma, None)
+    center, a, b = spectral._contour_ellipse(base)
+    for blocks in _sector_blocks(reduced_generator(basis), gamma):
+        norm1 = blocks.norm1()
+        got = spectral._contour_sector_eigs(blocks, center, a, b, norm1)
+        if got is None:
+            continue
+        dense = np.linalg.eigvals(blocks.dense())
+        inside = dense[((dense.real - center) / a) ** 2 + (dense.imag / b) ** 2 < 1.0]
+        assert got.size == inside.size
+        assert all(np.abs(got - lam).min() <= 1e-10 * norm1 for lam in inside)
+
+
+def _shifts_per_sector(monkeypatch, red, gamma, base):
+    """(contour_gap result, the shifts each _contour_sector_eigs call factored, call by call)."""
+    chain, sector_eigs, calls = spectral.hermite_chain, spectral._contour_sector_eigs, []
+
+    def counting_chain(blocks, mu):
+        calls[-1].extend(np.ravel(mu))
+        return chain(blocks, mu)
+
+    def counting_sector_eigs(*args):
+        calls.append([])
+        return sector_eigs(*args)
+
+    monkeypatch.setattr(spectral, "hermite_chain", counting_chain)
+    monkeypatch.setattr(spectral, "_contour_sector_eigs", counting_sector_eigs)
+    return spectral.contour_gap(red, gamma, base), [np.array(c) for c in calls]
+
+
+def test_no_contour_shift_is_solved_twice(cosine_spec, unit_params, monkeypatch):
+    """Cosine Kq16/Np32 around the dense Kq8/Np16 gap: at gamma = 1/8 the 32-node rule settles both
+    sectors on its 16 upper shifts; at gamma = 1/2 (height over width 14.4) its probe block saturates,
+    and the nodes between complete the 64-node rule, at most 33 distinct shifts with both real-axis ends."""
+    top, coarse = spectral.rung_ladder(build_basis(cosine_spec, unit_params))
+    base = spectral.contour_gap(coarse, 0.125, None)
+    assert base.nodes == {"even": 0, "odd": 0}
+    res, shifts = _shifts_per_sector(monkeypatch, top, 0.125, base)
+    assert [mu.size for mu in shifts] == [16, 16] and res.nodes == {"even": 32, "odd": 32}
+    assert res.method == {"even": "contour", "odd": "contour"}
+    base = spectral.contour_gap(coarse, 0.5, None)
+    center, a, b = spectral._contour_ellipse(base)
+    assert b / a == pytest.approx(14.4, abs=0.05)
+    res, shifts = _shifts_per_sector(monkeypatch, top, 0.5, base)
+    assert len(shifts) == 2 and all(16 < mu.size <= 33 and np.unique(mu).size == mu.size for mu in shifts)
+    assert res.nodes == {"even": 64, "odd": 64} and res.method == {"even": "contour", "odd": "contour"}
+
+
+def test_runs_report_the_contour_nodes(tmp_path):
+    """The default spectrum settles its rung and refinement on the 32-node rule in both sectors; the
+    default scan's gamma = 1/2 rung needs 64, and every rung's map sits beside its rung_methods entry."""
+    from hypokit import cli
+
+    assert cli.main(["spectrum", "--report", str(tmp_path / "spectrum.json")]) == 0
+    diag = json.loads((tmp_path / "spectrum.json").read_text())["diagnostics"]
+    assert diag["gap_nodes"] == diag["refined_nodes"] == {"even": 32, "odd": 32}
+    assert cli.main(["scan", "--report", str(tmp_path / "scan.json")]) == 0
+    diag = json.loads((tmp_path / "scan.json").read_text())["diagnostics"]
+    nodes = {m["gamma"]: n for m, n in zip(diag["rung_methods"], diag["rung_nodes"], strict=True)}
+    assert nodes[0.5] == {"even": 64, "odd": 64} and nodes[0.125] == {"even": 32, "odd": 32}
+
+
+@pytest.mark.parametrize("gamma", [1 / 32, 1 / 64, 1 / 128])
+def test_small_friction_settles_on_the_contour(cosine_spec, unit_params, gamma, tmp_path, monkeypatch):
+    """Round ellipses at small friction: the rung and the refinement settle both sectors on the contour,
+    only the coarse Kq8/Np16 sectors reach the dense eigensolve, and each gap is the dense one."""
+    report, sizes = _spectrum_eigensolve_sizes(monkeypatch, tmp_path, "--gamma", str(gamma))
+    monkeypatch.undo()
+    diag = report["diagnostics"]
+    assert sizes == [135, 136]
+    assert diag["gap_method"] == diag["refined_method"] == {"even": "contour", "odd": "contour"}
+    basis = build_basis(cosine_spec, unit_params)
+    assert report["results"]["gap"] == pytest.approx(spectral_gap(assemble_generator(basis, gamma)).gap, rel=1e-10)
+    fine = assemble_generator(basis.resized(diag["refined_Kq"], diag["refined_Np"]), gamma)
+    assert diag["refined_gap"] == pytest.approx(spectral_gap(fine).gap, rel=1e-10)
+
+
 def _spectrum_eigensolve_sizes(monkeypatch, tmp_path, *extra):
     """(report, sorted row counts of every matrix spectrum hands the dense eigensolve)."""
     from hypokit import cli
