@@ -612,7 +612,7 @@ def _cmd_spectrum(opts: dict) -> tuple[dict, dict]:
         res = rung_gap(rung_ladder(basis), asm.gamma)
     require_gap_above_roundoff(res)
     diagnostics: dict = {"n_quad": basis.nodes.size, "size": basis.size, "rank_q": basis.wq.shape[1],
-                         "gap_sector": res.sector, "gap_method": res.method, "gap_nodes": res.nodes,
+                         "gap_sector": res.sector, "gap_method": res.method, "gap_passes": res.passes,
                          "gap_guard": res.guard}
 
     converged = None
@@ -623,7 +623,7 @@ def _cmd_spectrum(opts: dict) -> tuple[dict, dict]:
         diagnostics["refined_Kq"] = basis2.Kq
         diagnostics["refined_Np"] = basis2.Np
         diagnostics["refined_method"] = res2.method
-        diagnostics["refined_nodes"] = res2.nodes
+        diagnostics["refined_passes"] = res2.passes
 
     if dump:
         eigs = res.eigenvalues[_eig_row_order(res.eigenvalues, res.norm1)]
@@ -803,7 +803,7 @@ def _cmd_scan(opts: dict) -> tuple[dict, dict]:
         "output": out,
     }
     return results, {"Kq": basis.Kq, "Np": basis.Np, "rung_methods": scan.rung_methods,
-                     "rung_nodes": scan.rung_nodes}
+                     "rung_passes": scan.rung_passes}
 
 
 _COMMANDS = {

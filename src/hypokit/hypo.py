@@ -696,7 +696,7 @@ class ScanResult:
     lambda_bar: float
     row_errors: dict
     rung_methods: list  # per rung: gamma, the path per sector, and whether the guard fired
-    rung_nodes: list  # per rung: the node count of each sector's last contour rule (GapResult.nodes)
+    rung_passes: list  # per rung: the passes each sector's contour ran (GapResult.passes)
 
 
 def scan_threads(max_workers: int) -> int:
@@ -709,12 +709,13 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
 
     Each rung is spectral.rung_gap on the one gamma-free spectral.rung_ladder
     of this basis, the gap `spectrum` reports: a dense gap on the ladder's
-    coarsest basis, refined by a contour integral on each finer one, with a
-    dense guard, and so rests on heuristic ellipses.  Every rung reads the
-    one ladder, whose generators hold no mutable state: each rung forms its
-    own level blocks.  rung_methods records, per rung, the path per sector
-    on this basis and whether the guard fired there, and rung_nodes the node
-    count of each sector's last contour rule there (0 where none ran).
+    coarsest basis, refined by a contour integral on each finer one (its
+    passes solve on one set of chain factorizations), with a dense guard,
+    and so rests on heuristic ellipses.  Every rung reads the one ladder,
+    whose generators hold no mutable state: each rung forms its own level
+    blocks.  rung_methods records, per rung, the path per sector
+    on this basis and whether the guard fired there, and rung_passes the
+    passes each sector's contour ran there (0 where none ran).
 
     Requires at least 7 gamma values spanning [1/8, 8].  Rows run on
     max_workers threads, default one, at most the usable cores
@@ -723,7 +724,7 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
     dense eigensolve (np.linalg.eigvals) holds the GIL for its whole call,
     and the contour's chain releases it only inside each batched inverse and
     product, so two threads gain little: on a shared 2-core host with one BLAS
-    thread the default scan took 0.28-0.29 s on one thread and 0.30-0.34 s on
+    thread the default scan took 0.20-0.30 s on one thread and 0.24-0.31 s on
     two.  A second thread needs a single-threaded BLAS (which concurrent rows
     would compete with) and a second core that is free.
     Failed rows, including those whose gap is not above roundoff
@@ -745,13 +746,13 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
     gaps = np.full(g.size, np.nan)
     row_errors: dict = {}
     rung_methods = [{"gamma": float(x), "sectors": {}, "guard": False} for x in g]
-    rung_nodes = [{} for _ in g]
+    rung_passes = [{} for _ in g]
 
     def run_row(i: int):
         try:
             res = rung_gap(ladder, g[i])
             rung_methods[i].update(sectors=res.method, guard=res.guard)
-            rung_nodes[i] = res.nodes
+            rung_passes[i] = res.passes
             require_gap_above_roundoff(res)
             gaps[i] = res.gap
         except Exception as exc:  # noqa: BLE001 - rows are isolated by design
@@ -780,5 +781,5 @@ def gamma_scan(basis: BasisSet, gammas, max_workers: int = 1) -> ScanResult:
         lambda_bar=float(np.min(gaps[ok] / lower[ok])),
         row_errors=row_errors,
         rung_methods=rung_methods,
-        rung_nodes=rung_nodes,
+        rung_passes=rung_passes,
     )

@@ -53,10 +53,11 @@ that refinement policy.  Per sector it filters a block of random probes by a
 contour integral of (-L - z)^{-1} around an ellipse about the base gap, the
 chain factoring -L - z at the trapezoid nodes of its upper half, and takes the
 eigenvalues inside as Ritz values of -L on the filtered probes, each verified
-by its residual (the FEAST / Sakurai-Tadano practice).  The first rule has
-CONTOUR_NODES / 2 nodes, and the nodes between them, which complete the
-CONTOUR_NODES rule without solving a shift twice, run only where it cannot
-settle the sector.  contour_gap solves dense a sector below DENSE_SECTOR_MAX
+by its residual (the FEAST / Sakurai-Tadano practice).  Where one pass of the
+CONTOUR_NODES-node rule cannot settle the sector, the filter is applied again
+to what it produced, up to CONTOUR_PASSES times, on the chains the first pass
+factored (FEAST's subspace iteration): the damping grows with the passes, the
+factorizations do not.  contour_gap solves dense a sector below DENSE_SECTOR_MAX
 coordinates, every sector with no base (the dense gap, spectral_gap) or a
 base at roundoff level, and a sector the contour cannot settle, and reads the
 CONVERGENCE_RTOL test.  rung_gap is the gap on a basis,
@@ -532,7 +533,7 @@ class GapResult:
     method: dict = field(default_factory=dict)
     base_gap: float | None = None
     guard: bool = False
-    nodes: dict = field(default_factory=dict)  # per sector, the node count of the last contour rule run; 0 for none
+    passes: dict = field(default_factory=dict)  # per sector, the passes its contour ran; 0 for none
 
     @property
     def eig_count_checked(self) -> int:
@@ -632,15 +633,18 @@ def hermite_chain(blocks: LevelBlocks, mu) -> HermiteChain:
     return HermiteChain(blocks, inv)
 
 
-# Trapezoid nodes on the ellipse of the finer contour rule; the first rule has half as many,
-# and only the upper half of either is solved: 16 shifts, then 17 more.
-CONTOUR_NODES = 64
-# Pivot inverses one chain of contour shifts may hold (contour_batch): 8 shifts on the
-# Kq16/Np32 sectors (139 kB each), 4 at Kq24/Np48 (461 kB), 1 above 2 MiB.  A larger
-# batch makes fewer, longer LAPACK/BLAS calls and fewer Python steps per shift, which
-# pays on one thread: one Kq16/Np32 sector contour settled by the first rule took
-# 25.8 ms at 1 shift per chain and 14.5 ms at 8.  16 shifts per chain cost a two-thread
-# scan 4-6 MB more peak memory.
+# Trapezoid nodes on the contour's ellipse; only the upper half is solved: 8 shifts, which
+# every pass of the filter reuses.
+CONTOUR_NODES = 16
+# Passes of the filter a sector's contour may run before it goes dense: after p passes an
+# eigenvalue outside at elliptic radius r leaks like r^(-CONTOUR_NODES p), so the cap damps
+# like one 64-node rule.
+CONTOUR_PASSES = 4
+# Pivot inverses one chain of contour shifts may hold (contour_batch), which is also what a
+# contour keeps between its passes: all 8 shifts on the Kq16/Np32 sectors (139 kB each), 4 at
+# Kq24/Np48 (461 kB), 1 above 2 MiB.  A larger batch makes fewer, longer LAPACK/BLAS calls and
+# fewer Python steps per shift, which pays on one thread: one Kq16/Np32 sector contour settled
+# by a 32-node rule took 25.8 ms at 1 shift per chain and 14.5 ms at 8.
 CONTOUR_CHUNK_BYTES = 2 * 2**20
 CONTOUR_PROBES = 16  # columns of the probe block
 CONTOUR_SEED = 2024  # seed of the probe block, so reruns are bitwise identical
@@ -673,67 +677,67 @@ def require_gap_above_roundoff(res: GapResult) -> None:
 
 def contour_batch(blocks: LevelBlocks) -> int:
     """Shifts one chain of a sector's contour factors at once: the largest power of two, at most
-    CONTOUR_NODES / 2, whose complex pivot inverses fit in CONTOUR_CHUNK_BYTES; at least 1.  A contour
-    rule solves at most CONTOUR_NODES / 4 + 1 shifts, so a larger batch factors a whole rule in one chain."""
+    CONTOUR_NODES / 2, whose complex pivot inverses fit in CONTOUR_CHUNK_BYTES; at least 1.  At
+    CONTOUR_NODES / 2 one chain holds every shift of the rule, and every pass of the filter solves on it."""
     per_shift = 16 * sum(d.size**2 for d in blocks.diags)
     fits = min(CONTOUR_NODES // 2, max(1, CONTOUR_CHUNK_BYTES // per_shift))
     return 1 << (fits.bit_length() - 1)
 
 
 def _contour_sector_eigs(blocks: LevelBlocks, center: float, a: float, b: float, norm1: float,
-                         nodes_run: list | None = None) -> Array | None:
+                         passes_run: list | None = None) -> Array | None:
     """The eigenvalues of -L inside the ellipse, each verified, or None where the contour cannot tell.
 
-    The seeded probe block V is filtered by the moments
-    A_p = (1 / 2 pi i) \\oint (z - center)^p (-L - z)^{-1} V dz, p = 0, 1, summed
-    by the trapezoid rule on z = center + a cos t + i b sin t.  -L and V are
-    real, so the node mirrored below the axis adds -conj(X dz) to X dz, and
-    only the upper half is solved.
+    The filters F_m(-L) X = (1 / 2 pi i) \\oint (z - center)^m (-L - z)^{-1} X dz, m = 0, 1, are
+    summed by the CONTOUR_NODES-node trapezoid rule on z = center + a cos t + i b sin t,
+    t = 2 pi (j + 1/2) / CONTOUR_NODES.  -L and X are real, so the node mirrored below the
+    axis adds -conj(Y dz) to Y dz, and only the CONTOUR_NODES / 2 upper shifts are solved.
 
-    Two nested rules.  The first has CONTOUR_NODES / 2 nodes,
-    t = 2 pi (j + 1/2) / (CONTOUR_NODES / 2).  Where it cannot settle the
-    sector, the nodes halfway between, t = 2 pi j / (CONTOUR_NODES / 2) with
-    the two on the real axis at half weight, are added to the same sums,
-    which then hold the CONTOUR_NODES-node rule: no shift is solved twice.
-    A sector the finer rule cannot settle either gives None.
+    Passes of the same filter.  Each of up to CONTOUR_PASSES passes filters the block the one
+    before produced, starting from the seeded probe block V: A_1 = F_1(-L) A_0 and A_0 <- F_0(-L) A_0,
+    so A_0 is F_0^p V after pass p, never re-orthonormalized.  An eigenvalue outside the ellipse
+    at elliptic radius r leaks like r^(-CONTOUR_NODES p).  Every pass solves on the shifts the
+    first one factored: the chain of its last batch is kept, and the next pass runs the batches
+    in reverse order, so a rule solved in one chain (contour_batch) is factored once, and at most
+    one chain's pivot inverses are alive at any moment.  A sector no pass settles gives None.
 
-    After each rule, an A_0 whose largest singular value is at most
-    CONTOUR_RANK_TOL ||V||_2 holds no eigenvalue inside and gives an empty
-    array.  Like the ellipse, that is a heuristic: an eigenvalue inside with
-    a tiny projection on V would not be seen.  Otherwise A_0's rank k counts
-    its singular values above CONTOUR_RANK_TOL times the largest.  The rule
-    settles the sector when k < CONTOUR_PROBES (at k = CONTOUR_PROBES the
-    probe block may be saturated) and _verified_ritz_values finds Ritz
-    values of -L on span[A_0, A_1] inside the ellipse, each passing its
-    residual test against norm1 = ||L||_1 of the sector.  nodes_run, when
-    given, gets the node count of each rule run.
+    After each pass, an A_0 whose largest singular value is at most CONTOUR_RANK_TOL ||V||_2
+    holds no eigenvalue inside and gives an empty array.  Like the ellipse, that is a heuristic:
+    an eigenvalue inside with a tiny projection on V would not be seen.  Otherwise A_0's rank k
+    counts its singular values above CONTOUR_RANK_TOL times the largest.  The pass settles the
+    sector when k < CONTOUR_PROBES (at k = CONTOUR_PROBES the probe block may be saturated) and
+    _verified_ritz_values finds Ritz values of -L on span[A_0, A_1] inside the ellipse, each
+    passing its residual test against norm1 = ||L||_1 of the sector.  passes_run, when given,
+    gets one entry per pass run.
     """
-    half = CONTOUR_NODES // 2
-    probes = np.random.default_rng(CONTOUR_SEED).standard_normal((int(blocks.start[-1]), CONTOUR_PROBES))
-    sums = np.zeros((probes.shape[0], 2, CONTOUR_PROBES))  # A_0 and A_1 side by side, times nodes / 2
+    a0 = np.random.default_rng(CONTOUR_SEED).standard_normal((int(blocks.start[-1]), CONTOUR_PROBES))  # V
+    empty_below = CONTOUR_RANK_TOL * np.linalg.norm(a0, 2)
+    t = 2.0 * math.pi * (np.arange(CONTOUR_NODES // 2) + 0.5) / CONTOUR_NODES
+    z = center + a * np.cos(t) + 1j * b * np.sin(t)
+    dz = (2.0 / CONTOUR_NODES) * (-a * np.sin(t) + 1j * b * np.cos(t))
+    weights = np.stack([dz, (z - center) * dz])
     batch = contour_batch(blocks)
-    ends = np.ones(half // 2 + 1)
-    ends[[0, -1]] = 0.5
-    rules = ((half, np.arange(half // 2) + 0.5, 1.0),  # the first rule, off the real axis
-             (CONTOUR_NODES, np.arange(half // 2 + 1.0), ends))  # the nodes between, both real-axis ends
-    for nodes, j, w in rules:
-        if nodes_run is not None:
-            nodes_run.append(nodes)
-        t = 2.0 * math.pi * j / half
-        z = center + a * np.cos(t) + 1j * b * np.sin(t)
-        dz = w * (-a * np.sin(t) + 1j * b * np.cos(t))
-        weights = np.stack([dz, (z - center) * dz])
-        for lo in range(0, z.size, batch):
-            part = slice(lo, lo + batch)
-            try:  # one statement, so no batch's moments outlive it into the next chain
-                sums += hermite_chain(blocks, z[part]).moments(probes, weights[:, part]).imag.transpose(1, 0, 2)
-            except np.linalg.LinAlgError:
-                return None
-        sv = (2.0 / nodes) * np.linalg.svd(sums[:, 0], compute_uv=False)
-        if sv[0] <= CONTOUR_RANK_TOL * np.linalg.norm(probes, 2):
+    parts = [slice(lo, lo + batch) for lo in range(0, z.size, batch)]
+    chain = None
+    for p in range(CONTOUR_PASSES):
+        if passes_run is not None:
+            passes_run.append(p + 1)
+        filtered = np.zeros((2,) + a0.shape)  # A_0 and A_1
+        for i, part in enumerate(parts):
+            if p == 0 or i > 0:  # the first batch of a later pass is the chain the pass before kept
+                chain = None  # its pivot inverses go before the next chain's are formed
+                try:
+                    chain = hermite_chain(blocks, z[part])
+                except np.linalg.LinAlgError:
+                    return None
+            filtered += chain.moments(a0, weights[:, part]).imag
+        parts.reverse()
+        a0 = filtered[0].copy()  # so the next pass holds no A_1 beside its own
+        sv = np.linalg.svd(a0, compute_uv=False)
+        if sv[0] <= empty_below:
             return np.empty(0, complex)
         if np.count_nonzero(sv > CONTOUR_RANK_TOL * sv[0]) < CONTOUR_PROBES:
-            lam = _verified_ritz_values(blocks, sums.reshape(probes.shape[0], -1), center, a, b, norm1)
+            lam = _verified_ritz_values(blocks, np.hstack(filtered), center, a, b, norm1)
             if lam is not None:
                 return lam
     return None
@@ -783,9 +787,9 @@ def contour_gap(red: ReducedGenerator, gamma: float, base: GapResult | None) -> 
     CONVERGENCE_RTOL.  Each sector finds the eigenvalues of -L inside an
     ellipse built from the base spectrum (_contour_ellipse) by a contour
     integral on its Hermite chains (_contour_sector_eigs): Rayleigh-Ritz on the
-    probes the contour filters, on CONTOUR_NODES / 2 trapezoid nodes, or
-    CONTOUR_NODES where those cannot settle the sector; `nodes` records the
-    node count of the last rule run per sector, 0 where none ran.  The
+    probes the contour filters, in up to CONTOUR_PASSES passes of one
+    CONTOUR_NODES-node trapezoid rule on the same factorizations; `passes`
+    records per sector the passes its contour ran, 0 where none ran.  The
     ellipse is a heuristic built from the base
     spectrum, not a certificate, just like the CONVERGENCE_RTOL test: an
     eigenvalue of this basis outside it is not seen.  A sector with fewer
@@ -802,15 +806,14 @@ def contour_gap(red: ReducedGenerator, gamma: float, base: GapResult | None) -> 
     blocks = [red.level_blocks(gamma, sector=s) for s in range(red.basis.n_sectors)]
     norm1 = [bl.norm1() for bl in blocks]
     found = [None] * len(blocks)
-    nodes_run = [[] for _ in blocks]  # per sector, the node count of each rule its contour ran
+    passes_run = [[] for _ in blocks]  # per sector, one entry per pass its contour ran
     if base is not None and base.gap > gap_roundoff_floor(base.norm1):
         center, a, b = _contour_ellipse(base)
         found = [_contour_sector_eigs(bl, center, a, b, n1, r) if bl.start[-1] >= DENSE_SECTOR_MAX else None
-                 for bl, n1, r in zip(blocks, norm1, nodes_run)]
+                 for bl, n1, r in zip(blocks, norm1, passes_run)]
         if not any(x is not None and x.size for x in found):
             found = [None] * len(found)
     method = {}
-    nodes = {name: r[-1] if r else 0 for name, r in zip(red.sector_names, nodes_run)}
     for s, name in enumerate(red.sector_names):
         method[name] = "dense" if found[s] is None else "contour" if found[s].size else "empty"
         if found[s] is None:
@@ -819,7 +822,8 @@ def contour_gap(red: ReducedGenerator, gamma: float, base: GapResult | None) -> 
     best = int(np.argmin(gaps))
     eigs = np.concatenate(found)
     return GapResult(gaps[best], eigs, max(norm1), red.sector_names[best], method,
-                     None if base is None else base.gap, nodes=nodes)
+                     None if base is None else base.gap,
+                     passes={name: len(r) for name, r in zip(red.sector_names, passes_run)})
 
 
 def rung_ladder(basis: BasisSet) -> list[ReducedGenerator]:
@@ -853,7 +857,7 @@ def rung_gap(ladder: list[ReducedGenerator], gamma: float) -> GapResult:
     for red in reversed(ladder[:-1]):
         res = contour_gap(red, gamma, res)
         if not (res.converged or set(res.method.values()) == {"dense"}):
-            res = replace(contour_gap(red, gamma, None), method=res.method, nodes=res.nodes, guard=True)
+            res = replace(contour_gap(red, gamma, None), method=res.method, passes=res.passes, guard=True)
     return res
 
 

@@ -1063,7 +1063,7 @@ def _coarse_base(spec, params, Kq, Np, monkeypatch):
 @pytest.mark.parametrize("gamma", [0.125, 1.0, 8.0])
 @pytest.mark.parametrize("name,pot,ens,Kq,Np", [(n, p, e, kq, np_) for n, p, e, g, kq, np_ in EIGVALS_CASES if g == 1.0])
 def test_contour_gap_does_not_depend_on_the_batch(name, pot, ens, Kq, Np, gamma, monkeypatch):
-    """Each sector's contour reads the same gap, to 1e-12, whether a chain factors 1, 4, 8 or all 32 shifts."""
+    """Each sector's contour reads the same gap, to 1e-12, whether a chain factors 1, 2, 4 or all 8 shifts."""
     base, red = _coarse_base(builtin_potential(name, pot), EnsembleParams(gamma=gamma, **ens), Kq, Np, monkeypatch)
     g = base.gap
     near = base.eigenvalues[base.eigenvalues.real < 2.0 * g]
@@ -1072,7 +1072,7 @@ def test_contour_gap_does_not_depend_on_the_batch(name, pot, ens, Kq, Np, gamma,
     for blocks in _sector_blocks(red, gamma):
         per_shift = 16 * sum(d.size**2 for d in blocks.diags)
         gaps = []
-        for batch in (1, 4, 8, 32):
+        for batch in (1, 2, 4, 8):
             monkeypatch.setattr(spectral, "CONTOUR_CHUNK_BYTES", batch * per_shift)
             assert spectral.contour_batch(blocks) == batch
             eigs = spectral._contour_sector_eigs(blocks, center, a, b, blocks.norm1())
@@ -1216,6 +1216,27 @@ def test_a_settled_contour_holds_exactly_the_dense_eigenvalues_inside(name, beta
         assert all(np.abs(got - lam).min() <= 1e-10 * norm1 for lam in inside)
 
 
+@settings(max_examples=20)
+@given(h=st.floats(1.0, 5.0), log2_gamma=st.floats(-3.0, 1.0), Kq=st.integers(8, 12))
+def test_passes_on_tall_ellipses_hold_exactly_the_dense_eigenvalues_inside(h, log2_gamma, Kq):
+    """Cosine cells whose ellipses stand tall enough that a sector takes more than one pass: whatever
+    pass settles it returns every dense eigenvalue inside and nothing else, and an empty sector has
+    none inside."""
+    gamma = 2.0**log2_gamma
+    basis = build_basis(builtin_potential("cosine", {"h": h, "L": 1.0}), EnsembleParams(), Kq=Kq, Np=2 * Kq)
+    base = spectral.contour_gap(reduced_generator(basis.resized(Kq // 2, Kq)), gamma, None)
+    center, a, b = spectral._contour_ellipse(base)
+    for blocks in _sector_blocks(reduced_generator(basis), gamma):
+        norm1 = blocks.norm1()
+        got = spectral._contour_sector_eigs(blocks, center, a, b, norm1)
+        if got is None:
+            continue
+        dense = np.linalg.eigvals(blocks.dense())
+        inside = dense[((dense.real - center) / a) ** 2 + (dense.imag / b) ** 2 < 1.0]
+        assert got.size == inside.size
+        assert all(np.abs(got - lam).min() <= 1e-10 * norm1 for lam in inside)
+
+
 def _shifts_per_sector(monkeypatch, red, gamma, base):
     """(contour_gap result, the shifts each _contour_sector_eigs call factored, call by call)."""
     chain, sector_eigs, calls = spectral.hermite_chain, spectral._contour_sector_eigs, []
@@ -1233,39 +1254,48 @@ def _shifts_per_sector(monkeypatch, red, gamma, base):
     return spectral.contour_gap(red, gamma, base), [np.array(c) for c in calls]
 
 
-def test_no_contour_shift_is_solved_twice(cosine_spec, unit_params, monkeypatch):
-    """Cosine Kq16/Np32 around the dense Kq8/Np16 gap: at gamma = 1/8 the 32-node rule settles both
-    sectors on its 16 upper shifts; at gamma = 1/2 (height over width 14.4) its probe block saturates,
-    and the nodes between complete the 64-node rule, at most 33 distinct shifts with both real-axis ends."""
-    top, coarse = spectral.rung_ladder(build_basis(cosine_spec, unit_params))
-    base = spectral.contour_gap(coarse, 0.125, None)
-    assert base.nodes == {"even": 0, "odd": 0}
-    res, shifts = _shifts_per_sector(monkeypatch, top, 0.125, base)
-    assert [mu.size for mu in shifts] == [16, 16] and res.nodes == {"even": 32, "odd": 32}
-    assert res.method == {"even": "contour", "odd": "contour"}
-    base = spectral.contour_gap(coarse, 0.5, None)
+def test_each_contour_shift_is_factored_once(cosine_spec, unit_params, monkeypatch):
+    """Cosine Kq16/Np32 around the dense Kq8/Np16 gap: one chain holds all 8 upper shifts, so a sector
+    factors them once however many passes it runs: 1 at gamma = 1/8, 3 at gamma = 1/2 (height over
+    width 14.4).  The Kq24/Np48 refinement around that rung's gap holds 4 shifts per chain, and each
+    pass after the first refactors one of its two chains: 8 + 4 (p - 1) shifts for p passes."""
+    top, coarse = ladder = spectral.rung_ladder(build_basis(cosine_spec, unit_params))
+    fine = reduced_generator(top.basis.resized(24, 48))
+    assert [spectral.contour_batch(bl) for bl in _sector_blocks(fine, 1.0)] == [4, 4]
+    rungs = {gamma: spectral.rung_gap(ladder, gamma) for gamma in (0.125, 0.5, 1.0)}
+    for gamma, passes in ((0.125, 1), (0.5, 3)):
+        base = spectral.contour_gap(coarse, gamma, None)
+        assert base.passes == {"even": 0, "odd": 0}
+        res, shifts = _shifts_per_sector(monkeypatch, top, gamma, base)
+        assert len(shifts) == 2 and all(mu.size == np.unique(mu).size == 8 for mu in shifts)
+        assert res.passes == {"even": passes, "odd": passes}
+        assert res.method == {"even": "contour", "odd": "contour"}
     center, a, b = spectral._contour_ellipse(base)
     assert b / a == pytest.approx(14.4, abs=0.05)
-    res, shifts = _shifts_per_sector(monkeypatch, top, 0.5, base)
-    assert len(shifts) == 2 and all(16 < mu.size <= 33 and np.unique(mu).size == mu.size for mu in shifts)
-    assert res.nodes == {"even": 64, "odd": 64} and res.method == {"even": "contour", "odd": "contour"}
+    for gamma, rung in rungs.items():
+        res, shifts = _shifts_per_sector(monkeypatch, fine, gamma, rung)
+        assert res.method == {"even": "contour", "odd": "contour"}
+        assert [np.unique(mu).size for mu in shifts] == [8, 8]
+        assert [mu.size for mu in shifts] == [8 + 4 * (res.passes[name] - 1) for name in ("even", "odd")]
 
 
-def test_runs_report_the_contour_nodes(tmp_path):
-    """The default spectrum settles its rung and refinement on the 32-node rule in both sectors; the
-    default scan's gamma = 1/2 rung needs 64, and every rung's map sits beside its rung_methods entry."""
+def test_runs_report_the_contour_passes(tmp_path):
+    """The default spectrum settles its rung and refinement in two passes in every sector; the default
+    scan takes one at gamma = 1/8 and 1/4, three at 1/2 and two above, and every rung's map sits beside
+    its rung_methods entry."""
     from hypokit import cli
 
     assert cli.main(["spectrum", "--report", str(tmp_path / "spectrum.json")]) == 0
     diag = json.loads((tmp_path / "spectrum.json").read_text())["diagnostics"]
-    assert diag["gap_nodes"] == diag["refined_nodes"] == {"even": 32, "odd": 32}
+    assert diag["gap_passes"] == diag["refined_passes"] == {"even": 2, "odd": 2}
     assert cli.main(["scan", "--report", str(tmp_path / "scan.json")]) == 0
     diag = json.loads((tmp_path / "scan.json").read_text())["diagnostics"]
-    nodes = {m["gamma"]: n for m, n in zip(diag["rung_methods"], diag["rung_nodes"], strict=True)}
-    assert nodes[0.5] == {"even": 64, "odd": 64} and nodes[0.125] == {"even": 32, "odd": 32}
+    passes = {m["gamma"]: p for m, p in zip(diag["rung_methods"], diag["rung_passes"], strict=True)}
+    assert passes == {gamma: {"even": p, "odd": p}
+                      for gamma, p in ((0.125, 1), (0.25, 1), (0.5, 3), (1.0, 2), (2.0, 2), (4.0, 2), (8.0, 2))}
 
 
-@pytest.mark.parametrize("gamma", [1 / 32, 1 / 64, 1 / 128])
+@pytest.mark.parametrize("gamma", [1 / 32, 1 / 64, 1 / 128, 1 / 256, 1e-3])
 def test_small_friction_settles_on_the_contour(cosine_spec, unit_params, gamma, tmp_path, monkeypatch):
     """Round ellipses at small friction: the rung and the refinement settle both sectors on the contour,
     only the coarse Kq8/Np16 sectors reach the dense eigensolve, and each gap is the dense one."""
